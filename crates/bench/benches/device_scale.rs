@@ -5,9 +5,9 @@
 //! Four concurrent streams (one shard worker each, pipelined engines)
 //! issue detect and classify charges against the pool; under the Latency
 //! clock every charge holds one device slot for its simulated duration,
-//! so the single-device row serializes exactly like
-//! `DeviceModel::Exclusive` while the 4-device row lets every stream's
-//! in-flight model call sleep on its own slot. The speedup column is
+//! so the single-device row serializes every model call while the
+//! 4-device row lets every stream's in-flight model call sleep on its own
+//! slot. The speedup column is
 //! therefore a direct read of how much device parallelism the placement
 //! layer actually extracts from the serving stack — decode and tracker
 //! work stay host-side and are the non-scaling remainder.
@@ -24,7 +24,7 @@ use vqpy_bench::bench_scale;
 use vqpy_bench::report::{merge_section, section, table};
 use vqpy_bench::workloads::straight_car_query;
 use vqpy_core::{ExecConfig, ExecMode, SessionConfig, VqpySession};
-use vqpy_models::{Clock, ClockMode, DeviceModel, ModelZoo, PlacementPolicy};
+use vqpy_models::{Clock, ClockMode, DeviceModel, ModelZoo};
 use vqpy_serve::{
     Backpressure, PaceMode, ServeConfig, StreamSupervisor, Subscription, SupervisorConfig,
     Telemetry,
@@ -47,11 +47,8 @@ struct RunResult {
 }
 
 fn run(devices: usize, seconds: f64) -> RunResult {
-    let clock = Arc::new(
-        Clock::with_mode(ClockMode::Latency)
-            .with_device(DeviceModel::Devices(devices))
-            .with_placement(PlacementPolicy::LeastLoaded),
-    );
+    let clock =
+        Arc::new(Clock::with_mode(ClockMode::Latency).with_device(DeviceModel::Devices(devices)));
     let config = SessionConfig {
         exec: ExecConfig {
             batch_size: BATCH_SIZE,

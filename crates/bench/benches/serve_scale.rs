@@ -5,7 +5,7 @@
 //!
 //! The resource model is the honest one for scale-out: the Latency clock
 //! serializes model charges on a single device
-//! (`DeviceModel::Exclusive`), so N per-stream engines do not enjoy N
+//! (`DeviceModel::Devices(1)`), so N per-stream engines do not enjoy N
 //! phantom GPUs, and a physical batch realizes its amortized net cost
 //! (`BATCH_OVERHEAD_FRACTION` credited for items after the first, plus the
 //! fixed `DISPATCH_LAUNCH_COST` paid once per physical invocation) as one
@@ -96,7 +96,7 @@ impl SubsByStream {
 }
 
 fn run(streams: usize, shared_batcher: bool, seconds: f64) -> RunResult {
-    let clock = Arc::new(Clock::with_mode(ClockMode::Latency).with_device(DeviceModel::Exclusive));
+    let clock = Arc::new(Clock::with_mode(ClockMode::Latency).with_device(DeviceModel::Devices(1)));
     let config = SessionConfig {
         exec: ExecConfig {
             batch_size: BATCH_SIZE,

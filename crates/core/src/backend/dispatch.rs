@@ -123,8 +123,7 @@ pub trait ModelDispatch: Send + Sync {
 
 /// The default boundary: one physical batched invocation per call, issued
 /// directly on the calling thread through the models' fallible entry
-/// points. Each invocation runs inside a [`vqpy_models::placement_scope`]
-/// keyed by (stage, model name) so a multi-device clock can route it.
+/// points.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DirectDispatch;
 
@@ -135,9 +134,7 @@ impl ModelDispatch for DirectDispatch {
         frames: &[&Frame],
         clock: &Clock,
     ) -> Result<Vec<Vec<Detection>>, ModelFault> {
-        vqpy_models::placement_scope(ModelStage::Detect.index(), &detector.profile().name, || {
-            detector.try_detect_batch(frames, clock)
-        })
+        detector.try_detect_batch(frames, clock)
     }
 
     fn predict(
@@ -146,9 +143,7 @@ impl ModelDispatch for DirectDispatch {
         frames: &[&Frame],
         clock: &Clock,
     ) -> Result<Vec<bool>, ModelFault> {
-        vqpy_models::placement_scope(ModelStage::Predict.index(), &model.profile().name, || {
-            model.try_predict_batch(frames, clock)
-        })
+        model.try_predict_batch(frames, clock)
     }
 
     fn classify(
@@ -158,9 +153,7 @@ impl ModelDispatch for DirectDispatch {
         dets: &[Detection],
         clock: &Clock,
     ) -> Result<Vec<Value>, ModelFault> {
-        vqpy_models::placement_scope(ModelStage::Classify.index(), &model.profile().name, || {
-            model.try_classify_batch(frame, dets, clock)
-        })
+        model.try_classify_batch(frame, dets, clock)
     }
 }
 

@@ -1,44 +1,40 @@
-//! The execution engine: instantiates a [`PlanDag`] into live operators and
-//! streams frames through them in batches, collecting per-query frame hits
-//! and video aggregates.
+//! The execution engine: streams frames through a plan's live operators
+//! ([`StageOps`]) in batches, collecting per-query frame hits and video
+//! aggregates.
 //!
-//! Two drivers share the same operators and collection logic:
+//! There is one stage body (`run_stage` in [`crate::backend::stage`]) and
+//! two schedulers over it:
 //!
-//! - **Sequential** ([`ExecMode::Sequential`]): one thread processes the
-//!   video in batches of [`ExecConfig::batch_size`] frames, *op-major* —
-//!   each operator's [`Operator::process_batch`] runs over the whole batch
-//!   before the next operator starts, so model-backed operators issue one
-//!   physical batched invocation per batch (§4.1).
-//! - **Pipelined** ([`ExecMode::Pipelined`]): the staged executor in
-//!   [`crate::backend::pipeline`] overlaps decode+frame-filters, detection,
-//!   and the stateful tail (track/project/filter/join) on dedicated threads
-//!   connected by bounded channels. Decode and detection additionally fan
-//!   out across worker threads; the tail stays sequential in frame order
-//!   because trackers, sliding windows, and the reuse cache are stateful.
+//! - **Sequential** ([`ExecMode::Sequential`]): the calling thread decodes
+//!   a batch of [`ExecConfig::batch_size`] frames, runs every stage of
+//!   [`StageKind::ALL`] over it in turn, and feeds the sink. Stages are
+//!   *op-major* — each operator's `process_batch` covers the whole batch
+//!   before the next starts — so model-backed operators issue one physical
+//!   batched invocation per batch (§4.1).
+//! - **Pipelined** ([`ExecMode::Pipelined`]): [`crate::backend::pipeline`]
+//!   gives every stage its own thread(s), so stages overlap.
 //!
-//! Both modes produce byte-identical query results: every simulated model
-//! answers deterministically per `(frame, entity)`, stateful operators see
-//! frames in order in both drivers, and batching only changes *charged
-//! cost* (amortized dispatch overhead), never values.
+//! Both produce byte-identical query results: they run the same body over
+//! the same chains, every simulated model answers deterministically per
+//! `(frame, entity)`, ordered stages see frames in order under both, and
+//! batching only changes *charged cost* (amortized dispatch overhead),
+//! never values.
 //!
 //! Frame slots are workspaces ([`FrameSlot::reset`]) and the reuse cache is
 //! keyed by interned symbols, so the steady-state hot loop performs no
 //! per-frame allocations for caching or match bookkeeping.
 
-use crate::backend::dispatch::{DirectDispatch, ModelDispatch};
-use crate::backend::ops::{
-    BinaryFilterOp, DetectOp, DiffFrameFilter, ExecCtx, FilterOp, FrameSlot, JoinOp, OpState,
-    Operator, ProjectOp, RelationProjectOp, TrackOp,
-};
-use crate::backend::plan::{JoinSpec, OpSpec, PlanDag};
+use crate::backend::ops::FrameSlot;
+use crate::backend::pipeline::run_pipelined;
+use crate::backend::plan::{JoinSpec, PlanDag};
 use crate::backend::reuse::{ReuseCache, ReuseStats};
-use crate::backend::symbols::SymbolTable;
-use crate::error::{Result, VqpyError};
+use crate::backend::stage::{
+    decode_batch, deliver, instantiate_stage_ops, run_stage, ExecEnv, StageCtx, StageKind, StageOps,
+};
+use crate::error::Result;
 use crate::frontend::query::Aggregate;
-use crate::frontend::vobj::ResolvedProperty;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::ops::Range;
-use std::sync::Arc;
 use std::time::Instant;
 use vqpy_models::{Clock, ModelZoo, Value};
 use vqpy_video::source::VideoSource;
@@ -49,9 +45,9 @@ pub enum ExecMode {
     /// Single-threaded, batch-at-a-time (the default).
     #[default]
     Sequential,
-    /// Staged pipeline: decode+frame-filters → detect → tail, on dedicated
-    /// threads with bounded channels. `workers` threads each fan out the
-    /// decode and detect stages (clamped to at least 1).
+    /// Every stage on its own thread(s), connected by bounded channels.
+    /// `workers` threads each run decode and the fan-out stages (clamped
+    /// to at least 1).
     Pipelined {
         /// Worker threads per parallel stage.
         workers: usize,
@@ -125,8 +121,10 @@ pub struct ExecMetrics {
     /// Virtual ms spent on each frame (only when
     /// [`ExecConfig::record_per_frame_ms`] is set; sequential mode only).
     pub per_frame_ms: Vec<f64>,
-    /// Wall-clock milliseconds per pipeline stage, plus a `"total"` entry.
-    /// Parallel stages report the *sum* of their workers' busy time.
+    /// Wall-clock milliseconds per stage under either scheduler: `decode`,
+    /// then [`StageKind::ALL`]'s names, plus a `"total"` entry from
+    /// [`execute_plan`]. Parallel stages report the *sum* of their workers'
+    /// busy time.
     pub stage_wall_ms: Vec<(String, f64)>,
 }
 
@@ -221,109 +219,8 @@ impl QueryResult {
     }
 }
 
-/// Instantiates a slice of operator specs against a clone of the plan's
-/// symbol table. The serving layer uses [`instantiate_ops_with`] instead,
-/// passing one append-only table that stays stable across recompiles.
-pub fn instantiate_ops(
-    plan: &PlanDag,
-    specs: &[OpSpec],
-    zoo: &ModelZoo,
-) -> Result<Vec<Box<dyn Operator>>> {
-    // The plan interned every name it emits; clone-and-intern keeps
-    // hand-constructed plans (tests) working too.
-    let mut syms = plan.symbols.clone();
-    instantiate_ops_with(plan, specs, zoo, &mut syms)
-}
-
-/// Instantiates operator specs, interning names into `syms`. Reuse-cache
-/// keys are derived from these symbols, so a long-lived stream must pass
-/// the *same* table for every (re)instantiation or cached values would be
-/// read back under the wrong `(alias, prop)` identity.
-pub fn instantiate_ops_with(
-    plan: &PlanDag,
-    specs: &[OpSpec],
-    zoo: &ModelZoo,
-    syms: &mut SymbolTable,
-) -> Result<Vec<Box<dyn Operator>>> {
-    let mut ops: Vec<Box<dyn Operator>> = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let op: Box<dyn Operator> = match spec {
-            OpSpec::DiffFilter { threshold } => Box::new(DiffFrameFilter::new(*threshold)),
-            OpSpec::BinaryFilter { model } => {
-                Box::new(BinaryFilterOp::new(zoo.frame_classifier(model)?))
-            }
-            OpSpec::Detect { detector, aliases } => {
-                Box::new(DetectOp::new(zoo.detector(detector)?, aliases.clone()))
-            }
-            OpSpec::Track { alias } => Box::new(TrackOp::new(alias.clone())),
-            OpSpec::Project { alias, prop } => {
-                let (a, p) = (syms.intern(alias), syms.intern(prop));
-                Box::new(ProjectOp::new(
-                    alias.clone(),
-                    resolve_def(plan, alias, prop)?,
-                    a,
-                    p,
-                ))
-            }
-            OpSpec::FusedProjectFilter {
-                alias,
-                prop,
-                pred,
-                required,
-            } => {
-                let (a, p) = (syms.intern(alias), syms.intern(prop));
-                Box::new(
-                    ProjectOp::new(alias.clone(), resolve_def(plan, alias, prop)?, a, p)
-                        .with_fused_filter(pred.clone(), *required),
-                )
-            }
-            OpSpec::Filter {
-                alias,
-                pred,
-                required,
-            } => Box::new(FilterOp::new(alias.clone(), pred.clone(), *required)),
-            OpSpec::ProjectRelation { index } => {
-                Box::new(RelationProjectOp::new(plan.relations[*index].clone()))
-            }
-            OpSpec::Join { index } => {
-                let j = &plan.joins[*index];
-                let aliases: Vec<String> =
-                    j.query.vobjs().iter().map(|v| v.alias.clone()).collect();
-                Box::new(JoinOp::new(
-                    *index,
-                    j.query.name().to_owned(),
-                    aliases,
-                    j.query.relations().to_vec(),
-                    j.pred.clone(),
-                    j.kills_frame,
-                ))
-            }
-        };
-        ops.push(op);
-    }
-    Ok(ops)
-}
-
-fn resolve_def(
-    plan: &PlanDag,
-    alias: &str,
-    prop: &str,
-) -> Result<crate::frontend::property::PropertyDef> {
-    let schema = plan
-        .schemas
-        .get(alias)
-        .ok_or_else(|| VqpyError::UnknownAlias(alias.to_owned()))?;
-    match schema.resolve_property(prop) {
-        Some(ResolvedProperty::Defined(def)) => Ok(def.clone()),
-        _ => Err(VqpyError::UnknownProperty {
-            schema: schema.name().to_owned(),
-            property: prop.to_owned(),
-        }),
-    }
-}
-
-/// Consumes finished frame slots in frame order: the tail of every
-/// execution driver. The offline path accumulates a [`QueryResult`] per
+/// Consumes finished frame slots in frame order: where both schedulers
+/// end. The offline path accumulates a [`QueryResult`] per
 /// query ([`Collector`]); the serving layer demultiplexes matches to
 /// per-query subscribers incrementally.
 pub trait ResultSink {
@@ -437,7 +334,7 @@ impl QueryAccum {
 }
 
 /// Accumulates per-join hits and aggregates as finished slots stream out of
-/// a driver (always in frame order): the batch/offline [`ResultSink`].
+/// a scheduler (always in frame order): the batch/offline [`ResultSink`].
 pub struct Collector {
     hits: Vec<Vec<FrameHit>>,
     accums: Vec<QueryAccum>,
@@ -484,150 +381,6 @@ impl ResultSink for Collector {
     }
 }
 
-/// The operator-chain split every driver uses: frame filters (stateful,
-/// frame order) → detectors (stateless, parallelizable) → tail (stateful
-/// relational work). `(frame_specs, detect_specs, tail_specs)`.
-pub fn split_stage_specs(plan: &PlanDag) -> (&[OpSpec], &[OpSpec], &[OpSpec]) {
-    let first_detect = plan
-        .ops
-        .iter()
-        .position(|o| matches!(o, OpSpec::Detect { .. }));
-    match first_detect {
-        Some(first_detect) => {
-            let after_detect = plan.ops[first_detect..]
-                .iter()
-                .position(|o| !matches!(o, OpSpec::Detect { .. }))
-                .map(|p| first_detect + p)
-                .unwrap_or(plan.ops.len());
-            (
-                &plan.ops[..first_detect],
-                &plan.ops[first_detect..after_detect],
-                &plan.ops[after_detect..],
-            )
-        }
-        None => (&plan.ops[..0], &plan.ops[..0], &plan.ops[..]),
-    }
-}
-
-/// Live operator chains, split at stage boundaries. `detects` holds one
-/// chain per pipeline worker (detectors are stateless, so each worker owns
-/// instances); sequential driving uses worker 0 only.
-///
-/// A `StageOps` owns all cross-frame operator state for a stream, so a
-/// serving layer can persist it across [`run_segment`] calls — and, via
-/// [`StageOps::export_states`] / [`StageOps::import_states`], across plan
-/// recompiles when queries attach or detach.
-pub struct StageOps {
-    pub filters: Vec<Box<dyn Operator>>,
-    pub detects: Vec<Vec<Box<dyn Operator>>>,
-    /// Ordered pre-enrich segment of the tail: the tracker plus every
-    /// stateful or reuse-cache-touching projection, in plan order (see
-    /// [`PlanDag::partition_tail`]). Runs in frame order in both drivers.
-    pub prep: Vec<Box<dyn Operator>>,
-    /// Hoisted enrich chains, one per pipeline worker: order-free,
-    /// cache-free per-object projections and filters the planner lifted
-    /// out of the tail. Each worker owns its chain as a reusable workspace
-    /// (operators here are stateless, so chains never need state
-    /// carry-over but are still consulted by
-    /// [`StageOps::import_states`] for forward compatibility). Sequential
-    /// driving uses chain 0 only.
-    pub enrichs: Vec<Vec<Box<dyn Operator>>>,
-    /// The thin, genuinely order-dependent tail: relation projections and
-    /// joins.
-    pub tail: Vec<Box<dyn Operator>>,
-    /// The model-dispatch boundary every driver routes detect-,
-    /// binary-filter-, and classify-stage model invocations through (see
-    /// [`crate::backend::dispatch`]). Defaults to [`DirectDispatch`]; a
-    /// serving supervisor replaces it with a shared cross-stream batcher.
-    /// Owned here — rather than passed per segment — so the boundary
-    /// survives exactly as long as the stream's operator state does.
-    pub dispatch: Arc<dyn ModelDispatch>,
-    /// Span tracer both drivers open stage spans on (decode,
-    /// frame-filter, detect, tail) and hand to operators via
-    /// [`ExecCtx`] for dispatch-level
-    /// spans. Defaults to a disabled tracer — one atomic load per
-    /// would-be span — and is owned here for the same reason `dispatch`
-    /// is: the serving layer installs an enabled, per-stream handle once
-    /// and it survives plan recompiles.
-    pub tracer: vqpy_obs::Tracer,
-    /// Frame-slot workspace the sequential driver fills per batch. Owned
-    /// here so re-entrant segment stepping — a shard worker running one
-    /// short segment per scheduler turn — reuses the allocations across
-    /// calls instead of rebuilding slot buffers every step. Purely a
-    /// workspace: its contents between calls carry no semantic state.
-    pub slots: Vec<FrameSlot>,
-}
-
-impl StageOps {
-    /// Extracts every stateful operator's cross-frame state, keyed by
-    /// [`Operator::state_key`]. Detect workers beyond the first hold no
-    /// state (detection is stateless), so only worker 0 is consulted.
-    pub fn export_states(&mut self) -> HashMap<String, OpState> {
-        let mut out = HashMap::new();
-        let chains = self
-            .filters
-            .iter_mut()
-            .chain(self.detects.first_mut().into_iter().flatten())
-            .chain(self.prep.iter_mut())
-            .chain(self.enrichs.first_mut().into_iter().flatten())
-            .chain(self.tail.iter_mut());
-        for op in chains {
-            if let (Some(key), Some(state)) = (op.state_key(), op.export_state()) {
-                out.insert(key, state);
-            }
-        }
-        out
-    }
-
-    /// Installs previously exported state into operators with matching
-    /// state keys; unmatched entries are dropped (their operator left the
-    /// plan) and unmatched operators start fresh (they just joined).
-    pub fn import_states(&mut self, states: &mut HashMap<String, OpState>) {
-        let chains = self
-            .filters
-            .iter_mut()
-            .chain(self.detects.iter_mut().flatten())
-            .chain(self.prep.iter_mut())
-            .chain(self.enrichs.iter_mut().flatten())
-            .chain(self.tail.iter_mut());
-        for op in chains {
-            if let Some(key) = op.state_key() {
-                if let Some(state) = states.remove(&key) {
-                    op.import_state(state);
-                }
-            }
-        }
-    }
-}
-
-/// Instantiates a plan's operators split by stage, with `workers` detect
-/// chains, interning execution symbols into `symbols` (see
-/// [`instantiate_ops_with`] for why the table must outlive recompiles).
-pub fn instantiate_stage_ops(
-    plan: &PlanDag,
-    zoo: &ModelZoo,
-    workers: usize,
-    symbols: &mut SymbolTable,
-) -> Result<StageOps> {
-    let workers = workers.max(1);
-    let (frame_specs, detect_specs, tail_all) = split_stage_specs(plan);
-    let (prep_specs, enrich_specs, tail_specs) = plan.partition_tail(tail_all);
-    Ok(StageOps {
-        filters: instantiate_ops_with(plan, frame_specs, zoo, symbols)?,
-        detects: (0..workers)
-            .map(|_| instantiate_ops_with(plan, detect_specs, zoo, symbols))
-            .collect::<Result<_>>()?,
-        prep: instantiate_ops_with(plan, prep_specs, zoo, symbols)?,
-        enrichs: (0..workers)
-            .map(|_| instantiate_ops_with(plan, enrich_specs, zoo, symbols))
-            .collect::<Result<_>>()?,
-        tail: instantiate_ops_with(plan, tail_specs, zoo, symbols)?,
-        dispatch: Arc::new(DirectDispatch),
-        tracer: vqpy_obs::Tracer::disabled(),
-        slots: Vec::new(),
-    })
-}
-
 /// Executes a plan over a video, producing one result per query in the
 /// plan, in plan order. Dispatches on [`ExecConfig::exec_mode`]; both modes
 /// produce identical results.
@@ -650,13 +403,17 @@ pub fn execute_plan(
     let mut collector = Collector::new(plan);
     let start_ms = clock.virtual_ms();
     let wall_start = Instant::now();
-    run_segment(
+    let env = ExecEnv {
         plan,
         source,
         zoo,
         clock,
         config,
-        0..source.frame_count(),
+    };
+    let frames = 0..source.frame_count();
+    run_segment(
+        env,
+        frames,
         &mut ops,
         &mut reuse,
         &mut metrics,
@@ -670,19 +427,15 @@ pub fn execute_plan(
     Ok(collector.finalize(plan, metrics, total_ms))
 }
 
-/// Streams the contiguous frame `range` of `source` through `ops`,
-/// delivering every finished slot to `sink` in frame order. All cross-call
-/// state lives in `ops`/`reuse`/`metrics`, so callers may interleave
-/// segments with plan recompiles (the serving layer's attach/detach) or run
-/// one whole-video segment (the offline path). `metrics.reuse` is *not*
-/// refreshed here — callers snapshot `reuse.stats()` when they finish.
-#[allow(clippy::too_many_arguments)]
+/// Streams the contiguous frame `range` of `env.source` through `ops`,
+/// delivering every finished slot to `sink` in frame order, under the
+/// scheduler [`ExecConfig::exec_mode`] names. All cross-call state lives in
+/// `ops`/`reuse`/`metrics`, so callers may interleave segments with plan
+/// recompiles (the serving layer's attach/detach) or run one whole-video
+/// segment (the offline path). `metrics.reuse` is *not* refreshed here —
+/// callers snapshot `reuse.stats()` when they finish.
 pub fn run_segment(
-    plan: &PlanDag,
-    source: &dyn VideoSource,
-    zoo: &ModelZoo,
-    clock: &Clock,
-    config: &ExecConfig,
+    env: ExecEnv<'_>,
     range: Range<u64>,
     ops: &mut StageOps,
     reuse: &mut ReuseCache,
@@ -692,168 +445,51 @@ pub fn run_segment(
     if range.is_empty() {
         return Ok(());
     }
-    match config.exec_mode {
-        ExecMode::Sequential => run_segment_sequential(
-            plan, source, zoo, clock, config, range, ops, reuse, metrics, sink,
-        ),
-        ExecMode::Pipelined { .. } => crate::backend::pipeline::run_segment_pipelined(
-            plan, source, zoo, clock, config, range, ops, reuse, metrics, sink,
-        ),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_segment_sequential(
-    plan: &PlanDag,
-    source: &dyn VideoSource,
-    zoo: &ModelZoo,
-    clock: &Clock,
-    config: &ExecConfig,
-    range: Range<u64>,
-    ops: &mut StageOps,
-    reuse: &mut ReuseCache,
-    metrics: &mut ExecMetrics,
-    sink: &mut dyn ResultSink,
-) -> Result<()> {
-    // The slot workspace lives in `ops` so it survives across segment
-    // calls; detach it for the duration of the run (the stage loops need
-    // `ops`'s operator chains mutably) and put it back even on error.
-    let mut slots = std::mem::take(&mut ops.slots);
-    let result = run_sequential_batches(
-        plan, source, zoo, clock, config, range, ops, reuse, metrics, sink, &mut slots,
-    );
-    ops.slots = slots;
+    let cx = StageCtx::new(env, ops);
+    let result = match env.config.exec_mode {
+        ExecMode::Sequential => run_sequential(&cx, range, ops, reuse, metrics, sink),
+        ExecMode::Pipelined { .. } => run_pipelined(&cx, range, ops, reuse, metrics, sink),
+    };
+    cx.flush(metrics);
     result
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_sequential_batches(
-    plan: &PlanDag,
-    source: &dyn VideoSource,
-    zoo: &ModelZoo,
-    clock: &Clock,
-    config: &ExecConfig,
+/// The sequential scheduler: decode a batch, run every stage over it on
+/// this thread (chain 0 of each), deliver, repeat.
+fn run_sequential(
+    cx: &StageCtx<'_>,
     range: Range<u64>,
     ops: &mut StageOps,
     reuse: &mut ReuseCache,
     metrics: &mut ExecMetrics,
     sink: &mut dyn ResultSink,
-    slots: &mut Vec<FrameSlot>,
 ) -> Result<()> {
-    let batch = config.batch_size.max(1) as u64;
-    let dispatch = Arc::clone(&ops.dispatch);
-    let tracer = ops.tracer.clone();
-    let mut index = range.start;
-    while index < range.end {
-        let end = (index + batch).min(range.end);
+    let (clock, config) = (cx.env.clock, cx.env.config);
+    let batch = config.batch_size.max(1);
+    let slots = &mut ops.slots;
+    for (seq, lo) in range.clone().step_by(batch).enumerate() {
         let batch_start_ms = clock.virtual_ms();
-        // Fill slots with the decodable frames of the batch, in order. An
-        // undecodable frame is skipped with a counter — decode faults are
-        // per-frame events, not stream-fatal — so `n` is the number of
-        // *surviving* frames in this batch.
-        let mut n = 0usize;
-        {
-            let mut span = tracer
-                .span("exec", "decode")
-                .arg("start", index)
-                .arg("end", end);
-            for f in index..end {
-                clock.charge_labeled("video_decode", vqpy_models::zoo::COST_VIDEO_DECODE);
-                let frame = match source.try_frame(f) {
-                    Ok(frame) => frame,
-                    Err(_) => {
-                        metrics.decode_failures += 1;
-                        continue;
-                    }
-                };
-                if n < slots.len() {
-                    slots[n].reset(frame);
-                } else {
-                    slots.push(FrameSlot::new(frame));
-                }
-                slots[n].prepare_joins(plan.joins.len());
-                metrics.frames_total += 1;
-                n += 1;
-            }
-            span.add_arg("decoded", n);
-        }
-        if n == 0 {
-            index = end;
+        decode_batch(cx, lo..(lo + batch as u64).min(range.end), slots);
+        if slots.is_empty() {
             continue;
         }
-        {
-            let mut ctx = ExecCtx {
-                dispatch: &*dispatch,
-                tracer: &tracer,
-                zoo,
-                clock,
-                fps: source.fps(),
-                reuse,
-                enable_reuse: config.enable_intrinsic_reuse,
-            };
-            {
-                let _span = tracer
-                    .span("exec", "frame_filter")
-                    .arg("start", index)
-                    .arg("frames", n);
-                for op in ops.filters.iter_mut() {
-                    op.process_batch(&mut slots[..n], &mut ctx)?;
-                }
-            }
-            // Frames alive past the frame filters count as processed.
-            metrics.frames_processed += slots[..n].iter().filter(|s| s.alive).count() as u64;
-            {
-                let _span = tracer
-                    .span("exec", "detect")
-                    .arg("start", index)
-                    .arg("frames", n);
-                for op in ops.detects[0].iter_mut() {
-                    op.process_batch(&mut slots[..n], &mut ctx)?;
-                }
-            }
-            {
-                let _span = tracer
-                    .span("exec", "track")
-                    .arg("start", index)
-                    .arg("frames", n);
-                for op in ops.prep.iter_mut() {
-                    op.process_batch(&mut slots[..n], &mut ctx)?;
-                }
-            }
-            {
-                let _span = tracer
-                    .span("exec", "enrich")
-                    .arg("start", index)
-                    .arg("frames", n);
-                for op in ops.enrichs[0].iter_mut() {
-                    op.process_batch(&mut slots[..n], &mut ctx)?;
-                }
-            }
-            {
-                let _span = tracer
-                    .span("exec", "tail")
-                    .arg("start", index)
-                    .arg("frames", n);
-                for op in ops.tail.iter_mut() {
-                    op.process_batch(&mut slots[..n], &mut ctx)?;
-                }
-            }
+        for kind in StageKind::ALL {
+            let chain = &mut ops.chains[kind.index()][0];
+            let reuse = kind.owns_reuse().then_some(&mut *reuse);
+            run_stage(kind, chain, seq as u64, slots, reuse, cx)?;
         }
-        for slot in &slots[..n] {
-            sink.on_frame(plan, slot)?;
-        }
+        deliver(cx.env.plan, slots, metrics, sink)?;
         if config.record_per_frame_ms {
             // Op-major batching interleaves charges across the batch's
             // frames, so attribute the batch's cost evenly: instrumentation
             // must not change what is being measured (batch amortization
             // stays on), and quarter-averaged series (Figure 13(b)) are
             // unaffected by the within-batch smoothing.
-            let per_frame = (clock.virtual_ms() - batch_start_ms) / n as f64;
+            let per_frame = (clock.virtual_ms() - batch_start_ms) / slots.len() as f64;
             metrics
                 .per_frame_ms
-                .extend(std::iter::repeat_n(per_frame, n));
+                .extend(std::iter::repeat_n(per_frame, slots.len()));
         }
-        index = end;
     }
     Ok(())
 }

@@ -10,4 +10,5 @@ pub mod pipeline;
 pub mod plan;
 pub mod profile;
 pub mod reuse;
+pub mod stage;
 pub mod symbols;

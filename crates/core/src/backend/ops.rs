@@ -7,13 +7,15 @@
 //! only then compute the next) and intrinsic-property reuse (§4.2).
 
 use crate::backend::graph::{Edge, EdgeKind, FrameGraph, NodeId, VObjNode};
+use crate::backend::plan::{OpSpec, PlanDag};
 use crate::backend::reuse::ReuseCache;
-use crate::backend::symbols::{Istr, Sym};
+use crate::backend::symbols::{Istr, Sym, SymbolTable};
 use crate::error::{Result, VqpyError};
 use crate::frontend::predicate::{Pred, PredEnv};
 use crate::frontend::property::{PropertyCtx, PropertyDef, PropertyKind, PropertySource};
 use crate::frontend::query::RelationDecl;
 use crate::frontend::relation::{RelationCtx, RelationSource};
+use crate::frontend::vobj::ResolvedProperty;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use vqpy_models::{Classifier, Clock, Detector, FrameClassifier, HoiModel, ModelZoo, Value};
@@ -78,9 +80,9 @@ pub struct ExecCtx<'a> {
     pub zoo: &'a ModelZoo,
     pub clock: &'a Clock,
     pub fps: u32,
-    pub reuse: &'a mut ReuseCache,
-    /// Whether intrinsic-property reuse is enabled (§4.2 toggle).
-    pub enable_reuse: bool,
+    /// The stream's intrinsic-property cache (§4.2), handed only to the
+    /// stage that owns it; `None` elsewhere and when reuse is toggled off.
+    pub reuse: Option<&'a mut ReuseCache>,
     /// The model-dispatch boundary: how detect-, binary-filter-, and
     /// classify-stage model invocations are issued (see
     /// [`crate::backend::dispatch`]). A serving supervisor swaps in a
@@ -89,7 +91,7 @@ pub struct ExecCtx<'a> {
     /// Span tracer for dispatch-level instrumentation. Disabled by
     /// default (one atomic load per would-be span); the serving layer
     /// installs an enabled handle via
-    /// [`StageOps`](crate::backend::exec::StageOps).
+    /// [`StageOps`](crate::backend::stage::StageOps).
     pub tracer: &'a vqpy_obs::Tracer,
 }
 
@@ -241,16 +243,7 @@ impl Operator for BinaryFilterOp {
     }
 
     fn process(&mut self, slot: &mut FrameSlot, ctx: &mut ExecCtx<'_>) -> Result<()> {
-        let frames = [&slot.frame];
-        let _span = ctx
-            .tracer
-            .span("dispatch", "dispatch:predict")
-            .arg("model", &self.model.profile().name)
-            .arg("frame", slot.frame.index);
-        if !ctx.dispatch.predict(&self.model, &frames, ctx.clock)?[0] {
-            slot.alive = false;
-        }
-        Ok(())
+        self.process_batch(std::slice::from_mut(slot), ctx)
     }
 
     fn process_batch(&mut self, slots: &mut [FrameSlot], ctx: &mut ExecCtx<'_>) -> Result<()> {
@@ -324,15 +317,7 @@ impl Operator for DetectOp {
     }
 
     fn process(&mut self, slot: &mut FrameSlot, ctx: &mut ExecCtx<'_>) -> Result<()> {
-        let frames = [&slot.frame];
-        let _span = ctx
-            .tracer
-            .span("dispatch", "dispatch:detect")
-            .arg("model", &self.detector.profile().name)
-            .arg("frame", slot.frame.index);
-        let per_frame = ctx.dispatch.detect(&self.detector, &frames, ctx.clock)?;
-        self.populate(slot, &per_frame[0]);
-        Ok(())
+        self.process_batch(std::slice::from_mut(slot), ctx)
     }
 
     fn process_batch(&mut self, slots: &mut [FrameSlot], ctx: &mut ExecCtx<'_>) -> Result<()> {
@@ -596,18 +581,15 @@ impl ProjectOp {
             // confirmed: a first sighting clamped at the frame edge would
             // otherwise pin a bad classification for the object's whole
             // lifetime.
-            let cached = if intrinsic && ctx.enable_reuse && node.track_confirmed {
-                node.track_id.and_then(|t| {
-                    ctx.reuse.lookup_named(
-                        self.alias_sym,
-                        t,
-                        self.prop_sym,
-                        &self.alias,
-                        &self.def.name,
-                    )
-                })
-            } else {
-                None
+            let cached = match (&mut ctx.reuse, node.track_id) {
+                (Some(reuse), Some(t)) if intrinsic && node.track_confirmed => reuse.lookup_named(
+                    self.alias_sym,
+                    t,
+                    self.prop_sym,
+                    &self.alias,
+                    &self.def.name,
+                ),
+                _ => None,
             };
             match cached {
                 Some(v) => self.apply_value(slot, id, v),
@@ -632,17 +614,17 @@ impl ProjectOp {
             .dispatch
             .classify(&clf, &slot.frame, &self.pending_dets, ctx.clock)?;
         for (&id, v) in self.pending_ids.iter().zip(values) {
-            if intrinsic && ctx.enable_reuse {
-                if let Some(t) = slot.graph.nodes[id].track_id {
-                    ctx.reuse.store_named(
-                        self.alias_sym,
-                        t,
-                        self.prop_sym,
-                        v.clone(),
-                        &self.alias,
-                        &self.def.name,
-                    );
-                }
+            if let (true, Some(reuse), Some(t)) =
+                (intrinsic, &mut ctx.reuse, slot.graph.nodes[id].track_id)
+            {
+                reuse.store_named(
+                    self.alias_sym,
+                    t,
+                    self.prop_sym,
+                    v.clone(),
+                    &self.alias,
+                    &self.def.name,
+                );
             }
             self.apply_value(slot, id, v);
         }
@@ -971,6 +953,72 @@ impl Operator for JoinOp {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Instantiation
+// ---------------------------------------------------------------------------
+
+/// Builds the live operator a plan spec describes, interning names into
+/// `syms`. Reuse-cache keys are derived from these symbols, so a long-lived
+/// stream must pass the *same* table for every (re)instantiation or cached
+/// values would be read back under the wrong `(alias, prop)` identity.
+pub fn instantiate(
+    plan: &PlanDag,
+    spec: &OpSpec,
+    zoo: &ModelZoo,
+    syms: &mut SymbolTable,
+) -> Result<Box<dyn Operator>> {
+    let mut project = |alias: &str, prop: &str| -> Result<ProjectOp> {
+        let schema = plan
+            .schemas
+            .get(alias)
+            .ok_or_else(|| VqpyError::UnknownAlias(alias.to_owned()))?;
+        let Some(ResolvedProperty::Defined(def)) = schema.resolve_property(prop) else {
+            return Err(VqpyError::UnknownProperty {
+                schema: schema.name().to_owned(),
+                property: prop.to_owned(),
+            });
+        };
+        let (a, p) = (syms.intern(alias), syms.intern(prop));
+        Ok(ProjectOp::new(alias, def.clone(), a, p))
+    };
+    Ok(match spec {
+        OpSpec::DiffFilter { threshold } => Box::new(DiffFrameFilter::new(*threshold)),
+        OpSpec::BinaryFilter { model } => {
+            Box::new(BinaryFilterOp::new(zoo.frame_classifier(model)?))
+        }
+        OpSpec::Detect { detector, aliases } => {
+            Box::new(DetectOp::new(zoo.detector(detector)?, aliases.clone()))
+        }
+        OpSpec::Track { alias } => Box::new(TrackOp::new(alias.clone())),
+        OpSpec::Project { alias, prop } => Box::new(project(alias, prop)?),
+        OpSpec::FusedProjectFilter {
+            alias,
+            prop,
+            pred,
+            required,
+        } => Box::new(project(alias, prop)?.with_fused_filter(pred.clone(), *required)),
+        OpSpec::Filter {
+            alias,
+            pred,
+            required,
+        } => Box::new(FilterOp::new(alias.clone(), pred.clone(), *required)),
+        OpSpec::ProjectRelation { index } => {
+            Box::new(RelationProjectOp::new(plan.relations[*index].clone()))
+        }
+        OpSpec::Join { index } => {
+            let j = &plan.joins[*index];
+            Box::new(JoinOp::new(
+                *index,
+                j.query.name().to_owned(),
+                j.query.vobjs().iter().map(|v| v.alias.clone()).collect(),
+                j.query.relations().to_vec(),
+                j.pred.clone(),
+                j.kills_frame,
+            ))
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -998,8 +1046,7 @@ mod tests {
             zoo: &zoo,
             clock: &clock,
             fps: v.fps(),
-            reuse: &mut reuse,
-            enable_reuse: true,
+            reuse: Some(&mut reuse),
         };
         let mut op = DetectOp::new(
             zoo.detector("yolox").unwrap(),
@@ -1027,8 +1074,7 @@ mod tests {
             zoo: &zoo,
             clock: &clock,
             fps: v.fps(),
-            reuse: &mut reuse,
-            enable_reuse: true,
+            reuse: Some(&mut reuse),
         };
         let det = zoo.detector("yolox").unwrap();
         let mut detect = DetectOp::new(det, vec![("car".into(), vec!["car".into()])]);
@@ -1074,8 +1120,7 @@ mod tests {
                 zoo: &zoo,
                 clock: &clock,
                 fps: v.fps(),
-                reuse: &mut reuse,
-                enable_reuse: true,
+                reuse: Some(&mut reuse),
             };
             detect.process(&mut slot, &mut ctx).unwrap();
             track.process(&mut slot, &mut ctx).unwrap();
@@ -1114,8 +1159,7 @@ mod tests {
             zoo: &zoo,
             clock: &clock,
             fps: v.fps(),
-            reuse: &mut reuse,
-            enable_reuse: true,
+            reuse: Some(&mut reuse),
         };
         let det = zoo.detector("yolox").unwrap();
         let mut detect = DetectOp::new(det, vec![("car".into(), vec!["car".into()])]);
@@ -1139,8 +1183,7 @@ mod tests {
             zoo: &zoo,
             clock: &clock,
             fps: v.fps(),
-            reuse: &mut reuse,
-            enable_reuse: true,
+            reuse: Some(&mut reuse),
         };
         let det = zoo.detector("yolox").unwrap();
         let mut detect = DetectOp::new(det, vec![("car".into(), vec!["car".into()])]);
@@ -1172,8 +1215,7 @@ mod tests {
             zoo: &zoo,
             clock: &clock,
             fps: v.fps(),
-            reuse: &mut reuse,
-            enable_reuse: true,
+            reuse: Some(&mut reuse),
         };
         let mut op = DiffFrameFilter::new(0.5);
         let mut kept = 0;

@@ -1,69 +1,50 @@
-//! The staged pipeline executor ([`ExecMode::Pipelined`]).
+//! The pipelined scheduler ([`ExecMode::Pipelined`]).
 //!
 //! Real video-analytics engines overlap decode, detection, and downstream
 //! relational work instead of interpreting one frame at a time. This
-//! executor splits the operator chain into five stages connected by
-//! bounded channels:
-//!
-//! ```text
-//!  decode workers ─▶ frame filters ─▶ detect workers ─▶ track/prep ─▶ enrich workers ─▶ tail
-//!   (parallel,        (single thread,   (parallel,       (single thread,  (parallel,      (caller
-//!    unordered)        frame order)      unordered)       frame order)     unordered)      thread,
-//!                                                                                          frame order)
-//! ```
+//! scheduler gives decode and every stage of [`StageKind::ALL`] its own
+//! scoped thread(s) for the duration of a segment, connected by bounded
+//! channels:
 //!
 //! - **Decode** fans out across `workers` threads: each claims the next
 //!   batch index, renders its frames, and charges decode cost. Decoding is
 //!   pure, so order does not matter here.
-//! - **Frame filters** (differencing, binary classifiers) are stateful
-//!   across frames, so one thread reorders batches by sequence number and
-//!   applies them in frame order.
-//! - **Detect** fans out again: detection is deterministic per frame, so
-//!   `workers` threads each run their own detect operators on whole
-//!   batches.
-//! - **Track/prep** runs the ordered pre-enrich tail segment — the tracker
-//!   plus every stateful or reuse-cache-touching projection
-//!   ([`crate::backend::plan::PlanDag::partition_tail`]) — on one thread in
-//!   frame order: it owns the real reuse cache, so hit/eviction order is
-//!   byte-identical to sequential execution.
-//! - **Enrich** fans the hoisted per-object projections and filters (e.g.
-//!   non-memoizable classifier properties) across `workers` threads, each
-//!   owning its operator chain as a reusable workspace. These ops are
-//!   order-free and cache-free by the planner's hoisting rule, so batches
-//!   process unordered; while enrich chews on batch *b*, prep is already
-//!   sequencing batch *b+1* — the stage that used to dominate the tail
-//!   overlaps with everything else.
-//! - **Tail** (relation projections, joins) runs on the calling thread,
-//!   reordering batches back into frame order for result delivery.
+//! - A **fan-out stage** (detect, enrich) runs one `stage_worker` per
+//!   operator chain, all pulling from one shared receiver: its operators
+//!   are deterministic per frame, so batches process in any order. While
+//!   enrich chews on batch *b*, prep is already sequencing batch *b+1*.
+//! - An **ordered stage** (frame filters, prep, tail) runs one
+//!   `stage_worker` with a `Reorder` in front, so its stateful operators
+//!   — and the reuse cache prep owns — see batches in frame order and
+//!   results stay byte-identical to [`ExecMode::Sequential`].
+//! - The **last stage** runs on the calling thread and feeds the sink.
 //!
 //! Slots recycle through a return channel, so the steady state allocates no
 //! new frame workspaces. Cancellation is cooperative: every blocking send /
 //! receive polls a shared flag, so an error in any stage (or plain
-//! completion) winds down all threads without deadlock. Results are
-//! byte-identical to [`ExecMode::Sequential`]; see the parity tests.
+//! completion) winds down all threads without deadlock.
 //!
-//! Since the serving refactor this module exposes a *segment* runner: all
-//! cross-frame operator state lives in a caller-owned [`StageOps`], so a
+//! All cross-frame operator state lives in the caller-owned chains, so a
 //! long-lived stream can alternate pipelined segments with plan recompiles
 //! (query attach/detach) without losing tracker or filter state.
 //!
 //! [`ExecMode::Pipelined`]: crate::backend::exec::ExecMode::Pipelined
 //! [`ExecMode::Sequential`]: crate::backend::exec::ExecMode::Sequential
 
-use crate::backend::exec::{ExecConfig, ExecMetrics, ResultSink, StageOps};
-use crate::backend::ops::{ExecCtx, FrameSlot};
-use crate::backend::plan::PlanDag;
+use crate::backend::exec::{ExecMetrics, ResultSink};
+use crate::backend::ops::{FrameSlot, Operator};
 use crate::backend::reuse::ReuseCache;
+use crate::backend::stage::{decode_batch, deliver, run_stage, StageCtx, StageKind, StageOps};
 use crate::error::{panic_message, Result, VqpyError};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::time::{Duration, Instant};
-use vqpy_models::{Clock, ModelZoo};
-use vqpy_video::source::VideoSource;
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError,
+};
+use std::time::Duration;
 
 /// A batch of slots tagged with its sequence number.
 type Batch = (u64, Vec<FrameSlot>);
@@ -71,11 +52,30 @@ type Batch = (u64, Vec<FrameSlot>);
 const POLL: Duration = Duration::from_millis(1);
 const RECV_POLL: Duration = Duration::from_millis(20);
 
+/// A segment's wind-down state, shared by all of its threads.
+#[derive(Default)]
+struct Shutdown {
+    cancel: AtomicBool,
+    error: Mutex<Option<VqpyError>>,
+}
+
+impl Shutdown {
+    fn cancelled(&self) -> bool {
+        self.cancel.load(Ordering::Relaxed)
+    }
+
+    /// Records the segment's first error and cancels every thread.
+    fn fail(&self, e: VqpyError) {
+        self.error.lock().get_or_insert(e);
+        self.cancel.store(true, Ordering::Relaxed);
+    }
+}
+
 /// Sends cooperatively: polls so a cancelled pipeline never deadlocks on a
 /// full bounded channel. Returns `false` when cancelled or disconnected.
-fn send_coop<T>(tx: &SyncSender<T>, mut msg: T, cancel: &AtomicBool) -> bool {
+fn send_coop<T>(tx: &SyncSender<T>, mut msg: T, shutdown: &Shutdown) -> bool {
     loop {
-        if cancel.load(Ordering::Relaxed) {
+        if shutdown.cancelled() {
             return false;
         }
         match tx.try_send(msg) {
@@ -91,72 +91,36 @@ fn send_coop<T>(tx: &SyncSender<T>, mut msg: T, cancel: &AtomicBool) -> bool {
 
 /// Receives cooperatively from a shared receiver. Returns `None` when
 /// cancelled or when all senders disconnected.
-fn recv_coop<T>(rx: &Mutex<Receiver<T>>, cancel: &AtomicBool) -> Option<T> {
+fn recv_coop<T>(rx: &Mutex<Receiver<T>>, shutdown: &Shutdown) -> Option<T> {
     loop {
-        if cancel.load(Ordering::Relaxed) {
+        if shutdown.cancelled() {
             return None;
         }
         match rx.lock().recv_timeout(RECV_POLL) {
             Ok(v) => return Some(v),
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return None,
+            Err(RecvTimeoutError::Timeout) => continue,
+            Err(RecvTimeoutError::Disconnected) => return None,
         }
     }
 }
 
 /// Reorders sequence-tagged batches back into sequence order.
+#[derive(Default)]
 struct Reorder {
     pending: BTreeMap<u64, Vec<FrameSlot>>,
     next: u64,
 }
 
 impl Reorder {
-    fn new() -> Self {
-        Self {
-            pending: BTreeMap::new(),
-            next: 0,
-        }
-    }
-
     fn push(&mut self, batch: Batch) {
         self.pending.insert(batch.0, batch.1);
     }
 
     fn pop_ready(&mut self) -> Option<Batch> {
-        if self.pending.contains_key(&self.next) {
-            let b = self.pending.remove(&self.next).expect("checked");
-            let seq = self.next;
-            self.next += 1;
-            return Some((seq, b));
-        }
-        None
+        let slots = self.pending.remove(&self.next)?;
+        self.next += 1;
+        Some((self.next - 1, slots))
     }
-}
-
-/// Per-stage busy-time accounting (nanoseconds, summed across workers).
-#[derive(Default)]
-struct StageNanos {
-    decode: AtomicU64,
-    frame_filters: AtomicU64,
-    detect: AtomicU64,
-    track: AtomicU64,
-    enrich: AtomicU64,
-    tail: AtomicU64,
-}
-
-fn timed<R>(bucket: &AtomicU64, f: impl FnOnce() -> R) -> R {
-    let t = Instant::now();
-    let r = f();
-    bucket.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    r
-}
-
-fn set_error(slot: &Mutex<Option<VqpyError>>, cancel: &AtomicBool, e: VqpyError) {
-    let mut guard = slot.lock();
-    if guard.is_none() {
-        *guard = Some(e);
-    }
-    cancel.store(true, Ordering::Relaxed);
 }
 
 /// Runs a stage body, converting a panic into a typed
@@ -164,8 +128,8 @@ fn set_error(slot: &Mutex<Option<VqpyError>>, cancel: &AtomicBool, e: VqpyError)
 /// scope: a panicking scoped thread would re-raise at scope exit *after*
 /// the other stages wind down on channel disconnects — but a thread parked
 /// on a channel whose peer is still alive would never observe the
-/// disconnect, so containment-plus-`set_error` (which flips `cancel`) is
-/// the only ordering that is deadlock-free for every stage.
+/// disconnect, so containment-plus-[`Shutdown::fail`] (which flips
+/// `cancel`) is the only ordering that is deadlock-free for every stage.
 fn contain<R>(stage: &'static str, f: impl FnOnce() -> Result<R>) -> Result<R> {
     catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| {
         Err(VqpyError::StagePanic {
@@ -175,397 +139,149 @@ fn contain<R>(stage: &'static str, f: impl FnOnce() -> Result<R>) -> Result<R> {
     })
 }
 
+/// One worker of stage `kind`: pulls batches from `rx` — through a
+/// [`Reorder`] when the stage is ordered — runs `chain` over each, and
+/// hands the result to `emit`, until the input ends, `emit` declines
+/// (`Ok(false)`) or the segment is cancelled.
+fn stage_worker(
+    kind: StageKind,
+    chain: &mut [Box<dyn Operator>],
+    mut reuse: Option<&mut ReuseCache>,
+    rx: &Mutex<Receiver<Batch>>,
+    mut emit: impl FnMut(Batch) -> Result<bool>,
+    cx: &StageCtx<'_>,
+    shutdown: &Shutdown,
+) {
+    let mut reorder = kind.ordered().then(Reorder::default);
+    while let Some(batch) = recv_coop(rx, shutdown) {
+        let mut ready = match &mut reorder {
+            Some(r) => {
+                r.push(batch);
+                r.pop_ready()
+            }
+            None => Some(batch),
+        };
+        while let Some((seq, mut slots)) = ready {
+            let emitted = contain(kind.name(), || {
+                run_stage(kind, chain, seq, &mut slots, reuse.as_deref_mut(), cx)?;
+                emit((seq, slots))
+            });
+            match emitted {
+                Ok(true) => {}
+                Ok(false) => return,
+                Err(e) => return shutdown.fail(e),
+            }
+            ready = reorder.as_mut().and_then(Reorder::pop_ready);
+        }
+    }
+}
+
 /// Runs one contiguous frame segment through the staged pipeline. Called by
 /// [`crate::backend::exec::run_segment`] for [`Pipelined`] mode; operator
 /// state, the reuse cache, and metrics persist in the caller across calls.
 ///
-/// The worker count is `ops.detects.len()` (fixed at instantiation).
+/// The fan-out width is the number of detect chains (fixed at
+/// instantiation): `3·workers + 2` threads are spawned per segment.
 ///
 /// [`Pipelined`]: crate::backend::exec::ExecMode::Pipelined
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_segment_pipelined(
-    plan: &PlanDag,
-    source: &dyn VideoSource,
-    zoo: &ModelZoo,
-    clock: &Clock,
-    config: &ExecConfig,
+pub(crate) fn run_pipelined(
+    cx: &StageCtx<'_>,
     range: Range<u64>,
     ops: &mut StageOps,
     reuse: &mut ReuseCache,
     metrics: &mut ExecMetrics,
     sink: &mut dyn ResultSink,
 ) -> Result<()> {
-    let workers = ops.detects.len().max(1);
-    let dispatch = std::sync::Arc::clone(&ops.dispatch);
-    let tracer = ops.tracer.clone();
-    let filter_ops = &mut ops.filters;
-    let detect_ops_per_worker = &mut ops.detects;
-    let prep_ops = &mut ops.prep;
-    let enrich_ops_per_worker = &mut ops.enrichs;
-    let tail_ops = &mut ops.tail;
-
-    let batch = config.batch_size.max(1) as u64;
+    let workers = ops.chains[StageKind::Detect.index()].len();
+    let batch = cx.env.config.batch_size.max(1) as u64;
     let num_batches = (range.end - range.start).div_ceil(batch);
-    let joins = plan.joins.len();
 
-    // ---- channels ---------------------------------------------------------
+    // Channel `k` feeds `StageKind::ALL[k]`; decode feeds channel 0.
     let depth = workers * 2 + 2;
-    let (decoded_tx, decoded_rx) = sync_channel::<Batch>(depth);
-    let (filtered_tx, filtered_rx) = sync_channel::<Batch>(depth);
-    let (detected_tx, detected_rx) = sync_channel::<Batch>(depth);
-    let (prepped_tx, prepped_rx) = sync_channel::<Batch>(depth);
-    let (enriched_tx, enriched_rx) = sync_channel::<Batch>(depth);
-    let (recycle_tx, recycle_rx) = std::sync::mpsc::channel::<Vec<FrameSlot>>();
-    let decoded_rx = Mutex::new(decoded_rx);
-    let filtered_rx = Mutex::new(filtered_rx);
-    let detected_rx = Mutex::new(detected_rx);
-    let prepped_rx = Mutex::new(prepped_rx);
+    let (txs, rxs): (Vec<_>, Vec<_>) = StageKind::ALL
+        .map(|_| sync_channel::<Batch>(depth))
+        .into_iter()
+        .map(|(tx, rx)| (tx, Mutex::new(rx)))
+        .unzip();
+    let (recycle_tx, recycle_rx) = channel::<Vec<FrameSlot>>();
     let recycle_rx = Mutex::new(recycle_rx);
-
-    let cancel = AtomicBool::new(false);
-    let error: Mutex<Option<VqpyError>> = Mutex::new(None);
+    let shutdown = Shutdown::default();
     let next_batch = AtomicU64::new(0);
-    let stages = StageNanos::default();
-    let frames_processed = AtomicU64::new(0);
-    let decode_failures = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
-        // ---- stage 1a: decode workers (parallel, unordered) --------------
+        let (shutdown, next_batch, recycle_rx) = (&shutdown, &next_batch, &recycle_rx);
+        let mut txs = txs.into_iter();
+        let mut reuse = Some(reuse);
+
+        // ---- decode workers (parallel, unordered) ------------------------
+        let decoded_tx = txs.next().expect("one channel per stage");
         for _ in 0..workers {
             let decoded_tx = decoded_tx.clone();
-            let (cancel, stages, next_batch, recycle_rx, error, decode_failures) = (
-                &cancel,
-                &stages,
-                &next_batch,
-                &recycle_rx,
-                &error,
-                &decode_failures,
-            );
-            let tracer = &tracer;
+            let range = range.clone();
             scope.spawn(move || loop {
-                if cancel.load(Ordering::Relaxed) {
-                    break;
-                }
                 let b = next_batch.fetch_add(1, Ordering::Relaxed);
-                if b >= num_batches {
+                if shutdown.cancelled() || b >= num_batches {
                     break;
                 }
                 let lo = range.start + b * batch;
-                let hi = (lo + batch).min(range.end);
                 let mut slots = recycle_rx.lock().try_recv().unwrap_or_default();
-                let outcome = contain("decode", || {
-                    timed(&stages.decode, || {
-                        let mut span = tracer
-                            .span("exec", "decode")
-                            .arg("start", lo)
-                            .arg("end", hi);
-                        // An undecodable frame is skipped with a counter;
-                        // the batch ships with its surviving frames only.
-                        let mut n = 0usize;
-                        for f in lo..hi {
-                            clock.charge_labeled(
-                                "video_decode",
-                                vqpy_models::zoo::COST_VIDEO_DECODE,
-                            );
-                            let frame = match source.try_frame(f) {
-                                Ok(frame) => frame,
-                                Err(_) => {
-                                    decode_failures.fetch_add(1, Ordering::Relaxed);
-                                    continue;
-                                }
-                            };
-                            if n < slots.len() {
-                                slots[n].reset(frame);
-                            } else {
-                                slots.push(FrameSlot::new(frame));
-                            }
-                            slots[n].prepare_joins(joins);
-                            n += 1;
-                        }
-                        slots.truncate(n);
-                        span.add_arg("decoded", n);
-                    });
+                let decoded = contain(StageKind::DECODE, || {
+                    decode_batch(cx, lo..(lo + batch).min(range.end), &mut slots);
                     Ok(())
                 });
-                if let Err(e) = outcome {
-                    set_error(error, cancel, e);
+                if let Err(e) = decoded {
+                    shutdown.fail(e);
                     break;
                 }
-                if !send_coop(&decoded_tx, (b, slots), cancel) {
+                if !send_coop(&decoded_tx, (b, slots), shutdown) {
                     break;
                 }
             });
         }
         drop(decoded_tx);
 
-        // ---- stage 1b: frame filters (single thread, frame order) --------
+        // ---- one worker per chain of every stage -------------------------
+        for ((kind, stage_chains), rx) in StageKind::ALL.into_iter().zip(&mut ops.chains).zip(&rxs)
         {
-            let filtered_tx = filtered_tx.clone();
-            let (cancel, stages, error, decoded_rx, frames_processed) =
-                (&cancel, &stages, &error, &decoded_rx, &frames_processed);
-            let dispatch = std::sync::Arc::clone(&dispatch);
-            let tracer = &tracer;
-            let filter_ops = &mut *filter_ops;
-            scope.spawn(move || {
-                let mut reorder = Reorder::new();
-                let mut reuse = crate::backend::reuse::ReuseCache::new(); // unused by filters
-                'outer: while let Some(b) = recv_coop(decoded_rx, cancel) {
-                    reorder.push(b);
-                    while let Some((seq, mut slots)) = reorder.pop_ready() {
-                        let outcome = contain("frame_filters", || {
-                            timed(&stages.frame_filters, || {
-                                let _span = tracer
-                                    .span("exec", "frame_filter")
-                                    .arg("batch", seq)
-                                    .arg("frames", slots.len());
-                                let mut ctx = ExecCtx {
-                                    dispatch: &*dispatch,
-                                    tracer,
-                                    zoo,
-                                    clock,
-                                    fps: source.fps(),
-                                    reuse: &mut reuse,
-                                    enable_reuse: config.enable_intrinsic_reuse,
-                                };
-                                for op in filter_ops.iter_mut() {
-                                    op.process_batch(&mut slots, &mut ctx)?;
-                                }
-                                Ok::<(), VqpyError>(())
-                            })
-                        });
-                        if let Err(e) = outcome {
-                            set_error(error, cancel, e);
-                            break 'outer;
-                        }
-                        frames_processed.fetch_add(
-                            slots.iter().filter(|s| s.alive).count() as u64,
-                            Ordering::Relaxed,
-                        );
-                        if !send_coop(&filtered_tx, (seq, slots), cancel) {
-                            break 'outer;
-                        }
-                    }
-                }
-            });
-        }
-        drop(filtered_tx);
-
-        // ---- stage 2: detect workers (parallel, unordered) ---------------
-        for detect_ops in detect_ops_per_worker.iter_mut() {
-            let detected_tx = detected_tx.clone();
-            let (cancel, stages, error, filtered_rx) = (&cancel, &stages, &error, &filtered_rx);
-            let dispatch = std::sync::Arc::clone(&dispatch);
-            let tracer = &tracer;
-            scope.spawn(move || {
-                let mut reuse = crate::backend::reuse::ReuseCache::new(); // unused by detectors
-                while let Some((seq, mut slots)) = recv_coop(filtered_rx, cancel) {
-                    let outcome = contain("detect", || {
-                        timed(&stages.detect, || {
-                            let _span = tracer
-                                .span("exec", "detect")
-                                .arg("batch", seq)
-                                .arg("frames", slots.len());
-                            let mut ctx = ExecCtx {
-                                dispatch: &*dispatch,
-                                tracer,
-                                zoo,
-                                clock,
-                                fps: source.fps(),
-                                reuse: &mut reuse,
-                                enable_reuse: config.enable_intrinsic_reuse,
-                            };
-                            for op in detect_ops.iter_mut() {
-                                op.process_batch(&mut slots, &mut ctx)?;
-                            }
-                            Ok::<(), VqpyError>(())
-                        })
-                    });
-                    if let Err(e) = outcome {
-                        set_error(error, cancel, e);
-                        break;
-                    }
-                    if !send_coop(&detected_tx, (seq, slots), cancel) {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(detected_tx);
-
-        // ---- stage 3: track/prep (single thread, frame order) ------------
-        // Owns the stream's *real* reuse cache for the whole segment: the
-        // tracker, stateful windows, and intrinsic projections must see
-        // frames in order for results — and the cache's hit/eviction
-        // sequence — to stay byte-identical to sequential execution.
-        {
-            let prepped_tx = prepped_tx.clone();
-            let (cancel, stages, error, detected_rx) = (&cancel, &stages, &error, &detected_rx);
-            let dispatch = std::sync::Arc::clone(&dispatch);
-            let tracer = &tracer;
-            let prep_ops = &mut *prep_ops;
-            let reuse = &mut *reuse;
-            scope.spawn(move || {
-                let mut reorder = Reorder::new();
-                'outer: while let Some(b) = recv_coop(detected_rx, cancel) {
-                    reorder.push(b);
-                    while let Some((seq, mut slots)) = reorder.pop_ready() {
-                        let outcome = contain("track", || {
-                            timed(&stages.track, || {
-                                let _span = tracer
-                                    .span("exec", "track")
-                                    .arg("batch", seq)
-                                    .arg("frames", slots.len());
-                                let mut ctx = ExecCtx {
-                                    dispatch: &*dispatch,
-                                    tracer,
-                                    zoo,
-                                    clock,
-                                    fps: source.fps(),
-                                    reuse: &mut *reuse,
-                                    enable_reuse: config.enable_intrinsic_reuse,
-                                };
-                                for op in prep_ops.iter_mut() {
-                                    op.process_batch(&mut slots, &mut ctx)?;
-                                }
-                                Ok::<(), VqpyError>(())
-                            })
-                        });
-                        if let Err(e) = outcome {
-                            set_error(error, cancel, e);
-                            break 'outer;
-                        }
-                        if !send_coop(&prepped_tx, (seq, slots), cancel) {
-                            break 'outer;
-                        }
-                    }
-                }
-            });
-        }
-        drop(prepped_tx);
-
-        // ---- stage 4: enrich workers (parallel, unordered) ---------------
-        // Each worker owns one hoisted operator chain as a reusable
-        // workspace. The planner guarantees these ops are order-free and
-        // cache-free, so workers take batches as they come; the dummy
-        // reuse cache is never consulted.
-        for enrich_ops in enrich_ops_per_worker.iter_mut() {
-            let enriched_tx = enriched_tx.clone();
-            let (cancel, stages, error, prepped_rx) = (&cancel, &stages, &error, &prepped_rx);
-            let dispatch = std::sync::Arc::clone(&dispatch);
-            let tracer = &tracer;
-            scope.spawn(move || {
-                let mut reuse = crate::backend::reuse::ReuseCache::new(); // unused by enrich ops
-                while let Some((seq, mut slots)) = recv_coop(prepped_rx, cancel) {
-                    let outcome = contain("enrich", || {
-                        timed(&stages.enrich, || {
-                            let _span = tracer
-                                .span("exec", "enrich")
-                                .arg("batch", seq)
-                                .arg("frames", slots.len());
-                            let mut ctx = ExecCtx {
-                                dispatch: &*dispatch,
-                                tracer,
-                                zoo,
-                                clock,
-                                fps: source.fps(),
-                                reuse: &mut reuse,
-                                enable_reuse: config.enable_intrinsic_reuse,
-                            };
-                            for op in enrich_ops.iter_mut() {
-                                op.process_batch(&mut slots, &mut ctx)?;
-                            }
-                            Ok::<(), VqpyError>(())
-                        })
-                    });
-                    if let Err(e) = outcome {
-                        set_error(error, cancel, e);
-                        break;
-                    }
-                    if !send_coop(&enriched_tx, (seq, slots), cancel) {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(enriched_tx);
-
-        // ---- stage 5: tail (this thread, frame order) --------------------
-        // Joins and relation projections never touch the reuse cache (it
-        // lives with the prep thread for the segment), so the tail runs
-        // with a dummy.
-        let mut tail_reuse = crate::backend::reuse::ReuseCache::new();
-        let mut reorder = Reorder::new();
-        let tail_outcome: Result<()> = contain("tail", || {
-            loop {
-                let msg = match enriched_rx.recv_timeout(RECV_POLL) {
-                    Ok(m) => m,
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                        if cancel.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        continue;
-                    }
-                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+            // The stream's real cache goes to the one stage that owns it.
+            let mut reuse = reuse.take_if(|_| kind.owns_reuse());
+            let Some(tx) = txs.next() else {
+                // The last stage runs here, on the caller's thread, feeding
+                // the sink; decode may already have exited, so recycling
+                // finished slots is best-effort.
+                let emit = |(_, slots): Batch| {
+                    deliver(cx.env.plan, &slots, metrics, sink)?;
+                    let _ = recycle_tx.send(slots);
+                    Ok(true)
                 };
-                reorder.push(msg);
-                while let Some((seq, mut slots)) = reorder.pop_ready() {
-                    metrics.frames_total += slots.len() as u64;
-                    timed(&stages.tail, || {
-                        let _span = tracer
-                            .span("exec", "tail")
-                            .arg("batch", seq)
-                            .arg("frames", slots.len());
-                        let mut ctx = ExecCtx {
-                            dispatch: &*dispatch,
-                            tracer: &tracer,
-                            zoo,
-                            clock,
-                            fps: source.fps(),
-                            reuse: &mut tail_reuse,
-                            enable_reuse: config.enable_intrinsic_reuse,
-                        };
-                        for op in tail_ops.iter_mut() {
-                            op.process_batch(&mut slots, &mut ctx)?;
-                        }
-                        Ok::<(), VqpyError>(())
-                    })?;
-                    for slot in &slots {
-                        sink.on_frame(plan, slot)?;
-                    }
-                    let _ = recycle_tx.send(slots); // decode may have exited
-                }
+                let chain = &mut stage_chains[0];
+                stage_worker(kind, chain, reuse, rx, emit, cx, shutdown);
+                // Unblock any worker still parked on a full channel.
+                shutdown.cancel.store(true, Ordering::Relaxed);
+                break;
+            };
+            for chain in stage_chains {
+                let tx = tx.clone();
+                let reuse = reuse.take();
+                let emit = move |batch| Ok(send_coop(&tx, batch, shutdown));
+                scope.spawn(move || stage_worker(kind, chain, reuse, rx, emit, cx, shutdown));
             }
-            Ok(())
-        });
-        if let Err(e) = tail_outcome {
-            set_error(&error, &cancel, e);
         }
-        // Unblock any worker still parked on a full channel.
-        cancel.store(true, Ordering::Relaxed);
-        drop(enriched_rx);
     });
 
-    if let Some(e) = error.into_inner() {
-        return Err(e);
+    match shutdown.error.into_inner() {
+        Some(e) => Err(e),
+        None => Ok(()),
     }
-
-    metrics.frames_processed += frames_processed.load(Ordering::Relaxed);
-    metrics.decode_failures += decode_failures.load(Ordering::Relaxed);
-    let ns = |a: &AtomicU64| a.load(Ordering::Relaxed) as f64 / 1e6;
-    metrics.add_stage_wall("decode", ns(&stages.decode));
-    metrics.add_stage_wall("frame_filters", ns(&stages.frame_filters));
-    metrics.add_stage_wall("detect", ns(&stages.detect));
-    metrics.add_stage_wall("track", ns(&stages.track));
-    metrics.add_stage_wall("enrich", ns(&stages.enrich));
-    metrics.add_stage_wall("tail", ns(&stages.tail));
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::exec::{execute_plan, ExecMode};
+    use crate::backend::exec::{execute_plan, run_segment, Collector, ExecConfig, ExecMode};
+    use crate::backend::ops::ExecCtx;
     use crate::backend::plan::{build_plan, PlanOptions};
+    use crate::backend::stage::{instantiate_stage_ops, ExecEnv};
     use crate::frontend::library;
     use crate::frontend::predicate::Pred;
     use crate::frontend::query::Query;
@@ -573,7 +289,7 @@ mod tests {
     use vqpy_models::ModelZoo;
     use vqpy_video::presets;
     use vqpy_video::scene::Scene;
-    use vqpy_video::source::SyntheticVideo;
+    use vqpy_video::source::{SyntheticVideo, VideoSource};
 
     fn red_car_query() -> Arc<Query> {
         Query::builder("RedCar")
@@ -622,67 +338,114 @@ mod tests {
         );
     }
 
+    /// ...and so does the sequential scheduler, bucket for bucket: both
+    /// time their stages inside the shared `run_stage`.
     #[test]
     fn pipelined_reports_stage_walltimes() {
         let zoo = ModelZoo::standard();
         let v = SyntheticVideo::new(Scene::generate(presets::jackson(), 7, 5.0));
         let plan = build_plan(&[red_car_query()], &zoo, &PlanOptions::vqpy_default()).unwrap();
-        let clock = vqpy_models::Clock::new();
-        let results = execute_plan(
-            &plan,
-            &v,
-            &zoo,
-            &clock,
-            &ExecConfig {
-                exec_mode: ExecMode::Pipelined { workers: 2 },
+        for exec_mode in [ExecMode::Sequential, ExecMode::Pipelined { workers: 2 }] {
+            let clock = vqpy_models::Clock::new();
+            let config = ExecConfig {
+                exec_mode,
                 ..ExecConfig::default()
-            },
-        )
-        .unwrap();
-        let stages: Vec<&str> = results[0]
-            .metrics
-            .stage_wall_ms
-            .iter()
-            .map(|(n, _)| n.as_str())
-            .collect();
-        assert_eq!(
-            stages,
-            vec![
-                "decode",
-                "frame_filters",
-                "detect",
-                "track",
-                "enrich",
-                "tail",
-                "total"
-            ]
-        );
-        assert!(results[0]
-            .metrics
-            .stage_wall_ms
-            .iter()
-            .all(|(_, ms)| *ms >= 0.0));
+            };
+            let results = execute_plan(&plan, &v, &zoo, &clock, &config).unwrap();
+            let walls = &results[0].metrics.stage_wall_ms;
+            let stages: Vec<&str> = walls.iter().map(|(n, _)| n.as_str()).collect();
+            // The literal names are what telemetry consumers read...
+            assert_eq!(
+                stages,
+                [
+                    "decode",
+                    "frame_filters",
+                    "detect",
+                    "track",
+                    "enrich",
+                    "tail",
+                    "total"
+                ],
+                "{exec_mode:?}"
+            );
+            // ...and they come from the table, in table order.
+            assert_eq!(stages[0], StageKind::DECODE);
+            assert_eq!(stages[1..6], StageKind::ALL.map(StageKind::name));
+            assert!(walls.iter().all(|(_, ms)| *ms >= 0.0));
+        }
+    }
+
+    /// Fails or panics on the first frame it is handed, dead or alive.
+    struct Saboteur {
+        panics: bool,
+    }
+
+    impl Operator for Saboteur {
+        fn name(&self) -> String {
+            "saboteur".into()
+        }
+
+        fn process(&mut self, _: &mut FrameSlot, _: &mut ExecCtx<'_>) -> Result<()> {
+            if self.panics {
+                panic!("injected panic");
+            }
+            Err(VqpyError::InvalidQuery("injected failure".into()))
+        }
+
+        fn wants_dead_frames(&self) -> bool {
+            true
+        }
     }
 
     #[test]
     fn pipelined_surfaces_errors() {
-        // A plan referencing a model that exists at plan time but not at
-        // execution time (different zoo) must error cleanly, not hang.
         let zoo = ModelZoo::standard();
         let plan = build_plan(&[red_car_query()], &zoo, &PlanOptions::vqpy_default()).unwrap();
-        let empty_zoo = ModelZoo::new();
         let v = SyntheticVideo::new(Scene::generate(presets::jackson(), 7, 2.0));
         let clock = vqpy_models::Clock::new();
-        let err = execute_plan(
-            &plan,
-            &v,
-            &empty_zoo,
-            &clock,
-            &ExecConfig {
-                exec_mode: ExecMode::Pipelined { workers: 2 },
-                ..ExecConfig::default()
-            },
-        );
-        assert!(err.is_err());
+        let config = ExecConfig {
+            exec_mode: ExecMode::Pipelined { workers: 2 },
+            ..ExecConfig::default()
+        };
+        // A plan referencing a model that exists at plan time but not at
+        // execution time (different zoo) must error cleanly, not hang.
+        assert!(execute_plan(&plan, &v, &ModelZoo::new(), &clock, &config).is_err());
+
+        // A failing and a panicking operator in every stage: the segment
+        // returns the error — a panic as `StagePanic` under the stage's
+        // table name — and every thread of every other stage winds down.
+        let env = ExecEnv {
+            plan: &plan,
+            source: &v,
+            zoo: &zoo,
+            clock: &clock,
+            config: &config,
+        };
+        for kind in StageKind::ALL {
+            for panics in [false, true] {
+                let mut symbols = plan.symbols.clone();
+                let mut ops = instantiate_stage_ops(&plan, &zoo, 2, &mut symbols).unwrap();
+                for chain in &mut ops.chains[kind.index()] {
+                    chain.push(Box::new(Saboteur { panics }));
+                }
+                let err = run_segment(
+                    env,
+                    0..v.frame_count(),
+                    &mut ops,
+                    &mut ReuseCache::new(),
+                    &mut ExecMetrics::default(),
+                    &mut Collector::new(&plan),
+                )
+                .unwrap_err();
+                match err {
+                    VqpyError::StagePanic { stage, message } if panics => {
+                        assert_eq!(stage, kind.name());
+                        assert!(message.contains("injected panic"), "{message}");
+                    }
+                    VqpyError::InvalidQuery(_) if !panics => {}
+                    other => panic!("{kind:?} panics={panics}: unexpected {other:?}"),
+                }
+            }
+        }
     }
 }

@@ -7,6 +7,7 @@
 //! conjunct of the frame constraint becomes a VObj filter placed immediately
 //! after the last property it needs.
 
+use crate::backend::stage::StageKind;
 use crate::backend::symbols::SymbolTable;
 use crate::error::{Result, VqpyError};
 use crate::frontend::predicate::{Pred, PropRef};
@@ -155,94 +156,71 @@ impl PlanDag {
         }
     }
 
-    /// Whether a tail operator *sequences* the stream: it either carries
-    /// cross-frame state that must observe frames in order (tracker,
-    /// stateful sliding windows) or touches the shared reuse cache, whose
-    /// hit pattern and LRU order are part of the results' byte-identity
-    /// (intrinsic model projections, §4.2). Everything up to and including
-    /// the last sequencing op stays in the ordered prep segment of the
-    /// tail; see [`PlanDag::partition_tail`].
-    pub fn op_is_sequencing(&self, op: &OpSpec) -> bool {
+    /// The stage a post-detect operator needs, taken on its own.
+    fn stage_of(&self, op: &OpSpec) -> StageKind {
         match op {
-            OpSpec::Track { .. } => true,
+            // Per-object filters read only frame-local state.
+            OpSpec::Filter { .. } => StageKind::Enrich,
             OpSpec::Project { alias, prop } | OpSpec::FusedProjectFilter { alias, prop, .. } => {
                 match self.prop_traits(alias, prop) {
-                    Some((kind, is_model)) => {
-                        kind.is_stateful() || (kind.is_intrinsic() && is_model)
+                    // Stateful windows must observe frames in order, and
+                    // intrinsic model projections read through the shared
+                    // reuse cache, whose hit pattern and LRU order are part
+                    // of the results' byte-identity (§4.2).
+                    Some((kind, is_model))
+                        if kind.is_stateful() || (kind.is_intrinsic() && is_model) =>
+                    {
+                        StageKind::Prep
                     }
-                    // Unresolvable here means instantiation will fail anyway;
-                    // stay conservative and keep it ordered.
-                    None => true,
+                    // Anything else is deterministic per object from the
+                    // frame's own state, so workers may take disjoint
+                    // batches concurrently without changing results.
+                    Some(_) => StageKind::Enrich,
+                    // Unresolvable here means instantiation will fail
+                    // anyway; stay conservative and keep it ordered.
+                    None => StageKind::Prep,
                 }
             }
-            OpSpec::Filter { .. } | OpSpec::ProjectRelation { .. } | OpSpec::Join { .. } => false,
-            // Frame-level ops never appear in the tail; if one does, keep it
-            // ordered.
-            _ => true,
+            OpSpec::ProjectRelation { .. } | OpSpec::Join { .. } => StageKind::Tail,
+            // The tracker — and frame-level ops, which never appear after
+            // the detectors; if one does, keep it ordered.
+            _ => StageKind::Prep,
         }
     }
 
-    /// Whether a tail operator may hoist into the parallel enrich stage:
-    /// it is deterministic per object from the frame's own state — no
-    /// cross-frame operator state, no reuse-cache access — so enrich
-    /// workers can process disjoint batches concurrently without changing
-    /// results. Stateless non-intrinsic projections (model or native) and
-    /// plain object filters qualify; relation projections and joins stay in
-    /// the sequential tail.
-    pub fn op_is_hoistable(&self, op: &OpSpec) -> bool {
-        match op {
-            OpSpec::Filter { .. } => true,
-            OpSpec::Project { alias, prop } | OpSpec::FusedProjectFilter { alias, prop, .. } => {
-                match self.prop_traits(alias, prop) {
-                    // Not stateful, and not an intrinsic model property
-                    // (those read through the shared reuse cache, whose
-                    // hit/eviction order is part of result identity).
-                    Some((kind, is_model)) => {
-                        !(kind.is_stateful() || (kind.is_intrinsic() && is_model))
-                    }
-                    None => false,
-                }
-            }
-            _ => false,
-        }
-    }
-
-    /// Splits the post-detect tail into `(prep, enrich, tail)` — the
-    /// planner's hoisting decision (ROADMAP open item 2):
+    /// The plan's operators sliced by executor stage, indexed like
+    /// [`StageKind::ALL`]: the one place the stage boundaries — and with
+    /// them the planner's hoisting decision — are made.
     ///
-    /// - **prep** runs in frame order and ends at the *last* sequencing op
-    ///   (see [`PlanDag::op_is_sequencing`]): the tracker plus every
-    ///   stateful or reuse-cache-touching projection, in their original
-    ///   relative order, so cache access order — and therefore hit/eviction
-    ///   behavior — is byte-identical to an unsplit tail.
-    /// - **enrich** is the maximal contiguous run of hoistable ops after
-    ///   prep (see [`PlanDag::op_is_hoistable`]): order-free, cache-free
-    ///   per-object projections and filters that executors may fan out
-    ///   across parallel workers.
-    /// - **tail** is the remainder (relation projections, joins): thin,
-    ///   sequential, frame-ordered.
+    /// - **frame filters**: everything before the first detector.
+    /// - **detect**: the contiguous run of detectors (none → both empty).
+    /// - **prep** ends at the *last* operator after the detectors that
+    ///   sequences the stream: the tracker plus every stateful or
+    ///   reuse-cache-touching projection, in their original relative order,
+    ///   so cache access order — and therefore hit/eviction behavior — is
+    ///   byte-identical to an unsplit plan.
+    /// - **enrich** is the maximal contiguous run after prep of order-free,
+    ///   cache-free per-object projections and filters, which a pipelined
+    ///   scheduler may fan out across workers.
+    /// - **tail** is the remainder (relation projections, joins).
     ///
-    /// Every op keeps its original position within its segment, and
-    /// `prep ++ enrich ++ tail` is exactly the input slice, so running the
-    /// three segments back-to-back on one thread is the unsplit tail.
-    pub fn partition_tail<'a>(
-        &self,
-        tail: &'a [OpSpec],
-    ) -> (&'a [OpSpec], &'a [OpSpec], &'a [OpSpec]) {
-        let prep_len = tail
+    /// The slices concatenate to exactly `self.ops`, so running them
+    /// back-to-back on one thread is the unsplit plan.
+    pub fn stage_specs(&self) -> [&[OpSpec]; StageKind::ALL.len()] {
+        let is_detect = |o: &OpSpec| matches!(o, OpSpec::Detect { .. });
+        let (filters, rest) = self
+            .ops
+            .split_at(self.ops.iter().position(is_detect).unwrap_or(0));
+        let (detect, rest) = rest.split_at(rest.iter().take_while(|o| is_detect(o)).count());
+        let last_prep = rest
             .iter()
-            .rposition(|o| self.op_is_sequencing(o))
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        let enrich_len = tail[prep_len..]
+            .rposition(|o| self.stage_of(o) == StageKind::Prep);
+        let (prep, rest) = rest.split_at(last_prep.map_or(0, |i| i + 1));
+        let hoisted = rest
             .iter()
-            .position(|o| !self.op_is_hoistable(o))
-            .unwrap_or(tail.len() - prep_len);
-        (
-            &tail[..prep_len],
-            &tail[prep_len..prep_len + enrich_len],
-            &tail[prep_len + enrich_len..],
-        )
+            .take_while(|o| self.stage_of(o) == StageKind::Enrich);
+        let (enrich, tail) = rest.split_at(hoisted.count());
+        [filters, detect, prep, enrich, tail]
     }
 }
 
@@ -1061,13 +1039,7 @@ mod tests {
             .build()
             .unwrap();
         let plan = build_plan(&[q], &zoo(), &PlanOptions::vqpy_default()).unwrap();
-        let first_detect = plan
-            .ops
-            .iter()
-            .position(|o| matches!(o, OpSpec::Detect { .. }))
-            .unwrap();
-        let tail = &plan.ops[first_detect + 1..];
-        let (prep, enrich, rest) = plan.partition_tail(tail);
+        let [filters, detect, prep, enrich, rest] = plan.stage_specs();
         let labels = |ops: &[OpSpec]| -> String {
             ops.iter().map(|o| o.label()).collect::<Vec<_>>().join("\n")
         };
@@ -1094,8 +1066,12 @@ mod tests {
         );
         // Joins stay in the sequential tail.
         assert!(labels(rest).contains("join"), "{}", labels(rest));
-        // The three segments reassemble the original tail exactly.
-        assert_eq!(prep.len() + enrich.len() + rest.len(), tail.len());
+        // The five slices reassemble the plan exactly.
+        let sliced: usize = [filters, detect, prep, enrich, rest]
+            .map(<[_]>::len)
+            .iter()
+            .sum();
+        assert_eq!(sliced, plan.ops.len());
     }
 
     #[test]
@@ -1113,12 +1089,7 @@ mod tests {
             &PlanOptions::vqpy_default(),
         )
         .unwrap();
-        let first_detect = plan
-            .ops
-            .iter()
-            .position(|o| matches!(o, OpSpec::Detect { .. }))
-            .unwrap();
-        let (prep, enrich, _) = plan.partition_tail(&plan.ops[first_detect + 1..]);
+        let [_, _, prep, enrich, _] = plan.stage_specs();
         let projects_speed = |o: &OpSpec| {
             matches!(
                 o,

@@ -1,0 +1,369 @@
+//! The executor's stage table: the one description of what a frame batch
+//! passes through between decode and the result sink.
+//!
+//! [`StageKind::ALL`] lists the stages in execution order;
+//! [`PlanDag::stage_specs`] slices a plan by it, [`StageOps`] holds the
+//! live operator chains indexed by it, and `run_stage` is the one body
+//! both schedulers ([`crate::backend::exec`], [`crate::backend::pipeline`])
+//! run for every stage — so sequential and pipelined execution cannot
+//! drift apart: they differ only in *which thread* calls `run_stage`,
+//! never in what it does.
+
+use crate::backend::dispatch::{DirectDispatch, ModelDispatch};
+use crate::backend::exec::{ExecConfig, ExecMetrics, ResultSink};
+use crate::backend::ops::{instantiate, ExecCtx, FrameSlot, OpState, Operator};
+use crate::backend::plan::PlanDag;
+use crate::backend::reuse::ReuseCache;
+use crate::backend::symbols::SymbolTable;
+use crate::error::Result;
+use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+use vqpy_models::{Clock, ModelZoo};
+use vqpy_video::source::VideoSource;
+
+/// One stage of the executor. Ordered stages hold cross-frame state and
+/// must see batches in frame order on one thread; the others are
+/// deterministic per frame, so a pipelined scheduler fans them out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StageKind {
+    /// Differencing and binary-classifier frame filters.
+    FrameFilter,
+    /// Object detectors.
+    Detect,
+    /// The tracker plus every stateful or reuse-cache-touching projection.
+    Prep,
+    /// Order-free, cache-free per-object projections and filters the
+    /// planner hoisted out of the tail (see [`PlanDag::stage_specs`]).
+    Enrich,
+    /// Relation projections and joins; its output feeds the result sink.
+    Tail,
+}
+
+impl StageKind {
+    /// Every stage, in execution order.
+    pub const ALL: [StageKind; 5] = [
+        StageKind::FrameFilter,
+        StageKind::Detect,
+        StageKind::Prep,
+        StageKind::Enrich,
+        StageKind::Tail,
+    ];
+
+    /// Name of the decode step feeding the first stage: its span, its
+    /// `stage_wall_ms` bucket and its [`StagePanic`](crate::error::VqpyError::StagePanic) label.
+    pub const DECODE: &'static str = "decode";
+
+    /// The stage's position in [`StageKind::ALL`].
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
+    /// The stage's `stage_wall_ms` bucket and [`StagePanic`](crate::error::VqpyError::StagePanic)
+    /// label. The CI telemetry smoke, `BENCH_exec.json` and the serving
+    /// layer's fault text read these byte for byte, which is why prep
+    /// still answers to `track`.
+    pub const fn name(self) -> &'static str {
+        match self {
+            StageKind::FrameFilter => "frame_filters",
+            StageKind::Detect => "detect",
+            StageKind::Prep => "track",
+            StageKind::Enrich => "enrich",
+            StageKind::Tail => "tail",
+        }
+    }
+
+    /// The stage's span name: [`StageKind::name`], except that exported
+    /// timelines have always spelled the frame filters' span singular.
+    pub const fn span_name(self) -> &'static str {
+        match self {
+            StageKind::FrameFilter => "frame_filter",
+            other => other.name(),
+        }
+    }
+
+    /// Whether the stage holds cross-frame state (one chain, frame order)
+    /// rather than fanning out (one chain per worker, any order).
+    pub const fn ordered(self) -> bool {
+        !matches!(self, StageKind::Detect | StageKind::Enrich)
+    }
+
+    /// Whether the stage reads and writes the stream's [`ReuseCache`]. Only
+    /// prep does: the cache's hit/eviction sequence is part of the results'
+    /// byte-identity, so exactly one ordered stage may touch it.
+    pub const fn owns_reuse(self) -> bool {
+        matches!(self, StageKind::Prep)
+    }
+}
+
+/// The plan-ordered operators of one stage.
+pub type Chain = Vec<Box<dyn Operator>>;
+
+/// Live operator chains, indexed by stage.
+///
+/// A `StageOps` owns all cross-frame operator state for a stream, so a
+/// serving layer can persist it across [`run_segment`] calls — and, via
+/// [`StageOps::export_states`] / [`StageOps::import_states`], across plan
+/// recompiles when queries attach or detach.
+///
+/// [`run_segment`]: crate::backend::exec::run_segment
+pub struct StageOps {
+    /// `chains[kind.index()]`: one chain for an ordered stage, one per
+    /// pipeline worker for a fan-out stage (their operators are stateless,
+    /// so each worker owns instances; sequential driving uses chain 0).
+    pub chains: [Vec<Chain>; StageKind::ALL.len()],
+    /// The model-dispatch boundary every model invocation goes through
+    /// (see [`crate::backend::dispatch`]). Defaults to [`DirectDispatch`]; a
+    /// serving supervisor replaces it with a shared cross-stream batcher.
+    /// Owned here — rather than passed per segment — so the boundary
+    /// survives exactly as long as the stream's operator state does.
+    pub dispatch: Arc<dyn ModelDispatch>,
+    /// Span tracer for stage and dispatch spans. Defaults to a disabled
+    /// tracer — one atomic load per would-be span — and is owned here for
+    /// the same reason `dispatch` is: the serving layer installs an
+    /// enabled, per-stream handle once and it survives plan recompiles.
+    pub tracer: vqpy_obs::Tracer,
+    /// Frame-slot workspace the sequential scheduler fills per batch. Owned
+    /// here so re-entrant segment stepping — a shard worker running one
+    /// short segment per scheduler turn — reuses the allocations across
+    /// calls. Purely a workspace: it carries no semantic state.
+    pub slots: Vec<FrameSlot>,
+}
+
+impl StageOps {
+    fn ops_mut(&mut self) -> impl Iterator<Item = &mut Box<dyn Operator>> {
+        self.chains.iter_mut().flatten().flatten()
+    }
+
+    /// Extracts every stateful operator's cross-frame state, keyed by
+    /// [`Operator::state_key`].
+    pub fn export_states(&mut self) -> HashMap<String, OpState> {
+        self.ops_mut()
+            .filter_map(|op| Some((op.state_key()?, op.export_state()?)))
+            .collect()
+    }
+
+    /// Installs previously exported state into operators with matching
+    /// state keys; unmatched entries are dropped (their operator left the
+    /// plan) and unmatched operators start fresh (they just joined).
+    pub fn import_states(&mut self, states: &mut HashMap<String, OpState>) {
+        for op in self.ops_mut() {
+            if let Some(state) = op.state_key().and_then(|key| states.remove(&key)) {
+                op.import_state(state);
+            }
+        }
+    }
+}
+
+/// Instantiates a plan's operators by stage ([`PlanDag::stage_specs`]),
+/// with `workers` chains per fan-out stage, interning execution symbols
+/// into `symbols` (see [`instantiate`] for why the table must outlive
+/// recompiles).
+pub fn instantiate_stage_ops(
+    plan: &PlanDag,
+    zoo: &ModelZoo,
+    workers: usize,
+    symbols: &mut SymbolTable,
+) -> Result<StageOps> {
+    let specs = plan.stage_specs();
+    let mut chains: [Vec<Chain>; StageKind::ALL.len()] = Default::default();
+    for kind in StageKind::ALL {
+        let copies = if kind.ordered() { 1 } else { workers.max(1) };
+        for _ in 0..copies {
+            let chain = specs[kind.index()]
+                .iter()
+                .map(|spec| instantiate(plan, spec, zoo, symbols))
+                .collect::<Result<Chain>>()?;
+            chains[kind.index()].push(chain);
+        }
+    }
+    Ok(StageOps {
+        chains,
+        dispatch: Arc::new(DirectDispatch),
+        tracer: vqpy_obs::Tracer::disabled(),
+        slots: Vec::new(),
+    })
+}
+
+/// What a segment run borrows from its caller and never mutates.
+#[derive(Clone, Copy)]
+pub struct ExecEnv<'a> {
+    pub plan: &'a PlanDag,
+    pub source: &'a dyn VideoSource,
+    pub zoo: &'a ModelZoo,
+    pub clock: &'a Clock,
+    pub config: &'a ExecConfig,
+}
+
+/// Everything [`decode_batch`] and [`run_stage`] need besides the batch
+/// itself, shared by reference across a pipelined segment's threads: the
+/// caller's environment, the stream's dispatch boundary and tracer, and the
+/// segment's counters — atomics, because every worker adds to them — which
+/// [`StageCtx::flush`] folds into [`ExecMetrics`] once, when the segment
+/// ends.
+pub(crate) struct StageCtx<'a> {
+    pub(crate) env: ExecEnv<'a>,
+    dispatch: Arc<dyn ModelDispatch>,
+    tracer: vqpy_obs::Tracer,
+    /// Busy nanoseconds, summed across workers: decode, then one bucket
+    /// per [`StageKind::ALL`] entry.
+    busy_ns: [AtomicU64; 1 + StageKind::ALL.len()],
+    frames_processed: AtomicU64,
+    decode_failures: AtomicU64,
+}
+
+impl<'a> StageCtx<'a> {
+    pub(crate) fn new(env: ExecEnv<'a>, ops: &StageOps) -> Self {
+        Self {
+            env,
+            dispatch: Arc::clone(&ops.dispatch),
+            tracer: ops.tracer.clone(),
+            busy_ns: Default::default(),
+            frames_processed: AtomicU64::new(0),
+            decode_failures: AtomicU64::new(0),
+        }
+    }
+
+    pub(crate) fn flush(&self, metrics: &mut ExecMetrics) {
+        metrics.frames_processed += self.frames_processed.load(Ordering::Relaxed);
+        metrics.decode_failures += self.decode_failures.load(Ordering::Relaxed);
+        let names = std::iter::once(StageKind::DECODE).chain(StageKind::ALL.map(StageKind::name));
+        for (name, ns) in names.zip(&self.busy_ns) {
+            metrics.add_stage_wall(name, ns.load(Ordering::Relaxed) as f64 / 1e6);
+        }
+    }
+}
+
+/// Decodes `frames` into `slots`, reusing the workspaces already there and
+/// leaving exactly the decodable frames, in order. An undecodable frame is
+/// skipped with a counter: decode faults are per-frame events, not
+/// stream-fatal.
+pub(crate) fn decode_batch(cx: &StageCtx<'_>, frames: Range<u64>, slots: &mut Vec<FrameSlot>) {
+    let started = Instant::now();
+    let mut span = cx
+        .tracer
+        .span("exec", StageKind::DECODE)
+        .arg("start", frames.start)
+        .arg("end", frames.end);
+    let mut n = 0usize;
+    for f in frames {
+        cx.env
+            .clock
+            .charge_labeled("video_decode", vqpy_models::zoo::COST_VIDEO_DECODE);
+        let Ok(frame) = cx.env.source.try_frame(f) else {
+            cx.decode_failures.fetch_add(1, Ordering::Relaxed);
+            continue;
+        };
+        if n < slots.len() {
+            slots[n].reset(frame);
+        } else {
+            slots.push(FrameSlot::new(frame));
+        }
+        slots[n].prepare_joins(cx.env.plan.joins.len());
+        n += 1;
+    }
+    slots.truncate(n);
+    span.add_arg("decoded", n);
+    cx.busy_ns[0].fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+}
+
+/// Runs one stage's operator chain over one batch: the only place a stage
+/// span is opened, a stage bucket timed, an [`ExecCtx`] built and
+/// [`Operator::process_batch`] called. `reuse` is the stream's cache when
+/// `kind` owns it and `None` otherwise.
+pub(crate) fn run_stage(
+    kind: StageKind,
+    chain: &mut [Box<dyn Operator>],
+    seq: u64,
+    slots: &mut [FrameSlot],
+    reuse: Option<&mut ReuseCache>,
+    cx: &StageCtx<'_>,
+) -> Result<()> {
+    let started = Instant::now();
+    let _span = cx
+        .tracer
+        .span("exec", kind.span_name())
+        .arg("batch", seq)
+        .arg("frames", slots.len());
+    let mut ctx = ExecCtx {
+        zoo: cx.env.zoo,
+        clock: cx.env.clock,
+        fps: cx.env.source.fps(),
+        reuse: reuse.filter(|_| cx.env.config.enable_intrinsic_reuse),
+        dispatch: &*cx.dispatch,
+        tracer: &cx.tracer,
+    };
+    let result = chain
+        .iter_mut()
+        .try_for_each(|op| op.process_batch(slots, &mut ctx));
+    if kind == StageKind::FrameFilter && result.is_ok() {
+        // Frames alive past the frame filters count as processed.
+        let alive = slots.iter().filter(|s| s.alive).count() as u64;
+        cx.frames_processed.fetch_add(alive, Ordering::Relaxed);
+    }
+    cx.busy_ns[1 + kind.index()].fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    result
+}
+
+/// Hands one finished batch to the sink, in frame order: the one place a
+/// frame counts as delivered.
+pub(crate) fn deliver(
+    plan: &PlanDag,
+    slots: &[FrameSlot],
+    metrics: &mut ExecMetrics,
+    sink: &mut dyn ResultSink,
+) -> Result<()> {
+    metrics.frames_total += slots.len() as u64;
+    slots.iter().try_for_each(|slot| sink.on_frame(plan, slot))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::ops::DiffFrameFilter;
+    use crate::backend::plan::{build_plan, PlanOptions};
+    use crate::frontend::library;
+    use crate::frontend::query::Query;
+    use vqpy_video::frame::PixelBuffer;
+
+    #[test]
+    fn states_round_trip_through_every_ordered_stage() {
+        let zoo = ModelZoo::standard();
+        let cars = Query::builder("Cars")
+            .vobj("car", library::vehicle_schema())
+            .build()
+            .unwrap();
+        let plan = build_plan(&[cars], &zoo, &PlanOptions::vqpy_default()).unwrap();
+        let mut ops = instantiate_stage_ops(&plan, &zoo, 2, &mut plan.symbols.clone()).unwrap();
+        // Plant a stateful operator at the end of each ordered stage `k`,
+        // with its own state key and payload (a 1x1 frame of brightness `k`).
+        let mut keys = Vec::new();
+        let mut planted = Vec::new();
+        for kind in StageKind::ALL.into_iter().filter(|k| k.ordered()) {
+            let pixels = PixelBuffer::from_rgb(1, 1, 1, vec![kind.index() as u8; 3]);
+            let mut op = DiffFrameFilter::new(100.0 + kind.index() as f32);
+            op.import_state(OpState::DiffFilter {
+                last_kept: Some(pixels.clone()),
+            });
+            keys.push(op.state_key().unwrap());
+            planted.push(Some(pixels));
+            ops.chains[kind.index()][0].push(Box::new(op));
+        }
+        let kept = |states: &HashMap<String, OpState>| -> Vec<Option<PixelBuffer>> {
+            let frames = keys.iter().map(|key| match &states[key] {
+                OpState::DiffFilter { last_kept } => last_kept.clone(),
+                other => panic!("{key}: {other:?}"),
+            });
+            frames.collect()
+        };
+
+        let mut states = ops.export_states();
+        assert_eq!(kept(&states), planted);
+        // Export drains the operators; import puts every stage's state back.
+        assert_eq!(kept(&ops.export_states()), [None, None, None]);
+        ops.import_states(&mut states);
+        assert_eq!(kept(&ops.export_states()), planted);
+    }
+}

@@ -53,9 +53,9 @@ pub use backend::dispatch::{
 };
 pub use backend::exec::{
     Collector, ExecConfig, ExecMetrics, ExecMode, FrameHit, QueryAccum, QueryResult, ResultSink,
-    StageOps,
 };
 pub use backend::plan::{build_plan, OpSpec, PlanDag, PlanOptions};
+pub use backend::stage::StageOps;
 pub use error::{panic_message, ComposeError, VqpyError};
 pub use extend::{BinaryFilterReg, ExtensionRegistry, FrameFilterReg, SpecializedNnReg};
 pub use frontend::compose::{duration_query, spatial_query, temporal_query, QueryExpr};

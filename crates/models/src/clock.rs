@@ -2,9 +2,9 @@
 //!
 //! Every simulated model charges its declared cost here. In
 //! [`ClockMode::Virtual`] the charge is pure bookkeeping, so experiment
-//! runtimes are deterministic and host-independent; in [`ClockMode::Busy`]
-//! the clock additionally burns a proportional amount of real CPU so
-//! wall-clock measurements (e.g. Criterion) reflect the same ratios.
+//! runtimes are deterministic and host-independent; in
+//! [`ClockMode::Latency`] the charging thread additionally sleeps, so
+//! wall-clock benches see model cost as host-visible latency.
 //!
 //! One cost unit models one millisecond of GPU inference on the paper's
 //! T4 testbed. Charges are also recorded per label, which gives every
@@ -18,15 +18,14 @@
 //!   (items minus the amortized dispatch-overhead credit) as one sleep, so
 //!   wall time agrees with virtual time instead of ignoring batch credits.
 //! - **Device models** ([`DeviceModel`]): model charges
-//!   ([`Clock::charge_model`]) can serialize on one exclusive device,
-//!   modelling N streams sharing a single GPU. Native CPU work (decode,
+//!   ([`Clock::charge_model`]) can serialize on a fixed pool of devices,
+//!   modelling N streams sharing one GPU node. Native CPU work (decode,
 //!   trackers, frame differencing) keeps using [`Clock::charge_labeled`]
 //!   and never touches the device.
 
 use parking_lot::Mutex;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Cost in virtual milliseconds.
@@ -38,14 +37,11 @@ pub enum ClockMode {
     /// Bookkeeping only (deterministic experiment numbers).
     #[default]
     Virtual,
-    /// Bookkeeping plus proportional real CPU work.
-    Busy,
     /// Bookkeeping plus real *sleep*: one cost unit blocks the charging
     /// thread for one real millisecond, modelling accelerator inference as
-    /// host-visible latency. Unlike [`ClockMode::Busy`], concurrent charges
-    /// overlap (threads sleep in parallel), which is exactly the resource
-    /// profile a pipelined engine exploits — so wall-clock throughput
-    /// benches use this mode.
+    /// host-visible latency. Concurrent charges overlap (threads sleep in
+    /// parallel), which is exactly the resource profile a pipelined engine
+    /// exploits — so wall-clock throughput benches use this mode.
     Latency,
 }
 
@@ -67,19 +63,13 @@ pub enum DeviceModel {
     /// historical behavior and the default.
     #[default]
     Unbounded,
-    /// One exclusive accelerator: model charges acquire a device lock for
-    /// the duration of their sleep, so concurrent model invocations
-    /// serialize exactly like kernels on a single GPU. Native CPU charges
-    /// ([`Clock::charge_labeled`]) are unaffected. This is the honest
-    /// resource model for multi-stream serving benches: without it, N
-    /// per-stream engines would enjoy N phantom accelerators. Equivalent
-    /// to `Devices(1)`.
-    Exclusive,
     /// A fixed pool of `n` accelerators: each model charge sleeps while
-    /// holding exactly one of `n` device locks, chosen by the clock's
-    /// [`PlacementPolicy`]. Up to `n` model invocations overlap; the rest
-    /// queue, exactly like kernels on an `n`-GPU node. `Devices(1)` behaves
-    /// like [`DeviceModel::Exclusive`].
+    /// holding exactly one of `n` device locks — the least-loaded one at
+    /// submission time. Up to `n` model invocations overlap; the rest
+    /// queue, exactly like kernels on an `n`-GPU node. Native CPU charges
+    /// ([`Clock::charge_labeled`]) are unaffected. `Devices(1)` is the
+    /// honest resource model for multi-stream serving benches: without it,
+    /// N per-stream engines would enjoy N phantom accelerators.
     Devices(usize),
 }
 
@@ -89,70 +79,9 @@ impl DeviceModel {
     pub fn device_count(&self) -> usize {
         match self {
             DeviceModel::Unbounded => 0,
-            DeviceModel::Exclusive => 1,
             DeviceModel::Devices(n) => (*n).max(1),
         }
     }
-}
-
-/// How a model charge picks its device under [`DeviceModel::Devices`].
-///
-/// Placement never affects results or virtual-time bookkeeping — only
-/// which lock a Latency-mode sleep queues on — so policies are free to be
-/// heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementPolicy {
-    /// Pick the device with the fewest queued-or-running charges at
-    /// submission time (ties break toward the lowest index). The right
-    /// default: it spreads coalesced physical batches across idle devices.
-    #[default]
-    LeastLoaded,
-    /// Pin each pipeline stage to `stage % n`: detect traffic and
-    /// property-model traffic land on distinct devices, which keeps a
-    /// stage's working set (weights, activations) resident. Falls back to
-    /// least-loaded when the caller provided no placement hint.
-    StageAffinity,
-    /// Replicate by model identity: charges for the same model label hash
-    /// to the same device, as if each device held a subset of the model
-    /// instances. Falls back to least-loaded without a hint.
-    ModelReplica,
-}
-
-/// The placement context a dispatcher establishes around a physical model
-/// invocation: which pipeline stage issued it and which model it runs.
-#[derive(Debug, Clone, Copy)]
-struct PlacementHint {
-    stage: usize,
-    model: u64,
-}
-
-thread_local! {
-    /// The innermost open placement scope on this thread (see
-    /// [`placement_scope`]).
-    static PLACEMENT_HINT: Cell<Option<PlacementHint>> = const { Cell::new(None) };
-}
-
-/// Runs `f` with a placement hint installed for the current thread: model
-/// charges realized inside (including a [`Clock::batch_section`]'s
-/// deferred net sleep, which closes within the scope) can be routed by
-/// [`PlacementPolicy::StageAffinity`] (per `stage`) or
-/// [`PlacementPolicy::ModelReplica`] (per `model` label). Scopes nest; the
-/// previous hint is restored on exit, panic included.
-pub fn placement_scope<R>(stage: usize, model: &str, f: impl FnOnce() -> R) -> R {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    model.hash(&mut hasher);
-    let hint = PlacementHint {
-        stage,
-        model: hasher.finish(),
-    };
-    struct Restore(Option<PlacementHint>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            PLACEMENT_HINT.with(|h| h.set(self.0));
-        }
-    }
-    let _restore = Restore(PLACEMENT_HINT.with(|h| h.replace(Some(hint))));
-    f()
 }
 
 /// One simulated accelerator: a lock that serializes Latency-mode sleeps,
@@ -188,14 +117,11 @@ thread_local! {
 pub struct Clock {
     mode: ClockMode,
     device: DeviceModel,
-    placement: PlacementPolicy,
     /// One slot per simulated device; empty under
     /// [`DeviceModel::Unbounded`].
     devices: Vec<DeviceSlot>,
     /// Virtual nanoseconds accumulated (1 unit = 1 ms = 1e6 ns).
     virtual_nanos: AtomicU64,
-    /// Busy-mode work per unit (blackbox float ops).
-    busy_ops_per_unit: u64,
     labeled: Mutex<HashMap<String, ChargeStat>>,
 }
 
@@ -205,18 +131,13 @@ impl Clock {
         Self::with_mode(ClockMode::Virtual)
     }
 
-    /// A clock in the given mode. Busy mode performs roughly
-    /// 4 000 floating-point operations per unit, i.e. a few microseconds of
-    /// real time per virtual millisecond — large enough for stable ratios,
-    /// small enough for fast benches.
+    /// A clock in the given mode.
     pub fn with_mode(mode: ClockMode) -> Self {
         Self {
             mode,
             device: DeviceModel::Unbounded,
-            placement: PlacementPolicy::default(),
             devices: Vec::new(),
             virtual_nanos: AtomicU64::new(0),
-            busy_ops_per_unit: 4_000,
             labeled: Mutex::new(HashMap::new()),
         }
     }
@@ -230,13 +151,6 @@ impl Clock {
         self
     }
 
-    /// Sets how model charges pick a device under
-    /// [`DeviceModel::Devices`] (builder style).
-    pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
-        self.placement = placement;
-        self
-    }
-
     /// The clock's mode.
     pub fn mode(&self) -> ClockMode {
         self.mode
@@ -245,11 +159,6 @@ impl Clock {
     /// The clock's device model.
     pub fn device(&self) -> DeviceModel {
         self.device
-    }
-
-    /// The clock's placement policy.
-    pub fn placement(&self) -> PlacementPolicy {
-        self.placement
     }
 
     /// Occupancy snapshot of every simulated device, in index order.
@@ -288,7 +197,6 @@ impl Clock {
         self.record(label, units);
         match self.mode {
             ClockMode::Virtual => {}
-            ClockMode::Busy => self.burn(units),
             ClockMode::Latency => {
                 std::thread::sleep(std::time::Duration::from_secs_f64(units.max(0.0) / 1e3));
             }
@@ -299,13 +207,12 @@ impl Clock {
     /// invocations). Identical bookkeeping to [`Clock::charge_labeled`];
     /// the realization differs in Latency mode: the sleep is deferred
     /// inside a [`Clock::batch_section`] (so one physical batch sleeps its
-    /// amortized net once), and it holds the device lock under
-    /// [`DeviceModel::Exclusive`].
+    /// amortized net once), and it holds a device lock under
+    /// [`DeviceModel::Devices`].
     pub fn charge_model(&self, label: &str, units: CostUnits) {
         self.record(label, units);
         match self.mode {
             ClockMode::Virtual => {}
-            ClockMode::Busy => self.burn(units),
             ClockMode::Latency => {
                 let deferred = BATCH_SECTIONS.with(|s| {
                     let mut s = s.borrow_mut();
@@ -372,35 +279,18 @@ impl Clock {
         slot.queued.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Chooses the device for one charge. Single-device pools short-circuit;
-    /// otherwise the hint-aware policies route by the ambient
-    /// [`placement_scope`] and everything else falls back to least-loaded.
+    /// The device with the fewest queued-or-running charges at submission
+    /// time (ties break toward the lowest index), which spreads coalesced
+    /// physical batches across idle devices. Placement never affects
+    /// results or virtual-time bookkeeping — only which lock a sleep
+    /// queues on.
     fn pick_device(&self) -> usize {
-        let n = self.devices.len();
-        if n == 1 {
-            return 0;
-        }
-        let hint = PLACEMENT_HINT.with(|h| h.get());
-        match (self.placement, hint) {
-            (PlacementPolicy::StageAffinity, Some(h)) => h.stage % n,
-            (PlacementPolicy::ModelReplica, Some(h)) => (h.model % n as u64) as usize,
-            _ => self
-                .devices
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, d)| d.queued.load(Ordering::SeqCst))
-                .map(|(i, _)| i)
-                .unwrap_or(0),
-        }
-    }
-
-    fn burn(&self, units: CostUnits) {
-        let ops = (units * self.busy_ops_per_unit as f64) as u64;
-        let mut x = 1.000_000_1f64;
-        for _ in 0..ops {
-            x = std::hint::black_box(x * 1.000_000_01 + 1e-12);
-        }
-        std::hint::black_box(x);
+        self.devices
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, d)| d.queued.load(Ordering::SeqCst))
+            .map(|(i, _)| i)
+            .unwrap_or(0)
     }
 
     /// Refunds `units` of anonymous cost (saturating at zero). Used by
@@ -491,13 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn busy_mode_still_counts_virtually() {
-        let c = Clock::with_mode(ClockMode::Busy);
-        c.charge(1.0);
-        assert!((c.virtual_ms() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn latency_mode_sleeps_and_counts() {
         let c = Clock::with_mode(ClockMode::Latency);
         let start = std::time::Instant::now();
@@ -568,8 +451,8 @@ mod tests {
     #[test]
     fn device_pool_overlaps_up_to_n() {
         // Devices(3): three concurrent 20ms charges land on distinct
-        // devices (least-loaded) and overlap, where Devices(1)/Exclusive
-        // would serialize them to 60ms+.
+        // devices (least-loaded) and overlap, where Devices(1) would
+        // serialize them to 60ms+.
         let c = std::sync::Arc::new(
             Clock::with_mode(ClockMode::Latency).with_device(DeviceModel::Devices(3)),
         );
@@ -616,65 +499,8 @@ mod tests {
     }
 
     #[test]
-    fn stage_affinity_routes_by_hint() {
-        let c = Clock::with_mode(ClockMode::Latency)
-            .with_device(DeviceModel::Devices(2))
-            .with_placement(PlacementPolicy::StageAffinity);
-        placement_scope(0, "det", || c.charge_model("det", 2.0));
-        placement_scope(1, "clf", || c.charge_model("clf", 2.0));
-        placement_scope(3, "clf", || c.charge_model("clf", 2.0));
-        let stats = c.device_stats();
-        assert!((stats[0].busy_ms - 2.0).abs() < 1.0, "{stats:?}");
-        assert!((stats[1].busy_ms - 4.0).abs() < 1.0, "{stats:?}");
-    }
-
-    #[test]
-    fn model_replica_pins_a_model_to_one_device() {
-        let c = Clock::with_mode(ClockMode::Latency)
-            .with_device(DeviceModel::Devices(4))
-            .with_placement(PlacementPolicy::ModelReplica);
-        for _ in 0..4 {
-            placement_scope(0, "the_model", || c.charge_model("m", 1.0));
-        }
-        let stats = c.device_stats();
-        let busy: Vec<_> = stats.iter().filter(|d| d.busy_ms > 0.5).collect();
-        assert_eq!(busy.len(), 1, "same model must pin one device: {stats:?}");
-    }
-
-    #[test]
-    fn placement_scope_nests_and_restores() {
-        let outer = placement_scope(5, "a", || {
-            let inner = placement_scope(7, "b", || PLACEMENT_HINT.with(|h| h.get()));
-            (inner, PLACEMENT_HINT.with(|h| h.get()))
-        });
-        assert_eq!(outer.0.unwrap().stage, 7);
-        assert_eq!(outer.1.unwrap().stage, 5);
-        assert!(PLACEMENT_HINT.with(|h| h.get()).is_none());
-    }
-
-    #[test]
-    fn placement_scope_covers_batch_section_realization() {
-        // The net sleep of a batch section realizes at section close,
-        // still inside the placement scope that wrapped the section — so
-        // stage-affine routing applies to coalesced physical batches.
-        let c = Clock::with_mode(ClockMode::Latency)
-            .with_device(DeviceModel::Devices(2))
-            .with_placement(PlacementPolicy::StageAffinity);
-        placement_scope(1, "clf", || {
-            c.batch_section(|| {
-                c.charge_model("m", 2.0);
-                c.charge_model("m", 2.0);
-            })
-        });
-        let stats = c.device_stats();
-        assert!(stats[0].busy_ms < 0.5, "{stats:?}");
-        assert!(stats[1].busy_ms >= 3.0, "{stats:?}");
-    }
-
-    #[test]
     fn device_count_taxonomy() {
         assert_eq!(DeviceModel::Unbounded.device_count(), 0);
-        assert_eq!(DeviceModel::Exclusive.device_count(), 1);
         assert_eq!(DeviceModel::Devices(0).device_count(), 1);
         assert_eq!(DeviceModel::Devices(4).device_count(), 4);
         assert!(Clock::new().device_stats().is_empty());
@@ -683,7 +509,7 @@ mod tests {
     #[test]
     fn exclusive_device_serializes_model_sleeps() {
         let c = std::sync::Arc::new(
-            Clock::with_mode(ClockMode::Latency).with_device(DeviceModel::Exclusive),
+            Clock::with_mode(ClockMode::Latency).with_device(DeviceModel::Devices(1)),
         );
         let start = std::time::Instant::now();
         std::thread::scope(|s| {

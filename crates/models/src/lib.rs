@@ -46,10 +46,7 @@ pub mod value;
 pub mod wire;
 pub mod zoo;
 
-pub use clock::{
-    placement_scope, ChargeStat, Clock, ClockMode, CostUnits, DeviceModel, DeviceStat,
-    PlacementPolicy,
-};
+pub use clock::{ChargeStat, Clock, ClockMode, CostUnits, DeviceModel, DeviceStat};
 pub use decode::{DecodeError, FromRow, FromValue, Row};
 pub use detection::{det_rng, Detection};
 pub use fault::{FaultInjector, FaultPlan, ModelFault, FAULT_SPIKE_LABEL};

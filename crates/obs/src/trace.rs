@@ -2,8 +2,8 @@
 //! spans carry stream/frame/stage attributes and whose clock is
 //! pluggable, so traces stay honest under every cost-clock mode:
 //!
-//! - **wall time** (the default) is correct for `ClockMode::Busy` and
-//!   `ClockMode::Latency`, where model cost is host-visible real time;
+//! - **wall time** (the default) is correct for `ClockMode::Latency`,
+//!   where model cost is host-visible real time;
 //! - a **custom time source** (see [`Tracer::set_time_source`]) lets the
 //!   serving layer feed the cost clock's virtual nanoseconds in
 //!   `ClockMode::Virtual`, where wall time would flatten every model

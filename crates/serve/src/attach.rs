@@ -3,12 +3,8 @@
 //! [`TypedQuery<R>`](vqpy_core::TypedQuery)) and *where delivery starts*
 //! (live-only, or replayed from a past instant), and one
 //! [`StreamServer::attach`] / [`StreamSupervisor::attach`] entry point per
-//! frontend accepts it.
-//!
-//! Before this module, the grid of (untyped | typed) × (live | from-past)
-//! × (server | supervisor) was eight separate methods
-//! (`attach`, `attach_typed`, `attach_from`, `attach_from_typed` on each
-//! frontend). Those survive as deprecated shims; new code composes a spec:
+//! frontend accepts it — every cell of the (untyped | typed) × (live |
+//! from-past) × (server | supervisor) grid is a spec:
 //!
 //! ```no_run
 //! # use std::sync::Arc;

@@ -764,11 +764,7 @@ fn run_detect_group(requests: &[Request], idxs: &[usize], clock: &Clock, stats: 
         },
         |frames| {
             guard(stats, &model.profile().name, || {
-                vqpy_models::placement_scope(
-                    ModelStage::Detect.index(),
-                    &model.profile().name,
-                    || model.try_detect_batch(frames, clock),
-                )
+                model.try_detect_batch(frames, clock)
             })
         },
     );
@@ -788,11 +784,7 @@ fn run_predict_group(requests: &[Request], idxs: &[usize], clock: &Clock, stats:
         },
         |frames| {
             guard(stats, &model.profile().name, || {
-                vqpy_models::placement_scope(
-                    ModelStage::Predict.index(),
-                    &model.profile().name,
-                    || model.try_predict_batch(frames, clock),
-                )
+                model.try_predict_batch(frames, clock)
             })
         },
     );
@@ -817,9 +809,7 @@ fn run_classify_group(requests: &[Request], idxs: &[usize], clock: &Clock, stats
     }
     let Some(model) = model else { return };
     match guard(stats, &model.profile().name, || {
-        vqpy_models::placement_scope(ModelStage::Classify.index(), &model.profile().name, || {
-            model.try_classify_batch_jobs(&jobs, clock)
-        })
+        model.try_classify_batch_jobs(&jobs, clock)
     }) {
         Ok(results) => {
             for (&i, values) in idxs.iter().zip(results) {

@@ -20,10 +20,11 @@
 //! already running.
 
 use std::collections::HashMap;
-use vqpy_core::backend::exec::{instantiate_stage_ops, run_segment, ResultSink};
+use vqpy_core::backend::exec::{run_segment, ResultSink};
 use vqpy_core::backend::ops::OpState;
 use vqpy_core::backend::plan::PlanDag;
 use vqpy_core::backend::reuse::{ReuseCache, ReuseTier};
+use vqpy_core::backend::stage::{instantiate_stage_ops, ExecEnv};
 use vqpy_core::backend::symbols::SymbolTable;
 use vqpy_core::error::Result;
 use vqpy_core::{ExecConfig, ExecMetrics, StageOps};
@@ -201,7 +202,6 @@ impl StreamEngine {
 
     /// Runs a contiguous frame segment through the current plan, feeding
     /// finished frames to `sink` in frame order.
-    #[allow(clippy::too_many_arguments)]
     pub fn run_segment(
         &mut self,
         source: &dyn VideoSource,
@@ -211,12 +211,15 @@ impl StreamEngine {
         range: std::ops::Range<u64>,
         sink: &mut dyn ResultSink,
     ) -> Result<()> {
-        run_segment(
-            &self.plan,
+        let env = ExecEnv {
+            plan: &self.plan,
             source,
             zoo,
             clock,
             config,
+        };
+        run_segment(
+            env,
             range,
             &mut self.ops,
             &mut self.reuse,

@@ -125,9 +125,10 @@ pub struct ServeConfig {
     /// Persistent frame/result store. When set, every stream appends its
     /// model outputs (detections, binary verdicts, intrinsic property
     /// values) to a per-stream segment log as it executes, and
-    /// [`StreamServer::attach_from`] can replay the stored past of a
-    /// stream — skipping the model stages whose outputs are on disk — and
-    /// splice the query into the live frames. `None` (the default) serves
+    /// [`attach(stream, spec)`](StreamServer::attach) with a spec built
+    /// `.from(instant)` can replay the stored past of a stream — skipping
+    /// the model stages whose outputs are on disk — and splice the query
+    /// into the live frames. `None` (the default) serves
     /// live-only, exactly as before.
     pub store: Option<Arc<FrameStore>>,
 }
@@ -839,8 +840,8 @@ impl StreamServer {
                     stream.store = Some(ss);
                 }
                 Err(e) => {
-                    // The stream serves live-only; attach_from will report
-                    // StoreDisabled for it.
+                    // The stream serves live-only; a from-past attach will
+                    // report StoreDisabled for it.
                     eprintln!("vqpy-serve: store disabled for stream {id}: {e}");
                 }
             }
@@ -1350,25 +1351,6 @@ impl StreamServer {
                 return;
             }
         }
-    }
-
-    /// Attaches a query to a stream **from a past instant**.
-    ///
-    /// Deprecated spelling of
-    /// `attach(stream, AttachSpec::new(query).from(instant))`; see
-    /// [`StreamServer::attach`].
-    #[deprecated(note = "use `attach` with `AttachSpec::new(query).from(instant)`")]
-    pub fn attach_from(
-        &self,
-        stream: StreamId,
-        query: Arc<Query>,
-        from: Instant,
-    ) -> ServeResult<(Subscription, StreamId)> {
-        let attached = self.attach(stream, AttachSpec::new(query).from(from))?;
-        let replay = attached
-            .replay()
-            .expect("from-past attach always returns a replay id");
-        Ok((attached.into_inner(), replay))
     }
 
     /// The from-past attach path: builds the private replay engine over

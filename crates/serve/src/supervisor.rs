@@ -682,21 +682,6 @@ impl StreamSupervisor {
         }
     }
 
-    /// Attaches a query to a supervised stream **from a past instant**.
-    ///
-    /// Deprecated spelling of
-    /// `attach(stream, AttachSpec::new(query).from(instant))`; see
-    /// [`StreamSupervisor::attach`].
-    #[deprecated(note = "use `attach` with `AttachSpec::new(query).from(instant)`")]
-    pub fn attach_from(
-        &self,
-        stream: StreamId,
-        query: Arc<Query>,
-        from: Instant,
-    ) -> Result<Subscription, AttachError> {
-        self.attach(stream, AttachSpec::new(query).from(from))
-    }
-
     /// Detaches a subscription at the next step boundary (see
     /// [`StreamServer::detach`]). Never blocked by pacing: a paced stream
     /// parked on the timer wheel picks the command up at its next step.

@@ -10,16 +10,16 @@
 //! sequence of the underlying untyped [`Subscription`] (the equivalence
 //! tests prove it);
 //! decoding failures surface as [`DecodeError`]s, never panics.
+//!
+//! [`StreamServer::attach`]: crate::StreamServer::attach
+//! [`StreamSupervisor::attach`]: crate::StreamSupervisor::attach
 
-use crate::server::{ServeResult, StreamId, StreamServer};
 use crate::subscription::{
     ServeEvent, StoreFaultNotice, StreamFault, Subscription, SubscriptionClosed, SubscriptionId,
 };
-use crate::supervisor::{AttachError, StreamSupervisor};
 use std::marker::PhantomData;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-use vqpy_core::{TypedHit, TypedQuery};
+use std::time::Duration;
+use vqpy_core::TypedHit;
 use vqpy_models::{DecodeError, FromRow, Value};
 
 /// A decoded incremental result event: the typed counterpart of
@@ -186,90 +186,4 @@ fn decode_event<R: FromRow>(event: ServeEvent) -> Result<TypedServeEvent<R>, Dec
         ServeEvent::End { video_value } => TypedServeEvent::End { video_value },
         ServeEvent::Detached { video_value } => TypedServeEvent::Detached { video_value },
     })
-}
-
-impl StreamServer {
-    /// Attaches a typed query to a stream; events arrive decoded as `R`.
-    ///
-    /// Deprecated spelling of `attach(stream, &query)` (a `&TypedQuery<R>`
-    /// converts to a typed [`AttachSpec`](crate::AttachSpec)); see
-    /// [`attach`](StreamServer::attach).
-    ///
-    /// # Errors
-    ///
-    /// The same errors as [`attach`](StreamServer::attach).
-    #[deprecated(note = "use `attach` — a `&TypedQuery<R>` converts to a typed `AttachSpec`")]
-    pub fn attach_typed<R: FromRow>(
-        &self,
-        stream: StreamId,
-        query: &TypedQuery<R>,
-    ) -> ServeResult<TypedSubscription<R>> {
-        Ok(self.attach(stream, query)?.into_inner())
-    }
-
-    /// Replays the stored past from `from` and splices into the live
-    /// stream, delivering decoded events.
-    ///
-    /// Deprecated spelling of
-    /// `attach(stream, AttachSpec::new(query).typed::<R>().from(instant))`;
-    /// see [`attach`](StreamServer::attach).
-    ///
-    /// # Errors
-    ///
-    /// The same errors as [`attach`](StreamServer::attach).
-    #[deprecated(note = "use `attach` with a typed `AttachSpec` and `.from(instant)`")]
-    pub fn attach_from_typed<R: FromRow>(
-        &self,
-        stream: StreamId,
-        query: &TypedQuery<R>,
-        from: Instant,
-    ) -> ServeResult<(TypedSubscription<R>, StreamId)> {
-        let spec = crate::AttachSpec::new(Arc::clone(query.query()))
-            .typed::<R>()
-            .from(from);
-        let attached = self.attach(stream, spec)?;
-        let replay = attached
-            .replay()
-            .expect("from-past attach always returns a replay id");
-        Ok((attached.into_inner(), replay))
-    }
-}
-
-impl StreamSupervisor {
-    /// Attaches a typed query to a supervised stream, subject to
-    /// [`ServePolicy`](crate::ServePolicy) admission control.
-    ///
-    /// Deprecated spelling of `attach(stream, &query)`; see
-    /// [`attach`](StreamSupervisor::attach).
-    ///
-    /// # Errors
-    ///
-    /// The same [`AttachError`]s as [`attach`](StreamSupervisor::attach).
-    #[deprecated(note = "use `attach` — a `&TypedQuery<R>` converts to a typed `AttachSpec`")]
-    pub fn attach_typed<R: FromRow>(
-        &self,
-        stream: StreamId,
-        query: &TypedQuery<R>,
-    ) -> Result<TypedSubscription<R>, AttachError> {
-        self.attach(stream, query)
-    }
-
-    /// Replays the stored past from `from` on a shard and splices into
-    /// the live stream, delivering decoded events.
-    ///
-    /// Deprecated spelling of
-    /// `attach(stream, AttachSpec::new(query).typed::<R>().from(instant))`;
-    /// see [`attach`](StreamSupervisor::attach).
-    #[deprecated(note = "use `attach` with a typed `AttachSpec` and `.from(instant)`")]
-    pub fn attach_from_typed<R: FromRow>(
-        &self,
-        stream: StreamId,
-        query: &TypedQuery<R>,
-        from: Instant,
-    ) -> Result<TypedSubscription<R>, AttachError> {
-        let spec = crate::AttachSpec::new(Arc::clone(query.query()))
-            .typed::<R>()
-            .from(from);
-        self.attach(stream, spec)
-    }
 }

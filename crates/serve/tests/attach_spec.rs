@@ -1,18 +1,17 @@
-//! Acceptance tests for the unified attach surface: every cell of the old
-//! `attach`/`attach_typed`/`attach_from`/`attach_from_typed` ×
-//! server/supervisor grid is expressible as one `AttachSpec`, the
-//! deprecated shims stay byte-identical to the spec spelling, and the
-//! `ServeConfig` builder rejects every documented nonsense combination.
+//! Acceptance tests for the unified attach surface: every live spelling
+//! of `attach(stream, spec)` lands on the same subscription, an
+//! `AttachSpec` reports what it was built from, and the `ServeConfig`
+//! builder rejects every documented nonsense combination.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use vqpy_core::frontend::library;
 use vqpy_core::frontend::predicate::Pred;
-use vqpy_core::{FrameHit, Query, TypedQuery, VqpySession};
+use vqpy_core::{FrameHit, Query, VqpySession};
 use vqpy_models::{ModelZoo, Value};
 use vqpy_serve::{
-    AttachSpec, ConfigError, PaceMode, RestartPolicy, ServeConfig, ServeEvent, ServeSession,
-    StreamServer, StreamSupervisor, Subscription, SupervisorConfig,
+    AttachSpec, ConfigError, RestartPolicy, ServeConfig, ServeEvent, ServeSession, StreamServer,
+    Subscription,
 };
 use vqpy_store::{FrameStore, StoreConfig};
 use vqpy_video::source::SyntheticVideo;
@@ -32,16 +31,6 @@ fn red_car(name: &str) -> Arc<Query> {
 }
 
 type PlateRow = (Option<i64>, String);
-
-fn typed_red_car(name: &str) -> TypedQuery<PlateRow> {
-    let car = library::vehicle_intrinsic().alias("car");
-    TypedQuery::builder(name)
-        .object(&car)
-        .filter(car.score().gt(0.5) & car.color().eq("red"))
-        .select((car.track_id().optional(), car.plate()))
-        .build()
-        .unwrap()
-}
 
 fn server() -> StreamServer {
     let session = Arc::new(VqpySession::new(ModelZoo::standard()));
@@ -139,112 +128,6 @@ fn attached_handle_derefs_and_unwraps() {
     assert_eq!(sub.id(), id);
     server.run_to_end(stream).unwrap();
     drain(sub);
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated shims stay byte-identical to the spec spelling
-// ---------------------------------------------------------------------------
-
-/// `attach_typed` (server and supervisor) must deliver the exact rows of
-/// `attach(stream, &typed_query)`.
-#[test]
-#[allow(deprecated)]
-fn attach_typed_shims_match_unified_attach() {
-    let typed = typed_red_car("RedCar");
-
-    let new_rows = {
-        let server = server();
-        let stream = server.open_stream(Arc::new(video(57, 6.0)));
-        let sub = server.attach(stream, &typed).unwrap();
-        server.run_to_end(stream).unwrap();
-        sub.collect().unwrap()
-    };
-    let shim_rows = {
-        let server = server();
-        let stream = server.open_stream(Arc::new(video(57, 6.0)));
-        let sub = server.attach_typed(stream, &typed).unwrap();
-        server.run_to_end(stream).unwrap();
-        sub.collect().unwrap()
-    };
-    assert!(!new_rows.0.is_empty(), "test video must produce rows");
-    assert_eq!(new_rows, shim_rows, "server shim diverged");
-
-    let sup_rows = {
-        let session = Arc::new(VqpySession::new(ModelZoo::standard()));
-        let supervisor = StreamSupervisor::new(session, SupervisorConfig::default());
-        let (stream, _subs) = supervisor
-            .add_stream(Arc::new(video(57, 6.0)), PaceMode::Unpaced, &[])
-            .unwrap();
-        let sub = supervisor.attach_typed(stream, &typed).unwrap();
-        supervisor.join_stream(stream).unwrap();
-        sub.collect().unwrap()
-    };
-    assert_eq!(new_rows, sup_rows, "supervisor shim diverged");
-}
-
-/// `attach_from` / `attach_from_typed` must deliver the exact event
-/// stream of `attach(stream, AttachSpec::new(query).from(instant))`.
-#[test]
-#[allow(deprecated)]
-fn attach_from_shims_match_unified_attach() {
-    let query = red_car("RedCar");
-    let typed = typed_red_car("RedCarTyped");
-    let mut untyped_runs = Vec::new();
-    let mut typed_runs = Vec::new();
-
-    for (tag, use_shim) in [("spec", false), ("shim", true)] {
-        let dir = tempdir(tag);
-        let fs = store_at(&dir);
-        let session = Arc::new(VqpySession::new(ModelZoo::standard()));
-        let server = session.serve(ServeConfig {
-            store: Some(Arc::clone(&fs)),
-            ..ServeConfig::default()
-        });
-        let stream = server.open_stream(Arc::new(video(57, 6.0)));
-        // Live pass persists the model outputs the replays answer from.
-        let live = server.attach(stream, Arc::clone(&query)).unwrap();
-        server.run_to_end(stream).unwrap();
-        drain(live.into_inner());
-
-        let epoch = fs.epoch();
-        let (sub, replay) = if use_shim {
-            server
-                .attach_from(stream, Arc::clone(&query), epoch)
-                .unwrap()
-        } else {
-            let attached = server
-                .attach(stream, AttachSpec::new(Arc::clone(&query)).from(epoch))
-                .unwrap();
-            let replay = attached.replay().expect("from-past attach yields a replay");
-            (attached.into_inner(), replay)
-        };
-        server.run_replay(replay).unwrap();
-        untyped_runs.push(drain(sub));
-
-        let (tsub, treplay) = if use_shim {
-            server.attach_from_typed(stream, &typed, epoch).unwrap()
-        } else {
-            let spec = AttachSpec::new(Arc::clone(typed.query()))
-                .typed::<PlateRow>()
-                .from(epoch);
-            let attached = server.attach(stream, spec).unwrap();
-            let replay = attached.replay().expect("from-past attach yields a replay");
-            (attached.into_inner(), replay)
-        };
-        server.run_replay(treplay).unwrap();
-        typed_runs.push(tsub.collect().unwrap());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    assert!(!untyped_runs[0].0.is_empty(), "replay must produce hits");
-    assert_eq!(
-        untyped_runs[0], untyped_runs[1],
-        "attach_from shim diverged"
-    );
-    assert_eq!(
-        typed_runs[0], typed_runs[1],
-        "attach_from_typed shim diverged"
-    );
 }
 
 // ---------------------------------------------------------------------------

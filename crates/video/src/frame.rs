@@ -122,7 +122,9 @@ impl PixelBuffer {
                 e.1[2] += p[2] as u32;
             }
         }
-        let (_, (n, sums)) = counts.into_iter().max_by_key(|(_, (n, _))| *n)?;
+        // Ties break on the key: `HashMap` iteration order differs from
+        // call to call, and the answer must not.
+        let (_, (n, sums)) = counts.into_iter().max_by_key(|(key, (n, _))| (*n, *key))?;
         Some([
             (sums[0] / n) as u8,
             (sums[1] / n) as u8,
@@ -189,11 +191,9 @@ mod tests {
         assert_eq!(b.mean_rgb_in(&bbox), Some([100, 150, 200]));
     }
 
-    #[test]
-    fn dominant_rgb_prefers_majority() {
-        // Left half red, right half blue, crop over left 3/4: red dominates.
-        let w = 8u32;
-        let h = 4u32;
+    /// An 8x4 buffer (scale 8): left half red, right half blue.
+    fn red_blue_halves() -> PixelBuffer {
+        let (w, h) = (8u32, 4u32);
         let mut data = Vec::new();
         for _y in 0..h {
             for x in 0..w {
@@ -204,10 +204,27 @@ mod tests {
                 }
             }
         }
-        let b = PixelBuffer::from_rgb(w, h, 8, data);
+        PixelBuffer::from_rgb(w, h, 8, data)
+    }
+
+    #[test]
+    fn dominant_rgb_prefers_majority() {
+        // Crop over the left 3/4: red dominates.
         let crop = BBox::new(0.0, 0.0, 48.0, 32.0); // 6x4 buffer pixels
-        let rgb = b.dominant_rgb_in(&crop).unwrap();
+        let rgb = red_blue_halves().dominant_rgb_in(&crop).unwrap();
         assert!(rgb[0] > rgb[2], "expected red-dominant, got {rgb:?}");
+    }
+
+    #[test]
+    fn dominant_rgb_breaks_ties_the_same_way_every_call() {
+        // The whole buffer is an exact 50/50 tie between two modes. Each
+        // call counts in a fresh, freshly seeded `HashMap`, so an answer
+        // taken from iteration order flips between calls.
+        let b = red_blue_halves();
+        let crop = BBox::new(0.0, 0.0, 64.0, 32.0);
+        for call in 0..64 {
+            assert_eq!(b.dominant_rgb_in(&crop), Some([200, 0, 0]), "call {call}");
+        }
     }
 
     #[test]
