@@ -70,6 +70,15 @@ fn bench_render(c: &mut Criterion) {
             std::hint::black_box(render_frame(&scene, f))
         })
     });
+    // What the engine calls: truth once, pixels from it, both in a `Frame`.
+    let video = vqpy_video::SyntheticVideo::new(scene);
+    c.bench_function("source_frame_jackson", |b| {
+        let mut f = 0u64;
+        b.iter(|| {
+            f = (f + 7) % video.frame_count();
+            std::hint::black_box(video.frame(f))
+        })
+    });
 }
 
 fn bench_pixels(c: &mut Criterion) {

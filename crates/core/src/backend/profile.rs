@@ -7,6 +7,8 @@ use crate::backend::plan::PlanDag;
 use crate::error::{Result, VqpyError};
 use crate::scoring::f1_frames;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use vqpy_models::{Clock, ModelZoo};
 use vqpy_video::source::VideoSource;
 
@@ -24,8 +26,13 @@ pub struct PlanProfile {
 /// plan whose F1 (vs. `candidates[0]`, the most-general reference) meets
 /// `accuracy_target`, together with all profiles.
 ///
-/// Candidates are profiled in parallel, each with its own clock, so
-/// profiling does not pollute the session's execution clock.
+/// Candidates are profiled on one worker thread per core, each candidate
+/// with its own clock, so profiling does not pollute the session's
+/// execution clock. Not one thread per candidate: every decoding thread
+/// leaves an allocator arena at its high-water mark, and sixteen
+/// candidates on two cores are one thread more than glibc has arenas for,
+/// so two threads doubled up in a different arena on every call and the
+/// memory the process held depended on how the threads happened to overlap.
 ///
 /// # Errors
 ///
@@ -41,41 +48,47 @@ pub fn profile_and_choose(
 ) -> Result<(usize, Vec<PlanProfile>)> {
     assert!(!candidates.is_empty(), "need at least the reference plan");
 
-    // Run all candidates in parallel, one clock each.
-    let mut runs: Vec<Option<(Vec<BTreeSet<u64>>, f64)>> = Vec::new();
+    // One slot per candidate; a candidate that fails or panics leaves its
+    // slot empty. Workers take the next unclaimed candidate until none is left.
+    let runs: Vec<OnceLock<(Vec<BTreeSet<u64>>, f64)>> =
+        candidates.iter().map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(candidates.len());
     std::thread::scope(|scope| {
-        let handles: Vec<_> = candidates
-            .iter()
-            .map(|plan| {
-                scope.spawn(move || -> Result<(Vec<BTreeSet<u64>>, f64)> {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(plan) = candidates.get(i) else { break };
                     let clock = Clock::new();
-                    let results = execute_plan(plan, canary, zoo, &clock, config)?;
-                    let hits = results.iter().map(|r| r.hit_frame_set()).collect();
-                    Ok((hits, clock.virtual_ms()))
+                    if let Ok(results) = execute_plan(plan, canary, zoo, &clock, config) {
+                        let hits = results.iter().map(|r| r.hit_frame_set()).collect();
+                        let _ = runs[i].set((hits, clock.virtual_ms()));
+                    }
                 })
             })
             .collect();
         for h in handles {
-            match h.join() {
-                Ok(Ok(r)) => runs.push(Some(r)),
-                Ok(Err(_)) | Err(_) => runs.push(None),
-            }
+            // A worker that panicked ran no further candidates; the others
+            // pick them up.
+            let _ = h.join();
         }
     });
 
-    let Some(Some((reference_hits, _))) = runs.first() else {
+    let Some((reference_hits, _)) = runs[0].get() else {
         return Err(VqpyError::InvalidQuery(
             "reference plan failed during canary profiling".into(),
         ));
     };
-    let reference_hits = reference_hits.clone();
 
     let mut profiles = Vec::with_capacity(candidates.len());
     for (plan, run) in candidates.iter().zip(&runs) {
-        match run {
+        match run.get() {
             Some((hits, cost)) => {
                 let mut f1_sum = 0.0f64;
-                for (h, r) in hits.iter().zip(&reference_hits) {
+                for (h, r) in hits.iter().zip(reference_hits) {
                     f1_sum += f1_frames(h, r).f1;
                 }
                 let f1 = (f1_sum / reference_hits.len().max(1) as f64) as f32;
@@ -155,6 +168,12 @@ mod tests {
         let canary = SyntheticVideo::new(Scene::generate(presets::jackson(), 404, 15.0));
         let (chosen, profiles) =
             profile_and_choose(&plans, &canary, &zoo, &ExecConfig::default(), 0.8).unwrap();
+        // Profiles come back in candidate order, whichever worker ran which.
+        assert!(profiles
+            .iter()
+            .map(|p| &p.label)
+            .eq(plans.iter().map(|p| &p.label)));
+        assert!(profiles.iter().all(|p| p.cost_ms.is_finite()));
         // Reference always scores 1.0 against itself.
         assert!((profiles[0].f1 - 1.0).abs() < 1e-6);
         // The chosen plan meets the target and is no more expensive than

@@ -4,6 +4,12 @@
 //! differencing filters and the pixel-reading color classifier do genuine
 //! computation, plus an `Arc` to the frame's ground truth used by simulated
 //! model inference and by accuracy scoring.
+//!
+//! A [`PixelBuffer`] has no mutating method, so its bytes may be shared
+//! freely: clones of a frame share them, and so do *different* frames when
+//! nothing is visible on either — the renderer hands both the scene's cached
+//! background (see [`crate::render`]). Compare buffers by value, never by
+//! address.
 
 use crate::geometry::BBox;
 use crate::scene::GroundTruth;
@@ -27,6 +33,17 @@ impl PixelBuffer {
     ///
     /// Panics if `data.len() != width * height * 3`.
     pub fn from_rgb(width: u32, height: u32, scale: u32, data: Vec<u8>) -> Self {
+        Self::from_shared(width, height, scale, data.into())
+    }
+
+    /// Wraps RGB8 data that is already behind an `Arc`, without copying it:
+    /// the renderer hands every frame with nothing on it the scene's one
+    /// cached background this way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != width * height * 3`.
+    pub(crate) fn from_shared(width: u32, height: u32, scale: u32, data: Arc<[u8]>) -> Self {
         assert_eq!(
             data.len(),
             (width * height * 3) as usize,
@@ -36,7 +53,7 @@ impl PixelBuffer {
             width,
             height,
             scale,
-            data: data.into(),
+            data,
         }
     }
 

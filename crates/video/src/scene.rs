@@ -19,7 +19,7 @@ use crate::trajectory::{Direction, Trajectory, Waypoint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An entity visible on a specific frame, with its ground-truth state.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -35,6 +35,8 @@ pub struct VisibleEntity {
     pub attrs: EntityAttrs,
     /// Overall turn direction of the entity's full trajectory.
     pub direction: Direction,
+    /// Draw order: higher `z` is drawn over lower.
+    pub z: u8,
 }
 
 impl VisibleEntity {
@@ -84,6 +86,10 @@ pub struct Scene {
     pub duration_s: f64,
     entities: Vec<Entity>,
     events: Vec<ScriptedEvent>,
+    /// The rendered background, built by the first decode (see
+    /// [`crate::render`]). A clone taken after that shares the bytes.
+    #[serde(skip)]
+    pub(crate) background: OnceLock<Arc<[u8]>>,
 }
 
 impl Scene {
@@ -135,6 +141,7 @@ impl Scene {
                 velocity: Point::new(vel.x / fps, vel.y / fps),
                 attrs: e.attrs.clone(),
                 direction: e.direction(),
+                z: e.z,
             });
         }
         let interactions = self
@@ -471,6 +478,7 @@ impl SceneBuilder {
             duration_s: self.duration_s,
             entities: self.entities,
             events: self.events,
+            background: OnceLock::new(),
         }
     }
 }

@@ -6,7 +6,7 @@
 //! materialized in memory at once.
 
 use crate::frame::Frame;
-use crate::render::render_frame;
+use crate::render::render_truth;
 use crate::scene::{Scene, SharedScene};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -153,12 +153,13 @@ impl VideoSource for SyntheticVideo {
 
     fn frame(&self, index: u64) -> Frame {
         assert!(index < self.frame_count(), "frame index out of range");
+        let truth = self.scene.truth_at(index);
         Frame {
             video_id: self.video_id,
             index,
-            time_s: self.scene.frame_time(index),
-            pixels: render_frame(&self.scene, index),
-            truth: Arc::new(self.scene.truth_at(index)),
+            time_s: truth.time_s,
+            pixels: render_truth(&self.scene, &truth),
+            truth: Arc::new(truth),
         }
     }
 
@@ -203,14 +204,16 @@ impl VideoSource for Clip {
 
     fn frame(&self, index: u64) -> Frame {
         assert!(index < self.len, "frame index out of range");
-        let abs = self.start + index;
-        let mut truth = self.scene.truth_at(abs);
+        let mut truth = self.scene.truth_at(self.start + index);
+        let pixels = render_truth(&self.scene, &truth);
+        // Downstream code sees an ordinary video starting at frame 0.
         truth.frame = index;
+        truth.time_s = self.scene.frame_time(index);
         Frame {
             video_id: self.video_id,
             index,
-            time_s: index as f64 / self.fps() as f64,
-            pixels: render_frame(&self.scene, abs),
+            time_s: truth.time_s,
+            pixels,
             truth: Arc::new(truth),
         }
     }
@@ -344,6 +347,63 @@ mod tests {
         // Clip frame 0 equals parent frame 75 pixel-wise.
         let parent = v.frame(75);
         assert_eq!(f.pixels, parent.pixels);
+    }
+
+    #[test]
+    fn clip_frames_are_the_parent_frames_rebased() {
+        let v = video();
+        let c = v.clip(10.0, 15.0);
+        for i in [0, 1, 37, 74] {
+            let (f, parent) = (c.frame(i), v.frame(150 + i));
+            assert_eq!(f.pixels, parent.pixels);
+            assert_eq!(f.truth.visible, parent.truth.visible);
+            // Both halves of the truth are clip-relative, like the frame.
+            assert_eq!(f.truth.frame, f.index);
+            assert_eq!(f.truth.time_s, f.time_s);
+            assert_eq!(f.time_s, i as f64 / 15.0);
+        }
+    }
+
+    fn data_ptr(f: &Frame) -> *const u8 {
+        f.pixels.data().as_ptr()
+    }
+
+    #[test]
+    fn background_is_shared_by_clips_and_by_clones_made_after_first_decode() {
+        let scene = crate::scene::SceneBuilder::new(presets::banff(), 2.0).build();
+        let cloned_before = SyntheticVideo::new(scene.clone());
+        let v = SyntheticVideo::new(scene);
+        let first = v.frame(0);
+        assert_eq!(data_ptr(&v.clip(1.0, 2.0).frame(3)), data_ptr(&first));
+        let cloned_after = SyntheticVideo::new(v.scene().unwrap().clone());
+        assert_eq!(data_ptr(&cloned_after.frame(0)), data_ptr(&first));
+        // A clone taken before the first decode builds its own, equal, copy.
+        let own = cloned_before.frame(0);
+        assert_ne!(data_ptr(&own), data_ptr(&first));
+        assert_eq!(own.pixels, first.pixels);
+    }
+
+    #[test]
+    fn concurrent_first_decodes_match_a_single_threaded_decode() {
+        const THREADS: u64 = 8;
+        let scene = Scene::generate(presets::banff(), 9, 20.0);
+        let expected: Vec<Frame> = frames(&SyntheticVideo::new(scene.clone())).collect();
+        let fresh = SyntheticVideo::new(scene);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (fresh, start, expected) = (&fresh, &start, &expected);
+                s.spawn(move || {
+                    start.wait();
+                    // Every thread's first call races to build the background.
+                    for i in (t..fresh.frame_count()).step_by(THREADS as usize) {
+                        let f = fresh.frame(i);
+                        assert_eq!(f.pixels, expected[i as usize].pixels, "frame {i}");
+                        assert_eq!(f.truth, expected[i as usize].truth, "frame {i}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]
