@@ -26,7 +26,7 @@
 //! ratio checks skip them.
 //!
 //! Results land in the `"scaling"` section of `BENCH_serve.json`
-//! (co-owned with the multi-query bench via `report::merge_section`).
+//! (co-owned with the `device_scale` bench via `report::merge_section`).
 
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -1,7 +1,9 @@
-//! A minimal JSON reader for the `BENCH_*.json` reports.
+//! A minimal JSON reader for the `BENCH_*.json` reports and
+//! `REPRODUCTION.json`.
 //!
-//! The bench-regression gate (`src/bin/bench_gate.rs`) needs to pull a
-//! handful of numbers back out of the reports our own writers emit; the
+//! The bench-regression gate (`src/bin/bench_gate.rs`) and the
+//! reproduction checker (`reproduce::diff`) need to pull numbers back out
+//! of the reports our own writers emit; the
 //! workspace is vendored-offline (no `serde_json`), so this is a small
 //! recursive-descent parser covering exactly the JSON our writers produce:
 //! objects, arrays, strings with escapes, numbers, booleans, and null.

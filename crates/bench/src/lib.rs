@@ -1,19 +1,22 @@
 //! # vqpy-bench
 //!
-//! Shared experiment harness for the benches that regenerate every table
-//! and figure of the paper's evaluation (§5). Each bench target under
-//! `benches/` prints the paper's rows/series next to the measured
-//! reproduction; this library provides the common workloads, query
-//! constructors, and table formatting.
+//! The reproduction's two rulers. [`reproduce`] is the paper's evaluation
+//! (§5) as one table on the virtual clock, exact and asserted against
+//! `REPRODUCTION.json`; the three bench targets under `benches/` measure
+//! what a virtual clock cannot — real overlap under a sleeping clock —
+//! and `bench_gate` holds their ratios. This library provides the common
+//! workloads, query constructors and report formatting.
 
 pub mod json;
 pub mod report;
+pub mod reproduce;
 pub mod workloads;
 
-/// Reads an experiment scale factor from `VQPY_BENCH_SCALE`.
+/// Reads the wall-clock benches' scale factor from `VQPY_BENCH_SCALE`.
 /// Video durations are the paper's clip lengths times this factor. The
 /// default of 0.2 keeps a full `cargo bench --workspace` pass to a few
 /// minutes; set `VQPY_BENCH_SCALE=1` to run the paper's full lengths.
+/// ([`reproduce`] never reads it: its scale is compiled in.)
 pub fn bench_scale() -> f64 {
     std::env::var("VQPY_BENCH_SCALE")
         .ok()

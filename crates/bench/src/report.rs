@@ -90,8 +90,8 @@ pub fn exec_metrics_json(m: &ExecMetrics, indent: usize) -> String {
 
 /// Updates one top-level section of a `BENCH_*.json` file in place,
 /// leaving the other sections untouched, so independent bench binaries can
-/// co-own a report file (e.g. the multi-query serve bench and the
-/// multi-stream scaling bench both write `BENCH_serve.json`).
+/// co-own a report file (the multi-stream scaling bench and the device
+/// scaling bench both write `BENCH_serve.json`).
 ///
 /// The file is a single JSON object whose top-level values are written by
 /// this function (one `"name": value` per section). `value` must itself be
@@ -223,14 +223,6 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Formats a speedup like the paper's figure annotations, e.g. `3.4x`.
-pub fn speedup(baseline: f64, this: f64) -> String {
-    if this <= 0.0 {
-        return "inf".to_owned();
-    }
-    format!("{:.1}x", baseline / this)
-}
-
 /// Formats milliseconds with sensible precision.
 pub fn ms(v: f64) -> String {
     if v >= 1000.0 {
@@ -252,12 +244,6 @@ pub fn mean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn speedup_formats() {
-        assert_eq!(speedup(100.0, 10.0), "10.0x");
-        assert_eq!(speedup(100.0, 0.0), "inf");
-    }
 
     #[test]
     fn mean_handles_empty() {

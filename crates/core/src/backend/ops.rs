@@ -580,7 +580,9 @@ impl ProjectOp {
             // Memoized values are trusted only once the track is
             // confirmed: a first sighting clamped at the frame edge would
             // otherwise pin a bad classification for the object's whole
-            // lifetime.
+            // lifetime. An unconfirmed sighting is still *eligible* for
+            // reuse, so it counts as a miss: hit rate is served-from-cache
+            // over eligible projections, not over probes.
             let cached = match (&mut ctx.reuse, node.track_id) {
                 (Some(reuse), Some(t)) if intrinsic && node.track_confirmed => reuse.lookup_named(
                     self.alias_sym,
@@ -589,6 +591,10 @@ impl ProjectOp {
                     &self.alias,
                     &self.def.name,
                 ),
+                (Some(reuse), Some(_)) if intrinsic => {
+                    reuse.count_miss();
+                    None
+                }
                 _ => None,
             };
             match cached {
@@ -1131,8 +1137,9 @@ mod tests {
             stats.hits > 0,
             "confirmed tracks should hit the cache: {stats:?}"
         );
-        // Model invocations = unconfirmed sightings (which bypass the
-        // cache) + confirmed misses; far fewer than one per node visit.
+        // Model invocations = unconfirmed sightings + confirmed misses
+        // (both counted as misses) + untracked nodes; far fewer than one
+        // per node visit.
         let invocations = clock
             .stat("color_detect")
             .map(|s| s.invocations)
@@ -1140,7 +1147,11 @@ mod tests {
         assert!(invocations > 0);
         assert!(
             invocations >= stats.misses,
-            "every confirmed miss costs a model call: {invocations} vs {stats:?}"
+            "every miss costs a model call: {invocations} vs {stats:?}"
+        );
+        assert!(
+            stats.misses > 0 && stats.hit_rate() > 0.0 && stats.hit_rate() < 1.0,
+            "first sightings must show up as misses: {stats:?}"
         );
         let visits = stats.hits + invocations;
         assert!(

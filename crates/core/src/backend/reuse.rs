@@ -40,6 +40,8 @@ pub trait ReuseTier: Send + Sync + fmt::Debug {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReuseStats {
     pub hits: u64,
+    /// Eligible projections not served from memory: probes that found
+    /// nothing, plus sightings of tracks too young to be probed.
     pub misses: u64,
     /// Entries dropped by the LRU capacity bound.
     pub evictions: u64,
@@ -154,6 +156,13 @@ impl ReuseCache {
                 None
             }
         }
+    }
+
+    /// Records a miss for an eligible projection that was not probed (an
+    /// intrinsic property of a tracked but not yet confirmed object), so
+    /// [`ReuseStats::hit_rate`] is served-from-cache over eligible.
+    pub fn count_miss(&mut self) {
+        self.stats.misses += 1;
     }
 
     /// Memoizes a computed intrinsic value, evicting the least-recently-used

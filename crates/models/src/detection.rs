@@ -2,12 +2,11 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use vqpy_video::entity::EntityId;
 use vqpy_video::geometry::BBox;
 
 /// One detected object on a frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Detection {
     /// Detector class label: "car", "bus", "truck", "person", "ball".
     pub class_label: String,

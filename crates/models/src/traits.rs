@@ -9,11 +9,10 @@ use crate::clock::{Clock, CostUnits};
 use crate::detection::Detection;
 use crate::fault::ModelFault;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use vqpy_video::frame::Frame;
 
 /// What a model does; drives planner operator selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     Detection,
     Classification,
@@ -23,7 +22,7 @@ pub enum TaskKind {
 }
 
 /// Static metadata the planner uses to cost and compare models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelProfile {
     /// Registry name, e.g. `"yolox"`.
     pub name: String,
@@ -242,7 +241,7 @@ pub trait FrameClassifier: Send + Sync {
 }
 
 /// A detected subject-object interaction (e.g. person hits ball).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HoiTriple {
     /// Index into the detections slice passed to the model.
     pub subject_idx: usize,

@@ -4,13 +4,12 @@
 //! exchange model outputs as [`Value`]s, so it lives here in the model
 //! crate that both depend on.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use vqpy_video::geometry::{BBox, Point};
 
 /// A dynamically-typed value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum Value {
     #[default]
     Null,
@@ -26,7 +25,7 @@ pub enum Value {
 /// The runtime kind of a non-null [`Value`]. Schemas declare a kind per
 /// property so typed handles (`Prop<T>`) can be checked when they are
 /// minted, long before any frame is decoded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueKind {
     /// [`Value::Bool`].
     Bool,

@@ -1060,19 +1060,12 @@ impl StreamServer {
             match &mut s.engine {
                 Some(engine) => engine.recompile(plan, self.session.zoo())?,
                 None => {
-                    let mut engine =
-                        StreamEngine::new(plan, self.session.zoo(), &self.session.config().exec)?;
-                    if let Some(dispatch) = &s.dispatch {
-                        engine.set_dispatch(Arc::clone(dispatch));
-                    }
-                    engine.set_tracer(s.tracer.clone());
-                    if let Some(ss) = &s.store {
-                        // Intrinsics written by this engine persist; values
-                        // a previous engine (or process) computed are read
-                        // back instead of re-running classify stages.
-                        engine.set_reuse_tier(Arc::new(StoreTier::new(Arc::clone(ss))));
-                    }
-                    s.engine = Some(engine);
+                    s.engine = Some(self.new_engine(
+                        plan,
+                        s.dispatch.clone(),
+                        &s.tracer,
+                        s.store.as_ref(),
+                    )?);
                 }
             }
         }
@@ -1401,11 +1394,13 @@ impl StreamServer {
         let plan = self
             .session
             .plan_for(std::slice::from_ref(&query), source.as_ref())?;
-        let mut engine = StreamEngine::new(plan, self.session.zoo(), &self.session.config().exec)?;
         let dispatch = Arc::new(StoreDispatch::new(Arc::new(DirectDispatch), fs.metrics()));
-        engine.set_dispatch(Arc::clone(&dispatch) as Arc<dyn ModelDispatch>);
-        engine.set_tracer(self.store_tracer.clone());
-        engine.set_reuse_tier(Arc::new(StoreTier::new(Arc::clone(&store))));
+        let engine = self.new_engine(
+            plan,
+            Some(Arc::clone(&dispatch) as Arc<dyn ModelDispatch>),
+            &self.store_tracer,
+            Some(&store),
+        )?;
         let id = self.next_sub.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = sync_channel(self.config.channel_capacity.max(1));
         let sub = Subscription::new(id, query.name().to_owned(), rx);
@@ -1602,6 +1597,29 @@ impl StreamServer {
         Ok(())
     }
 
+    /// Builds a stream's engine; the only place per-engine settings are
+    /// applied, so live streams, replays and spliced engines cannot differ
+    /// in one. With a store, intrinsics this engine computes persist and
+    /// values a previous engine (or process) computed are read back
+    /// instead of re-running classify stages.
+    fn new_engine(
+        &self,
+        plan: PlanDag,
+        dispatch: Option<Arc<dyn ModelDispatch>>,
+        tracer: &Tracer,
+        store: Option<&Arc<StreamStore>>,
+    ) -> ServeResult<StreamEngine> {
+        let mut engine = StreamEngine::new(plan, self.session.zoo(), &self.session.config().exec)?;
+        if let Some(dispatch) = dispatch {
+            engine.set_dispatch(dispatch);
+        }
+        engine.set_tracer(tracer.clone());
+        if let Some(store) = store {
+            engine.set_reuse_tier(Arc::new(StoreTier::new(Arc::clone(store))));
+        }
+        Ok(engine)
+    }
+
     /// Splices a caught-up replay into the live stream (called with the
     /// live execution lock held, at what is by construction a batch
     /// boundary for both engines): the live super-plan is recompiled with
@@ -1630,14 +1648,7 @@ impl StreamServer {
             }
             None => {
                 let mut engine =
-                    StreamEngine::new(plan, self.session.zoo(), &self.session.config().exec)?;
-                if let Some(dispatch) = &s.dispatch {
-                    engine.set_dispatch(Arc::clone(dispatch));
-                }
-                engine.set_tracer(s.tracer.clone());
-                if let Some(ss) = &s.store {
-                    engine.set_reuse_tier(Arc::new(StoreTier::new(Arc::clone(ss))));
-                }
+                    self.new_engine(plan, s.dispatch.clone(), &s.tracer, s.store.as_ref())?;
                 engine.seed_states(seed);
                 s.engine = Some(engine);
             }

@@ -4,12 +4,11 @@
 //! from rendered pixels by nearest-neighbour matching in RGB space, so the
 //! palette is chosen to be well separated.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// The closed palette of colors entities can take.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NamedColor {
     Red,
     Green,

@@ -9,13 +9,12 @@
 use crate::color::NamedColor;
 use crate::geometry::{BBox, Point};
 use crate::trajectory::{Direction, Trajectory};
-use serde::{Deserialize, Serialize};
 
 /// Unique (per scene) entity identifier.
 pub type EntityId = u64;
 
 /// Vehicle body styles; `"sedan"`, `"suv"` etc. in query predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VehicleType {
     Sedan,
     Suv,
@@ -73,7 +72,7 @@ impl std::fmt::Display for VehicleType {
 }
 
 /// What a person is doing; ground truth for action queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PersonAction {
     Walking,
     Standing,
@@ -93,7 +92,7 @@ impl PersonAction {
 }
 
 /// Ground-truth attributes of a vehicle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VehicleAttrs {
     pub color: NamedColor,
     pub vtype: VehicleType,
@@ -102,7 +101,7 @@ pub struct VehicleAttrs {
 }
 
 /// Ground-truth attributes of a person.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PersonAttrs {
     pub shirt_color: NamedColor,
     pub action: PersonAction,
@@ -112,13 +111,13 @@ pub struct PersonAttrs {
 }
 
 /// Ground-truth attributes of a ball.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BallAttrs {
     pub color: NamedColor,
 }
 
 /// Per-kind attribute payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EntityAttrs {
     Vehicle(VehicleAttrs),
     Person(PersonAttrs),
@@ -163,7 +162,7 @@ impl EntityAttrs {
 }
 
 /// A scene entity: identity, attributes, motion, and footprint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Entity {
     pub id: EntityId,
     pub attrs: EntityAttrs,

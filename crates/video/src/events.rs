@@ -5,10 +5,9 @@
 //! so that accuracy scoring has a known answer key.
 
 use crate::entity::EntityId;
-use serde::{Deserialize, Serialize};
 
 /// The kind of a ground-truth interaction between two entities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InteractionKind {
     /// Person strikes a ball (V-COCO-style HOI, §5.3 Q6).
     Hit,
@@ -38,7 +37,7 @@ impl std::fmt::Display for InteractionKind {
 
 /// A scripted event: during `[t0, t1]` the interaction is ground truth on
 /// every frame where both participants are visible.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScriptedEvent {
     pub kind: InteractionKind,
     /// The acting entity (person for `Hit`/`GetInto`, vehicle for `Collide`).
@@ -75,7 +74,7 @@ impl ScriptedEvent {
 }
 
 /// A ground-truth interaction on a specific frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Interaction {
     pub kind: InteractionKind,
     pub subject: EntityId,

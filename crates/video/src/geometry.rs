@@ -5,10 +5,8 @@
 //! buffer may be downscaled, but bounding boxes and trajectories always live
 //! in full-resolution coordinates, mirroring how real detectors report boxes.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in full-resolution pixel coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     pub x: f32,
     pub y: f32,
@@ -47,7 +45,7 @@ impl Point {
 }
 
 /// An axis-aligned bounding box, `x1 <= x2`, `y1 <= y2`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BBox {
     pub x1: f32,
     pub y1: f32,

@@ -11,10 +11,9 @@ use crate::color::NamedColor;
 use crate::entity::VehicleType;
 use crate::geometry::Point;
 use crate::trajectory::Direction;
-use serde::{Deserialize, Serialize};
 
 /// What kind of traffic uses a route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteKind {
     /// Vehicle lane with the overall turn the route makes.
     VehicleLane(Direction),
@@ -26,7 +25,7 @@ pub enum RouteKind {
 
 /// A path template in normalized `[0, 1]^2` coordinates (scaled by the
 /// preset resolution when instantiated).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Route {
     pub name: &'static str,
     pub kind: RouteKind,
@@ -44,7 +43,7 @@ impl Route {
 }
 
 /// A weighted discrete distribution (weights need not sum to 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Weighted<T> {
     pub entries: Vec<(T, f32)>,
 }
@@ -79,7 +78,7 @@ impl<T: Copy> Weighted<T> {
 }
 
 /// Full description of a simulated camera and the traffic it sees.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CameraPreset {
     pub name: &'static str,
     pub width: u32,

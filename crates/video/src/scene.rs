@@ -18,11 +18,10 @@ use crate::presets::{CameraPreset, Route, RouteKind};
 use crate::trajectory::{Direction, Trajectory, Waypoint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 use std::sync::{Arc, OnceLock};
 
 /// An entity visible on a specific frame, with its ground-truth state.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VisibleEntity {
     pub entity: EntityId,
     /// Detector class label: "car", "bus", "truck", "person", "ball".
@@ -47,13 +46,13 @@ impl VisibleEntity {
 }
 
 /// Frame-level scene attributes (the paper's special `Scene` VObj).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SceneAttrs {
     pub is_day: bool,
 }
 
 /// The complete ground truth for one frame.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroundTruth {
     pub frame: u64,
     pub time_s: f64,
@@ -80,7 +79,7 @@ impl GroundTruth {
 }
 
 /// A fully specified, deterministic scene.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Scene {
     pub preset: CameraPreset,
     pub duration_s: f64,
@@ -88,7 +87,6 @@ pub struct Scene {
     events: Vec<ScriptedEvent>,
     /// The rendered background, built by the first decode (see
     /// [`crate::render`]). A clone taken after that shares the bytes.
-    #[serde(skip)]
     pub(crate) background: OnceLock<Arc<[u8]>>,
 }
 

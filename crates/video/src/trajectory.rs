@@ -7,10 +7,9 @@
 //! simulator exact per-frame ground-truth speed.
 
 use crate::geometry::Point;
-use serde::{Deserialize, Serialize};
 
 /// One timed position sample of a trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Waypoint {
     /// Seconds since the start of the video.
     pub t: f64,
@@ -20,7 +19,7 @@ pub struct Waypoint {
 
 /// Coarse motion classification of a trajectory (used as the ground-truth
 /// `direction` attribute that queries like "black suv turn right" test).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     Straight,
     Left,
@@ -45,7 +44,7 @@ impl std::fmt::Display for Direction {
 }
 
 /// A piecewise-linear, time-parameterized path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trajectory {
     waypoints: Vec<Waypoint>,
 }
