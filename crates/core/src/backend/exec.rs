@@ -20,11 +20,17 @@
 //! batching only changes *charged cost* (amortized dispatch overhead),
 //! never values.
 //!
-//! Frame slots are workspaces ([`FrameSlot::reset`]) and the reuse cache is
-//! keyed by interned symbols, so the steady-state hot loop performs no
-//! per-frame allocations for caching or match bookkeeping.
+//! Frame slots are workspaces ([`FrameSlot::reset`]), the reuse cache is
+//! keyed by interned symbols, and predicates read the frame graph in place,
+//! so in the steady state caching, candidate enumeration and predicate
+//! evaluation allocate nothing. What still allocates per frame: one
+//! `Vec<NodeId>` per combo that *matched*, a hit's output rows (a column
+//! name and a value clone per cell), and, upstream of the joins, a
+//! `String` key per property written to a node and the `Value::Str`s the
+//! models return. `tests/alloc_budget.rs` holds the total to a budget.
 
-use crate::backend::ops::FrameSlot;
+use crate::backend::graph::NodeId;
+use crate::backend::ops::{FrameSlot, MatchCombo};
 use crate::backend::pipeline::run_pipelined;
 use crate::backend::plan::{JoinSpec, PlanDag};
 use crate::backend::reuse::{ReuseCache, ReuseStats};
@@ -231,10 +237,18 @@ pub trait ResultSink {
 /// Per-query streaming accumulator: video-aggregate bookkeeping plus
 /// extraction of a frame's hit row. Uses O(1) state per query (no
 /// per-frame history), so it can run over unbounded live streams.
+///
+/// Aliases are resolved to join positions (the query's `vobjs()` order,
+/// which [`MatchCombo::nodes`] follows) and output columns are named once,
+/// at construction.
 #[derive(Debug, Default)]
 pub struct QueryAccum {
-    /// The alias whose nodes feed the video aggregate, if any.
-    agg_alias: Option<String>,
+    /// Join position of the alias whose nodes feed the video aggregate.
+    agg_pos: Option<usize>,
+    /// The frame output: `(join position, "alias.prop" column, prop)`.
+    columns: Vec<(usize, String, String)>,
+    /// Scratch: the aggregate alias's matched nodes on the current frame.
+    frame_nodes: Vec<NodeId>,
     distinct_tracks: BTreeSet<i64>,
     frames_seen: u64,
     frames_hit: u64,
@@ -251,36 +265,43 @@ impl QueryAccum {
     /// An accumulator for a query (the serving layer builds accumulators
     /// before the super-plan containing the query exists).
     pub fn for_query(query: &crate::frontend::query::Query) -> Self {
-        let agg_alias = match query.video_output() {
+        let position = |alias: &String| query.vobjs().iter().position(|v| v.alias == *alias);
+        let agg_pos = match query.video_output() {
             Some(Aggregate::CountDistinctTracks { alias })
             | Some(Aggregate::AvgPerFrame { alias })
-            | Some(Aggregate::MaxPerFrame { alias }) => Some(alias.clone()),
+            | Some(Aggregate::MaxPerFrame { alias }) => position(alias),
             _ => None,
         };
+        let columns = query
+            .frame_output()
+            .iter()
+            .filter_map(|p| Some((position(&p.alias)?, p.to_string(), p.prop.clone())))
+            .collect();
         Self {
-            agg_alias,
+            agg_pos,
+            columns,
             ..Self::default()
         }
     }
 
     /// Observes join `ji`'s matches on a finished slot (must be called in
     /// frame order), returning the frame's hit row when any combo matched.
-    pub fn observe(&mut self, join: &JoinSpec, slot: &FrameSlot, ji: usize) -> Option<FrameHit> {
-        static EMPTY: Vec<crate::backend::ops::MatchCombo> = Vec::new();
-        let combos = slot.matches.get(ji).unwrap_or(&EMPTY);
+    pub fn observe(&mut self, slot: &FrameSlot, ji: usize) -> Option<FrameHit> {
+        let combos: &[MatchCombo] = slot.matches.get(ji).map_or(&[], Vec::as_slice);
         self.frames_seen += 1;
         // Aggregation bookkeeping (count per frame even when zero).
-        let frame_count = if let Some(alias) = &self.agg_alias {
-            let mut frame_nodes = BTreeSet::new();
+        let frame_count = if let Some(pos) = self.agg_pos {
+            self.frame_nodes.clear();
             for c in combos {
-                if let Some(&node) = c.bindings.get(alias) {
-                    frame_nodes.insert(node);
-                    if let Value::Int(t) = slot.graph.nodes[node].value_of("track_id") {
-                        self.distinct_tracks.insert(t);
-                    }
+                let node = c.nodes[pos];
+                self.frame_nodes.push(node);
+                if let Value::Int(t) = *slot.graph.nodes[node].value_ref("track_id") {
+                    self.distinct_tracks.insert(t);
                 }
             }
-            frame_nodes.len() as u64
+            self.frame_nodes.sort_unstable();
+            self.frame_nodes.dedup();
+            self.frame_nodes.len() as u64
         } else {
             u64::from(!combos.is_empty())
         };
@@ -293,16 +314,11 @@ impl QueryAccum {
         let outputs: Vec<Vec<(String, Value)>> = combos
             .iter()
             .map(|c| {
-                join.query
-                    .frame_output()
+                self.columns
                     .iter()
-                    .filter_map(|p| {
-                        c.bindings.get(&p.alias).map(|&node| {
-                            (
-                                format!("{}.{}", p.alias, p.prop),
-                                slot.graph.nodes[node].value_of(&p.prop),
-                            )
-                        })
+                    .map(|(pos, column, prop)| {
+                        let node = &slot.graph.nodes[c.nodes[*pos]];
+                        (column.clone(), node.value_of(prop))
                     })
                     .collect()
             })
@@ -349,15 +365,6 @@ impl Collector {
         }
     }
 
-    /// Records one finished slot's matches. Must be called in frame order.
-    pub fn collect(&mut self, plan: &PlanDag, slot: &FrameSlot) {
-        for (ji, j) in plan.joins.iter().enumerate() {
-            if let Some(hit) = self.accums[ji].observe(j, slot, ji) {
-                self.hits[ji].push(hit);
-            }
-        }
-    }
-
     /// Builds the per-query results.
     pub fn finalize(self, plan: &PlanDag, metrics: ExecMetrics, total_ms: f64) -> Vec<QueryResult> {
         let mut results = Vec::with_capacity(plan.joins.len());
@@ -375,8 +382,10 @@ impl Collector {
 }
 
 impl ResultSink for Collector {
-    fn on_frame(&mut self, plan: &PlanDag, slot: &FrameSlot) -> Result<()> {
-        self.collect(plan, slot);
+    fn on_frame(&mut self, _plan: &PlanDag, slot: &FrameSlot) -> Result<()> {
+        for (ji, (accum, hits)) in self.accums.iter_mut().zip(&mut self.hits).enumerate() {
+            hits.extend(accum.observe(slot, ji));
+        }
         Ok(())
     }
 }

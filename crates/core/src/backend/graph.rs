@@ -9,7 +9,9 @@
 //! rather than per-frame graphs.
 
 use crate::backend::symbols::Istr;
+use crate::frontend::predicate::{PredScope, PropRef};
 use crate::frontend::property::BuiltinProp;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use vqpy_models::{Detection, Value};
 use vqpy_tracker::TrackId;
@@ -100,30 +102,37 @@ impl VObjNode {
     }
 
     /// Value of any property: computed first, then built-ins, else `Null`.
-    pub fn value_of(&self, prop: &str) -> Value {
-        if let Some(v) = self.props.get(prop) {
-            return v.clone();
-        }
-        match BuiltinProp::from_name(prop) {
-            Some(b) => self.builtin(b),
-            None => Value::Null,
+    /// Computed values are borrowed where they sit; built-ins are made on
+    /// demand.
+    pub fn value_ref(&self, prop: &str) -> Cow<'_, Value> {
+        match self.props.get(prop) {
+            Some(v) => Cow::Borrowed(v),
+            None => {
+                Cow::Owned(BuiltinProp::from_name(prop).map_or(Value::Null, |b| self.builtin(b)))
+            }
         }
     }
 
-    /// All properties (computed + built-ins) as an evaluation map.
-    pub fn prop_map(&self) -> BTreeMap<String, Value> {
-        let mut m = self.props.clone();
-        for b in [
-            BuiltinProp::Bbox,
-            BuiltinProp::Score,
-            BuiltinProp::ClassLabel,
-            BuiltinProp::TrackId,
-            BuiltinProp::Center,
-        ] {
-            m.entry(b.name().to_owned())
-                .or_insert_with(|| self.builtin(b));
+    /// [`VObjNode::value_ref`], owned.
+    pub fn value_of(&self, prop: &str) -> Value {
+        self.value_ref(prop).into_owned()
+    }
+}
+
+/// A node is the scope of a single-alias predicate (object filters, fused
+/// filters): its own alias resolves through [`VObjNode::value_ref`], any
+/// other alias and every relation is `Null`.
+impl PredScope for VObjNode {
+    fn object_value(&self, target: &PropRef) -> Cow<'_, Value> {
+        if self.alias == target.alias {
+            self.value_ref(&target.prop)
+        } else {
+            Cow::Owned(Value::Null)
         }
-        m
+    }
+
+    fn relation_value(&self, _relation: &str, _prop: &str) -> Cow<'_, Value> {
+        Cow::Owned(Value::Null)
     }
 }
 
@@ -175,22 +184,24 @@ impl FrameGraph {
         self.edges.push(edge);
     }
 
-    /// Ids of alive nodes with the given alias.
-    pub fn alive_of(&self, alias: &str) -> Vec<NodeId> {
+    /// Ids of alive nodes with the given alias, in id order.
+    pub fn alive_ids<'a>(&'a self, alias: &'a str) -> impl Iterator<Item = NodeId> + 'a {
         self.nodes
             .iter()
             .enumerate()
-            .filter(|(_, n)| n.alive && n.alias == *alias)
+            .filter(move |(_, n)| n.alive && n.alias == *alias)
             .map(|(i, _)| i)
-            .collect()
+    }
+
+    /// [`FrameGraph::alive_ids`], collected: for walks that change the
+    /// graph as they go.
+    pub fn alive_of(&self, alias: &str) -> Vec<NodeId> {
+        self.alive_ids(alias).collect()
     }
 
     /// Number of alive nodes of an alias.
     pub fn alive_count(&self, alias: &str) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| n.alive && n.alias == *alias)
-            .count()
+        self.alive_ids(alias).count()
     }
 
     /// The edge of `relation` connecting `from` to `to`, if present.
@@ -250,8 +261,10 @@ mod tests {
         let mut n = node("car");
         n.props.insert("color".into(), Value::from("red"));
         assert_eq!(n.value_of("color"), Value::from("red"));
-        let m = n.prop_map();
-        assert!(m.contains_key("color") && m.contains_key("bbox"));
+        assert!(matches!(n.value_ref("color"), Cow::Borrowed(_)));
+        // A computed property named like a built-in wins over it.
+        n.props.insert("score".into(), Value::Float(2.0));
+        assert_eq!(n.value_of("score"), Value::Float(2.0));
     }
 
     #[test]

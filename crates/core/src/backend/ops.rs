@@ -11,11 +11,12 @@ use crate::backend::plan::{OpSpec, PlanDag};
 use crate::backend::reuse::ReuseCache;
 use crate::backend::symbols::{Istr, Sym, SymbolTable};
 use crate::error::{Result, VqpyError};
-use crate::frontend::predicate::{Pred, PredEnv};
+use crate::frontend::predicate::{or_null, Pred, PredScope, PropRef};
 use crate::frontend::property::{PropertyCtx, PropertyDef, PropertyKind, PropertySource};
 use crate::frontend::query::RelationDecl;
 use crate::frontend::relation::{RelationCtx, RelationSource};
 use crate::frontend::vobj::ResolvedProperty;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use vqpy_models::{Classifier, Clock, Detector, FrameClassifier, HoiModel, ModelZoo, Value};
@@ -69,10 +70,11 @@ impl FrameSlot {
     }
 }
 
-/// One satisfying binding of query aliases to graph nodes.
+/// One satisfying binding of query aliases to graph nodes: one node per
+/// alias, in the join's alias order (the query's `vobjs()` order).
 #[derive(Debug, Clone)]
 pub struct MatchCombo {
-    pub bindings: BTreeMap<String, NodeId>,
+    pub nodes: Vec<NodeId>,
 }
 
 /// Mutable execution context shared by all operators.
@@ -437,6 +439,9 @@ pub struct ProjectOp {
     /// Scratch for the batched model path, reused across frames.
     pending_ids: Vec<NodeId>,
     pending_dets: Vec<vqpy_models::Detection>,
+    /// Scratch for the native path's [`PropertyCtx`]: one entry per
+    /// dependency, keyed once here and refilled per node.
+    deps: HashMap<String, Vec<Value>>,
 }
 
 impl ProjectOp {
@@ -447,6 +452,7 @@ impl ProjectOp {
     pub fn new(alias: impl Into<String>, def: PropertyDef, alias_sym: Sym, prop_sym: Sym) -> Self {
         Self {
             alias: alias.into(),
+            deps: def.deps.iter().map(|d| (d.clone(), Vec::new())).collect(),
             def,
             alias_sym,
             prop_sym,
@@ -487,14 +493,14 @@ impl ProjectOp {
         Ok(Arc::clone(self.classifier.as_ref().expect("just set")))
     }
 
-    fn compute_native(
-        &self,
-        node: &VObjNode,
-        deps: &HashMap<String, Vec<Value>>,
-        fps: u32,
-    ) -> Value {
+    /// Computes the property for `node` from the dependency values
+    /// currently in the `deps` scratch.
+    fn compute_native(&self, node: &VObjNode, fps: u32) -> Value {
         match &self.def.source {
-            PropertySource::Native(f) => f(&PropertyCtx { deps, fps }),
+            PropertySource::Native(f) => f(&PropertyCtx {
+                deps: &self.deps,
+                fps,
+            }),
             PropertySource::Builtin(b) => node.builtin(*b),
             PropertySource::Model(_) => unreachable!("model handled separately"),
         }
@@ -548,14 +554,12 @@ impl Operator for ProjectOp {
 
 impl ProjectOp {
     fn apply_value(&self, slot: &mut FrameSlot, id: NodeId, value: Value) {
-        slot.graph.nodes[id]
-            .props
-            .insert(self.def.name.clone(), value);
+        let node = &mut slot.graph.nodes[id];
+        node.props.insert(self.def.name.clone(), value);
         // Operator fusion: filter right here, saving a pipeline pass.
         if let Some(pred) = &self.fused_filter {
-            let env = single_node_env(&slot.graph.nodes[id]);
-            if !pred.eval(&env) {
-                slot.graph.kill(id);
+            if !pred.eval(&*node) {
+                node.alive = false;
             }
         }
     }
@@ -649,11 +653,11 @@ impl ProjectOp {
                 match self.def.kind {
                     // Stateless native/builtin: compute from current values.
                     PropertyKind::Stateless { .. } => {
-                        let mut deps: HashMap<String, Vec<Value>> = HashMap::new();
-                        for d in &self.def.deps {
-                            deps.insert(d.clone(), vec![node.value_of(d)]);
+                        for (d, values) in &mut self.deps {
+                            values.clear();
+                            values.push(node.value_of(d));
                         }
-                        self.compute_native(node, &deps, ctx.fps)
+                        self.compute_native(node, ctx.fps)
                     }
                     // Stateful: per-track sliding window of dependencies.
                     PropertyKind::Stateful { history_len } => {
@@ -677,17 +681,15 @@ impl ProjectOp {
                         if window.len() < history_len {
                             Value::Null
                         } else {
-                            let mut deps: HashMap<String, Vec<Value>> = HashMap::new();
-                            for d in &self.def.deps {
-                                deps.insert(
-                                    d.clone(),
+                            for (d, values) in &mut self.deps {
+                                values.clear();
+                                values.extend(
                                     window
                                         .iter()
-                                        .map(|m| m.get(d).cloned().unwrap_or(Value::Null))
-                                        .collect(),
+                                        .map(|m| m.get(d).cloned().unwrap_or(Value::Null)),
                                 );
                             }
-                            self.compute_native(node, &deps, ctx.fps)
+                            self.compute_native(node, ctx.fps)
                         }
                     }
                 }
@@ -696,13 +698,6 @@ impl ProjectOp {
         }
         Ok(())
     }
-}
-
-fn single_node_env(node: &VObjNode) -> PredEnv {
-    let mut env = PredEnv::default();
-    env.objects
-        .insert(node.alias.as_str().to_owned(), node.prop_map());
-    env
 }
 
 // ---------------------------------------------------------------------------
@@ -740,10 +735,9 @@ impl Operator for FilterOp {
     }
 
     fn process(&mut self, slot: &mut FrameSlot, _ctx: &mut ExecCtx<'_>) -> Result<()> {
-        for id in slot.graph.alive_of(&self.alias) {
-            let env = single_node_env(&slot.graph.nodes[id]);
-            if !self.pred.eval(&env) {
-                slot.graph.kill(id);
+        for node in &mut slot.graph.nodes {
+            if node.alive && node.alias == self.alias && !self.pred.eval(&*node) {
+                node.alive = false;
             }
         }
         if self.required && slot.graph.alive_count(&self.alias) == 0 {
@@ -862,15 +856,24 @@ impl Operator for RelationProjectOp {
 /// nodes, evaluates the (possibly rewritten) frame constraint with relation
 /// edges in scope, and records satisfying combos under the query's join
 /// index (avoiding a per-frame name allocation).
+///
+/// The constraint is evaluated against the frame graph in place
+/// (`Binding`); only a combo that matched is materialised.
 pub struct JoinOp {
     /// Index into the plan's join list; keys [`FrameSlot::matches`].
     index: usize,
     query_name: String,
     aliases: Vec<String>,
-    relations: Vec<RelationDecl>,
+    /// The declared relations both of whose aliases this join binds:
+    /// `(name, left position, right position)` in `aliases`.
+    relations: Vec<(String, usize, usize)>,
     pred: Pred,
     /// When true (single-query plans), an unmatched frame kills the slot.
     kills_frame: bool,
+    /// Scratch, reused across frames: each alias's alive nodes, and the
+    /// odometer over them (one index per alias, last alias fastest).
+    candidates: Vec<Vec<NodeId>>,
+    odometer: Vec<usize>,
 }
 
 impl JoinOp {
@@ -884,14 +887,60 @@ impl JoinOp {
         pred: Pred,
         kills_frame: bool,
     ) -> Self {
+        let position = |alias: &String| aliases.iter().position(|a| a == alias);
+        let relations = relations
+            .into_iter()
+            .filter_map(|r| {
+                let (left, right) = (position(&r.left_alias)?, position(&r.right_alias)?);
+                Some((r.name, left, right))
+            })
+            .collect();
         Self {
             index,
             query_name: query_name.into(),
+            candidates: vec![Vec::new(); aliases.len()],
+            odometer: vec![0; aliases.len()],
             aliases,
             relations,
             pred,
             kills_frame,
         }
+    }
+}
+
+/// The join's predicate scope: the frame graph read in place through the
+/// odometer's current binding of aliases to candidate nodes.
+struct Binding<'a> {
+    graph: &'a FrameGraph,
+    join: &'a JoinOp,
+}
+
+impl Binding<'_> {
+    /// The node bound to the alias at join position `pos`.
+    fn node(&self, pos: usize) -> NodeId {
+        self.join.candidates[pos][self.join.odometer[pos]]
+    }
+}
+
+impl PredScope for Binding<'_> {
+    fn object_value(&self, target: &PropRef) -> Cow<'_, Value> {
+        match self.join.aliases.iter().position(|a| *a == target.alias) {
+            Some(pos) => self.graph.nodes[self.node(pos)].value_ref(&target.prop),
+            None => Cow::Owned(Value::Null),
+        }
+    }
+
+    fn relation_value(&self, relation: &str, prop: &str) -> Cow<'_, Value> {
+        let edge = self
+            .join
+            .relations
+            .iter()
+            .find(|(name, ..)| name == relation)
+            .and_then(|(name, left, right)| {
+                self.graph
+                    .edge_between(name, self.node(*left), self.node(*right))
+            });
+        or_null(edge.and_then(|e| e.props.get(prop)))
     }
 }
 
@@ -901,58 +950,39 @@ impl Operator for JoinOp {
     }
 
     fn process(&mut self, slot: &mut FrameSlot, _ctx: &mut ExecCtx<'_>) -> Result<()> {
-        let candidates: Vec<Vec<NodeId>> = self
-            .aliases
-            .iter()
-            .map(|a| slot.graph.alive_of(a))
-            .collect();
-        let mut combos = Vec::new();
-        if candidates.iter().all(|c| !c.is_empty()) {
-            let mut indices = vec![0usize; candidates.len()];
+        if slot.matches.len() <= self.index {
+            // Hand-built slots (tests) may not have been prepared.
+            slot.prepare_joins(self.index + 1);
+        }
+        let (graph, combos) = (&slot.graph, &mut slot.matches[self.index]);
+        combos.clear();
+        for (nodes, alias) in self.candidates.iter_mut().zip(&self.aliases) {
+            nodes.clear();
+            nodes.extend(graph.alive_ids(alias));
+        }
+        if self.candidates.iter().all(|c| !c.is_empty()) {
+            self.odometer.fill(0);
             'outer: loop {
-                let binding: BTreeMap<String, NodeId> = self
-                    .aliases
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, a)| (a.clone(), candidates[pos][indices[pos]]))
-                    .collect();
-                let mut env = PredEnv::default();
-                for (alias, &node) in &binding {
-                    env.objects
-                        .insert(alias.clone(), slot.graph.nodes[node].prop_map());
-                }
-                for rel in &self.relations {
-                    if let (Some(&l), Some(&r)) =
-                        (binding.get(&rel.left_alias), binding.get(&rel.right_alias))
-                    {
-                        if let Some(e) = slot.graph.edge_between(&rel.name, l, r) {
-                            env.relations.insert(rel.name.clone(), e.props.clone());
-                        }
-                    }
-                }
-                if self.pred.eval(&env) {
-                    combos.push(MatchCombo { bindings: binding });
+                let binding = Binding { graph, join: self };
+                if self.pred.eval(&binding) {
+                    combos.push(MatchCombo {
+                        nodes: (0..self.aliases.len()).map(|p| binding.node(p)).collect(),
+                    });
                 }
                 // Advance the odometer.
-                for pos in (0..indices.len()).rev() {
-                    indices[pos] += 1;
-                    if indices[pos] < candidates[pos].len() {
+                for pos in (0..self.odometer.len()).rev() {
+                    self.odometer[pos] += 1;
+                    if self.odometer[pos] < self.candidates[pos].len() {
                         continue 'outer;
                     }
-                    indices[pos] = 0;
+                    self.odometer[pos] = 0;
                     if pos == 0 {
                         break 'outer;
                     }
                 }
             }
         }
-        let matched = !combos.is_empty();
-        if slot.matches.len() <= self.index {
-            // Hand-built slots (tests) may not have been prepared.
-            slot.prepare_joins(self.index + 1);
-        }
-        slot.matches[self.index] = combos;
-        if self.kills_frame && !matched {
+        if self.kills_frame && combos.is_empty() {
             slot.alive = false;
         }
         Ok(())
@@ -1029,6 +1059,7 @@ pub fn instantiate(
 mod tests {
     use super::*;
     use crate::frontend::predicate::Pred;
+    use crate::frontend::query::{Aggregate, Query};
     use vqpy_models::ModelZoo;
     use vqpy_video::presets;
     use vqpy_video::scene::Scene;
@@ -1212,6 +1243,162 @@ mod tests {
         join.process(&mut slot, &mut ctx).unwrap();
         assert_eq!(slot.matches[0].len(), n);
         assert_eq!(slot.alive, n > 0);
+    }
+
+    /// Hand-built `person × car` slot for the join goldens: a dead person,
+    /// a node of a third alias, a far pair, a pair with no edge (only the
+    /// reverse direction has one), an edge onto the dead node and a close
+    /// pair whose person fails the score term.
+    fn join_golden_slot() -> FrameSlot {
+        use vqpy_video::geometry::{BBox, Point};
+        let mut slot = FrameSlot::new(video().frame(0));
+        let mut add = |alias: &str, label: &str, x: f32, score: f32, track: Option<TrackId>| {
+            let mut n = VObjNode::from_detection(
+                alias,
+                &vqpy_models::Detection {
+                    class_label: label.into(),
+                    bbox: BBox::from_center(Point::new(x, 100.0), 20.0, 10.0),
+                    score,
+                    sim_entity: None,
+                },
+            );
+            n.track_id = track;
+            slot.graph.add_node(n)
+        };
+        let p0 = add("person", "person", 100.0, 0.9, Some(7));
+        let c0 = add("car", "car", 120.0, 0.8, Some(1));
+        let p1 = add("person", "person", 130.0, 0.9, Some(8));
+        let _bike = add("bike", "bicycle", 105.0, 0.9, None);
+        let c1 = add("car", "car", 400.0, 0.7, Some(2));
+        let p2 = add("person", "person", 390.0, 0.8, Some(9));
+        let c2 = add("car", "car", 110.0, 0.6, None);
+        let p3 = add("person", "person", 112.0, 0.2, Some(10));
+        slot.graph.kill(p1);
+        let mut near = |from: NodeId, to: NodeId, d: f64| {
+            slot.graph.add_edge(Edge {
+                kind: EdgeKind::Spatial,
+                relation: "near".into(),
+                from,
+                to,
+                props: BTreeMap::from([("distance".to_owned(), Value::Float(d))]),
+            });
+        };
+        near(p0, c0, 20.0);
+        near(p0, c1, 300.0);
+        near(p0, c2, 10.0);
+        near(p1, c0, 1.0); // onto the dead node
+        near(p2, c0, 270.0);
+        near(p2, c1, 10.0);
+        near(c2, p2, 5.0); // reverse direction only: (p2, c2) has no edge
+        near(p3, c2, 2.0); // close, but the person's score fails
+        slot
+    }
+
+    fn join_golden_query(agg: Option<Aggregate>) -> Arc<Query> {
+        use crate::frontend::library::{person_schema, vehicle_schema};
+        use crate::frontend::predicate::CmpOp;
+        let rel =
+            crate::frontend::relation::distance_relation("near", person_schema(), vehicle_schema());
+        let mut b = Query::builder("Near")
+            .vobj("person", person_schema())
+            .vobj("car", vehicle_schema())
+            .relation(rel, "person", "car")
+            .frame_constraint(
+                Pred::gt("person", "score", 0.5)
+                    & Pred::relation("near", "distance", CmpOp::Lt, 50.0),
+            )
+            .frame_output(&[
+                ("car", "track_id"),
+                ("person", "track_id"),
+                ("car", "score"),
+            ]);
+        if let Some(a) = agg {
+            b = b.video_output(a);
+        }
+        b.build().unwrap()
+    }
+
+    /// Runs `q`'s join, binding `aliases`, over `slot`.
+    fn run_join(q: &Query, aliases: &[&str], kills_frame: bool, slot: &mut FrameSlot) {
+        let (zoo, clock, _) = ctx_parts();
+        let mut ctx = ExecCtx {
+            dispatch: crate::backend::dispatch::direct(),
+            tracer: &vqpy_obs::Tracer::disabled(),
+            zoo: &zoo,
+            clock: &clock,
+            fps: 15,
+            reuse: None,
+        };
+        JoinOp::new(
+            0,
+            q.name(),
+            aliases.iter().map(|a| (*a).to_owned()).collect(),
+            q.relations().to_vec(),
+            q.frame_constraint().clone(),
+            kills_frame,
+        )
+        .process(slot, &mut ctx)
+        .unwrap();
+    }
+
+    // The expected values of the two golden tests below were printed by
+    // the map-building join (`BTreeMap` bindings, a cloned property map
+    // per candidate) before it was replaced.
+    #[test]
+    fn join_goldens_pin_combos_order_and_frame_kill() {
+        let q = join_golden_query(None);
+        let mut slot = join_golden_slot();
+        run_join(&q, &["person", "car"], true, &mut slot);
+        let combos: Vec<&[NodeId]> = slot.matches[0].iter().map(|c| &c.nodes[..]).collect();
+        assert_eq!(
+            combos,
+            [[0, 1], [0, 6], [5, 4]],
+            "(person, car), person-major"
+        );
+        assert!(slot.alive);
+
+        // An alias with no live node: zero combos; the frame dies only
+        // when the join may kill it.
+        for kills_frame in [true, false] {
+            let mut slot = join_golden_slot();
+            run_join(&q, &["person", "truck"], kills_frame, &mut slot);
+            assert!(slot.matches[0].is_empty());
+            assert_eq!(slot.alive, !kills_frame);
+        }
+    }
+
+    #[test]
+    fn join_goldens_pin_hit_rows_and_aggregates() {
+        use crate::backend::exec::QueryAccum;
+        let row = |car: Value, person: i64, score: f32| {
+            vec![
+                ("car.track_id".to_owned(), car),
+                ("person.track_id".to_owned(), Value::Int(person)),
+                ("car.score".to_owned(), Value::Float(f64::from(score))),
+            ]
+        };
+        let rows = vec![
+            row(Value::Int(1), 7, 0.8),
+            row(Value::Null, 7, 0.6),
+            row(Value::Int(2), 9, 0.7),
+        ];
+        let person = || "person".to_owned();
+        let car = || "car".to_owned();
+        for (agg, value) in [
+            (Aggregate::CountDistinctTracks { alias: person() }, 2),
+            // The third car is untracked.
+            (Aggregate::CountDistinctTracks { alias: car() }, 2),
+            (Aggregate::MaxPerFrame { alias: person() }, 2),
+            (Aggregate::MaxPerFrame { alias: car() }, 3),
+        ] {
+            let q = join_golden_query(Some(agg));
+            let mut slot = join_golden_slot();
+            run_join(&q, &["person", "car"], false, &mut slot);
+            let mut accum = QueryAccum::for_query(&q);
+            let hit = accum.observe(&slot, 0).unwrap();
+            assert_eq!(hit.outputs, rows);
+            assert_eq!(accum.video_value_for(&q), Some(Value::Int(value)));
+        }
     }
 
     #[test]

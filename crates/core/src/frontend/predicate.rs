@@ -4,6 +4,7 @@
 //! `BitAnd`/`BitOr`/`Not` overloads, so queries read like
 //! `Pred::eq("car", "color", "red") & Pred::gt("car", "velocity", 1.0)`.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -95,31 +96,43 @@ pub enum Pred {
     Not(Box<Pred>),
 }
 
-/// A property environment used during evaluation: alias -> prop -> value,
-/// plus relation props for the candidate pair binding.
+/// Where a predicate reads its values while it is evaluated. The backend
+/// implements this over the frame graph in place (a node for filters, the
+/// join's current binding for joins), so evaluation borrows the values
+/// where the objects live; [`PredEnv`] is the owned, map-backed
+/// implementor.
+pub trait PredScope {
+    /// Value of `alias.prop` (`Null` when missing).
+    fn object_value(&self, target: &PropRef) -> Cow<'_, Value>;
+
+    /// Value of a relation property (`Null` when missing).
+    fn relation_value(&self, relation: &str, prop: &str) -> Cow<'_, Value>;
+}
+
+/// `Null` when the lookup found nothing, the borrowed value otherwise.
+pub(crate) fn or_null(v: Option<&Value>) -> Cow<'_, Value> {
+    v.map_or(Cow::Owned(Value::Null), Cow::Borrowed)
+}
+
+/// A free-standing property environment: alias -> prop -> value, plus
+/// relation props for the candidate pair binding.
 #[derive(Debug, Default)]
 pub struct PredEnv {
     pub objects: BTreeMap<String, BTreeMap<String, Value>>,
     pub relations: BTreeMap<String, BTreeMap<String, Value>>,
 }
 
-impl PredEnv {
-    /// Value of `alias.prop` (`Null` when missing).
-    pub fn value(&self, target: &PropRef) -> Value {
-        self.objects
-            .get(&target.alias)
-            .and_then(|m| m.get(&target.prop))
-            .cloned()
-            .unwrap_or(Value::Null)
+impl PredScope for PredEnv {
+    fn object_value(&self, target: &PropRef) -> Cow<'_, Value> {
+        or_null(
+            self.objects
+                .get(&target.alias)
+                .and_then(|m| m.get(&target.prop)),
+        )
     }
 
-    /// Value of a relation property (`Null` when missing).
-    pub fn relation_value(&self, relation: &str, prop: &str) -> Value {
-        self.relations
-            .get(relation)
-            .and_then(|m| m.get(prop))
-            .cloned()
-            .unwrap_or(Value::Null)
+    fn relation_value(&self, relation: &str, prop: &str) -> Cow<'_, Value> {
+        or_null(self.relations.get(relation).and_then(|m| m.get(prop)))
     }
 }
 
@@ -188,35 +201,26 @@ impl Pred {
         }
     }
 
-    /// Evaluates against an environment. Missing values make comparisons
-    /// false (never true), matching the lazy-filter semantics of the
-    /// backend: an object whose property has not been computed yet cannot
-    /// pass a filter on that property.
-    pub fn eval(&self, env: &PredEnv) -> bool {
+    /// Evaluates against a scope. Missing values make comparisons false
+    /// (never true), matching the lazy-filter semantics of the backend: an
+    /// object whose property has not been computed yet cannot pass a
+    /// filter on that property.
+    pub fn eval(&self, scope: &impl PredScope) -> bool {
+        let test = |actual: Cow<'_, Value>, op: &CmpOp, value: &Value| {
+            !actual.is_null() && op.test(actual.compare(value), actual.loose_eq(value))
+        };
         match self {
             Pred::True => true,
-            Pred::Cmp { target, op, value } => {
-                let actual = env.value(target);
-                if actual.is_null() {
-                    return false;
-                }
-                op.test(actual.compare(value), actual.loose_eq(value))
-            }
+            Pred::Cmp { target, op, value } => test(scope.object_value(target), op, value),
             Pred::RelationCmp {
                 relation,
                 prop,
                 op,
                 value,
-            } => {
-                let actual = env.relation_value(relation, prop);
-                if actual.is_null() {
-                    return false;
-                }
-                op.test(actual.compare(value), actual.loose_eq(value))
-            }
-            Pred::And(a, b) => a.eval(env) && b.eval(env),
-            Pred::Or(a, b) => a.eval(env) || b.eval(env),
-            Pred::Not(a) => !a.eval(env),
+            } => test(scope.relation_value(relation, prop), op, value),
+            Pred::And(a, b) => a.eval(scope) && b.eval(scope),
+            Pred::Or(a, b) => a.eval(scope) || b.eval(scope),
+            Pred::Not(a) => !a.eval(scope),
         }
     }
 

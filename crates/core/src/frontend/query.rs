@@ -129,7 +129,16 @@ impl Query {
         if aliases.len() != self.vobjs.len() {
             return Err(VqpyError::InvalidQuery("duplicate alias".into()));
         }
+        let mut relation_names = BTreeSet::new();
         for r in &self.relations {
+            // Predicates refer to a relation by name alone, so a name must
+            // identify one declaration.
+            if !relation_names.insert(r.name.as_str()) {
+                return Err(VqpyError::InvalidQuery(format!(
+                    "duplicate relation {}",
+                    r.name
+                )));
+            }
             for a in [&r.left_alias, &r.right_alias] {
                 if !aliases.contains(a.as_str()) {
                     return Err(VqpyError::UnknownAlias(a.clone()));
@@ -253,7 +262,7 @@ impl QueryBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`VqpyError`] for duplicate aliases, references to
+    /// Returns [`VqpyError`] for duplicate aliases or relation names, references to
     /// undeclared aliases/relations, unresolvable properties, or VObjs
     /// without detectors.
     pub fn build(self) -> Result<Arc<Query>, VqpyError> {
@@ -325,6 +334,26 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, VqpyError::InvalidQuery(_)));
+    }
+
+    #[test]
+    fn duplicate_relation_is_rejected() {
+        let err = Query::builder("Bad")
+            .vobj("car", vehicle())
+            .vobj("person", person())
+            .relation(
+                distance_relation("near", vehicle(), person()),
+                "car",
+                "person",
+            )
+            .relation(
+                distance_relation("near", person(), vehicle()),
+                "person",
+                "car",
+            )
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, VqpyError::InvalidQuery(m) if m == "duplicate relation near"));
     }
 
     #[test]

@@ -651,11 +651,10 @@ impl ResultSink for DemuxSink<'_> {
             .span("serve", "demux")
             .arg("frame", frame)
             .arg("joins", plan.joins.len());
-        for (ji, join) in plan.joins.iter().enumerate() {
-            let sub = &mut self.subs[ji];
+        for (ji, sub) in self.subs.iter_mut().enumerate() {
             // `observe` must see every frame (aggregate bookkeeping), not
             // just hits.
-            if let Some(hit) = sub.accum.observe(join, slot, ji) {
+            if let Some(hit) = sub.accum.observe(slot, ji) {
                 sub.deliver(ServeEvent::Hit(hit), self.policy, self.ingest);
             }
         }
@@ -686,8 +685,8 @@ struct ReplaySink<'a> {
 impl ResultSink for ReplaySink<'_> {
     fn on_frame(&mut self, plan: &PlanDag, slot: &FrameSlot) -> vqpy_core::error::Result<()> {
         let frame = slot.frame.index;
-        if let Some(join) = plan.joins.first() {
-            if let Some(hit) = self.sub.accum.observe(join, slot, 0) {
+        if !plan.joins.is_empty() {
+            if let Some(hit) = self.sub.accum.observe(slot, 0) {
                 if frame >= self.deliver_from {
                     self.sub
                         .deliver(ServeEvent::Hit(hit), self.policy, self.ingest);
