@@ -20,9 +20,16 @@
 //! - The **last stage** runs on the calling thread and feeds the sink.
 //!
 //! Slots recycle through a return channel, so the steady state allocates no
-//! new frame workspaces. Cancellation is cooperative: every blocking send /
-//! receive polls a shared flag, so an error in any stage (or plain
-//! completion) winds down all threads without deadlock.
+//! new frame workspaces. Every hand-off is a blocking send or receive and
+//! no thread is ever told to stop. **Drain rule:** decode exits when it
+//! has no batch left to claim and drops its senders; each stage exits when
+//! its input disconnects and drops its own, so the segment winds down
+//! front to back. **First-failed rule:** an error or contained panic in
+//! batch *b*, anywhere, records *b* when no lower batch has failed.
+//! Decode stops claiming at the first failed batch, every stage runs its
+//! chain only on batches before it but forwards every batch, and the
+//! ordered last stage delivers only batches before it — exactly the frames
+//! the sequential scheduler delivers before the same error.
 //!
 //! All cross-frame operator state lives in the caller-owned chains, so a
 //! long-lived stream can alternate pipelined segments with plan recompiles
@@ -40,66 +47,56 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{
-    channel, sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError,
-};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver};
 
 /// A batch of slots tagged with its sequence number.
 type Batch = (u64, Vec<FrameSlot>);
 
-const POLL: Duration = Duration::from_millis(1);
-const RECV_POLL: Duration = Duration::from_millis(20);
-
-/// A segment's wind-down state, shared by all of its threads.
-#[derive(Default)]
-struct Shutdown {
-    cancel: AtomicBool,
+/// A segment's failure record, shared by all of its threads: the lowest
+/// batch that failed, in any stage, and that batch's error.
+struct Failure {
+    /// `u64::MAX` while the segment is clean; only ever decreases.
+    first_failed: AtomicU64,
     error: Mutex<Option<VqpyError>>,
 }
 
-impl Shutdown {
-    fn cancelled(&self) -> bool {
-        self.cancel.load(Ordering::Relaxed)
-    }
-
-    /// Records the segment's first error and cancels every thread.
-    fn fail(&self, e: VqpyError) {
-        self.error.lock().get_or_insert(e);
-        self.cancel.store(true, Ordering::Relaxed);
-    }
-}
-
-/// Sends cooperatively: polls so a cancelled pipeline never deadlocks on a
-/// full bounded channel. Returns `false` when cancelled or disconnected.
-fn send_coop<T>(tx: &SyncSender<T>, mut msg: T, shutdown: &Shutdown) -> bool {
-    loop {
-        if shutdown.cancelled() {
-            return false;
+impl Failure {
+    fn new() -> Self {
+        Self {
+            first_failed: AtomicU64::new(u64::MAX),
+            error: Mutex::new(None),
         }
-        match tx.try_send(msg) {
-            Ok(()) => return true,
-            Err(TrySendError::Full(m)) => {
-                msg = m;
-                std::thread::sleep(POLL);
+    }
+
+    /// Whether batch `seq` precedes every failed batch. A batch reaches a
+    /// stage through a channel, which orders any upstream record of its
+    /// failure before this load.
+    fn runs(&self, seq: u64) -> bool {
+        seq < self.first_failed.load(Ordering::Relaxed)
+    }
+
+    /// Runs `stage`'s work `f` on batch `seq` if the batch still runs, and
+    /// records its error — a panic as [`VqpyError::StagePanic`] — unless a
+    /// lower batch already failed. Panics must not unwind: a dead thread
+    /// would stop draining its input while the receiver lives on, and its
+    /// upstream would block forever on the full channel.
+    fn attempt(&self, seq: u64, stage: &'static str, f: impl FnOnce() -> Result<()>) {
+        if !self.runs(seq) {
+            return;
+        }
+        let result = catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| {
+            Err(VqpyError::StagePanic {
+                stage,
+                message: panic_message(&*p),
+            })
+        });
+        if let Err(e) = result {
+            let mut error = self.error.lock();
+            if self.runs(seq) {
+                self.first_failed.store(seq, Ordering::Relaxed);
+                *error = Some(e);
             }
-            Err(TrySendError::Disconnected(_)) => return false,
-        }
-    }
-}
-
-/// Receives cooperatively from a shared receiver. Returns `None` when
-/// cancelled or when all senders disconnected.
-fn recv_coop<T>(rx: &Mutex<Receiver<T>>, shutdown: &Shutdown) -> Option<T> {
-    loop {
-        if shutdown.cancelled() {
-            return None;
-        }
-        match rx.lock().recv_timeout(RECV_POLL) {
-            Ok(v) => return Some(v),
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return None,
         }
     }
 }
@@ -123,37 +120,26 @@ impl Reorder {
     }
 }
 
-/// Runs a stage body, converting a panic into a typed
-/// [`VqpyError::StagePanic`]. Stage threads must not unwind through the
-/// scope: a panicking scoped thread would re-raise at scope exit *after*
-/// the other stages wind down on channel disconnects — but a thread parked
-/// on a channel whose peer is still alive would never observe the
-/// disconnect, so containment-plus-[`Shutdown::fail`] (which flips
-/// `cancel`) is the only ordering that is deadlock-free for every stage.
-fn contain<R>(stage: &'static str, f: impl FnOnce() -> Result<R>) -> Result<R> {
-    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| {
-        Err(VqpyError::StagePanic {
-            stage,
-            message: panic_message(&*p),
-        })
-    })
-}
-
 /// One worker of stage `kind`: pulls batches from `rx` — through a
-/// [`Reorder`] when the stage is ordered — runs `chain` over each, and
-/// hands the result to `emit`, until the input ends, `emit` declines
-/// (`Ok(false)`) or the segment is cancelled.
+/// [`Reorder`] when the stage is ordered — until the input disconnects,
+/// runs `chain` over each batch that precedes the first failure, and hands
+/// every batch to `emit`.
 fn stage_worker(
     kind: StageKind,
     chain: &mut [Box<dyn Operator>],
     mut reuse: Option<&mut ReuseCache>,
     rx: &Mutex<Receiver<Batch>>,
-    mut emit: impl FnMut(Batch) -> Result<bool>,
+    mut emit: impl FnMut(Batch),
     cx: &StageCtx<'_>,
-    shutdown: &Shutdown,
+    failure: &Failure,
 ) {
     let mut reorder = kind.ordered().then(Reorder::default);
-    while let Some(batch) = recv_coop(rx, shutdown) {
+    loop {
+        // The guard drops with this statement: fan-out workers share the
+        // receiver, not the work.
+        let Ok(batch) = rx.lock().recv() else {
+            return;
+        };
         let mut ready = match &mut reorder {
             Some(r) => {
                 r.push(batch);
@@ -162,15 +148,10 @@ fn stage_worker(
             None => Some(batch),
         };
         while let Some((seq, mut slots)) = ready {
-            let emitted = contain(kind.name(), || {
-                run_stage(kind, chain, seq, &mut slots, reuse.as_deref_mut(), cx)?;
-                emit((seq, slots))
+            failure.attempt(seq, kind.name(), || {
+                run_stage(kind, chain, seq, &mut slots, reuse.as_deref_mut(), cx)
             });
-            match emitted {
-                Ok(true) => {}
-                Ok(false) => return,
-                Err(e) => return shutdown.fail(e),
-            }
+            emit((seq, slots));
             ready = reorder.as_mut().and_then(Reorder::pop_ready);
         }
     }
@@ -181,9 +162,14 @@ fn stage_worker(
 /// state, the reuse cache, and metrics persist in the caller across calls.
 ///
 /// The fan-out width is the number of detect chains (fixed at
-/// instantiation): `3·workers + 2` threads are spawned per segment.
+/// instantiation): `3·workers + 2` threads are spawned per segment. They
+/// exit only when their input runs dry, failure or not (see the module
+/// docs): a failed segment returns the error of its lowest failing batch,
+/// having delivered every batch before it and none after — what
+/// [`Sequential`] delivers.
 ///
 /// [`Pipelined`]: crate::backend::exec::ExecMode::Pipelined
+/// [`Sequential`]: crate::backend::exec::ExecMode::Sequential
 pub(crate) fn run_pipelined(
     cx: &StageCtx<'_>,
     range: Range<u64>,
@@ -196,7 +182,8 @@ pub(crate) fn run_pipelined(
     let batch = cx.env.config.batch_size.max(1) as u64;
     let num_batches = (range.end - range.start).div_ceil(batch);
 
-    // Channel `k` feeds `StageKind::ALL[k]`; decode feeds channel 0.
+    // Channel `k` feeds `StageKind::ALL[k]`; decode feeds channel 0. Every
+    // receiver outlives the scope, so no send below can fail.
     let depth = workers * 2 + 2;
     let (txs, rxs): (Vec<_>, Vec<_>) = StageKind::ALL
         .map(|_| sync_channel::<Batch>(depth))
@@ -205,11 +192,11 @@ pub(crate) fn run_pipelined(
         .unzip();
     let (recycle_tx, recycle_rx) = channel::<Vec<FrameSlot>>();
     let recycle_rx = Mutex::new(recycle_rx);
-    let shutdown = Shutdown::default();
+    let failure = Failure::new();
     let next_batch = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
-        let (shutdown, next_batch, recycle_rx) = (&shutdown, &next_batch, &recycle_rx);
+        let (failure, next_batch, recycle_rx) = (&failure, &next_batch, &recycle_rx);
         let mut txs = txs.into_iter();
         let mut reuse = Some(reuse);
 
@@ -220,22 +207,16 @@ pub(crate) fn run_pipelined(
             let range = range.clone();
             scope.spawn(move || loop {
                 let b = next_batch.fetch_add(1, Ordering::Relaxed);
-                if shutdown.cancelled() || b >= num_batches {
+                if b >= num_batches || !failure.runs(b) {
                     break;
                 }
                 let lo = range.start + b * batch;
                 let mut slots = recycle_rx.lock().try_recv().unwrap_or_default();
-                let decoded = contain(StageKind::DECODE, || {
+                failure.attempt(b, StageKind::DECODE, || {
                     decode_batch(cx, lo..(lo + batch).min(range.end), &mut slots);
                     Ok(())
                 });
-                if let Err(e) = decoded {
-                    shutdown.fail(e);
-                    break;
-                }
-                if !send_coop(&decoded_tx, (b, slots), shutdown) {
-                    break;
-                }
+                let _ = decoded_tx.send((b, slots));
             });
         }
         drop(decoded_tx);
@@ -247,29 +228,30 @@ pub(crate) fn run_pipelined(
             let mut reuse = reuse.take_if(|_| kind.owns_reuse());
             let Some(tx) = txs.next() else {
                 // The last stage runs here, on the caller's thread, feeding
-                // the sink; decode may already have exited, so recycling
-                // finished slots is best-effort.
-                let emit = |(_, slots): Batch| {
-                    deliver(cx.env.plan, &slots, metrics, sink)?;
+                // the sink. It is ordered, so every lower batch has already
+                // passed every stage: a batch it delivers cannot be
+                // overtaken by an earlier failure.
+                let emit = |(seq, slots): Batch| {
+                    failure.attempt(seq, kind.name(), || {
+                        deliver(cx.env.plan, &slots, metrics, sink)
+                    });
                     let _ = recycle_tx.send(slots);
-                    Ok(true)
                 };
-                let chain = &mut stage_chains[0];
-                stage_worker(kind, chain, reuse, rx, emit, cx, shutdown);
-                // Unblock any worker still parked on a full channel.
-                shutdown.cancel.store(true, Ordering::Relaxed);
+                stage_worker(kind, &mut stage_chains[0], reuse, rx, emit, cx, failure);
                 break;
             };
             for chain in stage_chains {
                 let tx = tx.clone();
                 let reuse = reuse.take();
-                let emit = move |batch| Ok(send_coop(&tx, batch, shutdown));
-                scope.spawn(move || stage_worker(kind, chain, reuse, rx, emit, cx, shutdown));
+                let emit = move |batch| {
+                    let _ = tx.send(batch);
+                };
+                scope.spawn(move || stage_worker(kind, chain, reuse, rx, emit, cx, failure));
             }
         }
     });
 
-    match shutdown.error.into_inner() {
+    match failure.error.into_inner() {
         Some(e) => Err(e),
         None => Ok(()),
     }
@@ -278,18 +260,19 @@ pub(crate) fn run_pipelined(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::exec::{execute_plan, run_segment, Collector, ExecConfig, ExecMode};
+    use crate::backend::exec::{execute_plan, run_segment, ExecConfig, ExecMode};
     use crate::backend::ops::ExecCtx;
-    use crate::backend::plan::{build_plan, PlanOptions};
+    use crate::backend::plan::{build_plan, PlanDag, PlanOptions};
     use crate::backend::stage::{instantiate_stage_ops, ExecEnv};
     use crate::frontend::library;
     use crate::frontend::predicate::Pred;
     use crate::frontend::query::Query;
     use std::sync::Arc;
     use vqpy_models::ModelZoo;
+    use vqpy_video::frame::Frame;
     use vqpy_video::presets;
     use vqpy_video::scene::Scene;
-    use vqpy_video::source::{SyntheticVideo, VideoSource};
+    use vqpy_video::source::{DecodeFault, SyntheticVideo, VideoSource};
 
     fn red_car_query() -> Arc<Query> {
         Query::builder("RedCar")
@@ -375,21 +358,56 @@ mod tests {
         }
     }
 
-    /// Fails or panics on the first frame it is handed, dead or alive.
-    struct Saboteur {
+    /// Where a sabotaged segment fails.
+    #[derive(Clone, Copy, Debug)]
+    enum Site {
+        Decode,
+        Stage(StageKind),
+        Sink,
+    }
+
+    /// Fails — or panics — at `site` when handed frame `at`, and nowhere
+    /// else.
+    #[derive(Clone, Copy, Debug)]
+    struct Sabotage {
+        site: Site,
+        at: u64,
         panics: bool,
     }
+
+    impl Sabotage {
+        fn strike(&self, frame: u64) -> Result<()> {
+            if frame != self.at {
+                return Ok(());
+            }
+            if self.panics {
+                panic!("injected panic at frame {frame}");
+            }
+            Err(VqpyError::InvalidQuery(format!(
+                "injected failure at frame {frame}"
+            )))
+        }
+
+        /// The label the pipelined scheduler gives a panic here.
+        fn stage(&self) -> &'static str {
+            match self.site {
+                Site::Decode => StageKind::DECODE,
+                Site::Stage(kind) => kind.name(),
+                Site::Sink => StageKind::Tail.name(),
+            }
+        }
+    }
+
+    /// An operator that strikes on its sabotage's frame, dead or alive.
+    struct Saboteur(Sabotage);
 
     impl Operator for Saboteur {
         fn name(&self) -> String {
             "saboteur".into()
         }
 
-        fn process(&mut self, _: &mut FrameSlot, _: &mut ExecCtx<'_>) -> Result<()> {
-            if self.panics {
-                panic!("injected panic");
-            }
-            Err(VqpyError::InvalidQuery("injected failure".into()))
+        fn process(&mut self, slot: &mut FrameSlot, _: &mut ExecCtx<'_>) -> Result<()> {
+            self.0.strike(slot.frame.index)
         }
 
         fn wants_dead_frames(&self) -> bool {
@@ -397,53 +415,204 @@ mod tests {
         }
     }
 
+    /// A source whose decode strikes: a panic, or an undecodable frame —
+    /// which both schedulers skip with a counter rather than fail on.
+    struct SabotagedVideo<'a>(&'a SyntheticVideo, Sabotage);
+
+    impl VideoSource for SabotagedVideo<'_> {
+        fn video_id(&self) -> u64 {
+            self.0.video_id()
+        }
+        fn fps(&self) -> u32 {
+            self.0.fps()
+        }
+        fn resolution(&self) -> (u32, u32) {
+            self.0.resolution()
+        }
+        fn frame_count(&self) -> u64 {
+            self.0.frame_count()
+        }
+        fn frame(&self, index: u64) -> Frame {
+            self.0.frame(index)
+        }
+        fn try_frame(&self, index: u64) -> std::result::Result<Frame, DecodeFault> {
+            if matches!(self.1.site, Site::Decode) && self.1.strike(index).is_err() {
+                return Err(DecodeFault {
+                    video_id: self.video_id(),
+                    frame: index,
+                });
+            }
+            Ok(self.0.frame(index))
+        }
+    }
+
+    /// Records the frames delivered to it; strikes first when sabotaged.
+    struct Recorder {
+        delivered: Vec<u64>,
+        sabotage: Option<Sabotage>,
+    }
+
+    impl ResultSink for Recorder {
+        fn on_frame(&mut self, _: &PlanDag, slot: &FrameSlot) -> Result<()> {
+            if let Some(s) = &self.sabotage {
+                s.strike(slot.frame.index)?;
+            }
+            self.delivered.push(slot.frame.index);
+            Ok(())
+        }
+    }
+
+    /// How a segment ended, comparable across schedulers: a sequential
+    /// panic unwinds out of `run_segment`, a pipelined one comes back as
+    /// `StagePanic` under the stage's label.
+    #[derive(Debug, PartialEq)]
+    enum Ended {
+        Clean,
+        Failed(String),
+        Panicked(String),
+    }
+
+    /// Runs the whole of `env.source` through `ops` under `sabotage`,
+    /// returning how it ended and which frames reached the sink.
+    fn segment(
+        env: ExecEnv<'_>,
+        ops: &mut StageOps,
+        sabotage: Option<Sabotage>,
+    ) -> (Ended, Vec<u64>) {
+        let mut recorder = Recorder {
+            delivered: Vec::new(),
+            sabotage: sabotage.filter(|s| matches!(s.site, Site::Sink)),
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_segment(
+                env,
+                0..env.source.frame_count(),
+                ops,
+                &mut ReuseCache::new(),
+                &mut ExecMetrics::default(),
+                &mut recorder,
+            )
+        }));
+        let ended = match outcome {
+            Ok(Ok(())) => Ended::Clean,
+            Ok(Err(VqpyError::StagePanic { stage, message })) => {
+                assert_eq!(Some(stage), sabotage.map(|s| s.stage()));
+                Ended::Panicked(message)
+            }
+            Ok(Err(e)) => Ended::Failed(e.to_string()),
+            Err(p) => Ended::Panicked(panic_message(&*p)),
+        };
+        (ended, recorder.delivered)
+    }
+
+    /// Runs `f`, aborting the process if it is still running after a
+    /// minute: with no timer left in the scheduler, a deadlocked wind-down
+    /// must fail the suite rather than hang it.
+    fn watchdog<R>(case: &str, f: impl FnOnce() -> R) -> R {
+        let (done, finished) = std::sync::mpsc::channel::<()>();
+        let case = case.to_owned();
+        let dog = std::thread::spawn(move || {
+            let waited = finished.recv_timeout(std::time::Duration::from_secs(60));
+            if waited == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+                eprintln!("watchdog: {case} still running after 60 s, aborting");
+                std::process::abort();
+            }
+        });
+        let result = f();
+        drop(done);
+        dog.join().unwrap();
+        result
+    }
+
     #[test]
     fn pipelined_surfaces_errors() {
         let zoo = ModelZoo::standard();
         let plan = build_plan(&[red_car_query()], &zoo, &PlanOptions::vqpy_default()).unwrap();
-        let v = SyntheticVideo::new(Scene::generate(presets::jackson(), 7, 2.0));
+        // 24 batches of 2 frames: more than the deepest channel holds
+        // (2·4 + 2 at four workers), so sends really block.
+        let v = SyntheticVideo::new(Scene::generate(presets::jackson(), 7, 3.2));
+        let n = v.frame_count();
+        assert_eq!(n, 48);
         let clock = vqpy_models::Clock::new();
-        let config = ExecConfig {
-            exec_mode: ExecMode::Pipelined { workers: 2 },
+        let config = |exec_mode| ExecConfig {
+            exec_mode,
+            batch_size: 2,
             ..ExecConfig::default()
         };
         // A plan referencing a model that exists at plan time but not at
         // execution time (different zoo) must error cleanly, not hang.
-        assert!(execute_plan(&plan, &v, &ModelZoo::new(), &clock, &config).is_err());
+        let pipelined = config(ExecMode::Pipelined { workers: 2 });
+        assert!(execute_plan(&plan, &v, &ModelZoo::new(), &clock, &pipelined).is_err());
 
-        // A failing and a panicking operator in every stage: the segment
-        // returns the error — a panic as `StagePanic` under the stage's
-        // table name — and every thread of every other stage winds down.
-        let env = ExecEnv {
-            plan: &plan,
-            source: &v,
-            zoo: &zoo,
-            clock: &clock,
-            config: &config,
-        };
-        for kind in StageKind::ALL {
-            for panics in [false, true] {
-                let mut symbols = plan.symbols.clone();
-                let mut ops = instantiate_stage_ops(&plan, &zoo, 2, &mut symbols).unwrap();
-                for chain in &mut ops.chains[kind.index()] {
-                    chain.push(Box::new(Saboteur { panics }));
-                }
-                let err = run_segment(
-                    env,
-                    0..v.frame_count(),
-                    &mut ops,
-                    &mut ReuseCache::new(),
-                    &mut ExecMetrics::default(),
-                    &mut Collector::new(&plan),
-                )
-                .unwrap_err();
-                match err {
-                    VqpyError::StagePanic { stage, message } if panics => {
-                        assert_eq!(stage, kind.name());
-                        assert!(message.contains("injected panic"), "{message}");
+        // Decode, every stage and the sink, failing or panicking on the
+        // first, a middle or the last frame: the pipelined segment returns
+        // the sequential scheduler's error (a panic as `StagePanic` under
+        // the site's label) after delivering exactly the frames it
+        // delivers, every thread winds down, and the same operators then
+        // run a clean segment to the end.
+        let sites = [Site::Decode, Site::Sink]
+            .into_iter()
+            .chain(StageKind::ALL.map(Site::Stage));
+        for site in sites {
+            for (panics, at) in [false, true]
+                .into_iter()
+                .flat_map(|p| [(p, 0), (p, 23), (p, 47)])
+            {
+                let sabotage = Sabotage { site, at, panics };
+                let source = SabotagedVideo(&v, sabotage);
+                let sabotaged = |exec_mode: ExecMode| {
+                    let mut symbols = plan.symbols.clone();
+                    let mut ops =
+                        instantiate_stage_ops(&plan, &zoo, exec_mode.workers(), &mut symbols)
+                            .unwrap();
+                    if let Site::Stage(kind) = site {
+                        for chain in &mut ops.chains[kind.index()] {
+                            chain.push(Box::new(Saboteur(sabotage)));
+                        }
                     }
-                    VqpyError::InvalidQuery(_) if !panics => {}
-                    other => panic!("{kind:?} panics={panics}: unexpected {other:?}"),
+                    let config = config(exec_mode);
+                    let env = ExecEnv {
+                        plan: &plan,
+                        source: &source,
+                        zoo: &zoo,
+                        clock: &clock,
+                        config: &config,
+                    };
+                    (segment(env, &mut ops, Some(sabotage)), ops)
+                };
+                let (expected, _) = sabotaged(ExecMode::Sequential);
+                let skipped = matches!(site, Site::Decode) && !panics;
+                assert_eq!(
+                    expected.0 == Ended::Clean,
+                    skipped,
+                    "{sabotage:?}: {expected:?}"
+                );
+                assert!(
+                    expected.1.iter().all(|&f| f < at || skipped),
+                    "{sabotage:?}"
+                );
+
+                for workers in [1, 2, 4] {
+                    watchdog(&format!("{sabotage:?} with {workers} workers"), || {
+                        let exec_mode = ExecMode::Pipelined { workers };
+                        let (outcome, mut ops) = sabotaged(exec_mode);
+                        assert_eq!(outcome, expected, "{sabotage:?}, {workers} workers");
+                        if let Site::Stage(kind) = site {
+                            for chain in &mut ops.chains[kind.index()] {
+                                chain.pop();
+                            }
+                        }
+                        let config = config(exec_mode);
+                        let env = ExecEnv {
+                            plan: &plan,
+                            source: &v,
+                            zoo: &zoo,
+                            clock: &clock,
+                            config: &config,
+                        };
+                        let clean = segment(env, &mut ops, None);
+                        assert_eq!(clean, (Ended::Clean, (0..n).collect()), "{sabotage:?}");
+                    });
                 }
             }
         }

@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use vqpy_core::frontend::{library, predicate::Pred};
-use vqpy_core::{Aggregate, Query, RetryPolicy, SessionConfig, VqpySession};
+use vqpy_core::{Aggregate, ExecMode, Query, RetryPolicy, SessionConfig, VqpySession};
 use vqpy_models::{
     Clock, Detection, Detector, FaultInjector, FaultPlan, ModelProfile, ModelZoo, TaskKind,
 };
@@ -383,6 +383,63 @@ fn restart_budget_exhaustion_is_typed_and_counted() {
     let metrics = server.metrics(stream).unwrap();
     assert_eq!(metrics.restarts, 2);
     assert_eq!(metrics.frames_lost, 8);
+}
+
+/// A segment that fails mid-way delivers the same prefix under either
+/// scheduler. Batches of 2, four per step: the wedge at frame 13 sits in
+/// batch [12, 14) of segment [8, 16), so frames 8–11 are delivered and the
+/// final notice counts 12–15 as lost. The pipelined scheduler drains the
+/// batches ahead of the failure instead of cancelling them, so its prefix
+/// does not depend on thread timing — hence the repetitions.
+#[test]
+fn failed_segment_delivers_the_sequential_prefix() {
+    let query = count_query();
+    let run = |exec_mode| {
+        let mut config = SessionConfig::default();
+        config.exec.batch_size = 2;
+        config.exec.exec_mode = exec_mode;
+        let session = Arc::new(VqpySession::with_config(ModelZoo::standard(), config));
+        let server = Arc::new(session.serve(ServeConfig {
+            batches_per_step: 4,
+            ..ServeConfig::default()
+        }));
+        let stream = server.open_stream(Arc::new(AlwaysPanicVideo {
+            inner: video(84, 2.0),
+            at: 13,
+        }));
+        let sub = server
+            .attach(stream, Arc::clone(&query))
+            .unwrap()
+            .into_inner();
+        let consumer = std::thread::spawn(move || drain(sub));
+        server.run_to_end(stream).expect_err("budget must exhaust");
+        let (hits, faults, _) = consumer.join().unwrap();
+        for f in &faults {
+            assert!(f.message.contains("chaos camera"), "{f:?}");
+        }
+        // The pipelined message names the stage ("decode stage: …"); the
+        // rest of the notice must match field for field.
+        let faults: Vec<_> = faults
+            .iter()
+            .map(|f| (f.frame, f.restarts, f.resumed, f.frames_lost))
+            .collect();
+        (hits, faults, server.metrics(stream).unwrap().frames_lost)
+    };
+
+    let (hits, faults, frames_lost) = run(ExecMode::Sequential);
+    assert!(
+        hits.iter().any(|h| (8..12).contains(&h.frame)),
+        "the failing segment's prefix must hold hits: {hits:?}"
+    );
+    assert!(hits.iter().all(|h| h.frame < 12), "{hits:?}");
+    assert_eq!(faults.last().map(|f| f.3), Some(4), "{faults:?}");
+    assert_eq!(frames_lost, 4);
+    for rep in 0..10 {
+        let pipelined = run(ExecMode::Pipelined { workers: 2 });
+        assert_eq!(pipelined.0, hits, "hits diverged (rep {rep})");
+        assert_eq!(pipelined.1, faults, "faults diverged (rep {rep})");
+        assert_eq!(pipelined.2, 4, "frames lost (rep {rep})");
+    }
 }
 
 /// Corrupt frames at the decoder become per-frame skips with exact
