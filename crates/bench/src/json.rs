@@ -1,12 +1,12 @@
-//! A minimal JSON reader for the `BENCH_*.json` reports and
-//! `REPRODUCTION.json`.
+//! A minimal JSON reader for `REPRODUCTION.json`.
 //!
-//! The bench-regression gate (`src/bin/bench_gate.rs`) and the
-//! reproduction checker (`reproduce::diff`) need to pull numbers back out
-//! of the reports our own writers emit; the
+//! The reproduction checker (`reproduce::diff`) pulls numbers back out of
+//! the report our own writer emits, and `e2ebench`'s tests read its result
+//! lines and `BENCHMARK.json` with the same parser; the
 //! workspace is vendored-offline (no `serde_json`), so this is a small
 //! recursive-descent parser covering exactly the JSON our writers produce:
 //! objects, arrays, strings with escapes, numbers, booleans, and null.
+//! It runs in time linear in the document.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,11 +156,14 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
                 *pos += 1;
             }
             _ => {
-                // Advance one full UTF-8 scalar.
-                let s = std::str::from_utf8(&bytes[*pos..]).ok()?;
-                let c = s.chars().next()?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape in one piece:
+                // both are ASCII, so the run ends on a char boundary and
+                // only its own bytes are validated.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).ok()?);
             }
         }
     }
@@ -227,10 +230,13 @@ mod tests {
 
     #[test]
     fn parses_scalars_and_nesting() {
-        let doc = r#"{"a": 1.5, "b": "x\ny", "c": [1, 2, {"d": true}], "e": null}"#;
+        let doc = r#"{"a": 1.5, "b": "x\ny", "c": [1, 2, {"d": true}], "e": null,
+                      "µs → ×": "µs → ×", "f": "caf\u00e9 ✓"}"#;
         let v = Json::parse(doc).unwrap();
         assert_eq!(v.path("a").unwrap().as_f64(), Some(1.5));
         assert_eq!(v.path("b").unwrap().as_str(), Some("x\ny"));
+        assert_eq!(v.get("µs → ×").unwrap().as_str(), Some("µs → ×"));
+        assert_eq!(v.path("f").unwrap().as_str(), Some("café ✓"));
         let arr = v.path("c").unwrap().as_arr().unwrap();
         assert_eq!(arr[1].as_f64(), Some(2.0));
         assert_eq!(arr[2].get("d"), Some(&Json::Bool(true)));

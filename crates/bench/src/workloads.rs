@@ -1,5 +1,5 @@
 //! Experiment workloads: videos, zoos, and query constructors shared by
-//! the bench targets.
+//! the reproduction table and `e2ebench`.
 
 use std::sync::Arc;
 use vqpy_baselines::CvipQuery;
@@ -111,7 +111,7 @@ pub fn red_car_query() -> Arc<Query> {
         .expect("red car query is well-formed")
 }
 
-/// The fig13-flavored serving query for the multi-stream scaling bench:
+/// The fig13-flavored serving query of `e2ebench`'s car and store mixes:
 /// its only model property is the *non-memoizable* `direction` projection,
 /// so post-detect device time is dominated by per-(stream, frame)
 /// property-model traffic over every detected vehicle — the stage

@@ -161,9 +161,7 @@ impl ExecMetrics {
     }
 
     /// One-line summary of the counters that matter for perf triage:
-    /// frame counts, reuse-cache hit rate, and per-stage wall times. Bench
-    /// reports embed this string so `BENCH_*.json` files record the cache
-    /// and stage behavior behind each throughput number.
+    /// frame counts, reuse-cache hit rate, and per-stage wall times.
     pub fn summary(&self) -> String {
         let mut s = format!(
             "frames {}/{} processed | reuse {:.1}% ({} hits, {} misses, {} evictions)",

@@ -524,6 +524,103 @@ mod tests {
         result
     }
 
+    /// How far the detect chains have got, shared by one segment's probes.
+    #[derive(Default)]
+    struct Progress {
+        detected: std::sync::Mutex<Option<u64>>,
+        advanced: std::sync::Condvar,
+    }
+
+    /// In a detect chain (`hold_until: None`), records every frame it
+    /// sees. In the tail, holds frame 0 until detect has seen frame
+    /// `hold_until`, and errors after 10 s instead.
+    struct Probe {
+        progress: Arc<Progress>,
+        hold_until: Option<u64>,
+    }
+
+    impl Operator for Probe {
+        fn name(&self) -> String {
+            "probe".into()
+        }
+
+        fn process(&mut self, slot: &mut FrameSlot, _: &mut ExecCtx<'_>) -> Result<()> {
+            let frame = slot.frame.index;
+            let mut detected = self.progress.detected.lock().unwrap();
+            match self.hold_until {
+                None => {
+                    *detected = (*detected).max(Some(frame));
+                    self.progress.advanced.notify_all();
+                }
+                Some(until) if frame == 0 => {
+                    let (detected, hold) = (self.progress.advanced)
+                        .wait_timeout_while(detected, std::time::Duration::from_secs(10), |d| {
+                            *d < Some(until)
+                        })
+                        .unwrap();
+                    if hold.timed_out() {
+                        return Err(VqpyError::InvalidQuery(format!(
+                            "tail held frame 0 for 10 s; detect reached {detected:?}"
+                        )));
+                    }
+                }
+                Some(_) => {}
+            }
+            Ok(())
+        }
+
+        fn wants_dead_frames(&self) -> bool {
+            true
+        }
+    }
+
+    /// Stages overlap: the tail holds batch 0 until a detect chain has
+    /// seen batch 1, which only a scheduler running stages side by side
+    /// allows. The hold gives up with an error, so a scheduler that does
+    /// not overlap fails this test instead of hanging it.
+    #[test]
+    fn pipelined_stages_overlap() {
+        let zoo = ModelZoo::standard();
+        let plan = build_plan(&[red_car_query()], &zoo, &PlanOptions::vqpy_default()).unwrap();
+        // 24 batches of 2 frames: more than the deepest channel holds.
+        let v = SyntheticVideo::new(Scene::generate(presets::jackson(), 7, 3.2));
+        let clock = vqpy_models::Clock::new();
+        for workers in [1, 2, 4] {
+            watchdog(&format!("overlap with {workers} workers"), || {
+                let exec_mode = ExecMode::Pipelined { workers };
+                let config = ExecConfig {
+                    exec_mode,
+                    batch_size: 2,
+                    ..ExecConfig::default()
+                };
+                let mut symbols = plan.symbols.clone();
+                let mut ops =
+                    instantiate_stage_ops(&plan, &zoo, exec_mode.workers(), &mut symbols).unwrap();
+                let progress = Arc::new(Progress::default());
+                for chain in &mut ops.chains[StageKind::Detect.index()] {
+                    chain.push(Box::new(Probe {
+                        progress: Arc::clone(&progress),
+                        hold_until: None,
+                    }));
+                }
+                ops.chains[StageKind::Tail.index()][0].push(Box::new(Probe {
+                    progress,
+                    hold_until: Some(2),
+                }));
+                let env = ExecEnv {
+                    plan: &plan,
+                    source: &v,
+                    zoo: &zoo,
+                    clock: &clock,
+                    config: &config,
+                };
+                let ended = segment(env, &mut ops, None);
+                let all = (0..v.frame_count()).collect();
+                assert_eq!(ended, (Ended::Clean, all), "{workers} workers");
+            });
+        }
+    }
+
     #[test]
     fn pipelined_surfaces_errors() {
         let zoo = ModelZoo::standard();

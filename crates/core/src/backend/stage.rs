@@ -62,9 +62,8 @@ impl StageKind {
     }
 
     /// The stage's `stage_wall_ms` bucket and [`StagePanic`](crate::error::VqpyError::StagePanic)
-    /// label. The CI telemetry smoke, `BENCH_exec.json` and the serving
-    /// layer's fault text read these byte for byte, which is why prep
-    /// still answers to `track`.
+    /// label. The CI telemetry smoke and the serving layer's fault text
+    /// read these byte for byte, which is why prep still answers to `track`.
     pub const fn name(self) -> &'static str {
         match self {
             StageKind::FrameFilter => "frame_filters",

@@ -4,14 +4,15 @@
 //! [`ClockMode::Virtual`] the charge is pure bookkeeping, so experiment
 //! runtimes are deterministic and host-independent; in
 //! [`ClockMode::Latency`] the charging thread additionally sleeps, so
-//! wall-clock benches see model cost as host-visible latency.
+//! a wall-clock run (`e2ebench`'s `serve_device`) sees model cost as
+//! host-visible latency.
 //!
 //! One cost unit models one millisecond of GPU inference on the paper's
 //! T4 testbed. Charges are also recorded per label, which gives every
 //! harness per-model invocation counts for free.
 //!
 //! Two refinements make [`ClockMode::Latency`] a faithful accelerator
-//! model for serving benches:
+//! model for a serving run:
 //!
 //! - **Batch sections** ([`Clock::batch_section`]): a physical batched
 //!   invocation defers its per-item sleeps and realizes the *net* charge
@@ -41,7 +42,7 @@ pub enum ClockMode {
     /// thread for one real millisecond, modelling accelerator inference as
     /// host-visible latency. Concurrent charges overlap (threads sleep in
     /// parallel), which is exactly the resource profile a pipelined engine
-    /// exploits — so wall-clock throughput benches use this mode.
+    /// exploits — so `e2ebench`'s device-bound workload uses this mode.
     Latency,
 }
 

@@ -936,6 +936,20 @@ mod tests {
         );
         assert!(stats.mean_coalesced() > 1.0);
         assert!(stats.detect.mean_coalesced() > 1.0);
+        // Fewer physical batches pay the fixed launch cost and overhead
+        // fewer times: the same requests sent direct charge more.
+        let direct = Clock::new();
+        for seed in [11u64, 12, 13, 14] {
+            let fs = frames(seed, 4);
+            let refs: Vec<&Frame> = fs.iter().collect();
+            DirectDispatch.detect(&det, &refs, &direct).unwrap();
+        }
+        assert!(
+            clock.virtual_ms() < direct.virtual_ms(),
+            "coalesced {} ms vs direct {} ms",
+            clock.virtual_ms(),
+            direct.virtual_ms()
+        );
     }
 
     #[test]

@@ -207,13 +207,15 @@ fn store_lane_and_metrics_are_exported() {
             &[Arc::clone(&query)],
         )
         .unwrap();
-    let sub = supervisor
-        .attach(stream, AttachSpec::new(Arc::clone(&query)).from(fs.epoch()))
-        .unwrap();
+    // Attach after the run: a replay attached before the first append
+    // finds nothing stored and splices at once, loading no chunk.
     supervisor.join_stream(stream).unwrap();
     for s in subs {
         let _ = s.collect();
     }
+    let sub = supervisor
+        .attach(stream, AttachSpec::new(Arc::clone(&query)).from(fs.epoch()))
+        .unwrap();
     let _ = sub.collect();
 
     // The store's spans live in their own lane.
