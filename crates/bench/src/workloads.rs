@@ -288,4 +288,57 @@ mod tests {
         assert_eq!(auburn_queries(&scene).len(), 5);
         let _ = hit_ball_query();
     }
+
+    #[test]
+    fn nine_query_offline_mix_profiles_eight_distinct_candidates_and_ships_the_baseline() {
+        use vqpy_core::{
+            BinaryFilterReg, FrameFilterReg, SessionConfig, SpecializedNnReg, VqpySession,
+        };
+        // `e2ebench`'s offline mix: three of the nine constrain
+        // `car.color == "red"`, which once made three copies of every
+        // specialised candidate.
+        let scene = Scene::generate(presets::auburn(), 12, 12.0);
+        let threshold = f64::from(scene.preset.speeding_threshold_px_per_frame());
+        let mut queries: Vec<Arc<Query>> =
+            auburn_queries(&scene).into_iter().map(|(_, q)| q).collect();
+        queries.extend([
+            red_car_query(),
+            speeding_car_query(threshold),
+            straight_car_query(),
+            red_speeding_query(threshold),
+        ]);
+        let session = VqpySession::with_config(
+            ModelZoo::standard(),
+            SessionConfig {
+                accuracy_target: 1.0,
+                ..SessionConfig::default()
+            },
+        );
+        let ext = session.extensions();
+        ext.register_specialized_nn(SpecializedNnReg {
+            schema: "Vehicle".into(),
+            detector: "red_car_detector".into(),
+            prop: "color".into(),
+            value: vqpy_models::Value::from("red"),
+        });
+        ext.register_binary_filter(BinaryFilterReg {
+            schema: "Vehicle".into(),
+            model: "no_red_on_road".into(),
+        });
+        ext.register_frame_filter(FrameFilterReg { threshold: 0.4 });
+
+        let plan = session
+            .plan_for(&queries, &SyntheticVideo::new(scene))
+            .unwrap();
+        let mut labels: Vec<String> = session
+            .last_profiles()
+            .into_iter()
+            .map(|p| p.label)
+            .collect();
+        assert_eq!(labels.len(), 8, "{labels:?}");
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), 8, "{labels:?}");
+        assert_eq!(plan.label, "baseline");
+    }
 }

@@ -159,15 +159,18 @@ pub fn enumerate_plans(
                     .iter()
                     .any(|c| c.to_string() == conjunct.to_string());
                 let outputs_prop = q.frame_output().iter().any(|p| p.prop == s.prop);
-                if has && !outputs_prop {
-                    specialized.push((
-                        v.alias.clone(),
-                        SpecializedChoice {
-                            detector: s.detector.clone(),
-                            prop: s.prop.clone(),
-                            value: s.value.clone(),
-                        },
-                    ));
+                let entry = (
+                    v.alias.clone(),
+                    SpecializedChoice {
+                        detector: s.detector.clone(),
+                        prop: s.prop.clone(),
+                        value: s.value.clone(),
+                    },
+                );
+                // Several queries of a shared plan may constrain the same
+                // conjunct; each choice is one candidate, not one per query.
+                if has && !outputs_prop && !specialized.contains(&entry) {
+                    specialized.push(entry);
                 }
             }
             for b in extensions.binary_for(chain) {
@@ -303,6 +306,41 @@ mod tests {
         assert!(plans.iter().any(|p| p.label.contains("specialized")));
         assert!(plans.iter().any(|p| p.label.contains("binary")));
         assert!(plans.iter().any(|p| p.label.contains("diff")));
+    }
+
+    #[test]
+    fn queries_sharing_a_conjunct_yield_each_candidate_once() {
+        let zoo = ModelZoo::standard();
+        let ext = ExtensionRegistry::new();
+        ext.register_specialized_nn(SpecializedNnReg {
+            schema: "Vehicle".into(),
+            detector: "red_car_detector".into(),
+            prop: "color".into(),
+            value: Value::from("red"),
+        });
+        ext.register_binary_filter(BinaryFilterReg {
+            schema: "Vehicle".into(),
+            model: "no_red_on_road".into(),
+        });
+        ext.register_frame_filter(FrameFilterReg { threshold: 0.4 });
+        let red = |name: &str, extra: Pred| {
+            Query::builder(name)
+                .vobj("car", library::vehicle_schema_intrinsic())
+                .frame_constraint(Pred::eq("car", "color", "red") & extra)
+                .build()
+                .unwrap()
+        };
+        let queries = [
+            red("Q3_RedCars", Pred::gt("car", "score", 0.5)),
+            red("RedCar", Pred::gt("car", "score", 0.6)),
+            red("RedSpeedingCar", Pred::gt("car", "speed", 10.0)),
+        ];
+        let alone = enumerate_plans(&queries[..1], &zoo, &ext, &PlanOptions::vqpy_default());
+        let shared = enumerate_plans(&queries, &zoo, &ext, &PlanOptions::vqpy_default());
+        let labels = |plans: Vec<PlanDag>| plans.into_iter().map(|p| p.label).collect::<Vec<_>>();
+        let shared = labels(shared.unwrap());
+        assert_eq!(shared.len(), 8, "{shared:?}");
+        assert_eq!(shared, labels(alone.unwrap()));
     }
 
     #[test]

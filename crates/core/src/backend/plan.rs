@@ -225,7 +225,7 @@ impl PlanDag {
 }
 
 /// Substituting a specialized NN for a detector + attribute filter.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpecializedChoice {
     pub detector: String,
     /// The conjunct the specialized detector implements: `alias.prop == value`.

@@ -152,15 +152,20 @@ impl PixelBuffer {
     /// Mean absolute per-channel difference with `other` (same dimensions
     /// required); used by differencing frame filters.
     ///
+    /// The sum is exact: `u32` lanes, which vectorise, over chunks too
+    /// short to overflow one (2^24 bytes × 255 < 2^32).
+    ///
     /// # Panics
     ///
     /// Panics if dimensions differ.
     pub fn mean_abs_diff(&self, other: &PixelBuffer) -> f32 {
+        const CHUNK: usize = 1 << 24;
         assert_eq!(self.width, other.width, "buffer widths must match");
         assert_eq!(self.height, other.height, "buffer heights must match");
         let mut sum = 0u64;
-        for (a, b) in self.data.iter().zip(other.data.iter()) {
-            sum += (*a as i32 - *b as i32).unsigned_abs() as u64;
+        for (a, b) in self.data.chunks(CHUNK).zip(other.data.chunks(CHUNK)) {
+            let diffs = a.iter().zip(b).map(|(a, b)| u32::from(a.abs_diff(*b)));
+            sum += u64::from(diffs.sum::<u32>());
         }
         sum as f32 / self.data.len() as f32
     }
@@ -251,6 +256,74 @@ mod tests {
         assert_eq!(a.mean_abs_diff(&b), 0.0);
         let c = solid(4, 4, [60, 50, 50]);
         assert!((a.mean_abs_diff(&c) - 10.0 / 3.0).abs() < 1e-4);
+    }
+
+    /// The scalar loop `mean_abs_diff` replaced: every byte widened to
+    /// `u64`. The kernel must agree with it to the bit.
+    fn reference_mean_abs_diff(a: &PixelBuffer, b: &PixelBuffer) -> f32 {
+        let mut sum = 0u64;
+        for (x, y) in a.data().iter().zip(b.data()) {
+            sum += (*x as i32 - *y as i32).unsigned_abs() as u64;
+        }
+        sum as f32 / a.data().len() as f32
+    }
+
+    fn assert_kernel_exact(a: &PixelBuffer, b: &PixelBuffer) {
+        let (got, want) = (a.mean_abs_diff(b), reference_mean_abs_diff(a, b));
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{}x{}: {got} vs {want}",
+            a.width(),
+            a.height()
+        );
+    }
+
+    #[test]
+    fn mean_abs_diff_is_bit_equal_to_the_scalar_reference_on_random_buffers() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        let mut random = |w: u32, h: u32| {
+            let data = (0..w * h * 3).map(|_| rng.gen::<u8>()).collect();
+            PixelBuffer::from_rgb(w, h, 8, data)
+        };
+        // 3, 48, 3·(2^16+1) and 97 200 bytes (one 240x135 auburn frame).
+        for (w, h) in [(1, 1), (4, 4), ((1 << 16) + 1, 1), (240, 135)] {
+            for _ in 0..4 {
+                let (a, b) = (random(w, h), random(w, h));
+                assert_kernel_exact(&a, &b);
+            }
+        }
+    }
+
+    #[test]
+    fn mean_abs_diff_is_exact_at_the_largest_difference_past_a_u32_lane() {
+        // 4096x1400x3 bytes of difference 255 sum past u32::MAX: a single
+        // u32 sum would wrap, and the buffers span two of the kernel's chunks.
+        let (w, h) = (4096, 1400);
+        let black = PixelBuffer::from_rgb(w, h, 8, vec![0; (w * h * 3) as usize]);
+        let white = PixelBuffer::from_rgb(w, h, 8, vec![255; (w * h * 3) as usize]);
+        assert!(u64::from(w * h * 3) * 255 > u64::from(u32::MAX));
+        assert_kernel_exact(&black, &white);
+        assert_kernel_exact(&white, &black);
+        assert_eq!(black.mean_abs_diff(&white), 255.0);
+        let (small_black, small_white) = (solid(4, 4, [0; 3]), solid(4, 4, [255; 3]));
+        assert_kernel_exact(&small_black, &small_white);
+    }
+
+    #[test]
+    fn mean_abs_diff_is_bit_equal_to_the_scalar_reference_on_rendered_frames() {
+        use crate::source::{frames, SyntheticVideo};
+        let video = SyntheticVideo::new(crate::scene::Scene::generate(
+            crate::presets::auburn(),
+            12,
+            2.0,
+        ));
+        let rendered: Vec<PixelBuffer> = frames(&video).map(|f| f.pixels).collect();
+        assert_eq!(rendered[0].data().len(), 97_200);
+        for pair in rendered.windows(2) {
+            assert_kernel_exact(&pair[0], &pair[1]);
+        }
     }
 
     #[test]
