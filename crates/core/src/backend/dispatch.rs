@@ -231,7 +231,7 @@ impl RetryPolicy {
                     .arg("stage", stage.name())
                     .arg("attempt", k + 1)
                     .arg("wait_ms", wait);
-                clock.charge_labeled(RETRY_BACKOFF_LABEL, wait);
+                clock.wait_labeled(RETRY_BACKOFF_LABEL, wait);
                 backoff_spent += wait;
             }
             match attempt() {

@@ -12,7 +12,9 @@
 //!   before the next starts — so model-backed operators issue one physical
 //!   batched invocation per batch (§4.1).
 //! - **Pipelined** ([`ExecMode::Pipelined`]): [`crate::backend::pipeline`]
-//!   gives every stage its own thread(s), so stages overlap.
+//!   cuts the stages into lanes — runs of adjacent stages of one kind, with
+//!   empty stages riding along — and gives each lane its own thread(s), so
+//!   lanes overlap.
 //!
 //! Both produce byte-identical query results: they run the same body over
 //! the same chains, every simulated model answers deterministically per
@@ -51,9 +53,9 @@ pub enum ExecMode {
     /// Single-threaded, batch-at-a-time (the default).
     #[default]
     Sequential,
-    /// Every stage on its own thread(s), connected by bounded channels.
-    /// `workers` threads each run decode and the fan-out stages (clamped
-    /// to at least 1).
+    /// Stages in lanes on their own threads, connected by bounded channels:
+    /// `workers` threads (at least 1) per fan-out lane, decode's included,
+    /// and one per ordered lane (see [`crate::backend::pipeline`]).
     Pipelined {
         /// Worker threads per parallel stage.
         workers: usize,

@@ -2,33 +2,36 @@
 //!
 //! Real video-analytics engines overlap decode, detection, and downstream
 //! relational work instead of interpreting one frame at a time. This
-//! scheduler gives decode and every stage of [`StageKind::ALL`] its own
-//! scoped thread(s) for the duration of a segment, connected by bounded
-//! channels:
+//! scheduler cuts the stage table into **lanes**, maximal runs of adjacent
+//! stages of one kind, each on its own scoped thread(s) for the duration
+//! of a segment, connected by bounded channels. A stage with an empty
+//! chain holds no state, so it rides in whichever lane it falls in
+//! (`run_stage` still runs for it: span, bucket and counts are unchanged).
 //!
-//! - **Decode** fans out across `workers` threads: each claims the next
-//!   batch index, renders its frames, and charges decode cost. Decoding is
-//!   pure, so order does not matter here.
-//! - A **fan-out stage** (detect, enrich) runs one `stage_worker` per
-//!   operator chain, all pulling from one shared receiver: its operators
-//!   are deterministic per frame, so batches process in any order. While
-//!   enrich chews on batch *b*, prep is already sequencing batch *b+1*.
-//! - An **ordered stage** (frame filters, prep, tail) runs one
-//!   `stage_worker` with a `Reorder` in front, so its stateful operators
-//!   — and the reuse cache prep owns — see batches in frame order and
-//!   results stay byte-identical to [`ExecMode::Sequential`].
-//! - The **last stage** runs on the calling thread and feeds the sink.
+//! - A **fan-out lane** (detect, enrich; decode leads the first lane) runs
+//!   on `workers` threads sharing one receiver: its operators are
+//!   deterministic per frame, so batches process in any order.
+//! - An **ordered lane** (frame filters, prep, tail) runs on one thread
+//!   behind a `Reorder`, so its stateful operators — and the reuse cache
+//!   prep owns — see batches in frame order and results stay
+//!   byte-identical to [`ExecMode::Sequential`].
+//! - The **last lane** is ordered and runs on the calling thread, feeding
+//!   the sink; if the last busy stage fans out, a stageless lane delivers.
+//!
+//! The serving mix (no frame filter) runs `[decode+detect ×W] → [prep] →
+//! [enrich ×W] → [tail]`: `2·workers + 1` threads, `3·workers + 2` with
+//! every stage busy.
 //!
 //! Slots recycle through a return channel, so the steady state allocates no
 //! new frame workspaces. Every hand-off is a blocking send or receive and
 //! no thread is ever told to stop. **Drain rule:** decode exits when it
-//! has no batch left to claim and drops its senders; each stage exits when
+//! has no batch left to claim and drops its senders; each lane exits when
 //! its input disconnects and drops its own, so the segment winds down
 //! front to back. **First-failed rule:** an error or contained panic in
 //! batch *b*, anywhere, records *b* when no lower batch has failed.
 //! Decode stops claiming at the first failed batch, every stage runs its
 //! chain only on batches before it but forwards every batch, and the
-//! ordered last stage delivers only batches before it — exactly the frames
+//! ordered last lane delivers only batches before it — exactly the frames
 //! the sequential scheduler delivers before the same error.
 //!
 //! All cross-frame operator state lives in the caller-owned chains, so a
@@ -41,14 +44,16 @@
 use crate::backend::exec::{ExecMetrics, ResultSink};
 use crate::backend::ops::{FrameSlot, Operator};
 use crate::backend::reuse::ReuseCache;
-use crate::backend::stage::{decode_batch, deliver, run_stage, StageCtx, StageKind, StageOps};
+use crate::backend::stage::{
+    decode_batch, deliver, run_stage, Chain, StageCtx, StageKind, StageOps,
+};
 use crate::error::{panic_message, Result, VqpyError};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver};
+use std::sync::mpsc::{channel, sync_channel};
 
 /// A batch of slots tagged with its sequence number.
 type Batch = (u64, Vec<FrameSlot>);
@@ -70,7 +75,7 @@ impl Failure {
     }
 
     /// Whether batch `seq` precedes every failed batch. A batch reaches a
-    /// stage through a channel, which orders any upstream record of its
+    /// lane through a channel, which orders any upstream record of its
     /// failure before this load.
     fn runs(&self, seq: u64) -> bool {
         seq < self.first_failed.load(Ordering::Relaxed)
@@ -120,26 +125,58 @@ impl Reorder {
     }
 }
 
-/// One worker of stage `kind`: pulls batches from `rx` — through a
-/// [`Reorder`] when the stage is ordered — until the input disconnects,
-/// runs `chain` over each batch that precedes the first failure, and hands
-/// every batch to `emit`.
-fn stage_worker(
-    kind: StageKind,
-    chain: &mut [Box<dyn Operator>],
+/// A run of adjacent stages (positions in [`StageKind::ALL`]; the first lane
+/// decodes first) on one thread in frame order, or on `workers` in any.
+struct Lane {
+    stages: Range<usize>,
+    ordered: bool,
+}
+
+/// Cuts the stage table into lanes: a busy stage opens a lane when its
+/// kind differs from the current lane's; an empty one joins the current.
+fn lanes(chains: &[Vec<Chain>; StageKind::ALL.len()]) -> Vec<Lane> {
+    // Decode is unordered, so the first lane fans out.
+    let mut lanes = vec![Lane {
+        stages: 0..0,
+        ordered: false,
+    }];
+    for (k, kind) in StageKind::ALL.into_iter().enumerate() {
+        let lane = lanes.last_mut().expect("the decode lane");
+        if kind.ordered() != lane.ordered && chains[k].iter().any(|c| !c.is_empty()) {
+            lanes.push(Lane {
+                stages: k..k + 1,
+                ordered: kind.ordered(),
+            });
+        } else {
+            lane.stages.end = k + 1;
+        }
+    }
+    if lanes.last().is_some_and(|lane| !lane.ordered) {
+        let end = StageKind::ALL.len();
+        lanes.push(Lane {
+            stages: end..end,
+            ordered: true,
+        });
+    }
+    lanes
+}
+
+/// One lane thread's stages, each with the chain it runs.
+type LaneChains<'a> = Vec<(StageKind, &'a mut [Box<dyn Operator>])>;
+
+/// One thread of a lane: runs every stage of the lane over each batch from
+/// `next` (reordered if `ordered`) before the first failure, then `emit`s it.
+fn lane_worker(
+    mut stages: LaneChains<'_>,
     mut reuse: Option<&mut ReuseCache>,
-    rx: &Mutex<Receiver<Batch>>,
+    ordered: bool,
+    mut next: impl FnMut() -> Option<Batch>,
     mut emit: impl FnMut(Batch),
     cx: &StageCtx<'_>,
     failure: &Failure,
 ) {
-    let mut reorder = kind.ordered().then(Reorder::default);
-    loop {
-        // The guard drops with this statement: fan-out workers share the
-        // receiver, not the work.
-        let Ok(batch) = rx.lock().recv() else {
-            return;
-        };
+    let mut reorder = ordered.then(Reorder::default);
+    while let Some(batch) = next() {
         let mut ready = match &mut reorder {
             Some(r) => {
                 r.push(batch);
@@ -148,9 +185,12 @@ fn stage_worker(
             None => Some(batch),
         };
         while let Some((seq, mut slots)) = ready {
-            failure.attempt(seq, kind.name(), || {
-                run_stage(kind, chain, seq, &mut slots, reuse.as_deref_mut(), cx)
-            });
+            for (kind, chain) in &mut stages {
+                let reuse = reuse.as_deref_mut().filter(|_| kind.owns_reuse());
+                failure.attempt(seq, kind.name(), || {
+                    run_stage(*kind, chain, seq, &mut slots, reuse, cx)
+                });
+            }
             emit((seq, slots));
             ready = reorder.as_mut().and_then(Reorder::pop_ready);
         }
@@ -161,11 +201,11 @@ fn stage_worker(
 /// [`crate::backend::exec::run_segment`] for [`Pipelined`] mode; operator
 /// state, the reuse cache, and metrics persist in the caller across calls.
 ///
-/// The fan-out width is the number of detect chains (fixed at
-/// instantiation): `3·workers + 2` threads are spawned per segment. They
-/// exit only when their input runs dry, failure or not (see the module
-/// docs): a failed segment returns the error of its lowest failing batch,
-/// having delivered every batch before it and none after — what
+/// Lanes are derived once per segment; each but the last spawns `W`
+/// threads (the number of detect chains) if it fans out, one if ordered.
+/// Threads exit only when their input runs dry, failure or not (see the
+/// module docs): a failed segment returns the error of its lowest failing
+/// batch, having delivered every batch before it and none after — what
 /// [`Sequential`] delivers.
 ///
 /// [`Pipelined`]: crate::backend::exec::ExecMode::Pipelined
@@ -181,13 +221,27 @@ pub(crate) fn run_pipelined(
     let workers = ops.chains[StageKind::Detect.index()].len();
     let batch = cx.env.config.batch_size.max(1) as u64;
     let num_batches = (range.end - range.start).div_ceil(batch);
+    let lanes = lanes(&ops.chains);
 
-    // Channel `k` feeds `StageKind::ALL[k]`; decode feeds channel 0. Every
-    // receiver outlives the scope, so no send below can fail.
+    let mut stage_chains = ops.chains.iter_mut();
+    let threads = lanes.iter().map(|lane| {
+        let width = if lane.ordered { 1 } else { workers };
+        let mut lane_threads: Vec<LaneChains<'_>> = (0..width).map(|_| Vec::new()).collect();
+        for (k, chains) in lane.stages.clone().zip(stage_chains.by_ref()) {
+            let mut chains = chains.iter_mut();
+            for stages in &mut lane_threads {
+                let chain = chains.next().map(Vec::as_mut_slice).unwrap_or_default();
+                stages.push((StageKind::ALL[k], chain));
+            }
+        }
+        lane_threads
+    });
+
+    // Channel `i` feeds lane `i + 1`. Every receiver outlives the scope, so
+    // no send below can fail.
     let depth = workers * 2 + 2;
-    let (txs, rxs): (Vec<_>, Vec<_>) = StageKind::ALL
+    let (txs, rxs): (Vec<_>, Vec<_>) = (1..lanes.len())
         .map(|_| sync_channel::<Batch>(depth))
-        .into_iter()
         .map(|(tx, rx)| (tx, Mutex::new(rx)))
         .unzip();
     let (recycle_tx, recycle_rx) = channel::<Vec<FrameSlot>>();
@@ -196,57 +250,55 @@ pub(crate) fn run_pipelined(
     let next_batch = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
-        let (failure, next_batch, recycle_rx) = (&failure, &next_batch, &recycle_rx);
-        let mut txs = txs.into_iter();
-        let mut reuse = Some(reuse);
-
-        // ---- decode workers (parallel, unordered) ------------------------
-        let decoded_tx = txs.next().expect("one channel per stage");
-        for _ in 0..workers {
-            let decoded_tx = decoded_tx.clone();
-            let range = range.clone();
-            scope.spawn(move || loop {
-                let b = next_batch.fetch_add(1, Ordering::Relaxed);
-                if b >= num_batches || !failure.runs(b) {
-                    break;
-                }
-                let lo = range.start + b * batch;
-                let mut slots = recycle_rx.lock().try_recv().unwrap_or_default();
-                failure.attempt(b, StageKind::DECODE, || {
-                    decode_batch(cx, lo..(lo + batch).min(range.end), &mut slots);
-                    Ok(())
-                });
-                let _ = decoded_tx.send((b, slots));
+        let (failure, next_batch, recycle_rx, range) = (&failure, &next_batch, &recycle_rx, &range);
+        // The first lane's input: claim the next batch and decode it.
+        let decode = move || {
+            let b = next_batch.fetch_add(1, Ordering::Relaxed);
+            if b >= num_batches || !failure.runs(b) {
+                return None;
+            }
+            let lo = range.start + b * batch;
+            let mut slots = recycle_rx.lock().try_recv().unwrap_or_default();
+            failure.attempt(b, StageKind::DECODE, || {
+                decode_batch(cx, lo..(lo + batch).min(range.end), &mut slots);
+                Ok(())
             });
-        }
-        drop(decoded_tx);
-
-        // ---- one worker per chain of every stage -------------------------
-        for ((kind, stage_chains), rx) in StageKind::ALL.into_iter().zip(&mut ops.chains).zip(&rxs)
-        {
-            // The stream's real cache goes to the one stage that owns it.
-            let mut reuse = reuse.take_if(|_| kind.owns_reuse());
+            Some((b, slots))
+        };
+        let mut txs = txs.into_iter();
+        let inputs = std::iter::once(None).chain(rxs.iter().map(Some));
+        let mut reuse = Some(reuse);
+        for ((lane, lane_threads), rx) in lanes.iter().zip(threads).zip(inputs) {
+            // The stream's real cache goes to the lane that holds prep.
+            let mut reuse = reuse.take_if(|_| lane.stages.contains(&StageKind::Prep.index()));
+            // The guard drops on return: fan-out threads share the receiver,
+            // not the work.
+            let next = move || match rx {
+                Some(rx) => rx.lock().recv().ok(),
+                None => decode(),
+            };
             let Some(tx) = txs.next() else {
-                // The last stage runs here, on the caller's thread, feeding
-                // the sink. It is ordered, so every lower batch has already
-                // passed every stage: a batch it delivers cannot be
-                // overtaken by an earlier failure.
+                // The last lane runs here, feeding the sink. It is ordered,
+                // so a batch it delivers cannot be overtaken by an earlier
+                // failure: every lower batch has passed every stage.
                 let emit = |(seq, slots): Batch| {
-                    failure.attempt(seq, kind.name(), || {
+                    failure.attempt(seq, StageKind::Tail.name(), || {
                         deliver(cx.env.plan, &slots, metrics, sink)
                     });
                     let _ = recycle_tx.send(slots);
                 };
-                stage_worker(kind, &mut stage_chains[0], reuse, rx, emit, cx, failure);
+                let stages = lane_threads.into_iter().next().expect("one thread");
+                lane_worker(stages, reuse, true, next, emit, cx, failure);
                 break;
             };
-            for chain in stage_chains {
+            for stages in lane_threads {
                 let tx = tx.clone();
                 let reuse = reuse.take();
                 let emit = move |batch| {
                     let _ = tx.send(batch);
                 };
-                scope.spawn(move || stage_worker(kind, chain, reuse, rx, emit, cx, failure));
+                let ordered = lane.ordered;
+                scope.spawn(move || lane_worker(stages, reuse, ordered, next, emit, cx, failure));
             }
         }
     });
@@ -262,7 +314,7 @@ mod tests {
     use super::*;
     use crate::backend::exec::{execute_plan, run_segment, ExecConfig, ExecMode};
     use crate::backend::ops::ExecCtx;
-    use crate::backend::plan::{build_plan, PlanDag, PlanOptions};
+    use crate::backend::plan::{build_plan, OpSpec, PlanDag, PlanOptions};
     use crate::backend::stage::{instantiate_stage_ops, ExecEnv};
     use crate::frontend::library;
     use crate::frontend::predicate::Pred;
@@ -281,6 +333,155 @@ mod tests {
             .frame_output(&[("car", "track_id")])
             .build()
             .unwrap()
+    }
+
+    /// The serving mix's shape: no frame filter; detect, prep (score
+    /// filter, tracker), enrich (the non-memoised colour) and tail busy.
+    fn serving_shaped_plan(zoo: &ModelZoo, diff_filter: Option<f32>) -> PlanDag {
+        let q = Query::builder("RedCar")
+            .vobj("car", library::vehicle_schema())
+            .frame_constraint(Pred::gt("car", "score", 0.5) & Pred::eq("car", "color", "red"))
+            .frame_output(&[("car", "track_id")])
+            .build()
+            .unwrap();
+        let opts = PlanOptions {
+            diff_filter,
+            ..PlanOptions::vqpy_default()
+        };
+        build_plan(&[q], zoo, &opts).unwrap()
+    }
+
+    /// A frame-difference filter, then tracked cars: enrich is empty.
+    fn diff_filter_plan(zoo: &ModelZoo) -> PlanDag {
+        let cars = Query::builder("TrackedCars")
+            .vobj("car", library::vehicle_schema())
+            .frame_output(&[("car", "track_id")])
+            .build()
+            .unwrap();
+        let opts = PlanOptions {
+            diff_filter: Some(1.0),
+            ..PlanOptions::vqpy_default()
+        };
+        build_plan(&[cars], zoo, &opts).unwrap()
+    }
+
+    /// Detection and nothing after it: no tracker, no enrich, and the join
+    /// dropped, so the tail is empty too.
+    fn detect_only_plan(zoo: &ModelZoo) -> PlanDag {
+        let cars = Query::builder("Cars")
+            .vobj("car", library::vehicle_schema())
+            .build()
+            .unwrap();
+        let mut plan = build_plan(&[cars], zoo, &PlanOptions::vqpy_default()).unwrap();
+        plan.ops.retain(|op| !matches!(op, OpSpec::Join { .. }));
+        plan
+    }
+
+    /// A query over no objects: a join and nothing else.
+    fn detectorless_plan(zoo: &ModelZoo) -> PlanDag {
+        let frames = Query::builder("Frames").build().unwrap();
+        build_plan(&[frames], zoo, &PlanOptions::vqpy_default()).unwrap()
+    }
+
+    /// Lanes as `stage+stage`, decode included in the first, `×W` on a
+    /// fan-out lane and `deliver` for a lane with no stages.
+    fn describe(lanes: &[Lane]) -> Vec<String> {
+        let describe = |(i, lane): (usize, &Lane)| {
+            let decode = (i == 0).then_some(StageKind::DECODE);
+            let stages = StageKind::ALL[lane.stages.clone()].iter();
+            let names: Vec<&str> = decode.into_iter().chain(stages.map(|k| k.name())).collect();
+            let names = if names.is_empty() {
+                "deliver".to_owned()
+            } else {
+                names.join("+")
+            };
+            if lane.ordered {
+                names
+            } else {
+                format!("{names} ×W")
+            }
+        };
+        lanes.iter().enumerate().map(describe).collect()
+    }
+
+    #[test]
+    fn lanes_follow_which_stages_have_work() {
+        let zoo = ModelZoo::standard();
+        type Case = (
+            PlanDag,
+            [bool; 5],
+            &'static [&'static str],
+            fn(usize) -> usize,
+        );
+        let cases: [Case; 5] = [
+            (
+                serving_shaped_plan(&zoo, None),
+                [false, true, true, true, true],
+                &[
+                    "decode+frame_filters+detect ×W",
+                    "track",
+                    "enrich ×W",
+                    "tail",
+                ],
+                |w| 2 * w + 1,
+            ),
+            (
+                serving_shaped_plan(&zoo, Some(1.0)),
+                [true; 5],
+                &[
+                    "decode ×W",
+                    "frame_filters",
+                    "detect ×W",
+                    "track",
+                    "enrich ×W",
+                    "tail",
+                ],
+                |w| 3 * w + 2,
+            ),
+            (
+                diff_filter_plan(&zoo),
+                [true, true, true, false, true],
+                &[
+                    "decode ×W",
+                    "frame_filters",
+                    "detect ×W",
+                    "track+enrich+tail",
+                ],
+                |w| 2 * w + 1,
+            ),
+            (
+                detect_only_plan(&zoo),
+                [false, true, false, false, false],
+                &[
+                    "decode+frame_filters+detect+track+enrich+tail ×W",
+                    "deliver",
+                ],
+                |w| w,
+            ),
+            (
+                detectorless_plan(&zoo),
+                [false, false, false, false, true],
+                &["decode+frame_filters+detect+track+enrich ×W", "tail"],
+                |w| w,
+            ),
+        ];
+        for (plan, busy, want, spawned) in cases {
+            let shape = plan.stage_specs().map(|specs| !specs.is_empty());
+            assert_eq!(shape, busy, "{}", plan.describe());
+            for workers in [1, 2, 4] {
+                let mut symbols = plan.symbols.clone();
+                let ops = instantiate_stage_ops(&plan, &zoo, workers, &mut symbols).unwrap();
+                let lanes = lanes(&ops.chains);
+                assert_eq!(describe(&lanes), want, "{workers} workers");
+                // The last lane runs on the caller's thread; every other
+                // lane spawns its width.
+                let (last, spawning) = lanes.split_last().unwrap();
+                assert!(last.ordered);
+                let width = |lane: &Lane| if lane.ordered { 1 } else { workers };
+                let threads: usize = spawning.iter().map(width).sum();
+                assert_eq!(threads, spawned(workers), "{want:?}, {workers} workers");
+            }
+        }
     }
 
     #[test]
@@ -624,7 +825,7 @@ mod tests {
     #[test]
     fn pipelined_surfaces_errors() {
         let zoo = ModelZoo::standard();
-        let plan = build_plan(&[red_car_query()], &zoo, &PlanOptions::vqpy_default()).unwrap();
+        let red_car = build_plan(&[red_car_query()], &zoo, &PlanOptions::vqpy_default()).unwrap();
         // 24 batches of 2 frames: more than the deepest channel holds
         // (2·4 + 2 at four workers), so sends really block.
         let v = SyntheticVideo::new(Scene::generate(presets::jackson(), 7, 3.2));
@@ -639,18 +840,24 @@ mod tests {
         // A plan referencing a model that exists at plan time but not at
         // execution time (different zoo) must error cleanly, not hang.
         let pipelined = config(ExecMode::Pipelined { workers: 2 });
-        assert!(execute_plan(&plan, &v, &ModelZoo::new(), &clock, &pipelined).is_err());
+        assert!(execute_plan(&red_car, &v, &ModelZoo::new(), &clock, &pipelined).is_err());
 
         // Decode, every stage and the sink, failing or panicking on the
         // first, a middle or the last frame: the pipelined segment returns
         // the sequential scheduler's error (a panic as `StagePanic` under
         // the site's label) after delivering exactly the frames it
         // delivers, every thread winds down, and the same operators then
-        // run a clean segment to the end.
+        // run a clean segment to the end. Three plans, so that empty
+        // stages ride in other lanes and, in the last, a delivery-only
+        // lane closes the segment.
+        let plans = [red_car, diff_filter_plan(&zoo), detect_only_plan(&zoo)];
         let sites = [Site::Decode, Site::Sink]
             .into_iter()
             .chain(StageKind::ALL.map(Site::Stage));
-        for site in sites {
+        for (plan, site) in plans
+            .iter()
+            .flat_map(|p| sites.clone().map(move |s| (p, s)))
+        {
             for (panics, at) in [false, true]
                 .into_iter()
                 .flat_map(|p| [(p, 0), (p, 23), (p, 47)])
@@ -660,7 +867,7 @@ mod tests {
                 let sabotaged = |exec_mode: ExecMode| {
                     let mut symbols = plan.symbols.clone();
                     let mut ops =
-                        instantiate_stage_ops(&plan, &zoo, exec_mode.workers(), &mut symbols)
+                        instantiate_stage_ops(plan, &zoo, exec_mode.workers(), &mut symbols)
                             .unwrap();
                     if let Site::Stage(kind) = site {
                         for chain in &mut ops.chains[kind.index()] {
@@ -669,7 +876,7 @@ mod tests {
                     }
                     let config = config(exec_mode);
                     let env = ExecEnv {
-                        plan: &plan,
+                        plan,
                         source: &source,
                         zoo: &zoo,
                         clock: &clock,
@@ -677,6 +884,7 @@ mod tests {
                     };
                     (segment(env, &mut ops, Some(sabotage)), ops)
                 };
+                let label = plan.describe().replace('\n', ", ");
                 let (expected, _) = sabotaged(ExecMode::Sequential);
                 let skipped = matches!(site, Site::Decode) && !panics;
                 assert_eq!(
@@ -690,10 +898,11 @@ mod tests {
                 );
 
                 for workers in [1, 2, 4] {
-                    watchdog(&format!("{sabotage:?} with {workers} workers"), || {
+                    let case = format!("{sabotage:?} with {workers} workers on [{label}]");
+                    watchdog(&case, || {
                         let exec_mode = ExecMode::Pipelined { workers };
                         let (outcome, mut ops) = sabotaged(exec_mode);
-                        assert_eq!(outcome, expected, "{sabotage:?}, {workers} workers");
+                        assert_eq!(outcome, expected, "{case}");
                         if let Site::Stage(kind) = site {
                             for chain in &mut ops.chains[kind.index()] {
                                 chain.pop();
@@ -701,14 +910,14 @@ mod tests {
                         }
                         let config = config(exec_mode);
                         let env = ExecEnv {
-                            plan: &plan,
+                            plan,
                             source: &v,
                             zoo: &zoo,
                             clock: &clock,
                             config: &config,
                         };
                         let clean = segment(env, &mut ops, None);
-                        assert_eq!(clean, (Ended::Clean, (0..n).collect()), "{sabotage:?}");
+                        assert_eq!(clean, (Ended::Clean, (0..n).collect()), "{case}");
                     });
                 }
             }

@@ -238,7 +238,7 @@ impl<'a> StageCtx<'a> {
 /// Decodes `frames` into `slots`, reusing the workspaces already there and
 /// leaving exactly the decodable frames, in order. An undecodable frame is
 /// skipped with a counter: decode faults are per-frame events, not
-/// stream-fatal.
+/// stream-fatal. The batch's decode charges sleep once (a host section).
 pub(crate) fn decode_batch(cx: &StageCtx<'_>, frames: Range<u64>, slots: &mut Vec<FrameSlot>) {
     let started = Instant::now();
     let mut span = cx
@@ -247,22 +247,24 @@ pub(crate) fn decode_batch(cx: &StageCtx<'_>, frames: Range<u64>, slots: &mut Ve
         .arg("start", frames.start)
         .arg("end", frames.end);
     let mut n = 0usize;
-    for f in frames {
-        cx.env
-            .clock
-            .charge_labeled("video_decode", vqpy_models::zoo::COST_VIDEO_DECODE);
-        let Ok(frame) = cx.env.source.try_frame(f) else {
-            cx.decode_failures.fetch_add(1, Ordering::Relaxed);
-            continue;
-        };
-        if n < slots.len() {
-            slots[n].reset(frame);
-        } else {
-            slots.push(FrameSlot::new(frame));
+    cx.env.clock.host_section(|| {
+        for f in frames {
+            cx.env
+                .clock
+                .charge_labeled("video_decode", vqpy_models::zoo::COST_VIDEO_DECODE);
+            let Ok(frame) = cx.env.source.try_frame(f) else {
+                cx.decode_failures.fetch_add(1, Ordering::Relaxed);
+                continue;
+            };
+            if n < slots.len() {
+                slots[n].reset(frame);
+            } else {
+                slots.push(FrameSlot::new(frame));
+            }
+            slots[n].prepare_joins(cx.env.plan.joins.len());
+            n += 1;
         }
-        slots[n].prepare_joins(cx.env.plan.joins.len());
-        n += 1;
-    }
+    });
     slots.truncate(n);
     span.add_arg("decoded", n);
     cx.busy_ns[0].fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -271,7 +273,8 @@ pub(crate) fn decode_batch(cx: &StageCtx<'_>, frames: Range<u64>, slots: &mut Ve
 /// Runs one stage's operator chain over one batch: the only place a stage
 /// span is opened, a stage bucket timed, an [`ExecCtx`] built and
 /// [`Operator::process_batch`] called. `reuse` is the stream's cache when
-/// `kind` owns it and `None` otherwise.
+/// `kind` owns it and `None` otherwise. The chain runs in one
+/// [`Clock::host_section`], so its native charges sleep once.
 pub(crate) fn run_stage(
     kind: StageKind,
     chain: &mut [Box<dyn Operator>],
@@ -294,9 +297,11 @@ pub(crate) fn run_stage(
         dispatch: &*cx.dispatch,
         tracer: &cx.tracer,
     };
-    let result = chain
-        .iter_mut()
-        .try_for_each(|op| op.process_batch(slots, &mut ctx));
+    let result = cx.env.clock.host_section(|| {
+        chain
+            .iter_mut()
+            .try_for_each(|op| op.process_batch(slots, &mut ctx))
+    });
     if kind == StageKind::FrameFilter && result.is_ok() {
         // Frames alive past the frame filters count as processed.
         let alive = slots.iter().filter(|s| s.alive).count() as u64;
@@ -321,11 +326,19 @@ pub(crate) fn deliver(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::dispatch::{RetryDispatch, RetryPolicy};
     use crate::backend::ops::DiffFrameFilter;
     use crate::backend::plan::{build_plan, PlanOptions};
     use crate::frontend::library;
     use crate::frontend::query::Query;
-    use vqpy_video::frame::PixelBuffer;
+    use std::time::Duration;
+    use vqpy_models::{
+        ClockMode, Detection, Detector, FaultInjector, FaultPlan, ModelFault, ModelProfile,
+    };
+    use vqpy_video::frame::{Frame, PixelBuffer};
+    use vqpy_video::presets;
+    use vqpy_video::scene::Scene;
+    use vqpy_video::source::SyntheticVideo;
 
     #[test]
     fn states_round_trip_through_every_ordered_stage() {
@@ -364,5 +377,79 @@ mod tests {
         assert_eq!(kept(&ops.export_states()), [None, None, None]);
         ops.import_states(&mut states);
         assert_eq!(kept(&ops.export_states()), planted);
+    }
+
+    /// Stamps the start of every batched call, then defers to `inner`.
+    struct Stamped {
+        inner: Arc<dyn Detector>,
+        calls: Arc<std::sync::Mutex<Vec<Instant>>>,
+    }
+
+    impl Detector for Stamped {
+        fn profile(&self) -> &ModelProfile {
+            self.inner.profile()
+        }
+
+        fn detect(&self, frame: &Frame, clock: &Clock) -> Vec<Detection> {
+            self.inner.detect(frame, clock)
+        }
+
+        fn try_detect_batch(
+            &self,
+            frames: &[&Frame],
+            clock: &Clock,
+        ) -> std::result::Result<Vec<Vec<Detection>>, ModelFault> {
+            self.calls.lock().unwrap().push(Instant::now());
+            self.inner.try_detect_batch(frames, clock)
+        }
+    }
+
+    /// A retry backoff is a wait, not host work: inside `run_stage`'s host
+    /// section on a sleeping clock, the retry still starts after it.
+    #[test]
+    fn a_retry_inside_a_stage_follows_its_backoff() {
+        let zoo = ModelZoo::standard();
+        let injector = FaultInjector::new(FaultPlan::every_nth(1, 1).heal_after(1));
+        let calls = Arc::new(std::sync::Mutex::new(Vec::new()));
+        zoo.register_detector(Arc::new(Stamped {
+            inner: injector.wrap_detector(zoo.detector("yolox").unwrap()),
+            calls: Arc::clone(&calls),
+        }));
+        let cars = Query::builder("Cars")
+            .vobj("car", library::vehicle_schema())
+            .build()
+            .unwrap();
+        let plan = build_plan(&[cars], &zoo, &PlanOptions::vqpy_default()).unwrap();
+        let mut ops = instantiate_stage_ops(&plan, &zoo, 1, &mut plan.symbols.clone()).unwrap();
+        let policy = RetryPolicy {
+            max_retries: 1,
+            backoff_base_ms: 5.0,
+            stage_timeout_ms: None,
+        };
+        ops.dispatch = Arc::new(RetryDispatch::new(Arc::new(DirectDispatch), policy));
+        let video = SyntheticVideo::new(Scene::generate(presets::jackson(), 7, 1.0));
+        let clock = Clock::with_mode(ClockMode::Latency);
+        let config = ExecConfig::default();
+        let env = ExecEnv {
+            plan: &plan,
+            source: &video,
+            zoo: &zoo,
+            clock: &clock,
+            config: &config,
+        };
+        let cx = StageCtx::new(env, &ops);
+        let mut slots = Vec::new();
+        decode_batch(&cx, 0..2, &mut slots);
+        let chain = &mut ops.chains[StageKind::Detect.index()][0];
+        run_stage(StageKind::Detect, chain, 0, &mut slots, None, &cx).unwrap();
+
+        assert_eq!(injector.injected_faults(), 1);
+        let calls = calls.lock().unwrap();
+        assert_eq!(calls.len(), 2, "one failed call, one retry");
+        let gap = calls[1] - calls[0];
+        assert!(
+            gap >= Duration::from_millis(5),
+            "retried {gap:?} after the failure"
+        );
     }
 }

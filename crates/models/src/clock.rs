@@ -11,7 +11,7 @@
 //! T4 testbed. Charges are also recorded per label, which gives every
 //! harness per-model invocation counts for free.
 //!
-//! Two refinements make [`ClockMode::Latency`] a faithful accelerator
+//! Three refinements make [`ClockMode::Latency`] a faithful accelerator
 //! model for a serving run:
 //!
 //! - **Batch sections** ([`Clock::batch_section`]): a physical batched
@@ -23,11 +23,16 @@
 //!   modelling N streams sharing one GPU node. Native CPU work (decode,
 //!   trackers, frame differencing) keeps using [`Clock::charge_labeled`]
 //!   and never touches the device.
+//! - **Host sections** ([`Clock::host_section`]): a stage's native charges
+//!   sleep once, as their sum, when the section closes — one wake-up, not
+//!   one per charge. *Waits are not work*: a retry must start after its
+//!   backoff, so waits ([`Clock::wait_labeled`]) sleep where charged.
 
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::thread::LocalKey;
 
 /// Cost in virtual milliseconds.
 pub type CostUnits = f64;
@@ -105,11 +110,24 @@ pub struct DeviceStat {
     pub queued: usize,
 }
 
+/// A thread's open sections of one kind: deferred nanoseconds per section.
+type Sections = LocalKey<RefCell<Vec<f64>>>;
+
 thread_local! {
-    /// Stack of open batch sections on this thread: deferred latency
-    /// nanoseconds per section (credits may drive an entry negative; it is
-    /// clamped at realization).
+    /// Open batch sections on this thread (credits may drive an entry
+    /// negative; it is clamped at realization).
     static BATCH_SECTIONS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    static HOST_SECTIONS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Adds `nanos` to this thread's innermost open section; false if none.
+fn defer(sections: &'static Sections, nanos: f64) -> bool {
+    sections.with(|s| s.borrow_mut().last_mut().map(|acc| *acc += nanos).is_some())
+}
+
+/// Blocks the calling thread for `units` cost units (milliseconds).
+fn sleep_units(units: CostUnits) {
+    std::thread::sleep(std::time::Duration::from_secs_f64(units.max(0.0) / 1e3));
 }
 
 /// A shareable virtual clock. Cheap to clone behind an `Arc`; all methods
@@ -184,23 +202,34 @@ impl Clock {
         let nanos = (units * 1e6) as u64;
         self.virtual_nanos.fetch_add(nanos, Ordering::Relaxed);
         if !label.is_empty() {
+            // Looked up by `&str`: the label is owned only on first sight.
             let mut map = self.labeled.lock();
-            let e = map.entry(label.to_owned()).or_default();
+            let e = match map.get_mut(label) {
+                Some(e) => e,
+                None => map.entry(label.to_owned()).or_default(),
+            };
             e.invocations += 1;
             e.units += units;
         }
     }
 
     /// Charges `units` under `label` (native host work: decode, trackers,
-    /// frame differencing). Realized on the calling thread; never touches
+    /// frame differencing). Realized on the calling thread — deferred to
+    /// the close of an open [`Clock::host_section`] — and never touches
     /// the device lock.
     pub fn charge_labeled(&self, label: &str, units: CostUnits) {
         self.record(label, units);
-        match self.mode {
-            ClockMode::Virtual => {}
-            ClockMode::Latency => {
-                std::thread::sleep(std::time::Duration::from_secs_f64(units.max(0.0) / 1e3));
-            }
+        if self.mode == ClockMode::Latency && !defer(&HOST_SECTIONS, units * 1e6) {
+            sleep_units(units);
+        }
+    }
+
+    /// Charges `units` of *waiting* (retry backoff, a latency spike) under
+    /// `label`: [`Clock::charge_labeled`], but never deferred.
+    pub fn wait_labeled(&self, label: &str, units: CostUnits) {
+        self.record(label, units);
+        if self.mode == ClockMode::Latency {
+            sleep_units(units);
         }
     }
 
@@ -215,17 +244,7 @@ impl Clock {
         match self.mode {
             ClockMode::Virtual => {}
             ClockMode::Latency => {
-                let deferred = BATCH_SECTIONS.with(|s| {
-                    let mut s = s.borrow_mut();
-                    match s.last_mut() {
-                        Some(acc) => {
-                            *acc += units * 1e6;
-                            true
-                        }
-                        None => false,
-                    }
-                });
-                if !deferred {
+                if !defer(&BATCH_SECTIONS, units * 1e6) {
                     self.sleep_on_device(units);
                 }
             }
@@ -240,35 +259,51 @@ impl Clock {
     /// the wall-clock realization does. Sections nest; each realizes its
     /// own net at its own close.
     pub fn batch_section<R>(&self, f: impl FnOnce() -> R) -> R {
+        self.section(&BATCH_SECTIONS, Clock::sleep_on_device, f)
+    }
+
+    /// [`Clock::batch_section`] for host work: [`Clock::charge_labeled`]
+    /// calls inside (on this thread) sleep once, as their sum, at the close.
+    pub fn host_section<R>(&self, f: impl FnOnce() -> R) -> R {
+        self.section(&HOST_SECTIONS, |_, units| sleep_units(units), f)
+    }
+
+    /// Runs `f` in a section of `sections`; `realize` settles it at the close.
+    fn section<R>(
+        &self,
+        sections: &'static Sections,
+        realize: fn(&Clock, CostUnits),
+        f: impl FnOnce() -> R,
+    ) -> R {
         if self.mode != ClockMode::Latency {
             return f();
         }
         // The section entry is popped by a drop guard so a panic in `f`
         // (e.g. an injected model fault caught further up by the serving
         // layer) cannot leak the entry into the thread-local stack of a
-        // reused worker thread. The net sleep is realized only on the
-        // non-panicking path: an aborted invocation's charges are
-        // bookkept but not slept.
-        struct Section<'a>(&'a Clock);
+        // reused worker thread. The sleep is realized only on the
+        // non-panicking path: an aborted section's charges are bookkept
+        // but not slept.
+        struct Section<'a>(&'a Clock, &'static Sections, fn(&Clock, CostUnits));
         impl Drop for Section<'_> {
             fn drop(&mut self) {
-                let nanos = BATCH_SECTIONS.with(|s| s.borrow_mut().pop().unwrap_or(0.0));
+                let nanos = self.1.with(|s| s.borrow_mut().pop().unwrap_or(0.0));
                 if nanos > 0.0 && !std::thread::panicking() {
-                    self.0.sleep_on_device(nanos / 1e6);
+                    (self.2)(self.0, nanos / 1e6);
                 }
             }
         }
-        BATCH_SECTIONS.with(|s| s.borrow_mut().push(0.0));
-        let _section = Section(self);
+        sections.with(|s| s.borrow_mut().push(0.0));
+        let _section = Section(self, sections, realize);
         f()
     }
 
     fn sleep_on_device(&self, units: CostUnits) {
-        let dur = std::time::Duration::from_secs_f64(units.max(0.0) / 1e3);
         if self.devices.is_empty() {
-            std::thread::sleep(dur);
+            sleep_units(units);
             return;
         }
+        let dur = std::time::Duration::from_secs_f64(units.max(0.0) / 1e3);
         let slot = &self.devices[self.pick_device()];
         slot.queued.fetch_add(1, Ordering::SeqCst);
         {
@@ -310,11 +345,7 @@ impl Clock {
                 Some(v.saturating_sub(nanos))
             });
         if self.mode == ClockMode::Latency {
-            BATCH_SECTIONS.with(|s| {
-                if let Some(acc) = s.borrow_mut().last_mut() {
-                    *acc -= units * 1e6;
-                }
-            });
+            defer(&BATCH_SECTIONS, -units * 1e6);
         }
     }
 
@@ -447,6 +478,142 @@ mod tests {
         });
         assert_eq!(out, 7);
         assert!((c.virtual_ms() - 3.0).abs() < 1e-9);
+    }
+
+    /// Every kind of charge, in a fixed order; `sectioned` puts the host
+    /// charges in a host section.
+    fn charge_everything(c: &Clock, sectioned: bool) {
+        let host = || {
+            for i in 0..7 {
+                c.charge_labeled("tracker", 0.013 * f64::from(i));
+                c.charge_labeled("native_prop", 0.007);
+            }
+            c.wait_labeled("retry_backoff", 0.011);
+            c.batch_section(|| {
+                c.charge_model("m", 0.017);
+                c.credit(0.003);
+            });
+        };
+        if sectioned {
+            c.host_section(host);
+        } else {
+            host();
+        }
+        c.charge_labeled("video_decode", 0.019);
+    }
+
+    #[test]
+    fn host_sections_leave_bookkeeping_bit_equal() {
+        for mode in [ClockMode::Virtual, ClockMode::Latency] {
+            let plain = Clock::with_mode(mode);
+            let sectioned = Clock::with_mode(mode);
+            charge_everything(&plain, false);
+            charge_everything(&sectioned, true);
+            assert_eq!(
+                plain.virtual_ms().to_bits(),
+                sectioned.virtual_ms().to_bits(),
+                "{mode:?}"
+            );
+            let bits = |c: &Clock| -> Vec<(String, u64, u64)> {
+                let mut stats: Vec<_> = c
+                    .labeled_stats()
+                    .into_iter()
+                    .map(|(label, s)| (label, s.invocations, s.units.to_bits()))
+                    .collect();
+                stats.sort();
+                stats
+            };
+            assert_eq!(bits(&plain), bits(&sectioned), "{mode:?}");
+            assert_eq!(bits(&plain).len(), 5);
+        }
+    }
+
+    #[test]
+    fn host_section_realizes_its_charges_as_one_sleep_at_close() {
+        const N: u32 = 5;
+        let c = Clock::with_mode(ClockMode::Latency);
+        let start = std::time::Instant::now();
+        let inside = c.host_section(|| {
+            for _ in 0..N {
+                c.charge_labeled("tracker", 2.0);
+            }
+            start.elapsed()
+        });
+        let wall = start.elapsed();
+        // Charged in place, the N sleeps would have passed inside.
+        assert!(
+            inside < std::time::Duration::from_millis(2 * u64::from(N)),
+            "{inside:?}"
+        );
+        assert!(
+            wall >= std::time::Duration::from_millis(2 * u64::from(N)),
+            "{wall:?}"
+        );
+        assert_eq!(c.stat("tracker").unwrap().invocations, u64::from(N));
+    }
+
+    #[test]
+    fn nested_host_sections_each_realize_their_own_sum() {
+        let c = Clock::with_mode(ClockMode::Latency);
+        let start = std::time::Instant::now();
+        let after_inner = c.host_section(|| {
+            c.charge_labeled("outer", 10.0);
+            c.host_section(|| c.charge_labeled("inner", 5.0));
+            start.elapsed()
+        });
+        let wall = start.elapsed();
+        // The inner section slept its 5 ms at its own close; the outer's
+        // 10 ms waited for the outer close.
+        assert!(
+            after_inner >= std::time::Duration::from_millis(5),
+            "{after_inner:?}"
+        );
+        assert!(
+            after_inner < std::time::Duration::from_millis(15),
+            "{after_inner:?}"
+        );
+        assert!(wall >= std::time::Duration::from_millis(15), "{wall:?}");
+    }
+
+    #[test]
+    fn host_section_survives_a_panic_without_leaking() {
+        let c = Clock::with_mode(ClockMode::Latency);
+        let start = std::time::Instant::now();
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.host_section(|| {
+                c.charge_labeled("tracker", 50.0);
+                panic!("injected");
+            })
+        }));
+        assert!(r.is_err());
+        // An aborted section's charges are bookkept but not slept...
+        assert!(start.elapsed() < std::time::Duration::from_millis(50));
+        assert!((c.virtual_ms() - 50.0).abs() < 1e-9);
+        // ...and its entry is gone: the next charge sleeps at once.
+        let start = std::time::Instant::now();
+        c.charge_labeled("tracker", 10.0);
+        let wall = start.elapsed();
+        assert!(wall >= std::time::Duration::from_millis(9), "{wall:?}");
+    }
+
+    #[test]
+    fn waits_sleep_where_they_are_charged_even_in_a_host_section() {
+        let c = Clock::with_mode(ClockMode::Latency);
+        let start = std::time::Instant::now();
+        let after_wait = c.host_section(|| {
+            c.charge_labeled("tracker", 20.0);
+            c.wait_labeled("retry_backoff", 5.0);
+            start.elapsed()
+        });
+        assert!(
+            after_wait >= std::time::Duration::from_millis(5),
+            "{after_wait:?}"
+        );
+        assert!(
+            after_wait < std::time::Duration::from_millis(20),
+            "{after_wait:?}"
+        );
+        assert!(start.elapsed() >= std::time::Duration::from_millis(25));
     }
 
     #[test]

@@ -211,7 +211,7 @@ impl FaultCore {
         match self.decide() {
             Decision::Fail(k) => Err(ModelFault::new(model, format!("injected fault #{k}"))),
             Decision::Spike(ms) => {
-                clock.charge_labeled(FAULT_SPIKE_LABEL, ms);
+                clock.wait_labeled(FAULT_SPIKE_LABEL, ms);
                 Ok(run())
             }
             Decision::Pass => Ok(run()),

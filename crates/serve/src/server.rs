@@ -1212,7 +1212,7 @@ impl StreamServer {
                     .arg("wait_ms", restart.backoff_ms);
                 self.session
                     .clock()
-                    .charge_labeled(RESTART_BACKOFF_LABEL, restart.backoff_ms);
+                    .wait_labeled(RESTART_BACKOFF_LABEL, restart.backoff_ms);
             }
             let frames_lost = match restart.resume {
                 ResumeMode::Retry => {
