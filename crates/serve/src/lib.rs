@@ -67,7 +67,6 @@ pub mod server;
 pub mod shard;
 pub mod subscription;
 pub mod supervisor;
-pub mod threaded;
 pub mod typed;
 
 pub use attach::{AttachMode, AttachSpec, Attached, Typed, Untyped};
@@ -91,9 +90,8 @@ pub use subscription::{
     ServeEvent, StoreFaultNotice, StreamFault, Subscription, SubscriptionClosed, SubscriptionId,
 };
 pub use supervisor::{
-    AttachError, LoadSnapshot, PaceMetrics, PaceMode, ServePolicy, StreamLoad, StreamSupervisor,
+    AttachError, LoadSnapshot, PaceMode, ServePolicy, StreamLoad, StreamSupervisor,
     SupervisorConfig,
 };
-pub use threaded::ThreadedSupervisor;
 pub use typed::{TypedServeEvent, TypedSubscription};
 pub use vqpy_obs::{Registry, Telemetry, Tracer, SHARD_LANE_BASE, STORE_LANE};

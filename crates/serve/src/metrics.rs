@@ -97,27 +97,6 @@ pub struct ShardLoad {
     pub steps: u64,
 }
 
-impl AggregateMetrics {
-    /// Fraction of delivery attempts that were dropped, in `[0, 1]`
-    /// (0 when nothing has been attempted). A sustained high value means
-    /// subscribers are not keeping up with the streams.
-    pub fn drop_rate(&self) -> f64 {
-        let attempts = self.delivered + self.dropped;
-        if attempts == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / attempts as f64
-        }
-    }
-
-    /// Delivery attempts so far (delivered plus dropped); admission
-    /// policies gate the drop-rate signal on this to avoid judging a
-    /// server by its first few events.
-    pub fn delivery_attempts(&self) -> u64 {
-        self.delivered + self.dropped
-    }
-}
-
 impl ServeMetrics {
     /// One-line summary for logs and bench reports.
     pub fn summary(&self) -> String {

@@ -327,8 +327,11 @@ pub enum ServeError {
         /// Automatic restarts consumed before giving up.
         restarts: u64,
     },
-    /// The OS refused to spawn a stream's worker thread.
+    /// The OS refused to spawn a supervisor's shard worker thread.
     WorkerSpawn(String),
+    /// The supervisor was shut down: no shard worker is left to drive a
+    /// new stream or replay.
+    Shutdown,
     /// A past-replay attach was requested but the server has no
     /// [`ServeConfig::store`] (or the stream's store directory failed to
     /// open), so there is no stored history to replay.
@@ -347,7 +350,8 @@ impl std::fmt::Display for ServeError {
                 f,
                 "stream worker panicked after {restarts} restarts: {message}"
             ),
-            ServeError::WorkerSpawn(e) => write!(f, "failed to spawn stream worker: {e}"),
+            ServeError::WorkerSpawn(e) => write!(f, "failed to spawn shard worker: {e}"),
+            ServeError::Shutdown => write!(f, "supervisor is shut down"),
             ServeError::StoreDisabled => {
                 write!(f, "no frame store configured (ServeConfig::store is None)")
             }
@@ -419,9 +423,11 @@ impl ActiveSub {
         }
     }
 
-    fn deliver(&mut self, event: ServeEvent, policy: Backpressure, ingest: Instant) {
+    /// Sends under `policy`: `Err(true)` when a full channel dropped the
+    /// event, `Err(false)` when the subscriber is gone (and stays so).
+    fn send(&mut self, event: ServeEvent, policy: Backpressure) -> Result<(), bool> {
         if !self.connected {
-            return;
+            return Err(false);
         }
         let outcome = match policy {
             Backpressure::Block => self.tx.send(event).map_err(|_| false),
@@ -430,7 +436,12 @@ impl ActiveSub {
                 TrySendError::Disconnected(_) => false,
             }),
         };
-        match outcome {
+        self.connected = outcome != Err(false);
+        outcome
+    }
+
+    fn deliver(&mut self, event: ServeEvent, policy: Backpressure, ingest: Instant) {
+        match self.send(event, policy) {
             Ok(()) => {
                 self.delivered += 1;
                 let latency_ms = ingest.elapsed().as_secs_f64() * 1e3;
@@ -438,7 +449,7 @@ impl ActiveSub {
                 self.shared_latency.observe(latency_ms);
             }
             Err(true) => self.dropped += 1,
-            Err(false) => self.connected = false,
+            Err(false) => {}
         }
     }
 
@@ -446,19 +457,7 @@ impl ActiveSub {
     /// delivery counters, so `delivered`/`dropped` keep meaning "result
     /// events" for equivalence accounting.
     fn notify(&mut self, event: ServeEvent, policy: Backpressure) {
-        if !self.connected {
-            return;
-        }
-        let outcome = match policy {
-            Backpressure::Block => self.tx.send(event).map_err(|_| false),
-            Backpressure::Drop => self.tx.try_send(event).map_err(|e| match e {
-                TrySendError::Full(_) => true,
-                TrySendError::Disconnected(_) => false,
-            }),
-        };
-        if let Err(false) = outcome {
-            self.connected = false;
-        }
+        let _ = self.send(event, policy);
     }
 
     fn metrics(&self) -> QueryServeMetrics {

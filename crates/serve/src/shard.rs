@@ -11,10 +11,10 @@
 //! a timer fires, how much backlog is shed — is a pure function of
 //! `(streams, pacing, seed)` and therefore replayable in tests.
 //!
-//! The pacing math is the contract inherited from the thread-per-stream
-//! supervisor and must not drift (the equivalence suite holds both
-//! implementations to it): with capture rate `fps` and `f` frames per
-//! step, step `k`'s frames have all arrived at `t = ((k+1)*f - 1)/fps`,
+//! The pacing math is the supervisor's contract and must not drift
+//! (`tests/timer_wheel.rs` holds the core to it in virtual time): with
+//! capture rate `fps` and `f` frames per step, step `k`'s frames have
+//! all arrived at `t = ((k+1)*f - 1)/fps`,
 //! so the number of fully-arrived steps at elapsed time `t` is
 //! `floor((t*fps + 1)/f)`. The backlog of due-but-unexecuted steps is
 //! bounded by the ingest queue; overflow is *shed* — counted, then
@@ -299,8 +299,7 @@ impl ShardCore {
 
     /// Pops the next runnable stream, round-robin, re-applying shed
     /// accounting at `now_us` first (time may have passed while the
-    /// stream waited behind its shard siblings — exactly where the old
-    /// per-stream worker re-evaluated before each step).
+    /// stream waited behind its shard siblings).
     pub fn pop_runnable(&mut self, now_us: u64) -> Option<StreamId> {
         while let Some(stream) = self.runnable.pop_front() {
             let Some(e) = self.entries.get_mut(&stream) else {

@@ -21,7 +21,7 @@
 //!   step's frames would have arrived, over a bounded backlog of
 //!   due-but-unexecuted steps (the ingest queue). If the engine falls
 //!   further behind than the bound, the overflow is *shed*: counted in
-//!   [`PaceMetrics::ticks_shed`], visible to admission control, and no
+//!   [`StreamLoad::ticks_shed`], visible to admission control, and no
 //!   frames are lost — sources are pull-based, the stream just lags its
 //!   schedule.
 //! - **Cross-stream model batching** — with
@@ -51,10 +51,9 @@
 //! in [`crate::shard`] and is clock-agnostic; the
 //! [`DeterministicScheduler`](crate::shard::DeterministicScheduler)
 //! harness replays it on a virtual clock with a seeded interleaving, so
-//! shard scheduling is testable without threads. The previous
-//! thread-per-stream implementation survives as
-//! [`ThreadedSupervisor`](crate::ThreadedSupervisor), the equivalence
-//! suite's oracle.
+//! shard scheduling is testable without threads. The sharded suite's
+//! oracle is each stream served alone on a bare [`StreamServer`]: served
+//! events are a function of the stream, never of its schedule.
 
 use crate::attach::{AttachMode, AttachSpec};
 use crate::batcher::{BatcherConfig, BatcherStats, FaultStats, ModelBatcher};
@@ -63,7 +62,7 @@ use crate::server::{ServeConfig, ServeError, ServeResult, StreamId, StreamOption
 use crate::shard::{ShardConfig, ShardCore};
 use crate::subscription::Subscription;
 use crate::ServeMetrics;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -274,19 +273,6 @@ pub struct StreamLoad {
     pub dropped: u64,
 }
 
-/// Pacing observability for one supervised stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PaceMetrics {
-    /// The stream's pace mode.
-    pub pace: PaceMode,
-    /// Due-but-unexecuted steps right now (0 for unpaced streams).
-    pub queue_depth: u64,
-    /// Steps shed because the backlog overflowed the ingest queue.
-    pub ticks_shed: u64,
-    /// Whether the stream reached end-of-video.
-    pub finished: bool,
-}
-
 /// Supervisor configuration. Execution itself still follows the owning
 /// session's `SessionConfig` (shared plans, batch size, sequential or
 /// pipelined engines); this adds the serving-layer knobs. The shard
@@ -316,7 +302,7 @@ pub struct SupervisorConfig {
 }
 
 impl SupervisorConfig {
-    pub(crate) fn ingest_bound(&self) -> u64 {
+    fn ingest_bound(&self) -> u64 {
         if self.ingest_queue == 0 {
             4
         } else {
@@ -327,9 +313,9 @@ impl SupervisorConfig {
 
 /// Builds a stream's model-dispatch boundary from the supervisor config:
 /// the shared batcher's dispatch when one is configured, wrapped in retry
-/// when a [`vqpy_core::RetryPolicy`] is set. Shared by the sharded and
-/// threaded supervisors so both route model traffic identically.
-pub(crate) fn build_stream_dispatch(
+/// when a [`vqpy_core::RetryPolicy`] is set. Called once per stream by
+/// [`StreamSupervisor::add_stream`].
+fn build_stream_dispatch(
     config: &SupervisorConfig,
     batcher: Option<&ModelBatcher>,
 ) -> Option<Arc<dyn ModelDispatch>> {
@@ -502,9 +488,12 @@ pub struct StreamSupervisor {
     streams: Mutex<HashMap<StreamId, StreamEntry>>,
     /// Shard workers, spawned lazily on the first `add_stream` so a
     /// supervisor that never serves costs no threads (and so spawn
-    /// failure surfaces as a typed [`AttachError`], like the
-    /// thread-per-stream supervisor's did).
+    /// failure surfaces as a typed [`AttachError`]).
     shards: Mutex<Vec<ShardHandle>>,
+    /// Set by `shutdown`: from then on nothing may be posted to a shard,
+    /// whose worker is gone. Read and written only under the `shards`
+    /// lock, which orders it.
+    shut_down: AtomicBool,
     next_shard: AtomicUsize,
 }
 
@@ -522,6 +511,7 @@ impl StreamSupervisor {
             config,
             streams: Mutex::new(HashMap::new()),
             shards: Mutex::new(Vec::new()),
+            shut_down: AtomicBool::new(false),
             next_shard: AtomicUsize::new(0),
         }
     }
@@ -538,11 +528,16 @@ impl StreamSupervisor {
         self.config.serve.shard_budget().max(1)
     }
 
-    /// Spawns the shard workers if they are not running yet.
-    fn ensure_shards(&self) -> Result<(), ServeError> {
+    /// The shard pool, spawned on first use. Callers post while holding
+    /// the guard, so no post lands after `shutdown`; after it, this is
+    /// [`ServeError::Shutdown`].
+    fn running_shards(&self) -> Result<MutexGuard<'_, Vec<ShardHandle>>, ServeError> {
         let mut shards = self.shards.lock();
+        if self.shut_down.load(Ordering::Relaxed) {
+            return Err(ServeError::Shutdown);
+        }
         if !shards.is_empty() {
-            return Ok(());
+            return Ok(shards);
         }
         let budget = self.shard_budget();
         let ingest_bound = self.config.ingest_bound();
@@ -560,7 +555,14 @@ impl StreamSupervisor {
                 handle: Some(handle),
             });
         }
-        Ok(())
+        Ok(shards)
+    }
+
+    /// Posts `cmd` to the next shard, round-robin; returns the shard.
+    fn post_round_robin(&self, shards: &[ShardHandle], cmd: ShardCmd) -> usize {
+        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % shards.len();
+        shards[shard].state.post(cmd);
+        shard
     }
 
     /// Opens a stream, attaches its initial queries, and schedules it on
@@ -607,7 +609,7 @@ impl StreamSupervisor {
         self.config
             .policy
             .admit_stream(&self.load_locked(&streams))?;
-        self.ensure_shards()?;
+        let shards = self.running_shards()?;
         let dispatch = build_stream_dispatch(&self.config, self.batcher.as_ref());
         let options = StreamOptions { dispatch };
         let stream = self.server.open_stream_with(source, options);
@@ -616,14 +618,13 @@ impl StreamSupervisor {
             subs.push(self.server.attach_queued(stream, Arc::clone(q))?);
         }
         let shared = Arc::new(StreamShared::default());
-        let shards = self.shards.lock();
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % shards.len();
-        shards[shard].state.post(ShardCmd::Add {
+        let cmd = ShardCmd::Add {
             stream,
             pace,
             task: ShardTask::Live,
             shared: Arc::clone(&shared),
-        });
+        };
+        let shard = self.post_round_robin(&shards, cmd);
         drop(shards);
         streams.insert(
             stream,
@@ -662,21 +663,20 @@ impl StreamSupervisor {
                     .attach_queued(stream, Arc::clone(spec.query()))?,
             )),
             Some(from) => {
-                self.ensure_shards()?;
+                let shards = self.running_shards()?;
                 let (sub, replay) =
                     self.server
                         .attach_replay(stream, Arc::clone(spec.query()), from)?;
-                let shards = self.shards.lock();
-                let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % shards.len();
                 // The replay retires itself (splice, end, or cancel);
                 // nobody joins its shared entry, so no supervisor-side
                 // bookkeeping to clean up.
-                shards[shard].state.post(ShardCmd::Add {
+                let cmd = ShardCmd::Add {
                     stream: replay,
                     pace: PaceMode::Unpaced,
                     task: ShardTask::Replay,
                     shared: Arc::new(StreamShared::default()),
-                });
+                };
+                self.post_round_robin(&shards, cmd);
                 Ok(M::wrap(sub))
             }
         }
@@ -717,20 +717,6 @@ impl StreamSupervisor {
             load.faults = b.stats().faults;
         }
         load
-    }
-
-    /// Pacing counters for one supervised stream.
-    pub fn pace_metrics(&self, stream: StreamId) -> ServeResult<PaceMetrics> {
-        let streams = self.streams.lock();
-        let e = streams
-            .get(&stream)
-            .ok_or(ServeError::UnknownStream(stream))?;
-        Ok(PaceMetrics {
-            pace: e.pace,
-            queue_depth: e.shared.queue_depth.load(Ordering::Relaxed),
-            ticks_shed: e.shared.ticks_shed.load(Ordering::Relaxed),
-            finished: e.shared.finished.load(Ordering::Acquire),
-        })
     }
 
     /// Serving metrics for one stream (delegates to the server).
@@ -946,7 +932,8 @@ impl StreamSupervisor {
 
     /// Stops every shard worker and the batcher. Shards finish their
     /// in-flight step; under `Backpressure::Block` that can wait on
-    /// subscribers. Also runs on drop.
+    /// subscribers. Also runs on drop. Afterwards `add_stream` and a
+    /// from-past `attach` fail with [`ServeError::Shutdown`].
     pub fn shutdown(&self) {
         {
             let streams = self.streams.lock();
@@ -955,6 +942,7 @@ impl StreamSupervisor {
             }
         }
         let mut shards = self.shards.lock();
+        self.shut_down.store(true, Ordering::Relaxed);
         for s in shards.iter() {
             s.state.stop.store(true, Ordering::Release);
             // Lock the inbox while notifying so a shard between its
@@ -1025,8 +1013,7 @@ fn run_shard(
         }
         core.advance(now_us());
         let Some(stream) = core.pop_runnable(now_us()) else {
-            // Idle: wait for a command, stop, or the next timer deadline
-            // (polling band matches the threaded worker's 0.1–10 ms).
+            // Idle: wait for a command, stop, or the next timer deadline.
             let mut inbox = state.inbox.lock();
             if !inbox.is_empty() || state.stop.load(Ordering::Acquire) {
                 continue;
@@ -1091,9 +1078,8 @@ fn run_shard(
             }
             Err(payload) => {
                 // A panic that escaped the server's step-level containment
-                // (checkpoint/restart). In the threaded supervisor this
-                // killed the stream's thread; here it detaches only this
-                // stream — its shard siblings keep running.
+                // (checkpoint/restart) detaches only this stream — its
+                // shard siblings keep running.
                 shared.finished.store(true, Ordering::Release);
                 let mut err = shared.error.lock();
                 if err.is_none() {
@@ -1109,9 +1095,14 @@ fn run_shard(
             }
         }
     }
-    // Stop: detach every remaining stream. `finished` stays as-is,
-    // matching the threaded supervisor, where shutdown parks workers
-    // without marking their streams finished.
+    // Stop: detach every remaining stream, and every stream whose `Add`
+    // landed after the last drain, so no joiner waits on a gone shard.
+    // `finished` stays as-is: shutdown parks streams, it does not end them.
+    for cmd in std::mem::take(&mut *state.inbox.lock()) {
+        if let ShardCmd::Add { shared, .. } = cmd {
+            shared.mark_done();
+        }
+    }
     for (_, (shared, _)) in members.drain() {
         shared.mark_done();
     }

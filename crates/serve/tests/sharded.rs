@@ -1,16 +1,19 @@
-//! Sharded-vs-threaded equivalence suite: the event-driven sharded
+//! Sharded-scheduler equivalence suite: the event-driven sharded
 //! [`StreamSupervisor`] must serve event sequences **byte-identical** to
-//! the thread-per-stream [`ThreadedSupervisor`] oracle, across a
+//! one oracle — each stream served alone on a bare [`StreamServer`] (no
+//! batcher, no pacing, no threads) and driven by `run_to_end` — across a
 //! streams × shards grid that includes the degenerate corners (one shard
-//! for everything; more shards than streams), with and without the shared
-//! cross-stream batcher, paced and unpaced.
+//! for everything; one shard per stream; more shards than streams), with
+//! and without the shared cross-stream batcher, paced and unpaced.
 //!
-//! A third implementation joins the comparison: the seeded
-//! [`DeterministicScheduler`] harness driving a bare [`StreamServer`] on a
-//! virtual clock. Its interleaving seed comes from `VQPY_SHARD_SEED`
-//! (default 1), so CI replays the suite under several fixed seeds —
-//! identity must hold for *any* seed, which is the point: scheduling
-//! order is free, served results are not.
+//! The seeded [`DeterministicScheduler`] harness, interleaving several
+//! streams on one bare server in virtual time, is held to the same
+//! oracle. Its seed comes from `VQPY_SHARD_SEED` (default 1), so CI
+//! replays the suite under several fixed seeds — identity must hold for
+//! *any* seed, which is the point: scheduling order is free, served
+//! results are not.
+//!
+//! [`StreamServer`]: vqpy_serve::StreamServer
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,7 +22,7 @@ use vqpy_core::{Query, VqpySession};
 use vqpy_models::ModelZoo;
 use vqpy_serve::{
     BatcherConfig, DeterministicScheduler, PaceMode, ServeConfig, ServeEvent, ServeSession,
-    ShardConfig, StreamLoad, StreamSupervisor, SupervisorConfig, ThreadedSupervisor,
+    ShardConfig, ShardLoad, StreamLoad, StreamSupervisor, SupervisorConfig,
 };
 use vqpy_video::source::SyntheticVideo;
 use vqpy_video::{presets, Scene};
@@ -53,33 +56,30 @@ fn collect_events(sub: vqpy_serve::Subscription) -> Vec<ServeEvent> {
     events
 }
 
-/// Serves `n` streams (video seeds `100..100+n`) on the threaded oracle
-/// and returns each stream's full event sequence.
-fn threaded_events(n: usize, config: SupervisorConfig) -> Vec<Vec<ServeEvent>> {
-    let session = Arc::new(VqpySession::new(ModelZoo::standard()));
-    let supervisor = ThreadedSupervisor::new(session, config);
-    let mut streams = Vec::new();
-    for i in 0..n {
-        let (stream, subs) = supervisor
-            .add_stream(
-                Arc::new(video(100 + i as u64, 3.0)),
-                PaceMode::Unpaced,
-                &[color_query("RedCar", "red")],
-            )
-            .unwrap();
-        streams.push((stream, subs));
-    }
-    streams
-        .into_iter()
-        .map(|(stream, subs)| {
-            supervisor.join_stream(stream).unwrap();
-            subs.into_iter().flat_map(collect_events).collect()
+/// The oracle: each video seed's stream served alone on a bare server —
+/// no batcher, no pacing, no threads — and driven by `run_to_end`. Served
+/// events carry no wall-clock field, so they are a function of the stream.
+fn bare_server_events(seeds: std::ops::Range<u64>, seconds: f64) -> Vec<Vec<ServeEvent>> {
+    seeds
+        .map(|seed| {
+            let session = Arc::new(VqpySession::new(ModelZoo::standard()));
+            let server = session.serve(ServeConfig::default());
+            let stream = server.open_stream(Arc::new(video(seed, seconds)));
+            let sub = server.attach(stream, color_query("RedCar", "red")).unwrap();
+            server.run_to_end(stream).unwrap();
+            collect_events(sub.into_inner())
         })
         .collect()
 }
 
-/// Same streams on the sharded supervisor with an explicit shard budget.
-fn sharded_events(n: usize, shards: usize, mut config: SupervisorConfig) -> Vec<Vec<ServeEvent>> {
+/// Serves `n` streams (video seeds `100..100+n`) on the sharded supervisor
+/// with an explicit shard budget; returns each stream's full event
+/// sequence and the shard loads.
+fn sharded_events(
+    n: usize,
+    shards: usize,
+    mut config: SupervisorConfig,
+) -> (Vec<Vec<ServeEvent>>, Vec<ShardLoad>) {
     config.serve.shards = shards;
     let session = Arc::new(VqpySession::new(ModelZoo::standard()));
     let supervisor = StreamSupervisor::new(session, config);
@@ -94,35 +94,31 @@ fn sharded_events(n: usize, shards: usize, mut config: SupervisorConfig) -> Vec<
             .unwrap();
         streams.push((stream, subs));
     }
-    let events: Vec<Vec<ServeEvent>> = streams
+    let events = streams
         .into_iter()
         .map(|(stream, subs)| {
             supervisor.join_stream(stream).unwrap();
             subs.into_iter().flat_map(collect_events).collect()
         })
         .collect();
-    // Sanity of the new observability surface while we are here: the
-    // shard pool was spawned at the requested budget and did the work.
     let loads = supervisor.shard_loads();
     assert_eq!(loads.len(), shards, "one load row per shard");
-    assert!(
-        loads.iter().map(|l| l.steps).sum::<u64>() > 0,
-        "shards executed steps: {loads:?}"
-    );
-    events
+    (events, loads)
 }
 
-/// The core grid: every (streams, shards) cell — including shards=1
-/// (everything multiplexed onto one worker) and shards > streams (idle
-/// shards) — serves event sequences byte-identical to the threaded
-/// oracle's.
+/// The core grid: every (streams, shards) cell — shards=1 (everything
+/// multiplexed onto one worker), shards = streams (one thread per stream,
+/// the small-scale deployment shape), and shards > streams (idle shards)
+/// — serves event sequences byte-identical to the bare-server oracle. A
+/// shard that was handed a stream (round-robin, so the first
+/// `min(streams, shards)`) executed steps.
 #[test]
-fn sharded_matches_threaded_across_streams_by_shards_grid() {
+fn sharded_matches_bare_server_across_streams_by_shards_grid() {
     let seed = shard_seed();
-    for &(n, shards) in &[(1usize, 1usize), (3, 1), (4, 2), (2, 8)] {
-        let expected = threaded_events(n, SupervisorConfig::default());
-        let got = sharded_events(n, shards, SupervisorConfig::default());
-        assert_eq!(got.len(), expected.len());
+    let expected = bare_server_events(100..104, 3.0);
+    for &(n, shards) in &[(1usize, 1usize), (3, 1), (4, 2), (2, 8), (3, 3)] {
+        let (got, loads) = sharded_events(n, shards, SupervisorConfig::default());
+        assert_eq!(got.len(), n);
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
             assert_eq!(
                 g, e,
@@ -130,32 +126,43 @@ fn sharded_matches_threaded_across_streams_by_shards_grid() {
                  (VQPY_SHARD_SEED={seed})"
             );
         }
+        for load in &loads[..n.min(shards)] {
+            assert!(
+                load.steps > 0,
+                "shard {} executed no steps at streams={n} shards={shards}: {loads:?}",
+                load.shard
+            );
+        }
     }
 }
 
 /// The shared cross-stream batcher preserves the equivalence: coalesced
 /// physical batches fill from whichever streams are runnable across
-/// shards, but per-stream event sequences stay byte-identical to the
-/// threaded supervisor's batched run.
+/// shards, but per-stream event sequences stay byte-identical to each
+/// stream served alone without a batcher.
 #[test]
 fn shared_batcher_preserves_equivalence_under_sharding() {
-    let config = || SupervisorConfig {
+    let config = SupervisorConfig {
         batcher: Some(BatcherConfig::default()),
         ..SupervisorConfig::default()
     };
-    let expected = threaded_events(3, config());
-    let got = sharded_events(3, 2, config());
-    assert_eq!(got, expected, "batched sharded run diverged from oracle");
+    let (got, _) = sharded_events(3, 2, config);
+    assert_eq!(
+        got,
+        bare_server_events(100..103, 3.0),
+        "batched sharded run diverged from the bare-server oracle"
+    );
 }
 
-/// Paced streams pace identically under sharding: same events, and the
-/// same shed accounting. How many ticks a run sheds depends on how busy the
-/// box is (shedding loses no frames — the stream simply lags), so the
-/// count itself is not asserted; what must hold on any machine is the
-/// identity `tests/timer_wheel.rs` checks in virtual time, `steps + shed =
-/// due - backlog`: a tick is only ever shed once the schedule released it.
+/// Paced streams on one shard serve what the unpaced bare server serves:
+/// pacing only delays steps, and shedding loses no frames (the stream
+/// simply lags). How many ticks a run sheds depends on how busy the box
+/// is, so the count itself is not asserted; what must hold on any machine
+/// is the identity `tests/timer_wheel.rs` checks in virtual time, `steps +
+/// shed = due - backlog`: a tick is only ever shed once the schedule
+/// released it.
 #[test]
-fn paced_streams_match_threaded_on_one_shard() {
+fn paced_streams_match_bare_server_on_one_shard() {
     const FPS: f32 = 150.0;
     const INGEST_BOUND: u64 = 4;
     /// Checks one finished stream against the pace schedule as of now —
@@ -174,84 +181,57 @@ fn paced_streams_match_threaded_on_one_shard() {
             "backlog over the ingest bound: {load:?}"
         );
     }
-    let run = |sharded: bool| -> Vec<Vec<ServeEvent>> {
-        let session = Arc::new(VqpySession::new(ModelZoo::standard()));
-        let serve = ServeConfig {
+    let session = Arc::new(VqpySession::new(ModelZoo::standard()));
+    let config = SupervisorConfig {
+        serve: ServeConfig {
             shards: 1,
             ..ServeConfig::default()
-        };
-        let config = SupervisorConfig {
-            serve,
-            ingest_queue: INGEST_BOUND,
-            ..SupervisorConfig::default()
-        };
-        let mut events = Vec::new();
-        let started = Instant::now();
-        if sharded {
-            let sup = StreamSupervisor::new(session, config);
-            let streams: Vec<_> = (0..2)
-                .map(|i| {
-                    sup.add_stream(
-                        Arc::new(video(120 + i, 2.0)),
-                        PaceMode::Fps(FPS),
-                        &[color_query("RedCar", "red")],
-                    )
-                    .unwrap()
-                })
-                .collect();
-            for (stream, subs) in streams {
-                sup.join_stream(stream).unwrap();
-                assert_shed_accounted(
-                    sup.stream_snapshot(stream).unwrap(),
-                    sup.server().frames_per_step(),
-                    started,
-                );
-                events.push(
-                    subs.into_iter()
-                        .flat_map(collect_events)
-                        .collect::<Vec<_>>(),
-                );
-            }
-        } else {
-            let sup = ThreadedSupervisor::new(session, config);
-            let streams: Vec<_> = (0..2)
-                .map(|i| {
-                    sup.add_stream(
-                        Arc::new(video(120 + i, 2.0)),
-                        PaceMode::Fps(FPS),
-                        &[color_query("RedCar", "red")],
-                    )
-                    .unwrap()
-                })
-                .collect();
-            for (stream, subs) in streams {
-                sup.join_stream(stream).unwrap();
-                assert_shed_accounted(
-                    sup.stream_snapshot(stream).unwrap(),
-                    sup.server().frames_per_step(),
-                    started,
-                );
-                events.push(
-                    subs.into_iter()
-                        .flat_map(collect_events)
-                        .collect::<Vec<_>>(),
-                );
-            }
-        }
-        events
+        },
+        ingest_queue: INGEST_BOUND,
+        ..SupervisorConfig::default()
     };
-    assert_eq!(run(true), run(false), "paced event sequences diverged");
+    let started = Instant::now();
+    let sup = StreamSupervisor::new(session, config);
+    let streams: Vec<_> = (0..2)
+        .map(|i| {
+            sup.add_stream(
+                Arc::new(video(120 + i, 2.0)),
+                PaceMode::Fps(FPS),
+                &[color_query("RedCar", "red")],
+            )
+            .unwrap()
+        })
+        .collect();
+    let mut events = Vec::new();
+    for (stream, subs) in streams {
+        sup.join_stream(stream).unwrap();
+        assert_shed_accounted(
+            sup.stream_snapshot(stream).unwrap(),
+            sup.server().frames_per_step(),
+            started,
+        );
+        events.push(
+            subs.into_iter()
+                .flat_map(collect_events)
+                .collect::<Vec<_>>(),
+        );
+    }
+    assert_eq!(
+        events,
+        bare_server_events(120..122, 2.0),
+        "paced event sequences diverged from the bare-server oracle"
+    );
 }
 
 /// The deterministic harness drives a bare server on a virtual clock:
-/// the same `VQPY_SHARD_SEED` replays the exact step interleaving, every
-/// seed produces event sequences byte-identical to the threaded oracle,
-/// and per-stream step counts are seed-independent.
+/// the same `VQPY_SHARD_SEED` replays the exact step interleaving, and
+/// every seed serves event sequences byte-identical to each stream
+/// served alone.
 #[test]
 fn seeded_harness_replays_and_matches_the_oracle() {
-    let n = 4usize;
+    let n = 4u64;
     let shards = 2usize;
-    let expected = threaded_events(n, SupervisorConfig::default());
+    let expected = bare_server_events(100..100 + n, 3.0);
 
     let run = |seed: u64| -> (Vec<u64>, Vec<Vec<ServeEvent>>) {
         let session = Arc::new(VqpySession::new(ModelZoo::standard()));
@@ -266,7 +246,7 @@ fn seeded_harness_replays_and_matches_the_oracle() {
         );
         let mut streams = Vec::new();
         for i in 0..n {
-            let stream = server.open_stream(Arc::new(video(100 + i as u64, 3.0)));
+            let stream = server.open_stream(Arc::new(video(100 + i, 3.0)));
             let sub = server.attach(stream, color_query("RedCar", "red")).unwrap();
             sched.add_stream(stream, PaceMode::Unpaced);
             streams.push((stream, sub));
@@ -294,7 +274,7 @@ fn seeded_harness_replays_and_matches_the_oracle() {
         let (_, events) = run(seed);
         assert_eq!(
             events, expected,
-            "harness-served events diverged from the threaded oracle at seed {seed}"
+            "harness-served events diverged from the bare-server oracle at seed {seed}"
         );
     }
 }

@@ -173,7 +173,7 @@ fn paced_ingestion_holds_the_schedule() {
         paced_wall > unpaced_wall,
         "pacing had no effect: {paced_wall:?} vs {unpaced_wall:?}"
     );
-    let pace = supervisor.pace_metrics(paced).unwrap();
+    let pace = supervisor.stream_snapshot(paced).unwrap();
     assert!(pace.finished);
     assert_eq!(
         pace.ticks_shed, 0,
@@ -312,6 +312,82 @@ fn attach_after_finish_is_typed() {
         Err(AttachError::Serve(ServeError::StreamFinished)) => {}
         other => panic!("expected StreamFinished, got {other:?}"),
     }
+}
+
+/// Runs `f` on its own thread and fails the test if it has not returned
+/// within 30 s: a regression here is a hang, which must fail the suite
+/// rather than stall it. A panic in `f` fails the test as itself.
+fn within_deadline(what: &str, f: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel::<()>();
+    let worker = std::thread::spawn(move || {
+        let _done = done; // dropped on return or unwind
+        f();
+    });
+    let waited = finished.recv_timeout(Duration::from_secs(30));
+    assert!(
+        waited != Err(std::sync::mpsc::RecvTimeoutError::Timeout),
+        "{what}: still blocked after 30 s"
+    );
+    if let Err(panic) = worker.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+/// After `shutdown` no shard worker is left, so neither a new stream nor a
+/// from-past replay would ever be driven: both are refused with the typed
+/// `Shutdown` error instead of handing out a stream whose `join_stream`
+/// (or a subscription whose `recv`) blocks forever.
+#[test]
+fn add_stream_and_replay_attach_after_shutdown_are_refused() {
+    let dir = std::env::temp_dir().join(format!("vqpy_supervisor_shutdown_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = vqpy_store::FrameStore::open(vqpy_store::StoreConfig {
+        background_eviction: false,
+        ..vqpy_store::StoreConfig::new(dir.clone())
+    })
+    .unwrap();
+    within_deadline("add_stream / attach after shutdown", move || {
+        let session = Arc::new(VqpySession::new(ModelZoo::standard()));
+        let supervisor = StreamSupervisor::new(
+            session,
+            SupervisorConfig {
+                serve: ServeConfig {
+                    store: Some(Arc::clone(&store)),
+                    ..ServeConfig::default()
+                },
+                ..SupervisorConfig::default()
+            },
+        );
+        let query = color_query("RedCar", "red");
+        let (stream, _subs) = supervisor
+            .add_stream(
+                Arc::new(video(50, 1.0)),
+                PaceMode::Unpaced,
+                &[Arc::clone(&query)],
+            )
+            .unwrap();
+        supervisor.join_stream(stream).unwrap();
+        supervisor.shutdown();
+
+        match supervisor.add_stream(Arc::new(video(51, 1.0)), PaceMode::Unpaced, &[]) {
+            Err(AttachError::Serve(ServeError::Shutdown)) => {}
+            Ok((late, _)) => panic!(
+                "add_stream after shutdown was admitted; join: {:?}",
+                supervisor.join_stream(late)
+            ),
+            Err(other) => panic!("expected Shutdown, got {other}"),
+        }
+        let spec = vqpy_serve::AttachSpec::new(query).from(store.epoch());
+        match supervisor.attach(stream, spec) {
+            Err(AttachError::Serve(ServeError::Shutdown)) => {}
+            Ok(sub) => panic!(
+                "from-past attach after shutdown was admitted: {:?}",
+                sub.recv()
+            ),
+            Err(other) => panic!("expected Shutdown, got {other}"),
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The pure admission predicate, exercised over every threshold.

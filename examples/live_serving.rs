@@ -229,7 +229,7 @@ fn main() {
     for (name, stream) in [("jackson", jackson), ("banff", banff)] {
         let metrics = supervisor.join_stream(stream).expect("stream completes");
         println!("{name}: {}", metrics.summary());
-        let pace = supervisor.pace_metrics(stream).expect("pace metrics");
+        let pace = supervisor.stream_snapshot(stream).expect("stream snapshot");
         println!(
             "{name}: paced @{:?}, backlog {} steps, {} ticks shed",
             pace.pace, pace.queue_depth, pace.ticks_shed
