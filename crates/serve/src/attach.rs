@@ -183,9 +183,10 @@ impl<R: FromRow> From<&TypedQuery<R>> for AttachSpec<Typed<R>> {
 }
 
 /// The result of a unified attach: the mode's subscription plus, for
-/// from-past attachments, the replay's pseudo-stream id (drive it with
-/// [`StreamServer::replay_step`](crate::StreamServer::replay_step), or let
-/// a supervisor shard do it). Dereferences to the subscription, and the
+/// from-past attachments, the replay's stream id. A replay is a stream id
+/// you `step`: drive it with [`StreamServer::step`](crate::StreamServer::step)
+/// or [`StreamServer::run_replay`](crate::StreamServer::run_replay), or let
+/// a supervisor shard do it. Dereferences to the subscription, and the
 /// by-value `collect` passes through, so most call sites use it exactly
 /// like the subscription itself.
 #[derive(Debug)]
@@ -199,7 +200,7 @@ impl<S> Attached<S> {
         Self { sub, replay }
     }
 
-    /// The replay pseudo-stream id, for from-past attachments on a bare
+    /// The replay's stream id, for from-past attachments on a bare
     /// server (a supervisor schedules the replay itself and hides the
     /// id). `None` for live attachments.
     pub fn replay(&self) -> Option<StreamId> {

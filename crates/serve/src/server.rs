@@ -509,21 +509,39 @@ pub struct StreamOptions {
     pub dispatch: Option<Arc<dyn ModelDispatch>>,
 }
 
-/// One live stream: the engine, attached queries, and progress counters.
+/// Where a stream's frames come from, fixed when its id is issued.
+enum Feed {
+    /// A live source. `recorder` captures model answers per frame for
+    /// persistence (it wraps the stream's dispatch in the engine); present
+    /// iff the stream opened with a store.
+    Live {
+        recorder: Option<Arc<RecordingDispatch>>,
+    },
+    /// A from-past replay of live stream `of`: a private single-query
+    /// engine whose detect/predict stages read stored answers through
+    /// `window`, delivering hits from frame `deliver_from` on, until it
+    /// catches `of` and splices into it (or the stored history ends).
+    Replay {
+        of: StreamId,
+        window: Arc<StoreDispatch>,
+        deliver_from: u64,
+    },
+}
+
+/// One stream's execution state: the engine, attached queries, and
+/// progress counters.
 struct Stream {
     source: Arc<dyn VideoSource>,
     /// Model-dispatch boundary installed into every engine this stream
     /// creates.
     dispatch: Option<Arc<dyn ModelDispatch>>,
-    /// The stream's process-lane span tracer (pid = stream id + 1),
-    /// installed into every engine this stream creates.
+    /// The stream's process-lane span tracer (pid = stream id + 1; the
+    /// store lane for a replay), installed into every engine this stream
+    /// creates.
     tracer: Tracer,
     /// The stream's persisted history, when the server has a store. Live
     /// execution appends to it; replays read from it.
     store: Option<Arc<StreamStore>>,
-    /// Captures model answers per frame for persistence (wraps `dispatch`
-    /// in the engine). Present iff `store` is.
-    recorder: Option<Arc<RecordingDispatch>>,
     engine: Option<StreamEngine>,
     /// Attach order; index i corresponds to join i of the current plan.
     subs: Vec<ActiveSub>,
@@ -544,13 +562,16 @@ struct Stream {
 }
 
 impl Stream {
-    fn new(source: Arc<dyn VideoSource>, options: StreamOptions, tracer: Tracer) -> Self {
+    fn new(
+        source: Arc<dyn VideoSource>,
+        dispatch: Option<Arc<dyn ModelDispatch>>,
+        tracer: Tracer,
+    ) -> Self {
         Self {
             source,
-            dispatch: options.dispatch,
+            dispatch,
             tracer,
             store: None,
-            recorder: None,
             engine: None,
             subs: Vec::new(),
             next_frame: 0,
@@ -577,6 +598,9 @@ impl Stream {
 /// A stream's shared handle: commands and lifecycle flags are lockable
 /// independently of the (potentially long-held) execution state.
 struct StreamHandle {
+    /// Read without the state lock: `aggregate` skips replays and
+    /// `attach` refuses them.
+    feed: Feed,
     commands: Mutex<Commands>,
     /// Set (under the `commands` lock) when the stream reaches
     /// end-of-video; checked by `attach` under the same lock so no attach
@@ -599,6 +623,24 @@ struct StreamHandle {
 }
 
 impl StreamHandle {
+    fn new(feed: Feed, stream: Stream) -> Self {
+        Self {
+            feed,
+            commands: Mutex::new(Commands::default()),
+            finished: AtomicBool::new(false),
+            published_frames: AtomicU64::new(0),
+            published_delivered: AtomicU64::new(0),
+            published_dropped: AtomicU64::new(0),
+            published_next_frame: AtomicU64::new(0),
+            store_corruptions: AtomicU64::new(0),
+            state: Mutex::new(stream),
+        }
+    }
+
+    fn is_replay(&self) -> bool {
+        matches!(self.feed, Feed::Replay { .. })
+    }
+
     /// Publishes the stream's delivery counters (called with the state
     /// lock held, at step boundaries and on finish).
     fn publish(&self, s: &Stream) {
@@ -627,6 +669,10 @@ struct DemuxSink<'a> {
     policy: Backpressure,
     /// When this segment entered the engine, for delivery latency.
     ingest: Instant,
+    /// Hits on earlier frames are observed (aggregates cover them) but not
+    /// delivered: a replay's first frame ingested at or after its `from`
+    /// instant, 0 for a live stream.
+    deliver_from: u64,
     /// Frames at or below this index were fully observed and delivered by
     /// an earlier attempt of this segment that later faulted; they are
     /// passed over wholesale on the re-run (both `observe` and delivery),
@@ -654,7 +700,9 @@ impl ResultSink for DemuxSink<'_> {
             // `observe` must see every frame (aggregate bookkeeping), not
             // just hits.
             if let Some(hit) = sub.accum.observe(slot, ji) {
-                sub.deliver(ServeEvent::Hit(hit), self.policy, self.ingest);
+                if frame >= self.deliver_from {
+                    sub.deliver(ServeEvent::Hit(hit), self.policy, self.ingest);
+                }
             }
         }
         self.progress = Some(frame);
@@ -662,70 +710,13 @@ impl ResultSink for DemuxSink<'_> {
     }
 }
 
-/// How many live steps' worth of frames one [`StreamServer::replay_step`]
-/// call may execute. Replays are scheduled like any other stream (one
+/// How many live steps' worth of frames one [`StreamServer::step`] of a
+/// replay may execute. Replays are scheduled like any other stream (one
 /// bounded turn per scheduler visit), so this caps how long a backfill
 /// turn holds its shard — backfill never starves live streams — while
 /// still letting the replay catch up: it advances several steps' worth per
 /// turn against the live stream's one.
 const REPLAY_BUDGET_STEPS: u64 = 4;
-
-/// Demux for one replaying query: a single join, observing every frame
-/// from the stream origin (so its aggregate covers the full stream, like
-/// an always-attached query's) but delivering hits only from
-/// `deliver_from` on.
-struct ReplaySink<'a> {
-    sub: &'a mut ActiveSub,
-    deliver_from: u64,
-    policy: Backpressure,
-    ingest: Instant,
-}
-
-impl ResultSink for ReplaySink<'_> {
-    fn on_frame(&mut self, plan: &PlanDag, slot: &FrameSlot) -> vqpy_core::error::Result<()> {
-        let frame = slot.frame.index;
-        if !plan.joins.is_empty() {
-            if let Some(hit) = self.sub.accum.observe(slot, 0) {
-                if frame >= self.deliver_from {
-                    self.sub
-                        .deliver(ServeEvent::Hit(hit), self.policy, self.ingest);
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// One in-flight past-replay: a private engine re-executing the stream
-/// from its origin with the store answering model stages, racing the live
-/// stream until it catches up and splices.
-struct Replay {
-    handle: Arc<StreamHandle>,
-    store: Arc<StreamStore>,
-    source: Arc<dyn VideoSource>,
-    engine: StreamEngine,
-    dispatch: Arc<StoreDispatch>,
-    /// The replayed query's subscriber state; moves into the live stream's
-    /// subscriber list at the splice.
-    sub: Option<ActiveSub>,
-    query: Arc<Query>,
-    deliver_from: u64,
-    next_frame: u64,
-}
-
-/// A replay's shared handle, mirroring [`StreamHandle`]'s split between
-/// lockable lifecycle flags and the (potentially long-held) replay state.
-struct ReplayHandle {
-    /// The replayed subscription's id, for mid-replay detach.
-    sub_id: SubscriptionId,
-    /// The live stream being replayed.
-    live: StreamId,
-    finished: AtomicBool,
-    /// Set by [`StreamServer::detach`]: the next replay step delivers
-    /// [`ServeEvent::Detached`] and retires the replay.
-    cancel: AtomicBool,
-    state: Mutex<Replay>,
-}
 
 /// A multi-stream, multi-query serving frontend over one [`VqpySession`].
 ///
@@ -735,7 +726,8 @@ struct ReplayHandle {
 /// pipelined engine) over the live source. All attached queries of a
 /// stream are compiled into one shared super-plan; [`StreamServer::step`]
 /// (or [`StreamServer::run_to_end`]) advances the stream and delivers
-/// per-query events to subscribers.
+/// per-query events to subscribers. A from-past replay is one more stream
+/// id in the same table, advanced by the same `step`.
 ///
 /// `attach` and `detach` are always non-blocking (they enqueue commands
 /// applied at the next step boundary). Observers (`position`, `metrics`,
@@ -745,10 +737,8 @@ struct ReplayHandle {
 pub struct StreamServer {
     session: Arc<VqpySession>,
     config: ServeConfig,
+    /// Live streams and in-flight replays, in one id space.
     streams: Mutex<HashMap<StreamId, Arc<StreamHandle>>>,
-    /// Active past-replays, keyed by their pseudo-stream id (same id space
-    /// as live streams, so a supervisor can schedule both uniformly).
-    replays: Mutex<HashMap<StreamId, Arc<ReplayHandle>>>,
     /// Span tracer for the shared `store` lane (appends, replay chunk
     /// loads, replay execution, splices).
     store_tracer: Tracer,
@@ -782,7 +772,6 @@ impl StreamServer {
             session,
             config,
             streams: Mutex::new(HashMap::new()),
-            replays: Mutex::new(HashMap::new()),
             store_tracer,
             next_stream: AtomicU64::new(1),
             next_sub: AtomicU64::new(1),
@@ -821,7 +810,8 @@ impl StreamServer {
         if tracer.is_enabled() {
             tracer.set_process_name(id + 1, format!("stream {id}"));
         }
-        let mut stream = Stream::new(source, options, tracer);
+        let mut stream = Stream::new(source, options.dispatch, tracer);
+        let mut recorder = None;
         if let Some(fs) = &self.config.store {
             match fs.stream(&format!("stream-{id}")) {
                 Ok(ss) => {
@@ -832,10 +822,10 @@ impl StreamServer {
                         .dispatch
                         .take()
                         .unwrap_or_else(|| Arc::new(DirectDispatch));
-                    let recorder = Arc::new(RecordingDispatch::new(inner));
-                    stream.dispatch = Some(Arc::clone(&recorder) as Arc<dyn ModelDispatch>);
-                    stream.recorder = Some(recorder);
+                    let r = Arc::new(RecordingDispatch::new(inner));
+                    stream.dispatch = Some(Arc::clone(&r) as Arc<dyn ModelDispatch>);
                     stream.store = Some(ss);
+                    recorder = Some(r);
                 }
                 Err(e) => {
                     // The stream serves live-only; a from-past attach will
@@ -846,16 +836,7 @@ impl StreamServer {
         }
         self.streams.lock().insert(
             id,
-            Arc::new(StreamHandle {
-                commands: Mutex::new(Commands::default()),
-                finished: AtomicBool::new(false),
-                published_frames: AtomicU64::new(0),
-                published_delivered: AtomicU64::new(0),
-                published_dropped: AtomicU64::new(0),
-                published_next_frame: AtomicU64::new(0),
-                store_corruptions: AtomicU64::new(0),
-                state: Mutex::new(stream),
-            }),
+            Arc::new(StreamHandle::new(Feed::Live { recorder }, stream)),
         );
         id
     }
@@ -876,6 +857,24 @@ impl StreamServer {
             .ok_or(ServeError::UnknownStream(id))
     }
 
+    /// The handle of a live stream: a replay's id is not an attach target.
+    fn live_handle(&self, id: StreamId) -> ServeResult<Arc<StreamHandle>> {
+        let handle = self.handle(id)?;
+        if handle.is_replay() {
+            return Err(ServeError::UnknownStream(id));
+        }
+        Ok(handle)
+    }
+
+    /// A fresh subscription for `query`: the receiving end, and the
+    /// server-side half to register on a stream.
+    fn subscribe(&self, query: Arc<Query>) -> (Subscription, PendingAttach) {
+        let id = self.next_sub.fetch_add(1, Ordering::Relaxed);
+        let (tx, rx) = sync_channel(self.config.channel_capacity.max(1));
+        let sub = Subscription::new(id, query.name().to_owned(), rx);
+        (sub, PendingAttach { id, query, tx })
+    }
+
     /// Attaches a query to a stream, described by an [`AttachSpec`] (a
     /// bare `Arc<Query>` or `&TypedQuery<R>` converts). Live attachments
     /// take effect at the next step boundary; events start with the first
@@ -884,9 +883,10 @@ impl StreamServer {
     ///
     /// A spec with [`AttachSpec::from`] replays the stored past instead
     /// (requires [`ServeConfig::store`]); the returned [`Attached`] then
-    /// carries the replay's pseudo-stream id — drive it with
-    /// [`StreamServer::replay_step`] interleaved with the live stream's
-    /// [`StreamServer::step`]. The spec's mode ([`Untyped`](crate::Untyped)
+    /// carries the replay's stream id. A replay is a stream you `step`:
+    /// drive it with [`StreamServer::step`] (or
+    /// [`StreamServer::run_replay`]) interleaved with the live stream's
+    /// steps. The spec's mode ([`Untyped`](crate::Untyped)
     /// or [`Typed<R>`](crate::Typed)) decides the subscription type at
     /// compile time.
     ///
@@ -943,15 +943,13 @@ impl StreamServer {
         stream: StreamId,
         query: Arc<Query>,
     ) -> ServeResult<Subscription> {
-        let handle = self.handle(stream)?;
+        let handle = self.live_handle(stream)?;
         let mut commands = handle.commands.lock();
         if handle.finished.load(Ordering::Acquire) {
             return Err(ServeError::StreamFinished);
         }
-        let id = self.next_sub.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = sync_channel(self.config.channel_capacity.max(1));
-        let sub = Subscription::new(id, query.name().to_owned(), rx);
-        commands.attach.push(PendingAttach { id, query, tx });
+        let (sub, pending) = self.subscribe(query);
+        commands.attach.push(pending);
         Ok(sub)
     }
 
@@ -960,21 +958,11 @@ impl StreamServer {
     /// queries are unaffected (their operators keep their state through
     /// the recompile). Never blocks behind a running step, so a slow
     /// subscriber can always detach itself.
+    ///
+    /// A from-past subscription is served by its replay's stream id until
+    /// the replay splices, and by the live stream's id after that; detach
+    /// it through the id that serves it.
     pub fn detach(&self, stream: StreamId, sub: SubscriptionId) -> ServeResult<()> {
-        // A mid-replay detach: `stream` may be the replay's pseudo-id or
-        // the live stream the replay targets. Cancel the replay; its next
-        // step delivers [`ServeEvent::Detached`] with the aggregate so far.
-        {
-            let replays = self.replays.lock();
-            if let Some(rh) = replays
-                .iter()
-                .find(|(rid, rh)| rh.sub_id == sub && (**rid == stream || rh.live == stream))
-                .map(|(_, rh)| rh)
-            {
-                rh.cancel.store(true, Ordering::Release);
-                return Ok(());
-            }
-        }
         let handle = self.handle(stream)?;
         let mut commands = handle.commands.lock();
         if let Some(pos) = commands.attach.iter().position(|p| p.id == sub) {
@@ -1098,7 +1086,8 @@ impl StreamServer {
     /// Finishes the stream: every subscriber gets [`ServeEvent::End`] with
     /// its final aggregate, then its channel closes (senders drop), so
     /// [`Subscription::collect`] terminates under either backpressure
-    /// policy. Pending never-run attaches are notified too.
+    /// policy. Pending never-run attaches are notified too. A replay
+    /// finishes here when the stored history of a finished stream ends.
     fn finish(&self, handle: &StreamHandle, s: &mut Stream) {
         let mut commands = handle.commands.lock();
         handle.finished.store(true, Ordering::Release);
@@ -1107,17 +1096,14 @@ impl StreamServer {
         }
         commands.detach.clear();
         drop(commands);
-        if let Some(engine) = &s.engine {
-            let joins = engine.plan().joins.clone();
-            for (i, mut sub) in s.subs.drain(..).enumerate() {
-                let video_value = joins.get(i).and_then(|j| sub.accum.video_value(j));
-                sub.deliver(
-                    ServeEvent::End { video_value },
-                    self.config.backpressure,
-                    Instant::now(),
-                );
-                s.past_queries.push(sub.metrics());
-            }
+        for mut sub in s.subs.drain(..) {
+            let video_value = sub.accum.video_value_for(&sub.query);
+            sub.deliver(
+                ServeEvent::End { video_value },
+                self.config.backpressure,
+                Instant::now(),
+            );
+            s.past_queries.push(sub.metrics());
         }
     }
 
@@ -1129,13 +1115,15 @@ impl StreamServer {
     /// skip the segment. Exhausting the restart budget finishes the
     /// stream in a faulted state and returns
     /// [`ServeError::WorkerPanic`]. Non-panic execution errors propagate
-    /// unchanged.
+    /// unchanged. Live steps and replay chunks both run here; hits before
+    /// `deliver_from` are observed but not delivered.
     fn run_segment_isolated(
         &self,
         handle: &StreamHandle,
         s: &mut Stream,
         range: &std::ops::Range<u64>,
         wall: Instant,
+        deliver_from: u64,
     ) -> ServeResult<()> {
         let restart = self.config.restart;
         let tracer = s.tracer.clone();
@@ -1148,6 +1136,7 @@ impl StreamServer {
                 tracer: &tracer,
                 policy: self.config.backpressure,
                 ingest: wall,
+                deliver_from,
                 skip_through,
                 progress: None,
             };
@@ -1248,10 +1237,16 @@ impl StreamServer {
     /// batches), applying pending attach/detach commands first. No frames
     /// are skipped by a recompile: execution resumes at exactly the next
     /// frame index.
+    ///
+    /// A replay's id steps the same way: one bounded turn of chasing the
+    /// live stream through the stored history. The replay reports
+    /// `finished` once it has spliced into the live stream, ended with the
+    /// stored history of a finished stream, or been detached; from then on
+    /// (or after an error) its id is retired and stepping it is
+    /// [`ServeError::UnknownStream`].
     pub fn step(&self, stream: StreamId) -> ServeResult<StepOutcome> {
         let handle = self.handle(stream)?;
         let mut s = handle.state.lock();
-        let s = &mut *s;
         if handle.finished.load(Ordering::Acquire) {
             return Ok(StepOutcome {
                 frames: 0,
@@ -1259,10 +1254,36 @@ impl StreamServer {
                 recompiled: false,
             });
         }
-        let recompiled = self.apply_commands(&handle, s)?;
+        match &handle.feed {
+            Feed::Live { recorder } => self.step_live(&handle, &mut s, recorder.as_deref()),
+            Feed::Replay {
+                of,
+                window,
+                deliver_from,
+            } => {
+                let out = self.step_replay(&handle, &mut s, *of, window, *deliver_from);
+                if out.as_ref().map_or(true, |o| o.finished) {
+                    // Spliced, ended, detached or failed: retire the id.
+                    handle.finished.store(true, Ordering::Release);
+                    self.streams.lock().remove(&stream);
+                }
+                out
+            }
+        }
+    }
+
+    /// One step of a live stream: apply commands, run one segment, persist
+    /// it, and finish at end-of-video.
+    fn step_live(
+        &self,
+        handle: &StreamHandle,
+        s: &mut Stream,
+        recorder: Option<&RecordingDispatch>,
+    ) -> ServeResult<StepOutcome> {
+        let recompiled = self.apply_commands(handle, s)?;
         let total = s.source.frame_count();
         if s.next_frame >= total {
-            self.finish(&handle, s);
+            self.finish(handle, s);
             handle.publish(s);
             return Ok(StepOutcome {
                 frames: 0,
@@ -1276,16 +1297,18 @@ impl StreamServer {
         let range = s.next_frame..s.next_frame + frames;
         let wall = Instant::now();
         if s.engine.is_some() {
-            self.run_segment_isolated(&handle, s, &range, wall)?;
+            self.run_segment_isolated(handle, s, &range, wall, 0)?;
             s.batches += frames.div_ceil(batch);
         }
         // With no queries attached the stream stays live but idle: frames
         // are passed over without decoding (no subscriber needs them).
         s.next_frame = range.end;
-        self.persist_segment(s, &range);
+        if let Some(recorder) = recorder {
+            self.persist_segment(s, recorder, &range);
+        }
         s.wall_ms += wall.elapsed().as_secs_f64() * 1e3;
         if s.next_frame >= total {
-            self.finish(&handle, s);
+            self.finish(handle, s);
         }
         handle.publish(s);
         Ok(StepOutcome {
@@ -1302,11 +1325,17 @@ impl StreamServer {
     /// stays complete and appends stay contiguous. Pending intrinsic
     /// write-throughs ride along inside the store (see
     /// `StreamStore::tier_save`).
-    fn persist_segment(&self, s: &mut Stream, range: &std::ops::Range<u64>) {
+    fn persist_segment(
+        &self,
+        s: &mut Stream,
+        recorder: &RecordingDispatch,
+        range: &std::ops::Range<u64>,
+    ) {
+        // Drained even once appends failed, so the recording stays bounded.
+        let mut recorded = recorder.drain();
         let (Some(ss), Some(fs)) = (s.store.clone(), self.config.store.as_ref()) else {
             return;
         };
-        let mut recorded = s.recorder.as_ref().map(|r| r.drain()).unwrap_or_default();
         let ingest_us = fs.now_us();
         let fps = s.source.fps().max(1) as f64;
         let _span = self
@@ -1338,14 +1367,13 @@ impl StreamServer {
                 // non-contiguous; degrade this stream to live-only.
                 eprintln!("vqpy-serve: store append failed, disabling store for this stream: {e}");
                 s.store = None;
-                s.recorder = None;
                 return;
             }
         }
     }
 
     /// The from-past attach path: builds the private replay engine over
-    /// the stored history and registers the replay pseudo-stream.
+    /// the stored history and registers the replay as one more stream.
     ///
     /// Semantically the subscription behaves *as if it had been attached at
     /// the stream's origin, delivering from `from`*: hits arrive for every
@@ -1354,14 +1382,14 @@ impl StreamServer {
     /// replay runs on a private engine; an equivalence suite pins its
     /// results byte-identical to an always-attached subscription's.
     ///
-    /// Returns the subscription plus the replay's pseudo-stream id. The
-    /// replay is *driven* like a stream: either by a
-    /// [`StreamSupervisor`](crate::StreamSupervisor) (which schedules it on
-    /// a shard automatically for from-past specs) or manually via
-    /// [`StreamServer::replay_step`] interleaved with the live stream's
-    /// [`StreamServer::step`]. Attaching to an already-finished stream is
-    /// allowed: the replay runs the stored history to the end and
-    /// delivers [`ServeEvent::End`].
+    /// Returns the subscription plus the replay's stream id. A replay is a
+    /// stream you `step`: a [`StreamSupervisor`](crate::StreamSupervisor)
+    /// schedules it on a shard automatically for from-past specs; on a
+    /// bare server, call [`StreamServer::step`] (or
+    /// [`StreamServer::run_replay`]) interleaved with the live stream's
+    /// steps. Attaching to an already-finished stream is allowed: the
+    /// replay runs the stored history to the end and delivers
+    /// [`ServeEvent::End`].
     ///
     /// Errors with [`ServeError::StoreDisabled`] when the server has no
     /// [`ServeConfig::store`] or the stream's store directory failed to
@@ -1377,9 +1405,9 @@ impl StreamServer {
             .store
             .as_ref()
             .ok_or(ServeError::StoreDisabled)?;
-        let handle = self.handle(stream)?;
         let (source, store) = {
-            let s = handle.state.lock();
+            let live = self.live_handle(stream)?;
+            let s = live.state.lock();
             let store = s.store.clone().ok_or(ServeError::StoreDisabled)?;
             (Arc::clone(&s.source), store)
         };
@@ -1392,207 +1420,142 @@ impl StreamServer {
         let plan = self
             .session
             .plan_for(std::slice::from_ref(&query), source.as_ref())?;
-        let dispatch = Arc::new(StoreDispatch::new(Arc::new(DirectDispatch), fs.metrics()));
-        let engine = self.new_engine(
-            plan,
-            Some(Arc::clone(&dispatch) as Arc<dyn ModelDispatch>),
-            &self.store_tracer,
-            Some(&store),
-        )?;
-        let id = self.next_sub.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = sync_channel(self.config.channel_capacity.max(1));
-        let sub = Subscription::new(id, query.name().to_owned(), rx);
-        let active = ActiveSub::new(
-            PendingAttach {
-                id,
-                query: Arc::clone(&query),
-                tx,
-            },
-            &self.config.telemetry,
-        );
-        let rid = self.next_stream.fetch_add(1, Ordering::Relaxed);
-        self.replays.lock().insert(
-            rid,
-            Arc::new(ReplayHandle {
-                sub_id: id,
-                live: stream,
-                finished: AtomicBool::new(false),
-                cancel: AtomicBool::new(false),
-                state: Mutex::new(Replay {
-                    handle,
-                    store,
-                    source,
-                    engine,
-                    dispatch,
-                    sub: Some(active),
-                    query,
-                    deliver_from,
-                    next_frame: 0,
-                }),
-            }),
-        );
-        Ok((sub, rid))
-    }
-
-    /// Advances one replay by a bounded amount of work (at most four
-    /// live steps' worth of frames), exactly as
-    /// [`StreamServer::step`] advances a live stream. Returns
-    /// `finished: true` once the replay has spliced into the live stream
-    /// (hybrid case), delivered [`ServeEvent::End`] (finished-stream
-    /// replay), or was cancelled — after which the pseudo-id is retired.
-    pub fn replay_step(&self, replay: StreamId) -> ServeResult<StepOutcome> {
-        let rh = self
-            .replays
+        let window = Arc::new(StoreDispatch::new(Arc::new(DirectDispatch), fs.metrics()));
+        let dispatch = Arc::clone(&window) as Arc<dyn ModelDispatch>;
+        let mut replay = Stream::new(source, Some(dispatch), self.store_tracer.clone());
+        replay.engine =
+            Some(self.new_engine(plan, replay.dispatch.clone(), &replay.tracer, Some(&store))?);
+        replay.store = Some(store);
+        let (sub, pending) = self.subscribe(query);
+        replay
+            .subs
+            .push(ActiveSub::new(pending, &self.config.telemetry));
+        let feed = Feed::Replay {
+            of: stream,
+            window,
+            deliver_from,
+        };
+        let id = self.next_stream.fetch_add(1, Ordering::Relaxed);
+        self.streams
             .lock()
-            .get(&replay)
-            .cloned()
-            .ok_or(ServeError::UnknownStream(replay))?;
-        let out = self.replay_step_inner(&rh, replay);
-        if out.is_err() {
-            // Execution errors retire the replay (its channel closes).
-            rh.finished.store(true, Ordering::Release);
-            self.replays.lock().remove(&replay);
-        }
-        out
+            .insert(id, Arc::new(StreamHandle::new(feed, replay)));
+        Ok((sub, id))
     }
 
-    fn replay_step_inner(
+    /// One turn of a replay (see [`StreamServer::step`]): apply a pending
+    /// detach, chase the live stream's published boundary through the
+    /// stored history for at most [`REPLAY_BUDGET_STEPS`] steps' worth of
+    /// frames, then splice into the live stream once caught up, or finish
+    /// once the stored history of a finished stream ends.
+    fn step_replay(
         &self,
-        rh: &Arc<ReplayHandle>,
-        replay: StreamId,
+        handle: &StreamHandle,
+        s: &mut Stream,
+        of: StreamId,
+        window: &StoreDispatch,
+        deliver_from: u64,
     ) -> ServeResult<StepOutcome> {
-        let mut r = rh.state.lock();
-        if rh.finished.load(Ordering::Acquire) {
+        let live = self.handle(of).ok();
+        if live.is_none() {
+            // The live stream was closed underneath the replay: detach it,
+            // delivering the aggregate so far.
+            let ids = s.subs.iter().map(|a| a.id);
+            handle.commands.lock().detach.extend(ids);
+        }
+        let detached = self.apply_commands(handle, s)?;
+        let Some(live) = live.filter(|_| !s.subs.is_empty()) else {
             return Ok(StepOutcome {
                 frames: 0,
                 finished: true,
-                recompiled: false,
+                recompiled: detached,
             });
-        }
-        let live_open = self.streams.lock().contains_key(&rh.live);
-        if rh.cancel.load(Ordering::Acquire) || !live_open {
-            // Cancelled, or the live stream was closed underneath us:
-            // deliver the aggregate-so-far and retire.
-            return self.finish_replay(rh, &mut r, replay, false);
-        }
-        let step_frames = self.frames_per_step().max(1);
+        };
+        // One chunk of stored history: damaged segments become typed
+        // StoreFault notices (their frames recompute), the rest primes the
+        // store-backed window, and the range runs like a live segment.
+        let chunk = |s: &mut Stream, end: u64| -> ServeResult<()> {
+            let range = s.next_frame..end;
+            let store = s.store.as_ref().expect("a replay reads its stream's store");
+            let load = {
+                let _span = self
+                    .store_tracer
+                    .span("store", "load_chunk")
+                    .arg("start", range.start)
+                    .arg("end", range.end);
+                store.load_range(range.start, range.end)
+            };
+            for fault in &load.faults {
+                live.store_corruptions.fetch_add(1, Ordering::Relaxed);
+                let notice = StoreFaultNotice {
+                    frame: range.start,
+                    detail: fault.to_string(),
+                };
+                for sub in &mut s.subs {
+                    sub.notify(
+                        ServeEvent::StoreFault(notice.clone()),
+                        self.config.backpressure,
+                    );
+                }
+            }
+            window.set_window(&load.records);
+            let _span = self
+                .store_tracer
+                .span("store", "replay")
+                .arg("start", range.start)
+                .arg("frames", range.end - range.start);
+            self.run_segment_isolated(handle, s, &range, Instant::now(), deliver_from)?;
+            s.next_frame = range.end;
+            Ok(())
+        };
+        let step_frames = self.frames_per_step();
         let budget = step_frames * REPLAY_BUDGET_STEPS;
-        let total = r.source.frame_count();
-        let live_finished = r.handle.finished.load(Ordering::Acquire);
+        let total = s.source.frame_count();
+        let live_finished = live.finished.load(Ordering::Acquire);
         // Chase the live stream's published boundary (or end-of-video once
         // it finished): frames past it are not stored yet.
         let target = if live_finished {
             total
         } else {
-            r.handle
-                .published_next_frame
-                .load(Ordering::Acquire)
-                .min(total)
+            live.published_next_frame.load(Ordering::Acquire).min(total)
         };
-        let mut executed = 0u64;
-        while executed < budget && r.next_frame < target {
-            let start = r.next_frame;
-            let end = (start + step_frames).min(target);
-            executed += end - start;
-            self.run_replay_chunk(&mut r, start..end)?;
+        let mut frames = 0;
+        while frames < budget && s.next_frame < target {
+            let end = (s.next_frame + step_frames).min(target);
+            frames += end - s.next_frame;
+            chunk(s, end)?;
         }
-        if live_finished && r.next_frame >= total {
-            // Pure replay of a finished stream: terminal End.
-            return self.finish_replay(rh, &mut r, replay, true);
-        }
-        if !live_finished && r.next_frame >= target && executed < budget {
-            // Caught up to the live boundary with budget to spare: try to
-            // splice. Taking the live execution lock orders us against a
-            // running step; the live stream may have advanced (or
-            // finished) meanwhile, so re-check under the lock.
-            let handle = Arc::clone(&r.handle);
-            let mut s = handle.state.lock();
-            let s = &mut *s;
-            if !handle.finished.load(Ordering::Acquire) {
-                let gap = s.next_frame.saturating_sub(r.next_frame);
-                if gap <= step_frames {
-                    // Close the (bounded) gap under the lock — the live
-                    // stream cannot advance past us — then splice.
-                    while r.next_frame < s.next_frame {
-                        let start = r.next_frame;
-                        let end = (start + step_frames).min(s.next_frame);
-                        self.run_replay_chunk(&mut r, start..end)?;
-                    }
-                    self.splice(s, &mut r)?;
-                    handle.publish(s);
-                    rh.finished.store(true, Ordering::Release);
-                    self.replays.lock().remove(&replay);
-                    return Ok(StepOutcome {
-                        frames: executed,
-                        finished: true,
-                        recompiled: true,
-                    });
-                }
-            }
-            // Live finished or ran ahead while we waited: next call
-            // resumes the chase.
-        }
-        Ok(StepOutcome {
-            frames: executed,
-            finished: false,
-            recompiled: false,
-        })
-    }
-
-    /// Runs one replay chunk: loads the stored records (damaged segments
-    /// become typed [`ServeEvent::StoreFault`] notices and their frames
-    /// recompute), primes the store-backed dispatch window, and executes
-    /// the range on the replay engine.
-    fn run_replay_chunk(&self, r: &mut Replay, range: std::ops::Range<u64>) -> ServeResult<()> {
-        let load = {
-            let _span = self
-                .store_tracer
-                .span("store", "load_chunk")
-                .arg("start", range.start)
-                .arg("end", range.end);
-            r.store.load_range(range.start, range.end)
+        let outcome = |finished, recompiled| StepOutcome {
+            frames,
+            finished,
+            recompiled,
         };
-        for fault in &load.faults {
-            r.handle.store_corruptions.fetch_add(1, Ordering::Relaxed);
-            if let Some(sub) = r.sub.as_mut() {
-                sub.notify(
-                    ServeEvent::StoreFault(StoreFaultNotice {
-                        frame: range.start,
-                        detail: fault.to_string(),
-                    }),
-                    self.config.backpressure,
-                );
-            }
+        if live_finished && s.next_frame >= total {
+            self.finish(handle, s);
+            return Ok(outcome(true, false));
         }
-        r.dispatch.set_window(&load.records);
-        let _span = self
-            .store_tracer
-            .span("store", "replay")
-            .arg("start", range.start)
-            .arg("frames", range.end - range.start);
-        let Replay {
-            engine,
-            sub,
-            source,
-            deliver_from,
-            ..
-        } = r;
-        let mut sink = ReplaySink {
-            sub: sub.as_mut().expect("replay sub present until finish"),
-            deliver_from: *deliver_from,
-            policy: self.config.backpressure,
-            ingest: Instant::now(),
-        };
-        engine.run_segment(
-            source.as_ref(),
-            self.session.zoo(),
-            self.session.clock(),
-            &self.session.config().exec,
-            range.clone(),
-            &mut sink,
-        )?;
-        r.next_frame = range.end;
-        Ok(())
+        if live_finished || s.next_frame < target || frames >= budget {
+            return Ok(outcome(false, false));
+        }
+        // Caught up with budget to spare: splice. Taking the live
+        // execution lock orders us against a running step; the live stream
+        // may have advanced (or finished) meanwhile, so re-check under it.
+        let mut live_state = live.state.lock();
+        let live_next = live_state.next_frame;
+        if live.finished.load(Ordering::Acquire)
+            || live_next.saturating_sub(s.next_frame) > step_frames
+        {
+            // The next turn resumes the chase.
+            return Ok(outcome(false, false));
+        }
+        // Close the (bounded) gap under the lock — the live stream cannot
+        // advance past us — then splice.
+        while s.next_frame < live_next {
+            let end = (s.next_frame + step_frames).min(live_next);
+            chunk(s, end)?;
+        }
+        self.splice(&mut live_state, s)?;
+        live.publish(&live_state);
+        Ok(outcome(true, true))
     }
 
     /// Builds a stream's engine; the only place per-engine settings are
@@ -1624,91 +1587,74 @@ impl StreamServer {
     /// the replayed query appended, seeded with the replay engine's
     /// operator states so the query's tracker/windows arrive with full
     /// history, and the subscriber joins the live delivery list.
-    fn splice(&self, s: &mut Stream, r: &mut Replay) -> ServeResult<()> {
+    fn splice(&self, live: &mut Stream, replay: &mut Stream) -> ServeResult<()> {
         let _span = self
             .store_tracer
             .span("store", "splice")
-            .arg("frame", s.next_frame);
-        let seed = r.engine.take_states();
+            .arg("frame", live.next_frame);
+        let seed = replay
+            .engine
+            .as_mut()
+            .expect("a replay keeps its engine until it retires")
+            .take_states();
         // Survivors in attach order, then the replayed query — the same
         // join-order rule apply_commands uses.
-        let queries: Vec<Arc<Query>> = s
+        let queries: Vec<Arc<Query>> = live
             .subs
             .iter()
+            .chain(&replay.subs)
             .map(|a| Arc::clone(&a.query))
-            .chain(std::iter::once(Arc::clone(&r.query)))
             .collect();
-        let plan = self.session.plan_for(&queries, s.source.as_ref())?;
-        match &mut s.engine {
+        let plan = self.session.plan_for(&queries, live.source.as_ref())?;
+        match &mut live.engine {
             Some(engine) => {
                 engine.recompile_with_seed(plan, self.session.zoo(), seed)?;
-                s.recompiles += 1;
+                live.recompiles += 1;
             }
             None => {
-                let mut engine =
-                    self.new_engine(plan, s.dispatch.clone(), &s.tracer, s.store.as_ref())?;
+                let mut engine = self.new_engine(
+                    plan,
+                    live.dispatch.clone(),
+                    &live.tracer,
+                    live.store.as_ref(),
+                )?;
                 engine.seed_states(seed);
-                s.engine = Some(engine);
+                live.engine = Some(engine);
             }
         }
-        s.subs
-            .push(r.sub.take().expect("replay sub present at splice"));
+        live.subs.append(&mut replay.subs);
         Ok(())
     }
 
-    /// Retires a replay, delivering its terminal event: `End` (with the
-    /// full-stream aggregate) when the stream's history was replayed to
-    /// its end, `Detached` (aggregate so far) on cancel or live-close.
-    fn finish_replay(
-        &self,
-        rh: &ReplayHandle,
-        r: &mut Replay,
-        replay: StreamId,
-        ended: bool,
-    ) -> ServeResult<StepOutcome> {
-        if let Some(mut sub) = r.sub.take() {
-            let video_value = sub.accum.video_value_for(&sub.query);
-            let event = if ended {
-                ServeEvent::End { video_value }
-            } else {
-                ServeEvent::Detached { video_value }
-            };
-            sub.deliver(event, self.config.backpressure, Instant::now());
-        }
-        rh.finished.store(true, Ordering::Release);
-        self.replays.lock().remove(&replay);
-        Ok(StepOutcome {
-            frames: 0,
-            finished: true,
-            recompiled: false,
-        })
-    }
-
-    /// Drives a replay until it finishes (splice, end, or cancel). For a
-    /// hybrid replay of a still-live stream, the live stream must be
-    /// stepped concurrently (a shard or driver thread) or the replay will
-    /// spin at the chase boundary.
-    pub fn run_replay(&self, replay: StreamId) -> ServeResult<()> {
+    /// Steps `stream` until it finishes.
+    fn drive(&self, stream: StreamId) -> ServeResult<()> {
         loop {
-            let out = self.replay_step(replay)?;
+            let out = self.step(stream)?;
             if out.finished {
                 return Ok(());
             }
             if out.frames == 0 {
+                // A replay waiting at the live boundary: let whoever steps
+                // the live stream run.
                 std::thread::yield_now();
             }
         }
+    }
+
+    /// Steps a replay (the stream id a from-past attach returned) until it
+    /// finishes: splice, end, or detach. For a hybrid replay of a
+    /// still-live stream, the live stream must be stepped concurrently (a
+    /// shard or driver thread) or the replay will spin at the chase
+    /// boundary.
+    pub fn run_replay(&self, replay: StreamId) -> ServeResult<()> {
+        self.drive(replay)
     }
 
     /// Drives the stream to end-of-video, then returns its metrics. With
     /// [`Backpressure::Block`], subscribers must be drained concurrently
     /// (or fit within the channel capacity) or this will stall by design.
     pub fn run_to_end(&self, stream: StreamId) -> ServeResult<ServeMetrics> {
-        loop {
-            if self.step(stream)?.finished {
-                break;
-            }
-        }
+        self.drive(stream)?;
         self.metrics(stream)
     }
 
@@ -1753,8 +1699,15 @@ impl StreamServer {
     /// values published at step boundaries. Never waits on an execution
     /// lock, so admission control can consult it while streams are
     /// mid-step (the numbers lag a running step by at most one boundary).
+    /// In-flight replays are not counted.
     pub fn aggregate(&self) -> AggregateMetrics {
-        let streams: Vec<Arc<StreamHandle>> = self.streams.lock().values().cloned().collect();
+        let streams: Vec<Arc<StreamHandle>> = self
+            .streams
+            .lock()
+            .values()
+            .filter(|h| !h.is_replay())
+            .cloned()
+            .collect();
         let mut agg = AggregateMetrics {
             streams: streams.len(),
             ..AggregateMetrics::default()

@@ -249,52 +249,48 @@ impl ShardCore {
     /// it on the wheel until its next step is due. Returns `true` when
     /// the stream became runnable.
     fn evaluate(&mut self, stream: StreamId, now_us: u64) -> bool {
-        let bound = self.config.ingest_bound.max(1);
-        let f = self.config.frames_per_step.max(1);
         let Some(e) = self.entries.get_mut(&stream) else {
             return false;
         };
-        match e.pace {
-            PaceMode::Unpaced => {
-                if !e.in_runnable {
-                    e.in_runnable = true;
-                    self.runnable.push_back(stream);
-                }
-                true
-            }
-            PaceMode::Fps(fps) => {
+        if let PaceMode::Fps(fps) = e.pace {
+            let backlog = Self::paced_backlog(&self.config, e, fps, now_us);
+            e.counters.queue_depth = backlog;
+            if backlog == 0 {
+                // Park until step `consumed`'s frames have arrived:
+                // t = ((consumed+1)*f - 1)/fps after the stream's start.
+                let f = self.config.frames_per_step.max(1);
                 let fps = f64::from(fps.max(1e-3));
-                let elapsed = now_us.saturating_sub(e.start_us);
-                let due = (((elapsed as f64 / 1e6) * fps + 1.0) / f as f64).trunc() as u64;
-                let backlog = due.saturating_sub(e.consumed);
-                if backlog == 0 {
-                    // Park until step `consumed`'s frames have arrived:
-                    // t = ((consumed+1)*f - 1)/fps after the stream's start.
-                    let ready_us =
-                        e.start_us + ((((e.consumed + 1) * f - 1) as f64 / fps) * 1e6) as u64;
-                    e.counters.queue_depth = 0;
-                    self.wheel.schedule(stream, ready_us.max(now_us + 1));
-                    false
-                } else {
-                    if backlog > bound {
-                        // Shed the overflow: stop chasing a schedule the
-                        // engine cannot hold (no frames are lost — the
-                        // stream simply lags).
-                        let shed = backlog - bound;
-                        e.counters.ticks_shed += shed;
-                        e.consumed += shed;
-                        e.counters.queue_depth = bound;
-                    } else {
-                        e.counters.queue_depth = backlog;
-                    }
-                    if !e.in_runnable {
-                        e.in_runnable = true;
-                        self.runnable.push_back(stream);
-                    }
-                    true
-                }
+                let ready_us =
+                    e.start_us + ((((e.consumed + 1) * f - 1) as f64 / fps) * 1e6) as u64;
+                self.wheel.schedule(stream, ready_us.max(now_us + 1));
+                return false;
             }
         }
+        if !e.in_runnable {
+            e.in_runnable = true;
+            self.runnable.push_back(stream);
+        }
+        true
+    }
+
+    /// The pacing math both evaluation points share: the steps of `e`'s
+    /// schedule due at `now_us` and not yet consumed, after shedding any
+    /// overflow past the ingest bound (counted, then skipped in the
+    /// schedule: no frames are lost, the stream simply lags).
+    fn paced_backlog(config: &ShardConfig, e: &mut StreamEntry, fps: f32, now_us: u64) -> u64 {
+        let bound = config.ingest_bound.max(1);
+        let f = config.frames_per_step.max(1);
+        let fps = f64::from(fps.max(1e-3));
+        let elapsed = now_us.saturating_sub(e.start_us);
+        let due = (((elapsed as f64 / 1e6) * fps + 1.0) / f as f64).trunc() as u64;
+        let backlog = due.saturating_sub(e.consumed);
+        if backlog > bound {
+            let shed = backlog - bound;
+            e.counters.ticks_shed += shed;
+            e.consumed += shed;
+            return bound;
+        }
+        backlog
     }
 
     /// Pops the next runnable stream, round-robin, re-applying shed
@@ -307,20 +303,9 @@ impl ShardCore {
             };
             e.in_runnable = false;
             if let PaceMode::Fps(fps) = e.pace {
-                let fps = f64::from(fps.max(1e-3));
-                let f = self.config.frames_per_step.max(1);
-                let bound = self.config.ingest_bound.max(1);
-                let elapsed = now_us.saturating_sub(e.start_us);
-                let due = (((elapsed as f64 / 1e6) * fps + 1.0) / f as f64).trunc() as u64;
-                let backlog = due.saturating_sub(e.consumed);
-                if backlog > bound {
-                    let shed = backlog - bound;
-                    e.counters.ticks_shed += shed;
-                    e.consumed += shed;
-                    e.counters.queue_depth = bound;
-                } else {
-                    e.counters.queue_depth = backlog.max(1);
-                }
+                // A popped stream is about to run, so it has at least one
+                // step queued.
+                e.counters.queue_depth = Self::paced_backlog(&self.config, e, fps, now_us).max(1);
             }
             return Some(stream);
         }

@@ -382,23 +382,13 @@ impl StreamShared {
     }
 }
 
-/// What kind of work a shard drives for one registered id: a live stream
-/// (`StreamServer::step`) or a past-replay pseudo-stream
-/// (`StreamServer::replay_step`). Replays multiplex onto the same shard
-/// event loop as live streams — one bounded turn per visit — so backfill
-/// shares the budget instead of starving live work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ShardTask {
-    Live,
-    Replay,
-}
-
-/// A command posted to a shard's inbox.
+/// A command posted to a shard's inbox. A from-past replay is added like
+/// any stream: its id steps through `StreamServer::step`, one bounded turn
+/// per visit, so backfill shares the shard instead of starving live work.
 enum ShardCmd {
     Add {
         stream: StreamId,
         pace: PaceMode,
-        task: ShardTask,
         shared: Arc<StreamShared>,
     },
     Remove(StreamId),
@@ -621,7 +611,6 @@ impl StreamSupervisor {
         let cmd = ShardCmd::Add {
             stream,
             pace,
-            task: ShardTask::Live,
             shared: Arc::clone(&shared),
         };
         let shard = self.post_round_robin(&shards, cmd);
@@ -647,7 +636,9 @@ impl StreamSupervisor {
     /// live work — and splices into the live stream when the replay
     /// catches up; the replay's driving is the supervisor's business, so
     /// (unlike [`StreamServer::attach`]) only the subscription is
-    /// returned.
+    /// returned. Until the splice the subscription is served by the
+    /// replay's own id, so [`StreamSupervisor::detach`] through the live
+    /// stream's id reaches it only after the splice.
     ///
     /// [`TypedQuery<R>`]: vqpy_core::TypedQuery
     pub fn attach<M: AttachMode>(
@@ -667,13 +658,12 @@ impl StreamSupervisor {
                 let (sub, replay) =
                     self.server
                         .attach_replay(stream, Arc::clone(spec.query()), from)?;
-                // The replay retires itself (splice, end, or cancel);
+                // The replay retires itself (splice, end, or detach);
                 // nobody joins its shared entry, so no supervisor-side
                 // bookkeeping to clean up.
                 let cmd = ShardCmd::Add {
                     stream: replay,
                     pace: PaceMode::Unpaced,
-                    task: ShardTask::Replay,
                     shared: Arc::new(StreamShared::default()),
                 };
                 self.post_round_robin(&shards, cmd);
@@ -983,7 +973,7 @@ fn run_shard(
         frames_per_step: server.frames_per_step().max(1),
         ..ShardConfig::default()
     });
-    let mut members: HashMap<StreamId, (Arc<StreamShared>, ShardTask)> = HashMap::new();
+    let mut members: HashMap<StreamId, Arc<StreamShared>> = HashMap::new();
     loop {
         // Drain commands first so attach/detach never wait on pacing.
         {
@@ -993,15 +983,14 @@ fn run_shard(
                     ShardCmd::Add {
                         stream,
                         pace,
-                        task,
                         shared,
                     } => {
                         core.register(stream, pace, now_us());
-                        members.insert(stream, (shared, task));
+                        members.insert(stream, shared);
                     }
                     ShardCmd::Remove(stream) => {
                         core.remove(stream);
-                        if let Some((shared, _)) = members.remove(&stream) {
+                        if let Some(shared) = members.remove(&stream) {
                             shared.mark_done();
                         }
                     }
@@ -1029,7 +1018,7 @@ fn run_shard(
             }
             continue;
         };
-        let Some((shared, task)) = members.get(&stream).map(|(s, t)| (Arc::clone(s), *t)) else {
+        let Some(shared) = members.get(&stream).cloned() else {
             core.remove(stream);
             continue;
         };
@@ -1049,10 +1038,7 @@ fn run_shard(
                 .span("shard", "step")
                 .arg("stream", stream)
                 .arg("occupancy", core.occupancy());
-            std::panic::catch_unwind(AssertUnwindSafe(|| match task {
-                ShardTask::Live => server.step(stream),
-                ShardTask::Replay => server.replay_step(stream),
-            }))
+            std::panic::catch_unwind(AssertUnwindSafe(|| server.step(stream)))
         };
         state.steps.fetch_add(1, Ordering::Relaxed);
         match result {
@@ -1103,7 +1089,7 @@ fn run_shard(
             shared.mark_done();
         }
     }
-    for (_, (shared, _)) in members.drain() {
+    for (_, shared) in members.drain() {
         shared.mark_done();
     }
 }

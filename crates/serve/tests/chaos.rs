@@ -12,15 +12,17 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use vqpy_core::frontend::{library, predicate::Pred};
 use vqpy_core::{Aggregate, ExecMode, Query, RetryPolicy, SessionConfig, VqpySession};
 use vqpy_models::{
     Clock, Detection, Detector, FaultInjector, FaultPlan, ModelProfile, ModelZoo, TaskKind,
 };
 use vqpy_serve::{
-    BatcherConfig, FaultStats, PaceMode, ServeConfig, ServeError, ServeEvent, ServeSession,
-    StreamFault, StreamSupervisor, SupervisorConfig,
+    AttachSpec, BatcherConfig, FaultStats, PaceMode, ServeConfig, ServeError, ServeEvent,
+    ServeSession, StreamFault, StreamSupervisor, Subscription, SupervisorConfig,
 };
+use vqpy_store::{FrameStore, StoreConfig};
 use vqpy_video::{presets, FaultyVideo, Frame, Scene, SyntheticVideo, VideoSource};
 
 /// Seed for the fault schedules; CI replays the suite under several values.
@@ -383,6 +385,134 @@ fn restart_budget_exhaustion_is_typed_and_counted() {
     let metrics = server.metrics(stream).unwrap();
     assert_eq!(metrics.restarts, 2);
     assert_eq!(metrics.frames_lost, 8);
+}
+
+/// A fresh store in its own directory, for the replay cases below.
+fn fresh_store(tag: &str) -> (Arc<FrameStore>, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("vqpy_chaos_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = FrameStore::open(StoreConfig {
+        background_eviction: false,
+        ..StoreConfig::new(dir.clone())
+    })
+    .unwrap();
+    (store, dir)
+}
+
+/// Collects a subscription's fault notices until its channel closes.
+/// Panics when the channel is still open after `deadline`, so a replay
+/// that is never retired fails the test instead of hanging it.
+fn faults_until_closed(sub: &Subscription, deadline: Duration) -> Vec<StreamFault> {
+    let until = Instant::now() + deadline;
+    let mut faults = Vec::new();
+    loop {
+        match sub.recv_timeout(until.saturating_duration_since(Instant::now())) {
+            Err(_closed) => return faults,
+            Ok(None) => panic!("subscription still open after {deadline:?}: {faults:?}"),
+            Ok(Some(ServeEvent::StreamFault(f))) => faults.push(f),
+            Ok(Some(ServeEvent::End { .. } | ServeEvent::Detached { .. })) => {
+                panic!("an abandoned replay has no terminal event")
+            }
+            Ok(Some(_)) => {}
+        }
+    }
+}
+
+/// Two resumed restarts, then the giving-up notice for the wedged
+/// segment [8, 16): the same ladder a live stream climbs.
+fn assert_exhausted_ladder(faults: &[StreamFault]) {
+    let ladder: Vec<_> = faults
+        .iter()
+        .map(|f| (f.frame, f.restarts, f.resumed, f.frames_lost))
+        .collect();
+    assert_eq!(
+        ladder,
+        [(8, 1, true, 0), (8, 2, true, 0), (8, 2, false, 8)],
+        "{faults:?}"
+    );
+}
+
+/// A from-past replay of a wedged camera gets the live path's panic
+/// isolation on a bare server: the subscriber sees the restart notices,
+/// its channel closes, and `run_replay` returns a typed `WorkerPanic`
+/// instead of unwinding.
+#[test]
+fn replay_panic_is_a_typed_error_on_a_bare_server() {
+    let query = color_query("RedCar", "red");
+    let (store, dir) = fresh_store("replay_bare");
+    let session = Arc::new(VqpySession::new(ModelZoo::standard()));
+    let server = session.serve(ServeConfig {
+        store: Some(Arc::clone(&store)),
+        ..ServeConfig::default()
+    });
+    let stream = server.open_stream(Arc::new(AlwaysPanicVideo {
+        inner: video(84, 2.0),
+        at: 12,
+    }));
+    let live = server.attach(stream, Arc::clone(&query)).unwrap();
+    server
+        .run_to_end(stream)
+        .expect_err("the live budget exhausts");
+    drop(live);
+
+    let attached = server
+        .attach(stream, AttachSpec::new(query).from(store.epoch()))
+        .unwrap();
+    let replay = attached
+        .replay()
+        .expect("a from-past attach yields a replay");
+    let sub = attached.into_inner();
+    match server.run_replay(replay) {
+        Err(ServeError::WorkerPanic { message, restarts }) => {
+            assert_eq!(restarts, 2, "a replay has the default budget too");
+            assert!(message.contains("chaos camera"), "got: {message}");
+        }
+        other => panic!("expected WorkerPanic, got {other:?}"),
+    }
+    assert_exhausted_ladder(&faults_until_closed(&sub, Duration::from_secs(30)));
+    assert!(
+        matches!(server.step(replay), Err(ServeError::UnknownStream(_))),
+        "a faulted replay's id is retired"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same replay on a supervisor shard: the shard steps it like any
+/// stream, the restart ladder reaches the subscriber, and its channel
+/// closes while the supervisor is still running.
+#[test]
+fn replay_panic_closes_the_subscription_on_a_shard() {
+    let query = color_query("RedCar", "red");
+    let (store, dir) = fresh_store("replay_shard");
+    let session = Arc::new(VqpySession::new(ModelZoo::standard()));
+    let supervisor = StreamSupervisor::new(
+        session,
+        SupervisorConfig {
+            serve: ServeConfig {
+                store: Some(Arc::clone(&store)),
+                ..ServeConfig::default()
+            },
+            ..SupervisorConfig::default()
+        },
+    );
+    let wedged = Arc::new(AlwaysPanicVideo {
+        inner: video(84, 2.0),
+        at: 12,
+    });
+    let (stream, _live) = supervisor
+        .add_stream(wedged, PaceMode::Unpaced, &[Arc::clone(&query)])
+        .unwrap();
+    assert!(matches!(
+        supervisor.join_stream(stream),
+        Err(ServeError::WorkerPanic { .. })
+    ));
+
+    let sub = supervisor
+        .attach(stream, AttachSpec::new(query).from(store.epoch()))
+        .unwrap();
+    assert_exhausted_ladder(&faults_until_closed(&sub, Duration::from_secs(30)));
+    supervisor.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A segment that fails mid-way delivers the same prefix under either

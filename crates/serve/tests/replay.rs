@@ -213,7 +213,7 @@ fn hybrid_attach_from_splices_into_live() {
         // Interleave live steps and replay turns until the splice.
         let mut spliced = false;
         for _ in 0..10_000 {
-            if server.replay_step(replay).unwrap().finished {
+            if server.step(replay).unwrap().finished {
                 spliced = true;
                 break;
             }
@@ -359,7 +359,7 @@ fn replay_racing_eviction_stays_correct() {
     // Interleave eviction with replay turns so segments disappear while
     // the replay is using the store.
     loop {
-        let out = server.replay_step(replay).unwrap();
+        let out = server.step(replay).unwrap();
         fs.enforce_retention();
         if out.finished {
             break;
@@ -445,11 +445,23 @@ fn detach_mid_replay_delivers_detached() {
     server.run_to_end(stream).unwrap();
     drain(live.into_inner());
 
+    let idle = server.aggregate();
     let (sub, replay) = attach_from(&server, stream, Arc::clone(&query), fs.epoch()).unwrap();
-    server.replay_step(replay).unwrap();
-    // Detach via the replay pseudo-id; the live-stream id works too.
+    server.step(replay).unwrap();
+    // A replay in flight is not a stream to the load counters, nor an
+    // attach target.
+    let busy = server.aggregate();
+    assert_eq!(
+        (busy.streams, busy.frames_total, busy.delivered),
+        (idle.streams, idle.frames_total, idle.delivered)
+    );
+    assert!(matches!(
+        server.attach(replay, Arc::clone(&query)),
+        Err(ServeError::UnknownStream(_))
+    ));
+    // Detach via the replay's stream id, which serves it until the splice.
     server.detach(replay, sub.id()).unwrap();
-    let out = server.replay_step(replay).unwrap();
+    let out = server.step(replay).unwrap();
     assert!(out.finished, "cancelled replay must retire");
     let mut saw_detached = false;
     while let Some(event) = sub.recv() {
@@ -460,7 +472,7 @@ fn detach_mid_replay_delivers_detached() {
     assert!(saw_detached);
     // The pseudo-id is gone.
     assert!(matches!(
-        server.replay_step(replay),
+        server.step(replay),
         Err(ServeError::UnknownStream(_))
     ));
     let _ = std::fs::remove_dir_all(&dir);

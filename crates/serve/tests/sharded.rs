@@ -8,8 +8,9 @@
 //!
 //! The seeded [`DeterministicScheduler`] harness, interleaving several
 //! streams on one bare server in virtual time, is held to the same
-//! oracle. Its seed comes from `VQPY_SHARD_SEED` (default 1), so CI
-//! replays the suite under several fixed seeds — identity must hold for
+//! oracle; a from-past replay is one more id it steps. Its seed comes
+//! from `VQPY_SHARD_SEED` (default 1), so CI replays the suite under
+//! several fixed seeds — identity must hold for
 //! *any* seed, which is the point: scheduling order is free, served
 //! results are not.
 //!
@@ -21,10 +22,11 @@ use vqpy_core::frontend::{library, predicate::Pred};
 use vqpy_core::{Query, VqpySession};
 use vqpy_models::ModelZoo;
 use vqpy_serve::{
-    BatcherConfig, DeterministicScheduler, PaceMode, ServeConfig, ServeEvent, ServeSession,
-    ShardConfig, ShardLoad, StreamLoad, StreamSupervisor, SupervisorConfig,
+    AttachSpec, BatcherConfig, DeterministicScheduler, PaceMode, ServeConfig, ServeEvent,
+    ServeSession, ShardConfig, ShardLoad, StreamLoad, StreamSupervisor, SupervisorConfig,
 };
-use vqpy_video::source::SyntheticVideo;
+use vqpy_store::{FrameStore, StoreConfig};
+use vqpy_video::source::{SyntheticVideo, VideoSource};
 use vqpy_video::{presets, Scene};
 
 /// Interleaving seed; CI replays the suite under several values.
@@ -276,5 +278,73 @@ fn seeded_harness_replays_and_matches_the_oracle() {
             events, expected,
             "harness-served events diverged from the bare-server oracle at seed {seed}"
         );
+    }
+}
+
+/// A from-past replay is one more id for the harness: attached from the
+/// store's epoch a third of the way into a live stream, it is scheduled
+/// with the same `server.step` closure as the live id. At every seed the
+/// replayed subscription serves what an always-attached one does, and the
+/// live subscription is untouched by the splice.
+#[test]
+fn seeded_harness_steps_a_replay_like_a_stream() {
+    let seconds = 6.0;
+    let v = video(130, seconds);
+    let black = || color_query("BlackCar", "black");
+    let expected_black = {
+        let session = Arc::new(VqpySession::new(ModelZoo::standard()));
+        let server = session.serve(ServeConfig::default());
+        let stream = server.open_stream(Arc::new(v.clone()));
+        let sub = server.attach(stream, black()).unwrap();
+        server.run_to_end(stream).unwrap();
+        collect_events(sub.into_inner())
+    };
+    let expected_red = bare_server_events(130..131, seconds).remove(0);
+
+    let base = shard_seed();
+    for seed in [base, base + 1, base + 2] {
+        let dir =
+            std::env::temp_dir().join(format!("vqpy_sharded_replay_{}_{seed}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = FrameStore::open(StoreConfig {
+            background_eviction: false,
+            ..StoreConfig::new(dir.clone())
+        })
+        .unwrap();
+        let session = Arc::new(VqpySession::new(ModelZoo::standard()));
+        let server = session.serve(ServeConfig {
+            store: Some(Arc::clone(&store)),
+            ..ServeConfig::default()
+        });
+        let stream = server.open_stream(Arc::new(v.clone()));
+        let red = server.attach(stream, color_query("RedCar", "red")).unwrap();
+        while server.position(stream).unwrap() < v.frame_count() / 3 {
+            server.step(stream).unwrap();
+        }
+        let replayed = server
+            .attach(stream, AttachSpec::new(black()).from(store.epoch()))
+            .unwrap();
+        let mut sched = DeterministicScheduler::new(
+            2,
+            ShardConfig {
+                frames_per_step: server.frames_per_step(),
+                ..ShardConfig::default()
+            },
+            seed,
+        );
+        sched.add_stream(stream, PaceMode::Unpaced);
+        sched.add_stream(replayed.replay().unwrap(), PaceMode::Unpaced);
+        sched.run(|id, _fire_us| server.step(id).unwrap().finished);
+        assert_eq!(
+            collect_events(replayed.into_inner()),
+            expected_black,
+            "replayed events diverged from the always-attached oracle at seed {seed}"
+        );
+        assert_eq!(
+            collect_events(red.into_inner()),
+            expected_red,
+            "live events diverged at seed {seed}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
