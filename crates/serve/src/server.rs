@@ -519,10 +519,12 @@ enum Feed {
     },
     /// A from-past replay of live stream `of`: a private single-query
     /// engine whose detect/predict stages read stored answers through
-    /// `window`, delivering hits from frame `deliver_from` on, until it
-    /// catches `of` and splices into it (or the stored history ends).
+    /// `window`, delivering hits from frame `deliver_from` on to
+    /// subscription `sub`, until it catches `of` and splices into it (or
+    /// the stored history ends).
     Replay {
         of: StreamId,
+        sub: SubscriptionId,
         window: Arc<StoreDispatch>,
         deliver_from: u64,
     },
@@ -959,12 +961,32 @@ impl StreamServer {
     /// the recompile). Never blocks behind a running step, so a slow
     /// subscriber can always detach itself.
     ///
-    /// A from-past subscription is served by its replay's stream id until
-    /// the replay splices, and by the live stream's id after that; detach
-    /// it through the id that serves it.
+    /// A from-past subscription is served by its replay until the replay
+    /// splices, and by the live stream after that; the live stream's id
+    /// reaches it throughout, and the replay's id until the splice.
     pub fn detach(&self, stream: StreamId, sub: SubscriptionId) -> ServeResult<()> {
-        let handle = self.handle(stream)?;
+        let mut handle = self.handle(stream)?;
+        if !handle.is_replay() {
+            let replay = self
+                .streams
+                .lock()
+                .values()
+                .find(|h| {
+                    matches!(h.feed, Feed::Replay { of, sub: s, .. } if of == stream && s == sub)
+                        && !h.finished.load(Ordering::Acquire)
+                })
+                .cloned();
+            handle = replay.unwrap_or(handle);
+        }
         let mut commands = handle.commands.lock();
+        if let Feed::Replay { of, .. } = handle.feed {
+            // The splice retires a replay under this lock, carrying its
+            // queued detaches over; after it the live stream serves `sub`.
+            if handle.finished.load(Ordering::Acquire) {
+                drop(commands);
+                return self.detach(of, sub);
+            }
+        }
         if let Some(pos) = commands.attach.iter().position(|p| p.id == sub) {
             // Attached and detached within the same boundary: never ran.
             let p = commands.attach.remove(pos);
@@ -1115,16 +1137,19 @@ impl StreamServer {
     /// skip the segment. Exhausting the restart budget finishes the
     /// stream in a faulted state and returns
     /// [`ServeError::WorkerPanic`]. Non-panic execution errors propagate
-    /// unchanged. Live steps and replay chunks both run here; hits before
-    /// `deliver_from` are observed but not delivered.
+    /// unchanged. Live steps and replay chunks both run here; a replay's
+    /// hits before its `deliver_from` are observed but not delivered.
     fn run_segment_isolated(
         &self,
         handle: &StreamHandle,
         s: &mut Stream,
         range: &std::ops::Range<u64>,
         wall: Instant,
-        deliver_from: u64,
     ) -> ServeResult<()> {
+        let deliver_from = match handle.feed {
+            Feed::Live { .. } => 0,
+            Feed::Replay { deliver_from, .. } => deliver_from,
+        };
         let restart = self.config.restart;
         let tracer = s.tracer.clone();
         let engine = s.engine.as_mut().expect("caller checked engine presence");
@@ -1256,12 +1281,8 @@ impl StreamServer {
         }
         match &handle.feed {
             Feed::Live { recorder } => self.step_live(&handle, &mut s, recorder.as_deref()),
-            Feed::Replay {
-                of,
-                window,
-                deliver_from,
-            } => {
-                let out = self.step_replay(&handle, &mut s, *of, window, *deliver_from);
+            Feed::Replay { of, window, .. } => {
+                let out = self.step_replay(&handle, &mut s, *of, window);
                 if out.as_ref().map_or(true, |o| o.finished) {
                     // Spliced, ended, detached or failed: retire the id.
                     handle.finished.store(true, Ordering::Release);
@@ -1297,7 +1318,7 @@ impl StreamServer {
         let range = s.next_frame..s.next_frame + frames;
         let wall = Instant::now();
         if s.engine.is_some() {
-            self.run_segment_isolated(handle, s, &range, wall, 0)?;
+            self.run_segment_isolated(handle, s, &range, wall)?;
             s.batches += frames.div_ceil(batch);
         }
         // With no queries attached the stream stays live but idle: frames
@@ -1432,6 +1453,7 @@ impl StreamServer {
             .push(ActiveSub::new(pending, &self.config.telemetry));
         let feed = Feed::Replay {
             of: stream,
+            sub: sub.id(),
             window,
             deliver_from,
         };
@@ -1453,7 +1475,6 @@ impl StreamServer {
         s: &mut Stream,
         of: StreamId,
         window: &StoreDispatch,
-        deliver_from: u64,
     ) -> ServeResult<StepOutcome> {
         let live = self.handle(of).ok();
         if live.is_none() {
@@ -1503,7 +1524,7 @@ impl StreamServer {
                 .span("store", "replay")
                 .arg("start", range.start)
                 .arg("frames", range.end - range.start);
-            self.run_segment_isolated(handle, s, &range, Instant::now(), deliver_from)?;
+            self.run_segment_isolated(handle, s, &range, Instant::now())?;
             s.next_frame = range.end;
             Ok(())
         };
@@ -1555,6 +1576,11 @@ impl StreamServer {
         }
         self.splice(&mut live_state, s)?;
         live.publish(&live_state);
+        // Retire under the commands lock `detach` checks: a detach queued
+        // since this turn's `apply_commands` moves with the subscription.
+        let mut commands = handle.commands.lock();
+        handle.finished.store(true, Ordering::Release);
+        live.commands.lock().detach.append(&mut commands.detach);
         Ok(outcome(true, true))
     }
 

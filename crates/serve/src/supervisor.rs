@@ -636,9 +636,8 @@ impl StreamSupervisor {
     /// live work — and splices into the live stream when the replay
     /// catches up; the replay's driving is the supervisor's business, so
     /// (unlike [`StreamServer::attach`]) only the subscription is
-    /// returned. Until the splice the subscription is served by the
-    /// replay's own id, so [`StreamSupervisor::detach`] through the live
-    /// stream's id reaches it only after the splice.
+    /// returned; [`StreamSupervisor::detach`] through the live stream's id
+    /// reaches the subscription before and after the splice.
     ///
     /// [`TypedQuery<R>`]: vqpy_core::TypedQuery
     pub fn attach<M: AttachMode>(

@@ -459,7 +459,7 @@ fn detach_mid_replay_delivers_detached() {
         server.attach(replay, Arc::clone(&query)),
         Err(ServeError::UnknownStream(_))
     ));
-    // Detach via the replay's stream id, which serves it until the splice.
+    // Detach via the replay pseudo-id; the live-stream id works too.
     server.detach(replay, sub.id()).unwrap();
     let out = server.step(replay).unwrap();
     assert!(out.finished, "cancelled replay must retire");
@@ -476,6 +476,96 @@ fn detach_mid_replay_delivers_detached() {
         Err(ServeError::UnknownStream(_))
     ));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Detaching mid-replay through the live stream's id reaches the
+/// replaying subscription before its splice, as the replay's id does.
+#[test]
+fn detach_mid_replay_through_the_live_id() {
+    let config = SessionConfig::default();
+    let v = video(18, 8.0);
+    let query = color_query("RedCar", "red");
+
+    let dir = tempdir("cancel_live");
+    let fs = store_at(&dir);
+    let server = serve_with_store(&config, &fs);
+    let stream = server.open_stream(Arc::new(v.clone()));
+    let live = server.attach(stream, Arc::clone(&query)).unwrap();
+    server.run_to_end(stream).unwrap();
+    drain(live.into_inner());
+
+    let (sub, replay) = attach_from(&server, stream, Arc::clone(&query), fs.epoch()).unwrap();
+    server.step(replay).unwrap();
+    server.detach(stream, sub.id()).unwrap();
+    assert!(
+        server.step(replay).unwrap().finished,
+        "cancelled replay must retire"
+    );
+    assert!(matches!(
+        last_event(&sub),
+        Some(ServeEvent::Detached { .. })
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The supervisor hides the replay's id: `StreamSupervisor::detach`
+/// through the live stream's id still detaches a backfilling
+/// subscription, and its channel closes.
+#[test]
+fn supervisor_detach_mid_replay_through_the_live_id() {
+    use vqpy_serve::{PaceMode, StreamSupervisor, SupervisorConfig};
+
+    let query = color_query("RedCar", "red");
+    let dir = tempdir("super_detach");
+    let fs = store_at(&dir);
+    let session = Arc::new(VqpySession::new(ModelZoo::standard()));
+    let supervisor = StreamSupervisor::new(
+        session,
+        SupervisorConfig {
+            serve: ServeConfig {
+                store: Some(Arc::clone(&fs)),
+                ..ServeConfig::default()
+            },
+            ..SupervisorConfig::default()
+        },
+    );
+    let (stream, mut subs) = supervisor
+        .add_stream(
+            Arc::new(video(92, 12.0)),
+            PaceMode::Unpaced,
+            &[Arc::clone(&query)],
+        )
+        .unwrap();
+    drain(subs.remove(0));
+    supervisor.join_stream(stream).unwrap();
+
+    // The whole stored history is still ahead of the replay when the
+    // detach lands.
+    let sub = supervisor
+        .attach(stream, AttachSpec::new(Arc::clone(&query)).from(fs.epoch()))
+        .unwrap();
+    supervisor.detach(stream, sub.id()).unwrap();
+    assert!(matches!(
+        last_event(&sub),
+        Some(ServeEvent::Detached { .. })
+    ));
+    supervisor.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Receives until the channel closes and returns the last event, failing
+/// if the channel is still open after 30 s.
+fn last_event(sub: &Subscription) -> Option<ServeEvent> {
+    let deadline = Instant::now() + std::time::Duration::from_secs(30);
+    let mut last = None;
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match sub.recv_timeout(left) {
+            Ok(Some(event)) => last = Some(event),
+            Ok(None) => panic!("subscription still open after 30 s: {last:?}"),
+            Err(_) => return last,
+        }
+    }
 }
 
 /// The typed wrapper delivers the same decoded rows through `attach_from`
