@@ -12,6 +12,8 @@
 //! 3. **Exact shed accounting under oversubscription** — when the step
 //!    cost makes the pace schedule infeasible, `steps + ticks_shed`
 //!    equals the schedule's due count minus the bounded backlog, exactly.
+//! 4. **The schedule is pinned** — a digest of every fire decision of a
+//!    mixed run equals constants recorded from a known-good scheduler.
 
 use std::collections::{BTreeSet, HashMap};
 use vqpy_serve::{DeterministicScheduler, PaceMode, ShardConfig, SplitMix64, StreamId, TimerWheel};
@@ -161,6 +163,75 @@ fn paced_lateness_is_bounded_by_shard_occupancy() {
             "8 streams starting together must contend for the shard (seed {seed})"
         );
     }
+}
+
+/// The schedule, pinned: a mixed run — unpaced streams that finish at
+/// different times, paced streams at several rates — on three shards with
+/// a nonzero step cost. Every `(stream, fire_us)` and each stream's final
+/// counters fold into one FNV-1a hash per interleaving seed, recorded from
+/// a known-good scheduler. A refactor of the scheduling core that keeps
+/// every decision keeps these digests; a change that alters the schedule
+/// on purpose says why and re-records them. Independent of
+/// `VQPY_SHARD_SEED`.
+#[test]
+fn schedule_digest_is_unchanged() {
+    const RECORDED: [(u64, u64); 3] = [
+        (1, 0x2e31_81b2_138a_ac50),
+        (2, 0xbe15_ace9_f802_fcbc),
+        (3, 0x6d75_2520_216c_6430),
+    ];
+    let paces = [
+        PaceMode::Unpaced,
+        PaceMode::Unpaced,
+        PaceMode::Unpaced,
+        PaceMode::Fps(10.0),
+        PaceMode::Fps(15.0),
+        PaceMode::Fps(30.0),
+        PaceMode::Fps(50.0),
+        PaceMode::Fps(15.0),
+        PaceMode::Fps(30.0),
+    ];
+    let digest = |seed: u64| -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |v: u64| {
+            for b in v.to_le_bytes() {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let mut sched = DeterministicScheduler::new(
+            3,
+            ShardConfig {
+                frames_per_step: 2,
+                ..ShardConfig::default()
+            },
+            seed,
+        )
+        .with_step_cost(700);
+        for (id, &pace) in paces.iter().enumerate() {
+            sched.add_stream(id as StreamId, pace);
+        }
+        // Unpaced stream `i` finishes after `150 * (i + 1)` steps, so
+        // shards fall idle at different times and the clock jumps to
+        // timer deadlines for the rest of the run.
+        let mut steps: HashMap<StreamId, u64> = HashMap::new();
+        sched.run_until(2_000_000, |stream, fire_us| {
+            fold(stream);
+            fold(fire_us);
+            let n = steps.entry(stream).or_insert(0);
+            *n += 1;
+            stream < 3 && *n == 150 * (stream + 1)
+        });
+        for id in 0..paces.len() as StreamId {
+            let c = sched.counters(id);
+            fold(c.steps);
+            fold(c.ticks_shed);
+            fold(c.queue_depth);
+        }
+        fold(sched.now_us());
+        hash
+    };
+    let got: Vec<(u64, u64)> = RECORDED.iter().map(|&(s, _)| (s, digest(s))).collect();
+    assert_eq!(got, RECORDED, "the shard schedule changed");
 }
 
 /// Property 3: under oversubscription (step cost 5ms against a 1000fps
