@@ -84,7 +84,7 @@ pub use server::{
     RESTART_BACKOFF_LABEL,
 };
 pub use shard::{
-    DeterministicScheduler, PaceCounters, ShardConfig, ShardCore, SplitMix64, TimerWheel,
+    DeterministicScheduler, PaceCounters, ShardConfig, ShardCore, SplitMix64, INGEST_BOUND,
 };
 pub use subscription::{
     ServeEvent, StoreFaultNotice, StreamFault, Subscription, SubscriptionClosed, SubscriptionId,

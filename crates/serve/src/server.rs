@@ -117,7 +117,7 @@ pub struct ServeConfig {
     pub telemetry: Telemetry,
     /// Shard budget for the supervisor's event-driven scheduler: how many
     /// shard worker threads multiplex the supervised streams (each stream
-    /// is pinned to one shard; paced streams become timer-wheel events).
+    /// is pinned to one shard; paced streams park on its deadline heap).
     /// `0` (the default) sizes the budget automatically from
     /// [`std::thread::available_parallelism`], capped at 8. Ignored by a
     /// bare [`StreamServer`], which leaves driving to the caller.
@@ -755,8 +755,8 @@ impl StreamServer {
     /// [`ClockMode::Virtual`] (no real time passes during model charges),
     /// span timestamps are rebound to the clock's virtual-microsecond
     /// tick, so the exported timeline reflects modeled cost rather than
-    /// meaningless wall gaps. `Busy` and `Latency` modes really elapse,
-    /// so their wall timestamps are already honest.
+    /// meaningless wall gaps. [`ClockMode::Latency`] really elapses, so
+    /// its wall timestamps are already honest.
     pub fn new(session: Arc<VqpySession>, config: ServeConfig) -> Self {
         let tracer = config.telemetry.tracer();
         if tracer.is_enabled() {

@@ -1,6 +1,6 @@
-//! The sharded scheduler core: a hashed [`TimerWheel`] for paced-stream
-//! deadlines, a per-shard [`ShardCore`] that turns pacing math into
-//! runnable-set membership, and a seeded [`DeterministicScheduler`]
+//! The sharded scheduler core: a per-shard [`ShardCore`] that turns
+//! pacing math into runnable-set membership, parking paced streams on a
+//! min-heap of step deadlines, and a seeded [`DeterministicScheduler`]
 //! harness that replays shard scheduling on a virtual clock.
 //!
 //! The [`StreamSupervisor`](crate::StreamSupervisor) multiplexes M
@@ -12,139 +12,36 @@
 //! `(streams, pacing, seed)` and therefore replayable in tests.
 //!
 //! The pacing math is the supervisor's contract and must not drift
-//! (`tests/timer_wheel.rs` holds the core to it in virtual time): with
+//! (`tests/pacing.rs` holds the core to it in virtual time): with
 //! capture rate `fps` and `f` frames per step, step `k`'s frames have
 //! all arrived at `t = ((k+1)*f - 1)/fps`,
 //! so the number of fully-arrived steps at elapsed time `t` is
 //! `floor((t*fps + 1)/f)`. The backlog of due-but-unexecuted steps is
-//! bounded by the ingest queue; overflow is *shed* — counted, then
+//! bounded by [`INGEST_BOUND`]; overflow is *shed* — counted, then
 //! skipped in the schedule without losing frames (sources are pull-based,
 //! the stream simply lags).
 
 use crate::server::StreamId;
 use crate::supervisor::PaceMode;
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
-/// Default wheel granularity: one tick per millisecond.
-pub const DEFAULT_TICK_US: u64 = 1_000;
-/// Default wheel size: 256 slots (one rotation ≈ 256 ms at the default
-/// tick).
-pub const DEFAULT_WHEEL_SLOTS: usize = 256;
-
-/// A hashed timer wheel over absolute microsecond deadlines.
-///
-/// Entries land in slot `(deadline / tick) % slots`; [`TimerWheel::advance`]
-/// scans the slots the cursor passed and collects every entry whose
-/// deadline is `<= now`. An entry is **never** yielded before its deadline
-/// — the wheel's tick granularity affects only how *late* (by at most one
-/// scan interval) an entry can fire, never how early. That is the
-/// "no stream fires early" half of the pacing contract; the timer-wheel
-/// property tests pin it.
-#[derive(Debug)]
-pub struct TimerWheel {
-    tick_us: u64,
-    slots: Vec<Vec<(u64, u64)>>,
-    /// Absolute tick the next `advance` starts scanning from.
-    cursor: u64,
-    len: usize,
-}
-
-impl TimerWheel {
-    /// A wheel with `tick_us` microseconds per slot and `slots` slots
-    /// (both clamped to at least 1).
-    pub fn new(tick_us: u64, slots: usize) -> Self {
-        Self {
-            tick_us: tick_us.max(1),
-            slots: vec![Vec::new(); slots.max(1)],
-            cursor: 0,
-            len: 0,
-        }
-    }
-
-    /// Schedules `key` to fire once `now >= deadline_us`. Deadlines in the
-    /// past fire on the next [`TimerWheel::advance`].
-    pub fn schedule(&mut self, key: u64, deadline_us: u64) {
-        let tick = (deadline_us / self.tick_us).max(self.cursor);
-        let idx = (tick % self.slots.len() as u64) as usize;
-        self.slots[idx].push((deadline_us, key));
-        self.len += 1;
-    }
-
-    /// Collects every entry with `deadline <= now_us` into `due` as
-    /// `(deadline_us, key)` pairs, sorted by deadline then key (a
-    /// deterministic fire order for the harness). The cursor stops *on*
-    /// the current partial tick, so entries later within it are
-    /// re-examined next time rather than fired early.
-    pub fn advance(&mut self, now_us: u64, due: &mut Vec<(u64, u64)>) {
-        let now_tick = now_us / self.tick_us;
-        if self.len == 0 {
-            self.cursor = now_tick;
-            return;
-        }
-        let mark = due.len();
-        let n = self.slots.len() as u64;
-        // Scan each slot at most once, even when the window spans many
-        // rotations.
-        let span = now_tick.saturating_sub(self.cursor).min(n - 1);
-        for i in 0..=span {
-            let idx = ((self.cursor + i) % n) as usize;
-            self.slots[idx].retain(|&(deadline, key)| {
-                if deadline <= now_us {
-                    due.push((deadline, key));
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        self.len -= due.len() - mark;
-        self.cursor = now_tick;
-        due[mark..].sort_unstable();
-    }
-
-    /// The earliest pending deadline, if any.
-    pub fn next_deadline(&self) -> Option<u64> {
-        self.slots
-            .iter()
-            .flatten()
-            .map(|&(deadline, _)| deadline)
-            .min()
-    }
-
-    /// Pending entry count.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no entries are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
+/// Bound on each paced stream's backlog of due-but-unexecuted steps (its
+/// ingest queue); overflow is shed and counted. Irrelevant for
+/// [`PaceMode::Unpaced`] streams.
+pub const INGEST_BOUND: u64 = 4;
 
 /// Scheduling knobs one [`ShardCore`] runs under.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardConfig {
-    /// Bound on each paced stream's backlog of due-but-unexecuted steps;
-    /// overflow is shed and counted (clamped to at least 1).
-    pub ingest_bound: u64,
     /// Frames consumed per engine step (`batch_size × batches_per_step`),
     /// the unit the pacing schedule is expressed in.
     pub frames_per_step: u64,
-    /// Timer-wheel granularity in microseconds.
-    pub tick_us: u64,
-    /// Timer-wheel slot count.
-    pub wheel_slots: usize,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
-        Self {
-            ingest_bound: 4,
-            frames_per_step: 1,
-            tick_us: DEFAULT_TICK_US,
-            wheel_slots: DEFAULT_WHEEL_SLOTS,
-        }
+        Self { frames_per_step: 1 }
     }
 }
 
@@ -173,8 +70,8 @@ struct StreamEntry {
 }
 
 /// One shard's scheduling state: which streams it owns, which are
-/// runnable right now (stepped round-robin), and which are parked on the
-/// timer wheel awaiting their pace schedule.
+/// runnable right now (stepped round-robin), and which are parked until
+/// their pace schedule's next step is due.
 ///
 /// The core is clock-agnostic — every method takes `now_us` — so the same
 /// type backs both the real shard workers (wall micros) and the
@@ -182,18 +79,19 @@ struct StreamEntry {
 #[derive(Debug)]
 pub struct ShardCore {
     config: ShardConfig,
-    wheel: TimerWheel,
+    /// Parked streams as `(deadline_us, stream)`, earliest first.
+    timers: BinaryHeap<Reverse<(u64, StreamId)>>,
     entries: HashMap<StreamId, StreamEntry>,
     runnable: VecDeque<StreamId>,
-    fired: Vec<(u64, u64)>,
+    fired: Vec<StreamId>,
 }
 
 impl ShardCore {
     /// An empty core under `config`.
     pub fn new(config: ShardConfig) -> Self {
         Self {
-            wheel: TimerWheel::new(config.tick_us, config.wheel_slots),
             config,
+            timers: BinaryHeap::new(),
             entries: HashMap::new(),
             runnable: VecDeque::new(),
             fired: Vec::new(),
@@ -202,7 +100,7 @@ impl ShardCore {
 
     /// Adopts a stream. Unpaced streams become runnable immediately;
     /// paced streams are evaluated against their schedule (which starts
-    /// now) and either run or park on the wheel.
+    /// now) and either run or park until their first step is due.
     pub fn register(&mut self, stream: StreamId, pace: PaceMode, now_us: u64) {
         self.entries.insert(
             stream,
@@ -217,24 +115,26 @@ impl ShardCore {
         self.evaluate(stream, now_us);
     }
 
-    /// Drops a stream. Wheel and runnable entries are lazily ignored.
+    /// Drops a stream. Timer and runnable entries are lazily ignored.
     pub fn remove(&mut self, stream: StreamId) {
         self.entries.remove(&stream);
     }
 
-    /// Whether the core schedules `stream`.
-    pub fn contains(&self, stream: StreamId) -> bool {
-        self.entries.contains_key(&stream)
-    }
-
-    /// Fires due timers: every parked stream whose deadline passed is
-    /// re-evaluated (applying shed accounting) and becomes runnable.
+    /// Fires due timers: every parked stream whose deadline is `<= now_us`
+    /// is re-evaluated (applying shed accounting) and becomes runnable, in
+    /// `(deadline, stream)` order. All due timers pop before any is
+    /// evaluated; an evaluation only parks at `now_us + 1` or later.
     pub fn advance(&mut self, now_us: u64) {
         let mut fired = std::mem::take(&mut self.fired);
         fired.clear();
-        self.wheel.advance(now_us, &mut fired);
-        for &(_, key) in &fired {
-            let stream = key as StreamId;
+        while let Some(&Reverse((deadline, stream))) = self.timers.peek() {
+            if deadline > now_us {
+                break;
+            }
+            self.timers.pop();
+            fired.push(stream);
+        }
+        for &stream in &fired {
             if let Some(e) = self.entries.get(&stream) {
                 if !e.in_runnable {
                     self.evaluate(stream, now_us);
@@ -246,11 +146,10 @@ impl ShardCore {
 
     /// Evaluates a stream's pace schedule at `now_us`: applies shed
     /// accounting, then makes the stream runnable (backlog ≥ 1) or parks
-    /// it on the wheel until its next step is due. Returns `true` when
-    /// the stream became runnable.
-    fn evaluate(&mut self, stream: StreamId, now_us: u64) -> bool {
+    /// it until its next step is due.
+    fn evaluate(&mut self, stream: StreamId, now_us: u64) {
         let Some(e) = self.entries.get_mut(&stream) else {
-            return false;
+            return;
         };
         if let PaceMode::Fps(fps) = e.pace {
             let backlog = Self::paced_backlog(&self.config, e, fps, now_us);
@@ -262,33 +161,32 @@ impl ShardCore {
                 let fps = f64::from(fps.max(1e-3));
                 let ready_us =
                     e.start_us + ((((e.consumed + 1) * f - 1) as f64 / fps) * 1e6) as u64;
-                self.wheel.schedule(stream, ready_us.max(now_us + 1));
-                return false;
+                self.timers
+                    .push(Reverse((ready_us.max(now_us + 1), stream)));
+                return;
             }
         }
         if !e.in_runnable {
             e.in_runnable = true;
             self.runnable.push_back(stream);
         }
-        true
     }
 
     /// The pacing math both evaluation points share: the steps of `e`'s
     /// schedule due at `now_us` and not yet consumed, after shedding any
-    /// overflow past the ingest bound (counted, then skipped in the
+    /// overflow past [`INGEST_BOUND`] (counted, then skipped in the
     /// schedule: no frames are lost, the stream simply lags).
     fn paced_backlog(config: &ShardConfig, e: &mut StreamEntry, fps: f32, now_us: u64) -> u64 {
-        let bound = config.ingest_bound.max(1);
         let f = config.frames_per_step.max(1);
         let fps = f64::from(fps.max(1e-3));
         let elapsed = now_us.saturating_sub(e.start_us);
         let due = (((elapsed as f64 / 1e6) * fps + 1.0) / f as f64).trunc() as u64;
         let backlog = due.saturating_sub(e.consumed);
-        if backlog > bound {
-            let shed = backlog - bound;
+        if backlog > INGEST_BOUND {
+            let shed = backlog - INGEST_BOUND;
             e.counters.ticks_shed += shed;
             e.consumed += shed;
-            return bound;
+            return INGEST_BOUND;
         }
         backlog
     }
@@ -330,17 +228,12 @@ impl ShardCore {
 
     /// The earliest pending timer deadline, if any stream is parked.
     pub fn next_deadline(&self) -> Option<u64> {
-        self.wheel.next_deadline()
+        self.timers.peek().map(|&Reverse((deadline, _))| deadline)
     }
 
     /// Streams currently scheduled on this core.
     pub fn occupancy(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Sum of paced backlogs across the core's streams.
-    pub fn queue_depth_total(&self) -> u64 {
-        self.entries.values().map(|e| e.counters.queue_depth).sum()
     }
 
     /// A stream's pacing counters.
@@ -384,7 +277,6 @@ impl SplitMix64 {
 /// real threads or real sleeps.
 pub struct DeterministicScheduler {
     shards: Vec<ShardCore>,
-    assignment: HashMap<StreamId, usize>,
     final_counters: HashMap<StreamId, PaceCounters>,
     next_shard: usize,
     now_us: u64,
@@ -398,7 +290,6 @@ impl DeterministicScheduler {
     pub fn new(shards: usize, config: ShardConfig, seed: u64) -> Self {
         Self {
             shards: (0..shards.max(1)).map(|_| ShardCore::new(config)).collect(),
-            assignment: HashMap::new(),
             final_counters: HashMap::new(),
             next_shard: 0,
             now_us: 0,
@@ -421,42 +312,20 @@ impl DeterministicScheduler {
         self.now_us
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Adds a stream (round-robin shard assignment, matching the
     /// supervisor); returns the shard it landed on.
     pub fn add_stream(&mut self, stream: StreamId, pace: PaceMode) -> usize {
         let shard = self.next_shard % self.shards.len();
         self.next_shard += 1;
         self.shards[shard].register(stream, pace, self.now_us);
-        self.assignment.insert(stream, shard);
         shard
-    }
-
-    /// The shard a stream is assigned to.
-    pub fn shard_of(&self, stream: StreamId) -> Option<usize> {
-        self.assignment.get(&stream).copied()
-    }
-
-    /// Removes a stream, preserving its final counters for
-    /// [`DeterministicScheduler::counters`].
-    pub fn remove_stream(&mut self, stream: StreamId) {
-        if let Some(shard) = self.assignment.remove(&stream) {
-            if let Some(c) = self.shards[shard].counters(stream) {
-                self.final_counters.insert(stream, c);
-            }
-            self.shards[shard].remove(stream);
-        }
     }
 
     /// A stream's pacing counters (live, or final if it finished).
     pub fn counters(&self, stream: StreamId) -> PaceCounters {
-        self.assignment
-            .get(&stream)
-            .and_then(|&s| self.shards[s].counters(stream))
+        self.shards
+            .iter()
+            .find_map(|s| s.counters(stream))
             .or_else(|| self.final_counters.get(&stream).copied())
             .unwrap_or_default()
     }
@@ -511,13 +380,11 @@ impl DeterministicScheduler {
             self.now_us += self.step_cost_us;
             let finished = step(stream, fire_us);
             if finished {
-                if let Some(c) = self.shards[shard].counters(stream) {
-                    let mut c = c;
+                if let Some(mut c) = self.shards[shard].counters(stream) {
                     c.steps += 1;
                     self.final_counters.insert(stream, c);
                 }
                 self.shards[shard].remove(stream);
-                self.assignment.remove(&stream);
             } else {
                 self.shards[shard].completed_step(stream, self.now_us);
             }
@@ -540,39 +407,6 @@ impl DeterministicScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wheel_never_fires_early() {
-        let mut w = TimerWheel::new(1_000, 8);
-        w.schedule(1, 2_500);
-        let mut due = Vec::new();
-        w.advance(2_499, &mut due);
-        assert!(due.is_empty());
-        w.advance(2_500, &mut due);
-        assert_eq!(due, vec![(2_500, 1)]);
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn wheel_survives_multi_rotation_jumps() {
-        let mut w = TimerWheel::new(1_000, 4);
-        w.schedule(1, 1_000);
-        w.schedule(2, 9_000); // > one rotation ahead
-        let mut due = Vec::new();
-        w.advance(50_000, &mut due);
-        assert_eq!(due, vec![(1_000, 1), (9_000, 2)]);
-    }
-
-    #[test]
-    fn wheel_fire_order_is_deadline_sorted() {
-        let mut w = TimerWheel::new(100, 16);
-        w.schedule(3, 900);
-        w.schedule(1, 300);
-        w.schedule(2, 600);
-        let mut due = Vec::new();
-        w.advance(1_000, &mut due);
-        assert_eq!(due, vec![(300, 1), (600, 2), (900, 3)]);
-    }
 
     #[test]
     fn splitmix_is_deterministic() {
@@ -599,10 +433,7 @@ mod tests {
     #[test]
     fn paced_stream_parks_until_due() {
         // 10 fps, 1 frame per step: step k ready at k*100ms.
-        let mut core = ShardCore::new(ShardConfig {
-            frames_per_step: 1,
-            ..ShardConfig::default()
-        });
+        let mut core = ShardCore::new(ShardConfig { frames_per_step: 1 });
         core.register(7, PaceMode::Fps(10.0), 0);
         // Step 0 is ready immediately (its one frame "arrived" at t=0).
         assert_eq!(core.pop_runnable(0), Some(7));
@@ -617,12 +448,7 @@ mod tests {
 
     #[test]
     fn oversubscribed_core_sheds_exactly() {
-        let bound = 3;
-        let mut core = ShardCore::new(ShardConfig {
-            ingest_bound: bound,
-            frames_per_step: 1,
-            ..ShardConfig::default()
-        });
+        let mut core = ShardCore::new(ShardConfig::default());
         core.register(1, PaceMode::Fps(100.0), 0);
         // Jump far behind schedule: at t=1s, 100 steps are due; nothing
         // was executed, so due - bound must have been shed when the
@@ -630,23 +456,16 @@ mod tests {
         core.advance(1_000_000);
         assert_eq!(core.pop_runnable(1_000_000), Some(1));
         let c = core.counters(1).unwrap();
-        // due = floor(1.0*100 + 1) = 101; backlog 101; shed 101 - 3 = 98.
-        assert_eq!(c.ticks_shed, 98);
-        assert_eq!(c.queue_depth, bound);
+        // due = floor(1.0*100 + 1) = 101; backlog 101; shed 101 - 4 = 97.
+        assert_eq!(c.ticks_shed, 97);
+        assert_eq!(c.queue_depth, INGEST_BOUND);
     }
 
     #[test]
     fn deterministic_scheduler_replays_identically() {
         let trace = |seed: u64| {
-            let mut sched = DeterministicScheduler::new(
-                3,
-                ShardConfig {
-                    frames_per_step: 1,
-                    ..ShardConfig::default()
-                },
-                seed,
-            )
-            .with_step_cost(500);
+            let mut sched =
+                DeterministicScheduler::new(3, ShardConfig::default(), seed).with_step_cost(500);
             let mut remaining: HashMap<StreamId, u64> = HashMap::new();
             for id in 0..9u64 {
                 sched.add_stream(id, PaceMode::Unpaced);

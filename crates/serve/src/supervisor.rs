@@ -16,10 +16,10 @@
 //!   (`StreamServer::step`), wrapped in panic containment so one stream's
 //!   escape never stalls its shard siblings.
 //! - **Paced ingestion** ([`PaceMode`]) — a live camera delivers frames at
-//!   its capture rate, not as fast as the engine can chew. `Fps(f)` turns
-//!   the stream into a timer-wheel event: a step runs only once all of the
-//!   step's frames would have arrived, over a bounded backlog of
-//!   due-but-unexecuted steps (the ingest queue). If the engine falls
+//!   its capture rate, not as fast as the engine can chew. `Fps(f)` parks
+//!   the stream on its shard's deadline heap: a step runs only once all of
+//!   the step's frames would have arrived, over a bounded backlog of
+//!   due-but-unexecuted steps ([`INGEST_BOUND`](crate::INGEST_BOUND)). If the engine falls
 //!   further behind than the bound, the overflow is *shed*: counted in
 //!   [`StreamLoad::ticks_shed`], visible to admission control, and no
 //!   frames are lost — sources are pull-based, the stream just lags its
@@ -39,15 +39,15 @@
 //! ```text
 //!                 StreamSupervisor (shards = N)
 //!   ┌──────────────────────────────────────────────────────────┐
-//!   │ shard 0: [timer wheel] → runnable ─┬─ step ──┐           │
-//!   │ shard 1: [timer wheel] → runnable ─┼─ step ──┼──▶ ModelBatcher
-//!   │ shard N: [timer wheel] → runnable ─┴─ step ──┘   │ one physical
+//!   │ shard 0: [deadlines] → runnable ───┬─ step ──┐           │
+//!   │ shard 1: [deadlines] → runnable ───┼─ step ──┼──▶ ModelBatcher
+//!   │ shard N: [deadlines] → runnable ───┴─ step ──┘   │ one physical
 //!   │        ▲        (M streams per shard)            ▼ *_batch per
 //!   │   ServePolicy ◀── LoadSnapshot (backlog, drops) (stage, model),
 //!   └──────────────────────────────────────────────────demux per stream
 //! ```
 //!
-//! The scheduling core (timer wheel, runnable ring, shed accounting) lives
+//! The scheduling core (deadline heap, runnable ring, shed accounting) lives
 //! in [`crate::shard`] and is clock-agnostic; the
 //! [`DeterministicScheduler`](crate::shard::DeterministicScheduler)
 //! harness replays it on a virtual clock with a seeded interleaving, so
@@ -294,21 +294,6 @@ pub struct SupervisorConfig {
     pub retry: Option<vqpy_core::RetryPolicy>,
     /// Admission thresholds.
     pub policy: ServePolicy,
-    /// Bound on each paced stream's backlog of due-but-unexecuted steps;
-    /// overflow is shed and counted. Clamped to at least 1. Irrelevant for
-    /// [`PaceMode::Unpaced`] streams. Zero (the `Default`) is treated
-    /// as 4.
-    pub ingest_queue: u64,
-}
-
-impl SupervisorConfig {
-    fn ingest_bound(&self) -> u64 {
-        if self.ingest_queue == 0 {
-            4
-        } else {
-            self.ingest_queue
-        }
-    }
 }
 
 /// Builds a stream's model-dispatch boundary from the supervisor config:
@@ -337,15 +322,12 @@ fn build_stream_dispatch(
 
 /// State shared between a stream's owning shard and the supervisor.
 struct StreamShared {
-    /// Asks the shard to detach the stream (it finishes any in-flight
-    /// step first).
-    stop: AtomicBool,
     /// The stream reached end-of-video (or died to an escaped panic).
     finished: AtomicBool,
     queue_depth: AtomicU64,
     ticks_shed: AtomicU64,
     /// Whether the scheduler is done with the stream (finished, errored,
-    /// stopped, or supervisor shutdown) — the join condition.
+    /// removed, or supervisor shutdown) — the join condition.
     done: Mutex<bool>,
     done_cv: Condvar,
     error: Mutex<Option<ServeError>>,
@@ -354,7 +336,6 @@ struct StreamShared {
 impl Default for StreamShared {
     fn default() -> Self {
         Self {
-            stop: AtomicBool::new(false),
             finished: AtomicBool::new(false),
             queue_depth: AtomicU64::new(0),
             ticks_shed: AtomicU64::new(0),
@@ -530,7 +511,6 @@ impl StreamSupervisor {
             return Ok(shards);
         }
         let budget = self.shard_budget();
-        let ingest_bound = self.config.ingest_bound();
         for i in 0..budget {
             let state = Arc::new(ShardState::new());
             let worker_state = Arc::clone(&state);
@@ -538,7 +518,7 @@ impl StreamSupervisor {
             let tracer = self.config.serve.telemetry.tracer().for_shard(i as u64);
             let handle = std::thread::Builder::new()
                 .name(format!("vqpy-shard-{i}"))
-                .spawn(move || run_shard(server, worker_state, ingest_bound, tracer))
+                .spawn(move || run_shard(server, worker_state, tracer))
                 .map_err(|e| ServeError::WorkerSpawn(e.to_string()))?;
             shards.push(ShardHandle {
                 state,
@@ -673,7 +653,7 @@ impl StreamSupervisor {
 
     /// Detaches a subscription at the next step boundary (see
     /// [`StreamServer::detach`]). Never blocked by pacing: a paced stream
-    /// parked on the timer wheel picks the command up at its next step.
+    /// waiting for its next deadline picks the command up at its next step.
     pub fn detach(
         &self,
         stream: StreamId,
@@ -908,7 +888,6 @@ impl StreamSupervisor {
             .lock()
             .remove(&stream)
             .ok_or(ServeError::UnknownStream(stream))?;
-        entry.shared.stop.store(true, Ordering::Release);
         {
             let shards = self.shards.lock();
             if let Some(s) = shards.get(entry.shard) {
@@ -924,12 +903,6 @@ impl StreamSupervisor {
     /// subscribers. Also runs on drop. Afterwards `add_stream` and a
     /// from-past `attach` fail with [`ServeError::Shutdown`].
     pub fn shutdown(&self) {
-        {
-            let streams = self.streams.lock();
-            for e in streams.values() {
-                e.shared.stop.store(true, Ordering::Release);
-            }
-        }
         let mut shards = self.shards.lock();
         self.shut_down.store(true, Ordering::Relaxed);
         for s in shards.iter() {
@@ -956,21 +929,14 @@ impl Drop for StreamSupervisor {
 }
 
 /// One shard worker: an event loop multiplexing its assigned streams.
-/// Paced streams park on the timer wheel; runnable streams step
+/// Paced streams park on the core's deadline heap; runnable streams step
 /// round-robin, each step wrapped in panic containment so one stream's
 /// escape detaches only that stream, never its shard siblings.
-fn run_shard(
-    server: Arc<StreamServer>,
-    state: Arc<ShardState>,
-    ingest_bound: u64,
-    tracer: vqpy_obs::Tracer,
-) {
+fn run_shard(server: Arc<StreamServer>, state: Arc<ShardState>, tracer: vqpy_obs::Tracer) {
     let epoch = Instant::now();
     let now_us = || epoch.elapsed().as_micros() as u64;
     let mut core = ShardCore::new(ShardConfig {
-        ingest_bound,
         frames_per_step: server.frames_per_step().max(1),
-        ..ShardConfig::default()
     });
     let mut members: HashMap<StreamId, Arc<StreamShared>> = HashMap::new();
     loop {
@@ -1021,12 +987,6 @@ fn run_shard(
             core.remove(stream);
             continue;
         };
-        if shared.stop.load(Ordering::Acquire) {
-            core.remove(stream);
-            members.remove(&stream);
-            shared.mark_done();
-            continue;
-        }
         // Publish the pacing counters the pop-evaluation just updated.
         if let Some(c) = core.counters(stream) {
             shared.queue_depth.store(c.queue_depth, Ordering::Relaxed);

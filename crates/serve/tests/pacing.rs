@@ -1,10 +1,12 @@
-//! Timer-wheel and scheduler property tests, driven by seeded loops
+//! Pacing and scheduler property tests, driven by seeded loops
 //! (`VQPY_SHARD_SEED` and its two successors, so CI replays the suite
 //! under several fixed seeds):
 //!
-//! 1. **No early fire** — under randomized tick sizes, slot counts,
-//!    deadlines, and advance increments, the wheel never yields an entry
-//!    before its deadline, never duplicates, never loses.
+//! 1. **No early fire, nothing lost or duplicated** — under randomized
+//!    rates, frames per step, advance increments (multi-second jumps
+//!    included) and mid-run registrations, a [`ShardCore`] never pops a
+//!    stream before its step's frames have arrived, and at the end every
+//!    due step is executed, shed or queued exactly once.
 //! 2. **Lateness is bounded by shard occupancy** — on the virtual-clock
 //!    harness with a nonzero step cost, a paced stream's step fires no
 //!    earlier than its schedule and no later than what its shard
@@ -15,8 +17,10 @@
 //! 4. **The schedule is pinned** — a digest of every fire decision of a
 //!    mixed run equals constants recorded from a known-good scheduler.
 
-use std::collections::{BTreeSet, HashMap};
-use vqpy_serve::{DeterministicScheduler, PaceMode, ShardConfig, SplitMix64, StreamId, TimerWheel};
+use std::collections::HashMap;
+use vqpy_serve::{
+    DeterministicScheduler, PaceMode, ShardConfig, ShardCore, SplitMix64, StreamId, INGEST_BOUND,
+};
 
 /// Base interleaving seed; the suite loops over `base..base+3`.
 fn seeds() -> [u64; 3] {
@@ -27,62 +31,71 @@ fn seeds() -> [u64; 3] {
     [base, base + 1, base + 2]
 }
 
-/// Property 1: across randomized wheel geometries and advance schedules —
-/// including mid-run insertions and multi-rotation jumps — every entry
-/// fires exactly once, never before its deadline, and the wheel drains.
+/// Steps of a `fps` schedule with `f` frames per step whose frames have
+/// all arrived `elapsed_us` after the stream's start: `floor((t*fps + 1)/f)`.
+fn arrived_steps(elapsed_us: u64, fps: f32, f: u64) -> u64 {
+    (((elapsed_us as f64 / 1e6) * f64::from(fps) + 1.0) / f as f64).trunc() as u64
+}
+
+/// Property 1: across randomized rates, step sizes and advance schedules —
+/// including mid-run registrations and multi-second jumps — every stream
+/// the core pops at `t` is for a step whose frames arrived by `t`, and at
+/// the end `steps + ticks_shed + queue_depth` is each stream's due count:
+/// no step is lost, none runs twice.
 #[test]
-fn wheel_never_fires_early_loses_or_duplicates() {
+fn core_never_fires_early_loses_or_duplicates() {
     for seed in seeds() {
         let mut rng = SplitMix64::new(seed);
         for case in 0..25 {
-            let tick_us = 1 + rng.below(5_000) as u64;
-            let slots = 1 + rng.below(512);
-            let mut wheel = TimerWheel::new(tick_us, slots);
-            let mut pending: HashMap<u64, u64> = HashMap::new();
-            let mut next_key = 0u64;
-            for _ in 0..(20 + rng.below(200)) {
-                let deadline = rng.below(2_000_000) as u64;
-                wheel.schedule(next_key, deadline);
-                pending.insert(next_key, deadline);
-                next_key += 1;
-            }
-            let mut fired = BTreeSet::new();
+            let f = 1 + rng.below(8) as u64;
+            let mut core = ShardCore::new(ShardConfig { frames_per_step: f });
+            // stream -> (fps, start_us, steps executed)
+            let mut streams: HashMap<StreamId, (f32, u64, u64)> = HashMap::new();
             let mut now = 0u64;
-            let mut due = Vec::new();
-            while !wheel.is_empty() {
-                // Jumps up to 100ms cross the wheel many times at small
-                // tick sizes — the rotation-capped scan must still be
-                // exact.
-                now += 1 + rng.below(100_000) as u64;
-                // Occasionally insert mid-run, ahead of or behind `now`.
-                if rng.below(4) == 0 {
-                    let deadline = now.saturating_sub(50_000) + rng.below(500_000) as u64;
-                    wheel.schedule(next_key, deadline);
-                    pending.insert(next_key, deadline);
-                    next_key += 1;
+            for round in 0..300 {
+                if round == 0 || rng.below(20) == 0 {
+                    let fps = 1.0 + rng.below(1_200) as f32 / 10.0;
+                    let id = streams.len() as StreamId;
+                    core.register(id, PaceMode::Fps(fps), now);
+                    streams.insert(id, (fps, now, 0));
                 }
-                due.clear();
-                wheel.advance(now, &mut due);
-                for &(deadline, key) in &due {
+                now += match rng.below(10) {
+                    0 => 1_000_000 + rng.below(4_000_000) as u64,
+                    _ => 1 + rng.below(50_000) as u64,
+                };
+                core.advance(now);
+                for _ in 0..rng.below(4) {
+                    let Some(stream) = core.pop_runnable(now) else {
+                        break;
+                    };
+                    let (fps, start, executed) = streams.get_mut(&stream).unwrap();
+                    let c = core.counters(stream).unwrap();
+                    let step = c.steps + c.ticks_shed;
                     assert!(
-                        deadline <= now,
-                        "entry {key} fired {}us early (seed {seed}, case {case})",
-                        deadline - now
+                        step < arrived_steps(now - *start, *fps, f),
+                        "stream {stream} popped for step {step} before its frames \
+                         arrived at {now}us (seed {seed}, case {case})"
                     );
-                    assert_eq!(
-                        pending.remove(&key),
-                        Some(deadline),
-                        "entry {key} fired twice or with a corrupted deadline \
-                         (seed {seed}, case {case})"
-                    );
-                    assert!(fired.insert(key));
+                    *executed += 1;
+                    now += rng.below(2_000) as u64;
+                    core.completed_step(stream, now);
+                    core.advance(now);
                 }
             }
-            assert!(
-                pending.is_empty(),
-                "wheel drained but entries never fired: {pending:?} (seed {seed}, case {case})"
-            );
-            assert_eq!(wheel.next_deadline(), None);
+            // Settle at `now`: popping re-applies shed accounting to the
+            // runnable streams; parked ones were evaluated when they parked.
+            core.advance(now);
+            while core.pop_runnable(now).is_some() {}
+            for (&stream, &(fps, start, executed)) in &streams {
+                let c = core.counters(stream).unwrap();
+                assert_eq!(c.steps, executed, "seed {seed}, case {case}");
+                assert!(c.queue_depth <= INGEST_BOUND, "{c:?}");
+                assert_eq!(
+                    c.steps + c.ticks_shed + c.queue_depth,
+                    arrived_steps(now - start, fps, f),
+                    "stream {stream} lost or duplicated a step (seed {seed}, case {case}): {c:?}"
+                );
+            }
         }
     }
 }
@@ -105,15 +118,8 @@ fn paced_lateness_is_bounded_by_shard_occupancy() {
     let horizon_us = 2_000_000u64;
 
     let max_lateness = |streams: u64, seed: u64| -> u64 {
-        let mut sched = DeterministicScheduler::new(
-            1,
-            ShardConfig {
-                frames_per_step: 1,
-                ..ShardConfig::default()
-            },
-            seed,
-        )
-        .with_step_cost(step_cost_us);
+        let mut sched = DeterministicScheduler::new(1, ShardConfig::default(), seed)
+            .with_step_cost(step_cost_us);
         for id in 0..streams {
             sched.add_stream(id as StreamId, PaceMode::Fps(fps as f32));
         }
@@ -146,8 +152,8 @@ fn paced_lateness_is_bounded_by_shard_occupancy() {
         let crowded = max_lateness(8, seed);
         let lonely = max_lateness(1, seed);
         // Worst pending work on the shard: every stream at its backlog
-        // bound, each step charging `step_cost`, plus wheel granularity.
-        let bound = 8 * 4 * step_cost_us + vqpy_serve::shard::DEFAULT_TICK_US;
+        // bound, each step charging `step_cost`.
+        let bound = 8 * INGEST_BOUND * step_cost_us;
         assert!(
             crowded <= bound,
             "lateness {crowded}us exceeds the occupancy bound {bound}us (seed {seed})"
@@ -198,15 +204,8 @@ fn schedule_digest_is_unchanged() {
                 hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
             }
         };
-        let mut sched = DeterministicScheduler::new(
-            3,
-            ShardConfig {
-                frames_per_step: 2,
-                ..ShardConfig::default()
-            },
-            seed,
-        )
-        .with_step_cost(700);
+        let mut sched = DeterministicScheduler::new(3, ShardConfig { frames_per_step: 2 }, seed)
+            .with_step_cost(700);
         for (id, &pace) in paces.iter().enumerate() {
             sched.add_stream(id as StreamId, pace);
         }
@@ -243,20 +242,11 @@ fn schedule_digest_is_unchanged() {
 fn oversubscription_sheds_exactly_in_virtual_time() {
     let fps = 1_000.0;
     let step_cost_us = 5_000u64;
-    let bound = 4u64;
     let horizon_us = 1_000_000u64;
 
     for seed in seeds() {
-        let mut sched = DeterministicScheduler::new(
-            1,
-            ShardConfig {
-                ingest_bound: bound,
-                frames_per_step: 1,
-                ..ShardConfig::default()
-            },
-            seed,
-        )
-        .with_step_cost(step_cost_us);
+        let mut sched = DeterministicScheduler::new(1, ShardConfig::default(), seed)
+            .with_step_cost(step_cost_us);
         sched.add_stream(0, PaceMode::Fps(fps as f32));
         let mut steps = 0u64;
         sched.run_until(horizon_us, |_, _| {
@@ -273,7 +263,7 @@ fn oversubscription_sheds_exactly_in_virtual_time() {
             "consumed schedule must account for every due step exactly \
              (due {due}, counters {c:?}, seed {seed})"
         );
-        assert!(c.queue_depth <= bound, "backlog over bound: {c:?}");
+        assert!(c.queue_depth <= INGEST_BOUND, "backlog over bound: {c:?}");
         assert!(
             c.ticks_shed > 0,
             "5x oversubscription must shed (seed {seed}): {c:?}"

@@ -17,13 +17,14 @@
 //! [`StreamServer`]: vqpy_serve::StreamServer
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use vqpy_core::frontend::{library, predicate::Pred};
 use vqpy_core::{Query, VqpySession};
 use vqpy_models::ModelZoo;
 use vqpy_serve::{
-    AttachSpec, BatcherConfig, DeterministicScheduler, PaceMode, ServeConfig, ServeEvent,
-    ServeSession, ShardConfig, ShardLoad, StreamLoad, StreamSupervisor, SupervisorConfig,
+    AttachSpec, BatcherConfig, BatcherStats, DeterministicScheduler, PaceMode, ServeConfig,
+    ServeEvent, ServeSession, ShardConfig, ShardLoad, StreamLoad, StreamSupervisor,
+    SupervisorConfig, INGEST_BOUND,
 };
 use vqpy_store::{FrameStore, StoreConfig};
 use vqpy_video::source::{SyntheticVideo, VideoSource};
@@ -50,6 +51,21 @@ fn color_query(name: &str, color: &str) -> Arc<Query> {
         .unwrap()
 }
 
+fn red_cars() -> Arc<Query> {
+    color_query("RedCar", "red")
+}
+
+/// Every frame with a confident car, with each car's track and box: most
+/// frames of the test videos hit, so events carry the detector's output.
+fn any_car() -> Arc<Query> {
+    Query::builder("AnyCar")
+        .vobj("car", library::vehicle_schema_intrinsic())
+        .frame_constraint(Pred::gt("car", "score", 0.5))
+        .frame_output(&[("car", "track_id"), ("car", "bbox")])
+        .build()
+        .unwrap()
+}
+
 fn collect_events(sub: vqpy_serve::Subscription) -> Vec<ServeEvent> {
     let mut events = Vec::new();
     while let Some(e) = sub.recv() {
@@ -61,27 +77,32 @@ fn collect_events(sub: vqpy_serve::Subscription) -> Vec<ServeEvent> {
 /// The oracle: each video seed's stream served alone on a bare server —
 /// no batcher, no pacing, no threads — and driven by `run_to_end`. Served
 /// events carry no wall-clock field, so they are a function of the stream.
-fn bare_server_events(seeds: std::ops::Range<u64>, seconds: f64) -> Vec<Vec<ServeEvent>> {
+fn bare_server_events(
+    query: fn() -> Arc<Query>,
+    seeds: std::ops::Range<u64>,
+    seconds: f64,
+) -> Vec<Vec<ServeEvent>> {
     seeds
         .map(|seed| {
             let session = Arc::new(VqpySession::new(ModelZoo::standard()));
             let server = session.serve(ServeConfig::default());
             let stream = server.open_stream(Arc::new(video(seed, seconds)));
-            let sub = server.attach(stream, color_query("RedCar", "red")).unwrap();
+            let sub = server.attach(stream, query()).unwrap();
             server.run_to_end(stream).unwrap();
             collect_events(sub.into_inner())
         })
         .collect()
 }
 
-/// Serves `n` streams (video seeds `100..100+n`) on the sharded supervisor
-/// with an explicit shard budget; returns each stream's full event
-/// sequence and the shard loads.
+/// Serves `n` streams (video seeds `100..100+n`), each under `query`, on
+/// the sharded supervisor with an explicit shard budget; returns each stream's full event
+/// sequence, the shard loads and the shared batcher's counters.
 fn sharded_events(
+    query: fn() -> Arc<Query>,
     n: usize,
     shards: usize,
     mut config: SupervisorConfig,
-) -> (Vec<Vec<ServeEvent>>, Vec<ShardLoad>) {
+) -> (Vec<Vec<ServeEvent>>, Vec<ShardLoad>, Option<BatcherStats>) {
     config.serve.shards = shards;
     let session = Arc::new(VqpySession::new(ModelZoo::standard()));
     let supervisor = StreamSupervisor::new(session, config);
@@ -91,7 +112,7 @@ fn sharded_events(
             .add_stream(
                 Arc::new(video(100 + i as u64, 3.0)),
                 PaceMode::Unpaced,
-                &[color_query("RedCar", "red")],
+                &[query()],
             )
             .unwrap();
         streams.push((stream, subs));
@@ -105,7 +126,7 @@ fn sharded_events(
         .collect();
     let loads = supervisor.shard_loads();
     assert_eq!(loads.len(), shards, "one load row per shard");
-    (events, loads)
+    (events, loads, supervisor.batcher_stats())
 }
 
 /// The core grid: every (streams, shards) cell — shards=1 (everything
@@ -117,9 +138,9 @@ fn sharded_events(
 #[test]
 fn sharded_matches_bare_server_across_streams_by_shards_grid() {
     let seed = shard_seed();
-    let expected = bare_server_events(100..104, 3.0);
+    let expected = bare_server_events(red_cars, 100..104, 3.0);
     for &(n, shards) in &[(1usize, 1usize), (3, 1), (4, 2), (2, 8), (3, 3)] {
-        let (got, loads) = sharded_events(n, shards, SupervisorConfig::default());
+        let (got, loads, _) = sharded_events(red_cars, n, shards, SupervisorConfig::default());
         assert_eq!(got.len(), n);
         for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
             assert_eq!(
@@ -148,11 +169,37 @@ fn shared_batcher_preserves_equivalence_under_sharding() {
         batcher: Some(BatcherConfig::default()),
         ..SupervisorConfig::default()
     };
-    let (got, _) = sharded_events(3, 2, config);
+    let (got, _, _) = sharded_events(red_cars, 3, 2, config);
     assert_eq!(
         got,
-        bare_server_events(100..103, 3.0),
+        bare_server_events(red_cars, 100..103, 3.0),
         "batched sharded run diverged from the bare-server oracle"
+    );
+}
+
+/// The batcher cell where coalescing is the common case: one stream per
+/// shard and a window long enough that most detect rounds fill from
+/// several shards. A batcher that hands coalesced results to the wrong
+/// stream cannot pass it, which the sparse cell above does not rule out.
+#[test]
+fn coalesced_detect_rounds_preserve_equivalence() {
+    let config = SupervisorConfig {
+        batcher: Some(BatcherConfig {
+            window: Duration::from_millis(20),
+            ..BatcherConfig::default()
+        }),
+        ..SupervisorConfig::default()
+    };
+    let (got, _, stats) = sharded_events(any_car, 4, 4, config);
+    let detect = stats.unwrap().detect;
+    assert!(
+        detect.mean_coalesced() > 1.0,
+        "detect rounds did not coalesce: {detect:?}"
+    );
+    assert_eq!(
+        got,
+        bare_server_events(any_car, 100..104, 3.0),
+        "coalesced sharded run diverged from the bare-server oracle"
     );
 }
 
@@ -160,13 +207,12 @@ fn shared_batcher_preserves_equivalence_under_sharding() {
 /// pacing only delays steps, and shedding loses no frames (the stream
 /// simply lags). How many ticks a run sheds depends on how busy the box
 /// is, so the count itself is not asserted; what must hold on any machine
-/// is the identity `tests/timer_wheel.rs` checks in virtual time, `steps +
+/// is the identity `tests/pacing.rs` checks in virtual time, `steps +
 /// shed = due - backlog`: a tick is only ever shed once the schedule
 /// released it.
 #[test]
 fn paced_streams_match_bare_server_on_one_shard() {
     const FPS: f32 = 150.0;
-    const INGEST_BOUND: u64 = 4;
     /// Checks one finished stream against the pace schedule as of now —
     /// an upper bound on what was due when its last step ran.
     fn assert_shed_accounted(load: StreamLoad, frames_per_step: u64, started: Instant) {
@@ -189,7 +235,6 @@ fn paced_streams_match_bare_server_on_one_shard() {
             shards: 1,
             ..ServeConfig::default()
         },
-        ingest_queue: INGEST_BOUND,
         ..SupervisorConfig::default()
     };
     let started = Instant::now();
@@ -220,7 +265,7 @@ fn paced_streams_match_bare_server_on_one_shard() {
     }
     assert_eq!(
         events,
-        bare_server_events(120..122, 2.0),
+        bare_server_events(red_cars, 120..122, 2.0),
         "paced event sequences diverged from the bare-server oracle"
     );
 }
@@ -233,7 +278,7 @@ fn paced_streams_match_bare_server_on_one_shard() {
 fn seeded_harness_replays_and_matches_the_oracle() {
     let n = 4u64;
     let shards = 2usize;
-    let expected = bare_server_events(100..100 + n, 3.0);
+    let expected = bare_server_events(red_cars, 100..100 + n, 3.0);
 
     let run = |seed: u64| -> (Vec<u64>, Vec<Vec<ServeEvent>>) {
         let session = Arc::new(VqpySession::new(ModelZoo::standard()));
@@ -242,7 +287,6 @@ fn seeded_harness_replays_and_matches_the_oracle() {
             shards,
             ShardConfig {
                 frames_per_step: server.frames_per_step().max(1),
-                ..ShardConfig::default()
             },
             seed,
         );
@@ -299,7 +343,7 @@ fn seeded_harness_steps_a_replay_like_a_stream() {
         server.run_to_end(stream).unwrap();
         collect_events(sub.into_inner())
     };
-    let expected_red = bare_server_events(130..131, seconds).remove(0);
+    let expected_red = bare_server_events(red_cars, 130..131, seconds).remove(0);
 
     let base = shard_seed();
     for seed in [base, base + 1, base + 2] {
@@ -328,7 +372,6 @@ fn seeded_harness_steps_a_replay_like_a_stream() {
             2,
             ShardConfig {
                 frames_per_step: server.frames_per_step(),
-                ..ShardConfig::default()
             },
             seed,
         );
