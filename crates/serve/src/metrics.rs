@@ -81,14 +81,18 @@ pub struct AggregateMetrics {
     pub dropped: u64,
 }
 
-/// A point-in-time view of one shard worker's load, read from
-/// scheduler-shared counters (never waits behind any stream's execution
-/// lock). One row per shard from `StreamSupervisor::shard_loads`.
+/// A point-in-time view of one shard worker's load, read from counters
+/// the shard publishes (never waits behind any stream's execution lock).
+/// The per-stream facts behind it live on each stream's handle in the
+/// server's table. One row per shard from
+/// `StreamSupervisor::shard_loads`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardLoad {
     /// The shard's index, `0..shard_budget`.
     pub shard: usize,
-    /// Active (unfinished) streams currently assigned to the shard.
+    /// Live streams handed to the shard that it has not let go of yet
+    /// (the shard's share of `LoadSnapshot::active_streams`; replays are
+    /// not counted).
     pub streams: usize,
     /// Due-but-unexecuted paced steps summed over the shard's streams.
     pub queue_depth: u64,

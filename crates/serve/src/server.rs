@@ -8,12 +8,13 @@ use crate::replay::{RecordingDispatch, StoreDispatch, StoreTier};
 use crate::subscription::{
     ServeEvent, StoreFaultNotice, StreamFault, Subscription, SubscriptionId,
 };
-use parking_lot::Mutex;
+use crate::supervisor::PaceMode;
+use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use vqpy_core::backend::exec::{QueryAccum, ResultSink};
 use vqpy_core::backend::ops::FrameSlot;
@@ -598,23 +599,40 @@ impl Stream {
 }
 
 /// A stream's shared handle: commands and lifecycle flags are lockable
-/// independently of the (potentially long-held) execution state.
-struct StreamHandle {
+/// independently of the (potentially long-held) execution state. The
+/// server's table holds one per stream and replay; a supervisor's shard
+/// holds a clone of each handle it schedules and steps it directly.
+pub(crate) struct StreamHandle {
+    pub(crate) id: StreamId,
     /// Read without the state lock: `aggregate` skips replays and
     /// `attach` refuses them.
     feed: Feed,
     commands: Mutex<Commands>,
     /// Set (under the `commands` lock) when the stream reaches
     /// end-of-video; checked by `attach` under the same lock so no attach
-    /// can slip in behind a finish.
-    finished: AtomicBool,
+    /// can slip in behind a finish. The stream's only `finished` flag.
+    pub(crate) finished: AtomicBool,
     /// Load counters published at step boundaries so
     /// [`StreamServer::aggregate`] (admission control's signal source)
     /// never waits behind the execution lock — a `Block`-policy step can
     /// hold it for as long as subscribers take to drain.
-    published_frames: AtomicU64,
-    published_delivered: AtomicU64,
-    published_dropped: AtomicU64,
+    pub(crate) published_frames: AtomicU64,
+    pub(crate) published_delivered: AtomicU64,
+    pub(crate) published_dropped: AtomicU64,
+    /// Supervisor scheduling, unset on a bare server: the pace the stream
+    /// was handed to a shard under.
+    pub(crate) pace: OnceLock<PaceMode>,
+    /// Whether a shard still schedules the stream ("active"); cleared,
+    /// with `error` set and `released` notified under its lock, when the
+    /// shard lets go (end, error, removal or shutdown).
+    pub(crate) active: AtomicBool,
+    /// Paced backlog and shed ticks, published by the owning shard at its
+    /// step boundaries.
+    pub(crate) queue_depth: AtomicU64,
+    pub(crate) ticks_shed: AtomicU64,
+    /// The error that made the shard let go, taken by `join_stream`.
+    pub(crate) error: Mutex<Option<ServeError>>,
+    pub(crate) released: Condvar,
     /// The next frame index the stream will execute, as of the last step
     /// boundary. Replays chase this to know when they have caught up.
     published_next_frame: AtomicU64,
@@ -625,21 +643,28 @@ struct StreamHandle {
 }
 
 impl StreamHandle {
-    fn new(feed: Feed, stream: Stream) -> Self {
+    fn new(id: StreamId, feed: Feed, stream: Stream) -> Self {
         Self {
+            id,
             feed,
             commands: Mutex::new(Commands::default()),
             finished: AtomicBool::new(false),
             published_frames: AtomicU64::new(0),
             published_delivered: AtomicU64::new(0),
             published_dropped: AtomicU64::new(0),
+            pace: OnceLock::new(),
+            active: AtomicBool::new(false),
+            queue_depth: AtomicU64::new(0),
+            ticks_shed: AtomicU64::new(0),
+            error: Mutex::new(None),
+            released: Condvar::new(),
             published_next_frame: AtomicU64::new(0),
             store_corruptions: AtomicU64::new(0),
             state: Mutex::new(stream),
         }
     }
 
-    fn is_replay(&self) -> bool {
+    pub(crate) fn is_replay(&self) -> bool {
         matches!(self.feed, Feed::Replay { .. })
     }
 
@@ -838,7 +863,7 @@ impl StreamServer {
         }
         self.streams.lock().insert(
             id,
-            Arc::new(StreamHandle::new(Feed::Live { recorder }, stream)),
+            Arc::new(StreamHandle::new(id, Feed::Live { recorder }, stream)),
         );
         id
     }
@@ -851,7 +876,7 @@ impl StreamServer {
         self.session.config().exec.batch_size.max(1) as u64 * self.config.batches_per_step.max(1)
     }
 
-    fn handle(&self, id: StreamId) -> ServeResult<Arc<StreamHandle>> {
+    pub(crate) fn handle(&self, id: StreamId) -> ServeResult<Arc<StreamHandle>> {
         self.streams
             .lock()
             .get(&id)
@@ -860,7 +885,7 @@ impl StreamServer {
     }
 
     /// The handle of a live stream: a replay's id is not an attach target.
-    fn live_handle(&self, id: StreamId) -> ServeResult<Arc<StreamHandle>> {
+    pub(crate) fn live_handle(&self, id: StreamId) -> ServeResult<Arc<StreamHandle>> {
         let handle = self.handle(id)?;
         if handle.is_replay() {
             return Err(ServeError::UnknownStream(id));
@@ -933,7 +958,7 @@ impl StreamServer {
             )),
             Some(from) => {
                 let (sub, replay) = self.attach_replay(stream, spec.query, from)?;
-                Ok(Attached::new(M::wrap(sub), Some(replay)))
+                Ok(Attached::new(M::wrap(sub), Some(replay.id)))
             }
         }
     }
@@ -1271,6 +1296,12 @@ impl StreamServer {
     /// [`ServeError::UnknownStream`].
     pub fn step(&self, stream: StreamId) -> ServeResult<StepOutcome> {
         let handle = self.handle(stream)?;
+        self.step_handle(&handle)
+    }
+
+    /// [`StreamServer::step`] on a handle already in hand: what a shard
+    /// calls for the streams it schedules.
+    pub(crate) fn step_handle(&self, handle: &StreamHandle) -> ServeResult<StepOutcome> {
         let mut s = handle.state.lock();
         if handle.finished.load(Ordering::Acquire) {
             return Ok(StepOutcome {
@@ -1280,13 +1311,13 @@ impl StreamServer {
             });
         }
         match &handle.feed {
-            Feed::Live { recorder } => self.step_live(&handle, &mut s, recorder.as_deref()),
+            Feed::Live { recorder } => self.step_live(handle, &mut s, recorder.as_deref()),
             Feed::Replay { of, window, .. } => {
-                let out = self.step_replay(&handle, &mut s, *of, window);
+                let out = self.step_replay(handle, &mut s, *of, window);
                 if out.as_ref().map_or(true, |o| o.finished) {
                     // Spliced, ended, detached or failed: retire the id.
                     handle.finished.store(true, Ordering::Release);
-                    self.streams.lock().remove(&stream);
+                    self.streams.lock().remove(&handle.id);
                 }
                 out
             }
@@ -1403,7 +1434,7 @@ impl StreamServer {
     /// replay runs on a private engine; an equivalence suite pins its
     /// results byte-identical to an always-attached subscription's.
     ///
-    /// Returns the subscription plus the replay's stream id. A replay is a
+    /// Returns the subscription plus the replay's handle. A replay is a
     /// stream you `step`: a [`StreamSupervisor`](crate::StreamSupervisor)
     /// schedules it on a shard automatically for from-past specs; on a
     /// bare server, call [`StreamServer::step`] (or
@@ -1420,7 +1451,7 @@ impl StreamServer {
         stream: StreamId,
         query: Arc<Query>,
         from: Instant,
-    ) -> ServeResult<(Subscription, StreamId)> {
+    ) -> ServeResult<(Subscription, Arc<StreamHandle>)> {
         let fs = self
             .config
             .store
@@ -1458,10 +1489,9 @@ impl StreamServer {
             deliver_from,
         };
         let id = self.next_stream.fetch_add(1, Ordering::Relaxed);
-        self.streams
-            .lock()
-            .insert(id, Arc::new(StreamHandle::new(feed, replay)));
-        Ok((sub, id))
+        let handle = Arc::new(StreamHandle::new(id, feed, replay));
+        self.streams.lock().insert(id, Arc::clone(&handle));
+        Ok((sub, handle))
     }
 
     /// One turn of a replay (see [`StreamServer::step`]): apply a pending
@@ -1727,38 +1757,23 @@ impl StreamServer {
     /// mid-step (the numbers lag a running step by at most one boundary).
     /// In-flight replays are not counted.
     pub fn aggregate(&self) -> AggregateMetrics {
-        let streams: Vec<Arc<StreamHandle>> = self
-            .streams
-            .lock()
-            .values()
-            .filter(|h| !h.is_replay())
-            .cloned()
-            .collect();
-        let mut agg = AggregateMetrics {
-            streams: streams.len(),
-            ..AggregateMetrics::default()
-        };
-        for h in &streams {
-            if h.finished.load(Ordering::Acquire) {
-                agg.finished_streams += 1;
-            }
+        let mut agg = AggregateMetrics::default();
+        self.for_each_live(|h| {
+            agg.streams += 1;
+            agg.finished_streams += usize::from(h.finished.load(Ordering::Acquire));
             agg.frames_total += h.published_frames.load(Ordering::Relaxed);
             agg.delivered += h.published_delivered.load(Ordering::Relaxed);
             agg.dropped += h.published_dropped.load(Ordering::Relaxed);
-        }
+        });
         agg
     }
 
-    /// One stream's published load counters — (frames executed, events
-    /// delivered, events dropped), as of its last step boundary. Like
-    /// [`StreamServer::aggregate`], never waits on the execution lock.
-    pub fn stream_counters(&self, stream: StreamId) -> ServeResult<(u64, u64, u64)> {
-        let h = self.handle(stream)?;
-        Ok((
-            h.published_frames.load(Ordering::Relaxed),
-            h.published_delivered.load(Ordering::Relaxed),
-            h.published_dropped.load(Ordering::Relaxed),
-        ))
+    /// One pass over the live (non-replay) streams' handles, under the
+    /// table lock: `f` must only read published counters.
+    pub(crate) fn for_each_live(&self, mut f: impl FnMut(&StreamHandle)) {
+        for h in self.streams.lock().values().filter(|h| !h.is_replay()) {
+            f(h);
+        }
     }
 
     /// The server's telemetry handle (shared with

@@ -12,9 +12,9 @@
 //!   a shard (round-robin); each shard worker multiplexes its streams
 //!   through one event loop, so stream count scales with device throughput
 //!   instead of OS threads ([`ServeConfig::shards`] sets the budget).
-//!   A runnable stream's step is a closure over its engine segment
-//!   (`StreamServer::step`), wrapped in panic containment so one stream's
-//!   escape never stalls its shard siblings.
+//!   A shard holds the handles of its streams and steps them directly
+//!   (the same step as `StreamServer::step`), wrapped in panic
+//!   containment so one stream's escape never stalls its shard siblings.
 //! - **Paced ingestion** ([`PaceMode`]) — a live camera delivers frames at
 //!   its capture rate, not as fast as the engine can chew. `Fps(f)` parks
 //!   the stream on its shard's deadline heap: a step runs only once all of
@@ -47,6 +47,14 @@
 //!   └──────────────────────────────────────────────────demux per stream
 //! ```
 //!
+//! A stream's lifecycle facts live in one place, its handle in the
+//! server's stream table: the one `finished` flag (end of video, or a
+//! restart budget run out), whether a shard is still scheduling it
+//! (*active*), its pace and paced backlog, and the error its shard let go
+//! of it with. The owning shard publishes the pacing facts at its step
+//! boundaries; the supervisor keeps no per-stream record, and
+//! [`StreamSupervisor::load`] is one pass over that table.
+//!
 //! The scheduling core (deadline heap, runnable ring, shed accounting) lives
 //! in [`crate::shard`] and is clock-agnostic; the
 //! [`DeterministicScheduler`](crate::shard::DeterministicScheduler)
@@ -58,7 +66,9 @@
 use crate::attach::{AttachMode, AttachSpec};
 use crate::batcher::{BatcherConfig, BatcherStats, FaultStats, ModelBatcher};
 use crate::metrics::ShardLoad;
-use crate::server::{ServeConfig, ServeError, ServeResult, StreamId, StreamOptions, StreamServer};
+use crate::server::{
+    ServeConfig, ServeError, ServeResult, StreamHandle, StreamId, StreamOptions, StreamServer,
+};
 use crate::shard::{ShardConfig, ShardCore};
 use crate::subscription::Subscription;
 use crate::ServeMetrics;
@@ -91,7 +101,8 @@ pub enum PaceMode {
 /// policy admits everything.
 #[derive(Debug, Clone, Default)]
 pub struct ServePolicy {
-    /// Maximum concurrently *active* (unfinished) streams.
+    /// Maximum concurrently *active* streams (those a shard is still
+    /// scheduling; see [`LoadSnapshot::active_streams`]).
     pub max_streams: Option<usize>,
     /// Maximum total paced backlog (due-but-unexecuted steps summed over
     /// all streams) before new work is refused.
@@ -149,15 +160,18 @@ impl ServePolicy {
 }
 
 /// A point-in-time view of supervisor load, the input to
-/// [`ServePolicy`] admission decisions. Composed from counters published
-/// at step boundaries, so reading it never waits behind a stream's
-/// execution lock.
+/// [`ServePolicy`] admission decisions. One pass over the server's stream
+/// table, reading counters published at step boundaries, so reading it
+/// never waits behind a stream's execution lock.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LoadSnapshot {
-    /// Streams the supervisor has opened (including finished ones not yet
-    /// removed).
+    /// Streams the supervisor has opened and not yet removed: those still
+    /// in the server's stream table, finished or not.
     pub streams: usize,
-    /// Streams still running (not at end-of-video).
+    /// Streams a shard is still scheduling. A stream stops being active
+    /// when its shard lets go of it: at end-of-video, on an error (a
+    /// failed recompile, a restart budget run out), on `remove_stream`,
+    /// or at shutdown.
     pub active_streams: usize,
     /// Due-but-unexecuted paced steps, summed over active streams.
     pub queue_depth: u64,
@@ -248,9 +262,10 @@ impl From<ServeError> for AttachError {
 }
 
 /// A point-in-time, per-stream load breakdown — the per-stream complement
-/// of the server-wide [`LoadSnapshot`]. Composed from scheduler-shared
-/// atomics and counters published at step boundaries, so reading it never
-/// waits behind the stream's execution lock.
+/// of the server-wide [`LoadSnapshot`]. Read from the stream's handle in
+/// the server's table, from counters its shard and its steps publish at
+/// step boundaries, so reading it never waits behind the stream's
+/// execution lock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamLoad {
     /// The stream's id.
@@ -261,7 +276,11 @@ pub struct StreamLoad {
     pub queue_depth: u64,
     /// Paced steps shed because the backlog overflowed the ingest queue.
     pub ticks_shed: u64,
-    /// Whether the stream reached end-of-video.
+    /// The stream's `finished` flag, the one the server keeps: it reached
+    /// end-of-video, or was finished in a faulted state (restart budget
+    /// run out). A stream its shard dropped on a plain error is not
+    /// finished, but no longer active either (see
+    /// [`LoadSnapshot::active_streams`]).
     pub finished: bool,
     /// Frames executed, as of the last step boundary.
     pub frames_total: u64,
@@ -320,67 +339,28 @@ fn build_stream_dispatch(
     }
 }
 
-/// State shared between a stream's owning shard and the supervisor.
-struct StreamShared {
-    /// The stream reached end-of-video (or died to an escaped panic).
-    finished: AtomicBool,
-    queue_depth: AtomicU64,
-    ticks_shed: AtomicU64,
-    /// Whether the scheduler is done with the stream (finished, errored,
-    /// removed, or supervisor shutdown) — the join condition.
-    done: Mutex<bool>,
-    done_cv: Condvar,
-    error: Mutex<Option<ServeError>>,
-}
-
-impl Default for StreamShared {
-    fn default() -> Self {
-        Self {
-            finished: AtomicBool::new(false),
-            queue_depth: AtomicU64::new(0),
-            ticks_shed: AtomicU64::new(0),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
-            error: Mutex::new(None),
-        }
-    }
-}
-
-impl StreamShared {
-    /// Marks the scheduler done with this stream and wakes joiners.
-    fn mark_done(&self) {
-        self.queue_depth.store(0, Ordering::Relaxed);
-        *self.done.lock() = true;
-        self.done_cv.notify_all();
-    }
-
-    /// Blocks until the scheduler is done with this stream.
-    fn wait_done(&self) {
-        let mut done = self.done.lock();
-        while !*done {
-            self.done_cv.wait(&mut done);
-        }
-    }
-}
-
 /// A command posted to a shard's inbox. A from-past replay is added like
-/// any stream: its id steps through `StreamServer::step`, one bounded turn
-/// per visit, so backfill shares the shard instead of starving live work.
+/// any stream: the shard steps its handle one bounded turn per visit, so
+/// backfill shares the shard instead of starving live work.
 enum ShardCmd {
     Add {
-        stream: StreamId,
+        handle: Arc<StreamHandle>,
         pace: PaceMode,
-        shared: Arc<StreamShared>,
     },
     Remove(StreamId),
 }
 
-/// State shared between one shard worker and the supervisor.
+/// State shared between one shard worker and the supervisor: its inbox,
+/// and the counters its [`ShardLoad`] row reads.
 struct ShardState {
     inbox: Mutex<Vec<ShardCmd>>,
     wake: Condvar,
     stop: AtomicBool,
     steps: AtomicU64,
+    /// Live streams handed to the shard and not yet released.
+    streams: AtomicUsize,
+    /// Paced backlog summed over the shard's streams.
+    queue_depth: AtomicU64,
 }
 
 impl ShardState {
@@ -390,6 +370,8 @@ impl ShardState {
             wake: Condvar::new(),
             stop: AtomicBool::new(false),
             steps: AtomicU64::new(0),
+            streams: AtomicUsize::new(0),
+            queue_depth: AtomicU64::new(0),
         }
     }
 
@@ -398,17 +380,39 @@ impl ShardState {
         self.inbox.lock().push(cmd);
         self.wake.notify_all();
     }
+
+    /// Publishes a stream's backlog, keeping the shard's sum in step.
+    fn set_queue_depth(&self, handle: &StreamHandle, depth: u64) {
+        let old = handle.queue_depth.swap(depth, Ordering::Relaxed);
+        self.queue_depth
+            .fetch_add(depth.wrapping_sub(old), Ordering::Relaxed);
+    }
+
+    /// Publishes the pacing counters the core holds for `handle`'s stream.
+    fn publish(&self, handle: &StreamHandle, core: &ShardCore) {
+        if let Some(c) = core.counters(handle.id) {
+            self.set_queue_depth(handle, c.queue_depth);
+            handle.ticks_shed.store(c.ticks_shed, Ordering::Relaxed);
+        }
+    }
+
+    /// Lets go of a stream: it stops counting as active here and in the
+    /// server's table, and `join_stream` wakes to `error`.
+    fn release(&self, handle: &StreamHandle, error: Option<ServeError>) {
+        self.set_queue_depth(handle, 0);
+        if !handle.is_replay() {
+            self.streams.fetch_sub(1, Ordering::Relaxed);
+        }
+        let mut slot = handle.error.lock();
+        *slot = error;
+        handle.active.store(false, Ordering::Release);
+        handle.released.notify_all();
+    }
 }
 
 struct ShardHandle {
     state: Arc<ShardState>,
     handle: Option<JoinHandle<()>>,
-}
-
-struct StreamEntry {
-    pace: PaceMode,
-    shard: usize,
-    shared: Arc<StreamShared>,
 }
 
 /// A self-driving, multi-stream serving frontend: owns a
@@ -456,7 +460,6 @@ pub struct StreamSupervisor {
     server: Arc<StreamServer>,
     batcher: Option<ModelBatcher>,
     config: SupervisorConfig,
-    streams: Mutex<HashMap<StreamId, StreamEntry>>,
     /// Shard workers, spawned lazily on the first `add_stream` so a
     /// supervisor that never serves costs no threads (and so spawn
     /// failure surfaces as a typed [`AttachError`]).
@@ -480,7 +483,6 @@ impl StreamSupervisor {
             server,
             batcher,
             config,
-            streams: Mutex::new(HashMap::new()),
             shards: Mutex::new(Vec::new()),
             shut_down: AtomicBool::new(false),
             next_shard: AtomicUsize::new(0),
@@ -528,11 +530,25 @@ impl StreamSupervisor {
         Ok(shards)
     }
 
-    /// Posts `cmd` to the next shard, round-robin; returns the shard.
-    fn post_round_robin(&self, shards: &[ShardHandle], cmd: ShardCmd) -> usize {
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % shards.len();
-        shards[shard].state.post(cmd);
-        shard
+    /// Hands a stream to the next shard, round-robin. The stream counts
+    /// as active from here until that shard releases it.
+    fn schedule(&self, shards: &[ShardHandle], handle: Arc<StreamHandle>, pace: PaceMode) {
+        let _ = handle.pace.set(pace);
+        handle.active.store(true, Ordering::Release);
+        let shard = &shards[self.next_shard.fetch_add(1, Ordering::Relaxed) % shards.len()].state;
+        if !handle.is_replay() {
+            shard.streams.fetch_add(1, Ordering::Relaxed);
+        }
+        shard.post(ShardCmd::Add { handle, pace });
+    }
+
+    /// The handle of a stream this supervisor scheduled.
+    fn scheduled(&self, stream: StreamId) -> ServeResult<Arc<StreamHandle>> {
+        let handle = self.server.live_handle(stream)?;
+        if handle.pace.get().is_none() {
+            return Err(ServeError::UnknownStream(stream));
+        }
+        Ok(handle)
     }
 
     /// Opens a stream, attaches its initial queries, and schedules it on
@@ -575,11 +591,10 @@ impl StreamSupervisor {
         pace: PaceMode,
         queries: &[Arc<Query>],
     ) -> Result<(StreamId, Vec<Subscription>), AttachError> {
-        let mut streams = self.streams.lock();
-        self.config
-            .policy
-            .admit_stream(&self.load_locked(&streams))?;
+        // Holding the shard pool's lock from the admission check to the
+        // hand-off makes them one step against a racing `add_stream`.
         let shards = self.running_shards()?;
+        self.config.policy.admit_stream(&self.load())?;
         let dispatch = build_stream_dispatch(&self.config, self.batcher.as_ref());
         let options = StreamOptions { dispatch };
         let stream = self.server.open_stream_with(source, options);
@@ -587,22 +602,7 @@ impl StreamSupervisor {
         for q in queries {
             subs.push(self.server.attach_queued(stream, Arc::clone(q))?);
         }
-        let shared = Arc::new(StreamShared::default());
-        let cmd = ShardCmd::Add {
-            stream,
-            pace,
-            shared: Arc::clone(&shared),
-        };
-        let shard = self.post_round_robin(&shards, cmd);
-        drop(shards);
-        streams.insert(
-            stream,
-            StreamEntry {
-                pace,
-                shard,
-                shared,
-            },
-        );
+        self.schedule(&shards, self.server.handle(stream)?, pace);
         Ok((stream, subs))
     }
 
@@ -637,15 +637,9 @@ impl StreamSupervisor {
                 let (sub, replay) =
                     self.server
                         .attach_replay(stream, Arc::clone(spec.query()), from)?;
-                // The replay retires itself (splice, end, or detach);
-                // nobody joins its shared entry, so no supervisor-side
-                // bookkeeping to clean up.
-                let cmd = ShardCmd::Add {
-                    stream: replay,
-                    pace: PaceMode::Unpaced,
-                    shared: Arc::new(StreamShared::default()),
-                };
-                self.post_round_robin(&shards, cmd);
+                // The replay retires its id itself (splice, end, or
+                // detach); nobody joins it.
+                self.schedule(&shards, replay, PaceMode::Unpaced);
                 Ok(M::wrap(sub))
             }
         }
@@ -662,26 +656,20 @@ impl StreamSupervisor {
         self.server.detach(stream, sub)
     }
 
-    /// The current load snapshot admission control evaluates.
+    /// The current load snapshot admission control evaluates: one pass
+    /// over the server's stream table.
     pub fn load(&self) -> LoadSnapshot {
-        self.load_locked(&self.streams.lock())
-    }
-
-    fn load_locked(&self, streams: &HashMap<StreamId, StreamEntry>) -> LoadSnapshot {
-        let agg = self.server.aggregate();
-        let mut load = LoadSnapshot {
-            streams: streams.len(),
-            delivered: agg.delivered,
-            dropped: agg.dropped,
-            ..LoadSnapshot::default()
-        };
-        for e in streams.values() {
-            if !e.shared.finished.load(Ordering::Acquire) {
-                load.active_streams += 1;
-                load.queue_depth += e.shared.queue_depth.load(Ordering::Relaxed);
+        let mut load = LoadSnapshot::default();
+        self.server.for_each_live(|h| {
+            load.delivered += h.published_delivered.load(Ordering::Relaxed);
+            load.dropped += h.published_dropped.load(Ordering::Relaxed);
+            if h.pace.get().is_some() {
+                load.streams += 1;
+                load.active_streams += usize::from(h.active.load(Ordering::Acquire));
+                load.queue_depth += h.queue_depth.load(Ordering::Relaxed);
+                load.ticks_shed += h.ticks_shed.load(Ordering::Relaxed);
             }
-            load.ticks_shed += e.shared.ticks_shed.load(Ordering::Relaxed);
-        }
+        });
         if let Some(b) = &self.batcher {
             load.faults = b.stats().faults;
         }
@@ -698,38 +686,19 @@ impl StreamSupervisor {
         self.batcher.as_ref().map(|b| b.stats())
     }
 
-    /// Per-shard load: streams assigned, paced backlog, steps executed.
-    /// One row per shard worker (empty before the first `add_stream`
-    /// spawns the shard pool).
+    /// Per-shard load: streams assigned, paced backlog, steps executed,
+    /// read from the counters each shard publishes. One row per shard
+    /// worker (empty before the first `add_stream` spawns the shard pool).
     pub fn shard_loads(&self) -> Vec<ShardLoad> {
-        // Lock order is streams → shards everywhere (shutdown, add), so
-        // collect the per-stream rollup first.
-        let mut per_shard: Vec<(usize, u64)> = Vec::new();
-        {
-            let streams = self.streams.lock();
-            for e in streams.values() {
-                if e.shard >= per_shard.len() {
-                    per_shard.resize(e.shard + 1, (0, 0));
-                }
-                if !e.shared.finished.load(Ordering::Acquire) {
-                    per_shard[e.shard].0 += 1;
-                    per_shard[e.shard].1 += e.shared.queue_depth.load(Ordering::Relaxed);
-                }
-            }
-        }
         let shards = self.shards.lock();
-        per_shard.resize(shards.len().max(per_shard.len()), (0, 0));
-        per_shard
+        shards
             .iter()
             .enumerate()
-            .map(|(i, &(streams, queue_depth))| ShardLoad {
-                shard: i,
-                streams,
-                queue_depth,
-                steps: shards
-                    .get(i)
-                    .map(|s| s.state.steps.load(Ordering::Relaxed))
-                    .unwrap_or(0),
+            .map(|(shard, s)| ShardLoad {
+                shard,
+                streams: s.state.streams.load(Ordering::Relaxed),
+                queue_depth: s.state.queue_depth.load(Ordering::Relaxed),
+                steps: s.state.steps.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -743,25 +712,21 @@ impl StreamSupervisor {
         &self.config.serve.telemetry
     }
 
-    /// Per-stream load breakdown: pacing backlog and shed ticks from the
-    /// stream's scheduler entry, plus the frame/delivery counters
-    /// published at its last step boundary. Never waits behind the
-    /// execution lock.
+    /// Per-stream load breakdown, read from the stream's handle: pacing
+    /// backlog and shed ticks as its shard last published them, plus the
+    /// frame/delivery counters of its last step boundary. Never waits
+    /// behind the execution lock.
     pub fn stream_snapshot(&self, stream: StreamId) -> ServeResult<StreamLoad> {
-        let (frames_total, delivered, dropped) = self.server.stream_counters(stream)?;
-        let streams = self.streams.lock();
-        let e = streams
-            .get(&stream)
-            .ok_or(ServeError::UnknownStream(stream))?;
+        let h = self.scheduled(stream)?;
         Ok(StreamLoad {
             stream,
-            pace: e.pace,
-            queue_depth: e.shared.queue_depth.load(Ordering::Relaxed),
-            ticks_shed: e.shared.ticks_shed.load(Ordering::Relaxed),
-            finished: e.shared.finished.load(Ordering::Acquire),
-            frames_total,
-            delivered,
-            dropped,
+            pace: *h.pace.get().expect("a scheduled stream has a pace"),
+            queue_depth: h.queue_depth.load(Ordering::Relaxed),
+            ticks_shed: h.ticks_shed.load(Ordering::Relaxed),
+            finished: h.finished.load(Ordering::Acquire),
+            frames_total: h.published_frames.load(Ordering::Relaxed),
+            delivered: h.published_delivered.load(Ordering::Relaxed),
+            dropped: h.published_dropped.load(Ordering::Relaxed),
         })
     }
 
@@ -862,17 +827,8 @@ impl StreamSupervisor {
     /// attach). Under [`Backpressure::Block`](crate::Backpressure) this
     /// blocks until subscribers drain, by design.
     pub fn join_stream(&self, stream: StreamId) -> ServeResult<ServeMetrics> {
-        let shared = {
-            let streams = self.streams.lock();
-            Arc::clone(
-                &streams
-                    .get(&stream)
-                    .ok_or(ServeError::UnknownStream(stream))?
-                    .shared,
-            )
-        };
-        shared.wait_done();
-        let err = shared.error.lock().take();
+        let handle = self.scheduled(stream)?;
+        let err = wait_released(&handle).take();
         match err {
             Some(e) => Err(e),
             None => self.server.metrics(stream),
@@ -883,18 +839,12 @@ impl StreamSupervisor {
     /// first) and closes the stream; subscribers see their channels
     /// close.
     pub fn remove_stream(&self, stream: StreamId) -> ServeResult<()> {
-        let entry = self
-            .streams
-            .lock()
-            .remove(&stream)
-            .ok_or(ServeError::UnknownStream(stream))?;
-        {
-            let shards = self.shards.lock();
-            if let Some(s) = shards.get(entry.shard) {
-                s.state.post(ShardCmd::Remove(stream));
-            }
+        let handle = self.scheduled(stream)?;
+        // Only the owning shard holds the stream; the others ignore this.
+        for s in self.shards.lock().iter() {
+            s.state.post(ShardCmd::Remove(stream));
         }
-        entry.shared.wait_done();
+        drop(wait_released(&handle));
         self.server.close_stream(stream)
     }
 
@@ -928,7 +878,17 @@ impl Drop for StreamSupervisor {
     }
 }
 
-/// One shard worker: an event loop multiplexing its assigned streams.
+/// Blocks until no shard schedules `handle`; returns its terminal-error
+/// slot, locked.
+fn wait_released(handle: &StreamHandle) -> MutexGuard<'_, Option<ServeError>> {
+    let mut error = handle.error.lock();
+    while handle.active.load(Ordering::Acquire) {
+        handle.released.wait(&mut error);
+    }
+    error
+}
+
+/// One shard worker: an event loop multiplexing the handles it holds.
 /// Paced streams park on the core's deadline heap; runnable streams step
 /// round-robin, each step wrapped in panic containment so one stream's
 /// escape detaches only that stream, never its shard siblings.
@@ -938,26 +898,19 @@ fn run_shard(server: Arc<StreamServer>, state: Arc<ShardState>, tracer: vqpy_obs
     let mut core = ShardCore::new(ShardConfig {
         frames_per_step: server.frames_per_step().max(1),
     });
-    let mut members: HashMap<StreamId, Arc<StreamShared>> = HashMap::new();
+    let mut members: HashMap<StreamId, Arc<StreamHandle>> = HashMap::new();
     loop {
         // Drain commands first so attach/detach never wait on pacing.
-        {
-            let mut inbox = state.inbox.lock();
-            for cmd in inbox.drain(..) {
-                match cmd {
-                    ShardCmd::Add {
-                        stream,
-                        pace,
-                        shared,
-                    } => {
-                        core.register(stream, pace, now_us());
-                        members.insert(stream, shared);
-                    }
-                    ShardCmd::Remove(stream) => {
-                        core.remove(stream);
-                        if let Some(shared) = members.remove(&stream) {
-                            shared.mark_done();
-                        }
+        for cmd in std::mem::take(&mut *state.inbox.lock()) {
+            match cmd {
+                ShardCmd::Add { handle, pace } => {
+                    core.register(handle.id, pace, now_us());
+                    members.insert(handle.id, handle);
+                }
+                ShardCmd::Remove(stream) => {
+                    core.remove(stream);
+                    if let Some(handle) = members.remove(&stream) {
+                        state.release(&handle, None);
                     }
                 }
             }
@@ -983,72 +936,53 @@ fn run_shard(server: Arc<StreamServer>, state: Arc<ShardState>, tracer: vqpy_obs
             }
             continue;
         };
-        let Some(shared) = members.get(&stream).cloned() else {
+        let Some(handle) = members.get(&stream) else {
             core.remove(stream);
             continue;
         };
-        // Publish the pacing counters the pop-evaluation just updated.
-        if let Some(c) = core.counters(stream) {
-            shared.queue_depth.store(c.queue_depth, Ordering::Relaxed);
-            shared.ticks_shed.store(c.ticks_shed, Ordering::Relaxed);
-        }
+        // Publish the backlog the pop-evaluation just updated.
+        state.publish(handle, &core);
         let result = {
             let _span = tracer
                 .span("shard", "step")
                 .arg("stream", stream)
                 .arg("occupancy", core.occupancy());
-            std::panic::catch_unwind(AssertUnwindSafe(|| server.step(stream)))
+            std::panic::catch_unwind(AssertUnwindSafe(|| server.step_handle(handle)))
         };
         state.steps.fetch_add(1, Ordering::Relaxed);
-        match result {
-            Ok(Ok(out)) => {
-                if out.finished {
-                    shared.finished.store(true, Ordering::Release);
-                    core.remove(stream);
-                    members.remove(&stream);
-                    shared.mark_done();
-                } else {
-                    core.completed_step(stream, now_us());
-                    if let Some(c) = core.counters(stream) {
-                        shared.queue_depth.store(c.queue_depth, Ordering::Relaxed);
-                        shared.ticks_shed.store(c.ticks_shed, Ordering::Relaxed);
-                    }
-                }
+        let error = match result {
+            Ok(Ok(out)) if !out.finished => {
+                core.completed_step(stream, now_us());
+                state.publish(handle, &core);
+                continue;
             }
-            Ok(Err(e)) => {
-                *shared.error.lock() = Some(e);
-                core.remove(stream);
-                members.remove(&stream);
-                shared.mark_done();
-            }
+            Ok(Ok(_)) => None,
+            Ok(Err(e)) => Some(e),
             Err(payload) => {
                 // A panic that escaped the server's step-level containment
-                // (checkpoint/restart) detaches only this stream — its
-                // shard siblings keep running.
-                shared.finished.store(true, Ordering::Release);
-                let mut err = shared.error.lock();
-                if err.is_none() {
-                    *err = Some(ServeError::WorkerPanic {
-                        message: panic_message(payload.as_ref()),
-                        restarts: 0,
-                    });
-                }
-                drop(err);
-                core.remove(stream);
-                members.remove(&stream);
-                shared.mark_done();
+                // (checkpoint/restart) ends only this stream — its shard
+                // siblings keep running.
+                handle.finished.store(true, Ordering::Release);
+                Some(ServeError::WorkerPanic {
+                    message: panic_message(payload.as_ref()),
+                    restarts: 0,
+                })
             }
+        };
+        core.remove(stream);
+        if let Some(handle) = members.remove(&stream) {
+            state.release(&handle, error);
         }
     }
-    // Stop: detach every remaining stream, and every stream whose `Add`
+    // Stop: release every remaining stream, and every stream whose `Add`
     // landed after the last drain, so no joiner waits on a gone shard.
     // `finished` stays as-is: shutdown parks streams, it does not end them.
     for cmd in std::mem::take(&mut *state.inbox.lock()) {
-        if let ShardCmd::Add { shared, .. } = cmd {
-            shared.mark_done();
+        if let ShardCmd::Add { handle, .. } = cmd {
+            state.release(&handle, None);
         }
     }
-    for (_, shared) in members.drain() {
-        shared.mark_done();
+    for (_, handle) in members.drain() {
+        state.release(&handle, None);
     }
 }

@@ -5,8 +5,10 @@
 //! stream, and in both execution modes.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 use vqpy_core::frontend::{library, predicate::Pred};
 use vqpy_core::{Aggregate, FrameHit, Query, SessionConfig, VqpySession};
 use vqpy_models::{ModelZoo, Value};
@@ -16,7 +18,7 @@ use vqpy_serve::{
 };
 use vqpy_store::{corrupt_segment, FrameStore, RetentionPolicy, SegmentCorruption, StoreConfig};
 use vqpy_video::source::{SyntheticVideo, VideoSource};
-use vqpy_video::{presets, Scene};
+use vqpy_video::{presets, Frame, Scene};
 
 fn color_query(name: &str, color: &str) -> Arc<Query> {
     Query::builder(name)
@@ -663,4 +665,113 @@ fn supervisor_attach_from_end_to_end() {
     assert_eq!(agg, exp_agg);
     supervisor.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A camera shared by a live stream and its replay. The first decode of
+/// frame `at` after `armed` is set asks another thread to step the live
+/// stream once, and waits until that step is done.
+struct GapVideo {
+    inner: SyntheticVideo,
+    at: u64,
+    armed: AtomicBool,
+    step_live: SyncSender<()>,
+    stepped: Mutex<Receiver<()>>,
+}
+
+impl VideoSource for GapVideo {
+    fn video_id(&self) -> u64 {
+        self.inner.video_id()
+    }
+    fn fps(&self) -> u32 {
+        self.inner.fps()
+    }
+    fn resolution(&self) -> (u32, u32) {
+        self.inner.resolution()
+    }
+    fn frame_count(&self) -> u64 {
+        self.inner.frame_count()
+    }
+    fn frame(&self, index: u64) -> Frame {
+        if index == self.at && self.armed.swap(false, Ordering::SeqCst) {
+            self.step_live.send(()).unwrap();
+            let stepped = self.stepped.lock().unwrap();
+            stepped
+                .recv_timeout(Duration::from_secs(30))
+                .expect("the live step finished");
+        }
+        self.inner.frame(index)
+    }
+    fn scene(&self) -> Option<&Scene> {
+        self.inner.scene()
+    }
+}
+
+/// The live stream advances one step while the replay runs its last chase
+/// chunk, so at the splice the replay is a step behind and must replay that
+/// gap before it joins the live plan. The gap holds hits; a splice that
+/// skipped it would lose them.
+#[test]
+fn splice_replays_the_gap_the_live_stream_opened() {
+    // Three live steps: the replay's first turn reaches them within its
+    // budget (four steps' worth), so that turn ends in the splice.
+    const LIVE_STEPS: u64 = 3;
+    for (i, config) in exec_modes().iter().enumerate() {
+        let v = video(29, 12.0);
+        let query = count_query("CountCars");
+        let (exp_hits, exp_agg) = baseline(config, &v, &query);
+
+        let dir = tempdir(&format!("gap{i}"));
+        let fs = store_at(&dir);
+        let server = serve_with_store(config, &fs);
+        let step_frames = server.frames_per_step();
+        let target = LIVE_STEPS * step_frames;
+        let gap = target..target + step_frames;
+        assert!(
+            exp_hits.iter().any(|h| gap.contains(&h.frame)),
+            "the gap {gap:?} must hold hits"
+        );
+        let (step_live, step_requests) = sync_channel(1);
+        let (stepped_tx, stepped) = sync_channel(1);
+        let camera = Arc::new(GapVideo {
+            inner: v.clone(),
+            at: target - 1,
+            armed: AtomicBool::new(false),
+            step_live,
+            stepped: Mutex::new(stepped),
+        });
+        let stream = server.open_stream(Arc::clone(&camera) as Arc<dyn VideoSource>);
+        let control = server.attach(stream, color_query("RedCar", "red")).unwrap();
+        for _ in 0..LIVE_STEPS {
+            server.step(stream).unwrap();
+        }
+        assert_eq!(server.position(stream).unwrap(), target);
+        let (sub, replay) = attach_from(&server, stream, Arc::clone(&query), fs.epoch()).unwrap();
+        camera.armed.store(true, Ordering::SeqCst);
+        let live = &server;
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                if step_requests.recv_timeout(Duration::from_secs(30)).is_ok() {
+                    live.step(stream).unwrap();
+                    stepped_tx.send(()).unwrap();
+                }
+            });
+            let out = server.step(replay).unwrap();
+            assert!(
+                !camera.armed.load(Ordering::SeqCst),
+                "the replay never decoded frame {} (mode {i})",
+                target - 1
+            );
+            assert!(
+                out.finished,
+                "the turn that met the gap must splice (mode {i})"
+            );
+        });
+        assert_eq!(server.position(stream).unwrap(), gap.end);
+        server.run_to_end(stream).unwrap();
+        drain(control.into_inner());
+        let (hits, _faults, agg) = drain(sub);
+        assert_eq!(hits, exp_hits, "replayed hits diverged (mode {i})");
+        assert_eq!(agg, exp_agg, "replayed aggregate diverged (mode {i})");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -225,6 +225,9 @@ fn exhausted_restart_budget_never_stalls_shard_siblings() {
         }
         other => panic!("expected WorkerPanic, got {other:?}"),
     }
+    // The abandoned stream is finished in a faulted state, and no longer
+    // scheduled.
+    assert!(supervisor.stream_snapshot(wedged).unwrap().finished);
     let (_, wedged_faults, wedged_terminal) =
         split(collect_events(wedged_subs.into_iter().next().unwrap()));
     assert!(!wedged_terminal, "no End after an abandoned stream");
@@ -248,6 +251,18 @@ fn exhausted_restart_budget_never_stalls_shard_siblings() {
     let loads = supervisor.shard_loads();
     assert_eq!(loads.len(), 1);
     assert!(loads[0].steps > 0);
+
+    // Every reading of the streams' lifecycle agrees: four finished, none
+    // active.
+    let aggregate = supervisor.server().aggregate();
+    let load = supervisor.load();
+    assert_eq!(
+        (aggregate.streams, aggregate.finished_streams),
+        (4, 4),
+        "{aggregate:?}"
+    );
+    assert_eq!((load.streams, load.active_streams), (4, 0), "{load:?}");
+    assert_eq!(loads[0].streams, 0, "{loads:?}");
 }
 
 /// Decode corruption on the sharded supervisor: corrupt frames become

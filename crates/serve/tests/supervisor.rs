@@ -270,6 +270,20 @@ fn drop_overload_rejects_attach() {
     }
 }
 
+/// A query referencing a model the zoo lacks: attaching it makes the
+/// stream's next recompile fail.
+fn broken_query() -> Arc<Query> {
+    let broken_schema = vqpy_core::VObjSchema::builder("Ghost")
+        .class_labels(&["car"])
+        .detector("no_such_detector")
+        .build();
+    Query::builder("Broken")
+        .vobj("ghost", broken_schema)
+        .frame_constraint(Pred::gt("ghost", "score", 0.5))
+        .build()
+        .unwrap()
+}
+
 /// A bad attach (query referencing a model the zoo lacks) stops the worker
 /// with a typed serving error surfaced by `join_stream` — not a panic.
 #[test]
@@ -283,19 +297,96 @@ fn worker_error_surfaces_through_join() {
             &[color_query("RedCar", "red")],
         )
         .unwrap();
-    let broken_schema = vqpy_core::VObjSchema::builder("Ghost")
-        .class_labels(&["car"])
-        .detector("no_such_detector")
-        .build();
-    let broken = Query::builder("Broken")
-        .vobj("ghost", broken_schema)
-        .frame_constraint(Pred::gt("ghost", "score", 0.5))
-        .build()
-        .unwrap();
-    supervisor.attach(stream, broken).unwrap();
+    supervisor.attach(stream, broken_query()).unwrap();
     match supervisor.join_stream(stream) {
         Err(ServeError::Core(_)) => {}
         other => panic!("expected a core planning error, got {other:?}"),
+    }
+}
+
+/// A stream its shard dropped after a failed attach is no longer active:
+/// it leaves the active count and its shard's row, and its slot under
+/// `max_streams` goes to the next stream.
+#[test]
+fn a_dropped_stream_is_not_active() {
+    let session = Arc::new(VqpySession::new(ModelZoo::standard()));
+    let supervisor = StreamSupervisor::new(
+        session,
+        SupervisorConfig {
+            policy: ServePolicy {
+                max_streams: Some(1),
+                ..ServePolicy::default()
+            },
+            ..SupervisorConfig::default()
+        },
+    );
+    let (stream, _subs) = supervisor
+        .add_stream(
+            Arc::new(video(48, 10.0)),
+            PaceMode::Fps(30.0),
+            &[color_query("RedCar", "red")],
+        )
+        .unwrap();
+    supervisor.attach(stream, broken_query()).unwrap();
+    match supervisor.join_stream(stream) {
+        Err(ServeError::Core(_)) => {}
+        other => panic!("expected a core planning error, got {other:?}"),
+    }
+    let load = supervisor.load();
+    assert_eq!((load.streams, load.active_streams), (1, 0), "{load:?}");
+    let loads = supervisor.shard_loads();
+    assert!(loads.iter().all(|s| s.streams == 0), "{loads:?}");
+    let (next, _subs) = supervisor
+        .add_stream(Arc::new(video(49, 1.0)), PaceMode::Unpaced, &[])
+        .expect("the dropped stream's slot is free");
+    supervisor.join_stream(next).unwrap();
+}
+
+/// Admission is atomic: of eight threads racing `add_stream` under
+/// `max_streams: Some(3)`, exactly three are admitted and the rest see the
+/// limit reached with three active streams.
+#[test]
+fn racing_add_streams_admit_exactly_the_limit() {
+    const LIMIT: usize = 3;
+    for round in 0..20u64 {
+        let session = Arc::new(VqpySession::new(ModelZoo::standard()));
+        let supervisor = Arc::new(StreamSupervisor::new(
+            session,
+            SupervisorConfig {
+                policy: ServePolicy {
+                    max_streams: Some(LIMIT),
+                    ..ServePolicy::default()
+                },
+                ..SupervisorConfig::default()
+            },
+        ));
+        let start = Arc::new(std::sync::Barrier::new(8));
+        let racers: Vec<_> = (0..8)
+            .map(|i| {
+                let supervisor = Arc::clone(&supervisor);
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    // At 1 fps a 10 s clip stays active far past the race.
+                    let source = Arc::new(video(200 + i, 10.0));
+                    start.wait();
+                    supervisor
+                        .add_stream(source, PaceMode::Fps(1.0), &[])
+                        .map(|(stream, _)| stream)
+                })
+            })
+            .collect();
+        let mut admitted = 0;
+        for racer in racers {
+            match racer.join().unwrap() {
+                Ok(_) => admitted += 1,
+                Err(AttachError::StreamLimit { streams, limit }) => {
+                    assert_eq!((streams, limit), (LIMIT, LIMIT), "round {round}");
+                }
+                Err(other) => panic!("round {round}: expected StreamLimit, got {other}"),
+            }
+        }
+        assert_eq!(admitted, LIMIT, "round {round}");
+        assert_eq!(supervisor.load().active_streams, LIMIT, "round {round}");
     }
 }
 
