@@ -143,12 +143,21 @@ fn unit(seed: u64, n: u64, salt: u64) -> f64 {
     (mix(seed.wrapping_add(salt), n) >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// An injector's aggregate counters, shared by every model it wraps.
+#[derive(Debug, Default)]
+struct Totals {
+    injected: AtomicU64,
+    spikes: AtomicU64,
+}
+
+/// One wrapped model's schedule: its own invocation counter and failure
+/// cap, counting each injection once into the injector's [`Totals`].
 #[derive(Debug)]
 struct FaultCore {
     plan: FaultPlan,
     invocations: AtomicU64,
     injected: AtomicU64,
-    spikes: AtomicU64,
+    totals: Arc<Totals>,
 }
 
 enum Decision {
@@ -158,12 +167,12 @@ enum Decision {
 }
 
 impl FaultCore {
-    fn new(plan: FaultPlan) -> Self {
+    fn new(plan: FaultPlan, totals: &Arc<Totals>) -> Self {
         Self {
             plan,
             invocations: AtomicU64::new(0),
             injected: AtomicU64::new(0),
-            spikes: AtomicU64::new(0),
+            totals: Arc::clone(totals),
         }
     }
 
@@ -187,7 +196,10 @@ impl FaultCore {
                     Ordering::Relaxed,
                     Ordering::Relaxed,
                 ) {
-                    Ok(_) => return Decision::Fail(cur + 1),
+                    Ok(_) => {
+                        self.totals.injected.fetch_add(1, Ordering::Relaxed);
+                        return Decision::Fail(cur + 1);
+                    }
                     Err(seen) => cur = seen,
                 }
             }
@@ -196,7 +208,7 @@ impl FaultCore {
             && p.latency_spike_ms > 0.0
             && unit(p.seed, n, 0x517E) < p.latency_spike_prob
         {
-            self.spikes.fetch_add(1, Ordering::Relaxed);
+            self.totals.spikes.fetch_add(1, Ordering::Relaxed);
             return Decision::Spike(p.latency_spike_ms);
         }
         Decision::Pass
@@ -229,8 +241,7 @@ impl FaultCore {
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    injected: Arc<AtomicU64>,
-    spikes: Arc<AtomicU64>,
+    totals: Arc<Totals>,
 }
 
 impl FaultInjector {
@@ -238,28 +249,25 @@ impl FaultInjector {
     pub fn new(plan: FaultPlan) -> Self {
         Self {
             plan,
-            injected: Arc::new(AtomicU64::new(0)),
-            spikes: Arc::new(AtomicU64::new(0)),
+            totals: Arc::default(),
         }
     }
 
     /// Total failures injected across all wrapped models.
     pub fn injected_faults(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
+        self.totals.injected.load(Ordering::Relaxed)
     }
 
     /// Total latency spikes injected across all wrapped models.
     pub fn injected_spikes(&self) -> u64 {
-        self.spikes.load(Ordering::Relaxed)
+        self.totals.spikes.load(Ordering::Relaxed)
     }
 
     /// Wraps a detector; its `try_detect_batch` follows the schedule.
     pub fn wrap_detector(&self, inner: Arc<dyn Detector>) -> Arc<dyn Detector> {
         Arc::new(FaultyDetector {
             inner,
-            core: FaultCore::new(self.plan),
-            injected: Arc::clone(&self.injected),
-            spikes: Arc::clone(&self.spikes),
+            core: FaultCore::new(self.plan, &self.totals),
         })
     }
 
@@ -267,9 +275,7 @@ impl FaultInjector {
     pub fn wrap_classifier(&self, inner: Arc<dyn Classifier>) -> Arc<dyn Classifier> {
         Arc::new(FaultyClassifier {
             inner,
-            core: FaultCore::new(self.plan),
-            injected: Arc::clone(&self.injected),
-            spikes: Arc::clone(&self.spikes),
+            core: FaultCore::new(self.plan, &self.totals),
         })
     }
 
@@ -281,28 +287,14 @@ impl FaultInjector {
     ) -> Arc<dyn FrameClassifier> {
         Arc::new(FaultyFrameClassifier {
             inner,
-            core: FaultCore::new(self.plan),
-            injected: Arc::clone(&self.injected),
-            spikes: Arc::clone(&self.spikes),
+            core: FaultCore::new(self.plan, &self.totals),
         })
     }
-}
-
-macro_rules! faulty_apply {
-    ($self:ident, $clock:ident, $run:expr) => {{
-        let out = $self.core.apply(&$self.inner.profile().name, $clock, $run);
-        if out.is_err() {
-            $self.injected.fetch_add(1, Ordering::Relaxed);
-        }
-        out
-    }};
 }
 
 struct FaultyDetector {
     inner: Arc<dyn Detector>,
     core: FaultCore,
-    injected: Arc<AtomicU64>,
-    spikes: Arc<AtomicU64>,
 }
 
 impl Detector for FaultyDetector {
@@ -327,21 +319,15 @@ impl Detector for FaultyDetector {
         frames: &[&vqpy_video::frame::Frame],
         clock: &Clock,
     ) -> Result<Vec<Vec<Detection>>, ModelFault> {
-        let before = self.core.spikes.load(Ordering::Relaxed);
-        let out = faulty_apply!(self, clock, || self.inner.detect_batch(frames, clock));
-        self.spikes.fetch_add(
-            self.core.spikes.load(Ordering::Relaxed) - before,
-            Ordering::Relaxed,
-        );
-        out
+        self.core.apply(&self.inner.profile().name, clock, || {
+            self.inner.detect_batch(frames, clock)
+        })
     }
 }
 
 struct FaultyClassifier {
     inner: Arc<dyn Classifier>,
     core: FaultCore,
-    injected: Arc<AtomicU64>,
-    spikes: Arc<AtomicU64>,
 }
 
 impl Classifier for FaultyClassifier {
@@ -376,15 +362,9 @@ impl Classifier for FaultyClassifier {
         dets: &[Detection],
         clock: &Clock,
     ) -> Result<Vec<Value>, ModelFault> {
-        let before = self.core.spikes.load(Ordering::Relaxed);
-        let out = faulty_apply!(self, clock, || self
-            .inner
-            .classify_batch(frame, dets, clock));
-        self.spikes.fetch_add(
-            self.core.spikes.load(Ordering::Relaxed) - before,
-            Ordering::Relaxed,
-        );
-        out
+        self.core.apply(&self.inner.profile().name, clock, || {
+            self.inner.classify_batch(frame, dets, clock)
+        })
     }
 
     fn try_classify_batch_jobs(
@@ -392,21 +372,15 @@ impl Classifier for FaultyClassifier {
         jobs: &[(&vqpy_video::frame::Frame, &[Detection])],
         clock: &Clock,
     ) -> Result<Vec<Vec<Value>>, ModelFault> {
-        let before = self.core.spikes.load(Ordering::Relaxed);
-        let out = faulty_apply!(self, clock, || self.inner.classify_batch_jobs(jobs, clock));
-        self.spikes.fetch_add(
-            self.core.spikes.load(Ordering::Relaxed) - before,
-            Ordering::Relaxed,
-        );
-        out
+        self.core.apply(&self.inner.profile().name, clock, || {
+            self.inner.classify_batch_jobs(jobs, clock)
+        })
     }
 }
 
 struct FaultyFrameClassifier {
     inner: Arc<dyn FrameClassifier>,
     core: FaultCore,
-    injected: Arc<AtomicU64>,
-    spikes: Arc<AtomicU64>,
 }
 
 impl FrameClassifier for FaultyFrameClassifier {
@@ -427,13 +401,9 @@ impl FrameClassifier for FaultyFrameClassifier {
         frames: &[&vqpy_video::frame::Frame],
         clock: &Clock,
     ) -> Result<Vec<bool>, ModelFault> {
-        let before = self.core.spikes.load(Ordering::Relaxed);
-        let out = faulty_apply!(self, clock, || self.inner.predict_batch(frames, clock));
-        self.spikes.fetch_add(
-            self.core.spikes.load(Ordering::Relaxed) - before,
-            Ordering::Relaxed,
-        );
-        out
+        self.core.apply(&self.inner.profile().name, clock, || {
+            self.inner.predict_batch(frames, clock)
+        })
     }
 }
 
@@ -534,5 +504,32 @@ mod tests {
         let spike = clock.stat(FAULT_SPIKE_LABEL).expect("spike charged");
         assert_eq!(spike.units, 25.0);
         assert_eq!(inj.injected_spikes(), 1);
+    }
+
+    #[test]
+    fn concurrent_calls_count_each_spike_once() {
+        use crate::clock::ClockMode;
+        let inj = FaultInjector::new(FaultPlan {
+            seed: 9,
+            latency_spike_prob: 1.0,
+            latency_spike_ms: 5.0,
+            ..FaultPlan::default()
+        });
+        let det = inj.wrap_detector(detector());
+        let frame = a_frame();
+        // A sleeping clock holds each call in its spike, so calls on the
+        // one wrapped model overlap.
+        let clock = Clock::with_mode(ClockMode::Latency);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..5 {
+                        det.try_detect_batch(&[&frame], &clock)
+                            .expect("spikes survive");
+                    }
+                });
+            }
+        });
+        assert_eq!(inj.injected_spikes(), 20);
     }
 }

@@ -33,14 +33,13 @@
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vqpy_core::{panic_message, ModelDispatch, ModelStage};
 use vqpy_models::{Classifier, Clock, Detection, Detector, FrameClassifier, ModelFault, Value};
-use vqpy_obs::{Histogram, Telemetry, Tracer};
+use vqpy_obs::{Counter, Histogram, Telemetry, Tracer};
 use vqpy_video::frame::Frame;
 
 /// Coalescing bounds for the cross-stream batcher.
@@ -170,85 +169,65 @@ impl BatcherStats {
     }
 }
 
-#[derive(Default)]
-struct StageStatsInner {
-    physical_batches: AtomicU64,
-    requests: AtomicU64,
-    items: AtomicU64,
-    max_batch_items: AtomicU64,
-}
-
-impl StageStatsInner {
-    fn snapshot(&self) -> StageCoalesce {
-        StageCoalesce {
-            physical_batches: self.physical_batches.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            items: self.items.load(Ordering::Relaxed),
-            max_batch_items: self.max_batch_items.load(Ordering::Relaxed),
-        }
-    }
-
-    fn record(&self, requests: u64, items: u64) {
-        self.physical_batches.fetch_add(1, Ordering::Relaxed);
-        self.requests.fetch_add(requests, Ordering::Relaxed);
-        self.items.fetch_add(items, Ordering::Relaxed);
-        self.max_batch_items.fetch_max(items, Ordering::Relaxed);
-    }
-}
-
-#[derive(Default)]
-struct FaultStatsInner {
-    model_faults: AtomicU64,
-    breaker_trips: AtomicU64,
-    breaker_recoveries: AtomicU64,
-    broken_dispatches: AtomicU64,
-    probes: AtomicU64,
-    coalesce_panics: AtomicU64,
-}
-
-impl FaultStatsInner {
-    fn snapshot(&self) -> FaultStats {
-        FaultStats {
-            model_faults: self.model_faults.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            breaker_recoveries: self.breaker_recoveries.load(Ordering::Relaxed),
-            broken_dispatches: self.broken_dispatches.load(Ordering::Relaxed),
-            probes: self.probes.load(Ordering::Relaxed),
-            coalesce_panics: self.coalesce_panics.load(Ordering::Relaxed),
-        }
-    }
-}
-
-#[derive(Default)]
-struct StatsInner {
-    stages: [StageStatsInner; 3],
-    faults: FaultStatsInner,
-}
-
-/// The coalescing thread's telemetry: the shared-lane tracer (pid 0 in
-/// the exported timeline) plus one registry histogram of physical batch
-/// sizes per stage. Values recorded into `batch_items` are item counts
-/// (frames or crops), not durations, despite the histogram's
-/// millisecond-named accessors.
+/// The batcher's only counter holder: the shared-lane tracer (pid 0 in
+/// the exported timeline) plus registry handles, all registered in the
+/// [`Telemetry`] the batcher is built over. Per stage, the
+/// `vqpy_batch_items{stage}` summary takes one sample per physical batch,
+/// its item count (frames or crops, not a duration, despite the
+/// histogram's millisecond-named accessors): its count, sum and max are
+/// the stage's physical batches, items and largest batch.
+/// `vqpy_batcher_requests_total{stage}` counts stream requests, and one
+/// counter per [`FaultStats`] field counts faults. [`BatcherStats`] is a
+/// view over these handles.
 struct BatcherObs {
     tracer: Tracer,
     batch_items: [Histogram; 3],
+    requests: [Counter; 3],
+    model_faults: Counter,
+    breaker_trips: Counter,
+    breaker_recoveries: Counter,
+    broken_dispatches: Counter,
+    probes: Counter,
+    coalesce_panics: Counter,
 }
 
 impl BatcherObs {
     fn new(telemetry: &Telemetry) -> Self {
-        let hist = |stage: ModelStage| {
-            telemetry
-                .registry()
-                .histogram(&format!("vqpy_batch_items{{stage=\"{}\"}}", stage.name()))
-        };
+        let reg = telemetry.registry();
+        let stage_name =
+            |metric: &str, stage: ModelStage| format!("{metric}{{stage=\"{}\"}}", stage.name());
         Self {
             tracer: telemetry.tracer().for_stream(0),
-            batch_items: [
-                hist(ModelStage::Detect),
-                hist(ModelStage::Predict),
-                hist(ModelStage::Classify),
-            ],
+            batch_items: ModelStage::ALL.map(|s| reg.histogram(&stage_name("vqpy_batch_items", s))),
+            requests: ModelStage::ALL
+                .map(|s| reg.counter(&stage_name("vqpy_batcher_requests_total", s))),
+            model_faults: reg.counter("vqpy_model_faults_total"),
+            breaker_trips: reg.counter("vqpy_breaker_trips_total"),
+            breaker_recoveries: reg.counter("vqpy_breaker_recoveries_total"),
+            broken_dispatches: reg.counter("vqpy_broken_dispatches_total"),
+            probes: reg.counter("vqpy_breaker_probes_total"),
+            coalesce_panics: reg.counter("vqpy_coalesce_panics_total"),
+        }
+    }
+
+    fn stage(&self, stage: ModelStage) -> StageCoalesce {
+        let items = &self.batch_items[stage.index()];
+        StageCoalesce {
+            physical_batches: items.count(),
+            requests: self.requests[stage.index()].get(),
+            items: items.sum_ms().round() as u64,
+            max_batch_items: items.max_ms().round() as u64,
+        }
+    }
+
+    fn faults(&self) -> FaultStats {
+        FaultStats {
+            model_faults: self.model_faults.get(),
+            breaker_trips: self.breaker_trips.get(),
+            breaker_recoveries: self.breaker_recoveries.get(),
+            broken_dispatches: self.broken_dispatches.get(),
+            probes: self.probes.get(),
+            coalesce_panics: self.coalesce_panics.get(),
         }
     }
 }
@@ -335,7 +314,7 @@ impl Request {
 pub struct BatchedDispatch {
     /// `None` after shutdown; dispatch then falls back to direct calls.
     tx: Mutex<Option<SyncSender<Request>>>,
-    stats: Arc<StatsInner>,
+    obs: Arc<BatcherObs>,
     breaker_trip_after: u32,
     breaker_probe_every: u64,
     /// Breaker state per model instance, keyed by `Arc` pointer identity —
@@ -350,7 +329,7 @@ impl std::fmt::Debug for BatchedDispatch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchedDispatch")
             .field("open", &self.tx.lock().is_some())
-            .field("faults", &self.stats.faults.snapshot())
+            .field("faults", &self.obs.faults())
             .finish()
     }
 }
@@ -401,20 +380,14 @@ impl BatchedDispatch {
             if st.open {
                 st.open = false;
                 st.calls_since_trip = 0;
-                self.stats
-                    .faults
-                    .breaker_recoveries
-                    .fetch_add(1, Ordering::Relaxed);
+                self.obs.breaker_recoveries.inc();
             }
         } else {
             st.consecutive_failures = st.consecutive_failures.saturating_add(1);
             if !st.open && st.consecutive_failures >= self.breaker_trip_after.max(1) {
                 st.open = true;
                 st.calls_since_trip = 0;
-                self.stats
-                    .faults
-                    .breaker_trips
-                    .fetch_add(1, Ordering::Relaxed);
+                self.obs.breaker_trips.inc();
             }
         }
     }
@@ -428,25 +401,25 @@ impl BatchedDispatch {
         make: impl FnOnce(SyncSender<Result<T, ModelFault>>) -> Request,
         direct: impl Fn() -> Result<T, ModelFault>,
     ) -> Result<T, ModelFault> {
-        let faults = &self.stats.faults;
+        let obs = &self.obs;
         match self.route(key) {
             Route::Direct => {
-                faults.broken_dispatches.fetch_add(1, Ordering::Relaxed);
+                obs.broken_dispatches.inc();
                 let r = direct();
                 if r.is_err() {
-                    faults.model_faults.fetch_add(1, Ordering::Relaxed);
+                    obs.model_faults.inc();
                 }
                 r
             }
             Route::Batched { probe } => {
                 if probe {
-                    faults.probes.fetch_add(1, Ordering::Relaxed);
+                    obs.probes.inc();
                 }
                 match self.roundtrip(make) {
                     Some(result) => {
                         self.record_outcome(key, result.is_ok());
                         if result.is_err() {
-                            faults.model_faults.fetch_add(1, Ordering::Relaxed);
+                            obs.model_faults.inc();
                         }
                         result
                     }
@@ -544,7 +517,8 @@ impl std::fmt::Debug for ModelBatcher {
 
 impl ModelBatcher {
     /// Spawns the coalescing thread. `clock` is the session clock every
-    /// participating stream charges to.
+    /// participating stream charges to. Its counters live in a private
+    /// registry ([`Telemetry::disabled`]).
     ///
     /// If the OS refuses the thread, the batcher degrades instead of
     /// panicking: handles dispatch direct per-stream from the start,
@@ -555,21 +529,27 @@ impl ModelBatcher {
 
     /// Like [`ModelBatcher::new`], with telemetry: each coalescing round
     /// becomes a `coalesce` span in the shared process lane (pid 0), and
-    /// physical batch sizes feed the `vqpy_batch_items{stage=...}`
-    /// registry histograms. The supervisor passes its serve config's
-    /// [`Telemetry`] here.
+    /// the batcher writes its counters straight into the registry as it
+    /// runs: `vqpy_batch_items{stage}` (one sample per physical batch,
+    /// its item count), `vqpy_batcher_requests_total{stage}`, and one
+    /// `vqpy_*_total` counter per [`FaultStats`] field. The supervisor
+    /// passes its serve config's [`Telemetry`] here.
+    ///
+    /// The counts belong to `telemetry`, not to the batcher: batchers
+    /// built over one `Telemetry` (e.g. two supervisors given one serve
+    /// config's handle) share them, and each one's
+    /// [`ModelBatcher::stats`] reports their sum.
     pub fn with_telemetry(config: BatcherConfig, clock: Arc<Clock>, telemetry: &Telemetry) -> Self {
         // The queue bound only limits burst submissions; each stream has
         // at most a handful of in-flight requests (its detect workers plus
         // the tail's classify traffic).
         let (tx, rx) = sync_channel::<Request>(1024);
-        let stats = Arc::new(StatsInner::default());
-        let worker_stats = Arc::clone(&stats);
+        let obs = Arc::new(BatcherObs::new(telemetry));
+        let worker_obs = Arc::clone(&obs);
         let worker_config = config.clone();
-        let obs = BatcherObs::new(telemetry);
         let spawned = std::thread::Builder::new()
             .name("vqpy-model-batcher".into())
-            .spawn(move || run_batcher(rx, worker_config, clock, worker_stats, obs));
+            .spawn(move || run_batcher(rx, worker_config, clock, worker_obs));
         let (worker, tx) = match spawned {
             Ok(w) => (Some(w), Some(tx)),
             Err(_) => (None, None),
@@ -577,7 +557,7 @@ impl ModelBatcher {
         Self {
             dispatch: Arc::new(BatchedDispatch {
                 tx: Mutex::new(tx),
-                stats,
+                obs,
                 breaker_trip_after: config.breaker_trip_after,
                 breaker_probe_every: config.breaker_probe_every,
                 breakers: Mutex::new(HashMap::new()),
@@ -592,15 +572,12 @@ impl ModelBatcher {
         Arc::clone(&self.dispatch)
     }
 
-    /// Coalescing counters so far, in aggregate and per stage.
+    /// Coalescing counters so far, in aggregate and per stage: a view over
+    /// the registry handles this batcher writes (shared with every other
+    /// batcher built over the same [`Telemetry`]).
     pub fn stats(&self) -> BatcherStats {
-        let per: Vec<StageCoalesce> = self
-            .dispatch
-            .stats
-            .stages
-            .iter()
-            .map(|s| s.snapshot())
-            .collect();
+        let obs = &self.dispatch.obs;
+        let per = ModelStage::ALL.map(|s| obs.stage(s));
         BatcherStats {
             physical_batches: per.iter().map(|s| s.physical_batches).sum(),
             requests: per.iter().map(|s| s.requests).sum(),
@@ -609,7 +586,7 @@ impl ModelBatcher {
             detect: per[ModelStage::Detect.index()],
             predict: per[ModelStage::Predict.index()],
             classify: per[ModelStage::Classify.index()],
-            faults: self.dispatch.stats.faults.snapshot(),
+            faults: obs.faults(),
         }
     }
 
@@ -634,8 +611,7 @@ fn run_batcher(
     rx: Receiver<Request>,
     config: BatcherConfig,
     clock: Arc<Clock>,
-    stats: Arc<StatsInner>,
-    obs: BatcherObs,
+    obs: Arc<BatcherObs>,
 ) {
     let max_items = config.max_batch_frames.max(1);
     while let Ok(first) = rx.recv() {
@@ -665,14 +641,14 @@ fn run_batcher(
         }
         span.add_arg("requests", requests.len());
         span.add_arg("items", total_items);
-        execute_round(&requests, &clock, &stats, &obs);
+        execute_round(&requests, &clock, &obs);
     }
 }
 
 /// Executes one coalescing round: requests grouped by (stage, model
 /// instance), one physical invocation per group, results demultiplexed
 /// back in request order.
-fn execute_round(requests: &[Request], clock: &Clock, stats: &Arc<StatsInner>, obs: &BatcherObs) {
+fn execute_round(requests: &[Request], clock: &Clock, obs: &BatcherObs) {
     let mut groups: Vec<((ModelStage, *const ()), Vec<usize>)> = Vec::new();
     for (i, r) in requests.iter().enumerate() {
         let key = (r.stage(), r.model_ptr());
@@ -683,12 +659,12 @@ fn execute_round(requests: &[Request], clock: &Clock, stats: &Arc<StatsInner>, o
     }
     for ((stage, _), idxs) in &groups {
         let items: u64 = idxs.iter().map(|&i| requests[i].items() as u64).sum();
-        stats.stages[stage.index()].record(idxs.len() as u64, items);
+        obs.requests[stage.index()].add(idxs.len() as u64);
         obs.batch_items[stage.index()].observe(items as f64);
         match stage {
-            ModelStage::Detect => run_detect_group(requests, idxs, clock, stats),
-            ModelStage::Predict => run_predict_group(requests, idxs, clock, stats),
-            ModelStage::Classify => run_classify_group(requests, idxs, clock, stats),
+            ModelStage::Detect => run_detect_group(requests, idxs, clock, obs),
+            ModelStage::Predict => run_predict_group(requests, idxs, clock, obs),
+            ModelStage::Classify => run_classify_group(requests, idxs, clock, obs),
         }
     }
 }
@@ -697,14 +673,14 @@ fn execute_round(requests: &[Request], clock: &Clock, stats: &Arc<StatsInner>, o
 /// the coalescing thread survives — every participating stream still gets
 /// an answer, and one poisoned model cannot take the shared batcher down.
 fn guard<T>(
-    stats: &StatsInner,
+    obs: &BatcherObs,
     model: &str,
     call: impl FnOnce() -> Result<T, ModelFault>,
 ) -> Result<T, ModelFault> {
     match catch_unwind(AssertUnwindSafe(call)) {
         Ok(r) => r,
         Err(payload) => {
-            stats.faults.coalesce_panics.fetch_add(1, Ordering::Relaxed);
+            obs.coalesce_panics.inc();
             Err(ModelFault::new(
                 model,
                 format!(
@@ -751,7 +727,7 @@ fn run_frame_group<R>(
 }
 
 /// One physical `detect_batch` over every participating stream's frames.
-fn run_detect_group(requests: &[Request], idxs: &[usize], clock: &Clock, stats: &StatsInner) {
+fn run_detect_group(requests: &[Request], idxs: &[usize], clock: &Clock, obs: &BatcherObs) {
     let Some(Request::Detect { model, .. }) = idxs.first().map(|&i| &requests[i]) else {
         return;
     };
@@ -763,7 +739,7 @@ fn run_detect_group(requests: &[Request], idxs: &[usize], clock: &Clock, stats: 
             _ => None,
         },
         |frames| {
-            guard(stats, &model.profile().name, || {
+            guard(obs, &model.profile().name, || {
                 model.try_detect_batch(frames, clock)
             })
         },
@@ -771,7 +747,7 @@ fn run_detect_group(requests: &[Request], idxs: &[usize], clock: &Clock, stats: 
 }
 
 /// One physical `predict_batch` over every participating stream's frames.
-fn run_predict_group(requests: &[Request], idxs: &[usize], clock: &Clock, stats: &StatsInner) {
+fn run_predict_group(requests: &[Request], idxs: &[usize], clock: &Clock, obs: &BatcherObs) {
     let Some(Request::Predict { model, .. }) = idxs.first().map(|&i| &requests[i]) else {
         return;
     };
@@ -783,7 +759,7 @@ fn run_predict_group(requests: &[Request], idxs: &[usize], clock: &Clock, stats:
             _ => None,
         },
         |frames| {
-            guard(stats, &model.profile().name, || {
+            guard(obs, &model.profile().name, || {
                 model.try_predict_batch(frames, clock)
             })
         },
@@ -792,7 +768,7 @@ fn run_predict_group(requests: &[Request], idxs: &[usize], clock: &Clock, stats:
 
 /// One physical `classify_batch_jobs` over every participating stream's
 /// (frame, crops) jobs, one value list back per request.
-fn run_classify_group(requests: &[Request], idxs: &[usize], clock: &Clock, stats: &StatsInner) {
+fn run_classify_group(requests: &[Request], idxs: &[usize], clock: &Clock, obs: &BatcherObs) {
     let mut model = None;
     let mut jobs: Vec<(&Frame, &[Detection])> = Vec::new();
     for &i in idxs {
@@ -808,7 +784,7 @@ fn run_classify_group(requests: &[Request], idxs: &[usize], clock: &Clock, stats
         }
     }
     let Some(model) = model else { return };
-    match guard(stats, &model.profile().name, || {
+    match guard(obs, &model.profile().name, || {
         model.try_classify_batch_jobs(&jobs, clock)
     }) {
         Ok(results) => {

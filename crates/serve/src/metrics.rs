@@ -97,7 +97,7 @@ pub struct ShardLoad {
     /// Due-but-unexecuted paced steps summed over the shard's streams.
     pub queue_depth: u64,
     /// Steps the shard worker has executed (cumulative, across removed
-    /// streams too).
+    /// streams too): the shard's `vqpy_shard_steps_total{shard}` counter.
     pub steps: u64,
 }
 

@@ -65,18 +65,10 @@ impl ReuseTier for StoreTier {
     }
 }
 
-/// One frame's recorded model answers, accumulated by
-/// [`RecordingDispatch`] while a segment executes.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RecordedFrame {
-    pub time_s: f64,
-    pub detects: Vec<(String, Vec<Detection>)>,
-    pub predicts: Vec<(String, bool)>,
-}
-
 /// A pass-through [`ModelDispatch`] that records every detect and
-/// binary-filter answer per frame index. The server drains the recording
-/// after each step and appends one [`FrameRecord`] per executed frame.
+/// binary-filter answer into one [`FrameRecord`] per frame index. The
+/// server drains the recording after each step and appends the records
+/// as they are, stamped with their ingest time.
 /// Classify answers are *not* recorded here — they flow through the reuse
 /// cache's [`StoreTier`] write-through instead, already keyed durably.
 ///
@@ -84,7 +76,7 @@ pub(crate) struct RecordedFrame {
 /// drained recording always reflects the attempt that actually delivered.
 pub struct RecordingDispatch {
     inner: Arc<dyn ModelDispatch>,
-    frames: Mutex<HashMap<u64, RecordedFrame>>,
+    frames: Mutex<HashMap<u64, FrameRecord>>,
 }
 
 impl RecordingDispatch {
@@ -97,11 +89,26 @@ impl RecordingDispatch {
         }
     }
 
-    /// Takes everything recorded so far (frame → answers), leaving the
+    /// The dispatch boundary the recorder wraps: the stream's own stack
+    /// below the recording, which a replay of the stream runs on too.
+    pub(crate) fn inner(&self) -> Arc<dyn ModelDispatch> {
+        Arc::clone(&self.inner)
+    }
+
+    /// Takes everything recorded so far (frame → record), leaving the
     /// recorder empty for the next segment.
-    pub(crate) fn drain(&self) -> HashMap<u64, RecordedFrame> {
+    pub(crate) fn drain(&self) -> HashMap<u64, FrameRecord> {
         std::mem::take(&mut *self.frames.lock())
     }
+}
+
+/// The frame's record in a recording, opened on first use.
+fn record_of<'a>(rec: &'a mut HashMap<u64, FrameRecord>, f: &Frame) -> &'a mut FrameRecord {
+    rec.entry(f.index).or_insert_with(|| FrameRecord {
+        frame: f.index,
+        time_s: f.time_s,
+        ..FrameRecord::default()
+    })
 }
 
 impl ModelDispatch for RecordingDispatch {
@@ -115,8 +122,7 @@ impl ModelDispatch for RecordingDispatch {
         let name = &detector.profile().name;
         let mut rec = self.frames.lock();
         for (f, dets) in frames.iter().zip(&out) {
-            let entry = rec.entry(f.index).or_default();
-            entry.time_s = f.time_s;
+            let entry = record_of(&mut rec, f);
             entry.detects.retain(|(n, _)| n != name);
             entry.detects.push((name.clone(), dets.clone()));
         }
@@ -133,8 +139,7 @@ impl ModelDispatch for RecordingDispatch {
         let name = &model.profile().name;
         let mut rec = self.frames.lock();
         for (f, verdict) in frames.iter().zip(&out) {
-            let entry = rec.entry(f.index).or_default();
-            entry.time_s = f.time_s;
+            let entry = record_of(&mut rec, f);
             entry.predicts.retain(|(n, _)| n != name);
             entry.predicts.push((name.clone(), *verdict));
         }
@@ -152,13 +157,6 @@ impl ModelDispatch for RecordingDispatch {
     }
 }
 
-/// One stored frame's answers, indexed for O(1) replay lookups.
-#[derive(Debug, Default)]
-struct StoredFrame {
-    detects: HashMap<String, Vec<Detection>>,
-    predicts: HashMap<String, bool>,
-}
-
 /// The replay-side dispatch boundary: answers detect and binary-filter
 /// invocations from a prefetched window of stored records, charging
 /// [`STORE_READ_COST_MS`] per frame under [`STORE_READ_LABEL`] instead of
@@ -170,7 +168,7 @@ struct StoredFrame {
 /// intrinsics short-circuit it earlier, at the reuse cache.
 pub struct StoreDispatch {
     inner: Arc<dyn ModelDispatch>,
-    window: Mutex<HashMap<u64, StoredFrame>>,
+    window: Mutex<HashMap<u64, FrameRecord>>,
     metrics: Arc<StoreMetrics>,
 }
 
@@ -186,22 +184,8 @@ impl StoreDispatch {
     }
 
     /// Replaces the prefetch window with one replay chunk's records.
-    pub fn set_window(&self, records: &[FrameRecord]) {
-        let mut window = HashMap::with_capacity(records.len());
-        for rec in records {
-            window.insert(
-                rec.frame,
-                StoredFrame {
-                    detects: rec
-                        .detects
-                        .iter()
-                        .map(|(n, d)| (n.clone(), d.clone()))
-                        .collect(),
-                    predicts: rec.predicts.iter().cloned().collect(),
-                },
-            );
-        }
-        *self.window.lock() = window;
+    pub fn set_window(&self, records: Vec<FrameRecord>) {
+        *self.window.lock() = records.into_iter().map(|r| (r.frame, r)).collect();
     }
 }
 
@@ -218,10 +202,9 @@ impl ModelDispatch for StoreDispatch {
             let stored: Option<Vec<Vec<Detection>>> = frames
                 .iter()
                 .map(|f| {
-                    window
-                        .get(&f.index)
-                        .and_then(|s| s.detects.get(name))
-                        .cloned()
+                    let rec = window.get(&f.index)?;
+                    let (_, dets) = rec.detects.iter().find(|(n, _)| n == name)?;
+                    Some(dets.clone())
                 })
                 .collect();
             if let Some(out) = stored {
@@ -247,10 +230,11 @@ impl ModelDispatch for StoreDispatch {
             let stored: Option<Vec<bool>> = frames
                 .iter()
                 .map(|f| {
-                    window
-                        .get(&f.index)
-                        .and_then(|s| s.predicts.get(name))
-                        .copied()
+                    let rec = window.get(&f.index)?;
+                    rec.predicts
+                        .iter()
+                        .find(|(n, _)| n == name)
+                        .map(|&(_, v)| v)
                 })
                 .collect();
             if let Some(out) = stored {

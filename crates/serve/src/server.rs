@@ -1402,18 +1402,12 @@ impl StreamServer {
                 // the stored records are identical to what we would write.
                 continue;
             }
-            let (time_s, detects, predicts) = match recorded.remove(&f) {
-                Some(r) => (r.time_s, r.detects, r.predicts),
-                None => (f as f64 / fps, Vec::new(), Vec::new()),
-            };
-            let rec = FrameRecord {
+            let mut rec = recorded.remove(&f).unwrap_or_else(|| FrameRecord {
                 frame: f,
-                time_s,
-                ingest_us,
-                detects,
-                predicts,
-                intrinsics: Vec::new(),
-            };
+                time_s: f as f64 / fps,
+                ..FrameRecord::default()
+            });
+            rec.ingest_us = ingest_us;
             if let Err(e) = ss.append(rec) {
                 // An I/O failure mid-log would leave later appends
                 // non-contiguous; degrade this stream to live-only.
@@ -1457,11 +1451,17 @@ impl StreamServer {
             .store
             .as_ref()
             .ok_or(ServeError::StoreDisabled)?;
-        let (source, store) = {
+        let (source, store, base) = {
             let live = self.live_handle(stream)?;
+            let Feed::Live {
+                recorder: Some(recorder),
+            } = &live.feed
+            else {
+                return Err(ServeError::StoreDisabled);
+            };
             let s = live.state.lock();
             let store = s.store.clone().ok_or(ServeError::StoreDisabled)?;
-            (Arc::clone(&s.source), store)
+            (Arc::clone(&s.source), store, recorder.inner())
         };
         // First frame whose ingest timestamp is at or after `from`; if the
         // whole stored past predates `from`, delivery starts at the live
@@ -1472,7 +1472,10 @@ impl StreamServer {
         let plan = self
             .session
             .plan_for(std::slice::from_ref(&query), source.as_ref())?;
-        let window = Arc::new(StoreDispatch::new(Arc::new(DirectDispatch), fs.metrics()));
+        // Stored answers sit on the live stream's own stack (retry, the
+        // shared batcher, a caller's base), so frames the store lacks and
+        // classify traffic recompute exactly as the live stream would.
+        let window = Arc::new(StoreDispatch::new(base, fs.metrics()));
         let dispatch = Arc::clone(&window) as Arc<dyn ModelDispatch>;
         let mut replay = Stream::new(source, Some(dispatch), self.store_tracer.clone());
         replay.engine =
@@ -1548,7 +1551,7 @@ impl StreamServer {
                     );
                 }
             }
-            window.set_window(&load.records);
+            window.set_window(load.records);
             let _span = self
                 .store_tracer
                 .span("store", "replay")

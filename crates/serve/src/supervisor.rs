@@ -79,10 +79,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use vqpy_core::{
-    panic_message, DirectDispatch, ModelDispatch, ModelStage, Query, RetryDispatch, VqpySession,
-};
-use vqpy_obs::Telemetry;
+use vqpy_core::{panic_message, DirectDispatch, ModelDispatch, Query, RetryDispatch, VqpySession};
+use vqpy_obs::{Counter, Telemetry};
 use vqpy_video::source::VideoSource;
 
 /// How a stream's steps are scheduled.
@@ -356,7 +354,8 @@ struct ShardState {
     inbox: Mutex<Vec<ShardCmd>>,
     wake: Condvar,
     stop: AtomicBool,
-    steps: AtomicU64,
+    /// The shard's registered `vqpy_shard_steps_total{shard}` counter.
+    steps: Counter,
     /// Live streams handed to the shard and not yet released.
     streams: AtomicUsize,
     /// Paced backlog summed over the shard's streams.
@@ -364,12 +363,12 @@ struct ShardState {
 }
 
 impl ShardState {
-    fn new() -> Self {
+    fn new(steps: Counter) -> Self {
         Self {
             inbox: Mutex::new(Vec::new()),
             wake: Condvar::new(),
             stop: AtomicBool::new(false),
-            steps: AtomicU64::new(0),
+            steps,
             streams: AtomicUsize::new(0),
             queue_depth: AtomicU64::new(0),
         }
@@ -513,11 +512,15 @@ impl StreamSupervisor {
             return Ok(shards);
         }
         let budget = self.shard_budget();
+        let telemetry = &self.config.serve.telemetry;
         for i in 0..budget {
-            let state = Arc::new(ShardState::new());
+            let steps = telemetry
+                .registry()
+                .counter(&format!("vqpy_shard_steps_total{{shard=\"{i}\"}}"));
+            let state = Arc::new(ShardState::new(steps));
             let worker_state = Arc::clone(&state);
             let server = Arc::clone(&self.server);
-            let tracer = self.config.serve.telemetry.tracer().for_shard(i as u64);
+            let tracer = telemetry.tracer().for_shard(i as u64);
             let handle = std::thread::Builder::new()
                 .name(format!("vqpy-shard-{i}"))
                 .spawn(move || run_shard(server, worker_state, tracer))
@@ -681,7 +684,11 @@ impl StreamSupervisor {
         self.server.metrics(stream)
     }
 
-    /// Cross-stream batching counters, when the shared batcher is enabled.
+    /// Cross-stream batching counters, when the shared batcher is enabled:
+    /// a view over the registry counters the batcher writes as it runs.
+    /// The counts belong to the [`Telemetry`] the supervisor was built
+    /// over (`ServeConfig::telemetry`): supervisors given one `Telemetry`
+    /// share them, as they share `vqpy_batch_items`.
     pub fn batcher_stats(&self) -> Option<BatcherStats> {
         self.batcher.as_ref().map(|b| b.stats())
     }
@@ -689,6 +696,8 @@ impl StreamSupervisor {
     /// Per-shard load: streams assigned, paced backlog, steps executed,
     /// read from the counters each shard publishes. One row per shard
     /// worker (empty before the first `add_stream` spawns the shard pool).
+    /// `steps` is the shard's registered `vqpy_shard_steps_total{shard}`
+    /// counter, shared by supervisors built over one [`Telemetry`].
     pub fn shard_loads(&self) -> Vec<ShardLoad> {
         let shards = self.shards.lock();
         shards
@@ -698,7 +707,7 @@ impl StreamSupervisor {
                 shard,
                 streams: s.state.streams.load(Ordering::Relaxed),
                 queue_depth: s.state.queue_depth.load(Ordering::Relaxed),
-                steps: s.state.steps.load(Ordering::Relaxed),
+                steps: s.state.steps.get(),
             })
             .collect()
     }
@@ -730,11 +739,12 @@ impl StreamSupervisor {
         })
     }
 
-    /// Renders a Prometheus text-exposition snapshot of the run: the
-    /// always-collected histograms (delivery latency per query, physical
-    /// batch sizes per stage), plus the supervisor's load, per-shard
-    /// occupancy, and batcher counters, synced into the registry at
-    /// export time so the hot path never pays for them twice.
+    /// Renders a Prometheus text-exposition snapshot of the run. The
+    /// registry already holds what components write as they run (delivery
+    /// latency per query, the batcher's batch sizes, request and fault
+    /// counters, shard steps); this adds scrape-time views of state the
+    /// registry cannot own: the stream table's sums, shard occupancy and
+    /// backlog, the clock's devices and the store.
     pub fn prometheus_snapshot(&self) -> String {
         let telemetry = self.telemetry();
         let reg = telemetry.registry();
@@ -751,35 +761,6 @@ impl StreamSupervisor {
                 .set(s.streams as f64);
             reg.gauge(&format!("vqpy_shard_queue_depth{{shard=\"{}\"}}", s.shard))
                 .set(s.queue_depth as f64);
-            reg.counter(&format!("vqpy_shard_steps_total{{shard=\"{}\"}}", s.shard))
-                .store(s.steps);
-        }
-        if let Some(stats) = self.batcher_stats() {
-            for stage in [
-                ModelStage::Detect,
-                ModelStage::Predict,
-                ModelStage::Classify,
-            ] {
-                let s = stats.stage(stage);
-                reg.counter(&format!(
-                    "vqpy_batcher_requests_total{{stage=\"{}\"}}",
-                    stage.name()
-                ))
-                .store(s.requests);
-                reg.counter(&format!(
-                    "vqpy_batcher_physical_batches_total{{stage=\"{}\"}}",
-                    stage.name()
-                ))
-                .store(s.physical_batches);
-            }
-            reg.counter("vqpy_model_faults_total")
-                .store(stats.faults.model_faults);
-            reg.counter("vqpy_breaker_trips_total")
-                .store(stats.faults.breaker_trips);
-            reg.counter("vqpy_breaker_recoveries_total")
-                .store(stats.faults.breaker_recoveries);
-            reg.counter("vqpy_coalesce_panics_total")
-                .store(stats.faults.coalesce_panics);
         }
         // Device occupancy of the session clock's placement layer: one
         // busy-time/queue-depth pair per modeled device (empty under
@@ -949,7 +930,7 @@ fn run_shard(server: Arc<StreamServer>, state: Arc<ShardState>, tracer: vqpy_obs
                 .arg("occupancy", core.occupancy());
             std::panic::catch_unwind(AssertUnwindSafe(|| server.step_handle(handle)))
         };
-        state.steps.fetch_add(1, Ordering::Relaxed);
+        state.steps.inc();
         let error = match result {
             Ok(Ok(out)) if !out.finished => {
                 core.completed_step(stream, now_us());

@@ -697,3 +697,86 @@ fn coalesced_panic_mid_window_loses_no_results() {
     );
     assert_eq!(faults.breaker_trips, 0, "one failure must not trip");
 }
+
+/// A from-past replay runs on its live stream's dispatch stack: with a
+/// flaky colour classifier, the supervisor's retry covers the replay's
+/// classify calls (and any frame it recomputes) exactly as it covers the
+/// live stream's, so the replayed hits and `End` aggregate equal an
+/// always-attached subscription's. Holds for any `VQPY_CHAOS_SEED`.
+#[test]
+fn from_past_replay_retries_on_its_stream_stack() {
+    let seed = chaos_seed();
+    let query = Query::builder("RedCarCount")
+        .vobj("car", library::vehicle_schema_intrinsic())
+        .frame_constraint(Pred::gt("car", "score", 0.5) & Pred::eq("car", "color", "red"))
+        .video_output(Aggregate::CountDistinctTracks {
+            alias: "car".into(),
+        })
+        .build()
+        .unwrap();
+    let (store, dir) = fresh_store("replay_retry");
+    let inj = FaultInjector::new(FaultPlan::with_failure_prob(seed, 0.3));
+    let session = Arc::new(VqpySession::new(wrapped_zoo(&inj, |n| n == "color_detect")));
+    let supervisor = StreamSupervisor::new(
+        session,
+        SupervisorConfig {
+            serve: ServeConfig {
+                store: Some(Arc::clone(&store)),
+                ..ServeConfig::default()
+            },
+            // 0.3^9 per invocation: exhausting the budget is a
+            // once-per-tens-of-thousands-of-runs event for any seed.
+            retry: Some(RetryPolicy {
+                max_retries: 8,
+                backoff_base_ms: 0.25,
+                stage_timeout_ms: None,
+            }),
+            ..SupervisorConfig::default()
+        },
+    );
+    let (stream, always) = supervisor
+        .add_stream(
+            Arc::new(video(81, 8.0)),
+            PaceMode::Unpaced,
+            &[Arc::clone(&query)],
+        )
+        .unwrap();
+    // Attach once the live stream has run a few steps.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while supervisor.stream_snapshot(stream).unwrap().frames_total < 16 {
+        assert!(Instant::now() < deadline, "the live stream never stepped");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let replayed = supervisor
+        .attach(stream, AttachSpec::new(query).from(store.epoch()))
+        .unwrap();
+    supervisor.join_stream(stream).unwrap();
+    let (want_hits, want_value) = always.into_iter().next().unwrap().collect();
+    let mut hits = Vec::new();
+    let mut value = None;
+    loop {
+        match replayed.recv() {
+            Some(ServeEvent::Hit(h)) => hits.push(h),
+            Some(ServeEvent::End { video_value }) => {
+                value = Some(video_value);
+                break;
+            }
+            Some(ServeEvent::StoreFault(_)) => {}
+            Some(other) => panic!("the replay faulted (seed {seed}): {other:?}"),
+            None => break,
+        }
+    }
+    assert!(!want_hits.is_empty(), "the scenario needs red cars");
+    assert_eq!(hits, want_hits, "replayed hits diverged (seed {seed})");
+    assert_eq!(
+        value,
+        Some(want_value),
+        "the replay must end with the always-attached aggregate (seed {seed})"
+    );
+    assert!(
+        inj.injected_faults() > 0,
+        "the classifier must fail (seed {seed})"
+    );
+    supervisor.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

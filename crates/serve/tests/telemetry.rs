@@ -6,8 +6,8 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use vqpy_core::frontend::{library, predicate::Pred};
-use vqpy_core::{Query, SessionConfig, VqpySession};
-use vqpy_models::ModelZoo;
+use vqpy_core::{ModelStage, Query, RetryPolicy, SessionConfig, VqpySession};
+use vqpy_models::{FaultInjector, FaultPlan, ModelZoo};
 use vqpy_serve::{
     AttachSpec, BatcherConfig, PaceMode, ServeConfig, StreamSupervisor, SupervisorConfig, Telemetry,
 };
@@ -320,4 +320,92 @@ fn tracing_never_perturbs_results() {
         assert_eq!(video_value, expected.video_value, "aggregate diverged");
         assert!(telemetry.tracer().span_count() > 0, "spans were recorded");
     }
+}
+
+/// The batcher and the shards write their counters into the registry as
+/// they run: before any `prometheus_snapshot()`, the registry already
+/// reads what the typed accessors report. A detector outage (three
+/// failures, then healed) makes the fault counters non-zero.
+#[test]
+fn registry_counters_are_live_without_a_snapshot() {
+    let zoo = ModelZoo::standard();
+    let inj = FaultInjector::new(FaultPlan::every_nth(1, 1).heal_after(3));
+    zoo.register_detector(inj.wrap_detector(zoo.detector("yolox").unwrap()));
+    let telemetry = Telemetry::disabled();
+    let supervisor = StreamSupervisor::new(
+        Arc::new(VqpySession::new(zoo)),
+        SupervisorConfig {
+            serve: ServeConfig {
+                telemetry: telemetry.clone(),
+                shards: 2,
+                ..ServeConfig::default()
+            },
+            batcher: Some(BatcherConfig::default()),
+            retry: Some(RetryPolicy {
+                max_retries: 5,
+                backoff_base_ms: 0.25,
+                stage_timeout_ms: None,
+            }),
+            ..SupervisorConfig::default()
+        },
+    );
+    let mut streams = Vec::new();
+    for seed in [84u64, 85] {
+        streams.push(
+            supervisor
+                .add_stream(
+                    Arc::new(video(seed, 4.0)),
+                    PaceMode::Unpaced,
+                    &[color_query("RedCar", "red")],
+                )
+                .unwrap(),
+        );
+    }
+    for (stream, subs) in streams {
+        supervisor.join_stream(stream).unwrap();
+        for sub in subs {
+            let _ = sub.collect();
+        }
+    }
+
+    let reg = telemetry.registry();
+    let stats = supervisor.batcher_stats().unwrap();
+    for stage in ModelStage::ALL {
+        let label = format!("{{stage=\"{}\"}}", stage.name());
+        let s = stats.stage(stage);
+        assert_eq!(
+            reg.counter(&format!("vqpy_batcher_requests_total{label}"))
+                .get(),
+            s.requests,
+            "{stage:?}"
+        );
+        let items = reg.histogram(&format!("vqpy_batch_items{label}"));
+        assert_eq!(items.count(), s.physical_batches, "{stage:?}");
+        assert_eq!(items.sum_ms(), s.items as f64, "{stage:?}");
+        assert_eq!(items.max_ms(), s.max_batch_items as f64, "{stage:?}");
+    }
+    assert!(stats.detect.requests > 0, "detect went through the batcher");
+
+    let faults = supervisor.load().faults;
+    assert_eq!(faults, stats.faults);
+    assert!(faults.model_faults > 0, "{faults:?}");
+    for (name, want) in [
+        ("vqpy_model_faults_total", faults.model_faults),
+        ("vqpy_breaker_trips_total", faults.breaker_trips),
+        ("vqpy_breaker_recoveries_total", faults.breaker_recoveries),
+        ("vqpy_broken_dispatches_total", faults.broken_dispatches),
+        ("vqpy_breaker_probes_total", faults.probes),
+        ("vqpy_coalesce_panics_total", faults.coalesce_panics),
+    ] {
+        assert_eq!(reg.counter(name).get(), want, "{name}");
+    }
+
+    let loads = supervisor.shard_loads();
+    assert_eq!(loads.len(), 2);
+    for load in &loads {
+        assert!(load.steps > 0, "{load:?}");
+        let name = format!("vqpy_shard_steps_total{{shard=\"{}\"}}", load.shard);
+        assert_eq!(reg.counter(&name).get(), load.steps, "{name}");
+    }
+    supervisor.shutdown();
 }
