@@ -112,7 +112,9 @@ pub struct ServeConfig {
     /// latency histograms, always collected) plus a span [`Tracer`]
     /// (disabled by default; [`Telemetry::with_tracing`] turns the span
     /// timeline on). Clones of this config share the same registry and
-    /// ring, so one handle exports the whole server's run.
+    /// ring, so one handle exports the whole server's run; a supervisor's
+    /// batcher and shard counters live in it too, so supervisors built
+    /// from clones share those counts.
     ///
     /// [`Registry`]: vqpy_obs::Registry
     pub telemetry: Telemetry,
@@ -1425,7 +1427,8 @@ impl StreamServer {
     /// the stream's origin, delivering from `from`*: hits arrive for every
     /// frame whose ingest time is at or after `from` (stored past first,
     /// then live), and the video aggregate covers the whole stream. The
-    /// replay runs on a private engine; an equivalence suite pins its
+    /// replay runs on a private engine over the live stream's dispatch
+    /// stack (the one its recorder wraps); an equivalence suite pins its
     /// results byte-identical to an always-attached subscription's.
     ///
     /// Returns the subscription plus the replay's handle. A replay is a
@@ -1472,9 +1475,8 @@ impl StreamServer {
         let plan = self
             .session
             .plan_for(std::slice::from_ref(&query), source.as_ref())?;
-        // Stored answers sit on the live stream's own stack (retry, the
-        // shared batcher, a caller's base), so frames the store lacks and
-        // classify traffic recompute exactly as the live stream would.
+        // Over the live stream's stack (retry, the shared batcher, a
+        // caller's base): what the store lacks recomputes as it would live.
         let window = Arc::new(StoreDispatch::new(base, fs.metrics()));
         let dispatch = Arc::clone(&window) as Arc<dyn ModelDispatch>;
         let mut replay = Stream::new(source, Some(dispatch), self.store_tracer.clone());
