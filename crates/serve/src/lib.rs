@@ -60,11 +60,15 @@
 
 pub mod attach;
 pub mod batcher;
+pub mod config;
+mod delivery;
 pub mod engine;
+mod live;
 pub mod metrics;
 pub mod replay;
 pub mod server;
 pub mod shard;
+mod stream;
 pub mod subscription;
 pub mod supervisor;
 pub mod typed;
@@ -73,19 +77,20 @@ pub use attach::{AttachMode, AttachSpec, Attached, Typed, Untyped};
 pub use batcher::{
     BatchedDispatch, BatcherConfig, BatcherStats, FaultStats, ModelBatcher, StageCoalesce,
 };
+pub use config::{
+    Backpressure, ConfigError, RestartPolicy, ResumeMode, ServeConfig, ServeConfigBuilder,
+    ServeError, ServeResult, RESTART_BACKOFF_LABEL,
+};
 pub use engine::StreamEngine;
 pub use metrics::{AggregateMetrics, QueryServeMetrics, ServeMetrics, ShardLoad};
 pub use replay::{
     RecordingDispatch, StoreDispatch, StoreTier, STORE_READ_COST_MS, STORE_READ_LABEL,
 };
-pub use server::{
-    Backpressure, ConfigError, RestartPolicy, ResumeMode, ServeConfig, ServeConfigBuilder,
-    ServeError, ServeResult, ServeSession, StepOutcome, StreamId, StreamOptions, StreamServer,
-    RESTART_BACKOFF_LABEL,
-};
+pub use server::{ServeSession, StepOutcome, StreamId, StreamServer};
 pub use shard::{
     DeterministicScheduler, PaceCounters, ShardConfig, ShardCore, SplitMix64, INGEST_BOUND,
 };
+pub use stream::StreamOptions;
 pub use subscription::{
     ServeEvent, StoreFaultNotice, StreamFault, Subscription, SubscriptionClosed, SubscriptionId,
 };

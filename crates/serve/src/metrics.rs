@@ -10,7 +10,7 @@ pub struct QueryServeMetrics {
     /// Events discarded by the [`Backpressure::Drop`] policy (the
     /// subscriber's bounded channel was full).
     ///
-    /// [`Backpressure::Drop`]: crate::server::Backpressure::Drop
+    /// [`Backpressure::Drop`]: crate::Backpressure::Drop
     pub dropped: u64,
     /// Mean wall latency from a batch entering the engine to this query's
     /// matches being enqueued, in milliseconds.

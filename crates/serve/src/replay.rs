@@ -19,12 +19,19 @@
 //!   has — eviction and corruption degrade to slower replay, never to
 //!   different results (every model is deterministic per (frame, entity)).
 
+use crate::config::{ServeError, ServeResult};
+use crate::delivery::ActiveSub;
+use crate::server::{StepOutcome, StreamId};
+use crate::stream::{Feed, Stream, StreamHandle};
+use crate::subscription::{ServeEvent, StoreFaultNotice, Subscription};
+use crate::StreamServer;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Instant;
 use vqpy_core::backend::reuse::ReuseTier;
-use vqpy_core::ModelDispatch;
+use vqpy_core::{ModelDispatch, Query};
 use vqpy_models::{Classifier, Clock, Detection, Detector, FrameClassifier, ModelFault, Value};
 use vqpy_store::{FrameRecord, StoreMetrics, StreamStore};
 use vqpy_video::frame::Frame;
@@ -256,5 +263,259 @@ impl ModelDispatch for StoreDispatch {
         clock: &Clock,
     ) -> Result<Vec<Value>, ModelFault> {
         self.inner.classify(model, frame, dets, clock)
+    }
+}
+
+/// How many live steps' worth of frames one [`StreamServer::step`] of a
+/// replay may execute. Replays are scheduled like any other stream (one
+/// bounded turn per scheduler visit), so this caps how long a backfill
+/// turn holds its shard — backfill never starves live streams — while
+/// still letting the replay catch up: it advances several steps' worth per
+/// turn against the live stream's one.
+const REPLAY_BUDGET_STEPS: u64 = 4;
+
+impl StreamServer {
+    /// The from-past attach path: builds the private replay engine over
+    /// the stored history and registers the replay as one more stream.
+    ///
+    /// Semantically the subscription behaves *as if it had been attached at
+    /// the stream's origin, delivering from `from`*: hits arrive for every
+    /// frame whose ingest time is at or after `from` (stored past first,
+    /// then live), and the video aggregate covers the whole stream. The
+    /// replay runs on a private engine over the live stream's dispatch
+    /// stack (the one its recorder wraps); an equivalence suite pins its
+    /// results byte-identical to an always-attached subscription's.
+    ///
+    /// Returns the subscription plus the replay's handle. A replay is a
+    /// stream you `step`: a [`StreamSupervisor`](crate::StreamSupervisor)
+    /// schedules it on a shard automatically for from-past specs; on a
+    /// bare server, call [`StreamServer::step`] (or
+    /// [`StreamServer::run_replay`]) interleaved with the live stream's
+    /// steps. Attaching to an already-finished stream is allowed: the
+    /// replay runs the stored history to the end and delivers
+    /// [`ServeEvent::End`].
+    ///
+    /// Errors with [`ServeError::StoreDisabled`] when the server has no
+    /// [`ServeConfig::store`] or the stream's store directory failed to
+    /// open.
+    pub(crate) fn attach_replay(
+        &self,
+        stream: StreamId,
+        query: Arc<Query>,
+        from: Instant,
+    ) -> ServeResult<(Subscription, Arc<StreamHandle>)> {
+        let fs = self
+            .config
+            .store
+            .as_ref()
+            .ok_or(ServeError::StoreDisabled)?;
+        let (source, store, base) = {
+            let live = self.live_handle(stream)?;
+            let Feed::Live {
+                recorder: Some(recorder),
+            } = &live.feed
+            else {
+                return Err(ServeError::StoreDisabled);
+            };
+            let s = live.state.lock();
+            let store = s.store.clone().ok_or(ServeError::StoreDisabled)?;
+            (Arc::clone(&s.source), store, recorder.inner())
+        };
+        // First frame whose ingest timestamp is at or after `from`; if the
+        // whole stored past predates `from`, delivery starts at the live
+        // boundary (frames ingested after this call).
+        let deliver_from = store
+            .frame_at_or_after(fs.instant_us(from))
+            .unwrap_or_else(|| store.next_frame());
+        let plan = self
+            .session
+            .plan_for(std::slice::from_ref(&query), source.as_ref())?;
+        // Over the live stream's stack (retry, the shared batcher, a
+        // caller's base): what the store lacks recomputes as it would live.
+        let window = Arc::new(StoreDispatch::new(base, fs.metrics()));
+        let dispatch = Arc::clone(&window) as Arc<dyn ModelDispatch>;
+        let mut replay = Stream::new(source, Some(dispatch), self.store_tracer.clone());
+        replay.engine =
+            Some(self.new_engine(plan, replay.dispatch.clone(), &replay.tracer, Some(&store))?);
+        replay.store = Some(store);
+        let (sub, pending) = self.subscribe(query);
+        replay
+            .subs
+            .push(ActiveSub::new(pending, &self.config.telemetry));
+        let feed = Feed::Replay {
+            of: stream,
+            sub: sub.id(),
+            window,
+            deliver_from,
+        };
+        let id = self.next_stream.fetch_add(1, Ordering::Relaxed);
+        let handle = Arc::new(StreamHandle::new(id, feed, replay));
+        self.streams.lock().insert(id, Arc::clone(&handle));
+        Ok((sub, handle))
+    }
+
+    /// One turn of a replay (see [`StreamServer::step`]): apply a pending
+    /// detach, chase the live stream's published boundary through the
+    /// stored history for at most [`REPLAY_BUDGET_STEPS`] steps' worth of
+    /// frames, then splice into the live stream once caught up, or finish
+    /// once the stored history of a finished stream ends.
+    pub(crate) fn step_replay(
+        &self,
+        handle: &StreamHandle,
+        s: &mut Stream,
+        of: StreamId,
+        window: &StoreDispatch,
+    ) -> ServeResult<StepOutcome> {
+        let live = self.handle(of).ok();
+        if live.is_none() {
+            // The live stream was closed underneath the replay: detach it,
+            // delivering the aggregate so far.
+            let ids = s.subs.iter().map(|a| a.id);
+            handle.commands.lock().detach.extend(ids);
+        }
+        let detached = self.apply_commands(handle, s)?;
+        let Some(live) = live.filter(|_| !s.subs.is_empty()) else {
+            return Ok(StepOutcome {
+                frames: 0,
+                finished: true,
+                recompiled: detached,
+            });
+        };
+        // One chunk of stored history: damaged segments become typed
+        // StoreFault notices (their frames recompute), the rest primes the
+        // store-backed window, and the range runs like a live segment.
+        let chunk = |s: &mut Stream, end: u64| -> ServeResult<()> {
+            let range = s.next_frame..end;
+            let store = s.store.as_ref().expect("a replay reads its stream's store");
+            let load = {
+                let _span = self
+                    .store_tracer
+                    .span("store", "load_chunk")
+                    .arg("start", range.start)
+                    .arg("end", range.end);
+                store.load_range(range.start, range.end)
+            };
+            for fault in &load.faults {
+                live.store_corruptions.fetch_add(1, Ordering::Relaxed);
+                let notice = StoreFaultNotice {
+                    frame: range.start,
+                    detail: fault.to_string(),
+                };
+                for sub in &mut s.subs {
+                    sub.notify(
+                        ServeEvent::StoreFault(notice.clone()),
+                        self.config.backpressure,
+                    );
+                }
+            }
+            window.set_window(load.records);
+            let _span = self
+                .store_tracer
+                .span("store", "replay")
+                .arg("start", range.start)
+                .arg("frames", range.end - range.start);
+            self.run_segment_isolated(handle, s, &range, Instant::now())?;
+            s.next_frame = range.end;
+            Ok(())
+        };
+        let step_frames = self.frames_per_step();
+        let budget = step_frames * REPLAY_BUDGET_STEPS;
+        let total = s.source.frame_count();
+        let live_finished = live.finished.load(Ordering::Acquire);
+        // Chase the live stream's published boundary (or end-of-video once
+        // it finished): frames past it are not stored yet.
+        let target = if live_finished {
+            total
+        } else {
+            live.published_next_frame.load(Ordering::Acquire).min(total)
+        };
+        let mut frames = 0;
+        while frames < budget && s.next_frame < target {
+            let end = (s.next_frame + step_frames).min(target);
+            frames += end - s.next_frame;
+            chunk(s, end)?;
+        }
+        let outcome = |finished, recompiled| StepOutcome {
+            frames,
+            finished,
+            recompiled,
+        };
+        if live_finished && s.next_frame >= total {
+            self.finish(handle, s);
+            return Ok(outcome(true, false));
+        }
+        if live_finished || s.next_frame < target || frames >= budget {
+            return Ok(outcome(false, false));
+        }
+        // Caught up with budget to spare: splice. Taking the live
+        // execution lock orders us against a running step; the live stream
+        // may have advanced (or finished) meanwhile, so re-check under it.
+        let mut live_state = live.state.lock();
+        let live_next = live_state.next_frame;
+        if live.finished.load(Ordering::Acquire)
+            || live_next.saturating_sub(s.next_frame) > step_frames
+        {
+            // The next turn resumes the chase.
+            return Ok(outcome(false, false));
+        }
+        // Close the (bounded) gap under the lock — the live stream cannot
+        // advance past us — then splice.
+        while s.next_frame < live_next {
+            let end = (s.next_frame + step_frames).min(live_next);
+            chunk(s, end)?;
+        }
+        self.splice(&mut live_state, s)?;
+        live.publish(&live_state);
+        // Retire under the commands lock `detach` checks: a detach queued
+        // since this turn's `apply_commands` moves with the subscription.
+        let mut commands = handle.commands.lock();
+        handle.finished.store(true, Ordering::Release);
+        live.commands.lock().detach.append(&mut commands.detach);
+        Ok(outcome(true, true))
+    }
+
+    /// Splices a caught-up replay into the live stream (called with the
+    /// live execution lock held, at what is by construction a batch
+    /// boundary for both engines): the live super-plan is recompiled with
+    /// the replayed query appended, seeded with the replay engine's
+    /// operator states so the query's tracker/windows arrive with full
+    /// history, and the subscriber joins the live delivery list.
+    fn splice(&self, live: &mut Stream, replay: &mut Stream) -> ServeResult<()> {
+        let _span = self
+            .store_tracer
+            .span("store", "splice")
+            .arg("frame", live.next_frame);
+        let seed = replay
+            .engine
+            .as_mut()
+            .expect("a replay keeps its engine until it retires")
+            .take_states();
+        // Survivors in attach order, then the replayed query — the same
+        // join-order rule apply_commands uses.
+        let queries: Vec<Arc<Query>> = live
+            .subs
+            .iter()
+            .chain(&replay.subs)
+            .map(|a| Arc::clone(&a.query))
+            .collect();
+        let plan = self.session.plan_for(&queries, live.source.as_ref())?;
+        match &mut live.engine {
+            Some(engine) => {
+                engine.recompile_with_seed(plan, self.session.zoo(), seed)?;
+                live.recompiles += 1;
+            }
+            None => {
+                let mut engine = self.new_engine(
+                    plan,
+                    live.dispatch.clone(),
+                    &live.tracer,
+                    live.store.as_ref(),
+                )?;
+                engine.seed_states(seed);
+                live.engine = Some(engine);
+            }
+        }
+        live.subs.append(&mut replay.subs);
+        Ok(())
     }
 }

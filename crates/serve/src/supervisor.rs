@@ -65,11 +65,11 @@
 
 use crate::attach::{AttachMode, AttachSpec};
 use crate::batcher::{BatcherConfig, BatcherStats, FaultStats, ModelBatcher};
+use crate::config::{ServeConfig, ServeError, ServeResult};
 use crate::metrics::ShardLoad;
-use crate::server::{
-    ServeConfig, ServeError, ServeResult, StreamHandle, StreamId, StreamOptions, StreamServer,
-};
+use crate::server::{StreamId, StreamServer};
 use crate::shard::{ShardConfig, ShardCore};
+use crate::stream::{StreamHandle, StreamOptions};
 use crate::subscription::Subscription;
 use crate::ServeMetrics;
 use parking_lot::{Condvar, Mutex, MutexGuard};
