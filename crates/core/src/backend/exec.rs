@@ -43,7 +43,6 @@ use crate::error::Result;
 use crate::frontend::query::Aggregate;
 use std::collections::BTreeSet;
 use std::ops::Range;
-use std::time::Instant;
 use vqpy_models::{Clock, ModelZoo, Value};
 use vqpy_video::source::VideoSource;
 
@@ -129,23 +128,9 @@ pub struct ExecMetrics {
     /// Virtual ms spent on each frame (only when
     /// [`ExecConfig::record_per_frame_ms`] is set; sequential mode only).
     pub per_frame_ms: Vec<f64>,
-    /// Wall-clock milliseconds per stage under either scheduler: `decode`,
-    /// then [`StageKind::ALL`]'s names, plus a `"total"` entry from
-    /// [`execute_plan`]. Parallel stages report the *sum* of their workers'
-    /// busy time.
-    pub stage_wall_ms: Vec<(String, f64)>,
 }
 
 impl ExecMetrics {
-    /// Adds wall time to a named stage bucket, creating it on first use
-    /// (segment runs accumulate into the same buckets).
-    pub fn add_stage_wall(&mut self, name: &str, ms: f64) {
-        match self.stage_wall_ms.iter_mut().find(|(n, _)| n == name) {
-            Some((_, total)) => *total += ms,
-            None => self.stage_wall_ms.push((name.to_owned(), ms)),
-        }
-    }
-
     /// Accumulates another run's counters into this one (a serving layer
     /// merges metrics of retired engines with the live engine's).
     pub fn absorb(&mut self, other: &ExecMetrics) {
@@ -157,38 +142,6 @@ impl ExecMetrics {
         self.reuse.evictions += other.reuse.evictions;
         self.reuse.tier_hits += other.reuse.tier_hits;
         self.per_frame_ms.extend_from_slice(&other.per_frame_ms);
-        for (name, ms) in &other.stage_wall_ms {
-            self.add_stage_wall(name, *ms);
-        }
-    }
-
-    /// One-line summary of the counters that matter for perf triage:
-    /// frame counts, reuse-cache hit rate, and per-stage wall times.
-    pub fn summary(&self) -> String {
-        let mut s = format!(
-            "frames {}/{} processed | reuse {:.1}% ({} hits, {} misses, {} evictions)",
-            self.frames_processed,
-            self.frames_total,
-            self.reuse.hit_rate() * 100.0,
-            self.reuse.hits,
-            self.reuse.misses,
-            self.reuse.evictions,
-        );
-        if self.decode_failures > 0 {
-            s.push_str(&format!(
-                " | {} decode failures skipped",
-                self.decode_failures
-            ));
-        }
-        if !self.stage_wall_ms.is_empty() {
-            let stages: Vec<String> = self
-                .stage_wall_ms
-                .iter()
-                .map(|(n, ms)| format!("{n} {ms:.1}ms"))
-                .collect();
-            s.push_str(&format!(" | stages: {}", stages.join(", ")));
-        }
-        s
     }
 }
 
@@ -411,7 +364,6 @@ pub fn execute_plan(
     let mut metrics = ExecMetrics::default();
     let mut collector = Collector::new(plan);
     let start_ms = clock.virtual_ms();
-    let wall_start = Instant::now();
     let env = ExecEnv {
         plan,
         source,
@@ -429,9 +381,6 @@ pub fn execute_plan(
         &mut collector,
     )?;
     metrics.reuse = reuse.stats();
-    metrics
-        .stage_wall_ms
-        .push(("total".into(), wall_start.elapsed().as_secs_f64() * 1e3));
     let total_ms = clock.virtual_ms() - start_ms;
     Ok(collector.finalize(plan, metrics, total_ms))
 }

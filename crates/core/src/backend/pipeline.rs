@@ -6,7 +6,7 @@
 //! stages of one kind, each on its own scoped thread(s) for the duration
 //! of a segment, connected by bounded channels. A stage with an empty
 //! chain holds no state, so it rides in whichever lane it falls in
-//! (`run_stage` still runs for it: span, bucket and counts are unchanged).
+//! (`run_stage` still runs for it: span and counts are unchanged).
 //!
 //! - A **fan-out lane** (detect, enrich; decode leads the first lane) runs
 //!   on `workers` threads sharing one receiver: its operators are
@@ -520,43 +520,6 @@ mod tests {
             c_seq.virtual_ms(),
             c_pipe.virtual_ms()
         );
-    }
-
-    /// ...and so does the sequential scheduler, bucket for bucket: both
-    /// time their stages inside the shared `run_stage`.
-    #[test]
-    fn pipelined_reports_stage_walltimes() {
-        let zoo = ModelZoo::standard();
-        let v = SyntheticVideo::new(Scene::generate(presets::jackson(), 7, 5.0));
-        let plan = build_plan(&[red_car_query()], &zoo, &PlanOptions::vqpy_default()).unwrap();
-        for exec_mode in [ExecMode::Sequential, ExecMode::Pipelined { workers: 2 }] {
-            let clock = vqpy_models::Clock::new();
-            let config = ExecConfig {
-                exec_mode,
-                ..ExecConfig::default()
-            };
-            let results = execute_plan(&plan, &v, &zoo, &clock, &config).unwrap();
-            let walls = &results[0].metrics.stage_wall_ms;
-            let stages: Vec<&str> = walls.iter().map(|(n, _)| n.as_str()).collect();
-            // The literal names are what telemetry consumers read...
-            assert_eq!(
-                stages,
-                [
-                    "decode",
-                    "frame_filters",
-                    "detect",
-                    "track",
-                    "enrich",
-                    "tail",
-                    "total"
-                ],
-                "{exec_mode:?}"
-            );
-            // ...and they come from the table, in table order.
-            assert_eq!(stages[0], StageKind::DECODE);
-            assert_eq!(stages[1..6], StageKind::ALL.map(StageKind::name));
-            assert!(walls.iter().all(|(_, ms)| *ms >= 0.0));
-        }
     }
 
     /// Where a sabotaged segment fails.

@@ -20,7 +20,6 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 use vqpy_models::{Clock, ModelZoo};
 use vqpy_video::source::VideoSource;
 
@@ -52,8 +51,8 @@ impl StageKind {
         StageKind::Tail,
     ];
 
-    /// Name of the decode step feeding the first stage: its span, its
-    /// `stage_wall_ms` bucket and its [`StagePanic`](crate::error::VqpyError::StagePanic) label.
+    /// Name of the decode step feeding the first stage: its span and its
+    /// [`StagePanic`](crate::error::VqpyError::StagePanic) label.
     pub const DECODE: &'static str = "decode";
 
     /// The stage's position in [`StageKind::ALL`].
@@ -61,9 +60,9 @@ impl StageKind {
         self as usize
     }
 
-    /// The stage's `stage_wall_ms` bucket and [`StagePanic`](crate::error::VqpyError::StagePanic)
-    /// label. The CI telemetry smoke and the serving layer's fault text
-    /// read these byte for byte, which is why prep still answers to `track`.
+    /// The stage's [`StagePanic`](crate::error::VqpyError::StagePanic)
+    /// label. The serving layer's fault text reads it byte for byte, which
+    /// is why prep still answers to `track`.
     pub const fn name(self) -> &'static str {
         match self {
             StageKind::FrameFilter => "frame_filters",
@@ -206,9 +205,6 @@ pub(crate) struct StageCtx<'a> {
     pub(crate) env: ExecEnv<'a>,
     dispatch: Arc<dyn ModelDispatch>,
     tracer: vqpy_obs::Tracer,
-    /// Busy nanoseconds, summed across workers: decode, then one bucket
-    /// per [`StageKind::ALL`] entry.
-    busy_ns: [AtomicU64; 1 + StageKind::ALL.len()],
     frames_processed: AtomicU64,
     decode_failures: AtomicU64,
 }
@@ -219,7 +215,6 @@ impl<'a> StageCtx<'a> {
             env,
             dispatch: Arc::clone(&ops.dispatch),
             tracer: ops.tracer.clone(),
-            busy_ns: Default::default(),
             frames_processed: AtomicU64::new(0),
             decode_failures: AtomicU64::new(0),
         }
@@ -228,10 +223,6 @@ impl<'a> StageCtx<'a> {
     pub(crate) fn flush(&self, metrics: &mut ExecMetrics) {
         metrics.frames_processed += self.frames_processed.load(Ordering::Relaxed);
         metrics.decode_failures += self.decode_failures.load(Ordering::Relaxed);
-        let names = std::iter::once(StageKind::DECODE).chain(StageKind::ALL.map(StageKind::name));
-        for (name, ns) in names.zip(&self.busy_ns) {
-            metrics.add_stage_wall(name, ns.load(Ordering::Relaxed) as f64 / 1e6);
-        }
     }
 }
 
@@ -240,7 +231,6 @@ impl<'a> StageCtx<'a> {
 /// skipped with a counter: decode faults are per-frame events, not
 /// stream-fatal. The batch's decode charges sleep once (a host section).
 pub(crate) fn decode_batch(cx: &StageCtx<'_>, frames: Range<u64>, slots: &mut Vec<FrameSlot>) {
-    let started = Instant::now();
     let mut span = cx
         .tracer
         .span("exec", StageKind::DECODE)
@@ -267,11 +257,10 @@ pub(crate) fn decode_batch(cx: &StageCtx<'_>, frames: Range<u64>, slots: &mut Ve
     });
     slots.truncate(n);
     span.add_arg("decoded", n);
-    cx.busy_ns[0].fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
 }
 
 /// Runs one stage's operator chain over one batch: the only place a stage
-/// span is opened, a stage bucket timed, an [`ExecCtx`] built and
+/// span is opened, an [`ExecCtx`] built and
 /// [`Operator::process_batch`] called. `reuse` is the stream's cache when
 /// `kind` owns it and `None` otherwise. The chain runs in one
 /// [`Clock::host_section`], so its native charges sleep once.
@@ -283,7 +272,6 @@ pub(crate) fn run_stage(
     reuse: Option<&mut ReuseCache>,
     cx: &StageCtx<'_>,
 ) -> Result<()> {
-    let started = Instant::now();
     let _span = cx
         .tracer
         .span("exec", kind.span_name())
@@ -307,7 +295,6 @@ pub(crate) fn run_stage(
         let alive = slots.iter().filter(|s| s.alive).count() as u64;
         cx.frames_processed.fetch_add(alive, Ordering::Relaxed);
     }
-    cx.busy_ns[1 + kind.index()].fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
     result
 }
 
@@ -331,7 +318,7 @@ mod tests {
     use crate::backend::plan::{build_plan, PlanOptions};
     use crate::frontend::library;
     use crate::frontend::query::Query;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
     use vqpy_models::{
         ClockMode, Detection, Detector, FaultInjector, FaultPlan, ModelFault, ModelProfile,
     };

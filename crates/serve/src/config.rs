@@ -4,7 +4,7 @@
 use crate::server::StreamId;
 use crate::subscription::SubscriptionId;
 #[cfg(doc)]
-use crate::{QueryServeMetrics, ServeEvent, ServeMetrics, StreamFault, StreamServer, Tracer};
+use crate::{QueryServeMetrics, ServeEvent, StreamFault, StreamServer, Tracer};
 use std::sync::Arc;
 use vqpy_core::error::VqpyError;
 use vqpy_obs::Telemetry;
@@ -14,27 +14,14 @@ use vqpy_store::FrameStore;
 /// are visible in the session's charge ledger like any other model cost.
 pub const RESTART_BACKOFF_LABEL: &str = "restart_backoff";
 
-/// What a restarted stream does with the segment that faulted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResumeMode {
-    /// Re-run the faulted segment from the pre-segment checkpoint.
-    /// Frames the failed attempt already delivered are suppressed on the
-    /// re-run, so subscribers see each frame's results exactly once, and
-    /// surviving results stay byte-identical to a fault-free run.
-    #[default]
-    Retry,
-    /// Skip the rest of the faulted segment; the skipped frames are
-    /// counted in [`ServeMetrics::frames_lost`] and in the
-    /// [`StreamFault`] notice.
-    Skip,
-}
-
 /// Bounded automatic restarts after a worker panic. The stream's engine is
 /// checkpointed before each segment; on a panic (caught at the step
 /// boundary, or a contained pipeline-stage panic surfaced as
 /// [`VqpyError::StagePanic`]) the engine rolls back to the checkpoint,
 /// subscribers get a typed [`ServeEvent::StreamFault`], and the segment is
-/// re-run or skipped per [`ResumeMode`].
+/// re-run from the checkpoint. Frames the failed attempt already delivered
+/// are suppressed on the re-run, so subscribers see each frame's results
+/// exactly once, byte-identical to a fault-free run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RestartPolicy {
     /// Panics tolerated per stream before [`StreamServer::step`] gives up
@@ -44,8 +31,6 @@ pub struct RestartPolicy {
     /// Wall-clock pause charged to the session clock (label
     /// [`RESTART_BACKOFF_LABEL`]) before each re-run.
     pub backoff_ms: f64,
-    /// What to do with the faulted segment.
-    pub resume: ResumeMode,
 }
 
 impl Default for RestartPolicy {
@@ -53,7 +38,6 @@ impl Default for RestartPolicy {
         Self {
             max_restarts: 2,
             backoff_ms: 5.0,
-            resume: ResumeMode::Retry,
         }
     }
 }
@@ -86,8 +70,7 @@ pub struct ServeConfig {
     /// Larger values amortize pipelined stage spin-up across more frames.
     pub batches_per_step: u64,
     /// Worker-panic containment: how many automatic restarts a stream
-    /// gets, how long to back off, and whether faulted segments are
-    /// re-run or skipped.
+    /// gets and how long to back off before each re-run.
     pub restart: RestartPolicy,
     /// Telemetry carried by the run: a metrics [`Registry`] (delivery
     /// latency histograms, always collected) plus a span [`Tracer`]

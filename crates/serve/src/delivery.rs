@@ -1,8 +1,9 @@
 //! Isolation and delivery: the per-subscription server state
 //! ([`ActiveSub`]), the demultiplexing result sink ([`DemuxSink`]), the
-//! panic-isolated segment runner with its restart policy, and `finish`.
+//! panic-isolated segment runner with its restart policy, and `retire`,
+//! the one way subscriptions leave a stream.
 
-use crate::config::{Backpressure, ResumeMode, ServeError, ServeResult, RESTART_BACKOFF_LABEL};
+use crate::config::{Backpressure, ServeError, ServeResult, RESTART_BACKOFF_LABEL};
 use crate::metrics::QueryServeMetrics;
 use crate::stream::{Feed, PendingAttach, Stream, StreamHandle};
 use crate::subscription::{ServeEvent, StreamFault, SubscriptionId};
@@ -162,27 +163,52 @@ impl ResultSink for DemuxSink<'_> {
     }
 }
 
+/// How subscriptions leave a stream, and the terminal event each gets.
+pub(crate) enum Exit<'a> {
+    /// Detached on request: [`ServeEvent::Detached`] with the aggregate so far.
+    Detach(&'a [SubscriptionId]),
+    /// The stream ended: [`ServeEvent::End`] with the final aggregate.
+    End,
+    /// The restart budget ran out: the final non-resumed fault notice.
+    Abandon(StreamFault),
+}
+
 impl StreamServer {
-    /// Finishes the stream: every subscriber gets [`ServeEvent::End`] with
-    /// its final aggregate, then its channel closes (senders drop), so
-    /// [`Subscription::collect`] terminates under either backpressure
-    /// policy. Pending never-run attaches are notified too. A replay
-    /// finishes here when the stored history of a finished stream ends.
-    pub(crate) fn finish(&self, handle: &StreamHandle, s: &mut Stream) {
-        let mut commands = handle.commands.lock();
-        handle.finished.store(true, Ordering::Release);
-        for p in commands.attach.drain(..) {
-            let _ = p.tx.try_send(ServeEvent::Detached { video_value: None });
-        }
-        commands.detach.clear();
-        drop(commands);
-        for mut sub in s.subs.drain(..) {
+    /// The one way subscriptions leave a stream: each gets its terminal
+    /// event, its metrics move to `past_queries`, and dropping it closes
+    /// its channel, so [`Subscription::collect`] terminates under either
+    /// backpressure policy. When the stream ends ([`Exit::End`] or
+    /// [`Exit::Abandon`]) every subscription leaves, the stream is marked
+    /// finished under the commands lock `attach` checks, and attaches that
+    /// never ran are answered [`ServeEvent::Detached`] with no aggregate.
+    pub(crate) fn retire(&self, handle: &StreamHandle, s: &mut Stream, exit: Exit<'_>) {
+        let leaving: Vec<ActiveSub> = match exit {
+            Exit::Detach(ids) => ids
+                .iter()
+                .filter_map(|id| {
+                    let pos = s.subs.iter().position(|a| a.id == *id)?;
+                    Some(s.subs.remove(pos))
+                })
+                .collect(),
+            Exit::End | Exit::Abandon(_) => {
+                let mut commands = handle.commands.lock();
+                handle.finished.store(true, Ordering::Release);
+                for p in commands.attach.drain(..) {
+                    let _ = p.tx.try_send(ServeEvent::Detached { video_value: None });
+                }
+                commands.detach.clear();
+                s.subs.drain(..).collect()
+            }
+        };
+        let policy = self.config.backpressure;
+        for mut sub in leaving {
             let video_value = sub.accum.video_value_for(&sub.query);
-            sub.deliver(
-                ServeEvent::End { video_value },
-                self.config.backpressure,
-                Instant::now(),
-            );
+            let now = Instant::now();
+            match &exit {
+                Exit::Detach(_) => sub.deliver(ServeEvent::Detached { video_value }, policy, now),
+                Exit::End => sub.deliver(ServeEvent::End { video_value }, policy, now),
+                Exit::Abandon(fault) => sub.notify(ServeEvent::StreamFault(fault.clone()), policy),
+            }
             s.past_queries.push(sub.metrics());
         }
     }
@@ -191,9 +217,9 @@ impl StreamServer {
     /// [`RestartPolicy`]: checkpoint the engine, run, and on a worker
     /// panic (caught here, or a contained pipeline-stage panic surfaced as
     /// [`VqpyError::StagePanic`]) roll back to the checkpoint, notify
-    /// subscribers with a typed [`ServeEvent::StreamFault`], and re-run or
-    /// skip the segment. Exhausting the restart budget finishes the
-    /// stream in a faulted state and returns
+    /// subscribers with a typed [`ServeEvent::StreamFault`], and re-run the
+    /// segment. Exhausting the restart budget finishes the stream in a
+    /// faulted state and returns
     /// [`ServeError::WorkerPanic`]. Non-panic execution errors propagate
     /// unchanged. Live steps and replay chunks both run here; a replay's
     /// hits before its `deliver_from` are observed but not delivered.
@@ -243,33 +269,25 @@ impl StreamServer {
                 Ok(Err(e)) => return Err(e.into()),
                 Err(payload) => panic_message(payload.as_ref()),
             };
-            let progress = sink.progress;
             // Highest frame already delivered to subscribers, across every
             // attempt of this segment.
-            let delivered_through = progress.or(skip_through);
-            let lost_if_abandoned = range.end - delivered_through.map_or(range.start, |p| p + 1);
+            let delivered_through = sink.progress.or(skip_through);
             engine.restore(&checkpoint);
 
             if s.restarts >= restart.max_restarts {
-                // Budget exhausted: final non-resumed fault notice, then
-                // the channels close (collect() terminates) and the typed
-                // error surfaces to the driver.
+                // Budget exhausted: the subscriptions leave with a final
+                // non-resumed fault notice and the typed error surfaces to
+                // the driver.
+                let frames_lost = range.end - delivered_through.map_or(range.start, |p| p + 1);
+                s.frames_lost += frames_lost;
                 let fault = StreamFault {
                     frame: range.start,
                     message: message.clone(),
                     restarts: s.restarts,
                     resumed: false,
-                    frames_lost: lost_if_abandoned,
+                    frames_lost,
                 };
-                for sub in s.subs.iter_mut() {
-                    sub.notify(
-                        ServeEvent::StreamFault(fault.clone()),
-                        self.config.backpressure,
-                    );
-                }
-                s.frames_lost += lost_if_abandoned;
-                s.subs.clear();
-                handle.finished.store(true, Ordering::Release);
+                self.retire(handle, s, Exit::Abandon(fault));
                 return Err(ServeError::WorkerPanic {
                     message,
                     restarts: s.restarts,
@@ -285,33 +303,17 @@ impl StreamServer {
                     .clock()
                     .wait_labeled(RESTART_BACKOFF_LABEL, restart.backoff_ms);
             }
-            let frames_lost = match restart.resume {
-                ResumeMode::Retry => {
-                    if let Some(p) = progress {
-                        skip_through = Some(p);
-                    }
-                    0
-                }
-                ResumeMode::Skip => {
-                    s.frames_lost += lost_if_abandoned;
-                    lost_if_abandoned
-                }
-            };
+            skip_through = delivered_through;
             let fault = StreamFault {
                 frame: range.start,
                 message,
                 restarts: s.restarts,
                 resumed: true,
-                frames_lost,
+                frames_lost: 0,
             };
+            let event = ServeEvent::StreamFault(fault);
             for sub in s.subs.iter_mut() {
-                sub.notify(
-                    ServeEvent::StreamFault(fault.clone()),
-                    self.config.backpressure,
-                );
-            }
-            if restart.resume == ResumeMode::Skip {
-                return Ok(());
+                sub.notify(event.clone(), self.config.backpressure);
             }
         }
     }

@@ -12,8 +12,8 @@
 //!   different identity;
 //! - cumulative [`ExecMetrics`].
 //!
-//! On [`StreamEngine::recompile`], operators of the new plan inherit the
-//! old plan's state wherever the structural fingerprint matches (see
+//! On [`StreamEngine::recompile_with_seed`], operators of the new plan
+//! inherit the old plan's state wherever the structural fingerprint matches (see
 //! [`PlanDag::op_fingerprints`] and `Operator::state_key`); everything else
 //! starts fresh. This is what makes attach/detach invisible to surviving
 //! queries: their subgraph's operators are bit-for-bit the ones that were
@@ -37,7 +37,7 @@ use vqpy_video::source::VideoSource;
 ///
 /// Taken by the serving layer before each segment when worker restarts are
 /// enabled; [`StreamEngine::restore`] rolls the engine back so a panicked
-/// segment can be re-run (or skipped) from a consistent boundary.
+/// segment can be re-run from a consistent boundary.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     states: HashMap<String, OpState>,
@@ -52,7 +52,6 @@ pub struct StreamEngine {
     reuse: ReuseCache,
     metrics: ExecMetrics,
     workers: usize,
-    recompiles: u64,
 }
 
 impl StreamEngine {
@@ -68,18 +67,12 @@ impl StreamEngine {
             reuse: config.make_reuse(),
             metrics: ExecMetrics::default(),
             workers,
-            recompiles: 0,
         })
     }
 
     /// The currently executing super-plan.
     pub fn plan(&self) -> &PlanDag {
         &self.plan
-    }
-
-    /// How many times the super-plan has been swapped since creation.
-    pub fn recompiles(&self) -> u64 {
-        self.recompiles
     }
 
     /// Cumulative execution metrics, with a fresh reuse-cache snapshot.
@@ -94,14 +87,14 @@ impl StreamEngine {
     /// binary filter, and classify/projection. Installed once by the
     /// supervisor when the stream joins a shared
     /// [`ModelBatcher`](crate::ModelBatcher) and preserved across every
-    /// later [`StreamEngine::recompile`].
+    /// later [`StreamEngine::recompile_with_seed`].
     pub fn set_dispatch(&mut self, dispatch: std::sync::Arc<dyn vqpy_core::ModelDispatch>) {
         self.ops.dispatch = dispatch;
     }
 
     /// Replaces the engine's span tracer (see [`vqpy_core::Tracer`]).
     /// Installed once by the serving layer with the stream's process-lane
-    /// handle and preserved across every later [`StreamEngine::recompile`],
+    /// handle and preserved across every later [`StreamEngine::recompile_with_seed`],
     /// exactly like the dispatch boundary.
     pub fn set_tracer(&mut self, tracer: vqpy_core::Tracer) {
         self.ops.tracer = tracer;
@@ -120,7 +113,7 @@ impl StreamEngine {
     /// Drains every stateful operator's cross-frame state out of the
     /// engine, keyed by structural fingerprint. Used when a replay engine
     /// retires at the splice boundary: its states seed the live engine via
-    /// [`StreamEngine::recompile_with_seed`] / [`StreamEngine::seed_states`].
+    /// [`StreamEngine::recompile_with_seed`] or [`StreamEngine::seed_states`].
     /// The engine is left with empty operator state and should be dropped.
     pub fn take_states(&mut self) -> HashMap<String, OpState> {
         self.ops.export_states()
@@ -152,8 +145,7 @@ impl StreamEngine {
     /// [`StreamEngine::snapshot`]: every stateful operator's cross-frame
     /// state and the cumulative metrics are overwritten. Used by the
     /// serving layer's restart policy after a worker panic, so a re-run
-    /// (or skip) starts from the same consistent boundary the failed
-    /// segment did.
+    /// starts from the same consistent boundary the failed segment did.
     pub fn restore(&mut self, snapshot: &EngineSnapshot) {
         let mut states = snapshot.states.clone();
         self.ops.import_states(&mut states);
@@ -165,17 +157,12 @@ impl StreamEngine {
     /// operator fingerprint; the reuse cache survives untouched because
     /// symbols are interned into the engine's append-only table. The
     /// model-dispatch boundary (direct or cross-stream batcher) carries
-    /// over too.
+    /// over too. On error (unknown model in the new plan) the old plan
+    /// keeps running unchanged.
     ///
-    /// On error (unknown model in the new plan) the old plan keeps
-    /// running unchanged.
-    pub fn recompile(&mut self, plan: PlanDag, zoo: &ModelZoo) -> Result<()> {
-        self.recompile_with_seed(plan, zoo, HashMap::new())
-    }
-
-    /// [`StreamEngine::recompile`] with a set of *seed* operator states
-    /// (exported from another engine via [`StreamEngine::take_states`]).
-    /// This engine's own states always win: a seed entry is used only for
+    /// `seed` holds operator states exported from another engine via
+    /// [`StreamEngine::take_states`] (empty for a plain recompile). This
+    /// engine's own states always win: a seed entry is used only for
     /// operators the old plan did not have. The replay→live splice uses
     /// this so a replayed query's operators (its tracker, windows, …)
     /// arrive with full history, while operators the live engine was
@@ -196,7 +183,6 @@ impl StreamEngine {
         ops.import_states(&mut states);
         self.ops = ops;
         self.plan = plan;
-        self.recompiles += 1;
         Ok(())
     }
 
@@ -278,8 +264,9 @@ mod tests {
             .run_segment(&v, &zoo, &clock, &cfg, 0..30, &mut sink)
             .unwrap();
         let reuse_before = engine.metrics().reuse;
-        engine.recompile(p2, &zoo).unwrap();
-        assert_eq!(engine.recompiles(), 1);
+        engine
+            .recompile_with_seed(p2, &zoo, HashMap::new())
+            .unwrap();
         // The reuse cache survived the recompile.
         let mut sink2 = Collector::new(engine.plan());
         engine

@@ -78,8 +78,8 @@ pub use batcher::{
     BatchedDispatch, BatcherConfig, BatcherStats, FaultStats, ModelBatcher, StageCoalesce,
 };
 pub use config::{
-    Backpressure, ConfigError, RestartPolicy, ResumeMode, ServeConfig, ServeConfigBuilder,
-    ServeError, ServeResult, RESTART_BACKOFF_LABEL,
+    Backpressure, ConfigError, RestartPolicy, ServeConfig, ServeConfigBuilder, ServeError,
+    ServeResult, RESTART_BACKOFF_LABEL,
 };
 pub use engine::StreamEngine;
 pub use metrics::{AggregateMetrics, QueryServeMetrics, ServeMetrics, ShardLoad};

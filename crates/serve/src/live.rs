@@ -2,6 +2,7 @@
 //! it executed into the stream's store.
 
 use crate::config::ServeResult;
+use crate::delivery::Exit;
 use crate::replay::RecordingDispatch;
 use crate::server::StepOutcome;
 use crate::stream::{Stream, StreamHandle};
@@ -12,7 +13,7 @@ use vqpy_store::FrameRecord;
 
 impl StreamServer {
     /// One step of a live stream: apply commands, run one segment, persist
-    /// it, and finish at end-of-video.
+    /// it, and retire the subscriptions at end-of-video.
     pub(crate) fn step_live(
         &self,
         handle: &StreamHandle,
@@ -21,33 +22,28 @@ impl StreamServer {
     ) -> ServeResult<StepOutcome> {
         let recompiled = self.apply_commands(handle, s)?;
         let total = s.source.frame_count();
+        let frames = self
+            .frames_per_step()
+            .min(total.saturating_sub(s.next_frame));
+        if frames > 0 {
+            let range = s.next_frame..s.next_frame + frames;
+            let wall = Instant::now();
+            if s.engine.is_some() {
+                self.run_segment_isolated(handle, s, &range, wall)?;
+                let batch = self.session.config().exec.batch_size.max(1) as u64;
+                s.batches += frames.div_ceil(batch);
+            }
+            // With no queries attached the stream stays live but idle:
+            // frames are passed over without decoding (no subscriber needs
+            // them).
+            s.next_frame = range.end;
+            if let Some(recorder) = recorder {
+                self.persist_segment(s, recorder, &range);
+            }
+            s.wall_ms += wall.elapsed().as_secs_f64() * 1e3;
+        }
         if s.next_frame >= total {
-            self.finish(handle, s);
-            handle.publish(s);
-            return Ok(StepOutcome {
-                frames: 0,
-                finished: true,
-                recompiled,
-            });
-        }
-        let exec = &self.session.config().exec;
-        let batch = exec.batch_size.max(1) as u64;
-        let frames = (batch * self.config.batches_per_step.max(1)).min(total - s.next_frame);
-        let range = s.next_frame..s.next_frame + frames;
-        let wall = Instant::now();
-        if s.engine.is_some() {
-            self.run_segment_isolated(handle, s, &range, wall)?;
-            s.batches += frames.div_ceil(batch);
-        }
-        // With no queries attached the stream stays live but idle: frames
-        // are passed over without decoding (no subscriber needs them).
-        s.next_frame = range.end;
-        if let Some(recorder) = recorder {
-            self.persist_segment(s, recorder, &range);
-        }
-        s.wall_ms += wall.elapsed().as_secs_f64() * 1e3;
-        if s.next_frame >= total {
-            self.finish(handle, s);
+            self.retire(handle, s, Exit::End);
         }
         handle.publish(s);
         Ok(StepOutcome {

@@ -39,8 +39,8 @@ pub struct ServeMetrics {
     /// Automatic worker restarts after panics (see
     /// `RestartPolicy`).
     pub restarts: u64,
-    /// Frames permanently lost to faulted segments (skip-mode resumes or
-    /// an exhausted restart budget).
+    /// Frames permanently lost to a faulted segment when the restart
+    /// budget ran out.
     pub frames_lost: u64,
     /// Frames the decoder failed on and the executors skipped (never
     /// counted in `frames_total`).

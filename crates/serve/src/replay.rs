@@ -20,7 +20,7 @@
 //!   different results (every model is deterministic per (frame, entity)).
 
 use crate::config::{ServeError, ServeResult};
-use crate::delivery::ActiveSub;
+use crate::delivery::{ActiveSub, Exit};
 use crate::server::{StepOutcome, StreamId};
 use crate::stream::{Feed, Stream, StreamHandle};
 use crate::subscription::{ServeEvent, StoreFaultNotice, Subscription};
@@ -327,17 +327,13 @@ impl StreamServer {
         let deliver_from = store
             .frame_at_or_after(fs.instant_us(from))
             .unwrap_or_else(|| store.next_frame());
-        let plan = self
-            .session
-            .plan_for(std::slice::from_ref(&query), source.as_ref())?;
         // Over the live stream's stack (retry, the shared batcher, a
         // caller's base): what the store lacks recomputes as it would live.
         let window = Arc::new(StoreDispatch::new(base, fs.metrics()));
         let dispatch = Arc::clone(&window) as Arc<dyn ModelDispatch>;
         let mut replay = Stream::new(source, Some(dispatch), self.store_tracer.clone());
-        replay.engine =
-            Some(self.new_engine(plan, replay.dispatch.clone(), &replay.tracer, Some(&store))?);
         replay.store = Some(store);
+        self.install(&mut replay, std::slice::from_ref(&query), None)?;
         let (sub, pending) = self.subscribe(query);
         replay
             .subs
@@ -401,11 +397,9 @@ impl StreamServer {
                     frame: range.start,
                     detail: fault.to_string(),
                 };
+                let event = ServeEvent::StoreFault(notice);
                 for sub in &mut s.subs {
-                    sub.notify(
-                        ServeEvent::StoreFault(notice.clone()),
-                        self.config.backpressure,
-                    );
+                    sub.notify(event.clone(), self.config.backpressure);
                 }
             }
             window.set_window(load.records);
@@ -441,7 +435,7 @@ impl StreamServer {
             recompiled,
         };
         if live_finished && s.next_frame >= total {
-            self.finish(handle, s);
+            self.retire(handle, s, Exit::End);
             return Ok(outcome(true, false));
         }
         if live_finished || s.next_frame < target || frames >= budget {
@@ -498,23 +492,7 @@ impl StreamServer {
             .chain(&replay.subs)
             .map(|a| Arc::clone(&a.query))
             .collect();
-        let plan = self.session.plan_for(&queries, live.source.as_ref())?;
-        match &mut live.engine {
-            Some(engine) => {
-                engine.recompile_with_seed(plan, self.session.zoo(), seed)?;
-                live.recompiles += 1;
-            }
-            None => {
-                let mut engine = self.new_engine(
-                    plan,
-                    live.dispatch.clone(),
-                    &live.tracer,
-                    live.store.as_ref(),
-                )?;
-                engine.seed_states(seed);
-                live.engine = Some(engine);
-            }
-        }
+        self.install(live, &queries, Some(seed))?;
         live.subs.append(&mut replay.subs);
         Ok(())
     }

@@ -3,7 +3,7 @@
 
 use crate::attach::{AttachMode, AttachSpec, Attached};
 use crate::config::{ServeConfig, ServeError, ServeResult};
-use crate::delivery::ActiveSub;
+use crate::delivery::{ActiveSub, Exit};
 use crate::engine::StreamEngine;
 use crate::metrics::{AggregateMetrics, ServeMetrics};
 use crate::replay::{RecordingDispatch, StoreTier};
@@ -16,12 +16,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
-use std::time::Instant;
-use vqpy_core::backend::plan::PlanDag;
+use vqpy_core::backend::ops::OpState;
 use vqpy_core::{DirectDispatch, ExecMetrics, ModelDispatch, Query, VqpySession};
 use vqpy_models::ClockMode;
 use vqpy_obs::{Telemetry, Tracer, STORE_LANE};
-use vqpy_store::{FrameStore, StreamStore};
+use vqpy_store::FrameStore;
 use vqpy_video::source::VideoSource;
 
 /// Identifier of one open stream on a server.
@@ -357,71 +356,20 @@ impl StreamServer {
         if commands.attach.is_empty() && commands.detach.is_empty() {
             return Ok(false);
         }
-        let detach_ids: Vec<SubscriptionId> = commands
-            .detach
-            .iter()
-            .copied()
-            .filter(|id| s.subs.iter().any(|a| a.id == *id))
-            .collect();
-
         // Prospective query set: survivors in attach order, then new
         // attaches — matching the join order of the plan built from it.
         let queries: Vec<Arc<Query>> = s
             .subs
             .iter()
-            .filter(|a| !detach_ids.contains(&a.id))
+            .filter(|a| !commands.detach.contains(&a.id))
             .map(|a| Arc::clone(&a.query))
             .chain(commands.attach.iter().map(|p| Arc::clone(&p.query)))
             .collect();
-
-        let had_engine = s.engine.is_some();
-        if queries.is_empty() {
-            // No queries left: retire the engine (a later attach restarts
-            // fresh; its metrics are preserved in `retired_exec`).
-            if let Some(engine) = s.engine.take() {
-                s.retired_exec.absorb(&engine.metrics());
-            }
-        } else {
-            // The session's planner dedups structurally: one detect per
-            // model, one tracker per alias, one projection per
-            // (alias, prop) — shared subgraphs of the attached queries
-            // execute once per batch. The session-level plan cache makes
-            // repeated query sets cheap.
-            let plan = self.session.plan_for(&queries, s.source.as_ref())?;
-            match &mut s.engine {
-                Some(engine) => engine.recompile(plan, self.session.zoo())?,
-                None => {
-                    s.engine = Some(self.new_engine(
-                        plan,
-                        s.dispatch.clone(),
-                        &s.tracer,
-                        s.store.as_ref(),
-                    )?);
-                }
-            }
-        }
-        if had_engine {
-            s.recompiles += 1;
-        }
+        self.install(s, &queries, None)?;
 
         // Plan swap succeeded — now commit the subscriber changes.
+        self.retire(handle, s, Exit::Detach(&commands.detach));
         commands.detach.clear();
-        for id in detach_ids {
-            if let Some(pos) = s.subs.iter().position(|a| a.id == id) {
-                let mut sub = s.subs.remove(pos);
-                // The accumulator is per-query state, final at detach.
-                let video_value = sub.accum.video_value_for(&sub.query);
-                sub.deliver(
-                    ServeEvent::Detached { video_value },
-                    self.config.backpressure,
-                    Instant::now(),
-                );
-                s.past_queries.push(sub.metrics());
-                // Dropping `sub` closes the channel: the subscriber's
-                // `collect` terminates even if the terminal event was
-                // dropped by an overloaded `Drop`-policy channel.
-            }
-        }
         for p in commands.attach.drain(..) {
             s.subs.push(ActiveSub::new(p, &self.config.telemetry));
         }
@@ -469,27 +417,50 @@ impl StreamServer {
         }
     }
 
-    /// Builds a stream's engine; the only place per-engine settings are
-    /// applied, so live streams, replays and spliced engines cannot differ
-    /// in one. With a store, intrinsics this engine computes persist and
-    /// values a previous engine (or process) computed are read back
-    /// instead of re-running classify stages.
-    pub(crate) fn new_engine(
+    /// The one way a query set enters a stream: plans `queries` and
+    /// recompiles the engine onto the plan (operator state carries over by
+    /// fingerprint), builds the engine when there is none, or retires it
+    /// when no query is left (its metrics stay in `retired_exec`). Swapping
+    /// or retiring an engine counts as a recompile. `seed` is operator
+    /// state from another engine (a replay's, at the splice), used only for
+    /// operators this engine does not already run. On error the stream
+    /// keeps its engine and plan. Engines are built only here, so each gets
+    /// the stream's dispatch, tracer and, with a store, its reuse tier.
+    pub(crate) fn install(
         &self,
-        plan: PlanDag,
-        dispatch: Option<Arc<dyn ModelDispatch>>,
-        tracer: &Tracer,
-        store: Option<&Arc<StreamStore>>,
-    ) -> ServeResult<StreamEngine> {
-        let mut engine = StreamEngine::new(plan, self.session.zoo(), &self.session.config().exec)?;
-        if let Some(dispatch) = dispatch {
-            engine.set_dispatch(dispatch);
+        s: &mut Stream,
+        queries: &[Arc<Query>],
+        seed: Option<HashMap<String, OpState>>,
+    ) -> ServeResult<()> {
+        if queries.is_empty() {
+            if let Some(engine) = s.engine.take() {
+                s.retired_exec.absorb(&engine.metrics());
+                s.recompiles += 1;
+            }
+            return Ok(());
         }
-        engine.set_tracer(tracer.clone());
-        if let Some(store) = store {
+        // The session's planner dedups structurally: one detect per model,
+        // one tracker per alias, one projection per (alias, prop) — shared
+        // subgraphs of the attached queries execute once per batch. The
+        // session-level plan cache makes repeated query sets cheap.
+        let plan = self.session.plan_for(queries, s.source.as_ref())?;
+        let seed = seed.unwrap_or_default();
+        if let Some(engine) = &mut s.engine {
+            engine.recompile_with_seed(plan, self.session.zoo(), seed)?;
+            s.recompiles += 1;
+            return Ok(());
+        }
+        let mut engine = StreamEngine::new(plan, self.session.zoo(), &self.session.config().exec)?;
+        if let Some(dispatch) = &s.dispatch {
+            engine.set_dispatch(Arc::clone(dispatch));
+        }
+        engine.set_tracer(s.tracer.clone());
+        if let Some(store) = &s.store {
             engine.set_reuse_tier(Arc::new(StoreTier::new(Arc::clone(store))));
         }
-        Ok(engine)
+        engine.seed_states(seed);
+        s.engine = Some(engine);
+        Ok(())
     }
 
     /// Steps `stream` until it finishes.

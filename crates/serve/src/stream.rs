@@ -98,8 +98,7 @@ pub(crate) struct Stream {
     pub(crate) recompiles: u64,
     /// Automatic worker restarts consumed (see [`RestartPolicy`]).
     pub(crate) restarts: u64,
-    /// Frames permanently lost to faulted segments ([`ResumeMode::Skip`]
-    /// or a non-resumed final fault).
+    /// Frames permanently lost to a non-resumed final fault.
     pub(crate) frames_lost: u64,
     pub(crate) wall_ms: f64,
     /// Execution metrics of engines retired when their last query

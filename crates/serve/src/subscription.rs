@@ -38,9 +38,8 @@ pub struct StreamFault {
     /// Whether the stream restarted and continues (`true`), or gave up
     /// because the restart budget is exhausted (`false`).
     pub resumed: bool,
-    /// Frames permanently lost to this fault (nonzero only under
-    /// [`ResumeMode::Skip`](crate::ResumeMode::Skip) or when the stream
-    /// gave up).
+    /// Frames permanently lost to this fault (nonzero only when the
+    /// stream gave up).
     pub frames_lost: u64,
 }
 

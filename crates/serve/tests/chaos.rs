@@ -11,6 +11,7 @@
 //! seed.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vqpy_core::frontend::{library, predicate::Pred};
@@ -385,6 +386,126 @@ fn restart_budget_exhaustion_is_typed_and_counted() {
     let metrics = server.metrics(stream).unwrap();
     assert_eq!(metrics.restarts, 2);
     assert_eq!(metrics.frames_lost, 8);
+}
+
+/// A stream abandoned when its restart budget runs out keeps its queries'
+/// metrics: each subscription leaves through the same exit as at the end
+/// of the video, so `per_query` still holds it, its `delivered` count is
+/// the hits the subscriber received (fault notices are not results), and
+/// the server-wide aggregate agrees with the per-query sum.
+#[test]
+fn an_abandoned_stream_keeps_its_per_query_metrics() {
+    let session = Arc::new(VqpySession::new(ModelZoo::standard()));
+    let server = Arc::new(session.serve(ServeConfig::default()));
+    let stream = server.open_stream(Arc::new(AlwaysPanicVideo {
+        inner: video(84, 4.0),
+        at: 40,
+    }));
+    let sub = server.attach(stream, count_query()).unwrap().into_inner();
+    let consumer = std::thread::spawn(move || drain(sub));
+    let err = server.run_to_end(stream).expect_err("budget must exhaust");
+    assert!(matches!(err, ServeError::WorkerPanic { .. }), "{err:?}");
+    let (hits, faults, _) = consumer.join().unwrap();
+    assert!(!hits.is_empty(), "the frames before the wedge hold hits");
+    assert_eq!(faults.len(), 3, "{faults:?}");
+
+    let metrics = server.metrics(stream).unwrap();
+    let queries: Vec<&str> = metrics.per_query.iter().map(|q| q.query.as_str()).collect();
+    assert_eq!(
+        queries,
+        ["CountCars"],
+        "the abandoned query lost its metrics"
+    );
+    assert_eq!(
+        metrics.per_query[0].delivered,
+        hits.len() as u64,
+        "delivered counts the hits, not the fault notices"
+    );
+    let delivered: u64 = metrics.per_query.iter().map(|q| q.delivered).sum();
+    assert_eq!(server.aggregate().delivered, delivered);
+}
+
+/// A camera that wedges at frame `at`: the first decode of that frame
+/// announces itself on `reached` and waits at a gate until the test opens
+/// it; every decode of it panics, so the restart budget runs out.
+struct GatedWedgeVideo {
+    inner: SyntheticVideo,
+    at: u64,
+    reached: std::sync::Mutex<Option<SyncSender<()>>>,
+    gate: std::sync::Mutex<Receiver<()>>,
+}
+
+impl VideoSource for GatedWedgeVideo {
+    fn video_id(&self) -> u64 {
+        self.inner.video_id()
+    }
+    fn fps(&self) -> u32 {
+        self.inner.fps()
+    }
+    fn resolution(&self) -> (u32, u32) {
+        self.inner.resolution()
+    }
+    fn frame_count(&self) -> u64 {
+        self.inner.frame_count()
+    }
+    fn frame(&self, index: u64) -> Frame {
+        if index == self.at {
+            let first = self.reached.lock().unwrap().take();
+            if let Some(reached) = first {
+                reached.send(()).unwrap();
+                let _ = self
+                    .gate
+                    .lock()
+                    .unwrap()
+                    .recv_timeout(Duration::from_secs(30));
+            }
+            panic!("chaos camera wedged at frame {index}");
+        }
+        self.inner.frame(index)
+    }
+    fn scene(&self) -> Option<&Scene> {
+        self.inner.scene()
+    }
+}
+
+/// An attach queued during the step that runs the restart budget out
+/// never runs, and is answered the way the end of the video answers one:
+/// `Detached` with no aggregate, then its channel closes. Without that the
+/// subscriber would wait forever on a finished stream.
+#[test]
+fn an_attach_queued_while_the_budget_runs_out_is_answered() {
+    let (reached_tx, reached) = sync_channel(1);
+    let (open_gate, gate) = sync_channel(1);
+    let session = Arc::new(VqpySession::new(ModelZoo::standard()));
+    let server = session.serve(ServeConfig::default());
+    let stream = server.open_stream(Arc::new(GatedWedgeVideo {
+        inner: video(84, 4.0),
+        at: 40,
+        reached: std::sync::Mutex::new(Some(reached_tx)),
+        gate: std::sync::Mutex::new(gate),
+    }));
+    let _first = server.attach(stream, count_query()).unwrap();
+    std::thread::scope(|scope| {
+        let driver = scope.spawn(|| server.run_to_end(stream));
+        reached
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the stream never reached the wedge");
+        let late = server
+            .attach(stream, color_query("RedCar", "red"))
+            .unwrap()
+            .into_inner();
+        open_gate.send(()).unwrap();
+        let err = driver.join().unwrap().expect_err("budget must exhaust");
+        assert!(matches!(err, ServeError::WorkerPanic { .. }), "{err:?}");
+        match late.recv_timeout(Duration::from_secs(2)) {
+            Ok(Some(ServeEvent::Detached { video_value: None })) => {}
+            other => panic!("the late attach must be answered Detached: {other:?}"),
+        }
+        assert!(
+            late.recv_timeout(Duration::from_secs(2)).is_err(),
+            "the late subscription's channel must close"
+        );
+    });
 }
 
 /// A fresh store in its own directory, for the replay cases below.

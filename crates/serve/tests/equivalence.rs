@@ -460,19 +460,6 @@ fn enrich_stage_survives_recompile_with_jobs_in_flight() {
             "enrich stage must keep running after the recompile \
              ({spans_before} -> {spans_after} spans, {workers} workers)"
         );
-        // ...and the executor accounted wall time to it.
-        let exec = server.exec_metrics(stream).unwrap();
-        let enrich_wall = exec
-            .stage_wall_ms
-            .iter()
-            .find(|(n, _)| n == "enrich")
-            .map(|(_, ms)| *ms)
-            .unwrap_or(0.0);
-        assert!(
-            enrich_wall > 0.0,
-            "enrich stage wall time must be accounted: {:?}",
-            exec.stage_wall_ms
-        );
     }
 }
 

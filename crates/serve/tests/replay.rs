@@ -224,7 +224,13 @@ fn hybrid_attach_from_splices_into_live() {
             }
         }
         assert!(spliced, "replay never caught up (mode {i})");
-        server.run_to_end(stream).unwrap();
+        // The extra attach, its detach and the splice each swap the live
+        // plan.
+        assert_eq!(
+            server.run_to_end(stream).unwrap().recompiles,
+            3,
+            "live recompiles (mode {i})"
+        );
 
         let (hits, _faults, agg) = drain(sub);
         assert_eq!(hits, exp_replay_hits, "replayed query diverged (mode {i})");
@@ -239,6 +245,66 @@ fn hybrid_attach_from_splices_into_live() {
         );
         assert_eq!(c_agg, exp_control_agg);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A replay that splices into a live stream with no query attached: its
+/// engine was never built, or retired with its last query. The splice then
+/// builds the live engine afresh, seeded with the replay engine's operator
+/// states, so the replayed query's tracker keeps its history and its hits
+/// and aggregate equal the always-attached baseline.
+#[test]
+fn splice_into_a_live_stream_without_queries() {
+    for (i, config) in exec_modes().iter().enumerate() {
+        let v = video(29, 12.0);
+        let query = count_query("CountCars");
+        let (exp_hits, exp_agg) = baseline(config, &v, &query);
+        for retired in [false, true] {
+            let dir = tempdir(&format!("idle{i}_{retired}"));
+            let fs = store_at(&dir);
+            let server = serve_with_store(config, &fs);
+            let stream = server.open_stream(Arc::new(v.clone()));
+            if retired {
+                // The live engine runs one step, then retires with its
+                // only query at the next boundary.
+                let early = server.attach(stream, color_query("RedCar", "red")).unwrap();
+                server.step(stream).unwrap();
+                server.detach(stream, early.id()).unwrap();
+            }
+            while server.position(stream).unwrap() < v.frame_count() / 3 {
+                server.step(stream).unwrap();
+            }
+            let (sub, replay) =
+                attach_from(&server, stream, Arc::clone(&query), fs.epoch()).unwrap();
+            let mut spliced = false;
+            for _ in 0..10_000 {
+                if server.step(replay).unwrap().finished {
+                    spliced = !server.is_finished(stream).unwrap();
+                    break;
+                }
+                server.step(stream).unwrap();
+            }
+            assert!(
+                spliced,
+                "replay never spliced (mode {i}, retired {retired})"
+            );
+            // The splice builds the engine: only a retirement recompiles.
+            assert_eq!(
+                server.run_to_end(stream).unwrap().recompiles,
+                u64::from(retired),
+                "live recompiles (mode {i}, retired {retired})"
+            );
+            let (hits, _faults, agg) = drain(sub);
+            assert_eq!(
+                hits, exp_hits,
+                "hits diverged (mode {i}, retired {retired})"
+            );
+            assert_eq!(
+                agg, exp_agg,
+                "aggregate diverged (mode {i}, retired {retired})"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 

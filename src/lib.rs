@@ -53,9 +53,9 @@ pub mod api {
     };
     pub use vqpy_models::{DecodeError, FromRow, FromValue, ModelZoo, Row, Value, ValueKind};
     pub use vqpy_serve::{
-        AttachSpec, Attached, ConfigError, FaultStats, PaceMode, RestartPolicy, ResumeMode,
-        ServeConfig, ServeEvent, ServeSession, StoreFaultNotice, StreamFault, StreamLoad,
-        StreamServer, StreamSupervisor, Subscription, SupervisorConfig, Telemetry, TypedServeEvent,
+        AttachSpec, Attached, ConfigError, FaultStats, PaceMode, RestartPolicy, ServeConfig,
+        ServeEvent, ServeSession, StoreFaultNotice, StreamFault, StreamLoad, StreamServer,
+        StreamSupervisor, Subscription, SupervisorConfig, Telemetry, TypedServeEvent,
         TypedSubscription,
     };
     pub use vqpy_store::{FrameStore, RetentionPolicy, StoreConfig};
