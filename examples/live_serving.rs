@@ -158,8 +158,8 @@ fn main() {
     let jackson_video = SyntheticVideo::new(Scene::generate(presets::jackson(), 11, 30.0));
     // The banff camera "crashes" once mid-stream: the worker catches the
     // panic, emits a StreamFault to subscribers, and restarts from its
-    // checkpoint (RestartPolicy::default(): up to 2 restarts, Retry mode —
-    // the replay makes the surviving results identical to a clean run).
+    // checkpoint (RestartPolicy::default(): up to 2 restarts — the re-run
+    // makes the surviving results identical to a clean run).
     let banff_video = PanicOnce {
         inner: SyntheticVideo::new(Scene::generate(presets::banff(), 22, 30.0)),
         at: 40,
