@@ -61,8 +61,9 @@ impl StageKind {
     }
 
     /// The stage's [`StagePanic`](crate::error::VqpyError::StagePanic)
-    /// label. The serving layer's fault text reads it byte for byte, which
-    /// is why prep still answers to `track`.
+    /// label. The CI telemetry smoke (through the spans) and the serving
+    /// layer's fault text read these byte for byte, which is why prep still
+    /// answers to `track`.
     pub const fn name(self) -> &'static str {
         match self {
             StageKind::FrameFilter => "frame_filters",
