@@ -86,11 +86,10 @@ pub use metrics::{AggregateMetrics, QueryServeMetrics, ServeMetrics, ShardLoad};
 pub use replay::{
     RecordingDispatch, StoreDispatch, StoreTier, STORE_READ_COST_MS, STORE_READ_LABEL,
 };
-pub use server::{ServeSession, StepOutcome, StreamId, StreamServer};
+pub use server::{ServeSession, StepOutcome, StreamId, StreamOptions, StreamServer};
 pub use shard::{
     DeterministicScheduler, PaceCounters, ShardConfig, ShardCore, SplitMix64, INGEST_BOUND,
 };
-pub use stream::StreamOptions;
 pub use subscription::{
     ServeEvent, StoreFaultNotice, StreamFault, Subscription, SubscriptionClosed, SubscriptionId,
 };

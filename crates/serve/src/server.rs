@@ -7,7 +7,7 @@ use crate::delivery::{ActiveSub, Exit};
 use crate::engine::StreamEngine;
 use crate::metrics::{AggregateMetrics, ServeMetrics};
 use crate::replay::{RecordingDispatch, StoreTier};
-use crate::stream::{Feed, PendingAttach, Stream, StreamHandle, StreamOptions};
+use crate::stream::{Feed, PendingAttach, Stream, StreamHandle};
 use crate::subscription::{ServeEvent, Subscription, SubscriptionId};
 #[cfg(doc)]
 use crate::Backpressure;
@@ -25,6 +25,24 @@ use vqpy_video::source::VideoSource;
 
 /// Identifier of one open stream on a server.
 pub type StreamId = u64;
+
+/// Per-stream knobs fixed at [`StreamServer::open_stream_with`] time.
+///
+/// ```
+/// # use vqpy_serve::StreamOptions;
+/// let defaults = StreamOptions::default();
+/// assert!(defaults.dispatch.is_none());
+/// ```
+#[derive(Default)]
+pub struct StreamOptions {
+    /// Model-dispatch boundary for this stream's engine, preserved across
+    /// plan recompiles. `None` means direct per-stream invocation; the
+    /// multi-stream supervisor passes a shared
+    /// [`ModelBatcher`](crate::ModelBatcher) handle here so the stream's
+    /// detect, binary-filter, and classify batches coalesce with other
+    /// streams'.
+    pub dispatch: Option<Arc<dyn ModelDispatch>>,
+}
 
 /// Outcome of one [`StreamServer::step`].
 #[derive(Debug, Clone, Copy)]

@@ -37,24 +37,6 @@ pub(crate) struct Commands {
     pub(crate) detach: Vec<SubscriptionId>,
 }
 
-/// Per-stream knobs fixed at [`StreamServer::open_stream_with`] time.
-///
-/// ```
-/// # use vqpy_serve::StreamOptions;
-/// let defaults = StreamOptions::default();
-/// assert!(defaults.dispatch.is_none());
-/// ```
-#[derive(Default)]
-pub struct StreamOptions {
-    /// Model-dispatch boundary for this stream's engine, preserved across
-    /// plan recompiles. `None` means direct per-stream invocation; the
-    /// multi-stream supervisor passes a shared
-    /// [`ModelBatcher`](crate::ModelBatcher) handle here so the stream's
-    /// detect, binary-filter, and classify batches coalesce with other
-    /// streams'.
-    pub dispatch: Option<Arc<dyn ModelDispatch>>,
-}
-
 /// Where a stream's frames come from, fixed when its id is issued.
 pub(crate) enum Feed {
     /// A live source. `recorder` captures model answers per frame for

@@ -67,9 +67,9 @@ use crate::attach::{AttachMode, AttachSpec};
 use crate::batcher::{BatcherConfig, BatcherStats, FaultStats, ModelBatcher};
 use crate::config::{ServeConfig, ServeError, ServeResult};
 use crate::metrics::ShardLoad;
-use crate::server::{StreamId, StreamServer};
+use crate::server::{StreamId, StreamOptions, StreamServer};
 use crate::shard::{ShardConfig, ShardCore};
-use crate::stream::{StreamHandle, StreamOptions};
+use crate::stream::StreamHandle;
 use crate::subscription::Subscription;
 use crate::ServeMetrics;
 use parking_lot::{Condvar, Mutex, MutexGuard};
