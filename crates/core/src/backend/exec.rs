@@ -22,17 +22,21 @@
 //! batching only changes *charged cost* (amortized dispatch overhead),
 //! never values.
 //!
-//! Frame slots are workspaces ([`FrameSlot::reset`]), the reuse cache is
-//! keyed by interned symbols, and predicates read the frame graph in place,
-//! so in the steady state caching, candidate enumeration and predicate
-//! evaluation allocate nothing. What still allocates per frame: one
-//! `Vec<NodeId>` per combo that *matched*, a hit's output rows (a column
-//! name and a value clone per cell), and, upstream of the joins, a
-//! `String` key per property written to a node and the `Value::Str`s the
-//! models return. `tests/alloc_budget.rs` holds the total to a budget.
+//! Frame slots are workspaces ([`FrameSlot::reset`]) whose graphs keep
+//! property values in plan-resolved slots ([`SlotLayout`]), every operator
+//! resolved the names it reads and writes when it was instantiated, the
+//! reuse cache is keyed by interned symbols, strings are shared, and the
+//! trackers and operators keep their scratch across frames. So in the
+//! steady state projection, history windows, caching, candidate
+//! enumeration, predicate evaluation and match recording allocate nothing.
+//! What still allocates per frame is what crosses a model or a result
+//! boundary: the detectors' and classifiers' output vectors (a `String`
+//! class label per detection), and a hit's output rows (an owned column
+//! name and a value per cell). `tests/alloc_budget.rs` holds the total to a
+//! budget.
 
-use crate::backend::graph::NodeId;
-use crate::backend::ops::{FrameSlot, MatchCombo};
+use crate::backend::graph::{NodeId, PropAccess, SlotLayout};
+use crate::backend::ops::{FrameSlot, Matches};
 use crate::backend::pipeline::run_pipelined;
 use crate::backend::plan::{JoinSpec, PlanDag};
 use crate::backend::reuse::{ReuseCache, ReuseStats};
@@ -40,6 +44,7 @@ use crate::backend::stage::{
     decode_batch, deliver, instantiate_stage_ops, run_stage, ExecEnv, StageCtx, StageKind, StageOps,
 };
 use crate::error::Result;
+use crate::frontend::property::BuiltinProp;
 use crate::frontend::query::Aggregate;
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -192,14 +197,21 @@ pub trait ResultSink {
 /// per-frame history), so it can run over unbounded live streams.
 ///
 /// Aliases are resolved to join positions (the query's `vobjs()` order,
-/// which [`MatchCombo::nodes`] follows) and output columns are named once,
-/// at construction.
+/// which [`Matches`] follows) and output columns are named once,
+/// at construction; the properties they read are resolved against a slot
+/// layout the first time a frame laid out by it is observed.
 #[derive(Debug, Default)]
 pub struct QueryAccum {
     /// Join position of the alias whose nodes feed the video aggregate.
     agg_pos: Option<usize>,
     /// The frame output: `(join position, "alias.prop" column, prop)`.
     columns: Vec<(usize, String, String)>,
+    /// [`SlotLayout::id`] of the layout `reads` and `track_read` follow.
+    layout: Option<u64>,
+    /// How each of `columns` reads its property.
+    reads: Vec<PropAccess>,
+    /// How the aggregate reads `track_id`.
+    track_read: PropAccess,
     /// Scratch: the aggregate alias's matched nodes on the current frame.
     frame_nodes: Vec<NodeId>,
     distinct_tracks: BTreeSet<i64>,
@@ -237,18 +249,32 @@ impl QueryAccum {
         }
     }
 
+    /// Resolves the accumulator's reads against `layout`, unless they
+    /// already follow it.
+    fn resolve(&mut self, layout: &SlotLayout) {
+        if self.layout == Some(layout.id()) {
+            return;
+        }
+        self.reads = self.columns.iter().map(|c| layout.access(&c.2)).collect();
+        self.track_read = layout.access(BuiltinProp::TrackId.name());
+        self.layout = Some(layout.id());
+    }
+
     /// Observes join `ji`'s matches on a finished slot (must be called in
     /// frame order), returning the frame's hit row when any combo matched.
     pub fn observe(&mut self, slot: &FrameSlot, ji: usize) -> Option<FrameHit> {
-        let combos: &[MatchCombo] = slot.matches.get(ji).map_or(&[], Vec::as_slice);
+        self.resolve(slot.graph.layout());
+        let graph = &slot.graph;
+        let none = Matches::default();
+        let combos = slot.matches.get(ji).unwrap_or(&none);
         self.frames_seen += 1;
         // Aggregation bookkeeping (count per frame even when zero).
         let frame_count = if let Some(pos) = self.agg_pos {
             self.frame_nodes.clear();
-            for c in combos {
-                let node = c.nodes[pos];
+            for c in combos.iter() {
+                let node = c[pos];
                 self.frame_nodes.push(node);
-                if let Value::Int(t) = *slot.graph.nodes[node].value_ref("track_id") {
+                if let Value::Int(t) = *graph.value(node, self.track_read) {
                     self.distinct_tracks.insert(t);
                 }
             }
@@ -269,9 +295,9 @@ impl QueryAccum {
             .map(|c| {
                 self.columns
                     .iter()
-                    .map(|(pos, column, prop)| {
-                        let node = &slot.graph.nodes[c.nodes[*pos]];
-                        (column.clone(), node.value_of(prop))
+                    .zip(&self.reads)
+                    .map(|((pos, column, _), &read)| {
+                        (column.clone(), graph.value(c[*pos], read).into_owned())
                     })
                     .collect()
             })

@@ -6,29 +6,35 @@
 //! projector operator realizes lazy evaluation (compute a property, filter,
 //! only then compute the next) and intrinsic-property reuse (§4.2).
 
-use crate::backend::graph::{Edge, EdgeKind, FrameGraph, NodeId, VObjNode};
+use crate::backend::graph::{
+    Edge, EdgeKind, EdgeRead, EdgeSlot, FrameGraph, NodeId, NodeRead, NodeScope, PropAccess,
+    PropSlot, SlotLayout, SlotPred, VObjNode,
+};
 use crate::backend::plan::{OpSpec, PlanDag};
 use crate::backend::reuse::ReuseCache;
 use crate::backend::symbols::{Istr, Sym, SymbolTable};
 use crate::error::{Result, VqpyError};
-use crate::frontend::predicate::{or_null, Pred, PredScope, PropRef};
+use crate::frontend::predicate::{or_null, Pred, PredScope};
 use crate::frontend::property::{PropertyCtx, PropertyDef, PropertyKind, PropertySource};
 use crate::frontend::query::RelationDecl;
-use crate::frontend::relation::{RelationCtx, RelationSource};
+use crate::frontend::relation::{RelationCtx, RelationPropertyDef, RelationSource};
 use crate::frontend::vobj::ResolvedProperty;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
-use vqpy_models::{Classifier, Clock, Detector, FrameClassifier, HoiModel, ModelZoo, Value};
-use vqpy_tracker::{SortTracker, TrackId, TrackerParams};
+use vqpy_models::{
+    Classifier, Clock, Detection, Detector, FrameClassifier, HoiModel, ModelZoo, Value,
+};
+use vqpy_tracker::{SortTracker, TrackId, TrackUpdate, TrackerParams};
 use vqpy_video::frame::{Frame, PixelBuffer};
+use vqpy_video::geometry::BBox;
 
 /// One frame moving through the pipeline.
 ///
 /// Slots are *workspaces*: the executor keeps a pool of them and calls
 /// [`FrameSlot::reset`] to load the next frame instead of reallocating the
-/// graph and match buffers per frame (§4.1's batched execution keeps the
-/// hot loop allocation-light).
+/// graph, its slot arenas and the match buffers per frame (§4.1's batched
+/// execution keeps the hot loop allocation-light).
 #[derive(Debug)]
 pub struct FrameSlot {
     pub frame: Frame,
@@ -37,44 +43,80 @@ pub struct FrameSlot {
     pub alive: bool,
     /// Join results, indexed by the plan's join index (see
     /// [`crate::backend::plan::PlanDag::joins`]).
-    pub matches: Vec<Vec<MatchCombo>>,
+    pub matches: Vec<Matches>,
+    /// Tracks that aged out of their alias's tracker on this frame. Ids are
+    /// never reused, so stateful projections of that alias drop their
+    /// windows for them.
+    pub expired: Vec<(Istr, TrackId)>,
 }
 
 impl FrameSlot {
-    /// Wraps a frame for pipeline processing.
+    /// Wraps a frame for pipeline processing, with no property slots.
     pub fn new(frame: Frame) -> Self {
+        Self::with_layout(frame, &Arc::default())
+    }
+
+    /// Wraps a frame whose graph carries `layout`'s property slots.
+    pub fn with_layout(frame: Frame, layout: &Arc<SlotLayout>) -> Self {
         Self {
             frame,
-            graph: FrameGraph::new(),
+            graph: FrameGraph::with_layout(Arc::clone(layout)),
             alive: true,
             matches: Vec::new(),
+            expired: Vec::new(),
         }
     }
 
-    /// Reloads this slot with a new frame, clearing per-frame state while
-    /// keeping the graph and match buffers' allocations.
-    pub fn reset(&mut self, frame: Frame) {
+    /// Reloads this slot with a new frame laid out by `layout`, clearing
+    /// per-frame state while keeping the graph, arena and match buffers'
+    /// allocations.
+    pub fn reset(&mut self, frame: Frame, layout: &Arc<SlotLayout>) {
         self.frame = frame;
-        self.graph.clear();
+        self.graph.reset(layout);
         self.alive = true;
         for m in &mut self.matches {
             m.clear();
         }
+        self.expired.clear();
     }
 
     /// Ensures `matches` has one (cleared) bucket per join in the plan.
     pub fn prepare_joins(&mut self, joins: usize) {
         if self.matches.len() != joins {
-            self.matches.resize_with(joins, Vec::new);
+            self.matches.resize_with(joins, Matches::default);
         }
     }
 }
 
-/// One satisfying binding of query aliases to graph nodes: one node per
-/// alias, in the join's alias order (the query's `vobjs()` order).
-#[derive(Debug, Clone)]
-pub struct MatchCombo {
-    pub nodes: Vec<NodeId>,
+/// One join's satisfying bindings of query aliases to graph nodes on a
+/// frame. Each combo is one node per alias, in the join's alias order (the
+/// query's `vobjs()` order); combos are stored back to back, so recording
+/// one allocates nothing once the buffer is warm.
+#[derive(Debug, Clone, Default)]
+pub struct Matches {
+    arity: usize,
+    nodes: Vec<NodeId>,
+}
+
+impl Matches {
+    /// The combos, in the order the join found them.
+    pub fn iter(&self) -> impl Iterator<Item = &[NodeId]> {
+        self.nodes.chunks_exact(self.arity.max(1))
+    }
+
+    /// Number of combos.
+    pub fn len(&self) -> usize {
+        self.nodes.len() / self.arity.max(1)
+    }
+
+    /// Whether no combo matched.
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.nodes.clear();
+    }
 }
 
 /// Mutable execution context shared by all operators.
@@ -116,9 +158,36 @@ pub enum OpState {
         last_seen: HashMap<TrackId, u64>,
     },
     /// [`ProjectOp`]: per-track sliding windows of stateful dependencies.
-    Project {
-        history: HashMap<TrackId, VecDeque<BTreeMap<String, Value>>>,
-    },
+    Project { history: HashMap<TrackId, History> },
+}
+
+/// One track's window for a stateful projection: the last `history_len`
+/// samples of each dependency in a fixed buffer, dependency-major, oldest
+/// first, so a full window is the [`PropertyCtx`] input as it stands.
+#[derive(Debug, Clone)]
+pub struct History {
+    samples: Vec<Value>,
+    len: usize,
+    filled: usize,
+}
+
+impl History {
+    fn new(deps: usize, len: usize) -> Self {
+        Self {
+            samples: vec![Value::Null; deps * len],
+            len,
+            filled: 0,
+        }
+    }
+
+    /// Appends one sample per dependency, dropping the oldest.
+    fn push(&mut self, sample: impl Iterator<Item = Value>) {
+        for (ring, v) in self.samples.chunks_exact_mut(self.len).zip(sample) {
+            ring.rotate_left(1);
+            ring[self.len - 1] = v;
+        }
+        self.filled = (self.filled + 1).min(self.len);
+    }
 }
 
 /// A pipeline stage. Operators keep their own cross-frame state (trackers,
@@ -349,18 +418,27 @@ impl Operator for DetectOp {
 /// Object tracker operator for one alias: assigns stable track ids and
 /// motion linkage, enabling stateful properties and intrinsic reuse.
 pub struct TrackOp {
-    alias: String,
+    alias: Istr,
     tracker: SortTracker,
     last_seen: HashMap<TrackId, u64>,
+    /// Scratch, reused across frames.
+    ids: Vec<NodeId>,
+    boxes: Vec<(BBox, &'static str)>,
+    updates: Vec<TrackUpdate>,
+    expired: Vec<TrackId>,
 }
 
 impl TrackOp {
     /// Creates a tracker for `alias`.
-    pub fn new(alias: impl Into<String>) -> Self {
+    pub fn new(alias: &str) -> Self {
         Self {
-            alias: alias.into(),
+            alias: Istr::new(alias),
             tracker: SortTracker::new(TrackerParams::default()),
             last_seen: HashMap::new(),
+            ids: Vec::new(),
+            boxes: Vec::new(),
+            updates: Vec::new(),
+            expired: Vec::new(),
         }
     }
 }
@@ -373,22 +451,28 @@ impl Operator for TrackOp {
     fn process(&mut self, slot: &mut FrameSlot, ctx: &mut ExecCtx<'_>) -> Result<()> {
         // The Kalman tracker is native and cheap, but not free.
         ctx.clock.charge_labeled("tracker", 0.05);
-        let ids = slot.graph.alive_of(&self.alias);
-        let boxes: Vec<(vqpy_video::geometry::BBox, &str)> = ids
-            .iter()
-            .map(|&i| {
-                let n = &slot.graph.nodes[i];
-                (n.bbox, n.class_label.as_str())
-            })
-            .collect();
-        let updates = self.tracker.update(&boxes);
-        for (&node_id, up) in ids.iter().zip(&updates) {
-            let node = &mut slot.graph.nodes[node_id];
+        let graph = &mut slot.graph;
+        self.ids.clear();
+        self.ids.extend(graph.alive_ids(self.alias));
+        self.boxes.clear();
+        self.boxes.extend(self.ids.iter().map(|&i| {
+            let n = &graph.nodes[i];
+            (n.bbox, n.class_label.as_str())
+        }));
+        self.expired.clear();
+        self.tracker
+            .update_into(&self.boxes, &mut self.updates, &mut self.expired);
+        for (&node_id, up) in self.ids.iter().zip(&self.updates) {
+            let node = &mut graph.nodes[node_id];
             node.track_id = Some(up.track_id);
             node.track_confirmed = up.confirmed;
             node.track_is_new = up.is_new;
             node.prev_frame = self.last_seen.get(&up.track_id).copied();
             self.last_seen.insert(up.track_id, slot.frame.index);
+        }
+        for &id in &self.expired {
+            self.last_seen.remove(&id);
+            slot.expired.push((self.alias, id));
         }
         Ok(())
     }
@@ -424,35 +508,60 @@ impl Operator for TrackOp {
 /// first; stateful properties maintain a per-track sliding window of their
 /// dependencies (§4.1's "local sliding window of historical data").
 ///
+/// The property's slot and every dependency's read are resolved against
+/// the plan's [`SlotLayout`] when the operator is built.
+///
 /// An optional fused filter predicate is applied immediately after each
 /// node's value is computed (operator fusion, §4.3).
 pub struct ProjectOp {
-    alias: String,
+    alias: Istr,
     def: PropertyDef,
     /// Interned `(alias, prop)` pair: the allocation-free reuse-cache key.
     alias_sym: Sym,
     prop_sym: Sym,
+    /// Where the computed value goes.
+    slot: PropSlot,
+    /// How each of `def.deps` is read, in order.
+    dep_reads: Vec<PropAccess>,
     classifier: Option<Arc<dyn Classifier>>,
-    history: HashMap<TrackId, VecDeque<BTreeMap<String, Value>>>,
-    fused_filter: Option<Pred>,
+    history: HashMap<TrackId, History>,
+    /// The fused filter as written (for plan dumps) and as resolved.
+    fused_filter: Option<(Pred, SlotPred)>,
     fused_required: bool,
-    /// Scratch for the batched model path, reused across frames.
+    /// Scratch, reused across frames: the alias's alive nodes, the batched
+    /// model path's pending crops (`pending_dets` keeps its high-water
+    /// length; the first `pending_ids.len()` entries are this frame's), and
+    /// a stateless native property's inputs.
+    ids: Vec<NodeId>,
     pending_ids: Vec<NodeId>,
-    pending_dets: Vec<vqpy_models::Detection>,
-    /// Scratch for the native path's [`PropertyCtx`]: one entry per
-    /// dependency, keyed once here and refilled per node.
-    deps: HashMap<String, Vec<Value>>,
+    pending_dets: Vec<Detection>,
+    inputs: Vec<Value>,
 }
 
 impl ProjectOp {
-    /// Creates a projector; model properties resolve their classifier from
-    /// the zoo lazily on first use. `alias_sym`/`prop_sym` are the plan's
-    /// interned symbols for the alias and the property name — they key the
-    /// reuse cache without per-probe allocation.
-    pub fn new(alias: impl Into<String>, def: PropertyDef, alias_sym: Sym, prop_sym: Sym) -> Self {
+    /// Creates a projector writing `def`'s slot of `layout`; model
+    /// properties resolve their classifier from the zoo lazily on first
+    /// use. `alias_sym`/`prop_sym` are the plan's interned symbols for the
+    /// alias and the property name — they key the reuse cache without
+    /// per-probe allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `layout` has no slot for the property.
+    pub fn new(
+        alias: &str,
+        def: PropertyDef,
+        alias_sym: Sym,
+        prop_sym: Sym,
+        layout: &SlotLayout,
+    ) -> Self {
+        let slot = layout
+            .prop(&def.name)
+            .unwrap_or_else(|| panic!("no slot for projected property {}", def.name));
         Self {
-            alias: alias.into(),
-            deps: def.deps.iter().map(|d| (d.clone(), Vec::new())).collect(),
+            alias: Istr::new(alias),
+            dep_reads: def.deps.iter().map(|d| layout.access(d)).collect(),
+            slot,
             def,
             alias_sym,
             prop_sym,
@@ -460,15 +569,18 @@ impl ProjectOp {
             history: HashMap::new(),
             fused_filter: None,
             fused_required: false,
+            ids: Vec::new(),
             pending_ids: Vec::new(),
             pending_dets: Vec::new(),
+            inputs: Vec::new(),
         }
     }
 
     /// Fuses a filter to run on each node right after projection; when
     /// `required` is set, a frame whose alias has no surviving node dies.
-    pub fn with_fused_filter(mut self, pred: Pred, required: bool) -> Self {
-        self.fused_filter = Some(pred);
+    pub fn with_fused_filter(mut self, pred: Pred, required: bool, layout: &SlotLayout) -> Self {
+        let resolved = layout.resolve(&pred, &[self.alias.as_str()], &[]);
+        self.fused_filter = Some((pred, resolved));
         self.fused_required = required;
         self
     }
@@ -493,41 +605,69 @@ impl ProjectOp {
         Ok(Arc::clone(self.classifier.as_ref().expect("just set")))
     }
 
-    /// Computes the property for `node` from the dependency values
-    /// currently in the `deps` scratch.
-    fn compute_native(&self, node: &VObjNode, fps: u32) -> Value {
-        match &self.def.source {
-            PropertySource::Native(f) => f(&PropertyCtx {
-                deps: &self.deps,
-                fps,
-            }),
-            PropertySource::Builtin(b) => node.builtin(*b),
-            PropertySource::Model(_) => unreachable!("model handled separately"),
+    /// Drops the windows of tracks that aged out on this frame.
+    fn forget_expired(&mut self, slot: &FrameSlot) {
+        if self.history.is_empty() {
+            return;
         }
+        for (alias, id) in &slot.expired {
+            if *alias == self.alias {
+                self.history.remove(id);
+            }
+        }
+    }
+}
+
+/// Computes a native or built-in property of `node` from `ctx`.
+fn compute_native(source: &PropertySource, node: &VObjNode, ctx: &PropertyCtx<'_>) -> Value {
+    match source {
+        PropertySource::Native(f) => f(ctx),
+        PropertySource::Builtin(b) => node.builtin(*b),
+        PropertySource::Model(_) => unreachable!("model handled separately"),
     }
 }
 
 impl Operator for ProjectOp {
     fn name(&self) -> String {
         match &self.fused_filter {
-            Some(p) => format!("project+filter({}.{} | {p})", self.alias, self.def.name),
+            Some((p, _)) => format!("project+filter({}.{} | {p})", self.alias, self.def.name),
             None => format!("project({}.{})", self.alias, self.def.name),
         }
     }
 
     fn process(&mut self, slot: &mut FrameSlot, ctx: &mut ExecCtx<'_>) -> Result<()> {
+        self.forget_expired(slot);
         let kind = self.def.kind;
         let is_model = matches!(self.def.source, PropertySource::Model(_));
-        if let (PropertyKind::Stateless { intrinsic }, true) = (kind, is_model) {
-            self.process_model_frame(slot, ctx, intrinsic)?;
+        let mut ids = std::mem::take(&mut self.ids);
+        ids.clear();
+        ids.extend(slot.graph.alive_ids(self.alias));
+        let result = if let (PropertyKind::Stateless { intrinsic }, true) = (kind, is_model) {
+            self.process_model_frame(slot, ctx, &ids, intrinsic)
         } else {
-            self.process_native_frame(slot, ctx)?;
-        }
+            self.process_native_frame(slot, ctx, &ids);
+            Ok(())
+        };
+        self.ids = ids;
+        result?;
         if self.fused_filter.is_some()
             && self.fused_required
-            && slot.graph.alive_count(&self.alias) == 0
+            && slot.graph.alive_count(self.alias) == 0
         {
             slot.alive = false;
+        }
+        Ok(())
+    }
+
+    /// Every frame is seen, dead ones too: a frame that died after the
+    /// tracker ran still reports the tracks that expired on it.
+    fn process_batch(&mut self, slots: &mut [FrameSlot], ctx: &mut ExecCtx<'_>) -> Result<()> {
+        for slot in slots.iter_mut() {
+            if slot.alive {
+                self.process(slot, ctx)?;
+            } else {
+                self.forget_expired(slot);
+            }
         }
         Ok(())
     }
@@ -553,13 +693,12 @@ impl Operator for ProjectOp {
 }
 
 impl ProjectOp {
-    fn apply_value(&self, slot: &mut FrameSlot, id: NodeId, value: Value) {
-        let node = &mut slot.graph.nodes[id];
-        node.props.insert(self.def.name.clone(), value);
+    fn apply_value(&self, graph: &mut FrameGraph, id: NodeId, value: Value) {
+        graph.set(id, self.slot, value);
         // Operator fusion: filter right here, saving a pipeline pass.
-        if let Some(pred) = &self.fused_filter {
-            if !pred.eval(&*node) {
-                node.alive = false;
+        if let Some((_, pred)) = &self.fused_filter {
+            if !pred.eval(&NodeScope { graph, id }) {
+                graph.nodes[id].alive = false;
             }
         }
     }
@@ -571,14 +710,13 @@ impl ProjectOp {
         &mut self,
         slot: &mut FrameSlot,
         ctx: &mut ExecCtx<'_>,
+        ids: &[NodeId],
         intrinsic: bool,
     ) -> Result<()> {
-        let node_ids = slot.graph.alive_of(&self.alias);
         self.pending_ids.clear();
-        self.pending_dets.clear();
-        for id in node_ids {
+        for &id in ids {
             let node = &slot.graph.nodes[id];
-            if node.props.contains_key(&self.def.name) {
+            if slot.graph.get(id, self.slot).is_some() {
                 continue; // already computed (shared plans)
             }
             // Memoized values are trusted only once the track is
@@ -602,11 +740,15 @@ impl ProjectOp {
                 _ => None,
             };
             match cached {
-                Some(v) => self.apply_value(slot, id, v),
+                Some(v) => self.apply_value(&mut slot.graph, id, v),
                 None => {
-                    let det = slot.graph.nodes[id].as_detection();
+                    let n = self.pending_ids.len();
+                    if n == self.pending_dets.len() {
+                        self.pending_dets.push(node.as_detection());
+                    } else {
+                        node.fill_detection(&mut self.pending_dets[n]);
+                    }
                     self.pending_ids.push(id);
-                    self.pending_dets.push(det);
                 }
             }
         }
@@ -614,15 +756,14 @@ impl ProjectOp {
             return Ok(());
         }
         let clf = self.classifier(ctx)?;
+        let dets = &self.pending_dets[..self.pending_ids.len()];
         let _span = ctx
             .tracer
             .span("dispatch", "dispatch:classify")
             .arg("model", &clf.profile().name)
             .arg("frame", slot.frame.index)
-            .arg("items", self.pending_dets.len());
-        let values = ctx
-            .dispatch
-            .classify(&clf, &slot.frame, &self.pending_dets, ctx.clock)?;
+            .arg("items", dets.len());
+        let values = ctx.dispatch.classify(&clf, &slot.frame, dets, ctx.clock)?;
         for (&id, v) in self.pending_ids.iter().zip(values) {
             if let (true, Some(reuse), Some(t)) =
                 (intrinsic, &mut ctx.reuse, slot.graph.nodes[id].track_id)
@@ -636,67 +777,59 @@ impl ProjectOp {
                     &self.def.name,
                 );
             }
-            self.apply_value(slot, id, v);
+            self.apply_value(&mut slot.graph, id, v);
         }
         Ok(())
     }
 
     /// Native/builtin and stateful properties: per-node computation.
-    fn process_native_frame(&mut self, slot: &mut FrameSlot, ctx: &mut ExecCtx<'_>) -> Result<()> {
-        let node_ids = slot.graph.alive_of(&self.alias);
-        for id in node_ids {
-            let value = {
-                let node = &slot.graph.nodes[id];
-                if node.props.contains_key(&self.def.name) {
-                    continue; // already computed (shared plans)
+    fn process_native_frame(
+        &mut self,
+        slot: &mut FrameSlot,
+        ctx: &mut ExecCtx<'_>,
+        ids: &[NodeId],
+    ) {
+        let graph = &mut slot.graph;
+        for &id in ids {
+            if graph.get(id, self.slot).is_some() {
+                continue; // already computed (shared plans)
+            }
+            let node = &graph.nodes[id];
+            let value = match self.def.kind {
+                // Stateless native/builtin: compute from current values.
+                PropertyKind::Stateless { .. } => {
+                    self.inputs.clear();
+                    let current = self.dep_reads.iter().map(|&a| graph.value(id, a));
+                    self.inputs.extend(current.map(Cow::into_owned));
+                    let inputs = PropertyCtx::new(&self.def.deps, &self.inputs, 1, ctx.fps);
+                    compute_native(&self.def.source, node, &inputs)
                 }
-                match self.def.kind {
-                    // Stateless native/builtin: compute from current values.
-                    PropertyKind::Stateless { .. } => {
-                        for (d, values) in &mut self.deps {
-                            values.clear();
-                            values.push(node.value_of(d));
-                        }
-                        self.compute_native(node, ctx.fps)
-                    }
-                    // Stateful: per-track sliding window of dependencies.
-                    PropertyKind::Stateful { history_len } => {
-                        ctx.clock.charge_labeled("native_prop", 0.02);
-                        let Some(track) = node.track_id else {
-                            // Untracked objects cannot have stateful props.
-                            slot.graph.nodes[id]
-                                .props
-                                .insert(self.def.name.clone(), Value::Null);
-                            continue;
-                        };
-                        let window = self.history.entry(track).or_default();
-                        let mut current = BTreeMap::new();
-                        for d in &self.def.deps {
-                            current.insert(d.clone(), node.value_of(d));
-                        }
-                        window.push_back(current);
-                        while window.len() > history_len {
-                            window.pop_front();
-                        }
-                        if window.len() < history_len {
-                            Value::Null
-                        } else {
-                            for (d, values) in &mut self.deps {
-                                values.clear();
-                                values.extend(
-                                    window
-                                        .iter()
-                                        .map(|m| m.get(d).cloned().unwrap_or(Value::Null)),
-                                );
-                            }
-                            self.compute_native(node, ctx.fps)
-                        }
+                // Stateful: per-track sliding window of dependencies.
+                PropertyKind::Stateful { history_len } => {
+                    ctx.clock.charge_labeled("native_prop", 0.02);
+                    let Some(track) = node.track_id else {
+                        // Untracked objects cannot have stateful props.
+                        graph.set(id, self.slot, Value::Null);
+                        continue;
+                    };
+                    let deps = self.def.deps.len();
+                    let window = self
+                        .history
+                        .entry(track)
+                        .or_insert_with(|| History::new(deps, history_len));
+                    let current = self.dep_reads.iter().map(|&a| graph.value(id, a));
+                    window.push(current.map(Cow::into_owned));
+                    if window.filled < history_len {
+                        Value::Null
+                    } else {
+                        let inputs =
+                            PropertyCtx::new(&self.def.deps, &window.samples, history_len, ctx.fps);
+                        compute_native(&self.def.source, node, &inputs)
                     }
                 }
             };
-            self.apply_value(slot, id, value);
+            self.apply_value(graph, id, value);
         }
-        Ok(())
     }
 }
 
@@ -708,16 +841,19 @@ impl ProjectOp {
 /// kills the whole frame when the alias has no survivors (the alias is
 /// *required* by every query in the plan).
 pub struct FilterOp {
-    alias: String,
+    alias: Istr,
     pred: Pred,
+    /// `pred` resolved against the plan's layout, the alias at position 0.
+    resolved: SlotPred,
     required: bool,
 }
 
 impl FilterOp {
-    /// Creates a filter on `alias`.
-    pub fn new(alias: impl Into<String>, pred: Pred, required: bool) -> Self {
+    /// Creates a filter on `alias`, resolving `pred` against `layout`.
+    pub fn new(alias: &str, pred: Pred, required: bool, layout: &SlotLayout) -> Self {
         Self {
-            alias: alias.into(),
+            alias: Istr::new(alias),
+            resolved: layout.resolve(&pred, &[alias], &[]),
             pred,
             required,
         }
@@ -735,12 +871,17 @@ impl Operator for FilterOp {
     }
 
     fn process(&mut self, slot: &mut FrameSlot, _ctx: &mut ExecCtx<'_>) -> Result<()> {
-        for node in &mut slot.graph.nodes {
-            if node.alive && node.alias == self.alias && !self.pred.eval(&*node) {
-                node.alive = false;
+        let graph = &mut slot.graph;
+        for id in 0..graph.nodes.len() {
+            let node = &graph.nodes[id];
+            if node.alive
+                && node.alias == self.alias
+                && !self.resolved.eval(&NodeScope { graph, id })
+            {
+                graph.nodes[id].alive = false;
             }
         }
-        if self.required && slot.graph.alive_count(&self.alias) == 0 {
+        if self.required && graph.alive_count(self.alias) == 0 {
             slot.alive = false;
         }
         Ok(())
@@ -757,13 +898,52 @@ impl Operator for FilterOp {
 /// both aliases' detections.
 pub struct RelationProjectOp {
     decl: RelationDecl,
+    relation: Sym,
+    left_alias: Istr,
+    right_alias: Istr,
+    /// Every visible property of the relation, with its edge column.
+    props: Vec<(RelationPropertyDef, EdgeSlot)>,
     hoi: Option<Arc<dyn HoiModel>>,
+    /// Scratch, reused across frames.
+    left: Vec<NodeId>,
+    right: Vec<NodeId>,
+    hoi_ids: Vec<NodeId>,
+    hoi_dets: Vec<Detection>,
+    hoi_results: HashMap<(NodeId, NodeId), Value>,
 }
 
 impl RelationProjectOp {
-    /// Creates the projector for a declared relation.
-    pub fn new(decl: RelationDecl) -> Self {
-        Self { decl, hoi: None }
+    /// Creates the projector for a declared relation, interning its name
+    /// into `syms` and writing `layout`'s edge columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `layout` has no edge column for one of its properties.
+    pub fn new(decl: RelationDecl, syms: &mut SymbolTable, layout: &SlotLayout) -> Self {
+        let props = decl
+            .schema
+            .all_properties()
+            .into_iter()
+            .map(|p| {
+                let slot = layout
+                    .edge_prop(&p.name)
+                    .unwrap_or_else(|| panic!("no edge slot for relation property {}", p.name));
+                (p.clone(), slot)
+            })
+            .collect();
+        Self {
+            relation: syms.intern(&decl.name),
+            left_alias: Istr::new(&decl.left_alias),
+            right_alias: Istr::new(&decl.right_alias),
+            decl,
+            props,
+            hoi: None,
+            left: Vec::new(),
+            right: Vec::new(),
+            hoi_ids: Vec::new(),
+            hoi_dets: Vec::new(),
+            hoi_results: HashMap::new(),
+        }
     }
 }
 
@@ -776,72 +956,61 @@ impl Operator for RelationProjectOp {
     }
 
     fn process(&mut self, slot: &mut FrameSlot, ctx: &mut ExecCtx<'_>) -> Result<()> {
-        let left = slot.graph.alive_of(&self.decl.left_alias);
-        let right = slot.graph.alive_of(&self.decl.right_alias);
-        if left.is_empty() || right.is_empty() {
+        let graph = &mut slot.graph;
+        self.left.clear();
+        self.left.extend(graph.alive_ids(self.left_alias));
+        self.right.clear();
+        self.right.extend(graph.alive_ids(self.right_alias));
+        if self.left.is_empty() || self.right.is_empty() {
             return Ok(());
         }
-        let props: Vec<_> = self
-            .decl
-            .schema
-            .all_properties()
-            .into_iter()
-            .cloned()
-            .collect();
 
         // HOI properties: one model call per frame over both aliases.
-        let mut hoi_results: HashMap<(NodeId, NodeId), Value> = HashMap::new();
-        for p in &props {
+        self.hoi_results.clear();
+        for (p, _) in &self.props {
             if let RelationSource::Hoi { model } = &p.source {
                 if self.hoi.is_none() {
                     self.hoi = Some(ctx.zoo.hoi(model)?);
                 }
                 let hoi = self.hoi.as_ref().expect("just set");
-                let all_ids: Vec<NodeId> = left.iter().chain(right.iter()).copied().collect();
-                let dets: Vec<_> = all_ids
-                    .iter()
-                    .map(|&i| slot.graph.nodes[i].as_detection())
-                    .collect();
-                for triple in hoi.interactions(&slot.frame, &dets, ctx.clock) {
-                    let s = all_ids[triple.subject_idx];
-                    let o = all_ids[triple.object_idx];
-                    hoi_results.insert((s, o), Value::Str(triple.kind));
+                self.hoi_ids.clear();
+                self.hoi_ids.extend(self.left.iter().chain(&self.right));
+                self.hoi_dets.truncate(self.hoi_ids.len());
+                for (i, &id) in self.hoi_ids.iter().enumerate() {
+                    match self.hoi_dets.get_mut(i) {
+                        Some(det) => graph.nodes[id].fill_detection(det),
+                        None => self.hoi_dets.push(graph.nodes[id].as_detection()),
+                    }
+                }
+                for triple in hoi.interactions(&slot.frame, &self.hoi_dets, ctx.clock) {
+                    let s = self.hoi_ids[triple.subject_idx];
+                    let o = self.hoi_ids[triple.object_idx];
+                    self.hoi_results.insert((s, o), Value::from(triple.kind));
                 }
             }
         }
 
-        for &l in &left {
-            for &r in &right {
+        for &l in &self.left {
+            for &r in &self.right {
                 ctx.clock.charge_labeled("relation_native", 0.01);
-                let mut edge_props = BTreeMap::new();
-                for p in &props {
+                let edge = graph.add_edge(Edge {
+                    kind: EdgeKind::Spatial,
+                    relation: self.relation,
+                    from: l,
+                    to: r,
+                });
+                for (p, edge_slot) in &self.props {
                     let v = match &p.source {
-                        RelationSource::Native(f) => {
-                            let ln = &slot.graph.nodes[l];
-                            let rn = &slot.graph.nodes[r];
-                            f(&RelationCtx {
-                                left_bbox: ln.bbox,
-                                right_bbox: rn.bbox,
-                                left_props: &ln.props,
-                                right_props: &rn.props,
-                                fps: ctx.fps,
-                            })
-                        }
-                        RelationSource::Hoi { .. } => hoi_results
+                        RelationSource::Native(f) => f(&RelationCtx::new(graph, l, r, ctx.fps)),
+                        RelationSource::Hoi { .. } => self
+                            .hoi_results
                             .get(&(l, r))
-                            .or_else(|| hoi_results.get(&(r, l)))
+                            .or_else(|| self.hoi_results.get(&(r, l)))
                             .cloned()
                             .unwrap_or(Value::Null),
                     };
-                    edge_props.insert(p.name.clone(), v);
+                    graph.set_edge_value(edge, *edge_slot, v);
                 }
-                slot.graph.add_edge(Edge {
-                    kind: EdgeKind::Spatial,
-                    relation: self.decl.name.clone(),
-                    from: l,
-                    to: r,
-                    props: edge_props,
-                });
             }
         }
         Ok(())
@@ -857,17 +1026,20 @@ impl Operator for RelationProjectOp {
 /// edges in scope, and records satisfying combos under the query's join
 /// index (avoiding a per-frame name allocation).
 ///
-/// The constraint is evaluated against the frame graph in place
-/// (`Binding`); only a combo that matched is materialised.
+/// The constraint's leaves are resolved to (join position, slot or
+/// built-in) and (relation, edge column) when the join is built, and it is
+/// evaluated against the frame graph in place (`Binding`); only a combo
+/// that matched is materialised.
 pub struct JoinOp {
     /// Index into the plan's join list; keys [`FrameSlot::matches`].
     index: usize,
     query_name: String,
-    aliases: Vec<String>,
+    aliases: Vec<Istr>,
     /// The declared relations both of whose aliases this join binds:
     /// `(name, left position, right position)` in `aliases`.
-    relations: Vec<(String, usize, usize)>,
+    relations: Vec<(Sym, usize, usize)>,
     pred: Pred,
+    resolved: SlotPred,
     /// When true (single-query plans), an unmatched frame kills the slot.
     kills_frame: bool,
     /// Scratch, reused across frames: each alias's alive nodes, and the
@@ -878,21 +1050,35 @@ pub struct JoinOp {
 
 impl JoinOp {
     /// Creates a join for one query; `index` is its position in the plan's
-    /// join list.
+    /// join list. Relation names are interned into `syms` and `pred` is
+    /// resolved against `layout`.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         index: usize,
         query_name: impl Into<String>,
-        aliases: Vec<String>,
-        relations: Vec<RelationDecl>,
+        aliases: &[&str],
+        relations: &[RelationDecl],
         pred: Pred,
         kills_frame: bool,
+        syms: &mut SymbolTable,
+        layout: &SlotLayout,
     ) -> Self {
         let position = |alias: &String| aliases.iter().position(|a| a == alias);
-        let relations = relations
-            .into_iter()
-            .filter_map(|r| {
-                let (left, right) = (position(&r.left_alias)?, position(&r.right_alias)?);
-                Some((r.name, left, right))
+        let bound: Vec<&RelationDecl> = relations
+            .iter()
+            .filter(|r| position(&r.left_alias).is_some() && position(&r.right_alias).is_some())
+            .collect();
+        let names: Vec<&str> = bound.iter().map(|r| r.name.as_str()).collect();
+        let resolved = layout.resolve(&pred, aliases, &names);
+        let relations = bound
+            .iter()
+            .map(|r| {
+                let (left, right) = (position(&r.left_alias), position(&r.right_alias));
+                (
+                    syms.intern(&r.name),
+                    left.expect("bound"),
+                    right.expect("bound"),
+                )
             })
             .collect();
         Self {
@@ -900,9 +1086,10 @@ impl JoinOp {
             query_name: query_name.into(),
             candidates: vec![Vec::new(); aliases.len()],
             odometer: vec![0; aliases.len()],
-            aliases,
+            aliases: aliases.iter().map(|a| Istr::new(a)).collect(),
             relations,
             pred,
+            resolved,
             kills_frame,
         }
     }
@@ -922,25 +1109,23 @@ impl Binding<'_> {
     }
 }
 
-impl PredScope for Binding<'_> {
-    fn object_value(&self, target: &PropRef) -> Cow<'_, Value> {
-        match self.join.aliases.iter().position(|a| *a == target.alias) {
-            Some(pos) => self.graph.nodes[self.node(pos)].value_ref(&target.prop),
+impl PredScope<NodeRead, EdgeRead> for Binding<'_> {
+    fn object_value(&self, target: &NodeRead) -> Cow<'_, Value> {
+        match target.at {
+            Some(pos) => self.graph.value(self.node(pos), target.access),
             None => Cow::Owned(Value::Null),
         }
     }
 
-    fn relation_value(&self, relation: &str, prop: &str) -> Cow<'_, Value> {
+    fn relation_value(&self, target: &EdgeRead) -> Cow<'_, Value> {
+        let (Some(relation), Some(slot)) = (target.relation, target.slot) else {
+            return Cow::Owned(Value::Null);
+        };
+        let (name, left, right) = self.join.relations[relation];
         let edge = self
-            .join
-            .relations
-            .iter()
-            .find(|(name, ..)| name == relation)
-            .and_then(|(name, left, right)| {
-                self.graph
-                    .edge_between(name, self.node(*left), self.node(*right))
-            });
-        or_null(edge.and_then(|e| e.props.get(prop)))
+            .graph
+            .edge_between(name, self.node(left), self.node(right));
+        or_null(edge.and_then(|e| self.graph.edge_value(e, slot)))
     }
 }
 
@@ -956,18 +1141,19 @@ impl Operator for JoinOp {
         }
         let (graph, combos) = (&slot.graph, &mut slot.matches[self.index]);
         combos.clear();
+        combos.arity = self.aliases.len();
         for (nodes, alias) in self.candidates.iter_mut().zip(&self.aliases) {
             nodes.clear();
-            nodes.extend(graph.alive_ids(alias));
+            nodes.extend(graph.alive_ids(*alias));
         }
         if self.candidates.iter().all(|c| !c.is_empty()) {
             self.odometer.fill(0);
             'outer: loop {
                 let binding = Binding { graph, join: self };
-                if self.pred.eval(&binding) {
-                    combos.push(MatchCombo {
-                        nodes: (0..self.aliases.len()).map(|p| binding.node(p)).collect(),
-                    });
+                if self.resolved.eval(&binding) {
+                    combos
+                        .nodes
+                        .extend((0..combos.arity).map(|p| binding.node(p)));
                 }
                 // Advance the odometer.
                 for pos in (0..self.odometer.len()).rev() {
@@ -994,16 +1180,19 @@ impl Operator for JoinOp {
 // ---------------------------------------------------------------------------
 
 /// Builds the live operator a plan spec describes, interning names into
-/// `syms`. Reuse-cache keys are derived from these symbols, so a long-lived
-/// stream must pass the *same* table for every (re)instantiation or cached
-/// values would be read back under the wrong `(alias, prop)` identity.
+/// `syms` and resolving every property it reads or writes against
+/// `layout` (the plan's [`PlanDag::slot_layout`]). Reuse-cache keys are
+/// derived from these symbols, so a long-lived stream must pass the *same*
+/// table for every (re)instantiation or cached values would be read back
+/// under the wrong `(alias, prop)` identity.
 pub fn instantiate(
     plan: &PlanDag,
     spec: &OpSpec,
     zoo: &ModelZoo,
     syms: &mut SymbolTable,
+    layout: &SlotLayout,
 ) -> Result<Box<dyn Operator>> {
-    let mut project = |alias: &str, prop: &str| -> Result<ProjectOp> {
+    let project = |alias: &str, prop: &str, syms: &mut SymbolTable| -> Result<ProjectOp> {
         let schema = plan
             .schemas
             .get(alias)
@@ -1015,7 +1204,7 @@ pub fn instantiate(
             });
         };
         let (a, p) = (syms.intern(alias), syms.intern(prop));
-        Ok(ProjectOp::new(alias, def.clone(), a, p))
+        Ok(ProjectOp::new(alias, def.clone(), a, p, layout))
     };
     Ok(match spec {
         OpSpec::DiffFilter { threshold } => Box::new(DiffFrameFilter::new(*threshold)),
@@ -1025,31 +1214,38 @@ pub fn instantiate(
         OpSpec::Detect { detector, aliases } => {
             Box::new(DetectOp::new(zoo.detector(detector)?, aliases.clone()))
         }
-        OpSpec::Track { alias } => Box::new(TrackOp::new(alias.clone())),
-        OpSpec::Project { alias, prop } => Box::new(project(alias, prop)?),
+        OpSpec::Track { alias } => Box::new(TrackOp::new(alias)),
+        OpSpec::Project { alias, prop } => Box::new(project(alias, prop, syms)?),
         OpSpec::FusedProjectFilter {
             alias,
             prop,
             pred,
             required,
-        } => Box::new(project(alias, prop)?.with_fused_filter(pred.clone(), *required)),
+        } => {
+            Box::new(project(alias, prop, syms)?.with_fused_filter(pred.clone(), *required, layout))
+        }
         OpSpec::Filter {
             alias,
             pred,
             required,
-        } => Box::new(FilterOp::new(alias.clone(), pred.clone(), *required)),
-        OpSpec::ProjectRelation { index } => {
-            Box::new(RelationProjectOp::new(plan.relations[*index].clone()))
-        }
+        } => Box::new(FilterOp::new(alias, pred.clone(), *required, layout)),
+        OpSpec::ProjectRelation { index } => Box::new(RelationProjectOp::new(
+            plan.relations[*index].clone(),
+            syms,
+            layout,
+        )),
         OpSpec::Join { index } => {
             let j = &plan.joins[*index];
+            let aliases: Vec<&str> = j.query.vobjs().iter().map(|v| v.alias.as_str()).collect();
             Box::new(JoinOp::new(
                 *index,
-                j.query.name().to_owned(),
-                j.query.vobjs().iter().map(|v| v.alias.clone()).collect(),
-                j.query.relations().to_vec(),
+                j.query.name(),
+                &aliases,
+                j.query.relations(),
                 j.pred.clone(),
                 j.kills_frame,
+                syms,
+                layout,
             ))
         }
     })
@@ -1148,9 +1344,10 @@ mod tests {
         let mut detect = DetectOp::new(det, vec![("car".into(), vec!["car".into()])]);
         let mut track = TrackOp::new("car");
         let def = PropertyDef::stateless_model("color", "color_detect", true);
-        let mut project = ProjectOp::new("car", def, Sym(0), Sym(1));
+        let layout = Arc::new(SlotLayout::new(["color"], []));
+        let mut project = ProjectOp::new("car", def, Sym(0), Sym(1), &layout);
         for i in 0..60 {
-            let mut slot = FrameSlot::new(v.frame(i));
+            let mut slot = FrameSlot::with_layout(v.frame(i), &layout);
             let mut ctx = ExecCtx {
                 dispatch: crate::backend::dispatch::direct(),
                 tracer: &vqpy_obs::Tracer::disabled(),
@@ -1205,12 +1402,14 @@ mod tests {
         };
         let det = zoo.detector("yolox").unwrap();
         let mut detect = DetectOp::new(det, vec![("car".into(), vec!["car".into()])]);
-        let mut filter = FilterOp::new("car", Pred::gt("car", "score", 2.0), true); // impossible
+        let impossible = Pred::gt("car", "score", 2.0);
+        let mut filter = FilterOp::new("car", impossible, true, &SlotLayout::default());
         let mut slot = FrameSlot::new(v.frame(100));
         detect.process(&mut slot, &mut ctx).unwrap();
-        let before = slot.graph.alive_count("car");
+        let car = Istr::new("car");
+        let before = slot.graph.alive_count(car);
         filter.process(&mut slot, &mut ctx).unwrap();
-        assert_eq!(slot.graph.alive_count("car"), 0);
+        assert_eq!(slot.graph.alive_count(car), 0);
         assert!(!slot.alive, "required alias emptied -> frame dead");
         assert!(before > 0 || !slot.alive);
     }
@@ -1232,14 +1431,16 @@ mod tests {
         let mut join = JoinOp::new(
             0,
             "Q",
-            vec!["car".into()],
-            vec![],
+            &["car"],
+            &[],
             Pred::gt("car", "score", 0.0),
             true,
+            &mut SymbolTable::new(),
+            &SlotLayout::default(),
         );
         let mut slot = FrameSlot::new(v.frame(100));
         detect.process(&mut slot, &mut ctx).unwrap();
-        let n = slot.graph.alive_count("car");
+        let n = slot.graph.alive_count(Istr::new("car"));
         join.process(&mut slot, &mut ctx).unwrap();
         assert_eq!(slot.matches[0].len(), n);
         assert_eq!(slot.alive, n > 0);
@@ -1248,10 +1449,14 @@ mod tests {
     /// Hand-built `person × car` slot for the join goldens: a dead person,
     /// a node of a third alias, a far pair, a pair with no edge (only the
     /// reverse direction has one), an edge onto the dead node and a close
-    /// pair whose person fails the score term.
-    fn join_golden_slot() -> FrameSlot {
+    /// pair whose person fails the score term. `near` is interned into
+    /// `syms`.
+    fn join_golden_slot(syms: &mut SymbolTable) -> FrameSlot {
         use vqpy_video::geometry::{BBox, Point};
-        let mut slot = FrameSlot::new(video().frame(0));
+        let layout = Arc::new(SlotLayout::new([], ["distance"]));
+        let distance = layout.edge_prop("distance").unwrap();
+        let relation = syms.intern("near");
+        let mut slot = FrameSlot::with_layout(video().frame(0), &layout);
         let mut add = |alias: &str, label: &str, x: f32, score: f32, track: Option<TrackId>| {
             let mut n = VObjNode::from_detection(
                 alias,
@@ -1275,13 +1480,13 @@ mod tests {
         let p3 = add("person", "person", 112.0, 0.2, Some(10));
         slot.graph.kill(p1);
         let mut near = |from: NodeId, to: NodeId, d: f64| {
-            slot.graph.add_edge(Edge {
+            let e = slot.graph.add_edge(Edge {
                 kind: EdgeKind::Spatial,
-                relation: "near".into(),
+                relation,
                 from,
                 to,
-                props: BTreeMap::from([("distance".to_owned(), Value::Float(d))]),
             });
+            slot.graph.set_edge_value(e, distance, Value::Float(d));
         };
         near(p0, c0, 20.0);
         near(p0, c1, 300.0);
@@ -1318,8 +1523,15 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Runs `q`'s join, binding `aliases`, over `slot`.
-    fn run_join(q: &Query, aliases: &[&str], kills_frame: bool, slot: &mut FrameSlot) {
+    /// Runs `q`'s join, binding `aliases`, over `slot` (whose relation
+    /// names are interned in `syms`).
+    fn run_join(
+        q: &Query,
+        aliases: &[&str],
+        kills_frame: bool,
+        slot: &mut FrameSlot,
+        syms: &mut SymbolTable,
+    ) {
         let (zoo, clock, _) = ctx_parts();
         let mut ctx = ExecCtx {
             dispatch: crate::backend::dispatch::direct(),
@@ -1329,13 +1541,16 @@ mod tests {
             fps: 15,
             reuse: None,
         };
+        let layout = Arc::clone(slot.graph.layout());
         JoinOp::new(
             0,
             q.name(),
-            aliases.iter().map(|a| (*a).to_owned()).collect(),
-            q.relations().to_vec(),
+            aliases,
+            q.relations(),
             q.frame_constraint().clone(),
             kills_frame,
+            syms,
+            &layout,
         )
         .process(slot, &mut ctx)
         .unwrap();
@@ -1347,9 +1562,10 @@ mod tests {
     #[test]
     fn join_goldens_pin_combos_order_and_frame_kill() {
         let q = join_golden_query(None);
-        let mut slot = join_golden_slot();
-        run_join(&q, &["person", "car"], true, &mut slot);
-        let combos: Vec<&[NodeId]> = slot.matches[0].iter().map(|c| &c.nodes[..]).collect();
+        let mut syms = SymbolTable::new();
+        let mut slot = join_golden_slot(&mut syms);
+        run_join(&q, &["person", "car"], true, &mut slot, &mut syms);
+        let combos: Vec<&[NodeId]> = slot.matches[0].iter().collect();
         assert_eq!(
             combos,
             [[0, 1], [0, 6], [5, 4]],
@@ -1360,8 +1576,8 @@ mod tests {
         // An alias with no live node: zero combos; the frame dies only
         // when the join may kill it.
         for kills_frame in [true, false] {
-            let mut slot = join_golden_slot();
-            run_join(&q, &["person", "truck"], kills_frame, &mut slot);
+            let mut slot = join_golden_slot(&mut syms);
+            run_join(&q, &["person", "truck"], kills_frame, &mut slot, &mut syms);
             assert!(slot.matches[0].is_empty());
             assert_eq!(slot.alive, !kills_frame);
         }
@@ -1392,13 +1608,122 @@ mod tests {
             (Aggregate::MaxPerFrame { alias: car() }, 3),
         ] {
             let q = join_golden_query(Some(agg));
-            let mut slot = join_golden_slot();
-            run_join(&q, &["person", "car"], false, &mut slot);
+            let mut syms = SymbolTable::new();
+            let mut slot = join_golden_slot(&mut syms);
+            run_join(&q, &["person", "car"], false, &mut slot, &mut syms);
             let mut accum = QueryAccum::for_query(&q);
             let hit = accum.observe(&slot, 0).unwrap();
             assert_eq!(hit.outputs, rows);
             assert_eq!(accum.video_value_for(&q), Some(Value::Int(value)));
         }
+    }
+
+    /// Stateful windows and motion entries per tracker, read through the
+    /// state export: `(windows, last_seen entries, live tracks)`.
+    fn census(ops: &mut crate::backend::stage::StageOps) -> (usize, usize, usize) {
+        let mut states = ops.export_states();
+        let (mut windows, mut seen, mut live) = (0, 0, 0);
+        for state in states.values() {
+            match state {
+                OpState::Project { history } => windows += history.len(),
+                OpState::Track { tracker, last_seen } => {
+                    seen += last_seen.len();
+                    live += tracker.live_tracks();
+                }
+                OpState::DiffFilter { .. } => {}
+            }
+        }
+        ops.import_states(&mut states);
+        (windows, seen, live)
+    }
+
+    /// A track that aged out never returns, so its stateful window and its
+    /// motion entry can go: after every segment of a long stream both stay
+    /// within the tracker's live tracks, and the hits are those of a run
+    /// that keeps every window (its expiry reports dropped before any
+    /// projection sees them).
+    #[test]
+    fn expired_tracks_leave_no_state_behind_and_change_no_hits() {
+        use crate::backend::exec::{run_segment, Collector, ExecConfig, ExecMetrics};
+        use crate::backend::plan::{build_plan, PlanOptions};
+        use crate::backend::stage::{
+            decode_batch, deliver, instantiate_stage_ops, run_stage, ExecEnv, StageCtx, StageKind,
+        };
+        use crate::frontend::library;
+
+        const FRAMES: u64 = 3000;
+        const SEGMENT: u64 = 300;
+        let preset = presets::banff();
+        let seconds = FRAMES as f64 / f64::from(preset.fps);
+        let scene = Scene::generate(preset, 12, seconds);
+        let speeding = f64::from(scene.preset.speeding_threshold_px_per_frame());
+        let video = SyntheticVideo::new(scene);
+        assert_eq!(video.frame_count(), FRAMES);
+        let query = Query::builder("SpeedingCar")
+            .vobj("car", library::vehicle_schema_intrinsic())
+            .frame_constraint(Pred::gt("car", "score", 0.6) & Pred::gt("car", "speed", speeding))
+            .frame_output(&[("car", "track_id"), ("car", "bbox")])
+            .build()
+            .unwrap();
+        let zoo = ModelZoo::standard();
+        let plan = build_plan(&[query], &zoo, &PlanOptions::vqpy_default()).unwrap();
+        let (config, clock) = (ExecConfig::default(), Clock::new());
+        let env = ExecEnv {
+            plan: &plan,
+            source: &video,
+            zoo: &zoo,
+            clock: &clock,
+            config: &config,
+        };
+        let fresh = || instantiate_stage_ops(&plan, &zoo, 1, &mut plan.symbols.clone()).unwrap();
+        let mut metrics = ExecMetrics::default();
+
+        // The engine as it runs, one segment at a time.
+        let (mut ops, mut reuse) = (fresh(), config.make_reuse());
+        let mut pruned = Collector::new(&plan);
+        for lo in (0..FRAMES).step_by(SEGMENT as usize) {
+            let frames = lo..lo + SEGMENT;
+            run_segment(env, frames, &mut ops, &mut reuse, &mut metrics, &mut pruned).unwrap();
+            let (windows, seen, live) = census(&mut ops);
+            assert!(
+                windows <= live && seen <= live,
+                "frame {}: {windows} windows, {seen} last-seen entries, {live} live tracks",
+                lo + SEGMENT
+            );
+        }
+
+        // The same stages one operator at a time, every expiry report
+        // dropped before the next operator sees it.
+        let (mut ops, mut reuse) = (fresh(), config.make_reuse());
+        let mut kept = Collector::new(&plan);
+        let cx = StageCtx::new(env, &ops);
+        let mut slots = Vec::new();
+        let batch = config.batch_size as u64;
+        for (seq, lo) in (0..FRAMES).step_by(batch as usize).enumerate() {
+            decode_batch(&cx, lo..(lo + batch).min(FRAMES), &mut slots);
+            for kind in StageKind::ALL {
+                for op in ops.chains[kind.index()][0].iter_mut() {
+                    let reuse = kind.owns_reuse().then_some(&mut reuse);
+                    let one = std::slice::from_mut(op);
+                    run_stage(kind, one, seq as u64, &mut slots, reuse, &cx).unwrap();
+                    slots.iter_mut().for_each(|s| s.expired.clear());
+                }
+            }
+            deliver(&plan, &slots, &mut metrics, &mut kept).unwrap();
+        }
+        let (windows, _, live) = census(&mut ops);
+        assert!(
+            windows > 4 * live,
+            "{windows} windows kept, {live} live tracks"
+        );
+
+        let hits = |c: Collector| c.finalize(&plan, ExecMetrics::default(), 0.0)[0].clone();
+        let (pruned, kept) = (hits(pruned).frame_hits, hits(kept).frame_hits);
+        assert_eq!(pruned, kept);
+        // Printed by the engine before it pruned anything (its windows
+        // grew to 215 by frame 3 000, for 7 live tracks).
+        let rows: usize = pruned.iter().map(|h| h.outputs.len()).sum();
+        assert_eq!((pruned.len(), rows), (770, 942));
     }
 
     #[test]

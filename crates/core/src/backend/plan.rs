@@ -7,6 +7,7 @@
 //! conjunct of the frame constraint becomes a VObj filter placed immediately
 //! after the last property it needs.
 
+use crate::backend::graph::SlotLayout;
 use crate::backend::stage::StageKind;
 use crate::backend::symbols::SymbolTable;
 use crate::error::{Result, VqpyError};
@@ -111,6 +112,29 @@ impl PlanDag {
             .map(|o| o.label())
             .collect::<Vec<_>>()
             .join("\n")
+    }
+
+    /// Where the plan's computed properties live in a frame graph: one
+    /// node column per property a projection writes, one edge column per
+    /// property of a projected relation, in plan order. Operators resolve
+    /// every name they read or write against it once, when they are
+    /// instantiated.
+    pub fn slot_layout(&self) -> SlotLayout {
+        let props = self.ops.iter().filter_map(|op| match op {
+            OpSpec::Project { prop, .. } | OpSpec::FusedProjectFilter { prop, .. } => {
+                Some(prop.as_str())
+            }
+            _ => None,
+        });
+        let relations = self.ops.iter().filter_map(|op| match op {
+            OpSpec::ProjectRelation { index } => Some(&self.relations[*index]),
+            _ => None,
+        });
+        let edge_props: Vec<&str> = relations
+            .flat_map(|r| r.schema.all_properties())
+            .map(|p| p.name.as_str())
+            .collect();
+        SlotLayout::new(props, edge_props)
     }
 
     /// A stable signature for plan/result caching.

@@ -11,6 +11,7 @@
 
 use crate::backend::dispatch::{DirectDispatch, ModelDispatch};
 use crate::backend::exec::{ExecConfig, ExecMetrics, ResultSink};
+use crate::backend::graph::SlotLayout;
 use crate::backend::ops::{instantiate, ExecCtx, FrameSlot, OpState, Operator};
 use crate::backend::plan::PlanDag;
 use crate::backend::reuse::ReuseCache;
@@ -129,6 +130,9 @@ pub struct StageOps {
     /// short segment per scheduler turn — reuses the allocations across
     /// calls. Purely a workspace: it carries no semantic state.
     pub slots: Vec<FrameSlot>,
+    /// The plan's slot layout ([`PlanDag::slot_layout`]): the operators
+    /// were resolved against it, and every frame graph they see follows it.
+    pub layout: Arc<SlotLayout>,
 }
 
 impl StageOps {
@@ -167,13 +171,14 @@ pub fn instantiate_stage_ops(
     symbols: &mut SymbolTable,
 ) -> Result<StageOps> {
     let specs = plan.stage_specs();
+    let layout = Arc::new(plan.slot_layout());
     let mut chains: [Vec<Chain>; StageKind::ALL.len()] = Default::default();
     for kind in StageKind::ALL {
         let copies = if kind.ordered() { 1 } else { workers.max(1) };
         for _ in 0..copies {
             let chain = specs[kind.index()]
                 .iter()
-                .map(|spec| instantiate(plan, spec, zoo, symbols))
+                .map(|spec| instantiate(plan, spec, zoo, symbols, &layout))
                 .collect::<Result<Chain>>()?;
             chains[kind.index()].push(chain);
         }
@@ -183,6 +188,7 @@ pub fn instantiate_stage_ops(
         dispatch: Arc::new(DirectDispatch),
         tracer: vqpy_obs::Tracer::disabled(),
         slots: Vec::new(),
+        layout,
     })
 }
 
@@ -198,14 +204,15 @@ pub struct ExecEnv<'a> {
 
 /// Everything [`decode_batch`] and [`run_stage`] need besides the batch
 /// itself, shared by reference across a pipelined segment's threads: the
-/// caller's environment, the stream's dispatch boundary and tracer, and the
-/// segment's counters — atomics, because every worker adds to them — which
-/// [`StageCtx::flush`] folds into [`ExecMetrics`] once, when the segment
-/// ends.
+/// caller's environment, the stream's dispatch boundary, tracer and slot
+/// layout, and the segment's counters — atomics, because every worker adds
+/// to them — which [`StageCtx::flush`] folds into [`ExecMetrics`] once,
+/// when the segment ends.
 pub(crate) struct StageCtx<'a> {
     pub(crate) env: ExecEnv<'a>,
     dispatch: Arc<dyn ModelDispatch>,
     tracer: vqpy_obs::Tracer,
+    layout: Arc<SlotLayout>,
     frames_processed: AtomicU64,
     decode_failures: AtomicU64,
 }
@@ -216,6 +223,7 @@ impl<'a> StageCtx<'a> {
             env,
             dispatch: Arc::clone(&ops.dispatch),
             tracer: ops.tracer.clone(),
+            layout: Arc::clone(&ops.layout),
             frames_processed: AtomicU64::new(0),
             decode_failures: AtomicU64::new(0),
         }
@@ -248,9 +256,9 @@ pub(crate) fn decode_batch(cx: &StageCtx<'_>, frames: Range<u64>, slots: &mut Ve
                 continue;
             };
             if n < slots.len() {
-                slots[n].reset(frame);
+                slots[n].reset(frame, &cx.layout);
             } else {
-                slots.push(FrameSlot::new(frame));
+                slots.push(FrameSlot::with_layout(frame, &cx.layout));
             }
             slots[n].prepare_joins(cx.env.plan.joins.len());
             n += 1;

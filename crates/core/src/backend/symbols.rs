@@ -15,7 +15,7 @@
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// An interned string: a dense index into the plan's [`SymbolTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -74,17 +74,18 @@ impl SymbolTable {
 /// The process-global [`Istr`] store. Entries are leaked once and live for
 /// the process lifetime; the vocabulary (query aliases + detector class
 /// labels) is small and bounded, so the leak is a deliberate arena.
-fn istr_store() -> &'static RwLock<HashMap<&'static str, &'static str>> {
-    static STORE: OnceLock<RwLock<HashMap<&'static str, &'static str>>> = OnceLock::new();
+fn istr_store() -> &'static RwLock<HashMap<&'static str, &'static Arc<str>>> {
+    static STORE: OnceLock<RwLock<HashMap<&'static str, &'static Arc<str>>>> = OnceLock::new();
     STORE.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
 /// A process-interned immutable string: `Copy`, pointer-stable, and
 /// allocation-free to clone or compare. Used for the per-node alias and
-/// class-label fields of the object graph, which used to be the last
-/// per-frame `String` allocations on the hot path.
+/// class-label fields of the object graph. The canonical copy is an
+/// `Arc<str>`, so turning an `Istr` into a [`Value`](vqpy_models::Value)
+/// ([`Istr::to_arc`]) is a reference-count bump.
 #[derive(Clone, Copy)]
-pub struct Istr(&'static str);
+pub struct Istr(&'static Arc<str>);
 
 impl Istr {
     /// Interns `s`, returning the canonical copy. Repeated calls with the
@@ -98,14 +99,20 @@ impl Istr {
         if let Some(&hit) = store.get(s) {
             return Self(hit);
         }
-        let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        store.insert(leaked, leaked);
+        let leaked: &'static Arc<str> = Box::leak(Box::new(Arc::from(s)));
+        store.insert(&**leaked, leaked);
         Self(leaked)
     }
 
     /// The interned string.
     pub fn as_str(&self) -> &'static str {
-        self.0
+        let arc: &'static Arc<str> = self.0;
+        arc
+    }
+
+    /// The canonical shared copy.
+    pub fn to_arc(&self) -> Arc<str> {
+        Arc::clone(self.0)
     }
 }
 
@@ -113,15 +120,15 @@ impl std::ops::Deref for Istr {
     type Target = str;
 
     fn deref(&self) -> &str {
-        self.0
+        self.as_str()
     }
 }
 
 impl PartialEq for Istr {
     fn eq(&self, other: &Self) -> bool {
-        // Interned strings are pointer-canonical; content check keeps
-        // hand-constructed values (none today) correct too.
-        std::ptr::eq(self.0, other.0) || self.0 == other.0
+        // Every `Istr` comes from `Istr::new`, so equal content means the
+        // same canonical copy: comparing is one pointer test.
+        std::ptr::eq(self.0, other.0)
     }
 }
 
@@ -129,25 +136,25 @@ impl Eq for Istr {}
 
 impl PartialEq<str> for Istr {
     fn eq(&self, other: &str) -> bool {
-        self.0 == other
+        self.as_str() == other
     }
 }
 
 impl PartialEq<&str> for Istr {
     fn eq(&self, other: &&str) -> bool {
-        self.0 == *other
+        self.as_str() == *other
     }
 }
 
 impl PartialEq<String> for Istr {
     fn eq(&self, other: &String) -> bool {
-        self.0 == other.as_str()
+        self.as_str() == other.as_str()
     }
 }
 
 impl std::hash::Hash for Istr {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.0.hash(state);
+        self.as_str().hash(state);
     }
 }
 
@@ -159,19 +166,19 @@ impl PartialOrd for Istr {
 
 impl Ord for Istr {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.cmp(other.0)
+        self.as_str().cmp(other.as_str())
     }
 }
 
 impl std::fmt::Debug for Istr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        std::fmt::Debug::fmt(self.0, f)
+        std::fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
 impl std::fmt::Display for Istr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.0)
+        f.write_str(self.as_str())
     }
 }
 

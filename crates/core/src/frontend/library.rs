@@ -24,16 +24,15 @@ use vqpy_video::geometry::Point;
 
 /// Mean center displacement (pixels/frame) over the bbox history.
 fn displacement_from_bbox_history(history: &[Value]) -> Option<Point> {
-    let centers: Vec<Point> = history
+    let mut centers = history
         .iter()
-        .filter_map(|v| v.as_bbox().map(|b| b.center()))
-        .collect();
-    if centers.len() < 2 {
+        .filter_map(|v| v.as_bbox().map(|b| b.center()));
+    let first = centers.next()?;
+    let (steps, last) = centers.fold((0usize, first), |(n, _), c| (n + 1, c));
+    if steps == 0 {
         return None;
     }
-    let n = (centers.len() - 1) as f32;
-    let first = centers.first().unwrap();
-    let last = centers.last().unwrap();
+    let n = steps as f32;
     Some(Point::new((last.x - first.x) / n, (last.y - first.y) / n))
 }
 
@@ -341,25 +340,21 @@ pub fn person_ball_interaction() -> Arc<RelationSchema> {
 mod tests {
     use super::*;
     use crate::frontend::property::PropertyCtx;
-    use std::collections::HashMap;
     use vqpy_video::geometry::BBox;
 
-    fn bbox_history(centers: &[(f32, f32)]) -> HashMap<String, Vec<Value>> {
-        let mut m = HashMap::new();
-        m.insert(
-            "bbox".to_owned(),
-            centers
-                .iter()
-                .map(|&(x, y)| Value::BBox(BBox::from_center(Point::new(x, y), 40.0, 20.0)))
-                .collect(),
-        );
-        m
+    /// A `bbox` window over boxes centred on `centers`.
+    fn bbox_history(centers: &[(f32, f32)]) -> Vec<Value> {
+        centers
+            .iter()
+            .map(|&(x, y)| Value::BBox(BBox::from_center(Point::new(x, y), 40.0, 20.0)))
+            .collect()
     }
 
-    fn eval(def: &PropertyDef, deps: &HashMap<String, Vec<Value>>) -> Value {
+    fn eval(def: &PropertyDef, window: &[Value]) -> Value {
+        let names = ["bbox".to_owned()];
         match &def.source {
             crate::frontend::property::PropertySource::Native(f) => {
-                f(&PropertyCtx { deps, fps: 15 })
+                f(&PropertyCtx::new(&names, window, window.len(), 15))
             }
             other => panic!("expected native, got {other:?}"),
         }

@@ -34,6 +34,19 @@ impl fmt::Display for PropRef {
     }
 }
 
+/// A reference to a property of a named relation, e.g. `near.distance`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct RelRef {
+    pub relation: String,
+    pub prop: String,
+}
+
+impl fmt::Display for RelRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.{}", self.relation, self.prop)
+    }
+}
+
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
@@ -73,40 +86,45 @@ impl fmt::Display for CmpOp {
 }
 
 /// A boolean expression over properties.
+///
+/// The leaves name what they read: `O` for an object property, `R` for a
+/// relation property. Queries are written with names ([`PropRef`],
+/// [`RelRef`]); the backend [`Pred::map_leaves`] them once, when an
+/// operator is instantiated, into leaves resolved against its frame-graph
+/// layout, and evaluates that copy with the same [`Pred::eval`].
 #[derive(Debug, Clone)]
-pub enum Pred {
+pub enum Pred<O = PropRef, R = RelRef> {
     /// Always true (the empty constraint).
     True,
     /// Compare an alias property against a constant.
     Cmp {
-        target: PropRef,
+        target: O,
         op: CmpOp,
         value: Value,
     },
     /// Compare a named relation's property against a constant. Relations
     /// connect two aliases; evaluation happens at join time.
     RelationCmp {
-        relation: String,
-        prop: String,
+        target: R,
         op: CmpOp,
         value: Value,
     },
-    And(Box<Pred>, Box<Pred>),
-    Or(Box<Pred>, Box<Pred>),
-    Not(Box<Pred>),
+    And(Box<Pred<O, R>>, Box<Pred<O, R>>),
+    Or(Box<Pred<O, R>>, Box<Pred<O, R>>),
+    Not(Box<Pred<O, R>>),
 }
 
-/// Where a predicate reads its values while it is evaluated. The backend
-/// implements this over the frame graph in place (a node for filters, the
-/// join's current binding for joins), so evaluation borrows the values
-/// where the objects live; [`PredEnv`] is the owned, map-backed
-/// implementor.
-pub trait PredScope {
-    /// Value of `alias.prop` (`Null` when missing).
-    fn object_value(&self, target: &PropRef) -> Cow<'_, Value>;
+/// Where a predicate with leaves `O`/`R` reads its values while it is
+/// evaluated. The backend implements this over the frame graph in place (a
+/// node for filters, the join's current binding for joins), so evaluation
+/// borrows the values where the objects live; [`PredEnv`] is the owned,
+/// map-backed implementor for named leaves.
+pub trait PredScope<O = PropRef, R = RelRef> {
+    /// Value of an object property (`Null` when missing).
+    fn object_value(&self, target: &O) -> Cow<'_, Value>;
 
     /// Value of a relation property (`Null` when missing).
-    fn relation_value(&self, relation: &str, prop: &str) -> Cow<'_, Value>;
+    fn relation_value(&self, target: &R) -> Cow<'_, Value>;
 }
 
 /// `Null` when the lookup found nothing, the borrowed value otherwise.
@@ -131,8 +149,60 @@ impl PredScope for PredEnv {
         )
     }
 
-    fn relation_value(&self, relation: &str, prop: &str) -> Cow<'_, Value> {
-        or_null(self.relations.get(relation).and_then(|m| m.get(prop)))
+    fn relation_value(&self, target: &RelRef) -> Cow<'_, Value> {
+        or_null(
+            self.relations
+                .get(&target.relation)
+                .and_then(|m| m.get(&target.prop)),
+        )
+    }
+}
+
+impl<O, R> Pred<O, R> {
+    /// Evaluates against a scope. Missing values make comparisons false
+    /// (never true), matching the lazy-filter semantics of the backend: an
+    /// object whose property has not been computed yet cannot pass a
+    /// filter on that property.
+    pub fn eval(&self, scope: &impl PredScope<O, R>) -> bool {
+        let test = |actual: Cow<'_, Value>, op: &CmpOp, value: &Value| {
+            !actual.is_null() && op.test(actual.compare(value), actual.loose_eq(value))
+        };
+        match self {
+            Pred::True => true,
+            Pred::Cmp { target, op, value } => test(scope.object_value(target), op, value),
+            Pred::RelationCmp { target, op, value } => {
+                test(scope.relation_value(target), op, value)
+            }
+            Pred::And(a, b) => a.eval(scope) && b.eval(scope),
+            Pred::Or(a, b) => a.eval(scope) || b.eval(scope),
+            Pred::Not(a) => !a.eval(scope),
+        }
+    }
+
+    /// The same expression with every leaf mapped: `object` for property
+    /// leaves, `relation` for relation leaves.
+    pub fn map_leaves<O2, R2>(
+        &self,
+        object: &mut impl FnMut(&O) -> O2,
+        relation: &mut impl FnMut(&R) -> R2,
+    ) -> Pred<O2, R2> {
+        let mut map = |p: &Pred<O, R>| Box::new(p.map_leaves(object, relation));
+        match self {
+            Pred::True => Pred::True,
+            Pred::Cmp { target, op, value } => Pred::Cmp {
+                target: object(target),
+                op: *op,
+                value: value.clone(),
+            },
+            Pred::RelationCmp { target, op, value } => Pred::RelationCmp {
+                target: relation(target),
+                op: *op,
+                value: value.clone(),
+            },
+            Pred::And(a, b) => Pred::And(map(a), map(b)),
+            Pred::Or(a, b) => Pred::Or(map(a), map(b)),
+            Pred::Not(a) => Pred::Not(map(a)),
+        }
     }
 }
 
@@ -194,33 +264,12 @@ impl Pred {
     /// `relation.prop OP value` (evaluated on object pairs at join time).
     pub fn relation(relation: &str, prop: &str, op: CmpOp, value: impl Into<Value>) -> Pred {
         Pred::RelationCmp {
-            relation: relation.to_owned(),
-            prop: prop.to_owned(),
+            target: RelRef {
+                relation: relation.to_owned(),
+                prop: prop.to_owned(),
+            },
             op,
             value: value.into(),
-        }
-    }
-
-    /// Evaluates against a scope. Missing values make comparisons false
-    /// (never true), matching the lazy-filter semantics of the backend: an
-    /// object whose property has not been computed yet cannot pass a
-    /// filter on that property.
-    pub fn eval(&self, scope: &impl PredScope) -> bool {
-        let test = |actual: Cow<'_, Value>, op: &CmpOp, value: &Value| {
-            !actual.is_null() && op.test(actual.compare(value), actual.loose_eq(value))
-        };
-        match self {
-            Pred::True => true,
-            Pred::Cmp { target, op, value } => test(scope.object_value(target), op, value),
-            Pred::RelationCmp {
-                relation,
-                prop,
-                op,
-                value,
-            } => test(scope.relation_value(relation, prop), op, value),
-            Pred::And(a, b) => a.eval(scope) && b.eval(scope),
-            Pred::Or(a, b) => a.eval(scope) || b.eval(scope),
-            Pred::Not(a) => !a.eval(scope),
         }
     }
 
@@ -255,8 +304,8 @@ impl Pred {
     fn collect_relations(&self, out: &mut BTreeSet<String>) {
         match self {
             Pred::True | Pred::Cmp { .. } => {}
-            Pred::RelationCmp { relation, .. } => {
-                out.insert(relation.clone());
+            Pred::RelationCmp { target, .. } => {
+                out.insert(target.relation.clone());
             }
             Pred::And(a, b) | Pred::Or(a, b) => {
                 a.collect_relations(out);
@@ -277,8 +326,8 @@ impl Pred {
     fn collect_relation_props(&self, out: &mut BTreeSet<(String, String)>) {
         match self {
             Pred::True | Pred::Cmp { .. } => {}
-            Pred::RelationCmp { relation, prop, .. } => {
-                out.insert((relation.clone(), prop.clone()));
+            Pred::RelationCmp { target, .. } => {
+                out.insert((target.relation.clone(), target.prop.clone()));
             }
             Pred::And(a, b) | Pred::Or(a, b) => {
                 a.collect_relation_props(out);
@@ -368,12 +417,7 @@ impl fmt::Display for Pred {
         match self {
             Pred::True => write!(f, "true"),
             Pred::Cmp { target, op, value } => write!(f, "{target} {op} {value}"),
-            Pred::RelationCmp {
-                relation,
-                prop,
-                op,
-                value,
-            } => write!(f, "{relation}.{prop} {op} {value}"),
+            Pred::RelationCmp { target, op, value } => write!(f, "{target} {op} {value}"),
             Pred::And(a, b) => write!(f, "({a} & {b})"),
             Pred::Or(a, b) => write!(f, "({a} | {b})"),
             Pred::Not(a) => write!(f, "!({a})"),

@@ -5,7 +5,6 @@
 //! zoo, by native code over its dependencies' (histories of) values, or is
 //! one of the built-ins every detected object carries.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use vqpy_models::{Value, ValueKind};
@@ -86,28 +85,54 @@ impl BuiltinProp {
     }
 }
 
-/// Inputs available to a native property function.
+/// Inputs available to a native property function: a window of
+/// `samples` values per dependency, laid out dependency-major in the
+/// property's declared dependency order.
 #[derive(Debug)]
 pub struct PropertyCtx<'a> {
-    /// Per-dependency history of values, oldest first, current last.
-    /// Stateless properties see exactly one element per dependency.
-    pub deps: &'a HashMap<String, Vec<Value>>,
+    names: &'a [String],
+    values: &'a [Value],
+    samples: usize,
     /// Video frame rate, for time-based computations.
     pub fps: u32,
 }
 
 impl<'a> PropertyCtx<'a> {
+    /// A context over `values`: `samples` values of each of `names`, oldest
+    /// first, current last (`names.len() * samples` in all). Stateless
+    /// properties see exactly one sample per dependency.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `values` does not hold `samples` values per name.
+    pub fn new(names: &'a [String], values: &'a [Value], samples: usize, fps: u32) -> Self {
+        assert_eq!(
+            values.len(),
+            names.len() * samples,
+            "a window per dependency"
+        );
+        Self {
+            names,
+            values,
+            samples,
+            fps,
+        }
+    }
+
     /// The current value of dependency `name` (`Null` if missing).
     pub fn dep(&self, name: &str) -> Value {
-        self.deps
-            .get(name)
-            .and_then(|h| h.last().cloned())
+        self.dep_history(name)
+            .last()
+            .cloned()
             .unwrap_or(Value::Null)
     }
 
     /// Full history of dependency `name`, oldest first.
-    pub fn dep_history(&self, name: &str) -> &[Value] {
-        self.deps.get(name).map(|h| h.as_slice()).unwrap_or(&[])
+    pub fn dep_history(&self, name: &str) -> &'a [Value] {
+        match self.names.iter().position(|n| n == name) {
+            Some(i) => &self.values[i * self.samples..(i + 1) * self.samples],
+            None => &[],
+        }
     }
 }
 
@@ -229,12 +254,9 @@ mod tests {
 
     #[test]
     fn ctx_dep_access() {
-        let mut deps = HashMap::new();
-        deps.insert("center".to_owned(), vec![Value::Int(1), Value::Int(2)]);
-        let ctx = PropertyCtx {
-            deps: &deps,
-            fps: 15,
-        };
+        let names = ["bbox".to_owned(), "center".to_owned()];
+        let values = [Value::Null, Value::Null, Value::Int(1), Value::Int(2)];
+        let ctx = PropertyCtx::new(&names, &values, 2, 15);
         assert_eq!(ctx.dep("center"), Value::Int(2));
         assert_eq!(ctx.dep_history("center").len(), 2);
         assert_eq!(ctx.dep("missing"), Value::Null);

@@ -5,6 +5,7 @@
 //! states (Figure 3's distance relation) or an HOI model from the zoo
 //! (Figure 4's `PersonBallInteraction` via UPT).
 
+use crate::backend::graph::{FrameGraph, NodeId};
 use crate::frontend::vobj::VObjSchema;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -12,16 +13,41 @@ use std::sync::Arc;
 use vqpy_models::Value;
 use vqpy_video::geometry::BBox;
 
-/// Inputs available to a native relation property.
+/// Inputs available to a native relation property: the pair's boxes, and
+/// the two objects' properties read in place on the frame graph.
 #[derive(Debug)]
 pub struct RelationCtx<'a> {
     pub left_bbox: BBox,
     pub right_bbox: BBox,
-    /// Computed properties of the left object.
-    pub left_props: &'a BTreeMap<String, Value>,
-    /// Computed properties of the right object.
-    pub right_props: &'a BTreeMap<String, Value>,
     pub fps: u32,
+    graph: &'a FrameGraph,
+    left: NodeId,
+    right: NodeId,
+}
+
+impl<'a> RelationCtx<'a> {
+    /// The context of the pair `(left, right)` of `graph`.
+    pub fn new(graph: &'a FrameGraph, left: NodeId, right: NodeId, fps: u32) -> Self {
+        Self {
+            left_bbox: graph.nodes[left].bbox,
+            right_bbox: graph.nodes[right].bbox,
+            fps,
+            graph,
+            left,
+            right,
+        }
+    }
+
+    /// Property `prop` of the left object: computed, else built-in, else
+    /// `Null`.
+    pub fn left(&self, prop: &str) -> Value {
+        self.graph.value_by_name(self.left, prop).into_owned()
+    }
+
+    /// Property `prop` of the right object, like [`RelationCtx::left`].
+    pub fn right(&self, prop: &str) -> Value {
+        self.graph.value_by_name(self.right, prop).into_owned()
+    }
 }
 
 /// A native relation property implementation.
@@ -207,6 +233,8 @@ pub fn overlap_relation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::graph::VObjNode;
+    use vqpy_models::Detection;
     use vqpy_video::geometry::Point;
 
     fn person() -> Arc<VObjSchema> {
@@ -227,16 +255,22 @@ mod tests {
     fn distance_relation_computes_center_distance() {
         let rel = distance_relation("near", person(), ball());
         let def = rel.resolve_property("distance").unwrap();
-        let left = BBox::from_center(Point::new(0.0, 0.0), 10.0, 10.0);
-        let right = BBox::from_center(Point::new(30.0, 40.0), 10.0, 10.0);
-        let empty = BTreeMap::new();
-        let ctx = RelationCtx {
-            left_bbox: left,
-            right_bbox: right,
-            left_props: &empty,
-            right_props: &empty,
-            fps: 15,
+        let mut graph = FrameGraph::new();
+        let mut add = |x: f32, y: f32| {
+            graph.add_node(VObjNode::from_detection(
+                "a",
+                &Detection {
+                    class_label: "person".into(),
+                    bbox: BBox::from_center(Point::new(x, y), 10.0, 10.0),
+                    score: 0.5,
+                    sim_entity: None,
+                },
+            ))
         };
+        let (left, right) = (add(0.0, 0.0), add(30.0, 40.0));
+        let ctx = RelationCtx::new(&graph, left, right, 15);
+        assert_eq!(ctx.right("score"), Value::Float(0.5));
+        assert_eq!(ctx.left("missing"), Value::Null);
         match &def.source {
             RelationSource::Native(f) => {
                 assert_eq!(f(&ctx), Value::Float(50.0));

@@ -8,14 +8,16 @@
 //! Measured with this file: **1 513** allocations a frame while the join
 //! and the object filters cloned every candidate node's property map per
 //! binding; **268** once predicates read the frame graph in place;
-//! **241.7** now that the clock owns a charge label only on first sight
-//! instead of on every labeled charge.
-//! The budget is the current figure plus a quarter: what is left (a
-//! `String` key per property written to a node, `Value` clones into
-//! native-property inputs and hit rows, a history map per tracked object
-//! per stateful property) is named in docs/ARCHITECTURE.md §3, and a change
-//! that puts per-candidate work back shows up here as a multiple, not as
-//! a few per cent.
+//! **241.7** once the clock owned a charge label only on first sight
+//! instead of on every labeled charge; **44.6** now that property values
+//! live in plan-resolved slots (no name key per value written, no map per
+//! history sample), strings are shared, combos are stored back to back and
+//! the trackers keep their workspaces.
+//! The budget is the current figure plus a quarter: what is left (the
+//! detectors' own output, the hit rows with an owned column name per cell,
+//! the classifiers' result vectors) is named in docs/ARCHITECTURE.md §3,
+//! and a change that puts per-candidate or per-value work back shows up
+//! here as a multiple, not as a few per cent.
 //!
 //! One test per process: the counter is global, and a second test running
 //! beside this one would be counted too.
@@ -31,7 +33,7 @@ use vqpy_models::{Clock, ModelZoo, Value};
 use vqpy_video::{presets, BBox, Scene, SyntheticVideo, VideoSource};
 
 /// Engine allocations per frame the steady state may not exceed.
-const BUDGET_PER_FRAME: f64 = 302.0;
+const BUDGET_PER_FRAME: f64 = 56.0;
 const FRAMES: u64 = 300;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);

@@ -25,6 +25,9 @@ pub struct ColorClassifier {
     profile: ModelProfile,
     confusion: f32,
     salt: u64,
+    /// One shared value per [`NamedColor::ALL`] entry: an answer is a
+    /// reference-count bump.
+    answers: Vec<Value>,
 }
 
 impl ColorClassifier {
@@ -34,7 +37,16 @@ impl ColorClassifier {
             profile: ModelProfile::new(name, TaskKind::Classification, cost, 1.0 - confusion),
             confusion,
             salt,
+            answers: NamedColor::ALL
+                .iter()
+                .map(|c| Value::from(c.as_str()))
+                .collect(),
         }
+    }
+
+    fn answer(&self, color: NamedColor) -> Value {
+        let i = NamedColor::ALL.iter().position(|&c| c == color);
+        self.answers[i.expect("every color is in the palette")].clone()
     }
 }
 
@@ -47,12 +59,11 @@ impl Classifier for ColorClassifier {
         clock.charge_model(&self.profile.name, self.profile.cost);
         let mut rng = det_rng(self.salt, frame.index, entity_key(det));
         if rng.gen::<f32>() < self.confusion {
-            let c = NamedColor::ALL[rng.gen_range(0..NamedColor::ALL.len())];
-            return Value::from(c.as_str());
+            return self.answers[rng.gen_range(0..NamedColor::ALL.len())].clone();
         }
         match frame.pixels.dominant_rgb_in(&det.bbox) {
-            Some(rgb) => Value::from(NamedColor::nearest(rgb).as_str()),
-            None => Value::from(NamedColor::ALL[rng.gen_range(0..NamedColor::ALL.len())].as_str()),
+            Some(rgb) => self.answer(NamedColor::nearest(rgb)),
+            None => self.answers[rng.gen_range(0..NamedColor::ALL.len())].clone(),
         }
     }
 }
@@ -64,6 +75,8 @@ pub struct LabelClassifier {
     confusion: f32,
     salt: u64,
     labels: Vec<&'static str>,
+    /// `labels` as shared values, index for index.
+    answers: Vec<Value>,
     truth_label: fn(&vqpy_video::scene::VisibleEntity) -> Option<&'static str>,
 }
 
@@ -77,37 +90,54 @@ impl std::fmt::Debug for LabelClassifier {
 }
 
 impl LabelClassifier {
-    /// Vehicle body-style model ("sedan", "suv", ...).
-    pub fn vehicle_type(name: impl Into<String>, cost: f64, confusion: f32, salt: u64) -> Self {
+    fn new(
+        profile: ModelProfile,
+        confusion: f32,
+        salt: u64,
+        labels: Vec<&'static str>,
+        truth_label: fn(&vqpy_video::scene::VisibleEntity) -> Option<&'static str>,
+    ) -> Self {
         Self {
-            profile: ModelProfile::new(name, TaskKind::Classification, cost, 1.0 - confusion),
+            answers: labels.iter().map(|&l| Value::from(l)).collect(),
+            profile,
             confusion,
             salt,
-            labels: VehicleType::ALL.iter().map(|t| t.as_str()).collect(),
-            truth_label: |v| v.attrs.as_vehicle().map(|a| a.vtype.as_str()),
+            labels,
+            truth_label,
         }
+    }
+
+    /// Vehicle body-style model ("sedan", "suv", ...).
+    pub fn vehicle_type(name: impl Into<String>, cost: f64, confusion: f32, salt: u64) -> Self {
+        Self::new(
+            ModelProfile::new(name, TaskKind::Classification, cost, 1.0 - confusion),
+            confusion,
+            salt,
+            VehicleType::ALL.iter().map(|t| t.as_str()).collect(),
+            |v| v.attrs.as_vehicle().map(|a| a.vtype.as_str()),
+        )
     }
 
     /// Motion-direction model ("straight", "left", "right"); CVIP runs this
     /// as a model while VQPy computes direction natively from track history.
     pub fn direction(name: impl Into<String>, cost: f64, confusion: f32, salt: u64) -> Self {
-        Self {
-            profile: ModelProfile::new(name, TaskKind::Classification, cost, 1.0 - confusion),
+        Self::new(
+            ModelProfile::new(name, TaskKind::Classification, cost, 1.0 - confusion),
             confusion,
             salt,
-            labels: vec!["straight", "left", "right"],
-            truth_label: |v| Some(v.direction.as_str()),
-        }
+            vec!["straight", "left", "right"],
+            |v| Some(v.direction.as_str()),
+        )
     }
 
     /// Person action model ("walking", "standing", ...).
     pub fn person_action(name: impl Into<String>, cost: f64, confusion: f32, salt: u64) -> Self {
-        Self {
-            profile: ModelProfile::new(name, TaskKind::Classification, cost, 1.0 - confusion),
+        Self::new(
+            ModelProfile::new(name, TaskKind::Classification, cost, 1.0 - confusion),
             confusion,
             salt,
-            labels: vec!["walking", "standing", "running", "hitting_ball"],
-            truth_label: |v| {
+            vec!["walking", "standing", "running", "hitting_ball"],
+            |v| {
                 v.attrs.as_person().map(|p| match p.action {
                     PersonAction::Walking => "walking",
                     PersonAction::Standing => "standing",
@@ -115,7 +145,7 @@ impl LabelClassifier {
                     PersonAction::HittingBall => "hitting_ball",
                 })
             },
-        }
+        )
     }
 }
 
@@ -131,9 +161,13 @@ impl Classifier for LabelClassifier {
             .sim_entity
             .and_then(|id| frame.truth.entity(id))
             .and_then(|v| (self.truth_label)(v));
+        let known = |label| self.labels.iter().position(|l| *l == label);
         match truth {
-            Some(label) if rng.gen::<f32>() >= self.confusion => Value::from(label),
-            _ => Value::from(self.labels[rng.gen_range(0..self.labels.len())]),
+            Some(label) if rng.gen::<f32>() >= self.confusion => match known(label) {
+                Some(i) => self.answers[i].clone(),
+                None => Value::from(label),
+            },
+            _ => self.answers[rng.gen_range(0..self.labels.len())].clone(),
         }
     }
 }
@@ -181,9 +215,9 @@ impl Classifier for PlateRecognizer {
                         }
                     })
                     .collect();
-                Value::Str(noisy)
+                Value::from(noisy)
             }
-            None => Value::Str(vqpy_video::entity::plate_from_seed(rng.gen())),
+            None => Value::from(vqpy_video::entity::plate_from_seed(rng.gen())),
         }
     }
 }

@@ -113,7 +113,8 @@ impl Detector for SimDetector {
 
     fn detect(&self, frame: &Frame, clock: &Clock) -> Vec<Detection> {
         clock.charge_model(&self.profile.name, self.profile.cost);
-        let mut out = Vec::new();
+        // Room for every visible entity and one false positive.
+        let mut out = Vec::with_capacity(frame.truth.visible.len() + 1);
         for v in &frame.truth.visible {
             if !self.classes.iter().any(|c| c == v.class_label) {
                 continue;

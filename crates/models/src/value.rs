@@ -6,9 +6,13 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 use vqpy_video::geometry::{BBox, Point};
 
 /// A dynamically-typed value.
+///
+/// Strings are shared (`Arc<str>`): a value handed out by a model, the
+/// reuse cache or a hit row is a reference-count bump, not a copy.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum Value {
     #[default]
@@ -16,7 +20,7 @@ pub enum Value {
     Bool(bool),
     Int(i64),
     Float(f64),
-    Str(String),
+    Str(Arc<str>),
     Point(Point),
     BBox(BBox),
     FloatVec(Vec<f32>),
@@ -227,12 +231,18 @@ impl From<f32> for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_owned())
+        Value::Str(s.into())
     }
 }
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
+        Value::Str(s.into())
+    }
+}
+
+impl From<Arc<str>> for Value {
+    fn from(s: Arc<str>) -> Self {
         Value::Str(s)
     }
 }

@@ -204,7 +204,7 @@ pub fn get_value(buf: &mut &[u8]) -> Result<Value, WireError> {
         1 => Ok(Value::Bool(get_u8(buf)? != 0)),
         2 => Ok(Value::Int(get_u64(buf)? as i64)),
         3 => Ok(Value::Float(get_f64(buf)?)),
-        4 => Ok(Value::Str(get_str(buf)?)),
+        4 => Ok(Value::from(get_str(buf)?)),
         5 => Ok(Value::Point(get_point(buf)?)),
         6 => Ok(Value::BBox(get_bbox(buf)?)),
         7 => {

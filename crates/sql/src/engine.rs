@@ -200,7 +200,7 @@ impl Database {
                 let mut row: Row = vec![
                     Value::Int(f as i64),
                     Value::Int(up.track_id as i64),
-                    Value::Str(d.class_label.clone()),
+                    Value::from(d.class_label.as_str()),
                     Value::BBox(d.bbox),
                     Value::Float(d.score as f64),
                     Value::Int(d.sim_entity.map(|e| e as i64).unwrap_or(-1)),

@@ -16,98 +16,151 @@ pub const FORBIDDEN: f64 = 1e18;
 ///
 /// Panics if rows have inconsistent lengths.
 pub fn solve(cost: &[Vec<f64>]) -> Vec<Option<usize>> {
-    let n = cost.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let m = cost[0].len();
+    let m = cost.first().map_or(0, Vec::len);
     for row in cost {
         assert_eq!(row.len(), m, "cost matrix rows must have equal length");
     }
-    if m == 0 {
-        return vec![None; n];
-    }
-
-    // The potentials algorithm needs rows <= cols; pad virtually by
-    // transposing when needed.
-    if n > m {
-        let t: Vec<Vec<f64>> = (0..m)
-            .map(|j| (0..n).map(|i| cost[i][j]).collect())
-            .collect();
-        let col_assign = solve(&t);
-        let mut out = vec![None; n];
-        for (j, a) in col_assign.iter().enumerate() {
-            if let Some(i) = a {
-                out[*i] = Some(j);
-            }
-        }
-        return out;
-    }
-
-    // 1-indexed arrays per the classical formulation.
-    let inf = f64::INFINITY;
-    let mut u = vec![0.0f64; n + 1];
-    let mut v = vec![0.0f64; m + 1];
-    let mut p = vec![0usize; m + 1]; // p[j] = row matched to column j
-    let mut way = vec![0usize; m + 1];
-
-    for i in 1..=n {
-        p[0] = i;
-        let mut j0 = 0usize;
-        let mut minv = vec![inf; m + 1];
-        let mut used = vec![false; m + 1];
-        loop {
-            used[j0] = true;
-            let i0 = p[j0];
-            let mut delta = inf;
-            let mut j1 = 0usize;
-            for j in 1..=m {
-                if used[j] {
-                    continue;
-                }
-                let cur = cost[i0 - 1][j - 1] - u[i0] - v[j];
-                if cur < minv[j] {
-                    minv[j] = cur;
-                    way[j] = j0;
-                }
-                if minv[j] < delta {
-                    delta = minv[j];
-                    j1 = j;
-                }
-            }
-            for j in 0..=m {
-                if used[j] {
-                    u[p[j]] += delta;
-                    v[j] -= delta;
-                } else {
-                    minv[j] -= delta;
-                }
-            }
-            j0 = j1;
-            if p[j0] == 0 {
-                break;
-            }
-        }
-        loop {
-            let j1 = way[j0];
-            p[j0] = p[j1];
-            j0 = j1;
-            if j0 == 0 {
-                break;
-            }
-        }
-    }
-
-    let mut out = vec![None; n];
-    for j in 1..=m {
-        if p[j] != 0 {
-            let i = p[j] - 1;
-            if cost[i][j - 1] < FORBIDDEN / 2.0 {
-                out[i] = Some(j - 1);
-            }
-        }
-    }
+    let flat: Vec<f64> = cost.iter().flatten().copied().collect();
+    let mut out = Vec::new();
+    Hungarian::default().solve(&flat, cost.len(), m, &mut out);
     out
+}
+
+/// Reusable buffers for [`Hungarian::solve`]: a tracker that solves one
+/// assignment per frame keeps one and, once warm, allocates nothing. The
+/// buffers carry no state from one solve to the next.
+#[derive(Debug, Default)]
+pub(crate) struct Hungarian {
+    /// The transposed matrix, for inputs with more rows than columns.
+    transposed: Vec<f64>,
+    /// The transposed problem's assignment.
+    col_assign: Vec<Option<usize>>,
+    u: Vec<f64>,
+    v: Vec<f64>,
+    p: Vec<usize>,
+    way: Vec<usize>,
+    minv: Vec<f64>,
+    used: Vec<bool>,
+}
+
+impl Hungarian {
+    /// Solves min-cost assignment for the row-major `rows × cols` matrix
+    /// `cost`, writing each row's assigned column (or `None`, as in
+    /// [`solve`]) into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cost` does not hold `rows × cols` entries.
+    pub(crate) fn solve(
+        &mut self,
+        cost: &[f64],
+        rows: usize,
+        cols: usize,
+        out: &mut Vec<Option<usize>>,
+    ) {
+        assert_eq!(cost.len(), rows * cols, "cost matrix must be rows x cols");
+        out.clear();
+        out.resize(rows, None);
+        if rows == 0 || cols == 0 {
+            return;
+        }
+        // The potentials algorithm needs rows <= cols; pad virtually by
+        // transposing when needed.
+        if rows > cols {
+            let mut t = std::mem::take(&mut self.transposed);
+            t.clear();
+            t.extend((0..cols).flat_map(|j| (0..rows).map(move |i| cost[i * cols + j])));
+            let mut col_assign = std::mem::take(&mut self.col_assign);
+            col_assign.clear();
+            col_assign.resize(cols, None);
+            self.potentials(&t, cols, rows, &mut col_assign);
+            for (j, a) in col_assign.iter().enumerate() {
+                if let Some(i) = a {
+                    out[*i] = Some(j);
+                }
+            }
+            self.transposed = t;
+            self.col_assign = col_assign;
+            return;
+        }
+        self.potentials(cost, rows, cols, out);
+    }
+
+    /// The O(n^3) potentials formulation for `n <= m`; `out` holds `n`
+    /// `None`s on entry.
+    fn potentials(&mut self, cost: &[f64], n: usize, m: usize, out: &mut [Option<usize>]) {
+        let at = |i: usize, j: usize| cost[i * m + j];
+        // 1-indexed arrays per the classical formulation.
+        let inf = f64::INFINITY;
+        self.v.clear();
+        self.v.resize(m + 1, 0.0);
+        self.u.clear();
+        self.u.resize(n + 1, 0.0);
+        self.p.clear();
+        self.p.resize(m + 1, 0); // p[j] = row matched to column j
+        self.way.clear();
+        self.way.resize(m + 1, 0);
+        let (u, v, p, way) = (&mut self.u, &mut self.v, &mut self.p, &mut self.way);
+        let (minv, used) = (&mut self.minv, &mut self.used);
+
+        for i in 1..=n {
+            p[0] = i;
+            let mut j0 = 0usize;
+            minv.clear();
+            minv.resize(m + 1, inf);
+            used.clear();
+            used.resize(m + 1, false);
+            loop {
+                used[j0] = true;
+                let i0 = p[j0];
+                let mut delta = inf;
+                let mut j1 = 0usize;
+                for j in 1..=m {
+                    if used[j] {
+                        continue;
+                    }
+                    let cur = at(i0 - 1, j - 1) - u[i0] - v[j];
+                    if cur < minv[j] {
+                        minv[j] = cur;
+                        way[j] = j0;
+                    }
+                    if minv[j] < delta {
+                        delta = minv[j];
+                        j1 = j;
+                    }
+                }
+                for j in 0..=m {
+                    if used[j] {
+                        u[p[j]] += delta;
+                        v[j] -= delta;
+                    } else {
+                        minv[j] -= delta;
+                    }
+                }
+                j0 = j1;
+                if p[j0] == 0 {
+                    break;
+                }
+            }
+            loop {
+                let j1 = way[j0];
+                p[j0] = p[j1];
+                j0 = j1;
+                if j0 == 0 {
+                    break;
+                }
+            }
+        }
+
+        for (j, &row) in p.iter().enumerate().skip(1) {
+            if row != 0 {
+                let i = row - 1;
+                if at(i, j - 1) < FORBIDDEN / 2.0 {
+                    out[i] = Some(j - 1);
+                }
+            }
+        }
+    }
 }
 
 /// Total cost of an assignment (ignoring unassigned rows).

@@ -1,8 +1,9 @@
 //! SORT-style multi-object tracker: Kalman prediction + IoU-cost Hungarian
 //! matching + track lifecycle management.
 
-use crate::hungarian::{self, FORBIDDEN};
+use crate::hungarian::{Hungarian, FORBIDDEN};
 use crate::kalman::KalmanFilter;
+use std::sync::Arc;
 use vqpy_video::geometry::{BBox, Point};
 
 /// Tracker tuning knobs.
@@ -32,7 +33,8 @@ pub type TrackId = u64;
 #[derive(Debug, Clone)]
 struct Track {
     id: TrackId,
-    class_label: String,
+    /// Shared, so a checkpoint clone of the tracker copies no label.
+    class_label: Arc<str>,
     kf: KalmanFilter,
     hits: u32,
     time_since_update: u32,
@@ -63,6 +65,29 @@ pub struct SortTracker {
     params: TrackerParams,
     tracks: Vec<Track>,
     next_id: TrackId,
+    scratch: Scratch,
+}
+
+/// Per-update buffers: a row-major detections × tracks cost matrix, the
+/// assignment and the solver's workspace. They carry nothing from one
+/// update to the next.
+#[derive(Debug, Default)]
+struct Workspace {
+    cost: Vec<f64>,
+    assignment: Vec<Option<usize>>,
+    hungarian: Hungarian,
+}
+
+/// The tracker's [`Workspace`], boxed so the tracker (and the operator
+/// state that carries it) stays small, and made on first use. A clone
+/// starts without one: a checkpointed tracker copies none of the buffers.
+#[derive(Debug, Default)]
+struct Scratch(Option<Box<Workspace>>);
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Self(None)
+    }
 }
 
 impl SortTracker {
@@ -72,6 +97,7 @@ impl SortTracker {
             params,
             tracks: Vec::new(),
             next_id: 1,
+            scratch: Scratch::default(),
         }
     }
 
@@ -94,40 +120,53 @@ impl SortTracker {
     ///
     /// Returns one [`TrackUpdate`] per detection, in input order.
     pub fn update(&mut self, detections: &[(BBox, &str)]) -> Vec<TrackUpdate> {
+        let mut updates = Vec::with_capacity(detections.len());
+        self.update_into(detections, &mut updates, &mut Vec::new());
+        updates
+    }
+
+    /// [`SortTracker::update`] into the caller's buffers: `updates` is
+    /// overwritten with one [`TrackUpdate`] per detection, and the ids of
+    /// the tracks that aged out on this frame are appended to `expired`.
+    /// An expired id is never assigned again.
+    pub fn update_into(
+        &mut self,
+        detections: &[(BBox, &str)],
+        updates: &mut Vec<TrackUpdate>,
+        expired: &mut Vec<TrackId>,
+    ) {
         for t in &mut self.tracks {
             t.kf.predict();
             t.time_since_update += 1;
         }
 
         // Cost matrix: detections x tracks, 1 - IoU, class mismatch forbidden.
-        let assignment = if self.tracks.is_empty() || detections.is_empty() {
-            vec![None; detections.len()]
+        let ws = self.scratch.0.get_or_insert_with(Box::default);
+        ws.assignment.clear();
+        if self.tracks.is_empty() || detections.is_empty() {
+            ws.assignment.resize(detections.len(), None);
         } else {
-            let cost: Vec<Vec<f64>> = detections
-                .iter()
-                .map(|(bbox, label)| {
-                    self.tracks
-                        .iter()
-                        .map(|t| {
-                            if t.class_label != *label {
-                                return FORBIDDEN;
-                            }
-                            let iou = bbox.iou(&t.kf.bbox());
-                            if iou < self.params.iou_threshold {
-                                FORBIDDEN
-                            } else {
-                                1.0 - iou as f64
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            hungarian::solve(&cost)
-        };
+            ws.cost.clear();
+            for (bbox, label) in detections {
+                ws.cost.extend(self.tracks.iter().map(|t| {
+                    if *t.class_label != **label {
+                        return FORBIDDEN;
+                    }
+                    let iou = bbox.iou(&t.kf.bbox());
+                    if iou < self.params.iou_threshold {
+                        FORBIDDEN
+                    } else {
+                        1.0 - iou as f64
+                    }
+                }));
+            }
+            let (rows, cols) = (detections.len(), self.tracks.len());
+            ws.hungarian.solve(&ws.cost, rows, cols, &mut ws.assignment);
+        }
 
-        let mut updates = Vec::with_capacity(detections.len());
+        updates.clear();
         for (di, (bbox, label)) in detections.iter().enumerate() {
-            match assignment[di] {
+            match ws.assignment[di] {
                 Some(ti) => {
                     let t = &mut self.tracks[ti];
                     t.kf.update(bbox);
@@ -144,7 +183,7 @@ impl SortTracker {
                     self.next_id += 1;
                     self.tracks.push(Track {
                         id,
-                        class_label: (*label).to_owned(),
+                        class_label: Arc::from(*label),
                         kf: KalmanFilter::new(bbox),
                         hits: 1,
                         time_since_update: 0,
@@ -159,8 +198,13 @@ impl SortTracker {
         }
 
         let max_age = self.params.max_age;
+        expired.extend(
+            self.tracks
+                .iter()
+                .filter(|t| t.time_since_update > max_age)
+                .map(|t| t.id),
+        );
         self.tracks.retain(|t| t.time_since_update <= max_age);
-        updates
     }
 }
 
@@ -268,6 +312,19 @@ mod tests {
             tr.update(&[]);
         }
         assert_eq!(tr.live_tracks(), 0);
+        let mut tr = SortTracker::new(TrackerParams {
+            max_age: 3,
+            ..TrackerParams::default()
+        });
+        let (mut updates, mut expired) = (Vec::new(), Vec::new());
+        tr.update_into(&[(boxes_at(100.0), "car")], &mut updates, &mut expired);
+        let id = updates[0].track_id;
+        for age in 1..=6 {
+            tr.update_into(&[], &mut updates, &mut expired);
+            // Reported exactly once, on the update that drops the track.
+            let want: &[TrackId] = if age >= 4 { &[id] } else { &[] };
+            assert_eq!(expired, want, "age {age}");
+        }
         // Same place later => a brand-new id.
         let up = tr.update(&[(boxes_at(100.0), "car")]);
         assert!(up[0].is_new);

@@ -188,8 +188,11 @@ mod in_place_scopes {
     use super::*;
     use std::collections::BTreeMap;
     use std::sync::Arc;
-    use vqpy::core::backend::graph::{Edge, EdgeKind, FrameGraph, NodeId, VObjNode};
+    use vqpy::core::backend::graph::{
+        Edge, EdgeKind, FrameGraph, NodeId, NodeScope, SlotLayout, VObjNode,
+    };
     use vqpy::core::backend::ops::{ExecCtx, FrameSlot, JoinOp, Operator};
+    use vqpy::core::backend::symbols::SymbolTable;
     use vqpy::core::frontend::library::{person_schema, vehicle_schema};
     use vqpy::core::frontend::predicate::{CmpOp, PropRef};
     use vqpy::core::frontend::property::BuiltinProp;
@@ -223,6 +226,19 @@ mod in_place_scopes {
         CmpOp::Ge,
     ];
     const LEVELS: [f32; 3] = [0.25, 0.5, 0.75];
+    /// The computed properties, in the order the first layout gives them
+    /// columns.
+    const COMPUTED: [&str; 4] = ["color", "speed", "score", "track_id"];
+
+    /// Two plans' layouts of the same names: the second orders them the
+    /// other way round and has columns nothing writes.
+    fn layouts() -> [Arc<SlotLayout>; 2] {
+        let reversed = ["unused", "track_id", "score", "speed", "color"];
+        [
+            Arc::new(SlotLayout::new(COMPUTED, ["distance", "kind"])),
+            Arc::new(SlotLayout::new(reversed, ["spare", "kind", "distance"])),
+        ]
+    }
 
     fn pick<T: Copy>(rng: &mut StdRng, pool: &[T]) -> T {
         pool[rng.gen_range(0..pool.len())]
@@ -235,6 +251,16 @@ mod in_place_scopes {
             1 => Value::Int(rng.gen_range(0..3)),
             2 => Value::from(pick(rng, &["red", "blue", "car"])),
             _ => Value::Bool(rng.gen()),
+        }
+    }
+
+    /// What a computed slot may hold: sometimes a computed `Null`, which
+    /// must hide a built-in of the same name rather than fall back to it.
+    fn random_computed(rng: &mut StdRng) -> Value {
+        if rng.gen_range(0..6) == 0 {
+            Value::Null
+        } else {
+            random_value(rng)
         }
     }
 
@@ -266,7 +292,65 @@ mod in_place_scopes {
         }
     }
 
-    fn random_node(rng: &mut StdRng, alias: &str) -> VObjNode {
+    /// A node and the properties computed for it, by name.
+    struct NodeCase {
+        node: VObjNode,
+        computed: BTreeMap<String, Value>,
+    }
+
+    /// An `a → b` edge of `rel` and its properties, by name.
+    struct EdgeCase {
+        from: NodeId,
+        to: NodeId,
+        props: BTreeMap<String, Value>,
+    }
+
+    /// A frame graph described by name, so it can be laid out under any
+    /// layout and read back the old way.
+    struct GraphCase {
+        nodes: Vec<NodeCase>,
+        edges: Vec<EdgeCase>,
+    }
+
+    impl GraphCase {
+        /// The frame graph under `layout`, `rel` interned into `syms`.
+        fn build(&self, layout: &Arc<SlotLayout>, syms: &mut SymbolTable) -> FrameGraph {
+            let rel = syms.intern("rel");
+            let mut graph = FrameGraph::with_layout(Arc::clone(layout));
+            for case in &self.nodes {
+                let id = graph.add_node(case.node.clone());
+                for (prop, value) in &case.computed {
+                    let slot = layout
+                        .prop(prop)
+                        .expect("every layout has the computed names");
+                    graph.set(id, slot, value.clone());
+                }
+            }
+            for case in &self.edges {
+                let e = graph.add_edge(Edge {
+                    kind: EdgeKind::Spatial,
+                    relation: rel,
+                    from: case.from,
+                    to: case.to,
+                });
+                for (prop, value) in &case.props {
+                    let slot = layout
+                        .edge_prop(prop)
+                        .expect("every layout has the edge names");
+                    graph.set_edge_value(e, slot, value.clone());
+                }
+            }
+            graph
+        }
+
+        fn alive(&self, alias: &str) -> impl Iterator<Item = NodeId> + '_ {
+            let alias = alias.to_owned();
+            (0..self.nodes.len())
+                .filter(move |&i| self.nodes[i].node.alive && self.nodes[i].node.alias == alias)
+        }
+    }
+
+    fn random_node(rng: &mut StdRng, alias: &str) -> NodeCase {
         let mut node = VObjNode::from_detection(
             alias,
             &Detection {
@@ -279,28 +363,30 @@ mod in_place_scopes {
         if rng.gen() {
             node.track_id = Some(rng.gen_range(0..3));
         }
-        for prop in ["color", "speed", "score", "track_id"] {
+        let mut computed = BTreeMap::new();
+        for prop in COMPUTED {
             if rng.gen_range(0..3) == 0 {
-                node.props.insert(prop.to_owned(), random_value(rng));
+                computed.insert(prop.to_owned(), random_computed(rng));
             }
         }
         node.alive = rng.gen_range(0..4) != 0;
-        node
+        NodeCase { node, computed }
     }
 
     /// One to three nodes of each of `a` and `b` (some dead), and a `rel`
     /// edge on roughly half of the `a → b` pairs, each with some of its
     /// properties.
-    fn random_graph(rng: &mut StdRng) -> FrameGraph {
-        let mut graph = FrameGraph::new();
+    fn random_graph(rng: &mut StdRng) -> GraphCase {
+        let mut nodes = Vec::new();
         for alias in ["a", "b"] {
             for _ in 0..rng.gen_range(1..4) {
-                graph.add_node(random_node(rng, alias));
+                nodes.push(random_node(rng, alias));
             }
         }
-        for from in 0..graph.nodes.len() {
-            for to in 0..graph.nodes.len() {
-                let a_to_b = graph.nodes[from].alias == "a" && graph.nodes[to].alias == "b";
+        let mut edges = Vec::new();
+        for from in 0..nodes.len() {
+            for to in 0..nodes.len() {
+                let a_to_b = nodes[from].node.alias == "a" && nodes[to].node.alias == "b";
                 if !a_to_b || rng.gen() {
                     continue;
                 }
@@ -310,22 +396,16 @@ mod in_place_scopes {
                         props.insert(prop.to_owned(), random_value(rng));
                     }
                 }
-                graph.add_edge(Edge {
-                    kind: EdgeKind::Spatial,
-                    relation: "rel".into(),
-                    from,
-                    to,
-                    props,
-                });
+                edges.push(EdgeCase { from, to, props });
             }
         }
-        graph
+        GraphCase { nodes, edges }
     }
 
     /// The evaluation map the engine used to clone per candidate: computed
     /// properties, then every built-in not shadowed by one.
-    fn evaluation_map(node: &VObjNode) -> BTreeMap<String, Value> {
-        let mut m = node.props.clone();
+    fn evaluation_map(case: &NodeCase) -> BTreeMap<String, Value> {
+        let mut m = case.computed.clone();
         for b in [
             BuiltinProp::Bbox,
             BuiltinProp::Score,
@@ -334,20 +414,20 @@ mod in_place_scopes {
             BuiltinProp::Center,
         ] {
             m.entry(b.name().to_owned())
-                .or_insert_with(|| node.builtin(b));
+                .or_insert_with(|| case.node.builtin(b));
         }
         m
     }
 
     /// The environment of one `(a, b)` binding, built the old way: each
     /// alias's full property map, `rel` present only with its edge.
-    fn binding_env(graph: &FrameGraph, a: NodeId, b: NodeId) -> PredEnv {
+    fn binding_env(graph: &GraphCase, a: NodeId, b: NodeId) -> PredEnv {
         let mut env = PredEnv::default();
         env.objects
             .insert("a".into(), evaluation_map(&graph.nodes[a]));
         env.objects
             .insert("b".into(), evaluation_map(&graph.nodes[b]));
-        if let Some(edge) = graph.edge_between("rel", a, b) {
+        if let Some(edge) = graph.edges.iter().find(|e| e.from == a && e.to == b) {
             env.relations.insert("rel".into(), edge.props.clone());
         }
         env
@@ -375,10 +455,17 @@ mod in_place_scopes {
             }
         }
 
-        /// The `(a, b)` combos the join operator finds for `pred`.
-        fn join(&self, graph: &FrameGraph, pred: &Pred) -> Vec<Vec<NodeId>> {
-            let mut slot = FrameSlot::new(self.video.frame(0));
-            slot.graph = graph.clone();
+        /// The `(a, b)` combos the join operator finds for `pred` on
+        /// `graph` laid out by `layout`.
+        fn join(
+            &self,
+            graph: &GraphCase,
+            layout: &Arc<SlotLayout>,
+            pred: &Pred,
+        ) -> Vec<Vec<NodeId>> {
+            let mut syms = SymbolTable::new();
+            let mut slot = FrameSlot::with_layout(self.video.frame(0), layout);
+            slot.graph = graph.build(layout, &mut syms);
             let mut ctx = ExecCtx {
                 zoo: &self.zoo,
                 clock: &self.clock,
@@ -390,52 +477,191 @@ mod in_place_scopes {
             JoinOp::new(
                 0,
                 "P",
-                vec!["a".into(), "b".into()],
-                vec![self.rel.clone()],
+                &["a", "b"],
+                std::slice::from_ref(&self.rel),
                 pred.clone(),
                 false,
+                &mut syms,
+                layout,
             )
             .process(&mut slot, &mut ctx)
             .unwrap();
-            slot.matches[0].iter().map(|c| c.nodes.clone()).collect()
+            slot.matches[0].iter().map(<[NodeId]>::to_vec).collect()
         }
+
+        /// Whether `pred` holds for each node alone under `layout` (an
+        /// object filter's scope).
+        fn nodes(&self, graph: &GraphCase, layout: &Arc<SlotLayout>, pred: &Pred) -> Vec<bool> {
+            let built = graph.build(layout, &mut SymbolTable::new());
+            (0..built.nodes.len())
+                .map(|id| {
+                    let alias = built.nodes[id].alias;
+                    let resolved = layout.resolve(pred, &[alias.as_str()], &[]);
+                    resolved.eval(&NodeScope { graph: &built, id })
+                })
+                .collect()
+        }
+    }
+
+    /// The join combos and per-node verdicts the old map-building
+    /// evaluator gives.
+    fn oracle(graph: &GraphCase, pred: &Pred) -> (Vec<Vec<NodeId>>, Vec<bool>) {
+        let mut combos = Vec::new();
+        for a in graph.alive("a") {
+            for b in graph.alive("b") {
+                if pred.eval(&binding_env(graph, a, b)) {
+                    combos.push(vec![a, b]);
+                }
+            }
+        }
+        let nodes = graph.nodes.iter().map(|case| {
+            let mut env = PredEnv::default();
+            env.objects
+                .insert(case.node.alias.as_str().to_owned(), evaluation_map(case));
+            pred.eval(&env)
+        });
+        (combos, nodes.collect())
     }
 
     #[test]
     fn join_and_node_scopes_agree_with_a_pred_env_built_the_old_way() {
         let harness = Harness::new();
-        let (mut matched, mut unmatched) = (0usize, 0usize);
+        let (mut matched, mut unmatched, mut null_shadows) = (0usize, 0usize, 0usize);
         for seed in 0..CASES {
             let mut rng = StdRng::seed_from_u64(9000 + seed);
             let graph = random_graph(&mut rng);
             let pred = random_pred(&mut rng, 4);
+            let (combos, verdicts) = oracle(&graph, &pred);
+            let pairs = graph.alive("a").count() * graph.alive("b").count();
+            matched += combos.len();
+            unmatched += pairs - combos.len();
+            null_shadows += graph
+                .nodes
+                .iter()
+                .filter(|n| {
+                    ["score", "track_id"]
+                        .iter()
+                        .any(|p| n.computed.get(*p) == Some(&Value::Null))
+                })
+                .count();
 
-            // The join: same combos, same (a-major) order.
-            let mut expected = Vec::new();
-            for a in graph.alive_ids("a") {
-                for b in graph.alive_ids("b") {
-                    if pred.eval(&binding_env(&graph, a, b)) {
-                        expected.push(vec![a, b]);
-                        matched += 1;
-                    } else {
-                        unmatched += 1;
-                    }
-                }
-            }
-            assert_eq!(harness.join(&graph, &pred), expected, "seed {seed}: {pred}");
-
-            // A node alone (object filters): its own alias only.
-            for node in &graph.nodes {
-                let mut env = PredEnv::default();
-                env.objects
-                    .insert(node.alias.as_str().to_owned(), evaluation_map(node));
-                assert_eq!(pred.eval(node), pred.eval(&env), "seed {seed}: {pred}");
+            // Both layouts: same combos in the same (a-major) order, and
+            // the same verdict for each node alone (its own alias only).
+            for layout in &layouts() {
+                assert_eq!(
+                    harness.join(&graph, layout, &pred),
+                    combos,
+                    "seed {seed}: {pred}"
+                );
+                assert_eq!(
+                    harness.nodes(&graph, layout, &pred),
+                    verdicts,
+                    "seed {seed}: {pred}"
+                );
             }
         }
         assert!(
             matched > 50 && unmatched > 50,
             "a generator that always (or never) matches proves nothing: {matched}/{unmatched}"
         );
+        assert!(
+            null_shadows > 20,
+            "computed Nulls over built-ins: {null_shadows}"
+        );
+    }
+
+    /// One `a` node (detector score 0.75, track 2) and one `b` node, with
+    /// `computed` set on the `a` node.
+    fn pair(computed: &[(&str, Value)]) -> GraphCase {
+        let mut graph = GraphCase {
+            nodes: Vec::new(),
+            edges: Vec::new(),
+        };
+        for alias in ["a", "b"] {
+            let mut node = VObjNode::from_detection(
+                alias,
+                &Detection {
+                    class_label: "car".into(),
+                    bbox: BBox::from_center(Point::new(50.0, 50.0), 20.0, 10.0),
+                    score: 0.75,
+                    sim_entity: None,
+                },
+            );
+            node.track_id = Some(2);
+            graph.nodes.push(NodeCase {
+                node,
+                computed: BTreeMap::new(),
+            });
+        }
+        for (prop, value) in computed {
+            graph.nodes[0]
+                .computed
+                .insert((*prop).to_owned(), value.clone());
+        }
+        graph
+    }
+
+    /// Whether `pred` holds for the `a` node, in a join and alone, under
+    /// both layouts (which must agree).
+    fn holds(harness: &Harness, graph: &GraphCase, pred: &Pred) -> bool {
+        let verdicts: Vec<(bool, bool)> = layouts()
+            .iter()
+            .map(|layout| {
+                let joined = !harness.join(graph, layout, pred).is_empty();
+                (joined, harness.nodes(graph, layout, pred)[0])
+            })
+            .collect();
+        assert!(
+            verdicts.iter().all(|&v| v == verdicts[0]),
+            "{pred}: {verdicts:?}"
+        );
+        assert_eq!(verdicts[0].0, verdicts[0].1, "{pred}");
+        verdicts[0].0
+    }
+
+    #[test]
+    fn an_unset_slot_falls_back_to_its_builtin_and_a_computed_null_does_not() {
+        let harness = Harness::new();
+        let score = Pred::gt("a", "score", 0.5);
+        let track = Pred::eq("a", "track_id", 2i64);
+        // Unset: the detector's score and the tracker's id show through;
+        // a name with no built-in reads `Null` and fails either way.
+        let unset = pair(&[]);
+        assert!(holds(&harness, &unset, &score));
+        assert!(holds(&harness, &unset, &track));
+        assert!(!holds(&harness, &unset, &Pred::eq("a", "color", "red")));
+        assert!(!holds(&harness, &unset, &Pred::ne("a", "color", "red")));
+        // Computed `Null`: the built-in is hidden, every comparison fails.
+        let nulls = pair(&[("score", Value::Null), ("track_id", Value::Null)]);
+        for pred in [
+            &score,
+            &track,
+            &Pred::le("a", "score", 0.5),
+            &Pred::ne("a", "track_id", 2i64),
+        ] {
+            assert!(!holds(&harness, &nulls, pred), "{pred}");
+        }
+        assert!(holds(&harness, &nulls, &!score));
+    }
+
+    #[test]
+    fn a_computed_slot_shadows_the_builtin_of_its_name() {
+        let harness = Harness::new();
+        let shadowed = pair(&[("score", Value::Float(0.25)), ("track_id", Value::Int(7))]);
+        assert!(!holds(&harness, &shadowed, &Pred::gt("a", "score", 0.5)));
+        assert!(holds(&harness, &shadowed, &Pred::lt("a", "score", 0.5)));
+        assert!(holds(&harness, &shadowed, &Pred::eq("a", "track_id", 7i64)));
+        assert!(!holds(
+            &harness,
+            &shadowed,
+            &Pred::eq("a", "track_id", 2i64)
+        ));
+        // Built-ins nothing computed still read the detection.
+        assert!(holds(
+            &harness,
+            &shadowed,
+            &Pred::eq("a", "class_label", "car")
+        ));
     }
 
     #[test]
@@ -460,11 +686,14 @@ mod in_place_scopes {
                     Pred::relation("other", "distance", op, value.clone()),
                     Pred::relation("rel", "nope", op, value.clone()),
                 ] {
-                    assert!(
-                        harness.join(&graph, &absent).is_empty(),
-                        "seed {seed}: {absent}"
-                    );
-                    assert!(graph.nodes.iter().all(|n| !absent.eval(n)), "seed {seed}");
+                    for layout in &layouts() {
+                        assert!(
+                            harness.join(&graph, layout, &absent).is_empty(),
+                            "seed {seed}: {absent}"
+                        );
+                        let verdicts = harness.nodes(&graph, layout, &absent);
+                        assert!(verdicts.iter().all(|v| !v), "seed {seed}");
+                    }
                 }
             }
         }
