@@ -88,9 +88,6 @@ pub struct ExecConfig {
     pub exec_mode: ExecMode,
     /// Object-level computation reuse (§4.2) toggle.
     pub enable_intrinsic_reuse: bool,
-    /// Optional reuse-cache entry bound; least-recently-used track
-    /// properties are evicted past it (long videos, bounded memory).
-    pub reuse_capacity: Option<usize>,
     /// Record per-frame virtual cost (Figure 13(b) series). Cost is
     /// attributed evenly within each batch (execution itself is unchanged);
     /// ignored (left empty) in pipelined mode.
@@ -103,18 +100,7 @@ impl Default for ExecConfig {
             batch_size: 8,
             exec_mode: ExecMode::Sequential,
             enable_intrinsic_reuse: true,
-            reuse_capacity: None,
             record_per_frame_ms: false,
-        }
-    }
-}
-
-impl ExecConfig {
-    /// The reuse cache this configuration asks for.
-    pub fn make_reuse(&self) -> ReuseCache {
-        match self.reuse_capacity {
-            Some(cap) => ReuseCache::with_capacity(cap),
-            None => ReuseCache::new(),
         }
     }
 }
@@ -144,7 +130,6 @@ impl ExecMetrics {
         self.decode_failures += other.decode_failures;
         self.reuse.hits += other.reuse.hits;
         self.reuse.misses += other.reuse.misses;
-        self.reuse.evictions += other.reuse.evictions;
         self.reuse.tier_hits += other.reuse.tier_hits;
         self.per_frame_ms.extend_from_slice(&other.per_frame_ms);
     }
@@ -386,7 +371,7 @@ pub fn execute_plan(
     let workers = config.exec_mode.workers();
     let mut symbols = plan.symbols.clone();
     let mut ops = instantiate_stage_ops(plan, zoo, workers, &mut symbols)?;
-    let mut reuse = config.make_reuse();
+    let mut reuse = ReuseCache::new();
     let mut metrics = ExecMetrics::default();
     let mut collector = Collector::new(plan);
     let start_ms = clock.virtual_ms();

@@ -44,10 +44,11 @@ pub struct FrameSlot {
     /// Join results, indexed by the plan's join index (see
     /// [`crate::backend::plan::PlanDag::joins`]).
     pub matches: Vec<Matches>,
-    /// Tracks that aged out of their alias's tracker on this frame. Ids are
-    /// never reused, so stateful projections of that alias drop their
-    /// windows for them.
-    pub expired: Vec<(Istr, TrackId)>,
+    /// Tracks that aged out of their alias's tracker on this frame, by the
+    /// alias's interned symbol. Ids are never reused, so stateful
+    /// projections of that alias drop their windows for them and the stage
+    /// owning the reuse cache drops their memoized values.
+    pub expired: Vec<(Sym, TrackId)>,
 }
 
 impl FrameSlot {
@@ -222,8 +223,10 @@ pub trait Operator: Send {
     /// plan-local details like fusion or join indices. Two operators with
     /// the same key compute the same stream function, so their state may be
     /// transplanted across plan recompiles. `None` means stateless: the
-    /// operator can always be re-instantiated fresh.
-    fn state_key(&self) -> Option<String> {
+    /// operator can always be re-instantiated fresh. Stateful operators
+    /// format the key once, when built: a serving layer reads it on every
+    /// checkpoint.
+    fn state_key(&self) -> Option<Arc<str>> {
         None
     }
     /// Extracts the cross-frame state for carry-over, leaving this operator
@@ -248,6 +251,7 @@ pub const DIFF_FILTER_COST: f64 = 0.3;
 pub struct DiffFrameFilter {
     threshold: f32,
     last_kept: Option<PixelBuffer>,
+    state_key: Arc<str>,
 }
 
 impl DiffFrameFilter {
@@ -257,6 +261,7 @@ impl DiffFrameFilter {
         Self {
             threshold,
             last_kept: None,
+            state_key: format!("diff_filter(<{threshold})").into(),
         }
     }
 }
@@ -279,8 +284,8 @@ impl Operator for DiffFrameFilter {
         Ok(())
     }
 
-    fn state_key(&self) -> Option<String> {
-        Some(format!("diff_filter(<{})", self.threshold))
+    fn state_key(&self) -> Option<Arc<str>> {
+        Some(Arc::clone(&self.state_key))
     }
 
     fn export_state(&mut self) -> Option<OpState> {
@@ -419,6 +424,8 @@ impl Operator for DetectOp {
 /// motion linkage, enabling stateful properties and intrinsic reuse.
 pub struct TrackOp {
     alias: Istr,
+    /// The alias's symbol, which expiry reports carry.
+    alias_sym: Sym,
     tracker: SortTracker,
     last_seen: HashMap<TrackId, u64>,
     /// Scratch, reused across frames.
@@ -426,19 +433,22 @@ pub struct TrackOp {
     boxes: Vec<(BBox, &'static str)>,
     updates: Vec<TrackUpdate>,
     expired: Vec<TrackId>,
+    state_key: Arc<str>,
 }
 
 impl TrackOp {
-    /// Creates a tracker for `alias`.
-    pub fn new(alias: &str) -> Self {
+    /// Creates a tracker for `alias`, whose interned symbol is `alias_sym`.
+    pub fn new(alias: &str, alias_sym: Sym) -> Self {
         Self {
             alias: Istr::new(alias),
+            alias_sym,
             tracker: SortTracker::new(TrackerParams::default()),
             last_seen: HashMap::new(),
             ids: Vec::new(),
             boxes: Vec::new(),
             updates: Vec::new(),
             expired: Vec::new(),
+            state_key: format!("track({alias})").into(),
         }
     }
 }
@@ -472,13 +482,13 @@ impl Operator for TrackOp {
         }
         for &id in &self.expired {
             self.last_seen.remove(&id);
-            slot.expired.push((self.alias, id));
+            slot.expired.push((self.alias_sym, id));
         }
         Ok(())
     }
 
-    fn state_key(&self) -> Option<String> {
-        Some(format!("track({})", self.alias))
+    fn state_key(&self) -> Option<Arc<str>> {
+        Some(Arc::clone(&self.state_key))
     }
 
     fn export_state(&mut self) -> Option<OpState> {
@@ -536,6 +546,7 @@ pub struct ProjectOp {
     pending_ids: Vec<NodeId>,
     pending_dets: Vec<Detection>,
     inputs: Vec<Value>,
+    state_key: Arc<str>,
 }
 
 impl ProjectOp {
@@ -560,6 +571,7 @@ impl ProjectOp {
             .unwrap_or_else(|| panic!("no slot for projected property {}", def.name));
         Self {
             alias: Istr::new(alias),
+            state_key: format!("project({alias}.{})", def.name).into(),
             dep_reads: def.deps.iter().map(|d| layout.access(d)).collect(),
             slot,
             def,
@@ -611,7 +623,7 @@ impl ProjectOp {
             return;
         }
         for (alias, id) in &slot.expired {
-            if *alias == self.alias {
+            if *alias == self.alias_sym {
                 self.history.remove(id);
             }
         }
@@ -675,8 +687,8 @@ impl Operator for ProjectOp {
     /// The state key deliberately ignores fusion: whether a filter is fused
     /// onto this projection changes across recompiles of a shared plan, but
     /// the per-track history windows stay valid either way.
-    fn state_key(&self) -> Option<String> {
-        Some(format!("project({}.{})", self.alias, self.def.name))
+    fn state_key(&self) -> Option<Arc<str>> {
+        Some(Arc::clone(&self.state_key))
     }
 
     fn export_state(&mut self) -> Option<OpState> {
@@ -726,7 +738,7 @@ impl ProjectOp {
             // reuse, so it counts as a miss: hit rate is served-from-cache
             // over eligible projections, not over probes.
             let cached = match (&mut ctx.reuse, node.track_id) {
-                (Some(reuse), Some(t)) if intrinsic && node.track_confirmed => reuse.lookup_named(
+                (Some(reuse), Some(t)) if intrinsic && node.track_confirmed => reuse.lookup(
                     self.alias_sym,
                     t,
                     self.prop_sym,
@@ -768,7 +780,7 @@ impl ProjectOp {
             if let (true, Some(reuse), Some(t)) =
                 (intrinsic, &mut ctx.reuse, slot.graph.nodes[id].track_id)
             {
-                reuse.store_named(
+                reuse.store(
                     self.alias_sym,
                     t,
                     self.prop_sym,
@@ -1214,7 +1226,7 @@ pub fn instantiate(
         OpSpec::Detect { detector, aliases } => {
             Box::new(DetectOp::new(zoo.detector(detector)?, aliases.clone()))
         }
-        OpSpec::Track { alias } => Box::new(TrackOp::new(alias)),
+        OpSpec::Track { alias } => Box::new(TrackOp::new(alias, syms.intern(alias))),
         OpSpec::Project { alias, prop } => Box::new(project(alias, prop, syms)?),
         OpSpec::FusedProjectFilter {
             alias,
@@ -1311,7 +1323,7 @@ mod tests {
         };
         let det = zoo.detector("yolox").unwrap();
         let mut detect = DetectOp::new(det, vec![("car".into(), vec!["car".into()])]);
-        let mut track = TrackOp::new("car");
+        let mut track = TrackOp::new("car", Sym(0));
         let mut ids_by_entity: HashMap<u64, Vec<TrackId>> = HashMap::new();
         for i in 100..130 {
             let mut slot = FrameSlot::new(v.frame(i));
@@ -1342,7 +1354,7 @@ mod tests {
         let v = video();
         let det = zoo.detector("yolox").unwrap();
         let mut detect = DetectOp::new(det, vec![("car".into(), vec!["car".into()])]);
-        let mut track = TrackOp::new("car");
+        let mut track = TrackOp::new("car", Sym(0));
         let def = PropertyDef::stateless_model("color", "color_detect", true);
         let layout = Arc::new(SlotLayout::new(["color"], []));
         let mut project = ProjectOp::new("car", def, Sym(0), Sym(1), &layout);
@@ -1637,17 +1649,20 @@ mod tests {
         (windows, seen, live)
     }
 
-    /// A track that aged out never returns, so its stateful window and its
-    /// motion entry can go: after every segment of a long stream both stay
-    /// within the tracker's live tracks, and the hits are those of a run
-    /// that keeps every window (its expiry reports dropped before any
-    /// projection sees them).
+    /// A track that aged out never returns, so its stateful window, its
+    /// motion entry and its memoized intrinsic values can go: after every
+    /// segment of a long stream the windows and motion entries stay within
+    /// the tracker's live tracks and the cache within the live tracks times
+    /// the intrinsic properties read. The hits and the reuse counters are
+    /// those of a run that keeps everything, whose expiry reports are
+    /// dropped before any projection or the cache sees them.
     #[test]
     fn expired_tracks_leave_no_state_behind_and_change_no_hits() {
         use crate::backend::exec::{run_segment, Collector, ExecConfig, ExecMetrics};
         use crate::backend::plan::{build_plan, PlanOptions};
+        use crate::backend::reuse::ReuseStats;
         use crate::backend::stage::{
-            decode_batch, deliver, instantiate_stage_ops, run_stage, ExecEnv, StageCtx, StageKind,
+            decode_batch, deliver, instantiate_stage_ops, ExecEnv, StageCtx, StageKind,
         };
         use crate::frontend::library;
 
@@ -1659,71 +1674,113 @@ mod tests {
         let speeding = f64::from(scene.preset.speeding_threshold_px_per_frame());
         let video = SyntheticVideo::new(scene);
         assert_eq!(video.frame_count(), FRAMES);
-        let query = Query::builder("SpeedingCar")
-            .vobj("car", library::vehicle_schema_intrinsic())
-            .frame_constraint(Pred::gt("car", "score", 0.6) & Pred::gt("car", "speed", speeding))
-            .frame_output(&[("car", "track_id"), ("car", "bbox")])
-            .build()
-            .unwrap();
-        let zoo = ModelZoo::standard();
-        let plan = build_plan(&[query], &zoo, &PlanOptions::vqpy_default()).unwrap();
-        let (config, clock) = (ExecConfig::default(), Clock::new());
-        let env = ExecEnv {
-            plan: &plan,
-            source: &video,
-            zoo: &zoo,
-            clock: &clock,
-            config: &config,
+        let query = |name: &str, pred: Pred| {
+            Query::builder(name)
+                .vobj("car", library::vehicle_schema_intrinsic())
+                .frame_constraint(Pred::gt("car", "score", 0.6) & pred)
+                .frame_output(&[("car", "track_id"), ("car", "bbox")])
+                .build()
+                .unwrap()
         };
-        let fresh = || instantiate_stage_ops(&plan, &zoo, 1, &mut plan.symbols.clone()).unwrap();
-        let mut metrics = ExecMetrics::default();
+        // (query, intrinsic properties it reads, golden (hit frames, rows),
+        // golden (reuse hits, misses)). The goldens were printed by the
+        // engine before it pruned anything; by frame 3 000 it held 215
+        // windows and 215 cached colours for 7 live tracks.
+        let cases = [
+            (
+                query("SpeedingCar", Pred::gt("car", "speed", speeding)),
+                0,
+                (770, 942),
+                (0, 0),
+            ),
+            (
+                query("RedCar", Pred::eq("car", "color", "red")),
+                1,
+                (1275, 1600),
+                (14_500, 215),
+            ),
+        ];
+        for (query, intrinsic, golden, golden_reuse) in cases {
+            let name = query.name().to_owned();
+            let zoo = ModelZoo::standard();
+            let plan = build_plan(&[query], &zoo, &PlanOptions::vqpy_default()).unwrap();
+            let (config, clock) = (ExecConfig::default(), Clock::new());
+            let env = ExecEnv {
+                plan: &plan,
+                source: &video,
+                zoo: &zoo,
+                clock: &clock,
+                config: &config,
+            };
+            let fresh =
+                || instantiate_stage_ops(&plan, &zoo, 1, &mut plan.symbols.clone()).unwrap();
+            let mut metrics = ExecMetrics::default();
 
-        // The engine as it runs, one segment at a time.
-        let (mut ops, mut reuse) = (fresh(), config.make_reuse());
-        let mut pruned = Collector::new(&plan);
-        for lo in (0..FRAMES).step_by(SEGMENT as usize) {
-            let frames = lo..lo + SEGMENT;
-            run_segment(env, frames, &mut ops, &mut reuse, &mut metrics, &mut pruned).unwrap();
-            let (windows, seen, live) = census(&mut ops);
-            assert!(
-                windows <= live && seen <= live,
-                "frame {}: {windows} windows, {seen} last-seen entries, {live} live tracks",
-                lo + SEGMENT
-            );
-        }
-
-        // The same stages one operator at a time, every expiry report
-        // dropped before the next operator sees it.
-        let (mut ops, mut reuse) = (fresh(), config.make_reuse());
-        let mut kept = Collector::new(&plan);
-        let cx = StageCtx::new(env, &ops);
-        let mut slots = Vec::new();
-        let batch = config.batch_size as u64;
-        for (seq, lo) in (0..FRAMES).step_by(batch as usize).enumerate() {
-            decode_batch(&cx, lo..(lo + batch).min(FRAMES), &mut slots);
-            for kind in StageKind::ALL {
-                for op in ops.chains[kind.index()][0].iter_mut() {
-                    let reuse = kind.owns_reuse().then_some(&mut reuse);
-                    let one = std::slice::from_mut(op);
-                    run_stage(kind, one, seq as u64, &mut slots, reuse, &cx).unwrap();
-                    slots.iter_mut().for_each(|s| s.expired.clear());
-                }
+            // The engine as it runs, one segment at a time.
+            let (mut ops, mut pruned_reuse) = (fresh(), ReuseCache::new());
+            let mut pruned = Collector::new(&plan);
+            for lo in (0..FRAMES).step_by(SEGMENT as usize) {
+                let (frames, reuse) = (lo..lo + SEGMENT, &mut pruned_reuse);
+                run_segment(env, frames, &mut ops, reuse, &mut metrics, &mut pruned).unwrap();
+                let (windows, seen, live) = census(&mut ops);
+                let values = pruned_reuse.len();
+                assert!(
+                    windows <= live && seen <= live && values <= live * intrinsic,
+                    "{name}, frame {}: {windows} windows, {seen} last-seen entries, \
+                     {values} cached values, {live} live tracks",
+                    lo + SEGMENT
+                );
             }
-            deliver(&plan, &slots, &mut metrics, &mut kept).unwrap();
-        }
-        let (windows, _, live) = census(&mut ops);
-        assert!(
-            windows > 4 * live,
-            "{windows} windows kept, {live} live tracks"
-        );
 
-        let hits = |c: Collector| c.finalize(&plan, ExecMetrics::default(), 0.0)[0].clone();
-        let (pruned, kept) = (hits(pruned).frame_hits, hits(kept).frame_hits);
-        assert_eq!(pruned, kept);
-        // Printed by the engine before it pruned anything (its windows
-        // grew to 215 by frame 3 000, for 7 live tracks).
-        let rows: usize = pruned.iter().map(|h| h.outputs.len()).sum();
-        assert_eq!((pruned.len(), rows), (770, 942));
+            // The same operators driven one at a time outside the stage
+            // body, every expiry report dropped before the next operator or
+            // the cache sees it.
+            let (mut ops, mut kept_reuse) = (fresh(), ReuseCache::new());
+            let mut kept = Collector::new(&plan);
+            let cx = StageCtx::new(env, &ops);
+            let tracer = vqpy_obs::Tracer::disabled();
+            let mut slots = Vec::new();
+            let batch = config.batch_size as u64;
+            for lo in (0..FRAMES).step_by(batch as usize) {
+                decode_batch(&cx, lo..(lo + batch).min(FRAMES), &mut slots);
+                for kind in StageKind::ALL {
+                    for op in ops.chains[kind.index()][0].iter_mut() {
+                        let mut ctx = ExecCtx {
+                            zoo: &zoo,
+                            clock: &clock,
+                            fps: video.fps(),
+                            reuse: kind.owns_reuse().then_some(&mut kept_reuse),
+                            dispatch: crate::backend::dispatch::direct(),
+                            tracer: &tracer,
+                        };
+                        op.process_batch(&mut slots, &mut ctx).unwrap();
+                        slots.iter_mut().for_each(|s| s.expired.clear());
+                    }
+                }
+                deliver(&plan, &slots, &mut metrics, &mut kept).unwrap();
+            }
+            let (windows, _, live) = census(&mut ops);
+            let values = kept_reuse.len();
+            assert!(
+                windows + values > 4 * live,
+                "{name}: {windows} windows and {values} values kept, {live} live tracks"
+            );
+
+            let hits = |c: Collector| c.finalize(&plan, ExecMetrics::default(), 0.0)[0].clone();
+            let (pruned, kept) = (hits(pruned).frame_hits, hits(kept).frame_hits);
+            assert_eq!(pruned, kept, "{name}");
+            let rows: usize = pruned.iter().map(|h| h.outputs.len()).sum();
+            assert_eq!((pruned.len(), rows), golden, "{name}");
+            let stats = pruned_reuse.stats();
+            assert_eq!(stats, kept_reuse.stats(), "{name}");
+            let (hits, misses) = golden_reuse;
+            let golden_stats = ReuseStats {
+                hits,
+                misses,
+                tier_hits: 0,
+            };
+            assert_eq!(stats, golden_stats, "{name}");
+        }
     }
 
     #[test]

@@ -221,7 +221,7 @@ impl PlanDag {
     /// - **prep** ends at the *last* operator after the detectors that
     ///   sequences the stream: the tracker plus every stateful or
     ///   reuse-cache-touching projection, in their original relative order,
-    ///   so cache access order — and therefore hit/eviction behavior — is
+    ///   so cache access order — and therefore hit behavior — is
     ///   byte-identical to an unsplit plan.
     /// - **enrich** is the maximal contiguous run after prep of order-free,
     ///   cache-free per-object projections and filters, which a pipelined

@@ -160,7 +160,7 @@ fn run_lockstep(
         .map(|plan| {
             Some(Lane {
                 ops: instantiate_stage_ops(plan, zoo, 1, &mut plan.symbols.clone()).ok()?,
-                reuse: config.make_reuse(),
+                reuse: ReuseCache::new(),
                 collector: Collector::new(plan),
                 clock: Clock::new(),
             })

@@ -8,9 +8,12 @@
 //!
 //! The key uses interned [`Sym`]s (see [`crate::backend::symbols`]), so a
 //! probe is a `Copy` tuple hash — the hit path performs **zero heap
-//! allocations**. Entries live in a slab-backed intrusive LRU list: an
-//! optional capacity bound evicts the least-recently-used track property
-//! so unboundedly long videos cannot grow memory without limit.
+//! allocations**. An entry lives exactly as long as its track: when the
+//! tracker that issued the id reports it expired, the stage that owns the
+//! cache calls [`ReuseCache::forget`]. An expired id is never assigned
+//! again, so dropping its values changes no hit, no miss and no model
+//! call, and the cache holds at most the live tracks' values however long
+//! the video runs.
 
 use crate::backend::symbols::Sym;
 use std::collections::HashMap;
@@ -43,8 +46,6 @@ pub struct ReuseStats {
     /// Eligible projections not served from memory: probes that found
     /// nothing, plus sightings of tracks too young to be probed.
     pub misses: u64,
-    /// Entries dropped by the LRU capacity bound.
-    pub evictions: u64,
     /// In-memory misses answered by the durable tier (a subset of
     /// `misses`: every tier hit was first counted as an in-memory miss).
     pub tier_hits: u64,
@@ -65,97 +66,52 @@ impl ReuseStats {
 /// Cache key: `(alias, track, property)`, all `Copy`.
 type Key = (Sym, TrackId, Sym);
 
-const NIL: usize = usize::MAX;
-
-/// One slab entry, doubly linked into the LRU list.
-#[derive(Debug)]
-struct Entry {
-    key: Key,
-    value: Value,
-    prev: usize,
-    next: usize,
-}
-
-/// Memoized intrinsic property values per tracked object, with an optional
-/// LRU capacity bound.
+/// Memoized intrinsic property values of the live tracks.
 #[derive(Debug, Default)]
 pub struct ReuseCache {
-    index: HashMap<Key, usize>,
-    slab: Vec<Entry>,
-    free: Vec<usize>,
-    /// Most-recently-used end of the list.
-    head: Option<usize>,
-    /// Least-recently-used end of the list.
-    tail: Option<usize>,
-    capacity: Option<usize>,
+    entries: HashMap<Key, Value>,
     stats: ReuseStats,
     /// Durable backing tier; `None` keeps the cache purely in-memory.
     tier: Option<Arc<dyn ReuseTier>>,
 }
 
 impl ReuseCache {
-    /// An unbounded cache.
+    /// An empty cache with no durable tier.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// A cache evicting least-recently-used entries beyond `capacity`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "reuse cache capacity must be positive");
-        Self {
-            capacity: Some(capacity),
-            ..Self::default()
-        }
+    /// Installs a durable backing tier: in-memory misses fall through to
+    /// it, and stores write through.
+    pub fn set_tier(&mut self, tier: Arc<dyn ReuseTier>) {
+        self.tier = Some(tier);
     }
 
-    fn unlink(&mut self, i: usize) {
-        let (prev, next) = (self.slab[i].prev, self.slab[i].next);
-        match prev {
-            NIL => self.head = (next != NIL).then_some(next),
-            p => self.slab[p].next = next,
+    /// Looks up a memoized value, recording a hit or miss. An in-memory
+    /// miss consults the tier under the entry's *names*; a tier hit is
+    /// promoted into memory (so later probes stay allocation-free) and
+    /// counted in [`ReuseStats::tier_hits`].
+    pub fn lookup(
+        &mut self,
+        alias: Sym,
+        track: TrackId,
+        prop: Sym,
+        alias_name: &str,
+        prop_name: &str,
+    ) -> Option<Value> {
+        let key = (alias, track, prop);
+        if let Some(v) = self.entries.get(&key) {
+            self.stats.hits += 1;
+            return Some(v.clone());
         }
-        match next {
-            NIL => self.tail = (prev != NIL).then_some(prev),
-            n => self.slab[n].prev = prev,
-        }
-        self.slab[i].prev = NIL;
-        self.slab[i].next = NIL;
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.slab[i].prev = NIL;
-        self.slab[i].next = self.head.unwrap_or(NIL);
-        if let Some(h) = self.head {
-            self.slab[h].prev = i;
-        }
-        self.head = Some(i);
-        if self.tail.is_none() {
-            self.tail = Some(i);
-        }
-    }
-
-    /// Looks up a memoized value, recording a hit or miss. Hits move the
-    /// entry to the front of the LRU list. This path allocates nothing:
-    /// the key is a `Copy` tuple and the value is returned by reference.
-    pub fn lookup(&mut self, alias: Sym, track: TrackId, prop: Sym) -> Option<&Value> {
-        match self.index.get(&(alias, track, prop)).copied() {
-            Some(i) => {
-                self.stats.hits += 1;
-                if self.head != Some(i) {
-                    self.unlink(i);
-                    self.push_front(i);
-                }
-                Some(&self.slab[i].value)
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        self.stats.misses += 1;
+        let value = self
+            .tier
+            .as_ref()
+            .and_then(|t| t.load(alias_name, track, prop_name))?;
+        self.stats.tier_hits += 1;
+        self.entries.insert(key, value.clone());
+        Some(value)
     }
 
     /// Records a miss for an eligible projection that was not probed (an
@@ -165,93 +121,10 @@ impl ReuseCache {
         self.stats.misses += 1;
     }
 
-    /// Memoizes a computed intrinsic value, evicting the least-recently-used
-    /// entry when the capacity bound is exceeded.
-    pub fn store(&mut self, alias: Sym, track: TrackId, prop: Sym, value: Value) {
-        let key = (alias, track, prop);
-        if let Some(&i) = self.index.get(&key) {
-            self.slab[i].value = value;
-            if self.head != Some(i) {
-                self.unlink(i);
-                self.push_front(i);
-            }
-            return;
-        }
-        if let Some(cap) = self.capacity {
-            while self.index.len() >= cap {
-                let lru = self.tail.expect("non-empty cache has a tail");
-                self.unlink(lru);
-                self.index.remove(&self.slab[lru].key);
-                self.slab[lru].value = Value::Null;
-                self.free.push(lru);
-                self.stats.evictions += 1;
-            }
-        }
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.slab[i] = Entry {
-                    key,
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                };
-                i
-            }
-            None => {
-                self.slab.push(Entry {
-                    key,
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.slab.len() - 1
-            }
-        };
-        self.index.insert(key, i);
-        self.push_front(i);
-    }
-
-    /// Installs a durable backing tier. In-memory misses on the *named*
-    /// paths fall through to it, and named stores write through; the
-    /// symbol-only [`ReuseCache::lookup`]/[`ReuseCache::store`] paths are
-    /// unaffected.
-    pub fn set_tier(&mut self, tier: Arc<dyn ReuseTier>) {
-        self.tier = Some(tier);
-    }
-
-    /// Whether a durable tier is installed.
-    pub fn has_tier(&self) -> bool {
-        self.tier.is_some()
-    }
-
-    /// [`ReuseCache::lookup`] with a durable-tier fallback: an in-memory
-    /// miss consults the tier under the entry's *names*; a tier hit is
-    /// promoted into the in-memory cache (so subsequent probes stay
-    /// allocation-free) and counted in [`ReuseStats::tier_hits`].
-    pub fn lookup_named(
-        &mut self,
-        alias: Sym,
-        track: TrackId,
-        prop: Sym,
-        alias_name: &str,
-        prop_name: &str,
-    ) -> Option<Value> {
-        if let Some(v) = self.lookup(alias, track, prop) {
-            return Some(v.clone());
-        }
-        let value = self
-            .tier
-            .as_ref()
-            .and_then(|t| t.load(alias_name, track, prop_name))?;
-        self.stats.tier_hits += 1;
-        self.store(alias, track, prop, value.clone());
-        Some(value)
-    }
-
-    /// [`ReuseCache::store`] with durable write-through: the value is
-    /// memoized in memory and, when a tier is installed, saved under the
-    /// entry's names so it survives process restarts and LRU eviction.
-    pub fn store_named(
+    /// Memoizes a computed intrinsic value and, when a tier is installed,
+    /// saves it under the entry's names so it survives the track and the
+    /// process.
+    pub fn store(
         &mut self,
         alias: Sym,
         track: TrackId,
@@ -263,7 +136,18 @@ impl ReuseCache {
         if let Some(t) = &self.tier {
             t.save(alias_name, track, prop_name, &value);
         }
-        self.store(alias, track, prop, value);
+        self.entries.insert((alias, track, prop), value);
+    }
+
+    /// Drops every value memoized for the `(alias, track)`s in `expired`:
+    /// tracks their tracker reported aged out, whose ids never return. The
+    /// durable tier keeps its copies.
+    pub fn forget(&mut self, expired: &[(Sym, TrackId)]) {
+        if expired.is_empty() || self.entries.is_empty() {
+            return;
+        }
+        self.entries
+            .retain(|&(alias, track, _), _| !expired.contains(&(alias, track)));
     }
 
     /// Cache statistics so far.
@@ -273,22 +157,12 @@ impl ReuseCache {
 
     /// Number of memoized entries.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.entries.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Drops all entries and statistics.
-    pub fn clear(&mut self) {
-        self.index.clear();
-        self.slab.clear();
-        self.free.clear();
-        self.head = None;
-        self.tail = None;
-        self.stats = ReuseStats::default();
+        self.entries.is_empty()
     }
 }
 
@@ -301,12 +175,21 @@ mod tests {
     const COLOR: Sym = Sym(2);
     const PLATE: Sym = Sym(3);
 
+    /// Probes with names that only a tier would read.
+    fn get(c: &mut ReuseCache, alias: Sym, track: TrackId, prop: Sym) -> Option<Value> {
+        c.lookup(alias, track, prop, "car", "color")
+    }
+
+    fn put(c: &mut ReuseCache, alias: Sym, track: TrackId, prop: Sym, value: &str) {
+        c.store(alias, track, prop, Value::from(value), "car", "color");
+    }
+
     #[test]
     fn lookup_miss_then_hit() {
         let mut c = ReuseCache::new();
-        assert!(c.lookup(CAR, 1, COLOR).is_none());
-        c.store(CAR, 1, COLOR, Value::from("red"));
-        assert_eq!(c.lookup(CAR, 1, COLOR).cloned(), Some(Value::from("red")));
+        assert!(get(&mut c, CAR, 1, COLOR).is_none());
+        put(&mut c, CAR, 1, COLOR, "red");
+        assert_eq!(get(&mut c, CAR, 1, COLOR), Some(Value::from("red")));
         assert_eq!(
             c.stats(),
             ReuseStats {
@@ -329,7 +212,6 @@ mod tests {
         let mixed = ReuseStats {
             hits: 3,
             misses: 9,
-            evictions: 2,
             ..Default::default()
         };
         assert!((mixed.hit_rate() - 0.25).abs() < 1e-12);
@@ -338,51 +220,38 @@ mod tests {
     #[test]
     fn keys_are_fully_qualified() {
         let mut c = ReuseCache::new();
-        c.store(CAR, 1, COLOR, Value::from("red"));
-        assert!(c.lookup(TRUCK, 1, COLOR).is_none());
-        assert!(c.lookup(CAR, 2, COLOR).is_none());
-        assert!(c.lookup(CAR, 1, PLATE).is_none());
+        put(&mut c, CAR, 1, COLOR, "red");
+        assert!(get(&mut c, TRUCK, 1, COLOR).is_none());
+        assert!(get(&mut c, CAR, 2, COLOR).is_none());
+        assert!(get(&mut c, CAR, 1, PLATE).is_none());
         assert_eq!(c.len(), 1);
     }
 
+    /// An expired track loses every property, and only its alias's: the
+    /// same id under another alias belongs to another tracker.
     #[test]
-    fn clear_resets() {
+    fn forget_drops_every_property_of_expired_tracks_only() {
         let mut c = ReuseCache::new();
-        c.store(CAR, 1, COLOR, Value::from("red"));
-        c.lookup(CAR, 1, COLOR);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.stats(), ReuseStats::default());
-    }
-
-    #[test]
-    fn capacity_evicts_least_recently_used() {
-        let mut c = ReuseCache::with_capacity(2);
-        c.store(CAR, 1, COLOR, Value::from("red"));
-        c.store(CAR, 2, COLOR, Value::from("blue"));
-        // Touch track 1 so track 2 becomes the LRU.
-        assert!(c.lookup(CAR, 1, COLOR).is_some());
-        c.store(CAR, 3, COLOR, Value::from("green"));
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.stats().evictions, 1);
-        assert!(c.lookup(CAR, 2, COLOR).is_none(), "LRU entry evicted");
-        assert!(c.lookup(CAR, 1, COLOR).is_some());
-        assert!(c.lookup(CAR, 3, COLOR).is_some());
-    }
-
-    #[test]
-    fn eviction_churn_reuses_slab_slots() {
-        let mut c = ReuseCache::with_capacity(4);
-        for t in 0..100u64 {
-            c.store(CAR, t, COLOR, Value::Int(t as i64));
+        for (alias, track, prop) in [
+            (CAR, 1, COLOR),
+            (CAR, 1, PLATE),
+            (CAR, 2, COLOR),
+            (TRUCK, 1, COLOR),
+        ] {
+            put(&mut c, alias, track, prop, "red");
         }
+        c.forget(&[]);
         assert_eq!(c.len(), 4);
-        assert_eq!(c.stats().evictions, 96);
-        // The slab never grew past capacity + nothing leaked.
-        assert!(c.slab.len() <= 5, "slab len {}", c.slab.len());
-        for t in 96..100u64 {
-            assert_eq!(c.lookup(CAR, t, COLOR).cloned(), Some(Value::Int(t as i64)));
-        }
+        c.forget(&[(CAR, 1), (CAR, 9)]);
+        assert_eq!(c.len(), 2);
+        assert!(get(&mut c, CAR, 1, COLOR).is_none());
+        assert!(get(&mut c, CAR, 1, PLATE).is_none());
+        assert!(get(&mut c, CAR, 2, COLOR).is_some());
+        assert!(get(&mut c, TRUCK, 1, COLOR).is_some());
+        let stats = c.stats();
+        c.forget(&[(CAR, 2), (TRUCK, 1)]);
+        assert!(c.is_empty());
+        assert_eq!(c.stats(), stats, "forgetting is not a miss");
     }
 
     #[derive(Debug, Default)]
@@ -405,37 +274,38 @@ mod tests {
     #[test]
     fn tier_read_through_and_write_through() {
         let tier = Arc::new(MapTier::default());
-        let mut c = ReuseCache::with_capacity(1);
+        let mut c = ReuseCache::new();
         c.set_tier(Arc::clone(&tier) as Arc<dyn ReuseTier>);
 
-        // Write-through: a named store lands in the tier.
-        c.store_named(CAR, 1, COLOR, Value::from("red"), "car", "color");
+        // Write-through: a store lands in the tier, and outlives the track.
+        c.store(CAR, 1, COLOR, Value::from("red"), "car", "color");
+        assert_eq!(tier.load("car", 1, "color"), Some(Value::from("red")));
+        c.forget(&[(CAR, 1)]);
         assert_eq!(tier.load("car", 1, "color"), Some(Value::from("red")));
 
-        // Capacity-evict the entry, then read it back through the tier.
-        c.store_named(CAR, 2, COLOR, Value::from("blue"), "car", "color");
-        assert_eq!(c.stats().evictions, 1);
-        let v = c.lookup_named(CAR, 1, COLOR, "car", "color");
+        // A fresh process's cache reads it back through the tier.
+        let mut c = ReuseCache::new();
+        c.set_tier(Arc::clone(&tier) as Arc<dyn ReuseTier>);
+        let v = c.lookup(CAR, 1, COLOR, "car", "color");
         assert_eq!(v, Some(Value::from("red")));
         assert_eq!(c.stats().tier_hits, 1);
         // The tier hit was counted as an in-memory miss first.
         assert_eq!(c.stats().misses, 1);
 
         // Promotion: the value is back in memory (hit, no new tier hit).
-        assert_eq!(c.lookup(CAR, 1, COLOR).cloned(), Some(Value::from("red")));
-        assert_eq!(c.stats().tier_hits, 1);
+        assert_eq!(get(&mut c, CAR, 1, COLOR), Some(Value::from("red")));
+        assert_eq!((c.stats().hits, c.stats().tier_hits), (1, 1));
 
         // Unknown keys miss both layers.
-        assert_eq!(c.lookup_named(TRUCK, 9, PLATE, "truck", "plate"), None);
+        assert_eq!(c.lookup(TRUCK, 9, PLATE, "truck", "plate"), None);
     }
 
     #[test]
     fn store_overwrite_updates_in_place() {
-        let mut c = ReuseCache::with_capacity(2);
-        c.store(CAR, 1, COLOR, Value::from("red"));
-        c.store(CAR, 1, COLOR, Value::from("black"));
+        let mut c = ReuseCache::new();
+        put(&mut c, CAR, 1, COLOR, "red");
+        put(&mut c, CAR, 1, COLOR, "black");
         assert_eq!(c.len(), 1);
-        assert_eq!(c.stats().evictions, 0);
-        assert_eq!(c.lookup(CAR, 1, COLOR).cloned(), Some(Value::from("black")));
+        assert_eq!(get(&mut c, CAR, 1, COLOR), Some(Value::from("black")));
     }
 }

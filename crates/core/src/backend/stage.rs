@@ -91,7 +91,8 @@ impl StageKind {
     }
 
     /// Whether the stage reads and writes the stream's [`ReuseCache`]. Only
-    /// prep does: the cache's hit/eviction sequence is part of the results'
+    /// prep does: it holds the trackers whose expiry reports end an
+    /// entry's life, and the cache's hit sequence is part of the results'
     /// byte-identity, so exactly one ordered stage may touch it.
     pub const fn owns_reuse(self) -> bool {
         matches!(self, StageKind::Prep)
@@ -100,6 +101,9 @@ impl StageKind {
 
 /// The plan-ordered operators of one stage.
 pub type Chain = Vec<Box<dyn Operator>>;
+
+/// Exported cross-frame operator state, keyed by [`Operator::state_key`].
+pub type OpStates = HashMap<Arc<str>, OpState>;
 
 /// Live operator chains, indexed by stage.
 ///
@@ -142,7 +146,7 @@ impl StageOps {
 
     /// Extracts every stateful operator's cross-frame state, keyed by
     /// [`Operator::state_key`].
-    pub fn export_states(&mut self) -> HashMap<String, OpState> {
+    pub fn export_states(&mut self) -> OpStates {
         self.ops_mut()
             .filter_map(|op| Some((op.state_key()?, op.export_state()?)))
             .collect()
@@ -151,7 +155,7 @@ impl StageOps {
     /// Installs previously exported state into operators with matching
     /// state keys; unmatched entries are dropped (their operator left the
     /// plan) and unmatched operators start fresh (they just joined).
-    pub fn import_states(&mut self, states: &mut HashMap<String, OpState>) {
+    pub fn import_states(&mut self, states: &mut OpStates) {
         for op in self.ops_mut() {
             if let Some(state) = op.state_key().and_then(|key| states.remove(&key)) {
                 op.import_state(state);
@@ -271,8 +275,9 @@ pub(crate) fn decode_batch(cx: &StageCtx<'_>, frames: Range<u64>, slots: &mut Ve
 /// Runs one stage's operator chain over one batch: the only place a stage
 /// span is opened, an [`ExecCtx`] built and
 /// [`Operator::process_batch`] called. `reuse` is the stream's cache when
-/// `kind` owns it and `None` otherwise. The chain runs in one
-/// [`Clock::host_section`], so its native charges sleep once.
+/// `kind` owns it and `None` otherwise; after the chain has run, the cache
+/// forgets the tracks the batch's trackers reported expired. The chain
+/// runs in one [`Clock::host_section`], so its native charges sleep once.
 pub(crate) fn run_stage(
     kind: StageKind,
     chain: &mut [Box<dyn Operator>],
@@ -299,6 +304,9 @@ pub(crate) fn run_stage(
             .iter_mut()
             .try_for_each(|op| op.process_batch(slots, &mut ctx))
     });
+    if let Some(reuse) = ctx.reuse {
+        slots.iter().for_each(|slot| reuse.forget(&slot.expired));
+    }
     if kind == StageKind::FrameFilter && result.is_ok() {
         // Frames alive past the frame filters count as processed.
         let alive = slots.iter().filter(|s| s.alive).count() as u64;
@@ -359,7 +367,7 @@ mod tests {
             planted.push(Some(pixels));
             ops.chains[kind.index()][0].push(Box::new(op));
         }
-        let kept = |states: &HashMap<String, OpState>| -> Vec<Option<PixelBuffer>> {
+        let kept = |states: &OpStates| -> Vec<Option<PixelBuffer>> {
             let frames = keys.iter().map(|key| match &states[key] {
                 OpState::DiffFilter { last_kept } => last_kept.clone(),
                 other => panic!("{key}: {other:?}"),

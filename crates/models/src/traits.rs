@@ -73,16 +73,21 @@ pub const DISPATCH_LAUNCH_COST: f64 = 2.0;
 /// invocation counts in [`Clock::stat`] stay unpolluted.
 pub const DISPATCH_LABEL: &str = "dispatch";
 
-fn charge_launch(clock: &Clock, cost: CostUnits) {
-    if cost > 0.0 {
-        clock.charge_model(DISPATCH_LABEL, DISPATCH_LAUNCH_COST);
-    }
-}
-
-fn credit_batch_overhead(clock: &Clock, cost: CostUnits, items: usize) {
-    if items > 1 {
-        clock.credit(cost * BATCH_OVERHEAD_FRACTION * (items - 1) as f64);
-    }
+/// One physical invocation of a model costing `cost` per item over
+/// `items` items: the launch charge, `run` (which charges each item), then
+/// the overhead credit, all in one [`Clock::batch_section`] — so in Latency
+/// mode the amortized net is realized as a single device sleep.
+fn physical_batch<T>(clock: &Clock, cost: CostUnits, items: usize, run: impl FnOnce() -> T) -> T {
+    clock.batch_section(|| {
+        if cost > 0.0 {
+            clock.charge_model(DISPATCH_LABEL, DISPATCH_LAUNCH_COST);
+        }
+        let out = run();
+        if items > 1 {
+            clock.credit(cost * BATCH_OVERHEAD_FRACTION * (items - 1) as f64);
+        }
+        out
+    })
 }
 
 /// An object detector: frame in, labeled boxes out.
@@ -101,11 +106,8 @@ pub trait Detector: Send + Sync {
         if frames.is_empty() {
             return Vec::new();
         }
-        clock.batch_section(|| {
-            charge_launch(clock, self.profile().cost);
-            let out = frames.iter().map(|f| self.detect(f, clock)).collect();
-            credit_batch_overhead(clock, self.profile().cost, frames.len());
-            out
+        physical_batch(clock, self.profile().cost, frames.len(), || {
+            frames.iter().map(|f| self.detect(f, clock)).collect()
         })
     }
 
@@ -140,9 +142,14 @@ pub trait Classifier: Send + Sync {
     /// identical to crop-at-a-time `classify`; only the charged cost
     /// differs.
     fn classify_batch(&self, frame: &Frame, dets: &[Detection], clock: &Clock) -> Vec<Value> {
-        self.classify_batch_jobs(&[(frame, dets)], clock)
-            .pop()
-            .unwrap_or_default()
+        if dets.is_empty() {
+            return Vec::new();
+        }
+        physical_batch(clock, self.profile().cost, dets.len(), || {
+            dets.iter()
+                .map(|d| self.classify(frame, d, clock))
+                .collect()
+        })
     }
 
     /// Classifies crops drawn from *several* frames — possibly several
@@ -162,18 +169,14 @@ pub trait Classifier: Send + Sync {
         if items == 0 {
             return jobs.iter().map(|_| Vec::new()).collect();
         }
-        clock.batch_section(|| {
-            charge_launch(clock, self.profile().cost);
-            let out = jobs
-                .iter()
+        physical_batch(clock, self.profile().cost, items, || {
+            jobs.iter()
                 .map(|(frame, dets)| {
                     dets.iter()
                         .map(|d| self.classify(frame, d, clock))
                         .collect()
                 })
-                .collect();
-            credit_batch_overhead(clock, self.profile().cost, items);
-            out
+                .collect()
         })
     }
 
@@ -221,11 +224,8 @@ pub trait FrameClassifier: Send + Sync {
         if frames.is_empty() {
             return Vec::new();
         }
-        clock.batch_section(|| {
-            charge_launch(clock, self.profile().cost);
-            let out = frames.iter().map(|f| self.predict(f, clock)).collect();
-            credit_batch_overhead(clock, self.profile().cost, frames.len());
-            out
+        physical_batch(clock, self.profile().cost, frames.len(), || {
+            frames.iter().map(|f| self.predict(f, clock)).collect()
         })
     }
 

@@ -19,12 +19,10 @@
 //! queries: their subgraph's operators are bit-for-bit the ones that were
 //! already running.
 
-use std::collections::HashMap;
 use vqpy_core::backend::exec::{run_segment, ResultSink};
-use vqpy_core::backend::ops::OpState;
 use vqpy_core::backend::plan::PlanDag;
 use vqpy_core::backend::reuse::{ReuseCache, ReuseTier};
-use vqpy_core::backend::stage::{instantiate_stage_ops, ExecEnv};
+use vqpy_core::backend::stage::{instantiate_stage_ops, ExecEnv, OpStates};
 use vqpy_core::backend::symbols::SymbolTable;
 use vqpy_core::error::Result;
 use vqpy_core::{ExecConfig, ExecMetrics, StageOps};
@@ -40,7 +38,7 @@ use vqpy_video::source::VideoSource;
 /// segment can be re-run from a consistent boundary.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
-    states: HashMap<String, OpState>,
+    states: OpStates,
     metrics: ExecMetrics,
 }
 
@@ -64,7 +62,7 @@ impl StreamEngine {
             plan,
             symbols,
             ops,
-            reuse: config.make_reuse(),
+            reuse: ReuseCache::new(),
             metrics: ExecMetrics::default(),
             workers,
         })
@@ -115,7 +113,7 @@ impl StreamEngine {
     /// retires at the splice boundary: its states seed the live engine via
     /// [`StreamEngine::recompile_with_seed`] or [`StreamEngine::seed_states`].
     /// The engine is left with empty operator state and should be dropped.
-    pub fn take_states(&mut self) -> HashMap<String, OpState> {
+    pub fn take_states(&mut self) -> OpStates {
         self.ops.export_states()
     }
 
@@ -123,7 +121,7 @@ impl StreamEngine {
     /// fingerprint has no matching operator are ignored). Only meaningful
     /// before the engine has run anything; later recompiles carry the
     /// seeded state forward like any other operator state.
-    pub fn seed_states(&mut self, mut seed: HashMap<String, OpState>) {
+    pub fn seed_states(&mut self, mut seed: OpStates) {
         self.ops.import_states(&mut seed);
     }
 
@@ -172,7 +170,7 @@ impl StreamEngine {
         &mut self,
         plan: PlanDag,
         zoo: &ModelZoo,
-        mut seed: HashMap<String, OpState>,
+        mut seed: OpStates,
     ) -> Result<()> {
         let mut ops = instantiate_stage_ops(&plan, zoo, self.workers, &mut self.symbols)?;
         ops.dispatch = std::sync::Arc::clone(&self.ops.dispatch);
@@ -265,7 +263,7 @@ mod tests {
             .unwrap();
         let reuse_before = engine.metrics().reuse;
         engine
-            .recompile_with_seed(p2, &zoo, HashMap::new())
+            .recompile_with_seed(p2, &zoo, OpStates::new())
             .unwrap();
         // The reuse cache survived the recompile.
         let mut sink2 = Collector::new(engine.plan());

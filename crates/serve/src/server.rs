@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
-use vqpy_core::backend::ops::OpState;
+use vqpy_core::backend::stage::OpStates;
 use vqpy_core::{DirectDispatch, ExecMetrics, ModelDispatch, Query, VqpySession};
 use vqpy_models::ClockMode;
 use vqpy_obs::{Telemetry, Tracer, STORE_LANE};
@@ -448,7 +448,7 @@ impl StreamServer {
         &self,
         s: &mut Stream,
         queries: &[Arc<Query>],
-        seed: Option<HashMap<String, OpState>>,
+        seed: Option<OpStates>,
     ) -> ServeResult<()> {
         if queries.is_empty() {
             if let Some(engine) = s.engine.take() {

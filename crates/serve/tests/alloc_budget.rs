@@ -11,8 +11,11 @@
 //! This covers what the offline budget (`vqpy-core`'s `alloc_budget.rs`)
 //! cannot see: the per-step engine snapshot, the demux into per-query
 //! events and the subscription channels. Measured with this file: **221.6**
-//! allocations a frame while property values were keyed by name, and
-//! **59.0** once they live in plan-resolved slots. Most of what is left is
+//! allocations a frame while property values were keyed by name,
+//! **59.0** once they live in plan-resolved slots, and **53.7** now that
+//! each stateful operator formats its state key once, when built, rather
+//! than twice per snapshot, and a single frame's classify call fills one
+//! result vector instead of a vector of one. Most of what is left is
 //! the hit rows themselves (an output column's name and value per cell,
 //! which `FrameHit` carries as owned `String`s) and the detectors' own
 //! output. The budget is the current figure plus a quarter.
@@ -30,7 +33,7 @@ use vqpy_serve::{Backpressure, ServeConfig, StreamServer, Subscription};
 use vqpy_video::{presets, Scene, SyntheticVideo, VideoSource};
 
 /// Serving-path allocations per frame the steady state may not exceed.
-const BUDGET_PER_FRAME: f64 = 74.0;
+const BUDGET_PER_FRAME: f64 = 67.0;
 const STREAMS: u64 = 4;
 const FRAMES_PER_STREAM: u64 = 304;
 

@@ -14,14 +14,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use vqpy_core::backend::ops::FrameSlot;
 use vqpy_core::frontend::{library, predicate::Pred};
-use vqpy_core::{Aggregate, ExecMode, Query, RetryPolicy, SessionConfig, VqpySession};
+use vqpy_core::{
+    Aggregate, ExecMode, PlanDag, Query, ResultSink, RetryPolicy, SessionConfig, VqpySession,
+};
 use vqpy_models::{
-    Clock, Detection, Detector, FaultInjector, FaultPlan, ModelProfile, ModelZoo, TaskKind,
+    Clock, Detection, Detector, FaultInjector, FaultPlan, ModelProfile, ModelZoo, TaskKind, Value,
 };
 use vqpy_serve::{
     AttachSpec, BatcherConfig, FaultStats, PaceMode, ServeConfig, ServeError, ServeEvent,
-    ServeSession, StreamFault, StreamSupervisor, Subscription, SupervisorConfig,
+    ServeSession, StreamEngine, StreamFault, StreamSupervisor, Subscription, SupervisorConfig,
 };
 use vqpy_store::{FrameStore, StoreConfig};
 use vqpy_video::{presets, FaultyVideo, Frame, Scene, SyntheticVideo, VideoSource};
@@ -288,14 +291,45 @@ fn drain(sub: vqpy_serve::Subscription) -> (Vec<vqpy_core::FrameHit>, Vec<Stream
     (hits, faults, terminal)
 }
 
+/// Every `(frame, track)` whose track aged out of `query`'s tracker on
+/// `video`, as the tracker itself reports it on the finished frames.
+fn expiries(session: &VqpySession, query: &Arc<Query>, video: &SyntheticVideo) -> Vec<(u64, u64)> {
+    struct Report(Vec<(u64, u64)>);
+    impl ResultSink for Report {
+        fn on_frame(&mut self, _: &PlanDag, slot: &FrameSlot) -> vqpy_core::error::Result<()> {
+            let frame = slot.frame.index;
+            self.0
+                .extend(slot.expired.iter().map(|&(_, track)| (frame, track)));
+            Ok(())
+        }
+    }
+    let plan = session.plan_for(&[Arc::clone(query)], video).unwrap();
+    let (zoo, exec) = (session.zoo(), &session.config().exec);
+    let mut engine = StreamEngine::new(plan, zoo, exec).unwrap();
+    let mut report = Report(Vec::new());
+    let frames = 0..video.frame_count();
+    engine
+        .run_segment(video, zoo, &Clock::new(), exec, frames, &mut report)
+        .unwrap();
+    report.0
+}
+
 /// A worker panic mid-stream is contained: the engine rolls back to its
 /// checkpoint, subscribers get a typed resumed `StreamFault`, the segment
 /// is replayed, and the full result set is byte-identical to a clean run —
 /// in both sequential and pipelined execution.
+///
+/// The second cell steps two batches at a time and strikes the second
+/// batch of a segment whose first batch saw a red car's track expire: the
+/// failed attempt has already dropped that track's cached colour, which
+/// the checkpoint does not cover. The expiry comes from the tracker's own
+/// report on the clean video.
 #[test]
 fn worker_panic_restart_is_byte_identical() {
+    const BATCH: u64 = 8;
     for config in [SessionConfig::default(), SessionConfig::pipelined(2)] {
-        let clean = video(83, 4.0);
+        assert_eq!(config.exec.batch_size as u64, BATCH);
+        let clean = video(83, 10.0);
         let query = color_query("RedCar", "red");
 
         let offline = Arc::new(VqpySession::with_config(
@@ -303,37 +337,68 @@ fn worker_panic_restart_is_byte_identical() {
             config.clone(),
         ));
         let expected = offline.execute(&query, &clean).unwrap();
+        let red: Vec<&Value> = expected
+            .frame_hits
+            .iter()
+            .flat_map(|h| h.outputs.iter().flatten())
+            .filter_map(|(column, value)| (column == "car.track_id").then_some(value))
+            .collect();
+        let strike = expiries(&offline, &query, &clean)
+            .into_iter()
+            .filter(|&(_, track)| red.contains(&&Value::Int(track as i64)))
+            .map(|(frame, _)| frame)
+            .filter(|frame| frame % (2 * BATCH) < BATCH)
+            .map(|frame| frame - frame % (2 * BATCH) + BATCH)
+            .find(|&at| at < clean.frame_count())
+            .expect("a red car's track expires in the first batch of a two-batch segment");
 
-        let session = Arc::new(VqpySession::with_config(ModelZoo::standard(), config));
-        let server = Arc::new(session.serve(ServeConfig::default()));
-        let stream = server.open_stream(Arc::new(PanicOnceVideo {
-            inner: clean,
-            at: 12,
-            fired: AtomicBool::new(false),
-        }));
-        let sub = server
-            .attach(stream, Arc::clone(&query))
-            .unwrap()
-            .into_inner();
-        let consumer = std::thread::spawn(move || drain(sub));
-        let metrics = server.run_to_end(stream).unwrap();
-        let (hits, faults, terminal) = consumer.join().unwrap();
+        for (at, batches_per_step) in [(12, 1), (strike, 2)] {
+            let session = Arc::new(VqpySession::with_config(
+                ModelZoo::standard(),
+                config.clone(),
+            ));
+            let server = Arc::new(session.serve(ServeConfig {
+                batches_per_step,
+                ..ServeConfig::default()
+            }));
+            let stream = server.open_stream(Arc::new(PanicOnceVideo {
+                inner: clean.clone(),
+                at,
+                fired: AtomicBool::new(false),
+            }));
+            let sub = server
+                .attach(stream, Arc::clone(&query))
+                .unwrap()
+                .into_inner();
+            let consumer = std::thread::spawn(move || drain(sub));
+            let metrics = server.run_to_end(stream).unwrap();
+            let (hits, faults, terminal) = consumer.join().unwrap();
 
-        assert!(terminal, "stream must still end cleanly");
-        assert_eq!(hits, expected.frame_hits, "replayed results diverged");
-        assert_eq!(metrics.restarts, 1, "exactly one restart");
-        assert_eq!(metrics.frames_lost, 0, "retry-resume loses nothing");
-        assert_eq!(faults.len(), 1, "one fault notice: {faults:?}");
-        let f = &faults[0];
-        assert!(f.resumed, "fault must be resumed: {f:?}");
-        assert_eq!(f.restarts, 1);
-        assert_eq!(f.frames_lost, 0);
-        assert_eq!(f.frame, 8, "fault segment starts at the batch boundary");
-        assert!(
-            f.message.contains("chaos camera"),
-            "panic payload must surface: {}",
-            f.message
-        );
+            let cell = format!("panic at {at}, {batches_per_step} batches a step");
+            assert!(terminal, "{cell}: stream must still end cleanly");
+            assert_eq!(
+                hits, expected.frame_hits,
+                "{cell}: replayed results diverged"
+            );
+            assert_eq!(metrics.restarts, 1, "{cell}: exactly one restart");
+            assert_eq!(metrics.frames_lost, 0, "{cell}: retry-resume loses nothing");
+            assert_eq!(faults.len(), 1, "{cell}: one fault notice: {faults:?}");
+            let f = &faults[0];
+            assert!(f.resumed, "{cell}: fault must be resumed: {f:?}");
+            assert_eq!(f.restarts, 1);
+            assert_eq!(f.frames_lost, 0);
+            let segment = BATCH * batches_per_step;
+            assert_eq!(
+                f.frame,
+                at - at % segment,
+                "{cell}: fault segment starts at the step boundary"
+            );
+            assert!(
+                f.message.contains("chaos camera"),
+                "{cell}: panic payload must surface: {}",
+                f.message
+            );
+        }
     }
 }
 
