@@ -67,7 +67,7 @@ impl ReuseStats {
 type Key = (Sym, TrackId, Sym);
 
 /// Memoized intrinsic property values of the live tracks.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct ReuseCache {
     entries: HashMap<Key, Value>,
     stats: ReuseStats,
@@ -148,6 +148,15 @@ impl ReuseCache {
         }
         self.entries
             .retain(|&(alias, track, _), _| !expired.contains(&(alias, track)));
+    }
+
+    /// Rolls the memoized values and statistics back to `checkpoint`, an
+    /// earlier clone of this cache, keeping the installed tier. A serving
+    /// restart needs this: the failed attempt may have forgotten a track
+    /// whose last sighting the re-run probes again.
+    pub fn restore(&mut self, checkpoint: &ReuseCache) {
+        self.entries.clone_from(&checkpoint.entries);
+        self.stats = checkpoint.stats;
     }
 
     /// Cache statistics so far.
@@ -252,6 +261,20 @@ mod tests {
         c.forget(&[(CAR, 2), (TRUCK, 1)]);
         assert!(c.is_empty());
         assert_eq!(c.stats(), stats, "forgetting is not a miss");
+    }
+
+    /// A checkpoint brings back what a failed attempt forgot, and its
+    /// probes stop counting.
+    #[test]
+    fn restore_rolls_back_values_and_stats() {
+        let mut c = ReuseCache::new();
+        put(&mut c, CAR, 1, COLOR, "red");
+        let checkpoint = c.clone();
+        c.forget(&[(CAR, 1)]);
+        assert!(get(&mut c, CAR, 1, COLOR).is_none());
+        c.restore(&checkpoint);
+        assert_eq!(c.stats(), checkpoint.stats());
+        assert_eq!(get(&mut c, CAR, 1, COLOR), Some(Value::from("red")));
     }
 
     #[derive(Debug, Default)]

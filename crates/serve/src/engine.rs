@@ -31,14 +31,19 @@ use vqpy_video::source::VideoSource;
 
 /// A restorable checkpoint of one stream engine: every stateful operator's
 /// cross-frame state (tracker tracks, frame-difference reference frames,
-/// stateful property windows) plus the cumulative metrics at capture time.
+/// stateful property windows), the reuse cache's values and statistics,
+/// and the cumulative metrics at capture time.
 ///
-/// Taken by the serving layer before each segment when worker restarts are
-/// enabled; [`StreamEngine::restore`] rolls the engine back so a panicked
-/// segment can be re-run from a consistent boundary.
+/// Taken by the serving layer before each segment;
+/// [`StreamEngine::restore`] rolls the engine back so a panicked segment
+/// can be re-run from a consistent boundary. The cache belongs in it
+/// because prep forgets a track's values when it expires, 16 frames after
+/// its last sighting: a failed attempt may forget a track whose last
+/// sighting the re-run, from the restored tracker, probes again.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     states: OpStates,
+    reuse: ReuseCache,
     metrics: ExecMetrics,
 }
 
@@ -125,28 +130,31 @@ impl StreamEngine {
         self.ops.import_states(&mut seed);
     }
 
-    /// Captures a restorable checkpoint of every stateful operator plus
-    /// the cumulative metrics. Export drains the operators, so the state
-    /// is cloned and immediately re-imported — the engine keeps running
-    /// exactly as before the call.
+    /// Captures a restorable checkpoint of every stateful operator, the
+    /// reuse cache and the cumulative metrics. Export drains the
+    /// operators, so the state is cloned and immediately re-imported — the
+    /// engine keeps running exactly as before the call.
     pub fn snapshot(&mut self) -> EngineSnapshot {
         let mut states = self.ops.export_states();
         let cloned = states.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         self.ops.import_states(&mut states);
         EngineSnapshot {
             states: cloned,
+            reuse: self.reuse.clone(),
             metrics: self.metrics.clone(),
         }
     }
 
     /// Rolls the engine back to a checkpoint taken by
     /// [`StreamEngine::snapshot`]: every stateful operator's cross-frame
-    /// state and the cumulative metrics are overwritten. Used by the
-    /// serving layer's restart policy after a worker panic, so a re-run
-    /// starts from the same consistent boundary the failed segment did.
+    /// state, the reuse cache's values and statistics, and the cumulative
+    /// metrics are overwritten. Used by the serving layer's restart policy
+    /// after a worker panic, so a re-run starts from the same consistent
+    /// boundary the failed segment did.
     pub fn restore(&mut self, snapshot: &EngineSnapshot) {
         let mut states = snapshot.states.clone();
         self.ops.import_states(&mut states);
+        self.reuse.restore(&snapshot.reuse);
         self.metrics = snapshot.metrics.clone();
     }
 

@@ -12,10 +12,13 @@
 //! cannot see: the per-step engine snapshot, the demux into per-query
 //! events and the subscription channels. Measured with this file: **221.6**
 //! allocations a frame while property values were keyed by name,
-//! **59.0** once they live in plan-resolved slots, and **53.7** now that
-//! each stateful operator formats its state key once, when built, rather
-//! than twice per snapshot, and a single frame's classify call fills one
-//! result vector instead of a vector of one. Most of what is left is
+//! **59.0** once they live in plan-resolved slots, **53.7** once each
+//! stateful operator formats its state key once, when built, rather than
+//! twice per snapshot, and a single frame's classify call fills one result
+//! vector instead of a vector of one, and **53.85** now that the snapshot
+//! also copies the reuse cache (one map a step; the run's total moves by
+//! one allocation with the hash seed, so the figure prints as 53.8 or
+//! 53.9). Most of what is left is
 //! the hit rows themselves (an output column's name and value per cell,
 //! which `FrameHit` carries as owned `String`s) and the detectors' own
 //! output. The budget is the current figure plus a quarter.

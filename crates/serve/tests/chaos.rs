@@ -20,11 +20,13 @@ use vqpy_core::{
     Aggregate, ExecMode, PlanDag, Query, ResultSink, RetryPolicy, SessionConfig, VqpySession,
 };
 use vqpy_models::{
-    Clock, Detection, Detector, FaultInjector, FaultPlan, ModelProfile, ModelZoo, TaskKind, Value,
+    Classifier, Clock, Detection, Detector, FaultInjector, FaultPlan, ModelProfile, ModelZoo,
+    TaskKind, Value,
 };
 use vqpy_serve::{
     AttachSpec, BatcherConfig, FaultStats, PaceMode, ServeConfig, ServeError, ServeEvent,
-    ServeSession, StreamEngine, StreamFault, StreamSupervisor, Subscription, SupervisorConfig,
+    ServeMetrics, ServeSession, StreamEngine, StreamFault, StreamSupervisor, Subscription,
+    SupervisorConfig,
 };
 use vqpy_store::{FrameStore, StoreConfig};
 use vqpy_video::{presets, FaultyVideo, Frame, Scene, SyntheticVideo, VideoSource};
@@ -314,28 +316,105 @@ fn expiries(session: &VqpySession, query: &Arc<Query>, video: &SyntheticVideo) -
     report.0
 }
 
+/// A classifier that panics once, on its first crop of a frame at or
+/// after `from`, and otherwise defers to `inner`.
+struct PanicOnceClassifier {
+    inner: Arc<dyn Classifier>,
+    from: u64,
+    fired: AtomicBool,
+}
+
+impl Classifier for PanicOnceClassifier {
+    fn profile(&self) -> &ModelProfile {
+        self.inner.profile()
+    }
+    fn classify(&self, frame: &Frame, det: &Detection, clock: &Clock) -> Value {
+        if frame.index >= self.from && !self.fired.swap(true, Ordering::Relaxed) {
+            panic!("chaos classifier died at frame {}", frame.index);
+        }
+        self.inner.classify(frame, det, clock)
+    }
+}
+
+/// Serves `query` on `source` to the end and drains its subscription.
+fn serve_to_end(
+    session: VqpySession,
+    source: Arc<dyn VideoSource>,
+    query: &Arc<Query>,
+) -> (
+    Vec<vqpy_core::FrameHit>,
+    Vec<StreamFault>,
+    bool,
+    ServeMetrics,
+) {
+    let server = Arc::new(Arc::new(session).serve(ServeConfig::default()));
+    let stream = server.open_stream(source);
+    let sub = server
+        .attach(stream, Arc::clone(query))
+        .unwrap()
+        .into_inner();
+    let consumer = std::thread::spawn(move || drain(sub));
+    let metrics = server.run_to_end(stream).unwrap();
+    let (hits, faults, terminal) = consumer.join().unwrap();
+    (hits, faults, terminal, metrics)
+}
+
 /// A worker panic mid-stream is contained: the engine rolls back to its
 /// checkpoint, subscribers get a typed resumed `StreamFault`, the segment
-/// is replayed, and the full result set is byte-identical to a clean run —
-/// in both sequential and pipelined execution.
+/// is replayed, and the full result set — and the reuse hit rate — equals
+/// a clean run, in both sequential and pipelined execution.
 ///
-/// The second cell steps two batches at a time and strikes the second
-/// batch of a segment whose first batch saw a red car's track expire: the
-/// failed attempt has already dropped that track's cached colour, which
-/// the checkpoint does not cover. The expiry comes from the tracker's own
-/// report on the clean video.
+/// The second cell makes the checkpoint cover the reuse cache. A track
+/// expires 16 frames (the tracker's `max_age + 1`) after its last
+/// sighting, so with 24-frame batches a
+/// red car's expiry and last sighting can share one batch: prep forgets
+/// the car's colour, then the post-prep `direction` projection panics
+/// before the batch is delivered. The re-run's restored tracker probes the
+/// car again at its last sighting, which must hit as in the clean run. The
+/// batch comes from the tracker's own expiry report on the clean video.
 #[test]
 fn worker_panic_restart_is_byte_identical() {
-    const BATCH: u64 = 8;
     for config in [SessionConfig::default(), SessionConfig::pipelined(2)] {
-        assert_eq!(config.exec.batch_size as u64, BATCH);
-        let clean = video(83, 10.0);
+        let clean = video(83, 4.0);
         let query = color_query("RedCar", "red");
+        let expected = VqpySession::with_config(ModelZoo::standard(), config.clone())
+            .execute(&query, &clean)
+            .unwrap();
+        let source = Arc::new(PanicOnceVideo {
+            inner: clean.clone(),
+            at: 12,
+            fired: AtomicBool::new(false),
+        });
+        let session = VqpySession::with_config(ModelZoo::standard(), config.clone());
+        let (hits, faults, terminal, metrics) = serve_to_end(session, source, &query);
 
-        let offline = Arc::new(VqpySession::with_config(
-            ModelZoo::standard(),
-            config.clone(),
-        ));
+        assert!(terminal, "stream must still end cleanly");
+        assert_eq!(hits, expected.frame_hits, "replayed results diverged");
+        assert_eq!(metrics.reuse_hit_rate, expected.metrics.reuse.hit_rate());
+        assert_eq!(metrics.restarts, 1, "exactly one restart");
+        assert_eq!(metrics.frames_lost, 0, "retry-resume loses nothing");
+        assert_eq!(faults.len(), 1, "one fault notice: {faults:?}");
+        let f = &faults[0];
+        assert!(f.resumed, "fault must be resumed: {f:?}");
+        assert_eq!(f.restarts, 1);
+        assert_eq!(f.frames_lost, 0);
+        assert_eq!(f.frame, 8, "fault segment starts at the batch boundary");
+        assert!(
+            f.message.contains("chaos camera"),
+            "panic payload must surface: {}",
+            f.message
+        );
+
+        const BATCH: u64 = 24;
+        let mut config = config;
+        config.exec.batch_size = BATCH as usize;
+        let query = Query::builder("RedCarHeading")
+            .vobj("car", library::vehicle_schema_intrinsic())
+            .frame_constraint(Pred::gt("car", "score", 0.5) & Pred::eq("car", "color", "red"))
+            .frame_output(&[("car", "track_id"), ("car", "direction")])
+            .build()
+            .unwrap();
+        let offline = VqpySession::with_config(ModelZoo::standard(), config.clone());
         let expected = offline.execute(&query, &clean).unwrap();
         let red: Vec<&Value> = expected
             .frame_hits
@@ -347,58 +426,41 @@ fn worker_panic_restart_is_byte_identical() {
             .into_iter()
             .filter(|&(_, track)| red.contains(&&Value::Int(track as i64)))
             .map(|(frame, _)| frame)
-            .filter(|frame| frame % (2 * BATCH) < BATCH)
-            .map(|frame| frame - frame % (2 * BATCH) + BATCH)
-            .find(|&at| at < clean.frame_count())
-            .expect("a red car's track expires in the first batch of a two-batch segment");
+            .find(|frame| frame % BATCH >= 16)
+            .map(|frame| frame - frame % BATCH)
+            .expect("a red car's last sighting and expiry share a batch");
+        let zoo = ModelZoo::standard();
+        zoo.register_classifier(Arc::new(PanicOnceClassifier {
+            inner: zoo.classifier("direction_model").unwrap(),
+            from: strike,
+            fired: AtomicBool::new(false),
+        }));
+        let (hits, faults, terminal, metrics) = serve_to_end(
+            VqpySession::with_config(zoo, config),
+            Arc::new(clean),
+            &query,
+        );
 
-        for (at, batches_per_step) in [(12, 1), (strike, 2)] {
-            let session = Arc::new(VqpySession::with_config(
-                ModelZoo::standard(),
-                config.clone(),
-            ));
-            let server = Arc::new(session.serve(ServeConfig {
-                batches_per_step,
-                ..ServeConfig::default()
-            }));
-            let stream = server.open_stream(Arc::new(PanicOnceVideo {
-                inner: clean.clone(),
-                at,
-                fired: AtomicBool::new(false),
-            }));
-            let sub = server
-                .attach(stream, Arc::clone(&query))
-                .unwrap()
-                .into_inner();
-            let consumer = std::thread::spawn(move || drain(sub));
-            let metrics = server.run_to_end(stream).unwrap();
-            let (hits, faults, terminal) = consumer.join().unwrap();
-
-            let cell = format!("panic at {at}, {batches_per_step} batches a step");
-            assert!(terminal, "{cell}: stream must still end cleanly");
-            assert_eq!(
-                hits, expected.frame_hits,
-                "{cell}: replayed results diverged"
-            );
-            assert_eq!(metrics.restarts, 1, "{cell}: exactly one restart");
-            assert_eq!(metrics.frames_lost, 0, "{cell}: retry-resume loses nothing");
-            assert_eq!(faults.len(), 1, "{cell}: one fault notice: {faults:?}");
-            let f = &faults[0];
-            assert!(f.resumed, "{cell}: fault must be resumed: {f:?}");
-            assert_eq!(f.restarts, 1);
-            assert_eq!(f.frames_lost, 0);
-            let segment = BATCH * batches_per_step;
-            assert_eq!(
-                f.frame,
-                at - at % segment,
-                "{cell}: fault segment starts at the step boundary"
-            );
-            assert!(
-                f.message.contains("chaos camera"),
-                "{cell}: panic payload must surface: {}",
-                f.message
-            );
-        }
+        let cell = format!("direction panic in the batch at {strike}");
+        assert!(terminal, "{cell}: stream must still end cleanly");
+        assert_eq!(
+            hits, expected.frame_hits,
+            "{cell}: replayed results diverged"
+        );
+        assert_eq!(
+            metrics.reuse_hit_rate,
+            expected.metrics.reuse.hit_rate(),
+            "{cell}: the re-run must hit the cache as the clean run did"
+        );
+        assert_eq!(metrics.restarts, 1, "{cell}: exactly one restart");
+        assert_eq!(faults.len(), 1, "{cell}: one fault notice: {faults:?}");
+        assert!(faults[0].resumed, "{cell}: {:?}", faults[0]);
+        assert_eq!(faults[0].frame, strike, "{cell}: {:?}", faults[0]);
+        assert!(
+            faults[0].message.contains("chaos classifier"),
+            "{cell}: panic payload must surface: {}",
+            faults[0].message
+        );
     }
 }
 
