@@ -24,8 +24,9 @@
 //!
 //! Frame slots are workspaces ([`FrameSlot::reset`]) whose graphs keep
 //! property values in plan-resolved slots ([`SlotLayout`]), every operator
-//! resolved the names it reads and writes when it was instantiated, the
-//! reuse cache is keyed by interned symbols, strings are shared, and the
+//! resolved the names it reads and writes when it was instantiated, a
+//! track's windows and memoised values are cells of its object table's row
+//! (rows are reused once their tracks expire), strings are shared, and the
 //! trackers and operators keep their scratch across frames. So in the
 //! steady state projection, history windows, caching, candidate
 //! enumeration, predicate evaluation and match recording allocate nothing.
@@ -39,7 +40,7 @@ use crate::backend::graph::{NodeId, PropAccess, SlotLayout};
 use crate::backend::ops::{FrameSlot, Matches};
 use crate::backend::pipeline::run_pipelined;
 use crate::backend::plan::{JoinSpec, PlanDag};
-use crate::backend::reuse::{ReuseCache, ReuseStats};
+use crate::backend::reuse::ReuseStats;
 use crate::backend::stage::{
     decode_batch, deliver, instantiate_stage_ops, run_stage, ExecEnv, StageCtx, StageKind, StageOps,
 };
@@ -369,9 +370,7 @@ pub fn execute_plan(
     config: &ExecConfig,
 ) -> Result<Vec<QueryResult>> {
     let workers = config.exec_mode.workers();
-    let mut symbols = plan.symbols.clone();
-    let mut ops = instantiate_stage_ops(plan, zoo, workers, &mut symbols)?;
-    let mut reuse = ReuseCache::new();
+    let mut ops = instantiate_stage_ops(plan, zoo, workers)?;
     let mut metrics = ExecMetrics::default();
     let mut collector = Collector::new(plan);
     let start_ms = clock.virtual_ms();
@@ -383,15 +382,8 @@ pub fn execute_plan(
         config,
     };
     let frames = 0..source.frame_count();
-    run_segment(
-        env,
-        frames,
-        &mut ops,
-        &mut reuse,
-        &mut metrics,
-        &mut collector,
-    )?;
-    metrics.reuse = reuse.stats();
+    run_segment(env, frames, &mut ops, &mut metrics, &mut collector)?;
+    metrics.reuse = ops.objects.stats;
     let total_ms = clock.virtual_ms() - start_ms;
     Ok(collector.finalize(plan, metrics, total_ms))
 }
@@ -399,15 +391,14 @@ pub fn execute_plan(
 /// Streams the contiguous frame `range` of `env.source` through `ops`,
 /// delivering every finished slot to `sink` in frame order, under the
 /// scheduler [`ExecConfig::exec_mode`] names. All cross-call state lives in
-/// `ops`/`reuse`/`metrics`, so callers may interleave segments with plan
+/// `ops` and `metrics`, so callers may interleave segments with plan
 /// recompiles (the serving layer's attach/detach) or run one whole-video
 /// segment (the offline path). `metrics.reuse` is *not* refreshed here —
-/// callers snapshot `reuse.stats()` when they finish.
+/// callers read `ops.objects.stats` when they finish.
 pub fn run_segment(
     env: ExecEnv<'_>,
     range: Range<u64>,
     ops: &mut StageOps,
-    reuse: &mut ReuseCache,
     metrics: &mut ExecMetrics,
     sink: &mut dyn ResultSink,
 ) -> Result<()> {
@@ -416,8 +407,8 @@ pub fn run_segment(
     }
     let cx = StageCtx::new(env, ops);
     let result = match env.config.exec_mode {
-        ExecMode::Sequential => run_sequential(&cx, range, ops, reuse, metrics, sink),
-        ExecMode::Pipelined { .. } => run_pipelined(&cx, range, ops, reuse, metrics, sink),
+        ExecMode::Sequential => run_sequential(&cx, range, ops, metrics, sink),
+        ExecMode::Pipelined { .. } => run_pipelined(&cx, range, ops, metrics, sink),
     };
     cx.flush(metrics);
     result
@@ -429,7 +420,6 @@ fn run_sequential(
     cx: &StageCtx<'_>,
     range: Range<u64>,
     ops: &mut StageOps,
-    reuse: &mut ReuseCache,
     metrics: &mut ExecMetrics,
     sink: &mut dyn ResultSink,
 ) -> Result<()> {
@@ -444,8 +434,8 @@ fn run_sequential(
         }
         for kind in StageKind::ALL {
             let chain = &mut ops.chains[kind.index()][0];
-            let reuse = kind.owns_reuse().then_some(&mut *reuse);
-            run_stage(kind, chain, seq as u64, slots, reuse, cx)?;
+            let objects = kind.owns_objects().then_some(&mut ops.objects);
+            run_stage(kind, chain, objects, seq as u64, slots, cx)?;
         }
         deliver(cx.env.plan, slots, metrics, sink)?;
         if config.record_per_frame_ms {

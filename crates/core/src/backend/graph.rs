@@ -18,7 +18,7 @@
 //! same way ([`SlotLayout::resolve`]), so nothing on the frame path looks a
 //! property up by name.
 
-use crate::backend::symbols::{Istr, Sym};
+use crate::backend::symbols::Istr;
 use crate::frontend::predicate::{Pred, PredScope, PropRef, RelRef};
 use crate::frontend::property::BuiltinProp;
 use std::borrow::Cow;
@@ -177,10 +177,10 @@ pub struct VObjNode {
     pub score: f32,
     /// Tracker identity, once the tracker operator has run.
     pub track_id: Option<TrackId>,
+    /// The track's row in its alias's object table, set with `track_id`.
+    pub row: Option<usize>,
     /// Whether the track has enough hits to be trusted for stateful props.
     pub track_confirmed: bool,
-    /// Whether this object was first seen on this frame.
-    pub track_is_new: bool,
     /// Frame index where this track was previously seen (motion edge).
     pub prev_frame: Option<u64>,
     /// Simulation linkage for scoring only; engines must not read it.
@@ -207,8 +207,8 @@ impl VObjNode {
             bbox: det.bbox,
             score: det.score,
             track_id: None,
+            row: None,
             track_confirmed: false,
-            track_is_new: true,
             prev_frame: None,
             sim_entity: det.sim_entity,
             alive: true,
@@ -271,7 +271,7 @@ pub enum EdgeKind {
 pub struct Edge {
     pub kind: EdgeKind,
     /// The relation's interned name (matches the query's `RelationDecl`).
-    pub relation: Sym,
+    pub relation: Istr,
     pub from: NodeId,
     pub to: NodeId,
 }
@@ -383,7 +383,7 @@ impl FrameGraph {
     }
 
     /// The edge of `relation` connecting `from` to `to`, if present.
-    pub fn edge_between(&self, relation: Sym, from: NodeId, to: NodeId) -> Option<EdgeId> {
+    pub fn edge_between(&self, relation: Istr, from: NodeId, to: NodeId) -> Option<EdgeId> {
         self.edges
             .iter()
             .position(|e| e.relation == relation && e.from == from && e.to == to)
@@ -432,7 +432,6 @@ impl PredScope<NodeRead, EdgeRead> for NodeScope<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::symbols::SymbolTable;
     use vqpy_video::geometry::Point;
 
     fn node(alias: &str) -> VObjNode {
@@ -503,8 +502,7 @@ mod tests {
 
     #[test]
     fn edges_are_searchable() {
-        let mut syms = SymbolTable::new();
-        let near = syms.intern("near");
+        let near = Istr::new("near");
         let mut g = graph(&[], &["distance"]);
         let a = g.add_node(node("car"));
         let b = g.add_node(node("person"));
@@ -519,7 +517,7 @@ mod tests {
         let found = g.edge_between(near, a, b).unwrap();
         assert_eq!(g.edge_value(found, distance), Some(&Value::Float(42.0)));
         assert!(g.edge_between(near, b, a).is_none());
-        assert!(g.edge_between(syms.intern("far"), a, b).is_none());
+        assert!(g.edge_between(Istr::new("far"), a, b).is_none());
     }
 
     #[test]

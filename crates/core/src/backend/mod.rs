@@ -1,9 +1,10 @@
 //! The object-centric backend (§4): object graph, operators, planner,
-//! optimizer, canary profiler, execution engine, and reuse cache.
+//! optimizer, canary profiler, execution engine, object tables and reuse.
 
 pub mod dispatch;
 pub mod exec;
 pub mod graph;
+pub mod objects;
 pub mod ops;
 pub mod optimize;
 pub mod pipeline;

@@ -10,9 +10,9 @@ use crate::backend::graph::{
     Edge, EdgeKind, EdgeRead, EdgeSlot, FrameGraph, NodeId, NodeRead, NodeScope, PropAccess,
     PropSlot, SlotLayout, SlotPred, VObjNode,
 };
+use crate::backend::objects::{ObjectTable, Objects};
 use crate::backend::plan::{OpSpec, PlanDag};
-use crate::backend::reuse::ReuseCache;
-use crate::backend::symbols::{Istr, Sym, SymbolTable};
+use crate::backend::symbols::Istr;
 use crate::error::{Result, VqpyError};
 use crate::frontend::predicate::{or_null, Pred, PredScope};
 use crate::frontend::property::{PropertyCtx, PropertyDef, PropertyKind, PropertySource};
@@ -25,7 +25,7 @@ use std::sync::Arc;
 use vqpy_models::{
     Classifier, Clock, Detection, Detector, FrameClassifier, HoiModel, ModelZoo, Value,
 };
-use vqpy_tracker::{SortTracker, TrackId, TrackUpdate, TrackerParams};
+use vqpy_tracker::{TrackId, TrackUpdate};
 use vqpy_video::frame::{Frame, PixelBuffer};
 use vqpy_video::geometry::BBox;
 
@@ -45,10 +45,9 @@ pub struct FrameSlot {
     /// [`crate::backend::plan::PlanDag::joins`]).
     pub matches: Vec<Matches>,
     /// Tracks that aged out of their alias's tracker on this frame, by the
-    /// alias's interned symbol. Ids are never reused, so stateful
-    /// projections of that alias drop their windows for them and the stage
-    /// owning the reuse cache drops their memoized values.
-    pub expired: Vec<(Sym, TrackId)>,
+    /// alias's object table. Ids are never reused, so the stage owning the
+    /// tables frees their rows once it has run the whole batch.
+    pub expired: Vec<(usize, TrackId)>,
 }
 
 impl FrameSlot {
@@ -125,9 +124,11 @@ pub struct ExecCtx<'a> {
     pub zoo: &'a ModelZoo,
     pub clock: &'a Clock,
     pub fps: u32,
-    /// The stream's intrinsic-property cache (§4.2), handed only to the
-    /// stage that owns it; `None` elsewhere and when reuse is toggled off.
-    pub reuse: Option<&'a mut ReuseCache>,
+    /// The stream's object tables, handed only to the stage that owns
+    /// them; `None` elsewhere.
+    pub objects: Option<&'a mut Objects>,
+    /// Whether intrinsic projections memoise their values (§4.2).
+    pub reuse: bool,
     /// The model-dispatch boundary: how detect-, binary-filter-, and
     /// classify-stage model invocations are issued (see
     /// [`crate::backend::dispatch`]). A serving supervisor swaps in a
@@ -140,60 +141,24 @@ pub struct ExecCtx<'a> {
     pub tracer: &'a vqpy_obs::Tracer,
 }
 
-/// Cross-frame operator state, extracted so a serving layer can carry it
-/// across plan recompiles: when a query attaches or detaches mid-stream,
-/// the recompiled super-plan's operators with matching
-/// [`Operator::state_key`]s inherit the old state, keeping surviving
-/// queries' results byte-identical to an uninterrupted run.
-///
-/// `Clone` gives the serving layer a cheap checkpoint: state is cloned
-/// before each fallible segment so a panicking worker can restart from
-/// exactly the pre-segment state.
+/// Cross-frame state, copied out so a serving layer can carry it across
+/// plan recompiles: the recompiled super-plan's operators with matching
+/// [`Operator::state_key`]s, and its object tables with matching tracker
+/// fingerprints, inherit it, keeping surviving queries' results
+/// byte-identical to an uninterrupted run. The same copy is the serving
+/// layer's checkpoint before each fallible segment.
 #[derive(Debug, Clone)]
 pub enum OpState {
     /// [`DiffFrameFilter`]: the last kept frame's pixels.
     DiffFilter { last_kept: Option<PixelBuffer> },
-    /// [`TrackOp`]: the tracker and its motion-edge bookkeeping.
-    Track {
-        tracker: SortTracker,
-        last_seen: HashMap<TrackId, u64>,
-    },
-    /// [`ProjectOp`]: per-track sliding windows of stateful dependencies.
-    Project { history: HashMap<TrackId, History> },
+    /// A tracked alias's [`ObjectTable`]: its tracker and every live
+    /// track's row.
+    Table(ObjectTable),
 }
 
-/// One track's window for a stateful projection: the last `history_len`
-/// samples of each dependency in a fixed buffer, dependency-major, oldest
-/// first, so a full window is the [`PropertyCtx`] input as it stands.
-#[derive(Debug, Clone)]
-pub struct History {
-    samples: Vec<Value>,
-    len: usize,
-    filled: usize,
-}
-
-impl History {
-    fn new(deps: usize, len: usize) -> Self {
-        Self {
-            samples: vec![Value::Null; deps * len],
-            len,
-            filled: 0,
-        }
-    }
-
-    /// Appends one sample per dependency, dropping the oldest.
-    fn push(&mut self, sample: impl Iterator<Item = Value>) {
-        for (ring, v) in self.samples.chunks_exact_mut(self.len).zip(sample) {
-            ring.rotate_left(1);
-            ring[self.len - 1] = v;
-        }
-        self.filled = (self.filled + 1).min(self.len);
-    }
-}
-
-/// A pipeline stage. Operators keep their own cross-frame state (trackers,
-/// history windows, previous pixels) and must therefore observe frames in
-/// order.
+/// A pipeline stage. Operators keep their own cross-frame state (previous
+/// pixels) or reach their alias's object table through [`ExecCtx`], and
+/// must therefore observe frames in order.
 pub trait Operator: Send {
     /// Operator name for plan dumps and metrics.
     fn name(&self) -> String;
@@ -229,12 +194,12 @@ pub trait Operator: Send {
     fn state_key(&self) -> Option<Arc<str>> {
         None
     }
-    /// Extracts the cross-frame state for carry-over, leaving this operator
-    /// reset. Only meaningful when [`Operator::state_key`] is `Some`.
-    fn export_state(&mut self) -> Option<OpState> {
+    /// A copy of the cross-frame state for carry-over. Only meaningful
+    /// when [`Operator::state_key`] is `Some`.
+    fn state(&self) -> Option<OpState> {
         None
     }
-    /// Installs state previously exported by an operator with the same
+    /// Installs state copied from an operator with the same
     /// [`Operator::state_key`]. Mismatched variants are ignored.
     fn import_state(&mut self, _state: OpState) {}
 }
@@ -288,9 +253,9 @@ impl Operator for DiffFrameFilter {
         Some(Arc::clone(&self.state_key))
     }
 
-    fn export_state(&mut self) -> Option<OpState> {
+    fn state(&self) -> Option<OpState> {
         Some(OpState::DiffFilter {
-            last_kept: self.last_kept.take(),
+            last_kept: self.last_kept.clone(),
         })
     }
 
@@ -421,34 +386,29 @@ impl Operator for DetectOp {
 // ---------------------------------------------------------------------------
 
 /// Object tracker operator for one alias: assigns stable track ids and
-/// motion linkage, enabling stateful properties and intrinsic reuse.
+/// motion linkage with the tracker in the alias's object table, and stamps
+/// each node with its track's row there.
 pub struct TrackOp {
     alias: Istr,
-    /// The alias's symbol, which expiry reports carry.
-    alias_sym: Sym,
-    tracker: SortTracker,
-    last_seen: HashMap<TrackId, u64>,
+    /// The alias's object table.
+    table: usize,
     /// Scratch, reused across frames.
     ids: Vec<NodeId>,
     boxes: Vec<(BBox, &'static str)>,
     updates: Vec<TrackUpdate>,
     expired: Vec<TrackId>,
-    state_key: Arc<str>,
 }
 
 impl TrackOp {
-    /// Creates a tracker for `alias`, whose interned symbol is `alias_sym`.
-    pub fn new(alias: &str, alias_sym: Sym) -> Self {
+    /// Creates the tracker operator for `alias`, whose table is `table`.
+    pub fn new(alias: &str, table: usize) -> Self {
         Self {
             alias: Istr::new(alias),
-            alias_sym,
-            tracker: SortTracker::new(TrackerParams::default()),
-            last_seen: HashMap::new(),
+            table,
             ids: Vec::new(),
             boxes: Vec::new(),
             updates: Vec::new(),
             expired: Vec::new(),
-            state_key: format!("track({alias})").into(),
         }
     }
 }
@@ -459,6 +419,8 @@ impl Operator for TrackOp {
     }
 
     fn process(&mut self, slot: &mut FrameSlot, ctx: &mut ExecCtx<'_>) -> Result<()> {
+        let objects = ctx.objects.as_deref_mut().expect("trackers run in prep");
+        let table = objects.table_mut(self.table);
         // The Kalman tracker is native and cheap, but not free.
         ctx.clock.charge_labeled("tracker", 0.05);
         let graph = &mut slot.graph;
@@ -470,42 +432,20 @@ impl Operator for TrackOp {
             (n.bbox, n.class_label.as_str())
         }));
         self.expired.clear();
-        self.tracker
+        table
+            .tracker
             .update_into(&self.boxes, &mut self.updates, &mut self.expired);
         for (&node_id, up) in self.ids.iter().zip(&self.updates) {
+            let row = table.row(up.track_id);
             let node = &mut graph.nodes[node_id];
             node.track_id = Some(up.track_id);
+            node.row = Some(row);
             node.track_confirmed = up.confirmed;
-            node.track_is_new = up.is_new;
-            node.prev_frame = self.last_seen.get(&up.track_id).copied();
-            self.last_seen.insert(up.track_id, slot.frame.index);
+            node.prev_frame = table.seen(row, slot.frame.index);
         }
-        for &id in &self.expired {
-            self.last_seen.remove(&id);
-            slot.expired.push((self.alias_sym, id));
-        }
+        let expired = self.expired.iter().map(|&id| (self.table, id));
+        slot.expired.extend(expired);
         Ok(())
-    }
-
-    fn state_key(&self) -> Option<Arc<str>> {
-        Some(Arc::clone(&self.state_key))
-    }
-
-    fn export_state(&mut self) -> Option<OpState> {
-        Some(OpState::Track {
-            tracker: std::mem::replace(
-                &mut self.tracker,
-                SortTracker::new(TrackerParams::default()),
-            ),
-            last_seen: std::mem::take(&mut self.last_seen),
-        })
-    }
-
-    fn import_state(&mut self, state: OpState) {
-        if let OpState::Track { tracker, last_seen } = state {
-            self.tracker = tracker;
-            self.last_seen = last_seen;
-        }
     }
 }
 
@@ -514,27 +454,26 @@ impl Operator for TrackOp {
 // ---------------------------------------------------------------------------
 
 /// Projector operator: computes one property for all alive nodes of an
-/// alias. Stateless model properties consult the intrinsic reuse cache
-/// first; stateful properties maintain a per-track sliding window of their
-/// dependencies (§4.1's "local sliding window of historical data").
+/// alias. Intrinsic model properties consult the track's memoised value
+/// first; stateful properties keep a per-track sliding window of their
+/// dependencies (§4.1's "local sliding window of historical data"). Both
+/// live in the track's row of the alias's object table.
 ///
-/// The property's slot and every dependency's read are resolved against
-/// the plan's [`SlotLayout`] when the operator is built.
+/// The property's slot, its table column and every dependency's read are
+/// resolved against the plan when the operator is built.
 ///
 /// An optional fused filter predicate is applied immediately after each
 /// node's value is computed (operator fusion, §4.3).
 pub struct ProjectOp {
     alias: Istr,
     def: PropertyDef,
-    /// Interned `(alias, prop)` pair: the allocation-free reuse-cache key.
-    alias_sym: Sym,
-    prop_sym: Sym,
     /// Where the computed value goes.
     slot: PropSlot,
+    /// The property's table and column (see [`Objects::column`]).
+    column: Option<(usize, usize)>,
     /// How each of `def.deps` is read, in order.
     dep_reads: Vec<PropAccess>,
     classifier: Option<Arc<dyn Classifier>>,
-    history: HashMap<TrackId, History>,
     /// The fused filter as written (for plan dumps) and as resolved.
     fused_filter: Option<(Pred, SlotPred)>,
     fused_required: bool,
@@ -546,39 +485,27 @@ pub struct ProjectOp {
     pending_ids: Vec<NodeId>,
     pending_dets: Vec<Detection>,
     inputs: Vec<Value>,
-    state_key: Arc<str>,
 }
 
 impl ProjectOp {
-    /// Creates a projector writing `def`'s slot of `layout`; model
-    /// properties resolve their classifier from the zoo lazily on first
-    /// use. `alias_sym`/`prop_sym` are the plan's interned symbols for the
-    /// alias and the property name — they key the reuse cache without
-    /// per-probe allocation.
+    /// Creates a projector writing `def`'s slot of `layout` and its column
+    /// of `objects`, if any; model properties resolve their classifier
+    /// from the zoo lazily on first use.
     ///
     /// # Panics
     ///
     /// Panics when `layout` has no slot for the property.
-    pub fn new(
-        alias: &str,
-        def: PropertyDef,
-        alias_sym: Sym,
-        prop_sym: Sym,
-        layout: &SlotLayout,
-    ) -> Self {
+    pub fn new(alias: &str, def: PropertyDef, layout: &SlotLayout, objects: &Objects) -> Self {
         let slot = layout
             .prop(&def.name)
             .unwrap_or_else(|| panic!("no slot for projected property {}", def.name));
         Self {
             alias: Istr::new(alias),
-            state_key: format!("project({alias}.{})", def.name).into(),
+            column: objects.column(alias, &def.name),
             dep_reads: def.deps.iter().map(|d| layout.access(d)).collect(),
             slot,
             def,
-            alias_sym,
-            prop_sym,
             classifier: None,
-            history: HashMap::new(),
             fused_filter: None,
             fused_required: false,
             ids: Vec::new(),
@@ -616,18 +543,6 @@ impl ProjectOp {
         }
         Ok(Arc::clone(self.classifier.as_ref().expect("just set")))
     }
-
-    /// Drops the windows of tracks that aged out on this frame.
-    fn forget_expired(&mut self, slot: &FrameSlot) {
-        if self.history.is_empty() {
-            return;
-        }
-        for (alias, id) in &slot.expired {
-            if *alias == self.alias_sym {
-                self.history.remove(id);
-            }
-        }
-    }
 }
 
 /// Computes a native or built-in property of `node` from `ctx`.
@@ -648,7 +563,6 @@ impl Operator for ProjectOp {
     }
 
     fn process(&mut self, slot: &mut FrameSlot, ctx: &mut ExecCtx<'_>) -> Result<()> {
-        self.forget_expired(slot);
         let kind = self.def.kind;
         let is_model = matches!(self.def.source, PropertySource::Model(_));
         let mut ids = std::mem::take(&mut self.ids);
@@ -670,38 +584,6 @@ impl Operator for ProjectOp {
         }
         Ok(())
     }
-
-    /// Every frame is seen, dead ones too: a frame that died after the
-    /// tracker ran still reports the tracks that expired on it.
-    fn process_batch(&mut self, slots: &mut [FrameSlot], ctx: &mut ExecCtx<'_>) -> Result<()> {
-        for slot in slots.iter_mut() {
-            if slot.alive {
-                self.process(slot, ctx)?;
-            } else {
-                self.forget_expired(slot);
-            }
-        }
-        Ok(())
-    }
-
-    /// The state key deliberately ignores fusion: whether a filter is fused
-    /// onto this projection changes across recompiles of a shared plan, but
-    /// the per-track history windows stay valid either way.
-    fn state_key(&self) -> Option<Arc<str>> {
-        Some(Arc::clone(&self.state_key))
-    }
-
-    fn export_state(&mut self) -> Option<OpState> {
-        Some(OpState::Project {
-            history: std::mem::take(&mut self.history),
-        })
-    }
-
-    fn import_state(&mut self, state: OpState) {
-        if let OpState::Project { history } = state {
-            self.history = history;
-        }
-    }
 }
 
 impl ProjectOp {
@@ -715,9 +597,9 @@ impl ProjectOp {
         }
     }
 
-    /// Stateless model property: reuse-cache fast path, then one batched
-    /// model invocation over the frame's remaining crops (§4.1 batching +
-    /// §4.2 reuse).
+    /// Stateless model property: memoised-value fast path, then one
+    /// batched model invocation over the frame's remaining crops (§4.1
+    /// batching + §4.2 reuse).
     fn process_model_frame(
         &mut self,
         slot: &mut FrameSlot,
@@ -737,16 +619,13 @@ impl ProjectOp {
             // lifetime. An unconfirmed sighting is still *eligible* for
             // reuse, so it counts as a miss: hit rate is served-from-cache
             // over eligible projections, not over probes.
-            let cached = match (&mut ctx.reuse, node.track_id) {
-                (Some(reuse), Some(t)) if intrinsic && node.track_confirmed => reuse.lookup(
-                    self.alias_sym,
-                    t,
-                    self.prop_sym,
-                    &self.alias,
-                    &self.def.name,
-                ),
-                (Some(reuse), Some(_)) if intrinsic => {
-                    reuse.count_miss();
+            let cell = self.column.zip(node.row).filter(|_| intrinsic && ctx.reuse);
+            let cached = match (ctx.objects.as_deref_mut(), cell) {
+                (Some(objects), Some(((t, col), row))) if node.track_confirmed => {
+                    objects.lookup(t, row, col)
+                }
+                (Some(objects), Some(_)) => {
+                    objects.stats.misses += 1;
                     None
                 }
                 _ => None,
@@ -777,17 +656,11 @@ impl ProjectOp {
             .arg("items", dets.len());
         let values = ctx.dispatch.classify(&clf, &slot.frame, dets, ctx.clock)?;
         for (&id, v) in self.pending_ids.iter().zip(values) {
-            if let (true, Some(reuse), Some(t)) =
-                (intrinsic, &mut ctx.reuse, slot.graph.nodes[id].track_id)
+            let cell = self.column.zip(slot.graph.nodes[id].row);
+            if let (true, Some(objects), Some(((t, col), row))) =
+                (intrinsic && ctx.reuse, ctx.objects.as_deref_mut(), cell)
             {
-                reuse.store(
-                    self.alias_sym,
-                    t,
-                    self.prop_sym,
-                    v.clone(),
-                    &self.alias,
-                    &self.def.name,
-                );
+                objects.store(t, row, col, v.clone());
             }
             self.apply_value(&mut slot.graph, id, v);
         }
@@ -819,24 +692,22 @@ impl ProjectOp {
                 // Stateful: per-track sliding window of dependencies.
                 PropertyKind::Stateful { history_len } => {
                     ctx.clock.charge_labeled("native_prop", 0.02);
-                    let Some(track) = node.track_id else {
+                    let (Some(objects), Some((t, col)), Some(row)) =
+                        (ctx.objects.as_deref_mut(), self.column, node.row)
+                    else {
                         // Untracked objects cannot have stateful props.
                         graph.set(id, self.slot, Value::Null);
                         continue;
                     };
-                    let deps = self.def.deps.len();
-                    let window = self
-                        .history
-                        .entry(track)
-                        .or_insert_with(|| History::new(deps, history_len));
                     let current = self.dep_reads.iter().map(|&a| graph.value(id, a));
-                    window.push(current.map(Cow::into_owned));
-                    if window.filled < history_len {
-                        Value::Null
-                    } else {
-                        let inputs =
-                            PropertyCtx::new(&self.def.deps, &window.samples, history_len, ctx.fps);
-                        compute_native(&self.def.source, node, &inputs)
+                    let table = objects.table_mut(t);
+                    match table.push_window(row, col, current.map(Cow::into_owned)) {
+                        Some(window) => {
+                            let inputs =
+                                PropertyCtx::new(&self.def.deps, window, history_len, ctx.fps);
+                            compute_native(&self.def.source, node, &inputs)
+                        }
+                        None => Value::Null,
                     }
                 }
             };
@@ -910,7 +781,7 @@ impl Operator for FilterOp {
 /// both aliases' detections.
 pub struct RelationProjectOp {
     decl: RelationDecl,
-    relation: Sym,
+    relation: Istr,
     left_alias: Istr,
     right_alias: Istr,
     /// Every visible property of the relation, with its edge column.
@@ -925,13 +796,13 @@ pub struct RelationProjectOp {
 }
 
 impl RelationProjectOp {
-    /// Creates the projector for a declared relation, interning its name
-    /// into `syms` and writing `layout`'s edge columns.
+    /// Creates the projector for a declared relation, writing `layout`'s
+    /// edge columns.
     ///
     /// # Panics
     ///
     /// Panics when `layout` has no edge column for one of its properties.
-    pub fn new(decl: RelationDecl, syms: &mut SymbolTable, layout: &SlotLayout) -> Self {
+    pub fn new(decl: RelationDecl, layout: &SlotLayout) -> Self {
         let props = decl
             .schema
             .all_properties()
@@ -944,7 +815,7 @@ impl RelationProjectOp {
             })
             .collect();
         Self {
-            relation: syms.intern(&decl.name),
+            relation: Istr::new(&decl.name),
             left_alias: Istr::new(&decl.left_alias),
             right_alias: Istr::new(&decl.right_alias),
             decl,
@@ -1049,7 +920,7 @@ pub struct JoinOp {
     aliases: Vec<Istr>,
     /// The declared relations both of whose aliases this join binds:
     /// `(name, left position, right position)` in `aliases`.
-    relations: Vec<(Sym, usize, usize)>,
+    relations: Vec<(Istr, usize, usize)>,
     pred: Pred,
     resolved: SlotPred,
     /// When true (single-query plans), an unmatched frame kills the slot.
@@ -1062,8 +933,7 @@ pub struct JoinOp {
 
 impl JoinOp {
     /// Creates a join for one query; `index` is its position in the plan's
-    /// join list. Relation names are interned into `syms` and `pred` is
-    /// resolved against `layout`.
+    /// join list; `pred` is resolved against `layout`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         index: usize,
@@ -1072,7 +942,6 @@ impl JoinOp {
         relations: &[RelationDecl],
         pred: Pred,
         kills_frame: bool,
-        syms: &mut SymbolTable,
         layout: &SlotLayout,
     ) -> Self {
         let position = |alias: &String| aliases.iter().position(|a| a == alias);
@@ -1087,7 +956,7 @@ impl JoinOp {
             .map(|r| {
                 let (left, right) = (position(&r.left_alias), position(&r.right_alias));
                 (
-                    syms.intern(&r.name),
+                    Istr::new(&r.name),
                     left.expect("bound"),
                     right.expect("bound"),
                 )
@@ -1192,19 +1061,17 @@ impl Operator for JoinOp {
 // ---------------------------------------------------------------------------
 
 /// Builds the live operator a plan spec describes, interning names into
-/// `syms` and resolving every property it reads or writes against
-/// `layout` (the plan's [`PlanDag::slot_layout`]). Reuse-cache keys are
-/// derived from these symbols, so a long-lived stream must pass the *same*
-/// table for every (re)instantiation or cached values would be read back
-/// under the wrong `(alias, prop)` identity.
+/// resolving every property it reads or writes against `layout`
+/// (the plan's [`PlanDag::slot_layout`]) and every per-track cell against
+/// `objects` (the plan's [`Objects::for_plan`]).
 pub fn instantiate(
     plan: &PlanDag,
     spec: &OpSpec,
     zoo: &ModelZoo,
-    syms: &mut SymbolTable,
     layout: &SlotLayout,
+    objects: &Objects,
 ) -> Result<Box<dyn Operator>> {
-    let project = |alias: &str, prop: &str, syms: &mut SymbolTable| -> Result<ProjectOp> {
+    let project = |alias: &str, prop: &str| -> Result<ProjectOp> {
         let schema = plan
             .schemas
             .get(alias)
@@ -1215,8 +1082,7 @@ pub fn instantiate(
                 property: prop.to_owned(),
             });
         };
-        let (a, p) = (syms.intern(alias), syms.intern(prop));
-        Ok(ProjectOp::new(alias, def.clone(), a, p, layout))
+        Ok(ProjectOp::new(alias, def.clone(), layout, objects))
     };
     Ok(match spec {
         OpSpec::DiffFilter { threshold } => Box::new(DiffFrameFilter::new(*threshold)),
@@ -1226,16 +1092,19 @@ pub fn instantiate(
         OpSpec::Detect { detector, aliases } => {
             Box::new(DetectOp::new(zoo.detector(detector)?, aliases.clone()))
         }
-        OpSpec::Track { alias } => Box::new(TrackOp::new(alias, syms.intern(alias))),
-        OpSpec::Project { alias, prop } => Box::new(project(alias, prop, syms)?),
+        OpSpec::Track { alias } => {
+            let table = objects
+                .table(alias)
+                .expect("every tracked alias has a table");
+            Box::new(TrackOp::new(alias, table))
+        }
+        OpSpec::Project { alias, prop } => Box::new(project(alias, prop)?),
         OpSpec::FusedProjectFilter {
             alias,
             prop,
             pred,
             required,
-        } => {
-            Box::new(project(alias, prop, syms)?.with_fused_filter(pred.clone(), *required, layout))
-        }
+        } => Box::new(project(alias, prop)?.with_fused_filter(pred.clone(), *required, layout)),
         OpSpec::Filter {
             alias,
             pred,
@@ -1243,7 +1112,6 @@ pub fn instantiate(
         } => Box::new(FilterOp::new(alias, pred.clone(), *required, layout)),
         OpSpec::ProjectRelation { index } => Box::new(RelationProjectOp::new(
             plan.relations[*index].clone(),
-            syms,
             layout,
         )),
         OpSpec::Join { index } => {
@@ -1256,7 +1124,6 @@ pub fn instantiate(
                 j.query.relations(),
                 j.pred.clone(),
                 j.kills_frame,
-                syms,
                 layout,
             ))
         }
@@ -1273,8 +1140,38 @@ mod tests {
     use vqpy_video::scene::Scene;
     use vqpy_video::source::{SyntheticVideo, VideoSource};
 
-    fn ctx_parts() -> (Arc<ModelZoo>, Clock, ReuseCache) {
-        (ModelZoo::standard(), Clock::new(), ReuseCache::new())
+    /// A zoo, a clock, and the object tables of a plan that tracks `car`
+    /// and memoises its colour.
+    fn ctx_parts() -> (Arc<ModelZoo>, Clock, Objects) {
+        let zoo = ModelZoo::standard();
+        let red = Query::builder("Red")
+            .vobj("car", crate::frontend::library::vehicle_schema_intrinsic())
+            .frame_constraint(Pred::eq("car", "color", "red"))
+            .build()
+            .unwrap();
+        let plan = crate::build_plan(&[red], &zoo, &crate::PlanOptions::vqpy_default()).unwrap();
+        (zoo, Clock::new(), Objects::for_plan(&plan))
+    }
+
+    /// An operator context at `fps` frames a second.
+    fn exec_ctx<'a>(
+        zoo: &'a ModelZoo,
+        clock: &'a Clock,
+        tracer: &'a vqpy_obs::Tracer,
+        fps: u32,
+        objects: Option<&'a mut Objects>,
+    ) -> ExecCtx<'a> {
+        let reuse = objects.is_some();
+        let dispatch = crate::backend::dispatch::direct();
+        ExecCtx {
+            zoo,
+            clock,
+            fps,
+            objects,
+            reuse,
+            dispatch,
+            tracer,
+        }
     }
 
     fn video() -> SyntheticVideo {
@@ -1283,16 +1180,10 @@ mod tests {
 
     #[test]
     fn detect_op_populates_graph() {
-        let (zoo, clock, mut reuse) = ctx_parts();
+        let (zoo, clock, mut objects) = ctx_parts();
         let v = video();
-        let mut ctx = ExecCtx {
-            dispatch: crate::backend::dispatch::direct(),
-            tracer: &vqpy_obs::Tracer::disabled(),
-            zoo: &zoo,
-            clock: &clock,
-            fps: v.fps(),
-            reuse: Some(&mut reuse),
-        };
+        let tracer = vqpy_obs::Tracer::disabled();
+        let mut ctx = exec_ctx(&zoo, &clock, &tracer, v.fps(), Some(&mut objects));
         let mut op = DetectOp::new(
             zoo.detector("yolox").unwrap(),
             vec![(
@@ -1311,19 +1202,13 @@ mod tests {
 
     #[test]
     fn track_op_assigns_stable_ids() {
-        let (zoo, clock, mut reuse) = ctx_parts();
+        let (zoo, clock, mut objects) = ctx_parts();
         let v = video();
-        let mut ctx = ExecCtx {
-            dispatch: crate::backend::dispatch::direct(),
-            tracer: &vqpy_obs::Tracer::disabled(),
-            zoo: &zoo,
-            clock: &clock,
-            fps: v.fps(),
-            reuse: Some(&mut reuse),
-        };
+        let tracer = vqpy_obs::Tracer::disabled();
+        let mut ctx = exec_ctx(&zoo, &clock, &tracer, v.fps(), Some(&mut objects));
         let det = zoo.detector("yolox").unwrap();
         let mut detect = DetectOp::new(det, vec![("car".into(), vec!["car".into()])]);
-        let mut track = TrackOp::new("car", Sym(0));
+        let mut track = TrackOp::new("car", 0);
         let mut ids_by_entity: HashMap<u64, Vec<TrackId>> = HashMap::new();
         for i in 100..130 {
             let mut slot = FrameSlot::new(v.frame(i));
@@ -1350,29 +1235,23 @@ mod tests {
 
     #[test]
     fn projector_reuse_skips_model_calls() {
-        let (zoo, clock, mut reuse) = ctx_parts();
+        let (zoo, clock, mut objects) = ctx_parts();
         let v = video();
         let det = zoo.detector("yolox").unwrap();
         let mut detect = DetectOp::new(det, vec![("car".into(), vec!["car".into()])]);
-        let mut track = TrackOp::new("car", Sym(0));
+        let mut track = TrackOp::new("car", objects.table("car").unwrap());
         let def = PropertyDef::stateless_model("color", "color_detect", true);
         let layout = Arc::new(SlotLayout::new(["color"], []));
-        let mut project = ProjectOp::new("car", def, Sym(0), Sym(1), &layout);
+        let mut project = ProjectOp::new("car", def, &layout, &objects);
         for i in 0..60 {
             let mut slot = FrameSlot::with_layout(v.frame(i), &layout);
-            let mut ctx = ExecCtx {
-                dispatch: crate::backend::dispatch::direct(),
-                tracer: &vqpy_obs::Tracer::disabled(),
-                zoo: &zoo,
-                clock: &clock,
-                fps: v.fps(),
-                reuse: Some(&mut reuse),
-            };
+            let tracer = vqpy_obs::Tracer::disabled();
+            let mut ctx = exec_ctx(&zoo, &clock, &tracer, v.fps(), Some(&mut objects));
             detect.process(&mut slot, &mut ctx).unwrap();
             track.process(&mut slot, &mut ctx).unwrap();
             project.process(&mut slot, &mut ctx).unwrap();
         }
-        let stats = reuse.stats();
+        let stats = objects.stats;
         assert!(
             stats.hits > 0,
             "confirmed tracks should hit the cache: {stats:?}"
@@ -1402,16 +1281,10 @@ mod tests {
 
     #[test]
     fn filter_op_kills_nodes_and_frames() {
-        let (zoo, clock, mut reuse) = ctx_parts();
+        let (zoo, clock, mut objects) = ctx_parts();
         let v = video();
-        let mut ctx = ExecCtx {
-            dispatch: crate::backend::dispatch::direct(),
-            tracer: &vqpy_obs::Tracer::disabled(),
-            zoo: &zoo,
-            clock: &clock,
-            fps: v.fps(),
-            reuse: Some(&mut reuse),
-        };
+        let tracer = vqpy_obs::Tracer::disabled();
+        let mut ctx = exec_ctx(&zoo, &clock, &tracer, v.fps(), Some(&mut objects));
         let det = zoo.detector("yolox").unwrap();
         let mut detect = DetectOp::new(det, vec![("car".into(), vec!["car".into()])]);
         let impossible = Pred::gt("car", "score", 2.0);
@@ -1428,16 +1301,10 @@ mod tests {
 
     #[test]
     fn join_records_matches() {
-        let (zoo, clock, mut reuse) = ctx_parts();
+        let (zoo, clock, mut objects) = ctx_parts();
         let v = video();
-        let mut ctx = ExecCtx {
-            dispatch: crate::backend::dispatch::direct(),
-            tracer: &vqpy_obs::Tracer::disabled(),
-            zoo: &zoo,
-            clock: &clock,
-            fps: v.fps(),
-            reuse: Some(&mut reuse),
-        };
+        let tracer = vqpy_obs::Tracer::disabled();
+        let mut ctx = exec_ctx(&zoo, &clock, &tracer, v.fps(), Some(&mut objects));
         let det = zoo.detector("yolox").unwrap();
         let mut detect = DetectOp::new(det, vec![("car".into(), vec!["car".into()])]);
         let mut join = JoinOp::new(
@@ -1447,7 +1314,6 @@ mod tests {
             &[],
             Pred::gt("car", "score", 0.0),
             true,
-            &mut SymbolTable::new(),
             &SlotLayout::default(),
         );
         let mut slot = FrameSlot::new(v.frame(100));
@@ -1461,13 +1327,12 @@ mod tests {
     /// Hand-built `person × car` slot for the join goldens: a dead person,
     /// a node of a third alias, a far pair, a pair with no edge (only the
     /// reverse direction has one), an edge onto the dead node and a close
-    /// pair whose person fails the score term. `near` is interned into
-    /// `syms`.
-    fn join_golden_slot(syms: &mut SymbolTable) -> FrameSlot {
+    /// pair whose person fails the score term.
+    fn join_golden_slot() -> FrameSlot {
         use vqpy_video::geometry::{BBox, Point};
         let layout = Arc::new(SlotLayout::new([], ["distance"]));
         let distance = layout.edge_prop("distance").unwrap();
-        let relation = syms.intern("near");
+        let relation = Istr::new("near");
         let mut slot = FrameSlot::with_layout(video().frame(0), &layout);
         let mut add = |alias: &str, label: &str, x: f32, score: f32, track: Option<TrackId>| {
             let mut n = VObjNode::from_detection(
@@ -1535,24 +1400,11 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// Runs `q`'s join, binding `aliases`, over `slot` (whose relation
-    /// names are interned in `syms`).
-    fn run_join(
-        q: &Query,
-        aliases: &[&str],
-        kills_frame: bool,
-        slot: &mut FrameSlot,
-        syms: &mut SymbolTable,
-    ) {
+    /// Runs `q`'s join, binding `aliases`, over `slot`.
+    fn run_join(q: &Query, aliases: &[&str], kills_frame: bool, slot: &mut FrameSlot) {
         let (zoo, clock, _) = ctx_parts();
-        let mut ctx = ExecCtx {
-            dispatch: crate::backend::dispatch::direct(),
-            tracer: &vqpy_obs::Tracer::disabled(),
-            zoo: &zoo,
-            clock: &clock,
-            fps: 15,
-            reuse: None,
-        };
+        let tracer = vqpy_obs::Tracer::disabled();
+        let mut ctx = exec_ctx(&zoo, &clock, &tracer, 15, None);
         let layout = Arc::clone(slot.graph.layout());
         JoinOp::new(
             0,
@@ -1561,7 +1413,6 @@ mod tests {
             q.relations(),
             q.frame_constraint().clone(),
             kills_frame,
-            syms,
             &layout,
         )
         .process(slot, &mut ctx)
@@ -1574,9 +1425,8 @@ mod tests {
     #[test]
     fn join_goldens_pin_combos_order_and_frame_kill() {
         let q = join_golden_query(None);
-        let mut syms = SymbolTable::new();
-        let mut slot = join_golden_slot(&mut syms);
-        run_join(&q, &["person", "car"], true, &mut slot, &mut syms);
+        let mut slot = join_golden_slot();
+        run_join(&q, &["person", "car"], true, &mut slot);
         let combos: Vec<&[NodeId]> = slot.matches[0].iter().collect();
         assert_eq!(
             combos,
@@ -1588,8 +1438,8 @@ mod tests {
         // An alias with no live node: zero combos; the frame dies only
         // when the join may kill it.
         for kills_frame in [true, false] {
-            let mut slot = join_golden_slot(&mut syms);
-            run_join(&q, &["person", "truck"], kills_frame, &mut slot, &mut syms);
+            let mut slot = join_golden_slot();
+            run_join(&q, &["person", "truck"], kills_frame, &mut slot);
             assert!(slot.matches[0].is_empty());
             assert_eq!(slot.alive, !kills_frame);
         }
@@ -1620,9 +1470,8 @@ mod tests {
             (Aggregate::MaxPerFrame { alias: car() }, 3),
         ] {
             let q = join_golden_query(Some(agg));
-            let mut syms = SymbolTable::new();
-            let mut slot = join_golden_slot(&mut syms);
-            run_join(&q, &["person", "car"], false, &mut slot, &mut syms);
+            let mut slot = join_golden_slot();
+            run_join(&q, &["person", "car"], false, &mut slot);
             let mut accum = QueryAccum::for_query(&q);
             let hit = accum.observe(&slot, 0).unwrap();
             assert_eq!(hit.outputs, rows);
@@ -1630,37 +1479,24 @@ mod tests {
         }
     }
 
-    /// Stateful windows and motion entries per tracker, read through the
-    /// state export: `(windows, last_seen entries, live tracks)`.
-    fn census(ops: &mut crate::backend::stage::StageOps) -> (usize, usize, usize) {
-        let mut states = ops.export_states();
-        let (mut windows, mut seen, mut live) = (0, 0, 0);
-        for state in states.values() {
-            match state {
-                OpState::Project { history } => windows += history.len(),
-                OpState::Track { tracker, last_seen } => {
-                    seen += last_seen.len();
-                    live += tracker.live_tracks();
-                }
-                OpState::DiffFilter { .. } => {}
-            }
-        }
-        ops.import_states(&mut states);
-        (windows, seen, live)
+    /// Rows holding a track, and live tracks, over every object table.
+    fn census(objects: &Objects) -> (usize, usize) {
+        let count = |f: fn(&ObjectTable) -> usize| objects.tables().iter().map(f).sum();
+        (count(ObjectTable::rows), count(ObjectTable::live_tracks))
     }
 
-    /// A track that aged out never returns, so its stateful window, its
-    /// motion entry and its memoized intrinsic values can go: after every
-    /// segment of a long stream the windows and motion entries stay within
-    /// the tracker's live tracks and the cache within the live tracks times
-    /// the intrinsic properties read. The hits and the reuse counters are
-    /// those of a run that keeps everything, whose expiry reports are
-    /// dropped before any projection or the cache sees them.
+    /// A track that aged out never returns, so its row (motion edge,
+    /// windows, memoised values) can go: after every segment of a long
+    /// stream the tables hold no more rows than their trackers have live
+    /// tracks. The hits and the reuse counters are those of a run that
+    /// keeps every row, whose expiry reports are dropped before prep's
+    /// batch ends. With 24-frame batches a track's last sighting and its
+    /// expiry (16 frames later) can share a batch, so a row freed or handed
+    /// out again before the batch ends would change an answer or a hit.
     #[test]
     fn expired_tracks_leave_no_state_behind_and_change_no_hits() {
         use crate::backend::exec::{run_segment, Collector, ExecConfig, ExecMetrics};
         use crate::backend::plan::{build_plan, PlanOptions};
-        use crate::backend::reuse::ReuseStats;
         use crate::backend::stage::{
             decode_batch, deliver, instantiate_stage_ops, ExecEnv, StageCtx, StageKind,
         };
@@ -1682,29 +1518,37 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        // (query, intrinsic properties it reads, golden (hit frames, rows),
-        // golden (reuse hits, misses)). The goldens were printed by the
-        // engine before it pruned anything; by frame 3 000 it held 215
-        // windows and 215 cached colours for 7 live tracks.
+        // (query, golden (hit frames, rows), golden reuse (hits, misses,
+        // tier hits)).
+        // The goldens were printed by the engine before it pruned anything;
+        // by frame 3 000 it held 215 windows and 215 cached colours for 7
+        // live tracks.
         let cases = [
             (
                 query("SpeedingCar", Pred::gt("car", "speed", speeding)),
-                0,
                 (770, 942),
-                (0, 0),
+                (0, 0, 0),
             ),
             (
                 query("RedCar", Pred::eq("car", "color", "red")),
-                1,
                 (1275, 1600),
-                (14_500, 215),
+                (14_500, 215, 0),
             ),
         ];
-        for (query, intrinsic, golden, golden_reuse) in cases {
-            let name = query.name().to_owned();
-            let zoo = ModelZoo::standard();
-            let plan = build_plan(&[query], &zoo, &PlanOptions::vqpy_default()).unwrap();
-            let (config, clock) = (ExecConfig::default(), Clock::new());
+        for ((query, golden, golden_reuse), batch_size) in
+            cases.iter().flat_map(|case| [(case, 8), (case, 24)])
+        {
+            let name = format!("{}, batch {batch_size}", query.name());
+            let (zoo, clock, opts) = (
+                ModelZoo::standard(),
+                Clock::new(),
+                PlanOptions::vqpy_default(),
+            );
+            let plan = build_plan(std::slice::from_ref(query), &zoo, &opts).unwrap();
+            let config = ExecConfig {
+                batch_size,
+                ..ExecConfig::default()
+            };
             let env = ExecEnv {
                 plan: &plan,
                 source: &video,
@@ -1712,91 +1556,69 @@ mod tests {
                 clock: &clock,
                 config: &config,
             };
-            let fresh =
-                || instantiate_stage_ops(&plan, &zoo, 1, &mut plan.symbols.clone()).unwrap();
+            let fresh = || instantiate_stage_ops(&plan, &zoo, 1).unwrap();
             let mut metrics = ExecMetrics::default();
 
             // The engine as it runs, one segment at a time.
-            let (mut ops, mut pruned_reuse) = (fresh(), ReuseCache::new());
+            let mut pruned_ops = fresh();
             let mut pruned = Collector::new(&plan);
             for lo in (0..FRAMES).step_by(SEGMENT as usize) {
-                let (frames, reuse) = (lo..lo + SEGMENT, &mut pruned_reuse);
-                run_segment(env, frames, &mut ops, reuse, &mut metrics, &mut pruned).unwrap();
-                let (windows, seen, live) = census(&mut ops);
-                let values = pruned_reuse.len();
+                let frames = lo..lo + SEGMENT;
+                run_segment(env, frames, &mut pruned_ops, &mut metrics, &mut pruned).unwrap();
+                let (rows, live) = census(&pruned_ops.objects);
                 assert!(
-                    windows <= live && seen <= live && values <= live * intrinsic,
-                    "{name}, frame {}: {windows} windows, {seen} last-seen entries, \
-                     {values} cached values, {live} live tracks",
+                    rows <= live,
+                    "{name}, to {}: {rows} rows, {live} live",
                     lo + SEGMENT
                 );
             }
 
             // The same operators driven one at a time outside the stage
-            // body, every expiry report dropped before the next operator or
-            // the cache sees it.
-            let (mut ops, mut kept_reuse) = (fresh(), ReuseCache::new());
+            // body, every expiry report dropped before the batch ends.
+            let mut ops = fresh();
             let mut kept = Collector::new(&plan);
             let cx = StageCtx::new(env, &ops);
             let tracer = vqpy_obs::Tracer::disabled();
             let mut slots = Vec::new();
-            let batch = config.batch_size as u64;
-            for lo in (0..FRAMES).step_by(batch as usize) {
+            let batch = batch_size as u64;
+            for lo in (0..FRAMES).step_by(batch_size) {
                 decode_batch(&cx, lo..(lo + batch).min(FRAMES), &mut slots);
                 for kind in StageKind::ALL {
                     for op in ops.chains[kind.index()][0].iter_mut() {
-                        let mut ctx = ExecCtx {
-                            zoo: &zoo,
-                            clock: &clock,
-                            fps: video.fps(),
-                            reuse: kind.owns_reuse().then_some(&mut kept_reuse),
-                            dispatch: crate::backend::dispatch::direct(),
-                            tracer: &tracer,
-                        };
+                        let objects = kind.owns_objects().then_some(&mut ops.objects);
+                        let mut ctx = exec_ctx(&zoo, &clock, &tracer, video.fps(), objects);
                         op.process_batch(&mut slots, &mut ctx).unwrap();
                         slots.iter_mut().for_each(|s| s.expired.clear());
                     }
                 }
                 deliver(&plan, &slots, &mut metrics, &mut kept).unwrap();
             }
-            let (windows, _, live) = census(&mut ops);
-            let values = kept_reuse.len();
-            assert!(
-                windows + values > 4 * live,
-                "{name}: {windows} windows and {values} values kept, {live} live tracks"
-            );
+            let (rows, live) = census(&ops.objects);
+            assert!(rows > 4 * live, "{name}: {rows} rows kept, {live} live");
 
             let hits = |c: Collector| c.finalize(&plan, ExecMetrics::default(), 0.0)[0].clone();
             let (pruned, kept) = (hits(pruned).frame_hits, hits(kept).frame_hits);
             assert_eq!(pruned, kept, "{name}");
             let rows: usize = pruned.iter().map(|h| h.outputs.len()).sum();
-            assert_eq!((pruned.len(), rows), golden, "{name}");
-            let stats = pruned_reuse.stats();
-            assert_eq!(stats, kept_reuse.stats(), "{name}");
-            let (hits, misses) = golden_reuse;
-            let golden_stats = ReuseStats {
-                hits,
-                misses,
-                tier_hits: 0,
-            };
-            assert_eq!(stats, golden_stats, "{name}");
+            assert_eq!((pruned.len(), rows), *golden, "{name}");
+            let stats = pruned_ops.objects.stats;
+            assert_eq!(stats, ops.objects.stats, "{name}");
+            assert_eq!(
+                (stats.hits, stats.misses, stats.tier_hits),
+                *golden_reuse,
+                "{name}"
+            );
         }
     }
 
     #[test]
     fn diff_filter_drops_static_frames() {
-        let (zoo, clock, mut reuse) = ctx_parts();
+        let (zoo, clock, mut objects) = ctx_parts();
         // Empty scene: every frame equals the first.
         let scene = vqpy_video::SceneBuilder::new(presets::banff(), 5.0).build();
         let v = SyntheticVideo::new(scene);
-        let mut ctx = ExecCtx {
-            dispatch: crate::backend::dispatch::direct(),
-            tracer: &vqpy_obs::Tracer::disabled(),
-            zoo: &zoo,
-            clock: &clock,
-            fps: v.fps(),
-            reuse: Some(&mut reuse),
-        };
+        let tracer = vqpy_obs::Tracer::disabled();
+        let mut ctx = exec_ctx(&zoo, &clock, &tracer, v.fps(), Some(&mut objects));
         let mut op = DiffFrameFilter::new(0.5);
         let mut kept = 0;
         for i in 0..30 {

@@ -12,7 +12,7 @@
 //!   on `workers` threads sharing one receiver: its operators are
 //!   deterministic per frame, so batches process in any order.
 //! - An **ordered lane** (frame filters, prep, tail) runs on one thread
-//!   behind a `Reorder`, so its stateful operators — and the reuse cache
+//!   behind a `Reorder`, so its stateful operators — and the object tables
 //!   prep owns — see batches in frame order and results stay
 //!   byte-identical to [`ExecMode::Sequential`].
 //! - The **last lane** is ordered and runs on the calling thread, feeding
@@ -42,8 +42,8 @@
 //! [`ExecMode::Sequential`]: crate::backend::exec::ExecMode::Sequential
 
 use crate::backend::exec::{ExecMetrics, ResultSink};
+use crate::backend::objects::Objects;
 use crate::backend::ops::{FrameSlot, Operator};
-use crate::backend::reuse::ReuseCache;
 use crate::backend::stage::{
     decode_batch, deliver, run_stage, Chain, StageCtx, StageKind, StageOps,
 };
@@ -161,14 +161,18 @@ fn lanes(chains: &[Vec<Chain>; StageKind::ALL.len()]) -> Vec<Lane> {
     lanes
 }
 
-/// One lane thread's stages, each with the chain it runs.
-type LaneChains<'a> = Vec<(StageKind, &'a mut [Box<dyn Operator>])>;
+/// One lane thread's stages, each with the chain it runs and, for prep,
+/// the stream's object tables.
+type LaneChains<'a> = Vec<(
+    StageKind,
+    &'a mut [Box<dyn Operator>],
+    Option<&'a mut Objects>,
+)>;
 
 /// One thread of a lane: runs every stage of the lane over each batch from
 /// `next` (reordered if `ordered`) before the first failure, then `emit`s it.
 fn lane_worker(
     mut stages: LaneChains<'_>,
-    mut reuse: Option<&mut ReuseCache>,
     ordered: bool,
     mut next: impl FnMut() -> Option<Batch>,
     mut emit: impl FnMut(Batch),
@@ -185,10 +189,9 @@ fn lane_worker(
             None => Some(batch),
         };
         while let Some((seq, mut slots)) = ready {
-            for (kind, chain) in &mut stages {
-                let reuse = reuse.as_deref_mut().filter(|_| kind.owns_reuse());
+            for (kind, chain, objects) in &mut stages {
                 failure.attempt(seq, kind.name(), || {
-                    run_stage(*kind, chain, seq, &mut slots, reuse, cx)
+                    run_stage(*kind, chain, objects.as_deref_mut(), seq, &mut slots, cx)
                 });
             }
             emit((seq, slots));
@@ -199,7 +202,7 @@ fn lane_worker(
 
 /// Runs one contiguous frame segment through the staged pipeline. Called by
 /// [`crate::backend::exec::run_segment`] for [`Pipelined`] mode; operator
-/// state, the reuse cache, and metrics persist in the caller across calls.
+/// state, the object tables, and metrics persist in the caller across calls.
 ///
 /// Lanes are derived once per segment; each but the last spawns `W`
 /// threads (the number of detect chains) if it fans out, one if ordered.
@@ -214,7 +217,6 @@ pub(crate) fn run_pipelined(
     cx: &StageCtx<'_>,
     range: Range<u64>,
     ops: &mut StageOps,
-    reuse: &mut ReuseCache,
     metrics: &mut ExecMetrics,
     sink: &mut dyn ResultSink,
 ) -> Result<()> {
@@ -224,14 +226,16 @@ pub(crate) fn run_pipelined(
     let lanes = lanes(&ops.chains);
 
     let mut stage_chains = ops.chains.iter_mut();
+    // The stream's tables go to the thread that runs prep.
+    let mut objects = Some(&mut ops.objects);
     let threads = lanes.iter().map(|lane| {
         let width = if lane.ordered { 1 } else { workers };
         let mut lane_threads: Vec<LaneChains<'_>> = (0..width).map(|_| Vec::new()).collect();
         for (k, chains) in lane.stages.clone().zip(stage_chains.by_ref()) {
-            let mut chains = chains.iter_mut();
+            let (kind, mut chains) = (StageKind::ALL[k], chains.iter_mut());
             for stages in &mut lane_threads {
                 let chain = chains.next().map(Vec::as_mut_slice).unwrap_or_default();
-                stages.push((StageKind::ALL[k], chain));
+                stages.push((kind, chain, objects.take_if(|_| kind.owns_objects())));
             }
         }
         lane_threads
@@ -267,10 +271,7 @@ pub(crate) fn run_pipelined(
         };
         let mut txs = txs.into_iter();
         let inputs = std::iter::once(None).chain(rxs.iter().map(Some));
-        let mut reuse = Some(reuse);
         for ((lane, lane_threads), rx) in lanes.iter().zip(threads).zip(inputs) {
-            // The stream's real cache goes to the lane that holds prep.
-            let mut reuse = reuse.take_if(|_| lane.stages.contains(&StageKind::Prep.index()));
             // The guard drops on return: fan-out threads share the receiver,
             // not the work.
             let next = move || match rx {
@@ -288,17 +289,16 @@ pub(crate) fn run_pipelined(
                     let _ = recycle_tx.send(slots);
                 };
                 let stages = lane_threads.into_iter().next().expect("one thread");
-                lane_worker(stages, reuse, true, next, emit, cx, failure);
+                lane_worker(stages, true, next, emit, cx, failure);
                 break;
             };
             for stages in lane_threads {
                 let tx = tx.clone();
-                let reuse = reuse.take();
                 let emit = move |batch| {
                     let _ = tx.send(batch);
                 };
                 let ordered = lane.ordered;
-                scope.spawn(move || lane_worker(stages, reuse, ordered, next, emit, cx, failure));
+                scope.spawn(move || lane_worker(stages, ordered, next, emit, cx, failure));
             }
         }
     });
@@ -469,8 +469,7 @@ mod tests {
             let shape = plan.stage_specs().map(|specs| !specs.is_empty());
             assert_eq!(shape, busy, "{}", plan.describe());
             for workers in [1, 2, 4] {
-                let mut symbols = plan.symbols.clone();
-                let ops = instantiate_stage_ops(&plan, &zoo, workers, &mut symbols).unwrap();
+                let ops = instantiate_stage_ops(&plan, &zoo, workers).unwrap();
                 let lanes = lanes(&ops.chains);
                 assert_eq!(describe(&lanes), want, "{workers} workers");
                 // The last lane runs on the caller's thread; every other
@@ -652,7 +651,6 @@ mod tests {
                 env,
                 0..env.source.frame_count(),
                 ops,
-                &mut ReuseCache::new(),
                 &mut ExecMetrics::default(),
                 &mut recorder,
             )
@@ -757,9 +755,7 @@ mod tests {
                     batch_size: 2,
                     ..ExecConfig::default()
                 };
-                let mut symbols = plan.symbols.clone();
-                let mut ops =
-                    instantiate_stage_ops(&plan, &zoo, exec_mode.workers(), &mut symbols).unwrap();
+                let mut ops = instantiate_stage_ops(&plan, &zoo, exec_mode.workers()).unwrap();
                 let progress = Arc::new(Progress::default());
                 for chain in &mut ops.chains[StageKind::Detect.index()] {
                     chain.push(Box::new(Probe {
@@ -828,10 +824,7 @@ mod tests {
                 let sabotage = Sabotage { site, at, panics };
                 let source = SabotagedVideo(&v, sabotage);
                 let sabotaged = |exec_mode: ExecMode| {
-                    let mut symbols = plan.symbols.clone();
-                    let mut ops =
-                        instantiate_stage_ops(plan, &zoo, exec_mode.workers(), &mut symbols)
-                            .unwrap();
+                    let mut ops = instantiate_stage_ops(plan, &zoo, exec_mode.workers()).unwrap();
                     if let Site::Stage(kind) = site {
                         for chain in &mut ops.chains[kind.index()] {
                             chain.push(Box::new(Saboteur(sabotage)));

@@ -9,7 +9,6 @@
 
 use crate::backend::graph::SlotLayout;
 use crate::backend::stage::StageKind;
-use crate::backend::symbols::SymbolTable;
 use crate::error::{Result, VqpyError};
 use crate::frontend::predicate::{Pred, PropRef};
 use crate::frontend::property::{BuiltinProp, PropertyKind, PropertySource};
@@ -97,9 +96,6 @@ pub struct PlanDag {
     pub relations: Vec<RelationDecl>,
     /// Alias -> schema bindings.
     pub schemas: BTreeMap<String, Arc<VObjSchema>>,
-    /// Interned alias/property names: execution keys reuse-cache probes by
-    /// `u32` symbol instead of allocating strings (§4.2 hot path).
-    pub symbols: SymbolTable,
     /// Human-readable variant label (e.g. `"baseline"`, `"+specialized"`).
     pub label: String,
 }
@@ -188,9 +184,9 @@ impl PlanDag {
             OpSpec::Project { alias, prop } | OpSpec::FusedProjectFilter { alias, prop, .. } => {
                 match self.prop_traits(alias, prop) {
                     // Stateful windows must observe frames in order, and
-                    // intrinsic model projections read through the shared
-                    // reuse cache, whose hit pattern and LRU order are part
-                    // of the results' byte-identity (§4.2).
+                    // intrinsic model projections read and write memoised
+                    // values in the object tables, whose hit pattern is
+                    // part of the results' byte-identity (§4.2).
                     Some((kind, is_model))
                         if kind.is_stateful() || (kind.is_intrinsic() && is_model) =>
                     {
@@ -219,12 +215,12 @@ impl PlanDag {
     /// - **frame filters**: everything before the first detector.
     /// - **detect**: the contiguous run of detectors (none → both empty).
     /// - **prep** ends at the *last* operator after the detectors that
-    ///   sequences the stream: the tracker plus every stateful or
-    ///   reuse-cache-touching projection, in their original relative order,
-    ///   so cache access order — and therefore hit behavior — is
+    ///   sequences the stream: the tracker plus every stateful or intrinsic
+    ///   model projection, in their original relative order, so the object
+    ///   tables' access order — and therefore hit behavior — is
     ///   byte-identical to an unsplit plan.
     /// - **enrich** is the maximal contiguous run after prep of order-free,
-    ///   cache-free per-object projections and filters, which a pipelined
+    ///   table-free per-object projections and filters, which a pipelined
     ///   scheduler may fan out across workers.
     /// - **tail** is the remainder (relation projections, joins).
     ///
@@ -597,28 +593,11 @@ pub fn build_plan(queries: &[Arc<Query>], zoo: &ModelZoo, opts: &PlanOptions) ->
         ops.push(OpSpec::Join { index: qi });
     }
 
-    // Intern every alias and property name the plan references, so the
-    // executor can key per-track caches with `Copy` symbols.
-    let mut symbols = SymbolTable::new();
-    for alias in schemas.keys() {
-        symbols.intern(alias);
-    }
-    for op in &ops {
-        match op {
-            OpSpec::Project { alias, prop } | OpSpec::FusedProjectFilter { alias, prop, .. } => {
-                symbols.intern(alias);
-                symbols.intern(prop);
-            }
-            _ => {}
-        }
-    }
-
     Ok(PlanDag {
         ops,
         joins,
         relations,
         schemas,
-        symbols,
         label: if opts.label.is_empty() {
             "baseline".into()
         } else {

@@ -6,7 +6,6 @@
 
 use crate::backend::exec::{run_segment, Collector, ExecConfig, ExecMetrics, ExecMode};
 use crate::backend::plan::PlanDag;
-use crate::backend::reuse::ReuseCache;
 use crate::backend::stage::{instantiate_stage_ops, ExecEnv, StageOps};
 use crate::error::{Result, VqpyError};
 use crate::scoring::f1_frames;
@@ -37,8 +36,8 @@ type Run = (Vec<BTreeSet<u64>>, f64);
 /// Candidate `i` runs on worker `i % W`, one thread per core: not one per
 /// candidate, since every decoding thread keeps an allocator arena at its
 /// high-water mark. A worker decodes each canary batch once and runs it
-/// through each of its candidates' own operators, reuse cache, collector
-/// and clock with [`run_segment`] under [`ExecMode::Sequential`], so a
+/// through each of its candidates' own operators and object tables,
+/// collector and clock with [`run_segment`] under [`ExecMode::Sequential`], so a
 /// profile equals the candidate's solo `execute_plan` in any mode, virtual
 /// cost included. A candidate that fails or panics profiles as F1 0 at
 /// infinite cost and leaves the others untouched.
@@ -138,7 +137,6 @@ fn score(candidates: &[PlanDag], runs: &[Option<Run>]) -> Result<Vec<PlanProfile
 /// would own.
 struct Lane {
     ops: StageOps,
-    reuse: ReuseCache,
     collector: Collector,
     clock: Clock,
 }
@@ -159,8 +157,7 @@ fn run_lockstep(
         .iter()
         .map(|plan| {
             Some(Lane {
-                ops: instantiate_stage_ops(plan, zoo, 1, &mut plan.symbols.clone()).ok()?,
-                reuse: ReuseCache::new(),
+                ops: instantiate_stage_ops(plan, zoo, 1).ok()?,
                 collector: Collector::new(plan),
                 clock: Clock::new(),
             })
@@ -185,9 +182,9 @@ fn run_lockstep(
                 clock: &lane.clock,
                 config: &config,
             };
-            let (ops, reuse, sink) = (&mut lane.ops, &mut lane.reuse, &mut lane.collector);
+            let (ops, sink) = (&mut lane.ops, &mut lane.collector);
             let ran = catch_unwind(AssertUnwindSafe(|| {
-                run_segment(env, frames.clone(), ops, reuse, &mut counters, sink)
+                run_segment(env, frames.clone(), ops, &mut counters, sink)
             }));
             // Between batches a lane holds no frames, so memory stays at
             // one decoded batch per worker.

@@ -3,7 +3,8 @@
 //!
 //! [`StageKind::ALL`] lists the stages in execution order;
 //! [`PlanDag::stage_specs`] slices a plan by it, [`StageOps`] holds the
-//! live operator chains indexed by it, and `run_stage` is the one body
+//! live operator chains indexed by it (and the object tables prep's
+//! operators share), and `run_stage` is the one body
 //! both schedulers ([`crate::backend::exec`], [`crate::backend::pipeline`])
 //! run for every stage — so sequential and pipelined execution cannot
 //! drift apart: they differ only in *which thread* calls `run_stage`,
@@ -12,10 +13,9 @@
 use crate::backend::dispatch::{DirectDispatch, ModelDispatch};
 use crate::backend::exec::{ExecConfig, ExecMetrics, ResultSink};
 use crate::backend::graph::SlotLayout;
+use crate::backend::objects::Objects;
 use crate::backend::ops::{instantiate, ExecCtx, FrameSlot, OpState, Operator};
 use crate::backend::plan::PlanDag;
-use crate::backend::reuse::ReuseCache;
-use crate::backend::symbols::SymbolTable;
 use crate::error::Result;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -33,9 +33,10 @@ pub enum StageKind {
     FrameFilter,
     /// Object detectors.
     Detect,
-    /// The tracker plus every stateful or reuse-cache-touching projection.
+    /// The trackers plus every stateful or intrinsic model projection: the
+    /// operators that share the object tables.
     Prep,
-    /// Order-free, cache-free per-object projections and filters the
+    /// Order-free, table-free per-object projections and filters the
     /// planner hoisted out of the tail (see [`PlanDag::stage_specs`]).
     Enrich,
     /// Relation projections and joins; its output feeds the result sink.
@@ -90,11 +91,11 @@ impl StageKind {
         !matches!(self, StageKind::Detect | StageKind::Enrich)
     }
 
-    /// Whether the stage reads and writes the stream's [`ReuseCache`]. Only
-    /// prep does: it holds the trackers whose expiry reports end an
-    /// entry's life, and the cache's hit sequence is part of the results'
-    /// byte-identity, so exactly one ordered stage may touch it.
-    pub const fn owns_reuse(self) -> bool {
+    /// Whether the stage reads and writes the stream's [`Objects`]. Only
+    /// prep does: its trackers' expiry reports end a row's life, and the
+    /// order of its probes and window pushes is part of the results'
+    /// byte-identity, so exactly one ordered stage may touch the tables.
+    pub const fn owns_objects(self) -> bool {
         matches!(self, StageKind::Prep)
     }
 }
@@ -102,15 +103,17 @@ impl StageKind {
 /// The plan-ordered operators of one stage.
 pub type Chain = Vec<Box<dyn Operator>>;
 
-/// Exported cross-frame operator state, keyed by [`Operator::state_key`].
+/// Copied cross-frame state: operator states keyed by
+/// [`Operator::state_key`], object tables by their trackers' fingerprints.
 pub type OpStates = HashMap<Arc<str>, OpState>;
 
-/// Live operator chains, indexed by stage.
+/// Live operator chains, indexed by stage, and the object tables they
+/// share.
 ///
 /// A `StageOps` owns all cross-frame operator state for a stream, so a
 /// serving layer can persist it across [`run_segment`] calls — and, via
-/// [`StageOps::export_states`] / [`StageOps::import_states`], across plan
-/// recompiles when queries attach or detach.
+/// [`StageOps::states`] / [`StageOps::set_states`], across plan recompiles
+/// when queries attach or detach.
 ///
 /// [`run_segment`]: crate::backend::exec::run_segment
 pub struct StageOps {
@@ -137,52 +140,51 @@ pub struct StageOps {
     /// The plan's slot layout ([`PlanDag::slot_layout`]): the operators
     /// were resolved against it, and every frame graph they see follows it.
     pub layout: Arc<SlotLayout>,
+    /// One object table per tracked alias, with the reuse counters and
+    /// tier, which prep reaches through [`ExecCtx`]. The counters and tier
+    /// carry across recompiles like `dispatch`, a table with its tracker.
+    pub objects: Objects,
 }
 
 impl StageOps {
-    fn ops_mut(&mut self) -> impl Iterator<Item = &mut Box<dyn Operator>> {
-        self.chains.iter_mut().flatten().flatten()
+    /// A copy of every stateful operator's cross-frame state, keyed by
+    /// [`Operator::state_key`], and of every object table, keyed by its
+    /// tracker's fingerprint.
+    pub fn states(&self) -> OpStates {
+        let ops = self.chains.iter().flatten().flatten();
+        let ops = ops.filter_map(|op| Some((op.state_key()?, op.state()?)));
+        ops.chain(self.objects.states()).collect()
     }
 
-    /// Extracts every stateful operator's cross-frame state, keyed by
-    /// [`Operator::state_key`].
-    pub fn export_states(&mut self) -> OpStates {
-        self.ops_mut()
-            .filter_map(|op| Some((op.state_key()?, op.export_state()?)))
-            .collect()
-    }
-
-    /// Installs previously exported state into operators with matching
-    /// state keys; unmatched entries are dropped (their operator left the
-    /// plan) and unmatched operators start fresh (they just joined).
-    pub fn import_states(&mut self, states: &mut OpStates) {
-        for op in self.ops_mut() {
-            if let Some(state) = op.state_key().and_then(|key| states.remove(&key)) {
+    /// Installs states into operators and tables with matching keys, each
+    /// from `own` (this stream's, copied by [`StageOps::states`]) or else
+    /// from `seed` (another engine's). Unmatched entries are dropped (their
+    /// operator or alias left the plan) and unmatched operators and tables
+    /// start fresh (they just joined).
+    pub fn set_states(&mut self, mut own: OpStates, mut seed: OpStates) {
+        for op in self.chains.iter_mut().flatten().flatten() {
+            let Some(key) = op.state_key() else { continue };
+            if let Some(state) = own.remove(&key).or_else(|| seed.remove(&key)) {
                 op.import_state(state);
             }
         }
+        self.objects.adopt(&mut own, &mut seed);
     }
 }
 
 /// Instantiates a plan's operators by stage ([`PlanDag::stage_specs`]),
-/// with `workers` chains per fan-out stage, interning execution symbols
-/// into `symbols` (see [`instantiate`] for why the table must outlive
-/// recompiles).
-pub fn instantiate_stage_ops(
-    plan: &PlanDag,
-    zoo: &ModelZoo,
-    workers: usize,
-    symbols: &mut SymbolTable,
-) -> Result<StageOps> {
+/// with `workers` chains per fan-out stage, over empty object tables.
+pub fn instantiate_stage_ops(plan: &PlanDag, zoo: &ModelZoo, workers: usize) -> Result<StageOps> {
     let specs = plan.stage_specs();
     let layout = Arc::new(plan.slot_layout());
+    let objects = Objects::for_plan(plan);
     let mut chains: [Vec<Chain>; StageKind::ALL.len()] = Default::default();
     for kind in StageKind::ALL {
         let copies = if kind.ordered() { 1 } else { workers.max(1) };
         for _ in 0..copies {
             let chain = specs[kind.index()]
                 .iter()
-                .map(|spec| instantiate(plan, spec, zoo, symbols, &layout))
+                .map(|spec| instantiate(plan, spec, zoo, &layout, &objects))
                 .collect::<Result<Chain>>()?;
             chains[kind.index()].push(chain);
         }
@@ -193,6 +195,7 @@ pub fn instantiate_stage_ops(
         tracer: vqpy_obs::Tracer::disabled(),
         slots: Vec::new(),
         layout,
+        objects,
     })
 }
 
@@ -274,16 +277,17 @@ pub(crate) fn decode_batch(cx: &StageCtx<'_>, frames: Range<u64>, slots: &mut Ve
 
 /// Runs one stage's operator chain over one batch: the only place a stage
 /// span is opened, an [`ExecCtx`] built and
-/// [`Operator::process_batch`] called. `reuse` is the stream's cache when
-/// `kind` owns it and `None` otherwise; after the chain has run, the cache
-/// forgets the tracks the batch's trackers reported expired. The chain
-/// runs in one [`Clock::host_section`], so its native charges sleep once.
+/// [`Operator::process_batch`] called. `objects` is the stream's object
+/// tables when `kind` owns them and `None` otherwise; after the chain has
+/// run the whole batch, and only then, they free the rows of the tracks
+/// the batch's trackers reported expired. The chain runs in one
+/// [`Clock::host_section`], so its native charges sleep once.
 pub(crate) fn run_stage(
     kind: StageKind,
     chain: &mut [Box<dyn Operator>],
+    mut objects: Option<&mut Objects>,
     seq: u64,
     slots: &mut [FrameSlot],
-    reuse: Option<&mut ReuseCache>,
     cx: &StageCtx<'_>,
 ) -> Result<()> {
     let _span = cx
@@ -295,7 +299,8 @@ pub(crate) fn run_stage(
         zoo: cx.env.zoo,
         clock: cx.env.clock,
         fps: cx.env.source.fps(),
-        reuse: reuse.filter(|_| cx.env.config.enable_intrinsic_reuse),
+        objects: objects.as_deref_mut(),
+        reuse: cx.env.config.enable_intrinsic_reuse,
         dispatch: &*cx.dispatch,
         tracer: &cx.tracer,
     };
@@ -304,8 +309,8 @@ pub(crate) fn run_stage(
             .iter_mut()
             .try_for_each(|op| op.process_batch(slots, &mut ctx))
     });
-    if let Some(reuse) = ctx.reuse {
-        slots.iter().for_each(|slot| reuse.forget(&slot.expired));
+    if let Some(objects) = objects {
+        slots.iter().for_each(|slot| objects.release(&slot.expired));
     }
     if kind == StageKind::FrameFilter && result.is_ok() {
         // Frames alive past the frame filters count as processed.
@@ -352,7 +357,7 @@ mod tests {
             .build()
             .unwrap();
         let plan = build_plan(&[cars], &zoo, &PlanOptions::vqpy_default()).unwrap();
-        let mut ops = instantiate_stage_ops(&plan, &zoo, 2, &mut plan.symbols.clone()).unwrap();
+        let mut ops = instantiate_stage_ops(&plan, &zoo, 2).unwrap();
         // Plant a stateful operator at the end of each ordered stage `k`,
         // with its own state key and payload (a 1x1 frame of brightness `k`).
         let mut keys = Vec::new();
@@ -375,12 +380,14 @@ mod tests {
             frames.collect()
         };
 
-        let mut states = ops.export_states();
+        let states = ops.states();
         assert_eq!(kept(&states), planted);
-        // Export drains the operators; import puts every stage's state back.
-        assert_eq!(kept(&ops.export_states()), [None, None, None]);
-        ops.import_states(&mut states);
-        assert_eq!(kept(&ops.export_states()), planted);
+        // Every stage's state goes back in, and `own` wins over `seed`.
+        let blank = |key: &Arc<str>| (key.clone(), OpState::DiffFilter { last_kept: None });
+        ops.set_states(keys.iter().map(blank).collect(), states.clone());
+        assert_eq!(kept(&ops.states()), [None, None, None]);
+        ops.set_states(OpStates::new(), states);
+        assert_eq!(kept(&ops.states()), planted);
     }
 
     /// Stamps the start of every batched call, then defers to `inner`.
@@ -424,7 +431,7 @@ mod tests {
             .build()
             .unwrap();
         let plan = build_plan(&[cars], &zoo, &PlanOptions::vqpy_default()).unwrap();
-        let mut ops = instantiate_stage_ops(&plan, &zoo, 1, &mut plan.symbols.clone()).unwrap();
+        let mut ops = instantiate_stage_ops(&plan, &zoo, 1).unwrap();
         let policy = RetryPolicy {
             max_retries: 1,
             backoff_base_ms: 5.0,
@@ -445,7 +452,7 @@ mod tests {
         let mut slots = Vec::new();
         decode_batch(&cx, 0..2, &mut slots);
         let chain = &mut ops.chains[StageKind::Detect.index()][0];
-        run_stage(StageKind::Detect, chain, 0, &mut slots, None, &cx).unwrap();
+        run_stage(StageKind::Detect, chain, None, 0, &mut slots, &cx).unwrap();
 
         assert_eq!(injector.injected_faults(), 1);
         let calls = calls.lock().unwrap();

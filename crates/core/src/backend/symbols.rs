@@ -1,75 +1,14 @@
-//! String interning for the execution hot path.
-//!
-//! Two interners live here:
-//!
-//! - [`SymbolTable`] / [`Sym`]: a *plan-local* dense `u32` interner built at
-//!   plan-construction time, so per-frame structures (most importantly the
-//!   reuse-cache key of §4.2) can be `Copy` tuples instead of owned
-//!   `String`s. Serving-layer engines keep one append-only table across
-//!   plan recompiles so symbols stay stable for the lifetime of a stream.
-//! - [`Istr`] : a *process-global* leaked-string interner for the small,
-//!   bounded vocabulary of aliases and class labels that
-//!   [`VObjNode`](crate::backend::graph::VObjNode)s carry. Nodes are created
-//!   per detection per frame; an `Istr` is `Copy`, so node construction no
-//!   longer allocates two `String`s per detection.
+//! String interning for the execution hot path: [`Istr`], a
+//! *process-global* leaked-string interner for the small, bounded
+//! vocabulary of aliases, class labels, property and relation names that
+//! operators and [`VObjNode`](crate::backend::graph::VObjNode)s carry.
+//! Nodes are created per detection per frame; an `Istr` is `Copy` and
+//! compares by pointer, so node construction allocates no `String` and a
+//! join matches a relation edge by one pointer test.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
-
-/// An interned string: a dense index into the plan's [`SymbolTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Sym(pub u32);
-
-/// An append-only string interner, built at plan-construction time and
-/// shared (immutably) by the executor.
-#[derive(Debug, Clone, Default)]
-pub struct SymbolTable {
-    names: Vec<String>,
-    index: HashMap<String, Sym>,
-}
-
-impl SymbolTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Interns `name`, returning its existing symbol when already present.
-    pub fn intern(&mut self, name: &str) -> Sym {
-        if let Some(&s) = self.index.get(name) {
-            return s;
-        }
-        let s = Sym(self.names.len() as u32);
-        self.names.push(name.to_owned());
-        self.index.insert(name.to_owned(), s);
-        s
-    }
-
-    /// The symbol of an already-interned name.
-    pub fn get(&self, name: &str) -> Option<Sym> {
-        self.index.get(name).copied()
-    }
-
-    /// The string behind a symbol.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the symbol came from a different table.
-    pub fn resolve(&self, sym: Sym) -> &str {
-        &self.names[sym.0 as usize]
-    }
-
-    /// Number of interned strings.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-}
 
 /// The process-global [`Istr`] store. Entries are leaked once and live for
 /// the process lifetime; the vocabulary (query aliases + detector class
@@ -221,34 +160,5 @@ mod tests {
             v.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
             ["a", "b", "c"]
         );
-    }
-
-    #[test]
-    fn intern_is_idempotent() {
-        let mut t = SymbolTable::new();
-        let a = t.intern("car");
-        let b = t.intern("color");
-        let a2 = t.intern("car");
-        assert_eq!(a, a2);
-        assert_ne!(a, b);
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn resolve_round_trips() {
-        let mut t = SymbolTable::new();
-        let s = t.intern("plate");
-        assert_eq!(t.resolve(s), "plate");
-        assert_eq!(t.get("plate"), Some(s));
-        assert_eq!(t.get("missing"), None);
-    }
-
-    #[test]
-    fn symbols_are_dense_and_ordered_by_first_use() {
-        let mut t = SymbolTable::new();
-        assert_eq!(t.intern("a"), Sym(0));
-        assert_eq!(t.intern("b"), Sym(1));
-        assert_eq!(t.intern("a"), Sym(0));
-        assert_eq!(t.intern("c"), Sym(2));
     }
 }

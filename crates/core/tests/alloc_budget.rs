@@ -12,8 +12,10 @@
 //! instead of on every labeled charge; **44.6** once property values
 //! live in plan-resolved slots (no name key per value written, no map per
 //! history sample), strings are shared, combos are stored back to back and
-//! the trackers keep their workspaces; **42.7** now that a single frame's
-//! classify call fills one result vector instead of a vector of one.
+//! the trackers keep their workspaces; **42.7** once a single frame's
+//! classify call filled one result vector instead of a vector of one;
+//! **42.5** now that a track's windows and memoised values are cells of
+//! its object table's row, which a later track reuses once it expires.
 //! The budget is the current figure plus a quarter: what is left (the
 //! detectors' own output, the hit rows with an owned column name per cell,
 //! the classifiers' result vectors) is named in docs/ARCHITECTURE.md §3,
@@ -34,7 +36,7 @@ use vqpy_models::{Clock, ModelZoo, Value};
 use vqpy_video::{presets, BBox, Scene, SyntheticVideo, VideoSource};
 
 /// Engine allocations per frame the steady state may not exceed.
-const BUDGET_PER_FRAME: f64 = 54.0;
+const BUDGET_PER_FRAME: f64 = 53.0;
 const FRAMES: u64 = 300;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);

@@ -3,56 +3,54 @@
 //!
 //! A [`StreamEngine`] owns everything that must outlive any single plan:
 //!
-//! - the **operator chains** ([`StageOps`]) holding cross-frame state
-//!   (trackers, frame-difference filters, stateful property windows);
-//! - the **reuse cache** of §4.2, whose keys are interned symbols;
-//! - an **append-only symbol table**: recompiled plans intern into the
-//!   same table, so a symbol means the same `(alias, property)` for the
-//!   stream's whole lifetime and cached values are never read back under a
-//!   different identity;
+//! - the **operator chains** and **object tables** ([`StageOps`]) holding
+//!   cross-frame state: frame-difference filters, and per tracked alias
+//!   its tracker and one row per live track (motion edge, stateful
+//!   property windows, §4.2's memoised intrinsics);
+//! - the **reuse counters and durable tier** the tables' intrinsic cells
+//!   answer through;
 //! - cumulative [`ExecMetrics`].
 //!
 //! On [`StreamEngine::recompile_with_seed`], operators of the new plan
-//! inherit the old plan's state wherever the structural fingerprint matches (see
-//! [`PlanDag::op_fingerprints`] and `Operator::state_key`); everything else
-//! starts fresh. This is what makes attach/detach invisible to surviving
-//! queries: their subgraph's operators are bit-for-bit the ones that were
-//! already running.
+//! inherit the old plan's state wherever the structural fingerprint
+//! matches (see [`PlanDag::op_fingerprints`] and `Operator::state_key`),
+//! and each alias's table moves while its tracker's fingerprint survives;
+//! everything else starts fresh, and a table whose alias left the plan is
+//! dropped with its values. This is what makes attach/detach invisible to
+//! surviving queries: their subgraph's operators and objects are
+//! bit-for-bit the ones that were already running.
 
 use vqpy_core::backend::exec::{run_segment, ResultSink};
 use vqpy_core::backend::plan::PlanDag;
-use vqpy_core::backend::reuse::{ReuseCache, ReuseTier};
+use vqpy_core::backend::reuse::{ReuseStats, ReuseTier};
 use vqpy_core::backend::stage::{instantiate_stage_ops, ExecEnv, OpStates};
-use vqpy_core::backend::symbols::SymbolTable;
 use vqpy_core::error::Result;
 use vqpy_core::{ExecConfig, ExecMetrics, StageOps};
 use vqpy_models::{Clock, ModelZoo};
 use vqpy_video::source::VideoSource;
 
 /// A restorable checkpoint of one stream engine: every stateful operator's
-/// cross-frame state (tracker tracks, frame-difference reference frames,
-/// stateful property windows), the reuse cache's values and statistics,
-/// and the cumulative metrics at capture time.
+/// cross-frame state (frame-difference reference frames), a copy of every
+/// object table (trackers, motion edges, windows, memoised intrinsics),
+/// the reuse statistics, and the cumulative metrics at capture time.
 ///
 /// Taken by the serving layer before each segment;
 /// [`StreamEngine::restore`] rolls the engine back so a panicked segment
-/// can be re-run from a consistent boundary. The cache belongs in it
-/// because prep forgets a track's values when it expires, 16 frames after
-/// its last sighting: a failed attempt may forget a track whose last
-/// sighting the re-run, from the restored tracker, probes again.
+/// can be re-run from a consistent boundary. The tables belong in it
+/// because prep frees a track's row when it expires, 16 frames after its
+/// last sighting: a failed attempt may free a row whose last sighting the
+/// re-run, from the restored tracker, probes again.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     states: OpStates,
-    reuse: ReuseCache,
+    reuse: ReuseStats,
     metrics: ExecMetrics,
 }
 
 /// Live execution state for one stream, persistent across plan recompiles.
 pub struct StreamEngine {
     plan: PlanDag,
-    symbols: SymbolTable,
     ops: StageOps,
-    reuse: ReuseCache,
     metrics: ExecMetrics,
     workers: usize,
 }
@@ -61,13 +59,10 @@ impl StreamEngine {
     /// Instantiates the engine for an initial super-plan.
     pub fn new(plan: PlanDag, zoo: &ModelZoo, config: &ExecConfig) -> Result<Self> {
         let workers = config.exec_mode.workers();
-        let mut symbols = plan.symbols.clone();
-        let ops = instantiate_stage_ops(&plan, zoo, workers, &mut symbols)?;
+        let ops = instantiate_stage_ops(&plan, zoo, workers)?;
         Ok(Self {
             plan,
-            symbols,
             ops,
-            reuse: ReuseCache::new(),
             metrics: ExecMetrics::default(),
             workers,
         })
@@ -78,10 +73,10 @@ impl StreamEngine {
         &self.plan
     }
 
-    /// Cumulative execution metrics, with a fresh reuse-cache snapshot.
+    /// Cumulative execution metrics, with fresh reuse statistics.
     pub fn metrics(&self) -> ExecMetrics {
         let mut m = self.metrics.clone();
-        m.reuse = self.reuse.stats();
+        m.reuse = self.ops.objects.stats;
         m
     }
 
@@ -103,90 +98,87 @@ impl StreamEngine {
         self.ops.tracer = tracer;
     }
 
-    /// Installs a durable tier behind the engine's in-memory reuse cache
-    /// (see [`vqpy_core::backend::reuse::ReuseTier`]): cache misses fall
+    /// Installs a durable tier behind the engine's memoised intrinsic
+    /// values (see [`vqpy_core::backend::reuse::ReuseTier`]): misses fall
     /// through to the tier, and stored values are written through to it.
     /// The serving layer points this at the stream's
     /// [`vqpy_store::StreamStore`] so intrinsic property values survive
     /// engine retirement — and whole processes.
     pub fn set_reuse_tier(&mut self, tier: std::sync::Arc<dyn ReuseTier>) {
-        self.reuse.set_tier(tier);
+        self.ops.objects.tier = Some(tier);
     }
 
-    /// Drains every stateful operator's cross-frame state out of the
-    /// engine, keyed by structural fingerprint. Used when a replay engine
-    /// retires at the splice boundary: its states seed the live engine via
-    /// [`StreamEngine::recompile_with_seed`] or [`StreamEngine::seed_states`].
-    /// The engine is left with empty operator state and should be dropped.
-    pub fn take_states(&mut self) -> OpStates {
-        self.ops.export_states()
+    /// Copies every stateful operator's cross-frame state and every object
+    /// table out of the engine, keyed by structural fingerprint. Used when
+    /// a replay engine retires at the splice boundary: its states seed the
+    /// live engine via [`StreamEngine::recompile_with_seed`] or
+    /// [`StreamEngine::seed_states`], so replayed tracks arrive with their
+    /// windows and values.
+    pub fn take_states(&self) -> OpStates {
+        self.ops.states()
     }
 
-    /// Imports operator states into a freshly built engine (states whose
-    /// fingerprint has no matching operator are ignored). Only meaningful
+    /// Imports states into a freshly built engine (states whose fingerprint
+    /// has no matching operator or table are ignored). Only meaningful
     /// before the engine has run anything; later recompiles carry the
-    /// seeded state forward like any other operator state.
-    pub fn seed_states(&mut self, mut seed: OpStates) {
-        self.ops.import_states(&mut seed);
+    /// seeded state forward like any other.
+    pub fn seed_states(&mut self, seed: OpStates) {
+        self.ops.set_states(OpStates::new(), seed);
     }
 
-    /// Captures a restorable checkpoint of every stateful operator, the
-    /// reuse cache and the cumulative metrics. Export drains the
-    /// operators, so the state is cloned and immediately re-imported — the
-    /// engine keeps running exactly as before the call.
-    pub fn snapshot(&mut self) -> EngineSnapshot {
-        let mut states = self.ops.export_states();
-        let cloned = states.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        self.ops.import_states(&mut states);
+    /// Captures a restorable checkpoint: a copy of every stateful
+    /// operator's state and object table, the reuse statistics and the
+    /// cumulative metrics.
+    pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
-            states: cloned,
-            reuse: self.reuse.clone(),
+            states: self.ops.states(),
+            reuse: self.ops.objects.stats,
             metrics: self.metrics.clone(),
         }
     }
 
     /// Rolls the engine back to a checkpoint taken by
     /// [`StreamEngine::snapshot`]: every stateful operator's cross-frame
-    /// state, the reuse cache's values and statistics, and the cumulative
+    /// state, every object table, the reuse statistics and the cumulative
     /// metrics are overwritten. Used by the serving layer's restart policy
     /// after a worker panic, so a re-run starts from the same consistent
     /// boundary the failed segment did.
     pub fn restore(&mut self, snapshot: &EngineSnapshot) {
-        let mut states = snapshot.states.clone();
-        self.ops.import_states(&mut states);
-        self.reuse.restore(&snapshot.reuse);
+        self.ops
+            .set_states(snapshot.states.clone(), OpStates::new());
+        self.ops.objects.stats = snapshot.reuse;
         self.metrics = snapshot.metrics.clone();
     }
 
     /// Swaps in a recompiled super-plan at a batch boundary. Cross-frame
     /// operator state carries over wherever the old and new plans share an
-    /// operator fingerprint; the reuse cache survives untouched because
-    /// symbols are interned into the engine's append-only table. The
-    /// model-dispatch boundary (direct or cross-stream batcher) carries
-    /// over too. On error (unknown model in the new plan) the old plan
-    /// keeps running unchanged.
+    /// operator fingerprint, and an object table wherever they share the
+    /// alias's tracker, with every column the new plan keeps. The reuse
+    /// statistics and tier, the model-dispatch boundary (direct or
+    /// cross-stream batcher) and the tracer carry over too. On error
+    /// (unknown model in the new plan) the old plan keeps running
+    /// unchanged.
     ///
-    /// `seed` holds operator states exported from another engine via
+    /// `seed` holds states copied from another engine via
     /// [`StreamEngine::take_states`] (empty for a plain recompile). This
     /// engine's own states always win: a seed entry is used only for
-    /// operators the old plan did not have. The replay→live splice uses
-    /// this so a replayed query's operators (its tracker, windows, …)
-    /// arrive with full history, while operators the live engine was
-    /// already running keep their live state — which, for shared
-    /// fingerprints, the replay recomputed identically anyway.
+    /// operators, tables and table columns the old plan did not have. The
+    /// replay→live splice uses this so a replayed query's tracker, windows
+    /// and values arrive with full history, while state the live engine
+    /// was already running stays live — which, for shared fingerprints, the
+    /// replay recomputed identically anyway.
     pub fn recompile_with_seed(
         &mut self,
         plan: PlanDag,
         zoo: &ModelZoo,
-        mut seed: OpStates,
+        seed: OpStates,
     ) -> Result<()> {
-        let mut ops = instantiate_stage_ops(&plan, zoo, self.workers, &mut self.symbols)?;
+        let mut ops = instantiate_stage_ops(&plan, zoo, self.workers)?;
         ops.dispatch = std::sync::Arc::clone(&self.ops.dispatch);
         ops.tracer = self.ops.tracer.clone();
-        let mut states = self.ops.export_states();
-        seed.retain(|k, _| !states.contains_key(k));
-        states.extend(seed);
-        ops.import_states(&mut states);
+        ops.objects.stats = self.ops.objects.stats;
+        ops.objects.tier = self.ops.objects.tier.take();
+        ops.set_states(self.ops.states(), seed);
         self.ops = ops;
         self.plan = plan;
         Ok(())
@@ -210,24 +202,18 @@ impl StreamEngine {
             clock,
             config,
         };
-        run_segment(
-            env,
-            range,
-            &mut self.ops,
-            &mut self.reuse,
-            &mut self.metrics,
-            sink,
-        )
+        run_segment(env, range, &mut self.ops, &mut self.metrics, sink)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Range;
     use std::sync::Arc;
     use vqpy_core::backend::plan::{build_plan, PlanOptions};
     use vqpy_core::frontend::{library, predicate::Pred};
-    use vqpy_core::{Collector, Query};
+    use vqpy_core::{Collector, FrameHit, Query};
     use vqpy_models::ModelZoo;
     use vqpy_video::presets;
     use vqpy_video::scene::Scene;
@@ -240,6 +226,143 @@ mod tests {
             .frame_output(&[("car", "track_id")])
             .build()
             .unwrap()
+    }
+
+    fn run_red(engine: &mut StreamEngine, v: &SyntheticVideo, frames: Range<u64>) -> Vec<FrameHit> {
+        let (zoo, cfg) = (ModelZoo::standard(), ExecConfig::default());
+        let mut sink = Collector::new(engine.plan());
+        let clock = vqpy_models::Clock::new();
+        engine
+            .run_segment(v, &zoo, &clock, &cfg, frames, &mut sink)
+            .unwrap();
+        let results = sink.finalize(engine.plan(), ExecMetrics::default(), 0.0);
+        let red = results.into_iter().find(|r| r.query_name == "Red");
+        red.map(|r| r.frame_hits).unwrap_or_default()
+    }
+
+    /// A detach that drops every query on an alias drops the alias's
+    /// object table, values and all. A query re-attached later starts a
+    /// fresh tracker, whose ids restart at 1: its first sightings miss, as
+    /// they would on a fresh engine, rather than hitting the colours the
+    /// detached tracker's objects left under the same ids.
+    #[test]
+    fn detach_drops_the_alias_table() {
+        let zoo = ModelZoo::standard();
+        let opts = PlanOptions::vqpy_default();
+        let plan = |queries: &[Arc<Query>]| build_plan(queries, &zoo, &opts).unwrap();
+        let v = SyntheticVideo::new(Scene::generate(presets::jackson(), 9, 20.0));
+        let cfg = ExecConfig::default();
+        let red = query("Red", "red");
+        let walking = Query::builder("Moving")
+            .vobj("person", library::person_schema())
+            .frame_constraint(Pred::gt("person", "score", 0.5) & Pred::gt("person", "speed", 1.0))
+            .frame_output(&[("person", "track_id")])
+            .build()
+            .unwrap();
+        let run = |engine: &mut StreamEngine, frames| run_red(engine, &v, frames);
+        let aliases = |engine: &StreamEngine| -> Vec<(String, usize)> {
+            let tables = engine.ops.objects.tables().iter();
+            tables.map(|t| (t.alias().to_owned(), t.values())).collect()
+        };
+
+        let both = [Arc::clone(&red), Arc::clone(&walking)];
+        let mut engine = StreamEngine::new(plan(&both), &zoo, &cfg).unwrap();
+        run(&mut engine, 0..60);
+        let tables = aliases(&engine);
+        assert!(
+            tables.iter().any(|(a, n)| a == "car" && *n > 0),
+            "{tables:?}"
+        );
+
+        let people = [Arc::clone(&walking)];
+        engine
+            .recompile_with_seed(plan(&people), &zoo, OpStates::new())
+            .unwrap();
+        assert_eq!(aliases(&engine), [("person".to_owned(), 0)]);
+        run(&mut engine, 60..90);
+
+        let before = engine.metrics().reuse;
+        engine
+            .recompile_with_seed(plan(&[walking, Arc::clone(&red)]), &zoo, OpStates::new())
+            .unwrap();
+        let hits = run(&mut engine, 90..180);
+        let after = engine.metrics().reuse;
+        let mut fresh = StreamEngine::new(plan(&[red]), &zoo, &cfg).unwrap();
+        let fresh_hits = run(&mut fresh, 90..180);
+        let fresh_stats = fresh.metrics().reuse;
+        assert!(!fresh_hits.is_empty());
+        assert_eq!(hits, fresh_hits, "the re-attached query answers as fresh");
+        let delta = (after.hits - before.hits, after.misses - before.misses);
+        assert_eq!(delta, (fresh_stats.hits, fresh_stats.misses));
+    }
+
+    /// A restore puts the object tables back: the tracker, the rows a
+    /// failed attempt freed and their colours, so a re-run answers and
+    /// hits as the first run did.
+    #[test]
+    fn restore_rolls_back_the_tables() {
+        let (zoo, cfg) = (ModelZoo::standard(), ExecConfig::default());
+        let plan = build_plan(&[query("Red", "red")], &zoo, &PlanOptions::vqpy_default()).unwrap();
+        let v = SyntheticVideo::new(Scene::generate(presets::jackson(), 9, 20.0));
+        let mut engine = StreamEngine::new(plan, &zoo, &cfg).unwrap();
+        run_red(&mut engine, &v, 0..60);
+        let checkpoint = engine.snapshot();
+        let first = (run_red(&mut engine, &v, 60..180), engine.metrics().reuse);
+        engine.restore(&checkpoint);
+        let again = (run_red(&mut engine, &v, 60..180), engine.metrics().reuse);
+        assert!(!first.0.is_empty());
+        assert_eq!(first, again);
+    }
+
+    /// At a splice the seed fills the columns the live table lacks, row by
+    /// track: a live engine tracking cars without their colour takes the
+    /// replayed colours, so it hits as an engine that ran both queries all
+    /// along (where today's tier would answer those probes instead).
+    #[test]
+    fn a_seed_fills_the_columns_the_live_table_lacks() {
+        let (zoo, cfg, opts) = (
+            ModelZoo::standard(),
+            ExecConfig::default(),
+            PlanOptions::vqpy_default(),
+        );
+        let count = Query::builder("Count")
+            .vobj("car", library::vehicle_schema_intrinsic())
+            .frame_constraint(Pred::gt("car", "score", 0.5))
+            .video_output(vqpy_core::Aggregate::CountDistinctTracks {
+                alias: "car".into(),
+            })
+            .build()
+            .unwrap();
+        let red = query("Red", "red");
+        let plan = |queries: &[Arc<Query>]| build_plan(queries, &zoo, &opts).unwrap();
+        let both = [Arc::clone(&count), Arc::clone(&red)];
+        let v = SyntheticVideo::new(Scene::generate(presets::jackson(), 9, 20.0));
+        let mut live = StreamEngine::new(plan(&[count]), &zoo, &cfg).unwrap();
+        let mut replay = StreamEngine::new(plan(&[red]), &zoo, &cfg).unwrap();
+        let mut always = StreamEngine::new(plan(&both), &zoo, &cfg).unwrap();
+        for engine in [&mut live, &mut replay, &mut always] {
+            run_red(engine, &v, 0..60);
+        }
+        live.recompile_with_seed(plan(&both), &zoo, replay.take_states())
+            .unwrap();
+        let reuse = |e: &StreamEngine| e.metrics().reuse;
+        let (live_before, always_before) = (reuse(&live), reuse(&always));
+        assert_eq!(
+            run_red(&mut live, &v, 60..180),
+            run_red(&mut always, &v, 60..180)
+        );
+        let (live_after, always_after) = (reuse(&live), reuse(&always));
+        assert!(always_after.hits > always_before.hits);
+        assert_eq!(
+            (
+                live_after.hits - live_before.hits,
+                live_after.misses - live_before.misses
+            ),
+            (
+                always_after.hits - always_before.hits,
+                always_after.misses - always_before.misses
+            ),
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Three adapters, all sitting on existing injection points — none of the
 //! execution layers know the store exists:
 //!
-//! - [`StoreTier`] implements the reuse cache's durable-tier hook
+//! - [`StoreTier`] implements intrinsic reuse's durable-tier hook
 //!   ([`vqpy_core::backend::reuse::ReuseTier`]) over a stream store, so
 //!   intrinsic property values written by live execution persist, and
 //!   replay (or a reopened process) reads them back instead of re-running
@@ -46,7 +46,7 @@ pub const STORE_READ_LABEL: &str = "store_read";
 pub const STORE_READ_COST_MS: f64 = 0.05;
 
 /// Durable tier over a [`StreamStore`]: the write-through / read-back hook
-/// the engine's in-memory reuse cache calls on miss. Track ids are
+/// an engine's memoised intrinsics fall through to on a miss. Track ids are
 /// deterministic from the stream origin, so values written by a previous
 /// engine — or a previous process — are valid for the same `(alias,
 /// track, prop)` key forever.
@@ -172,7 +172,7 @@ impl ModelDispatch for RecordingDispatch {
 /// frame ran live) falls through to the inner dispatch wholesale —
 /// recomputation is deterministic, so the answers are identical either
 /// way. Classify traffic always goes to the inner dispatch; stored
-/// intrinsics short-circuit it earlier, at the reuse cache.
+/// intrinsics short-circuit it earlier, at the object tables' cells.
 pub struct StoreDispatch {
     inner: Arc<dyn ModelDispatch>,
     window: Mutex<HashMap<u64, FrameRecord>>,

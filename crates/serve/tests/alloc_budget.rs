@@ -15,10 +15,13 @@
 //! **59.0** once they live in plan-resolved slots, **53.7** once each
 //! stateful operator formats its state key once, when built, rather than
 //! twice per snapshot, and a single frame's classify call fills one result
-//! vector instead of a vector of one, and **53.85** now that the snapshot
-//! also copies the reuse cache (one map a step; the run's total moves by
-//! one allocation with the hash seed, so the figure prints as 53.8 or
-//! 53.9). Most of what is left is
+//! vector instead of a vector of one, **53.85** once the snapshot also
+//! copied the reuse cache (one map a step; the run's total moved by one
+//! allocation with the hash seed, so the figure printed as 53.8 or 53.9),
+//! and **52.7** now that the snapshot copies one flat object table per
+//! tracked alias (a few buffers each, however many tracks it holds)
+//! instead of every operator's state map, a window per track and the
+//! cache's map. Most of what is left is
 //! the hit rows themselves (an output column's name and value per cell,
 //! which `FrameHit` carries as owned `String`s) and the detectors' own
 //! output. The budget is the current figure plus a quarter.
@@ -36,7 +39,7 @@ use vqpy_serve::{Backpressure, ServeConfig, StreamServer, Subscription};
 use vqpy_video::{presets, Scene, SyntheticVideo, VideoSource};
 
 /// Serving-path allocations per frame the steady state may not exceed.
-const BUDGET_PER_FRAME: f64 = 67.0;
+const BUDGET_PER_FRAME: f64 = 66.0;
 const STREAMS: u64 = 4;
 const FRAMES_PER_STREAM: u64 = 304;
 

@@ -192,7 +192,7 @@ mod in_place_scopes {
         Edge, EdgeKind, FrameGraph, NodeId, NodeScope, SlotLayout, VObjNode,
     };
     use vqpy::core::backend::ops::{ExecCtx, FrameSlot, JoinOp, Operator};
-    use vqpy::core::backend::symbols::SymbolTable;
+    use vqpy::core::backend::symbols::Istr;
     use vqpy::core::frontend::library::{person_schema, vehicle_schema};
     use vqpy::core::frontend::predicate::{CmpOp, PropRef};
     use vqpy::core::frontend::property::BuiltinProp;
@@ -313,9 +313,9 @@ mod in_place_scopes {
     }
 
     impl GraphCase {
-        /// The frame graph under `layout`, `rel` interned into `syms`.
-        fn build(&self, layout: &Arc<SlotLayout>, syms: &mut SymbolTable) -> FrameGraph {
-            let rel = syms.intern("rel");
+        /// The frame graph under `layout`.
+        fn build(&self, layout: &Arc<SlotLayout>) -> FrameGraph {
+            let rel = Istr::new("rel");
             let mut graph = FrameGraph::with_layout(Arc::clone(layout));
             for case in &self.nodes {
                 let id = graph.add_node(case.node.clone());
@@ -463,14 +463,14 @@ mod in_place_scopes {
             layout: &Arc<SlotLayout>,
             pred: &Pred,
         ) -> Vec<Vec<NodeId>> {
-            let mut syms = SymbolTable::new();
             let mut slot = FrameSlot::with_layout(self.video.frame(0), layout);
-            slot.graph = graph.build(layout, &mut syms);
+            slot.graph = graph.build(layout);
             let mut ctx = ExecCtx {
                 zoo: &self.zoo,
                 clock: &self.clock,
                 fps: 15,
-                reuse: None,
+                objects: None,
+                reuse: false,
                 dispatch: vqpy::core::backend::dispatch::direct(),
                 tracer: &vqpy::core::Tracer::disabled(),
             };
@@ -481,7 +481,6 @@ mod in_place_scopes {
                 std::slice::from_ref(&self.rel),
                 pred.clone(),
                 false,
-                &mut syms,
                 layout,
             )
             .process(&mut slot, &mut ctx)
@@ -492,7 +491,7 @@ mod in_place_scopes {
         /// Whether `pred` holds for each node alone under `layout` (an
         /// object filter's scope).
         fn nodes(&self, graph: &GraphCase, layout: &Arc<SlotLayout>, pred: &Pred) -> Vec<bool> {
-            let built = graph.build(layout, &mut SymbolTable::new());
+            let built = graph.build(layout);
             (0..built.nodes.len())
                 .map(|id| {
                     let alias = built.nodes[id].alias;
