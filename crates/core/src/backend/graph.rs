@@ -2,9 +2,8 @@
 //! edges that flow through the operator DAG.
 //!
 //! Nodes are VObj instances detected on a frame; edges carry relation
-//! properties. Motion linkage (the paper's motion edges) is recorded as the
-//! tracker identity plus a back-pointer to the previous frame the track was
-//! seen on; spatial edges live inside the frame graph. Duration and
+//! properties. Motion linkage (the paper's motion edges) is carried by the
+//! tracker identity; spatial edges live inside the frame graph. Duration and
 //! temporal edges materialize in composition results (`compose` module)
 //! rather than per-frame graphs.
 //!
@@ -181,8 +180,6 @@ pub struct VObjNode {
     pub row: Option<usize>,
     /// Whether the track has enough hits to be trusted for stateful props.
     pub track_confirmed: bool,
-    /// Frame index where this track was previously seen (motion edge).
-    pub prev_frame: Option<u64>,
     /// Simulation linkage for scoring only; engines must not read it.
     pub sim_entity: Option<EntityId>,
     /// Dead nodes have been filtered out but stay in place so `NodeId`s
@@ -209,7 +206,6 @@ impl VObjNode {
             track_id: None,
             row: None,
             track_confirmed: false,
-            prev_frame: None,
             sim_entity: det.sim_entity,
             alive: true,
         }
@@ -252,24 +248,10 @@ impl VObjNode {
     }
 }
 
-/// Kinds of relation edges (§4.1's data model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EdgeKind {
-    /// Same object, consecutive frames (carried by track ids here).
-    Motion,
-    /// Two objects on the same frame.
-    Spatial,
-    /// Two objects within a frame-distance constraint.
-    Duration,
-    /// From-object precedes to-object.
-    Temporal,
-}
-
 /// A relation edge between two nodes of the same frame graph. Its property
 /// values live in its row of the graph's edge arena.
 #[derive(Debug, Clone)]
 pub struct Edge {
-    pub kind: EdgeKind,
     /// The relation's interned name (matches the query's `RelationDecl`).
     pub relation: Istr,
     pub from: NodeId,
@@ -507,7 +489,6 @@ mod tests {
         let a = g.add_node(node("car"));
         let b = g.add_node(node("person"));
         let e = g.add_edge(Edge {
-            kind: EdgeKind::Spatial,
             relation: near,
             from: a,
             to: b,

@@ -1,8 +1,8 @@
 //! Object tables: a tracked object's cross-frame state, as the paper's VObj
 //! owns its history and memoised intrinsics (§3, §4.2). An [`ObjectTable`]
 //! holds its alias's tracker and one dense row per live track, with the
-//! plan's columns: the frame the track was last seen on (its motion edge),
-//! a window per stateful property and a memoised value per intrinsic one.
+//! plan's columns: a window per stateful property and a memoised value per
+//! intrinsic one.
 //! The tracker operator stamps each node with its row, so a projection
 //! reaches its cell by two indices. Prep frees an expired track's row once
 //! the whole batch has run (`run_stage`), never sooner: a track's last
@@ -23,7 +23,7 @@ use std::sync::Arc;
 use vqpy_models::Value;
 use vqpy_tracker::{SortTracker, TrackId, TrackerParams};
 
-/// A column besides `last_seen`, `(property, deps, len, intrinsic)`: a
+/// A column, `(property, deps, len, intrinsic)`: a
 /// stateful property's window of `len` samples of each of its `deps`
 /// dependencies, or an intrinsic property's memoised value (one sample,
 /// held once filled). A row's columns lie back to back in its samples.
@@ -33,13 +33,6 @@ struct Column(Istr, usize, usize, bool);
 /// Where column `col` starts in a row's samples (`col` = all: the width).
 fn offset(columns: &[Column], col: usize) -> usize {
     columns[..col].iter().map(|c| c.1 * c.2).sum()
-}
-
-/// One row's own bookkeeping; `track` is `None` on a free row.
-#[derive(Debug, Clone, Copy, Default)]
-struct Row {
-    track: Option<TrackId>,
-    last_seen: Option<u64>,
 }
 
 /// One tracked alias's objects: its tracker and a row per live track.
@@ -52,7 +45,8 @@ pub struct ObjectTable {
     key: Arc<str>,
     columns: Arc<Vec<Column>>,
     pub(crate) tracker: SortTracker,
-    rows: Vec<Row>,
+    /// Each row's track; `None` on a free row.
+    rows: Vec<Option<TrackId>>,
     /// `rows × width`: each window dependency-major, oldest first.
     samples: Vec<Value>,
     /// `rows × columns`: samples a column holds, up to its length.
@@ -79,7 +73,7 @@ impl ObjectTable {
 
     /// Rows holding a live track.
     pub fn rows(&self) -> usize {
-        self.rows.iter().filter(|r| r.track.is_some()).count()
+        self.rows.iter().filter(|r| r.is_some()).count()
     }
 
     /// Tracks the alias's tracker has not yet expired.
@@ -96,41 +90,35 @@ impl ObjectTable {
 
     /// The row of `track`, handing it a free row on its first sighting.
     pub(crate) fn row(&mut self, track: TrackId) -> usize {
-        if let Some(row) = self.rows.iter().position(|r| r.track == Some(track)) {
+        if let Some(row) = self.rows.iter().position(|&r| r == Some(track)) {
             return row;
         }
-        let row = match self.rows.iter().position(|r| r.track.is_none()) {
+        let row = match self.rows.iter().position(Option::is_none) {
             Some(row) => row,
             None => self.grow(),
         };
-        self.rows[row].track = Some(track);
+        self.rows[row] = Some(track);
         row
     }
 
     fn grow(&mut self) -> usize {
         let (n, c) = (self.rows.len() + 1, &self.columns);
-        self.rows.resize(n, Row::default());
+        self.rows.resize(n, None);
         self.samples.resize(n * offset(c, c.len()), Value::Null);
         self.filled.resize(n * c.len(), 0);
         n - 1
     }
 
-    /// Records a sighting of `row`'s track on `frame`, returning the frame
-    /// it was last seen on before.
-    pub(crate) fn seen(&mut self, row: usize, frame: u64) -> Option<u64> {
-        self.rows[row].last_seen.replace(frame)
-    }
-
     /// Frees the row of an expired track, dropping its cells.
     fn free(&mut self, track: TrackId) {
-        let Some(row) = self.rows.iter().position(|r| r.track == Some(track)) else {
+        let Some(row) = self.rows.iter().position(|&r| r == Some(track)) else {
             return;
         };
         let (n, width) = (
             self.columns.len(),
             offset(&self.columns, self.columns.len()),
         );
-        self.rows[row] = Row::default();
+        self.rows[row] = None;
         self.samples[row * width..(row + 1) * width].fill(Value::Null);
         self.filled[row * n..(row + 1) * n].fill(0);
     }
@@ -195,14 +183,14 @@ impl ObjectTable {
         }
         let columns = Arc::new(columns);
         let mut table = ObjectTable::new(self.alias, columns, base.tracker.clone());
-        for (row, meta) in base.rows.iter().enumerate() {
+        for (row, &track) in base.rows.iter().enumerate() {
             table.grow();
-            table.rows[row] = *meta;
+            table.rows[row] = track;
             table.copy_row(row, &base, row, &[]);
-            let Some((seed, track)) = extra.as_ref().zip(meta.track) else {
+            let Some((seed, track)) = extra.as_ref().zip(track) else {
                 continue;
             };
-            if let Some(seed_row) = seed.rows.iter().position(|r| r.track == Some(track)) {
+            if let Some(seed_row) = seed.rows.iter().position(|&r| r == Some(track)) {
                 table.copy_row(row, seed, seed_row, &base.columns);
             }
         }
@@ -304,7 +292,7 @@ impl Objects {
             return Some(table.samples[cell.start].clone());
         }
         self.stats.misses += 1;
-        let (track, prop) = (table.rows[row].track?, table.columns[col].0);
+        let (track, prop) = (table.rows[row]?, table.columns[col].0);
         let value = self.tier.as_ref()?.load(&table.alias, track, &prop)?;
         self.stats.tier_hits += 1;
         (table.samples[cell.start], table.filled[f]) = (value.clone(), 1);
@@ -316,7 +304,7 @@ impl Objects {
     pub(crate) fn store(&mut self, t: usize, row: usize, col: usize, value: Value) {
         let table = &mut self.tables[t];
         let (cell, f) = table.at(row, col);
-        if let (Some(tier), Some(track)) = (&self.tier, table.rows[row].track) {
+        if let (Some(tier), Some(track)) = (&self.tier, table.rows[row]) {
             tier.save(&table.alias, track, &table.columns[col].0, &value);
         }
         (table.samples[cell.start], table.filled[f]) = (value, 1);

@@ -7,8 +7,8 @@
 //! only then compute the next) and intrinsic-property reuse (§4.2).
 
 use crate::backend::graph::{
-    Edge, EdgeKind, EdgeRead, EdgeSlot, FrameGraph, NodeId, NodeRead, NodeScope, PropAccess,
-    PropSlot, SlotLayout, SlotPred, VObjNode,
+    Edge, EdgeRead, EdgeSlot, FrameGraph, NodeId, NodeRead, NodeScope, PropAccess, PropSlot,
+    SlotLayout, SlotPred, VObjNode,
 };
 use crate::backend::objects::{ObjectTable, Objects};
 use crate::backend::plan::{OpSpec, PlanDag};
@@ -441,7 +441,6 @@ impl Operator for TrackOp {
             node.track_id = Some(up.track_id);
             node.row = Some(row);
             node.track_confirmed = up.confirmed;
-            node.prev_frame = table.seen(row, slot.frame.index);
         }
         let expired = self.expired.iter().map(|&id| (self.table, id));
         slot.expired.extend(expired);
@@ -877,7 +876,6 @@ impl Operator for RelationProjectOp {
             for &r in &self.right {
                 ctx.clock.charge_labeled("relation_native", 0.01);
                 let edge = graph.add_edge(Edge {
-                    kind: EdgeKind::Spatial,
                     relation: self.relation,
                     from: l,
                     to: r,
@@ -1357,12 +1355,7 @@ mod tests {
         let p3 = add("person", "person", 112.0, 0.2, Some(10));
         slot.graph.kill(p1);
         let mut near = |from: NodeId, to: NodeId, d: f64| {
-            let e = slot.graph.add_edge(Edge {
-                kind: EdgeKind::Spatial,
-                relation,
-                from,
-                to,
-            });
+            let e = slot.graph.add_edge(Edge { relation, from, to });
             slot.graph.set_edge_value(e, distance, Value::Float(d));
         };
         near(p0, c0, 20.0);
@@ -1485,12 +1478,11 @@ mod tests {
         (count(ObjectTable::rows), count(ObjectTable::live_tracks))
     }
 
-    /// A track that aged out never returns, so its row (motion edge,
-    /// windows, memoised values) can go: after every segment of a long
-    /// stream the tables hold no more rows than their trackers have live
-    /// tracks. The hits and the reuse counters are those of a run that
-    /// keeps every row, whose expiry reports are dropped before prep's
-    /// batch ends. With 24-frame batches a track's last sighting and its
+    /// A track that aged out never returns, so its row (windows, memoised
+    /// values) can go: after every segment of a long stream the tables
+    /// hold no more rows than their trackers have live tracks. The hits
+    /// and the reuse counters are those of a run that keeps every row,
+    /// whose expiry reports are dropped before prep's batch ends. With 24-frame batches a track's last sighting and its
     /// expiry (16 frames later) can share a batch, so a row freed or handed
     /// out again before the batch ends would change an answer or a hit.
     #[test]

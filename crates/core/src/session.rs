@@ -28,9 +28,6 @@ pub struct SessionConfig {
     pub accuracy_target: f32,
     /// Canary length in seconds for plan profiling.
     pub canary_seconds: f64,
-    /// Enumerate and profile alternative plans when extensions are
-    /// registered. When false, always run the baseline plan.
-    pub auto_optimize: bool,
     /// Serve repeated queries on the same video from the materialized
     /// result cache (query-level computation reuse, §4.2).
     pub enable_result_cache: bool,
@@ -44,7 +41,6 @@ impl Default for SessionConfig {
             exec: ExecConfig::default(),
             accuracy_target: 0.9,
             canary_seconds: 12.0,
-            auto_optimize: true,
             enable_result_cache: true,
             plan: PlanOptions::vqpy_default(),
         }
@@ -173,7 +169,7 @@ impl VqpySession {
         if let Some(plan) = self.plan_cache.lock().get(&key) {
             return Ok(plan.clone());
         }
-        let plan = if self.config.auto_optimize && !self.extensions.is_empty() {
+        let plan = if !self.extensions.is_empty() {
             let candidates =
                 enumerate_plans(queries, &self.zoo, &self.extensions, &self.config.plan)?;
             if candidates.len() == 1 {

@@ -40,9 +40,8 @@ impl Counter {
     }
 
     /// Overwrites the value. For scrape-time views only: a total that
-    /// state outside the registry owns (e.g. the stream table's delivery
-    /// sums or the store's evictions), copied in when a snapshot is
-    /// rendered. A component that counts events writes its counter live
+    /// state outside the registry owns (e.g. the store's evictions),
+    /// copied in when a snapshot is rendered. A component that counts events writes its counter live
     /// with [`Counter::add`] instead; do not mix the two on one counter.
     pub fn store(&self, v: u64) {
         self.inner.store(v, Ordering::Relaxed);

@@ -18,7 +18,11 @@ use vqpy_core::backend::ops::FrameSlot;
 use vqpy_core::backend::plan::PlanDag;
 use vqpy_core::error::VqpyError;
 use vqpy_core::{panic_message, Query};
-use vqpy_obs::{label_escape, Histogram, Telemetry, Tracer};
+use vqpy_obs::{label_escape, Counter, Histogram, Telemetry, Tracer};
+
+/// The registry's totals of delivered and dropped events.
+pub(crate) const DELIVERED_TOTAL: &str = "vqpy_delivered_total";
+pub(crate) const DROPPED_TOTAL: &str = "vqpy_dropped_total";
 
 /// One attached query's server-side state: its accumulator (aggregates are
 /// computed from the attach boundary on) and the sending half of the
@@ -39,11 +43,15 @@ pub(crate) struct ActiveSub {
     /// shared by every subscription of the same query name (what the
     /// Prometheus exposition reports).
     pub(crate) shared_latency: Histogram,
+    /// The registry's [`DELIVERED_TOTAL`] and [`DROPPED_TOTAL`] counters.
+    delivered_total: Counter,
+    dropped_total: Counter,
 }
 
 impl ActiveSub {
     pub(crate) fn new(p: PendingAttach, telemetry: &Telemetry) -> Self {
-        let shared_latency = telemetry.registry().histogram(&format!(
+        let registry = telemetry.registry();
+        let shared_latency = registry.histogram(&format!(
             "vqpy_delivery_latency_ms{{query=\"{}\"}}",
             label_escape(p.query.name())
         ));
@@ -57,6 +65,8 @@ impl ActiveSub {
             dropped: 0,
             latency: Histogram::new(),
             shared_latency,
+            delivered_total: registry.counter(DELIVERED_TOTAL),
+            dropped_total: registry.counter(DROPPED_TOTAL),
         }
     }
 
@@ -77,15 +87,29 @@ impl ActiveSub {
         outcome
     }
 
-    pub(crate) fn deliver(&mut self, event: ServeEvent, policy: Backpressure, ingest: Instant) {
+    /// Sends a result event, counting it as delivered or dropped here, on
+    /// `stream` (the handle whose step sends it) and in the registry.
+    pub(crate) fn deliver(
+        &mut self,
+        event: ServeEvent,
+        policy: Backpressure,
+        ingest: Instant,
+        stream: &StreamHandle,
+    ) {
         match self.send(event, policy) {
             Ok(()) => {
                 self.delivered += 1;
+                stream.delivered.fetch_add(1, Ordering::Relaxed);
+                self.delivered_total.inc();
                 let latency_ms = ingest.elapsed().as_secs_f64() * 1e3;
                 self.latency.observe(latency_ms);
                 self.shared_latency.observe(latency_ms);
             }
-            Err(true) => self.dropped += 1,
+            Err(true) => {
+                self.dropped += 1;
+                stream.dropped.fetch_add(1, Ordering::Relaxed);
+                self.dropped_total.inc();
+            }
             Err(false) => {}
         }
     }
@@ -117,6 +141,8 @@ impl ActiveSub {
 /// plan's joins (attach order).
 struct DemuxSink<'a> {
     subs: &'a mut [ActiveSub],
+    /// The handle whose step runs the segment: it counts the deliveries.
+    stream: &'a StreamHandle,
     /// The stream's process-lane tracer, for per-frame demux spans.
     tracer: &'a Tracer,
     policy: Backpressure,
@@ -136,11 +162,14 @@ struct DemuxSink<'a> {
     /// attempt; the restart machinery reads it to know where delivery
     /// actually got to when the attempt faulted.
     progress: Option<u64>,
+    /// Frames this attempt was handed, skipped ones included.
+    frames: u64,
 }
 
 impl ResultSink for DemuxSink<'_> {
     fn on_frame(&mut self, plan: &PlanDag, slot: &FrameSlot) -> vqpy_core::error::Result<()> {
         let frame = slot.frame.index;
+        self.frames += 1;
         if self.skip_through.is_some_and(|t| frame <= t) {
             return Ok(());
         }
@@ -154,7 +183,7 @@ impl ResultSink for DemuxSink<'_> {
             // just hits.
             if let Some(hit) = sub.accum.observe(slot, ji) {
                 if frame >= self.deliver_from {
-                    sub.deliver(ServeEvent::Hit(hit), self.policy, self.ingest);
+                    sub.deliver(ServeEvent::Hit(hit), self.policy, self.ingest, self.stream);
                 }
             }
         }
@@ -205,8 +234,10 @@ impl StreamServer {
             let video_value = sub.accum.video_value_for(&sub.query);
             let now = Instant::now();
             match &exit {
-                Exit::Detach(_) => sub.deliver(ServeEvent::Detached { video_value }, policy, now),
-                Exit::End => sub.deliver(ServeEvent::End { video_value }, policy, now),
+                Exit::Detach(_) => {
+                    sub.deliver(ServeEvent::Detached { video_value }, policy, now, handle)
+                }
+                Exit::End => sub.deliver(ServeEvent::End { video_value }, policy, now, handle),
                 Exit::Abandon(fault) => sub.notify(ServeEvent::StreamFault(fault.clone()), policy),
             }
             s.past_queries.push(sub.metrics());
@@ -242,12 +273,14 @@ impl StreamServer {
             let checkpoint = engine.snapshot();
             let mut sink = DemuxSink {
                 subs: &mut s.subs,
+                stream: handle,
                 tracer: &tracer,
                 policy: self.config.backpressure,
                 ingest: wall,
                 deliver_from,
                 skip_through,
                 progress: None,
+                frames: 0,
             };
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 engine.run_segment(
@@ -260,7 +293,12 @@ impl StreamServer {
                 )
             }));
             let message = match outcome {
-                Ok(Ok(())) => return Ok(()),
+                Ok(Ok(())) => {
+                    handle
+                        .frames_total
+                        .fetch_add(sink.frames, Ordering::Relaxed);
+                    return Ok(());
+                }
                 // A stage-thread panic the pipelined executor already
                 // contained: same fault class as a caller-thread panic.
                 Ok(Err(VqpyError::StagePanic { stage, message })) => {

@@ -82,7 +82,7 @@ pub use config::{
     ServeResult, RESTART_BACKOFF_LABEL,
 };
 pub use engine::StreamEngine;
-pub use metrics::{AggregateMetrics, QueryServeMetrics, ServeMetrics, ShardLoad};
+pub use metrics::{QueryServeMetrics, ServeMetrics, ShardLoad};
 pub use replay::{
     RecordingDispatch, StoreDispatch, StoreTier, STORE_READ_COST_MS, STORE_READ_LABEL,
 };

@@ -45,7 +45,9 @@ impl StreamServer {
         if s.next_frame >= total {
             self.retire(handle, s, Exit::End);
         }
-        handle.publish(s);
+        handle
+            .published_next_frame
+            .store(s.next_frame, Ordering::Release);
         Ok(StepOutcome {
             frames,
             finished: handle.finished.load(Ordering::Acquire),

@@ -62,29 +62,9 @@ pub struct ServeMetrics {
     pub per_query: Vec<QueryServeMetrics>,
 }
 
-/// Server-wide load counters summed over all open streams, published at
-/// step boundaries (see `StreamServer::aggregate`). This is the signal
-/// admission control reads: it is always available without waiting on any
-/// stream's execution lock.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AggregateMetrics {
-    /// Open streams (finished ones included until closed).
-    pub streams: usize,
-    /// Streams that reached end-of-video.
-    pub finished_streams: usize,
-    /// Frames executed across all streams.
-    pub frames_total: u64,
-    /// Events delivered across all subscriptions.
-    pub delivered: u64,
-    /// Events dropped by the `Drop` backpressure policy across all
-    /// subscriptions.
-    pub dropped: u64,
-}
-
-/// A point-in-time view of one shard worker's load, read from counters
-/// the shard publishes (never waits behind any stream's execution lock).
-/// The per-stream facts behind it live on each stream's handle in the
-/// server's table. One row per shard from
+/// A point-in-time view of one shard worker's load: its step counter, and
+/// the handles that record the shard summed by the fold behind
+/// [`LoadSnapshot`](crate::LoadSnapshot). One row per shard from
 /// `StreamSupervisor::shard_loads`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardLoad {

@@ -459,7 +459,13 @@ impl StreamServer {
             chunk(s, end)?;
         }
         self.splice(&mut live_state, s)?;
-        live.publish(&live_state);
+        // The replay's one subscription delivers on the live stream now.
+        for (from, to) in [
+            (&handle.delivered, &live.delivered),
+            (&handle.dropped, &live.dropped),
+        ] {
+            to.fetch_add(from.swap(0, Ordering::Relaxed), Ordering::Relaxed);
+        }
         // Retire under the commands lock `detach` checks: a detach queued
         // since this turn's `apply_commands` moves with the subscription.
         let mut commands = handle.commands.lock();

@@ -3,12 +3,13 @@
 
 use crate::attach::{AttachMode, AttachSpec, Attached};
 use crate::config::{ServeConfig, ServeError, ServeResult};
-use crate::delivery::{ActiveSub, Exit};
+use crate::delivery::{ActiveSub, Exit, DELIVERED_TOTAL, DROPPED_TOTAL};
 use crate::engine::StreamEngine;
-use crate::metrics::{AggregateMetrics, ServeMetrics};
+use crate::metrics::{ServeMetrics, ShardLoad};
 use crate::replay::{RecordingDispatch, StoreTier};
 use crate::stream::{Feed, PendingAttach, Stream, StreamHandle};
 use crate::subscription::{ServeEvent, Subscription, SubscriptionId};
+use crate::supervisor::LoadSnapshot;
 #[cfg(doc)]
 use crate::Backpressure;
 use parking_lot::Mutex;
@@ -102,6 +103,9 @@ impl StreamServer {
                 tracer.set_time_source(move || clock.virtual_micros());
             }
         }
+        // Registered up front: a scrape before the first event lists them.
+        config.telemetry.registry().counter(DELIVERED_TOTAL);
+        config.telemetry.registry().counter(DROPPED_TOTAL);
         let store_tracer = tracer.for_stream(STORE_LANE);
         if store_tracer.is_enabled() && config.store.is_some() {
             store_tracer.set_process_name(STORE_LANE, "store");
@@ -550,29 +554,36 @@ impl StreamServer {
         Ok(s.exec_metrics())
     }
 
-    /// Server-wide load counters, summed over every open stream from
-    /// values published at step boundaries. Never waits on an execution
-    /// lock, so admission control can consult it while streams are
-    /// mid-step (the numbers lag a running step by at most one boundary).
-    /// In-flight replays are not counted.
-    pub fn aggregate(&self) -> AggregateMetrics {
-        let mut agg = AggregateMetrics::default();
-        self.for_each_live(|h| {
-            agg.streams += 1;
-            agg.finished_streams += usize::from(h.finished.load(Ordering::Acquire));
-            agg.frames_total += h.published_frames.load(Ordering::Relaxed);
-            agg.delivered += h.published_delivered.load(Ordering::Relaxed);
-            agg.dropped += h.published_dropped.load(Ordering::Relaxed);
-        });
-        agg
+    /// Server-wide load, summed over the counters on every open stream's
+    /// handle. Never waits on an execution lock, so admission control can
+    /// consult it while streams are mid-step. A replayed subscription's
+    /// events count once it splices into its live stream.
+    pub fn aggregate(&self) -> LoadSnapshot {
+        self.fold_load(&mut [])
     }
 
-    /// One pass over the live (non-replay) streams' handles, under the
-    /// table lock: `f` must only read published counters.
-    pub(crate) fn for_each_live(&self, mut f: impl FnMut(&StreamHandle)) {
+    /// The one fold over the stream table every load view reads: the live
+    /// streams' handle counters summed, and each scheduled stream's
+    /// occupancy and backlog added to its row of `shards` (by index).
+    pub(crate) fn fold_load(&self, shards: &mut [ShardLoad]) -> LoadSnapshot {
+        let mut load = LoadSnapshot::default();
         for h in self.streams.lock().values().filter(|h| !h.is_replay()) {
-            f(h);
+            let s = h.load();
+            let active = h.active.load(Ordering::Acquire);
+            load.streams += 1;
+            load.finished_streams += usize::from(s.finished);
+            load.active_streams += usize::from(active);
+            load.queue_depth += s.queue_depth;
+            load.ticks_shed += s.ticks_shed;
+            load.frames_total += s.frames_total;
+            load.delivered += s.delivered;
+            load.dropped += s.dropped;
+            if let Some(row) = h.pace.get().and_then(|&(_, shard)| shards.get_mut(shard)) {
+                row.streams += usize::from(active);
+                row.queue_depth += s.queue_depth;
+            }
         }
+        load
     }
 
     /// The server's telemetry handle (shared with

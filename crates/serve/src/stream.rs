@@ -8,7 +8,7 @@ use crate::metrics::QueryServeMetrics;
 use crate::replay::{RecordingDispatch, StoreDispatch};
 use crate::server::StreamId;
 use crate::subscription::{ServeEvent, SubscriptionId};
-use crate::supervisor::PaceMode;
+use crate::supervisor::{PaceMode, StreamLoad};
 use crate::ServeError;
 #[cfg(doc)]
 use crate::StreamServer;
@@ -138,22 +138,22 @@ pub(crate) struct StreamHandle {
     /// end-of-video; checked by `attach` under the same lock so no attach
     /// can slip in behind a finish. The stream's only `finished` flag.
     pub(crate) finished: AtomicBool,
-    /// Load counters published at step boundaries so
-    /// [`StreamServer::aggregate`] (admission control's signal source)
-    /// never waits behind the execution lock — a `Block`-policy step can
-    /// hold it for as long as subscribers take to drain.
-    pub(crate) published_frames: AtomicU64,
-    pub(crate) published_delivered: AtomicU64,
-    pub(crate) published_dropped: AtomicU64,
+    /// Load counters, written where their events happen so the load views
+    /// never wait behind the execution lock: a finished segment adds its
+    /// frames, `ActiveSub::deliver` counts each event it sends or drops,
+    /// and a splice moves the replayed subscription's counts here.
+    pub(crate) frames_total: AtomicU64,
+    pub(crate) delivered: AtomicU64,
+    pub(crate) dropped: AtomicU64,
     /// Supervisor scheduling, unset on a bare server: the pace the stream
-    /// was handed to a shard under.
-    pub(crate) pace: OnceLock<PaceMode>,
+    /// was handed to a shard under, and that shard's index.
+    pub(crate) pace: OnceLock<(PaceMode, usize)>,
     /// Whether a shard still schedules the stream ("active"); cleared,
     /// with `error` set and `released` notified under its lock, when the
     /// shard lets go (end, error, removal or shutdown).
     pub(crate) active: AtomicBool,
-    /// Paced backlog and shed ticks, published by the owning shard at its
-    /// step boundaries.
+    /// Paced backlog and shed ticks, published by the owning shard from
+    /// its core's pace counters at its step boundaries.
     pub(crate) queue_depth: AtomicU64,
     pub(crate) ticks_shed: AtomicU64,
     /// The error that made the shard let go, taken by `join_stream`.
@@ -175,9 +175,9 @@ impl StreamHandle {
             feed,
             commands: Mutex::new(Commands::default()),
             finished: AtomicBool::new(false),
-            published_frames: AtomicU64::new(0),
-            published_delivered: AtomicU64::new(0),
-            published_dropped: AtomicU64::new(0),
+            frames_total: AtomicU64::new(0),
+            delivered: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
             pace: OnceLock::new(),
             active: AtomicBool::new(false),
             queue_depth: AtomicU64::new(0),
@@ -194,20 +194,17 @@ impl StreamHandle {
         matches!(self.feed, Feed::Replay { .. })
     }
 
-    /// Publishes the stream's delivery counters (called with the state
-    /// lock held, at step boundaries and on finish).
-    pub(crate) fn publish(&self, s: &Stream) {
-        let mut delivered: u64 = s.past_queries.iter().map(|q| q.delivered).sum();
-        let mut dropped: u64 = s.past_queries.iter().map(|q| q.dropped).sum();
-        for a in &s.subs {
-            delivered += a.delivered;
-            dropped += a.dropped;
+    /// The stream's load, read from its counters.
+    pub(crate) fn load(&self) -> StreamLoad {
+        StreamLoad {
+            stream: self.id,
+            pace: self.pace.get().map_or(PaceMode::Unpaced, |&(pace, _)| pace),
+            queue_depth: self.queue_depth.load(Ordering::Relaxed),
+            ticks_shed: self.ticks_shed.load(Ordering::Relaxed),
+            finished: self.finished.load(Ordering::Acquire),
+            frames_total: self.frames_total.load(Ordering::Relaxed),
+            delivered: self.delivered.load(Ordering::Relaxed),
+            dropped: self.dropped.load(Ordering::Relaxed),
         }
-        self.published_frames
-            .store(s.exec_metrics().frames_total, Ordering::Relaxed);
-        self.published_delivered.store(delivered, Ordering::Relaxed);
-        self.published_dropped.store(dropped, Ordering::Relaxed);
-        self.published_next_frame
-            .store(s.next_frame, Ordering::Release);
     }
 }

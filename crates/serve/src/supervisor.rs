@@ -47,13 +47,12 @@
 //!   └──────────────────────────────────────────────────demux per stream
 //! ```
 //!
-//! A stream's lifecycle facts live in one place, its handle in the
-//! server's stream table: the one `finished` flag (end of video, or a
-//! restart budget run out), whether a shard is still scheduling it
-//! (*active*), its pace and paced backlog, and the error its shard let go
-//! of it with. The owning shard publishes the pacing facts at its step
-//! boundaries; the supervisor keeps no per-stream record, and
-//! [`StreamSupervisor::load`] is one pass over that table.
+//! A stream's lifecycle facts and counters live in one place, its handle in
+//! the server's stream table: the one `finished` flag, whether a shard is
+//! still scheduling it (*active*), its pace and shard, its paced backlog
+//! (published by the shard), the error its shard let go of it with, and
+//! its frames and deliveries (counted as they happen). The supervisor keeps
+//! no per-stream record; every load view is one fold over that table.
 //!
 //! The scheduling core (deadline heap, runnable ring, shed accounting) lives
 //! in [`crate::shard`] and is clock-agnostic; the
@@ -75,7 +74,7 @@ use crate::ServeMetrics;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -157,32 +156,33 @@ impl ServePolicy {
     }
 }
 
-/// A point-in-time view of supervisor load, the input to
-/// [`ServePolicy`] admission decisions. One pass over the server's stream
-/// table, reading counters published at step boundaries, so reading it
-/// never waits behind a stream's execution lock.
+/// A point-in-time view of server load, the input to [`ServePolicy`]
+/// admission decisions: one fold over the server's stream table, summing
+/// the counters on each stream's handle, which are written where their
+/// events happen, so reading it never waits behind an execution lock.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LoadSnapshot {
-    /// Streams the supervisor has opened and not yet removed: those still
-    /// in the server's stream table, finished or not.
+    /// Open streams: those in the server's stream table, finished or not.
     pub streams: usize,
-    /// Streams a shard is still scheduling. A stream stops being active
-    /// when its shard lets go of it: at end-of-video, on an error (a
-    /// failed recompile, a restart budget run out), on `remove_stream`,
-    /// or at shutdown.
+    /// Streams finished at end-of-video or with their restarts run out.
+    pub finished_streams: usize,
+    /// Streams a shard is still scheduling: its shard has not let go of
+    /// it (at end-of-video, on an error, on `remove_stream`, at shutdown).
     pub active_streams: usize,
     /// Due-but-unexecuted paced steps, summed over active streams.
     pub queue_depth: u64,
     /// Paced steps shed because a stream's backlog overflowed its ingest
     /// queue (cumulative).
     pub ticks_shed: u64,
+    /// Frames executed across all streams.
+    pub frames_total: u64,
     /// Events delivered across all subscriptions.
     pub delivered: u64,
     /// Events dropped by `Backpressure::Drop` across all subscriptions.
     pub dropped: u64,
     /// Fault-handling counters of the shared batcher's dispatch boundary
     /// (typed model faults, circuit-breaker trips/recoveries, coalescing
-    /// panics). All zero when no batcher is configured.
+    /// panics). All zero without a batcher, and from a bare server.
     pub faults: FaultStats,
 }
 
@@ -260,10 +260,9 @@ impl From<ServeError> for AttachError {
 }
 
 /// A point-in-time, per-stream load breakdown — the per-stream complement
-/// of the server-wide [`LoadSnapshot`]. Read from the stream's handle in
-/// the server's table, from counters its shard and its steps publish at
-/// step boundaries, so reading it never waits behind the stream's
-/// execution lock.
+/// of the server-wide [`LoadSnapshot`]. Read from the counters on the
+/// stream's handle in the server's table, so reading it never waits
+/// behind the stream's execution lock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamLoad {
     /// The stream's id.
@@ -280,13 +279,11 @@ pub struct StreamLoad {
     /// finished, but no longer active either (see
     /// [`LoadSnapshot::active_streams`]).
     pub finished: bool,
-    /// Frames executed, as of the last step boundary.
+    /// Frames executed.
     pub frames_total: u64,
-    /// Events delivered across the stream's subscriptions, as of the last
-    /// step boundary.
+    /// Events delivered across the stream's subscriptions.
     pub delivered: u64,
-    /// Events dropped by `Backpressure::Drop`, as of the last step
-    /// boundary.
+    /// Events dropped by `Backpressure::Drop`.
     pub dropped: u64,
 }
 
@@ -348,29 +345,29 @@ enum ShardCmd {
     Remove(StreamId),
 }
 
-/// State shared between one shard worker and the supervisor: its inbox,
-/// and the counters its [`ShardLoad`] row reads.
+/// The registry's count of paced steps shed, written by every shard.
+const TICKS_SHED_TOTAL: &str = "vqpy_ticks_shed_total";
+
+/// State shared between one shard worker and the supervisor: its inbox
+/// and its registry counters.
 struct ShardState {
     inbox: Mutex<Vec<ShardCmd>>,
     wake: Condvar,
     stop: AtomicBool,
     /// The shard's registered `vqpy_shard_steps_total{shard}` counter.
     steps: Counter,
-    /// Live streams handed to the shard and not yet released.
-    streams: AtomicUsize,
-    /// Paced backlog summed over the shard's streams.
-    queue_depth: AtomicU64,
+    /// The registry's [`TICKS_SHED_TOTAL`] counter, shared by every shard.
+    ticks_shed: Counter,
 }
 
 impl ShardState {
-    fn new(steps: Counter) -> Self {
+    fn new(steps: Counter, ticks_shed: Counter) -> Self {
         Self {
             inbox: Mutex::new(Vec::new()),
             wake: Condvar::new(),
             stop: AtomicBool::new(false),
             steps,
-            streams: AtomicUsize::new(0),
-            queue_depth: AtomicU64::new(0),
+            ticks_shed,
         }
     }
 
@@ -380,28 +377,20 @@ impl ShardState {
         self.wake.notify_all();
     }
 
-    /// Publishes a stream's backlog, keeping the shard's sum in step.
-    fn set_queue_depth(&self, handle: &StreamHandle, depth: u64) {
-        let old = handle.queue_depth.swap(depth, Ordering::Relaxed);
-        self.queue_depth
-            .fetch_add(depth.wrapping_sub(old), Ordering::Relaxed);
-    }
-
-    /// Publishes the pacing counters the core holds for `handle`'s stream.
+    /// Publishes the pacing counters the core holds for `handle`'s stream
+    /// onto the handle, counting newly shed ticks in the registry.
     fn publish(&self, handle: &StreamHandle, core: &ShardCore) {
         if let Some(c) = core.counters(handle.id) {
-            self.set_queue_depth(handle, c.queue_depth);
-            handle.ticks_shed.store(c.ticks_shed, Ordering::Relaxed);
+            handle.queue_depth.store(c.queue_depth, Ordering::Relaxed);
+            let shed = c.ticks_shed - handle.ticks_shed.swap(c.ticks_shed, Ordering::Relaxed);
+            self.ticks_shed.add(shed);
         }
     }
 
-    /// Lets go of a stream: it stops counting as active here and in the
-    /// server's table, and `join_stream` wakes to `error`.
+    /// Lets go of a stream: it stops counting as active, its backlog
+    /// empties, and `join_stream` wakes to `error`.
     fn release(&self, handle: &StreamHandle, error: Option<ServeError>) {
-        self.set_queue_depth(handle, 0);
-        if !handle.is_replay() {
-            self.streams.fetch_sub(1, Ordering::Relaxed);
-        }
+        handle.queue_depth.store(0, Ordering::Relaxed);
         let mut slot = handle.error.lock();
         *slot = error;
         handle.active.store(false, Ordering::Release);
@@ -478,6 +467,8 @@ impl StreamSupervisor {
             ModelBatcher::with_telemetry(bc, session.clock_handle(), &config.serve.telemetry)
         });
         let server = Arc::new(StreamServer::new(session, config.serve.clone()));
+        // Registered up front, like the delivery totals.
+        config.serve.telemetry.registry().counter(TICKS_SHED_TOTAL);
         Self {
             server,
             batcher,
@@ -512,15 +503,13 @@ impl StreamSupervisor {
             return Ok(shards);
         }
         let budget = self.shard_budget();
-        let telemetry = &self.config.serve.telemetry;
+        let registry = self.config.serve.telemetry.registry();
         for i in 0..budget {
-            let steps = telemetry
-                .registry()
-                .counter(&format!("vqpy_shard_steps_total{{shard=\"{i}\"}}"));
-            let state = Arc::new(ShardState::new(steps));
+            let steps = registry.counter(&format!("vqpy_shard_steps_total{{shard=\"{i}\"}}"));
+            let state = Arc::new(ShardState::new(steps, registry.counter(TICKS_SHED_TOTAL)));
             let worker_state = Arc::clone(&state);
             let server = Arc::clone(&self.server);
-            let tracer = telemetry.tracer().for_shard(i as u64);
+            let tracer = self.config.serve.telemetry.tracer().for_shard(i as u64);
             let handle = std::thread::Builder::new()
                 .name(format!("vqpy-shard-{i}"))
                 .spawn(move || run_shard(server, worker_state, tracer))
@@ -533,16 +522,13 @@ impl StreamSupervisor {
         Ok(shards)
     }
 
-    /// Hands a stream to the next shard, round-robin. The stream counts
-    /// as active from here until that shard releases it.
+    /// Hands a stream to the next shard, round-robin, recorded on its
+    /// handle. The stream is active from here until that shard releases it.
     fn schedule(&self, shards: &[ShardHandle], handle: Arc<StreamHandle>, pace: PaceMode) {
-        let _ = handle.pace.set(pace);
+        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % shards.len();
+        let _ = handle.pace.set((pace, shard));
         handle.active.store(true, Ordering::Release);
-        let shard = &shards[self.next_shard.fetch_add(1, Ordering::Relaxed) % shards.len()].state;
-        if !handle.is_replay() {
-            shard.streams.fetch_add(1, Ordering::Relaxed);
-        }
-        shard.post(ShardCmd::Add { handle, pace });
+        shards[shard].state.post(ShardCmd::Add { handle, pace });
     }
 
     /// The handle of a stream this supervisor scheduled.
@@ -659,20 +645,10 @@ impl StreamSupervisor {
         self.server.detach(stream, sub)
     }
 
-    /// The current load snapshot admission control evaluates: one pass
-    /// over the server's stream table.
+    /// The current load snapshot admission control evaluates:
+    /// [`StreamServer::aggregate`] plus the batcher's fault counters.
     pub fn load(&self) -> LoadSnapshot {
-        let mut load = LoadSnapshot::default();
-        self.server.for_each_live(|h| {
-            load.delivered += h.published_delivered.load(Ordering::Relaxed);
-            load.dropped += h.published_dropped.load(Ordering::Relaxed);
-            if h.pace.get().is_some() {
-                load.streams += 1;
-                load.active_streams += usize::from(h.active.load(Ordering::Acquire));
-                load.queue_depth += h.queue_depth.load(Ordering::Relaxed);
-                load.ticks_shed += h.ticks_shed.load(Ordering::Relaxed);
-            }
-        });
+        let mut load = self.server.aggregate();
         if let Some(b) = &self.batcher {
             load.faults = b.stats().faults;
         }
@@ -693,23 +669,24 @@ impl StreamSupervisor {
         self.batcher.as_ref().map(|b| b.stats())
     }
 
-    /// Per-shard load: streams assigned, paced backlog, steps executed,
-    /// read from the counters each shard publishes. One row per shard
-    /// worker (empty before the first `add_stream` spawns the shard pool).
-    /// `steps` is the shard's registered `vqpy_shard_steps_total{shard}`
-    /// counter, shared by supervisors built over one [`Telemetry`].
+    /// Per-shard load: active streams and paced backlog folded over the
+    /// handles that record the shard, and its registered
+    /// `vqpy_shard_steps_total{shard}` counter (shared by supervisors built
+    /// over one [`Telemetry`]). One row per shard worker, none before the
+    /// first `add_stream` spawns the shard pool.
     pub fn shard_loads(&self) -> Vec<ShardLoad> {
         let shards = self.shards.lock();
-        shards
+        let mut rows: Vec<ShardLoad> = shards
             .iter()
             .enumerate()
             .map(|(shard, s)| ShardLoad {
                 shard,
-                streams: s.state.streams.load(Ordering::Relaxed),
-                queue_depth: s.state.queue_depth.load(Ordering::Relaxed),
                 steps: s.state.steps.get(),
+                ..ShardLoad::default()
             })
-            .collect()
+            .collect();
+        self.server.fold_load(&mut rows);
+        rows
     }
 
     /// The run's telemetry handle, shared with every layer the supervisor
@@ -721,30 +698,19 @@ impl StreamSupervisor {
         &self.config.serve.telemetry
     }
 
-    /// Per-stream load breakdown, read from the stream's handle: pacing
-    /// backlog and shed ticks as its shard last published them, plus the
-    /// frame/delivery counters of its last step boundary. Never waits
-    /// behind the execution lock.
+    /// Per-stream load breakdown, read from the counters on the stream's
+    /// handle. Never waits behind the execution lock.
     pub fn stream_snapshot(&self, stream: StreamId) -> ServeResult<StreamLoad> {
-        let h = self.scheduled(stream)?;
-        Ok(StreamLoad {
-            stream,
-            pace: *h.pace.get().expect("a scheduled stream has a pace"),
-            queue_depth: h.queue_depth.load(Ordering::Relaxed),
-            ticks_shed: h.ticks_shed.load(Ordering::Relaxed),
-            finished: h.finished.load(Ordering::Acquire),
-            frames_total: h.published_frames.load(Ordering::Relaxed),
-            delivered: h.published_delivered.load(Ordering::Relaxed),
-            dropped: h.published_dropped.load(Ordering::Relaxed),
-        })
+        Ok(self.scheduled(stream)?.load())
     }
 
     /// Renders a Prometheus text-exposition snapshot of the run. The
     /// registry already holds what components write as they run (delivery
-    /// latency per query, the batcher's batch sizes, request and fault
-    /// counters, shard steps); this adds scrape-time views of state the
-    /// registry cannot own: the stream table's sums, shard occupancy and
-    /// backlog, the clock's devices and the store.
+    /// latency per query, delivered and dropped events, shed ticks, the
+    /// batcher's batch sizes, request and fault counters, shard steps);
+    /// this adds gauges of state the registry cannot own: the stream
+    /// table's occupancy and backlog, per shard too, the clock's devices
+    /// and the store.
     pub fn prometheus_snapshot(&self) -> String {
         let telemetry = self.telemetry();
         let reg = telemetry.registry();
@@ -753,9 +719,6 @@ impl StreamSupervisor {
         reg.gauge("vqpy_active_streams")
             .set(load.active_streams as f64);
         reg.gauge("vqpy_queue_depth").set(load.queue_depth as f64);
-        reg.counter("vqpy_ticks_shed_total").store(load.ticks_shed);
-        reg.counter("vqpy_delivered_total").store(load.delivered);
-        reg.counter("vqpy_dropped_total").store(load.dropped);
         for s in self.shard_loads() {
             reg.gauge(&format!("vqpy_shard_occupancy{{shard=\"{}\"}}", s.shard))
                 .set(s.streams as f64);

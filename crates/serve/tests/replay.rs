@@ -733,6 +733,69 @@ fn supervisor_attach_from_end_to_end() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A stream's load counters live on its handle, and a splice moves the
+/// replayed subscription's onto the live stream: afterwards the server's
+/// aggregate counts the events the replay delivered before it spliced, so
+/// it equals the sum over the live stream's `per_query`, and the stream's
+/// snapshot counts the frames its engines executed.
+#[test]
+fn a_splice_moves_the_replayed_counts_to_the_live_stream() {
+    use vqpy_serve::{PaceMode, StreamSupervisor, SupervisorConfig};
+
+    let v = video(93, 4.0);
+    let query = count_query("CountCars");
+    let dir = tempdir("splice_counts");
+    let fs = store_at(&dir);
+    let supervisor = StreamSupervisor::new(
+        Arc::new(VqpySession::new(ModelZoo::standard())),
+        SupervisorConfig {
+            serve: ServeConfig {
+                store: Some(Arc::clone(&fs)),
+                ..ServeConfig::default()
+            },
+            ..SupervisorConfig::default()
+        },
+    );
+    // Paced at twice its capture rate, the live stream runs for about two
+    // seconds; the replay, reading stored answers, catches up long before.
+    let pace = PaceMode::Fps(2.0 * v.fps() as f32);
+    let (stream, mut subs) = supervisor
+        .add_stream(Arc::new(v.clone()), pace, &[Arc::clone(&query)])
+        .unwrap();
+    // Some history is stored first, so the replay delivers before it
+    // splices.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while supervisor.stream_snapshot(stream).unwrap().frames_total < v.frame_count() / 4 {
+        assert!(Instant::now() < deadline, "the live stream stalled");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let sub = supervisor
+        .attach(stream, AttachSpec::new(Arc::clone(&query)).from(fs.epoch()))
+        .unwrap();
+    let metrics = supervisor.join_stream(stream).unwrap();
+    drain(subs.remove(0));
+    let (replayed, _, _) = drain(sub);
+
+    assert_eq!(
+        metrics.per_query.len(),
+        2,
+        "the replay spliced: {metrics:?}"
+    );
+    assert_eq!(metrics.per_query[1].delivered, replayed.len() as u64 + 1);
+    let delivered: u64 = metrics.per_query.iter().map(|q| q.delivered).sum();
+    assert_eq!(supervisor.server().aggregate().delivered, delivered);
+    assert_eq!(
+        supervisor.stream_snapshot(stream).unwrap().frames_total,
+        supervisor
+            .server()
+            .exec_metrics(stream)
+            .unwrap()
+            .frames_total
+    );
+    supervisor.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A camera shared by a live stream and its replay. The first decode of
 /// frame `at` after `armed` is set asks another thread to step the live
 /// stream once, and waits until that step is done.

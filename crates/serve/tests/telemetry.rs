@@ -409,3 +409,62 @@ fn registry_counters_are_live_without_a_snapshot() {
     }
     supervisor.shutdown();
 }
+
+/// The delivery totals are counters, written as events are delivered: a
+/// scrape after `remove_stream` reads no less than one before it, and
+/// every scrape equals the sum of `delivered` over every subscription the
+/// supervisor served, removed streams' included.
+#[test]
+fn delivery_totals_never_run_backwards() {
+    let telemetry = Telemetry::disabled();
+    let supervisor = StreamSupervisor::new(
+        Arc::new(VqpySession::new(ModelZoo::standard())),
+        SupervisorConfig {
+            serve: ServeConfig {
+                telemetry: telemetry.clone(),
+                ..ServeConfig::default()
+            },
+            ..SupervisorConfig::default()
+        },
+    );
+    let scrape = |name: &str| -> u64 {
+        let prom = supervisor.prometheus_snapshot();
+        let line = prom
+            .lines()
+            .find(|l| l.starts_with(&format!("{name} ")))
+            .unwrap_or_else(|| panic!("no {name} in {prom}"));
+        line.split_whitespace().nth(1).unwrap().parse().unwrap()
+    };
+    assert_eq!(
+        scrape("vqpy_delivered_total"),
+        0,
+        "registered before any event"
+    );
+    let mut delivered = 0;
+    let mut streams = Vec::new();
+    for seed in [86u64, 87] {
+        let (stream, subs) = supervisor
+            .add_stream(
+                Arc::new(video(seed, 3.0)),
+                PaceMode::Unpaced,
+                &[color_query("RedCar", "red")],
+            )
+            .unwrap();
+        let metrics = supervisor.join_stream(stream).unwrap();
+        for sub in subs {
+            let _ = sub.collect();
+        }
+        delivered += metrics.per_query.iter().map(|q| q.delivered).sum::<u64>();
+        streams.push(stream);
+    }
+    assert!(delivered > 0, "scenario needs traffic");
+    let before = scrape("vqpy_delivered_total");
+    assert_eq!(before, delivered);
+    supervisor.remove_stream(streams[0]).unwrap();
+    let after = scrape("vqpy_delivered_total");
+    assert!(after >= before, "{after} < {before}");
+    assert_eq!(after, delivered);
+    assert_eq!(scrape("vqpy_dropped_total"), 0);
+    assert_eq!(scrape("vqpy_ticks_shed_total"), 0);
+    supervisor.shutdown();
+}

@@ -48,10 +48,6 @@ pub struct TrackUpdate {
     /// Whether the track has accumulated `min_hits` matches. Stateful
     /// properties should only be trusted on confirmed tracks.
     pub confirmed: bool,
-    /// Whether this track was created for this detection on this frame
-    /// (i.e. the object has not been seen before). Intrinsic-property reuse
-    /// keys off this: only fresh tracks need full property computation.
-    pub is_new: bool,
 }
 
 /// A SORT-style tracker over labeled boxes.
@@ -175,7 +171,6 @@ impl SortTracker {
                     updates.push(TrackUpdate {
                         track_id: t.id,
                         confirmed: t.hits >= self.params.min_hits,
-                        is_new: false,
                     });
                 }
                 None => {
@@ -191,7 +186,6 @@ impl SortTracker {
                     updates.push(TrackUpdate {
                         track_id: id,
                         confirmed: self.params.min_hits <= 1,
-                        is_new: true,
                     });
                 }
             }
@@ -269,10 +263,9 @@ mod tests {
         });
         let u1 = tr.update(&[(boxes_at(100.0), "car")]);
         assert!(!u1[0].confirmed);
-        assert!(u1[0].is_new);
         let u2 = tr.update(&[(boxes_at(105.0), "car")]);
         assert!(!u2[0].confirmed);
-        assert!(!u2[0].is_new);
+        assert_eq!(u2[0].track_id, u1[0].track_id);
         let u3 = tr.update(&[(boxes_at(110.0), "car")]);
         assert!(u3[0].confirmed);
     }
@@ -297,7 +290,6 @@ mod tests {
             up[0].track_id, last_id,
             "Kalman prediction should bridge the gap"
         );
-        assert!(!up[0].is_new);
     }
 
     #[test]
@@ -327,7 +319,7 @@ mod tests {
         }
         // Same place later => a brand-new id.
         let up = tr.update(&[(boxes_at(100.0), "car")]);
-        assert!(up[0].is_new);
+        assert_ne!(up[0].track_id, id);
     }
 
     #[test]

@@ -188,9 +188,7 @@ mod in_place_scopes {
     use super::*;
     use std::collections::BTreeMap;
     use std::sync::Arc;
-    use vqpy::core::backend::graph::{
-        Edge, EdgeKind, FrameGraph, NodeId, NodeScope, SlotLayout, VObjNode,
-    };
+    use vqpy::core::backend::graph::{Edge, FrameGraph, NodeId, NodeScope, SlotLayout, VObjNode};
     use vqpy::core::backend::ops::{ExecCtx, FrameSlot, JoinOp, Operator};
     use vqpy::core::backend::symbols::Istr;
     use vqpy::core::frontend::library::{person_schema, vehicle_schema};
@@ -328,7 +326,6 @@ mod in_place_scopes {
             }
             for case in &self.edges {
                 let e = graph.add_edge(Edge {
-                    kind: EdgeKind::Spatial,
                     relation: rel,
                     from: case.from,
                     to: case.to,
