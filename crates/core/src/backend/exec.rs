@@ -383,7 +383,7 @@ pub fn execute_plan(
     };
     let frames = 0..source.frame_count();
     run_segment(env, frames, &mut ops, &mut metrics, &mut collector)?;
-    metrics.reuse = ops.objects.stats;
+    metrics.reuse = ops.state.objects.stats;
     let total_ms = clock.virtual_ms() - start_ms;
     Ok(collector.finalize(plan, metrics, total_ms))
 }
@@ -394,7 +394,7 @@ pub fn execute_plan(
 /// `ops` and `metrics`, so callers may interleave segments with plan
 /// recompiles (the serving layer's attach/detach) or run one whole-video
 /// segment (the offline path). `metrics.reuse` is *not* refreshed here —
-/// callers read `ops.objects.stats` when they finish.
+/// callers read `ops.state.objects.stats` when they finish.
 pub fn run_segment(
     env: ExecEnv<'_>,
     range: Range<u64>,
@@ -432,10 +432,9 @@ fn run_sequential(
         if slots.is_empty() {
             continue;
         }
-        for kind in StageKind::ALL {
+        for (kind, mut held) in StageKind::ALL.into_iter().zip(ops.state.split()) {
             let chain = &mut ops.chains[kind.index()][0];
-            let objects = kind.owns_objects().then_some(&mut ops.objects);
-            run_stage(kind, chain, objects, seq as u64, slots, cx)?;
+            run_stage(kind, chain, &mut held, seq as u64, slots, cx)?;
         }
         deliver(cx.env.plan, slots, metrics, sink)?;
         if config.record_per_frame_ms {

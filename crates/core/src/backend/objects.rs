@@ -1,5 +1,9 @@
-//! Object tables: a tracked object's cross-frame state, as the paper's VObj
-//! owns its history and memoised intrinsics (§3, §4.2). An [`ObjectTable`]
+//! A stream's cross-frame state ([`StreamState`]): its object tables and its
+//! diff filter's reference frame. No operator holds any, so a checkpoint is
+//! one clone and a recompile or a splice one move.
+//!
+//! Object tables hold a tracked object's cross-frame state, as the paper's
+//! VObj owns its history and memoised intrinsics (§3, §4.2). An [`ObjectTable`]
 //! holds its alias's tracker and one dense row per live track, with the
 //! plan's columns: a window per stateful property and a memoised value per
 //! intrinsic one.
@@ -11,10 +15,8 @@
 //! recompile moves each while its alias's tracker survives; a plan without
 //! the alias drops its table.
 
-use crate::backend::ops::OpState;
 use crate::backend::plan::{OpSpec, PlanDag};
 use crate::backend::reuse::{ReuseStats, ReuseTier};
-use crate::backend::stage::OpStates;
 use crate::backend::symbols::Istr;
 use crate::frontend::property::{PropertyKind, PropertySource};
 use crate::frontend::vobj::ResolvedProperty;
@@ -22,6 +24,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use vqpy_models::Value;
 use vqpy_tracker::{SortTracker, TrackId, TrackerParams};
+use vqpy_video::frame::PixelBuffer;
 
 /// A column, `(property, deps, len, intrinsic)`: a
 /// stateful property's window of `len` samples of each of its `deps`
@@ -41,8 +44,6 @@ fn offset(columns: &[Column], col: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct ObjectTable {
     alias: Istr,
-    /// The tracker's fingerprint, `track(alias)`: the table's key.
-    key: Arc<str>,
     columns: Arc<Vec<Column>>,
     pub(crate) tracker: SortTracker,
     /// Each row's track; `None` on a free row.
@@ -56,7 +57,6 @@ pub struct ObjectTable {
 impl ObjectTable {
     fn new(alias: Istr, columns: Arc<Vec<Column>>, tracker: SortTracker) -> Self {
         Self {
-            key: format!("track({alias})").into(),
             alias,
             columns,
             tracker,
@@ -200,7 +200,7 @@ impl ObjectTable {
 
 /// A stream's object tables, one per alias its plan tracks, and the reuse
 /// counters and durable tier of their intrinsic cells.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Objects {
     tables: Vec<ObjectTable>,
     pub stats: ReuseStats,
@@ -310,23 +310,78 @@ impl Objects {
         (table.samples[cell.start], table.filled[f]) = (value, 1);
     }
 
-    /// Copies of the tables, keyed by their trackers' fingerprints.
-    pub(crate) fn states(&self) -> impl Iterator<Item = (Arc<str>, OpState)> + '_ {
-        let tables = self.tables.iter();
-        tables.map(|t| (Arc::clone(&t.key), OpState::Table(t.clone())))
+    /// Each table takes over its alias's table in `own` or else in `seed`
+    /// (see [`ObjectTable::adopt`]); the reuse counters and tier are
+    /// `own`'s.
+    fn adopt(&mut self, own: Objects, seed: Objects) {
+        let (mut own_tables, mut seed_tables) = (own.tables, seed.tables);
+        for table in &mut self.tables {
+            let alias = table.alias;
+            let take = |tables: &mut Vec<ObjectTable>| {
+                let at = tables.iter().position(|t| t.alias == alias)?;
+                Some(tables.swap_remove(at))
+            };
+            let (own, seed) = (take(&mut own_tables), take(&mut seed_tables));
+            table.adopt(own, seed);
+        }
+        (self.stats, self.tier) = (own.stats, own.tier);
+    }
+}
+
+/// The diff filter's reference: the last frame it kept, and the threshold
+/// it keeps frames by. A plan has at most one diff filter.
+#[derive(Debug, Clone)]
+pub struct Reference {
+    pub(crate) threshold: f32,
+    pub(crate) last_kept: Option<PixelBuffer>,
+}
+
+/// A stream's cross-frame state. Prep reaches the object tables and the
+/// frame filters the reference frame, each through
+/// [`ExecCtx`](crate::backend::ops::ExecCtx); a checkpoint clones the
+/// value, and a recompile or a splice moves it into the new plan's (see
+/// [`StreamState::adopt`]).
+#[derive(Debug, Clone, Default)]
+pub struct StreamState {
+    pub objects: Objects,
+    /// `None` when the plan has no diff filter.
+    pub reference: Option<Reference>,
+}
+
+impl StreamState {
+    /// Empty state for `plan`: its object tables ([`Objects::for_plan`])
+    /// and, if it filters by difference, a reference with no frame yet.
+    pub fn for_plan(plan: &PlanDag) -> Self {
+        let reference = plan.ops.iter().find_map(|op| match op {
+            OpSpec::DiffFilter { threshold } => Some(Reference {
+                threshold: *threshold,
+                last_kept: None,
+            }),
+            _ => None,
+        });
+        Self {
+            objects: Objects::for_plan(plan),
+            reference,
+        }
     }
 
-    /// Each table takes over its own previous state from `own` or, failing
-    /// that, `seed`'s, which also fills the columns `own` lacks (see
-    /// [`ObjectTable::adopt`]). A table found in neither starts empty.
-    pub(crate) fn adopt(&mut self, own: &mut OpStates, seed: &mut OpStates) {
-        for table in &mut self.tables {
-            let take = |states: &mut OpStates| match states.remove(&table.key) {
-                Some(OpState::Table(t)) => Some(t),
-                _ => None,
-            };
-            let (own, seed) = (take(own), take(seed));
-            table.adopt(own, seed);
+    /// Takes over, as a new plan's empty state, `own` (the stream's state
+    /// under its previous plan) and then `seed` (another engine's, at a
+    /// splice). Each table takes its alias's table in `own`, or else in
+    /// `seed`, which also fills the columns `own` lacks, row by track; the
+    /// reuse counters and tier are `own`'s; the reference frame is `own`'s,
+    /// or else `seed`'s, when it was kept by this plan's threshold. What
+    /// neither holds starts empty, and what this plan lacks is dropped.
+    pub fn adopt(&mut self, own: StreamState, seed: StreamState) {
+        self.objects.adopt(own.objects, seed.objects);
+        let threshold = self.reference.as_ref().map(|r| r.threshold);
+        let carries = |r: &Reference| Some(r.threshold) == threshold;
+        if let Some(kept) = own
+            .reference
+            .filter(carries)
+            .or(seed.reference.filter(carries))
+        {
+            self.reference = Some(kept);
         }
     }
 }
@@ -385,10 +440,11 @@ mod tests {
         push(&mut seed, seed_row, 1, 3);
 
         let mut next = Objects::with_columns(&["car"], &["plate"], &[("heading", 1, 1)]);
-        let states = |t: ObjectTable| OpStates::from([(Arc::clone(&t.key), OpState::Table(t))]);
-        let mut own = states(own);
-        next.adopt(&mut own, &mut states(seed));
-        assert!(own.is_empty(), "the table moved");
+        let objects = |t: ObjectTable| Objects {
+            tables: vec![t],
+            ..Objects::default()
+        };
+        next.adopt(objects(own), objects(seed));
         let columns = next.tables[0].columns.iter().map(|c| c.0.as_str());
         let columns: Vec<&str> = columns.collect();
         assert_eq!(
@@ -403,5 +459,35 @@ mod tests {
             push(&mut next.tables[0], row, 1, 5),
             Some(vec![Value::Int(5)])
         );
+    }
+
+    /// The reference frame carries over only to a plan whose diff filter
+    /// keeps frames by its threshold, and `own`'s beats `seed`'s.
+    #[test]
+    fn the_reference_frame_carries_over_under_its_threshold() {
+        let frame = |level: u8| Some(PixelBuffer::from_rgb(1, 1, 1, vec![level; 3]));
+        let state = |threshold: Option<f32>, last_kept| StreamState {
+            reference: threshold.map(|threshold| Reference {
+                threshold,
+                last_kept,
+            }),
+            ..StreamState::default()
+        };
+        let carried = |plan: Option<f32>, own, seed| {
+            let mut next = state(plan, None);
+            next.adopt(own, seed);
+            next.reference.and_then(|r| r.last_kept)
+        };
+        let (own, seed) = (|| state(Some(1.0), frame(1)), || state(Some(1.0), frame(2)));
+        assert_eq!(carried(Some(1.0), own(), seed()), frame(1));
+        let unkept = state(Some(1.0), None);
+        assert_eq!(carried(Some(1.0), unkept, seed()), None, "own wins unkept");
+        assert_eq!(carried(Some(1.0), state(None, None), seed()), frame(2));
+        assert_eq!(
+            carried(Some(1.0), state(Some(2.0), frame(3)), seed()),
+            frame(2)
+        );
+        assert_eq!(carried(Some(2.0), own(), seed()), None);
+        assert_eq!(carried(None, own(), seed()), None);
     }
 }

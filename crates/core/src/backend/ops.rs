@@ -10,7 +10,7 @@ use crate::backend::graph::{
     Edge, EdgeRead, EdgeSlot, FrameGraph, NodeId, NodeRead, NodeScope, PropAccess, PropSlot,
     SlotLayout, SlotPred, VObjNode,
 };
-use crate::backend::objects::{ObjectTable, Objects};
+use crate::backend::objects::{Objects, Reference};
 use crate::backend::plan::{OpSpec, PlanDag};
 use crate::backend::symbols::Istr;
 use crate::error::{Result, VqpyError};
@@ -26,7 +26,7 @@ use vqpy_models::{
     Classifier, Clock, Detection, Detector, FrameClassifier, HoiModel, ModelZoo, Value,
 };
 use vqpy_tracker::{TrackId, TrackUpdate};
-use vqpy_video::frame::{Frame, PixelBuffer};
+use vqpy_video::frame::Frame;
 use vqpy_video::geometry::BBox;
 
 /// One frame moving through the pipeline.
@@ -124,9 +124,11 @@ pub struct ExecCtx<'a> {
     pub zoo: &'a ModelZoo,
     pub clock: &'a Clock,
     pub fps: u32,
-    /// The stream's object tables, handed only to the stage that owns
-    /// them; `None` elsewhere.
+    /// The stream's object tables, handed only to prep; `None` elsewhere.
     pub objects: Option<&'a mut Objects>,
+    /// The stream's diff-filter reference, handed only to the frame
+    /// filters; `None` elsewhere or when the plan has no diff filter.
+    pub reference: Option<&'a mut Reference>,
     /// Whether intrinsic projections memoise their values (§4.2).
     pub reuse: bool,
     /// The model-dispatch boundary: how detect-, binary-filter-, and
@@ -141,27 +143,12 @@ pub struct ExecCtx<'a> {
     pub tracer: &'a vqpy_obs::Tracer,
 }
 
-/// Cross-frame state, copied out so a serving layer can carry it across
-/// plan recompiles: the recompiled super-plan's operators with matching
-/// [`Operator::state_key`]s, and its object tables with matching tracker
-/// fingerprints, inherit it, keeping surviving queries' results
-/// byte-identical to an uninterrupted run. The same copy is the serving
-/// layer's checkpoint before each fallible segment.
-#[derive(Debug, Clone)]
-pub enum OpState {
-    /// [`DiffFrameFilter`]: the last kept frame's pixels.
-    DiffFilter { last_kept: Option<PixelBuffer> },
-    /// A tracked alias's [`ObjectTable`]: its tracker and every live
-    /// track's row.
-    Table(ObjectTable),
-}
-
-/// A pipeline stage. Operators keep their own cross-frame state (previous
-/// pixels) or reach their alias's object table through [`ExecCtx`], and
-/// must therefore observe frames in order.
+/// A pipeline stage. Operators hold no cross-frame state: the ones that use
+/// the stream's ([`StreamState`]) reach it through [`ExecCtx`], and must
+/// therefore observe frames in order.
+///
+/// [`StreamState`]: crate::backend::objects::StreamState
 pub trait Operator: Send {
-    /// Operator name for plan dumps and metrics.
-    fn name(&self) -> String;
     /// Processes one slot. Dead slots are not passed in.
     fn process(&mut self, slot: &mut FrameSlot, ctx: &mut ExecCtx<'_>) -> Result<()>;
     /// Processes a batch of slots in frame order (§4.1's batched
@@ -170,38 +157,11 @@ pub trait Operator: Send {
     /// batched invocation, amortizing per-invocation overhead. Results must
     /// be identical to the frame-at-a-time path.
     fn process_batch(&mut self, slots: &mut [FrameSlot], ctx: &mut ExecCtx<'_>) -> Result<()> {
-        for slot in slots.iter_mut() {
-            if !slot.alive && !self.wants_dead_frames() {
-                continue;
-            }
+        for slot in slots.iter_mut().filter(|s| s.alive) {
             self.process(slot, ctx)?;
         }
         Ok(())
     }
-    /// Whether the operator must see every frame (even ones a frame filter
-    /// would drop) to keep its cross-frame state consistent. Trackers
-    /// return false: they simply miss filtered frames, like real systems.
-    fn wants_dead_frames(&self) -> bool {
-        false
-    }
-    /// Stable identity of this operator's cross-frame state, independent of
-    /// plan-local details like fusion or join indices. Two operators with
-    /// the same key compute the same stream function, so their state may be
-    /// transplanted across plan recompiles. `None` means stateless: the
-    /// operator can always be re-instantiated fresh. Stateful operators
-    /// format the key once, when built: a serving layer reads it on every
-    /// checkpoint.
-    fn state_key(&self) -> Option<Arc<str>> {
-        None
-    }
-    /// A copy of the cross-frame state for carry-over. Only meaningful
-    /// when [`Operator::state_key`] is `Some`.
-    fn state(&self) -> Option<OpState> {
-        None
-    }
-    /// Installs state copied from an operator with the same
-    /// [`Operator::state_key`]. Mismatched variants are ignored.
-    fn import_state(&mut self, _state: OpState) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -211,58 +171,25 @@ pub trait Operator: Send {
 /// Virtual cost of the native frame-differencing computation per frame.
 pub const DIFF_FILTER_COST: f64 = 0.3;
 
-/// Differencing-based frame filter (Figure 12): drops frames that are
-/// near-identical to the last *kept* frame.
-pub struct DiffFrameFilter {
-    threshold: f32,
-    last_kept: Option<PixelBuffer>,
-    state_key: Arc<str>,
-}
-
-impl DiffFrameFilter {
-    /// Creates the filter; frames with mean absolute pixel difference below
-    /// `threshold` (0-255 scale) are dropped.
-    pub fn new(threshold: f32) -> Self {
-        Self {
-            threshold,
-            last_kept: None,
-            state_key: format!("diff_filter(<{threshold})").into(),
-        }
-    }
-}
+/// Differencing-based frame filter (Figure 12): drops frames whose mean
+/// absolute pixel difference (0-255 scale) from the last *kept* frame is
+/// below the stream's [`Reference`] threshold.
+pub struct DiffFrameFilter;
 
 impl Operator for DiffFrameFilter {
-    fn name(&self) -> String {
-        format!("diff_frame_filter(<{})", self.threshold)
-    }
-
     fn process(&mut self, slot: &mut FrameSlot, ctx: &mut ExecCtx<'_>) -> Result<()> {
         ctx.clock.charge_labeled("diff_filter", DIFF_FILTER_COST);
-        match &self.last_kept {
-            Some(prev) if prev.mean_abs_diff(&slot.frame.pixels) < self.threshold => {
+        let reference = ctx
+            .reference
+            .as_deref_mut()
+            .expect("diff filters run in the frame filters");
+        match &reference.last_kept {
+            Some(prev) if prev.mean_abs_diff(&slot.frame.pixels) < reference.threshold => {
                 slot.alive = false;
             }
-            _ => {
-                self.last_kept = Some(slot.frame.pixels.clone());
-            }
+            _ => reference.last_kept = Some(slot.frame.pixels.clone()),
         }
         Ok(())
-    }
-
-    fn state_key(&self) -> Option<Arc<str>> {
-        Some(Arc::clone(&self.state_key))
-    }
-
-    fn state(&self) -> Option<OpState> {
-        Some(OpState::DiffFilter {
-            last_kept: self.last_kept.clone(),
-        })
-    }
-
-    fn import_state(&mut self, state: OpState) {
-        if let OpState::DiffFilter { last_kept } = state {
-            self.last_kept = last_kept;
-        }
     }
 }
 
@@ -279,10 +206,6 @@ impl BinaryFilterOp {
 }
 
 impl Operator for BinaryFilterOp {
-    fn name(&self) -> String {
-        format!("binary_filter({})", self.model.profile().name)
-    }
-
     fn process(&mut self, slot: &mut FrameSlot, ctx: &mut ExecCtx<'_>) -> Result<()> {
         self.process_batch(std::slice::from_mut(slot), ctx)
     }
@@ -348,15 +271,6 @@ impl DetectOp {
 }
 
 impl Operator for DetectOp {
-    fn name(&self) -> String {
-        let aliases: Vec<&str> = self.aliases.iter().map(|(a, _)| a.as_str()).collect();
-        format!(
-            "detect({} -> {})",
-            self.detector.profile().name,
-            aliases.join(","),
-        )
-    }
-
     fn process(&mut self, slot: &mut FrameSlot, ctx: &mut ExecCtx<'_>) -> Result<()> {
         self.process_batch(std::slice::from_mut(slot), ctx)
     }
@@ -414,10 +328,6 @@ impl TrackOp {
 }
 
 impl Operator for TrackOp {
-    fn name(&self) -> String {
-        format!("track({})", self.alias)
-    }
-
     fn process(&mut self, slot: &mut FrameSlot, ctx: &mut ExecCtx<'_>) -> Result<()> {
         let objects = ctx.objects.as_deref_mut().expect("trackers run in prep");
         let table = objects.table_mut(self.table);
@@ -554,13 +464,6 @@ fn compute_native(source: &PropertySource, node: &VObjNode, ctx: &PropertyCtx<'_
 }
 
 impl Operator for ProjectOp {
-    fn name(&self) -> String {
-        match &self.fused_filter {
-            Some((p, _)) => format!("project+filter({}.{} | {p})", self.alias, self.def.name),
-            None => format!("project({}.{})", self.alias, self.def.name),
-        }
-    }
-
     fn process(&mut self, slot: &mut FrameSlot, ctx: &mut ExecCtx<'_>) -> Result<()> {
         let kind = self.def.kind;
         let is_model = matches!(self.def.source, PropertySource::Model(_));
@@ -748,10 +651,6 @@ impl FilterOp {
 }
 
 impl Operator for FilterOp {
-    fn name(&self) -> String {
-        format!("filter({} | {})", self.alias, self.pred)
-    }
-
     fn process(&mut self, slot: &mut FrameSlot, _ctx: &mut ExecCtx<'_>) -> Result<()> {
         let graph = &mut slot.graph;
         for id in 0..graph.nodes.len() {
@@ -779,7 +678,6 @@ impl Operator for FilterOp {
 /// HOI model properties run the model once per frame over the union of
 /// both aliases' detections.
 pub struct RelationProjectOp {
-    decl: RelationDecl,
     relation: Istr,
     left_alias: Istr,
     right_alias: Istr,
@@ -817,7 +715,6 @@ impl RelationProjectOp {
             relation: Istr::new(&decl.name),
             left_alias: Istr::new(&decl.left_alias),
             right_alias: Istr::new(&decl.right_alias),
-            decl,
             props,
             hoi: None,
             left: Vec::new(),
@@ -830,13 +727,6 @@ impl RelationProjectOp {
 }
 
 impl Operator for RelationProjectOp {
-    fn name(&self) -> String {
-        format!(
-            "project_relation({}: {} x {})",
-            self.decl.name, self.decl.left_alias, self.decl.right_alias
-        )
-    }
-
     fn process(&mut self, slot: &mut FrameSlot, ctx: &mut ExecCtx<'_>) -> Result<()> {
         let graph = &mut slot.graph;
         self.left.clear();
@@ -914,12 +804,10 @@ impl Operator for RelationProjectOp {
 pub struct JoinOp {
     /// Index into the plan's join list; keys [`FrameSlot::matches`].
     index: usize,
-    query_name: String,
     aliases: Vec<Istr>,
     /// The declared relations both of whose aliases this join binds:
     /// `(name, left position, right position)` in `aliases`.
     relations: Vec<(Istr, usize, usize)>,
-    pred: Pred,
     resolved: SlotPred,
     /// When true (single-query plans), an unmatched frame kills the slot.
     kills_frame: bool,
@@ -932,13 +820,11 @@ pub struct JoinOp {
 impl JoinOp {
     /// Creates a join for one query; `index` is its position in the plan's
     /// join list; `pred` is resolved against `layout`.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         index: usize,
-        query_name: impl Into<String>,
         aliases: &[&str],
         relations: &[RelationDecl],
-        pred: Pred,
+        pred: &Pred,
         kills_frame: bool,
         layout: &SlotLayout,
     ) -> Self {
@@ -948,7 +834,7 @@ impl JoinOp {
             .filter(|r| position(&r.left_alias).is_some() && position(&r.right_alias).is_some())
             .collect();
         let names: Vec<&str> = bound.iter().map(|r| r.name.as_str()).collect();
-        let resolved = layout.resolve(&pred, aliases, &names);
+        let resolved = layout.resolve(pred, aliases, &names);
         let relations = bound
             .iter()
             .map(|r| {
@@ -962,12 +848,10 @@ impl JoinOp {
             .collect();
         Self {
             index,
-            query_name: query_name.into(),
             candidates: vec![Vec::new(); aliases.len()],
             odometer: vec![0; aliases.len()],
             aliases: aliases.iter().map(|a| Istr::new(a)).collect(),
             relations,
-            pred,
             resolved,
             kills_frame,
         }
@@ -1009,10 +893,6 @@ impl PredScope<NodeRead, EdgeRead> for Binding<'_> {
 }
 
 impl Operator for JoinOp {
-    fn name(&self) -> String {
-        format!("join({} | {})", self.query_name, self.pred)
-    }
-
     fn process(&mut self, slot: &mut FrameSlot, _ctx: &mut ExecCtx<'_>) -> Result<()> {
         if slot.matches.len() <= self.index {
             // Hand-built slots (tests) may not have been prepared.
@@ -1083,7 +963,7 @@ pub fn instantiate(
         Ok(ProjectOp::new(alias, def.clone(), layout, objects))
     };
     Ok(match spec {
-        OpSpec::DiffFilter { threshold } => Box::new(DiffFrameFilter::new(*threshold)),
+        OpSpec::DiffFilter { .. } => Box::new(DiffFrameFilter),
         OpSpec::BinaryFilter { model } => {
             Box::new(BinaryFilterOp::new(zoo.frame_classifier(model)?))
         }
@@ -1117,10 +997,9 @@ pub fn instantiate(
             let aliases: Vec<&str> = j.query.vobjs().iter().map(|v| v.alias.as_str()).collect();
             Box::new(JoinOp::new(
                 *index,
-                j.query.name(),
                 &aliases,
                 j.query.relations(),
-                j.pred.clone(),
+                &j.pred,
                 j.kills_frame,
                 layout,
             ))
@@ -1131,6 +1010,7 @@ pub fn instantiate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::objects::ObjectTable;
     use crate::frontend::predicate::Pred;
     use crate::frontend::query::{Aggregate, Query};
     use vqpy_models::ModelZoo;
@@ -1166,6 +1046,7 @@ mod tests {
             clock,
             fps,
             objects,
+            reference: None,
             reuse,
             dispatch,
             tracer,
@@ -1307,10 +1188,9 @@ mod tests {
         let mut detect = DetectOp::new(det, vec![("car".into(), vec!["car".into()])]);
         let mut join = JoinOp::new(
             0,
-            "Q",
             &["car"],
             &[],
-            Pred::gt("car", "score", 0.0),
+            &Pred::gt("car", "score", 0.0),
             true,
             &SlotLayout::default(),
         );
@@ -1401,10 +1281,9 @@ mod tests {
         let layout = Arc::clone(slot.graph.layout());
         JoinOp::new(
             0,
-            q.name(),
             aliases,
             q.relations(),
-            q.frame_constraint().clone(),
+            q.frame_constraint(),
             kills_frame,
             &layout,
         )
@@ -1557,7 +1436,7 @@ mod tests {
             for lo in (0..FRAMES).step_by(SEGMENT as usize) {
                 let frames = lo..lo + SEGMENT;
                 run_segment(env, frames, &mut pruned_ops, &mut metrics, &mut pruned).unwrap();
-                let (rows, live) = census(&pruned_ops.objects);
+                let (rows, live) = census(&pruned_ops.state.objects);
                 assert!(
                     rows <= live,
                     "{name}, to {}: {rows} rows, {live} live",
@@ -1577,7 +1456,7 @@ mod tests {
                 decode_batch(&cx, lo..(lo + batch).min(FRAMES), &mut slots);
                 for kind in StageKind::ALL {
                     for op in ops.chains[kind.index()][0].iter_mut() {
-                        let objects = kind.owns_objects().then_some(&mut ops.objects);
+                        let objects = kind.owns_objects().then_some(&mut ops.state.objects);
                         let mut ctx = exec_ctx(&zoo, &clock, &tracer, video.fps(), objects);
                         op.process_batch(&mut slots, &mut ctx).unwrap();
                         slots.iter_mut().for_each(|s| s.expired.clear());
@@ -1585,7 +1464,7 @@ mod tests {
                 }
                 deliver(&plan, &slots, &mut metrics, &mut kept).unwrap();
             }
-            let (rows, live) = census(&ops.objects);
+            let (rows, live) = census(&ops.state.objects);
             assert!(rows > 4 * live, "{name}: {rows} rows kept, {live} live");
 
             let hits = |c: Collector| c.finalize(&plan, ExecMetrics::default(), 0.0)[0].clone();
@@ -1593,8 +1472,8 @@ mod tests {
             assert_eq!(pruned, kept, "{name}");
             let rows: usize = pruned.iter().map(|h| h.outputs.len()).sum();
             assert_eq!((pruned.len(), rows), *golden, "{name}");
-            let stats = pruned_ops.objects.stats;
-            assert_eq!(stats, ops.objects.stats, "{name}");
+            let stats = pruned_ops.state.objects.stats;
+            assert_eq!(stats, ops.state.objects.stats, "{name}");
             assert_eq!(
                 (stats.hits, stats.misses, stats.tier_hits),
                 *golden_reuse,
@@ -1611,11 +1490,15 @@ mod tests {
         let v = SyntheticVideo::new(scene);
         let tracer = vqpy_obs::Tracer::disabled();
         let mut ctx = exec_ctx(&zoo, &clock, &tracer, v.fps(), Some(&mut objects));
-        let mut op = DiffFrameFilter::new(0.5);
+        let mut reference = Reference {
+            threshold: 0.5,
+            last_kept: None,
+        };
+        ctx.reference = Some(&mut reference);
         let mut kept = 0;
         for i in 0..30 {
             let mut slot = FrameSlot::new(v.frame(i));
-            op.process(&mut slot, &mut ctx).unwrap();
+            DiffFrameFilter.process(&mut slot, &mut ctx).unwrap();
             if slot.alive {
                 kept += 1;
             }

@@ -34,18 +34,20 @@
 //! ordered last lane delivers only batches before it — exactly the frames
 //! the sequential scheduler delivers before the same error.
 //!
-//! All cross-frame operator state lives in the caller-owned chains, so a
-//! long-lived stream can alternate pipelined segments with plan recompiles
-//! (query attach/detach) without losing tracker or filter state.
+//! No operator holds cross-frame state: the stream state lives in the
+//! caller-owned [`StageOps`], and each ordered lane borrows the part its
+//! stages own for the segment (the frame filters' reference frame, prep's
+//! object tables). So a long-lived stream can alternate pipelined segments
+//! with plan recompiles (query attach/detach) without losing tracker or
+//! filter state.
 //!
 //! [`ExecMode::Pipelined`]: crate::backend::exec::ExecMode::Pipelined
 //! [`ExecMode::Sequential`]: crate::backend::exec::ExecMode::Sequential
 
 use crate::backend::exec::{ExecMetrics, ResultSink};
-use crate::backend::objects::Objects;
 use crate::backend::ops::{FrameSlot, Operator};
 use crate::backend::stage::{
-    decode_batch, deliver, run_stage, Chain, StageCtx, StageKind, StageOps,
+    decode_batch, deliver, run_stage, Chain, Held, StageCtx, StageKind, StageOps,
 };
 use crate::error::{panic_message, Result, VqpyError};
 use parking_lot::Mutex;
@@ -161,13 +163,9 @@ fn lanes(chains: &[Vec<Chain>; StageKind::ALL.len()]) -> Vec<Lane> {
     lanes
 }
 
-/// One lane thread's stages, each with the chain it runs and, for prep,
-/// the stream's object tables.
-type LaneChains<'a> = Vec<(
-    StageKind,
-    &'a mut [Box<dyn Operator>],
-    Option<&'a mut Objects>,
-)>;
+/// One lane thread's stages, each with the chain it runs and its part of
+/// the stream state.
+type LaneChains<'a> = Vec<(StageKind, &'a mut [Box<dyn Operator>], Held<'a>)>;
 
 /// One thread of a lane: runs every stage of the lane over each batch from
 /// `next` (reordered if `ordered`) before the first failure, then `emit`s it.
@@ -189,9 +187,9 @@ fn lane_worker(
             None => Some(batch),
         };
         while let Some((seq, mut slots)) = ready {
-            for (kind, chain, objects) in &mut stages {
+            for (kind, chain, held) in &mut stages {
                 failure.attempt(seq, kind.name(), || {
-                    run_stage(*kind, chain, objects.as_deref_mut(), seq, &mut slots, cx)
+                    run_stage(*kind, chain, held, seq, &mut slots, cx)
                 });
             }
             emit((seq, slots));
@@ -201,8 +199,8 @@ fn lane_worker(
 }
 
 /// Runs one contiguous frame segment through the staged pipeline. Called by
-/// [`crate::backend::exec::run_segment`] for [`Pipelined`] mode; operator
-/// state, the object tables, and metrics persist in the caller across calls.
+/// [`crate::backend::exec::run_segment`] for [`Pipelined`] mode; operators,
+/// the stream state and metrics persist in the caller across calls.
 ///
 /// Lanes are derived once per segment; each but the last spawns `W`
 /// threads (the number of detect chains) if it fans out, one if ordered.
@@ -225,17 +223,17 @@ pub(crate) fn run_pipelined(
     let num_batches = (range.end - range.start).div_ceil(batch);
     let lanes = lanes(&ops.chains);
 
-    let mut stage_chains = ops.chains.iter_mut();
-    // The stream's tables go to the thread that runs prep.
-    let mut objects = Some(&mut ops.objects);
+    // Each stage's part of the state goes to the one thread of its
+    // (ordered) lane; fan-out stages hold none.
+    let mut stages = ops.chains.iter_mut().zip(ops.state.split());
     let threads = lanes.iter().map(|lane| {
         let width = if lane.ordered { 1 } else { workers };
         let mut lane_threads: Vec<LaneChains<'_>> = (0..width).map(|_| Vec::new()).collect();
-        for (k, chains) in lane.stages.clone().zip(stage_chains.by_ref()) {
+        for (k, (chains, mut held)) in lane.stages.clone().zip(stages.by_ref()) {
             let (kind, mut chains) = (StageKind::ALL[k], chains.iter_mut());
             for stages in &mut lane_threads {
                 let chain = chains.next().map(Vec::as_mut_slice).unwrap_or_default();
-                stages.push((kind, chain, objects.take_if(|_| kind.owns_objects())));
+                stages.push((kind, chain, std::mem::take(&mut held)));
             }
         }
         lane_threads
@@ -565,16 +563,14 @@ mod tests {
     struct Saboteur(Sabotage);
 
     impl Operator for Saboteur {
-        fn name(&self) -> String {
-            "saboteur".into()
-        }
-
         fn process(&mut self, slot: &mut FrameSlot, _: &mut ExecCtx<'_>) -> Result<()> {
             self.0.strike(slot.frame.index)
         }
 
-        fn wants_dead_frames(&self) -> bool {
-            true
+        fn process_batch(&mut self, slots: &mut [FrameSlot], ctx: &mut ExecCtx<'_>) -> Result<()> {
+            slots
+                .iter_mut()
+                .try_for_each(|slot| self.process(slot, ctx))
         }
     }
 
@@ -702,10 +698,6 @@ mod tests {
     }
 
     impl Operator for Probe {
-        fn name(&self) -> String {
-            "probe".into()
-        }
-
         fn process(&mut self, slot: &mut FrameSlot, _: &mut ExecCtx<'_>) -> Result<()> {
             let frame = slot.frame.index;
             let mut detected = self.progress.detected.lock().unwrap();
@@ -731,8 +723,10 @@ mod tests {
             Ok(())
         }
 
-        fn wants_dead_frames(&self) -> bool {
-            true
+        fn process_batch(&mut self, slots: &mut [FrameSlot], ctx: &mut ExecCtx<'_>) -> Result<()> {
+            slots
+                .iter_mut()
+                .try_for_each(|slot| self.process(slot, ctx))
         }
     }
 

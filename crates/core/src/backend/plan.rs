@@ -139,30 +139,6 @@ impl PlanDag {
         format!("{}|{}|{}", queries.join("+"), self.label, self.describe())
     }
 
-    /// Per-operator structural fingerprints, comparable *across* plans:
-    /// unlike [`OpSpec::label`], index-valued specs (joins, relation
-    /// projections) are expanded to the query/relation identity they point
-    /// at. The serving layer uses these to dedup operator state when the
-    /// super-plan is recompiled on query attach/detach — two ops with equal
-    /// fingerprints compute the same subgraph, so common decode / detect /
-    /// track / projection work executes once and stateful operators carry
-    /// their cross-frame state over.
-    pub fn op_fingerprints(&self) -> Vec<String> {
-        self.ops
-            .iter()
-            .map(|o| match o {
-                OpSpec::Join { index } => {
-                    let j = &self.joins[*index];
-                    format!("join({} | {})", j.query.name(), j.pred)
-                }
-                OpSpec::ProjectRelation { index } => {
-                    format!("project_relation({})", self.relations[*index].name)
-                }
-                other => other.label(),
-            })
-            .collect()
-    }
-
     /// Resolves a projected property's execution traits: its
     /// [`PropertyKind`] and whether it is model-backed. `None` for builtins
     /// and unresolvable names.

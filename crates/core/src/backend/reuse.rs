@@ -57,7 +57,6 @@ impl ReuseStats {
 mod tests {
     use super::*;
     use crate::backend::objects::Objects;
-    use crate::backend::stage::OpStates;
     use std::collections::HashMap;
     use std::sync::Arc;
 
@@ -155,11 +154,10 @@ mod tests {
     fn restore_rolls_back_values_and_stats() {
         let mut o = cells();
         put(&mut o, CAR, 1, COLOR, "red");
-        let (states, checkpoint): (OpStates, _) = (o.states().collect(), o.stats);
+        let checkpoint = o.clone();
         o.release(&[(CAR, 1)]);
         assert!(get(&mut o, CAR, 1, COLOR).is_none());
-        o.adopt(&mut states.clone(), &mut OpStates::new());
-        o.stats = checkpoint;
+        o = checkpoint;
         assert_eq!(get(&mut o, CAR, 1, COLOR), Some(Value::from("red")));
         assert_eq!(o.stats, stats(1, 0, 0));
     }

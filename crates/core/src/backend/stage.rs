@@ -3,8 +3,8 @@
 //!
 //! [`StageKind::ALL`] lists the stages in execution order;
 //! [`PlanDag::stage_specs`] slices a plan by it, [`StageOps`] holds the
-//! live operator chains indexed by it (and the object tables prep's
-//! operators share), and `run_stage` is the one body
+//! live operator chains indexed by it (and the stream state the ordered
+//! stages hold parts of), and `run_stage` is the one body
 //! both schedulers ([`crate::backend::exec`], [`crate::backend::pipeline`])
 //! run for every stage — so sequential and pipelined execution cannot
 //! drift apart: they differ only in *which thread* calls `run_stage`,
@@ -13,20 +13,19 @@
 use crate::backend::dispatch::{DirectDispatch, ModelDispatch};
 use crate::backend::exec::{ExecConfig, ExecMetrics, ResultSink};
 use crate::backend::graph::SlotLayout;
-use crate::backend::objects::Objects;
-use crate::backend::ops::{instantiate, ExecCtx, FrameSlot, OpState, Operator};
+use crate::backend::objects::{Objects, Reference, StreamState};
+use crate::backend::ops::{instantiate, ExecCtx, FrameSlot, Operator};
 use crate::backend::plan::PlanDag;
 use crate::error::Result;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use vqpy_models::{Clock, ModelZoo};
 use vqpy_video::source::VideoSource;
 
-/// One stage of the executor. Ordered stages hold cross-frame state and
-/// must see batches in frame order on one thread; the others are
-/// deterministic per frame, so a pipelined scheduler fans them out.
+/// One stage of the executor. Ordered stages see batches in frame order on
+/// one thread; the others are deterministic per frame, so a pipelined
+/// scheduler fans them out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageKind {
     /// Differencing and binary-classifier frame filters.
@@ -85,8 +84,10 @@ impl StageKind {
         }
     }
 
-    /// Whether the stage holds cross-frame state (one chain, frame order)
-    /// rather than fanning out (one chain per worker, any order).
+    /// Whether the stage runs one chain in frame order rather than fanning
+    /// out (one chain per worker, any order): the frame filters hold the
+    /// stream's diff-filter [`Reference`], prep its object tables (see
+    /// [`StageKind::owns_objects`]), and the tail feeds the sink.
     pub const fn ordered(self) -> bool {
         !matches!(self, StageKind::Detect | StageKind::Enrich)
     }
@@ -95,6 +96,8 @@ impl StageKind {
     /// prep does: its trackers' expiry reports end a row's life, and the
     /// order of its probes and window pushes is part of the results'
     /// byte-identity, so exactly one ordered stage may touch the tables.
+    /// The frame filters hold the rest of the [`StreamState`], the
+    /// reference frame; no other stage holds any.
     pub const fn owns_objects(self) -> bool {
         matches!(self, StageKind::Prep)
     }
@@ -103,17 +106,13 @@ impl StageKind {
 /// The plan-ordered operators of one stage.
 pub type Chain = Vec<Box<dyn Operator>>;
 
-/// Copied cross-frame state: operator states keyed by
-/// [`Operator::state_key`], object tables by their trackers' fingerprints.
-pub type OpStates = HashMap<Arc<str>, OpState>;
-
-/// Live operator chains, indexed by stage, and the object tables they
-/// share.
+/// Live operator chains, indexed by stage, and the stream state their
+/// ordered stages hold parts of.
 ///
-/// A `StageOps` owns all cross-frame operator state for a stream, so a
-/// serving layer can persist it across [`run_segment`] calls — and, via
-/// [`StageOps::states`] / [`StageOps::set_states`], across plan recompiles
-/// when queries attach or detach.
+/// A `StageOps` owns all of a stream's cross-frame state, so a serving
+/// layer can persist it across [`run_segment`] calls and, by moving
+/// [`StageOps::state`], across plan recompiles when queries attach or
+/// detach.
 ///
 /// [`run_segment`]: crate::backend::exec::run_segment
 pub struct StageOps {
@@ -125,7 +124,7 @@ pub struct StageOps {
     /// (see [`crate::backend::dispatch`]). Defaults to [`DirectDispatch`]; a
     /// serving supervisor replaces it with a shared cross-stream batcher.
     /// Owned here — rather than passed per segment — so the boundary
-    /// survives exactly as long as the stream's operator state does.
+    /// survives exactly as long as the stream's state does.
     pub dispatch: Arc<dyn ModelDispatch>,
     /// Span tracer for stage and dispatch spans. Defaults to a disabled
     /// tracer — one atomic load per would-be span — and is owned here for
@@ -140,51 +139,45 @@ pub struct StageOps {
     /// The plan's slot layout ([`PlanDag::slot_layout`]): the operators
     /// were resolved against it, and every frame graph they see follows it.
     pub layout: Arc<SlotLayout>,
-    /// One object table per tracked alias, with the reuse counters and
-    /// tier, which prep reaches through [`ExecCtx`]. The counters and tier
-    /// carry across recompiles like `dispatch`, a table with its tracker.
-    pub objects: Objects,
+    /// The object tables (with the reuse counters and tier), which prep
+    /// reaches through [`ExecCtx`], and the diff-filter reference, which
+    /// the frame filters do.
+    pub state: StreamState,
 }
 
-impl StageOps {
-    /// A copy of every stateful operator's cross-frame state, keyed by
-    /// [`Operator::state_key`], and of every object table, keyed by its
-    /// tracker's fingerprint.
-    pub fn states(&self) -> OpStates {
-        let ops = self.chains.iter().flatten().flatten();
-        let ops = ops.filter_map(|op| Some((op.state_key()?, op.state()?)));
-        ops.chain(self.objects.states()).collect()
-    }
+/// What one stage holds of the stream state while it runs a batch.
+#[derive(Default)]
+pub(crate) struct Held<'a> {
+    objects: Option<&'a mut Objects>,
+    reference: Option<&'a mut Reference>,
+}
 
-    /// Installs states into operators and tables with matching keys, each
-    /// from `own` (this stream's, copied by [`StageOps::states`]) or else
-    /// from `seed` (another engine's). Unmatched entries are dropped (their
-    /// operator or alias left the plan) and unmatched operators and tables
-    /// start fresh (they just joined).
-    pub fn set_states(&mut self, mut own: OpStates, mut seed: OpStates) {
-        for op in self.chains.iter_mut().flatten().flatten() {
-            let Some(key) = op.state_key() else { continue };
-            if let Some(state) = own.remove(&key).or_else(|| seed.remove(&key)) {
-                op.import_state(state);
-            }
-        }
-        self.objects.adopt(&mut own, &mut seed);
+impl StreamState {
+    /// Lends each stage, by [`StageKind::index`], its part of the state: a
+    /// split borrow, so the frame filters and prep may run on different
+    /// threads.
+    pub(crate) fn split(&mut self) -> [Held<'_>; StageKind::ALL.len()] {
+        let (mut objects, mut reference) = (Some(&mut self.objects), self.reference.as_mut());
+        StageKind::ALL.map(|kind| Held {
+            objects: objects.take_if(|_| kind.owns_objects()),
+            reference: reference.take_if(|_| kind == StageKind::FrameFilter),
+        })
     }
 }
 
 /// Instantiates a plan's operators by stage ([`PlanDag::stage_specs`]),
-/// with `workers` chains per fan-out stage, over empty object tables.
+/// with `workers` chains per fan-out stage, over an empty stream state.
 pub fn instantiate_stage_ops(plan: &PlanDag, zoo: &ModelZoo, workers: usize) -> Result<StageOps> {
     let specs = plan.stage_specs();
     let layout = Arc::new(plan.slot_layout());
-    let objects = Objects::for_plan(plan);
+    let state = StreamState::for_plan(plan);
     let mut chains: [Vec<Chain>; StageKind::ALL.len()] = Default::default();
     for kind in StageKind::ALL {
         let copies = if kind.ordered() { 1 } else { workers.max(1) };
         for _ in 0..copies {
             let chain = specs[kind.index()]
                 .iter()
-                .map(|spec| instantiate(plan, spec, zoo, &layout, &objects))
+                .map(|spec| instantiate(plan, spec, zoo, &layout, &state.objects))
                 .collect::<Result<Chain>>()?;
             chains[kind.index()].push(chain);
         }
@@ -195,7 +188,7 @@ pub fn instantiate_stage_ops(plan: &PlanDag, zoo: &ModelZoo, workers: usize) -> 
         tracer: vqpy_obs::Tracer::disabled(),
         slots: Vec::new(),
         layout,
-        objects,
+        state,
     })
 }
 
@@ -277,15 +270,15 @@ pub(crate) fn decode_batch(cx: &StageCtx<'_>, frames: Range<u64>, slots: &mut Ve
 
 /// Runs one stage's operator chain over one batch: the only place a stage
 /// span is opened, an [`ExecCtx`] built and
-/// [`Operator::process_batch`] called. `objects` is the stream's object
-/// tables when `kind` owns them and `None` otherwise; after the chain has
-/// run the whole batch, and only then, they free the rows of the tracks
-/// the batch's trackers reported expired. The chain runs in one
-/// [`Clock::host_section`], so its native charges sleep once.
+/// [`Operator::process_batch`] called. `held` is the stage's part of the
+/// stream state ([`StreamState::split`]). When that is the object tables,
+/// after the chain has run the whole batch, and only then, they free the
+/// rows of the tracks the batch's trackers reported expired. The chain
+/// runs in one [`Clock::host_section`], so its native charges sleep once.
 pub(crate) fn run_stage(
     kind: StageKind,
     chain: &mut [Box<dyn Operator>],
-    mut objects: Option<&mut Objects>,
+    held: &mut Held<'_>,
     seq: u64,
     slots: &mut [FrameSlot],
     cx: &StageCtx<'_>,
@@ -299,7 +292,8 @@ pub(crate) fn run_stage(
         zoo: cx.env.zoo,
         clock: cx.env.clock,
         fps: cx.env.source.fps(),
-        objects: objects.as_deref_mut(),
+        objects: held.objects.as_deref_mut(),
+        reference: held.reference.as_deref_mut(),
         reuse: cx.env.config.enable_intrinsic_reuse,
         dispatch: &*cx.dispatch,
         tracer: &cx.tracer,
@@ -309,7 +303,7 @@ pub(crate) fn run_stage(
             .iter_mut()
             .try_for_each(|op| op.process_batch(slots, &mut ctx))
     });
-    if let Some(objects) = objects {
+    if let Some(objects) = held.objects.as_deref_mut() {
         slots.iter().for_each(|slot| objects.release(&slot.expired));
     }
     if kind == StageKind::FrameFilter && result.is_ok() {
@@ -336,7 +330,6 @@ pub(crate) fn deliver(
 mod tests {
     use super::*;
     use crate::backend::dispatch::{RetryDispatch, RetryPolicy};
-    use crate::backend::ops::DiffFrameFilter;
     use crate::backend::plan::{build_plan, PlanOptions};
     use crate::frontend::library;
     use crate::frontend::query::Query;
@@ -344,51 +337,10 @@ mod tests {
     use vqpy_models::{
         ClockMode, Detection, Detector, FaultInjector, FaultPlan, ModelFault, ModelProfile,
     };
-    use vqpy_video::frame::{Frame, PixelBuffer};
+    use vqpy_video::frame::Frame;
     use vqpy_video::presets;
     use vqpy_video::scene::Scene;
     use vqpy_video::source::SyntheticVideo;
-
-    #[test]
-    fn states_round_trip_through_every_ordered_stage() {
-        let zoo = ModelZoo::standard();
-        let cars = Query::builder("Cars")
-            .vobj("car", library::vehicle_schema())
-            .build()
-            .unwrap();
-        let plan = build_plan(&[cars], &zoo, &PlanOptions::vqpy_default()).unwrap();
-        let mut ops = instantiate_stage_ops(&plan, &zoo, 2).unwrap();
-        // Plant a stateful operator at the end of each ordered stage `k`,
-        // with its own state key and payload (a 1x1 frame of brightness `k`).
-        let mut keys = Vec::new();
-        let mut planted = Vec::new();
-        for kind in StageKind::ALL.into_iter().filter(|k| k.ordered()) {
-            let pixels = PixelBuffer::from_rgb(1, 1, 1, vec![kind.index() as u8; 3]);
-            let mut op = DiffFrameFilter::new(100.0 + kind.index() as f32);
-            op.import_state(OpState::DiffFilter {
-                last_kept: Some(pixels.clone()),
-            });
-            keys.push(op.state_key().unwrap());
-            planted.push(Some(pixels));
-            ops.chains[kind.index()][0].push(Box::new(op));
-        }
-        let kept = |states: &OpStates| -> Vec<Option<PixelBuffer>> {
-            let frames = keys.iter().map(|key| match &states[key] {
-                OpState::DiffFilter { last_kept } => last_kept.clone(),
-                other => panic!("{key}: {other:?}"),
-            });
-            frames.collect()
-        };
-
-        let states = ops.states();
-        assert_eq!(kept(&states), planted);
-        // Every stage's state goes back in, and `own` wins over `seed`.
-        let blank = |key: &Arc<str>| (key.clone(), OpState::DiffFilter { last_kept: None });
-        ops.set_states(keys.iter().map(blank).collect(), states.clone());
-        assert_eq!(kept(&ops.states()), [None, None, None]);
-        ops.set_states(OpStates::new(), states);
-        assert_eq!(kept(&ops.states()), planted);
-    }
 
     /// Stamps the start of every batched call, then defers to `inner`.
     struct Stamped {
@@ -452,7 +404,15 @@ mod tests {
         let mut slots = Vec::new();
         decode_batch(&cx, 0..2, &mut slots);
         let chain = &mut ops.chains[StageKind::Detect.index()][0];
-        run_stage(StageKind::Detect, chain, None, 0, &mut slots, &cx).unwrap();
+        run_stage(
+            StageKind::Detect,
+            chain,
+            &mut Held::default(),
+            0,
+            &mut slots,
+            &cx,
+        )
+        .unwrap();
 
         assert_eq!(injector.injected_faults(), 1);
         let calls = calls.lock().unwrap();

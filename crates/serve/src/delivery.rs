@@ -310,7 +310,7 @@ impl StreamServer {
             // Highest frame already delivered to subscribers, across every
             // attempt of this segment.
             let delivered_through = sink.progress.or(skip_through);
-            engine.restore(&checkpoint);
+            engine.restore(checkpoint);
 
             if s.restarts >= restart.max_restarts {
                 // Budget exhausted: the subscriptions leave with a final

@@ -3,47 +3,47 @@
 //!
 //! A [`StreamEngine`] owns everything that must outlive any single plan:
 //!
-//! - the **operator chains** and **object tables** ([`StageOps`]) holding
-//!   cross-frame state: frame-difference filters, and per tracked alias
-//!   its tracker and one row per live track (motion edge, stateful
-//!   property windows, §4.2's memoised intrinsics);
-//! - the **reuse counters and durable tier** the tables' intrinsic cells
-//!   answer through;
+//! - the **stream state** ([`StreamState`], in its [`StageOps`]): per
+//!   tracked alias its tracker and one row per live track (motion edge,
+//!   stateful property windows, §4.2's memoised intrinsics), the reuse
+//!   counters and durable tier those cells answer through, and the diff
+//!   filter's reference frame. No operator holds cross-frame state;
 //! - cumulative [`ExecMetrics`].
 //!
-//! On [`StreamEngine::recompile_with_seed`], operators of the new plan
-//! inherit the old plan's state wherever the structural fingerprint
-//! matches (see [`PlanDag::op_fingerprints`] and `Operator::state_key`),
-//! and each alias's table moves while its tracker's fingerprint survives;
-//! everything else starts fresh, and a table whose alias left the plan is
+//! On [`StreamEngine::recompile_with_seed`] the state moves into the new
+//! plan's: each alias's table while the plan still tracks the alias, the
+//! reference frame while the plan's diff filter keeps its threshold.
+//! Everything else starts fresh, and a table whose alias left the plan is
 //! dropped with its values. This is what makes attach/detach invisible to
-//! surviving queries: their subgraph's operators and objects are
-//! bit-for-bit the ones that were already running.
+//! surviving queries: their objects are bit-for-bit the ones that were
+//! already running.
 
 use vqpy_core::backend::exec::{run_segment, ResultSink};
+use vqpy_core::backend::objects::StreamState;
 use vqpy_core::backend::plan::PlanDag;
-use vqpy_core::backend::reuse::{ReuseStats, ReuseTier};
-use vqpy_core::backend::stage::{instantiate_stage_ops, ExecEnv, OpStates};
+use vqpy_core::backend::reuse::ReuseTier;
+use vqpy_core::backend::stage::{instantiate_stage_ops, ExecEnv};
 use vqpy_core::error::Result;
 use vqpy_core::{ExecConfig, ExecMetrics, StageOps};
 use vqpy_models::{Clock, ModelZoo};
 use vqpy_video::source::VideoSource;
 
-/// A restorable checkpoint of one stream engine: every stateful operator's
-/// cross-frame state (frame-difference reference frames), a copy of every
-/// object table (trackers, motion edges, windows, memoised intrinsics),
-/// the reuse statistics, and the cumulative metrics at capture time.
+/// A restorable checkpoint of one stream engine: a copy of its stream
+/// state (object tables with their trackers, motion edges, windows and
+/// memoised intrinsics; the reuse statistics; the diff filter's reference
+/// frame) and the cumulative metrics at capture time.
 ///
 /// Taken by the serving layer before each segment;
 /// [`StreamEngine::restore`] rolls the engine back so a panicked segment
 /// can be re-run from a consistent boundary. The tables belong in it
 /// because prep frees a track's row when it expires, 16 frames after its
 /// last sighting: a failed attempt may free a row whose last sighting the
-/// re-run, from the restored tracker, probes again.
+/// re-run, from the restored tracker, probes again. The reference frame
+/// does because the frame filters may have run ahead of the stage that
+/// failed.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
-    states: OpStates,
-    reuse: ReuseStats,
+    state: StreamState,
     metrics: ExecMetrics,
 }
 
@@ -58,8 +58,22 @@ pub struct StreamEngine {
 impl StreamEngine {
     /// Instantiates the engine for an initial super-plan.
     pub fn new(plan: PlanDag, zoo: &ModelZoo, config: &ExecConfig) -> Result<Self> {
+        Self::seeded(plan, zoo, config, StreamState::default())
+    }
+
+    /// Instantiates the engine for an initial super-plan over `seed`,
+    /// another engine's state (see [`StreamEngine::into_state`]): each
+    /// table of an alias both track, and the reference frame if the plans'
+    /// diff filters share a threshold. The reuse counters start at zero.
+    pub fn seeded(
+        plan: PlanDag,
+        zoo: &ModelZoo,
+        config: &ExecConfig,
+        seed: StreamState,
+    ) -> Result<Self> {
         let workers = config.exec_mode.workers();
-        let ops = instantiate_stage_ops(&plan, zoo, workers)?;
+        let mut ops = instantiate_stage_ops(&plan, zoo, workers)?;
+        ops.state.adopt(StreamState::default(), seed);
         Ok(Self {
             plan,
             ops,
@@ -76,7 +90,7 @@ impl StreamEngine {
     /// Cumulative execution metrics, with fresh reuse statistics.
     pub fn metrics(&self) -> ExecMetrics {
         let mut m = self.metrics.clone();
-        m.reuse = self.ops.objects.stats;
+        m.reuse = self.ops.state.objects.stats;
         m
     }
 
@@ -105,80 +119,64 @@ impl StreamEngine {
     /// [`vqpy_store::StreamStore`] so intrinsic property values survive
     /// engine retirement — and whole processes.
     pub fn set_reuse_tier(&mut self, tier: std::sync::Arc<dyn ReuseTier>) {
-        self.ops.objects.tier = Some(tier);
+        self.ops.state.objects.tier = Some(tier);
     }
 
-    /// Copies every stateful operator's cross-frame state and every object
-    /// table out of the engine, keyed by structural fingerprint. Used when
-    /// a replay engine retires at the splice boundary: its states seed the
+    /// Retires the engine, handing over its stream state. Used when a
+    /// replay engine retires at the splice boundary: its state seeds the
     /// live engine via [`StreamEngine::recompile_with_seed`] or
-    /// [`StreamEngine::seed_states`], so replayed tracks arrive with their
+    /// [`StreamEngine::seeded`], so replayed tracks arrive with their
     /// windows and values.
-    pub fn take_states(&self) -> OpStates {
-        self.ops.states()
+    pub fn into_state(self) -> StreamState {
+        self.ops.state
     }
 
-    /// Imports states into a freshly built engine (states whose fingerprint
-    /// has no matching operator or table are ignored). Only meaningful
-    /// before the engine has run anything; later recompiles carry the
-    /// seeded state forward like any other.
-    pub fn seed_states(&mut self, seed: OpStates) {
-        self.ops.set_states(OpStates::new(), seed);
-    }
-
-    /// Captures a restorable checkpoint: a copy of every stateful
-    /// operator's state and object table, the reuse statistics and the
-    /// cumulative metrics.
+    /// Captures a restorable checkpoint: a copy of the stream state and
+    /// the cumulative metrics.
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot {
-            states: self.ops.states(),
-            reuse: self.ops.objects.stats,
+            state: self.ops.state.clone(),
             metrics: self.metrics.clone(),
         }
     }
 
     /// Rolls the engine back to a checkpoint taken by
-    /// [`StreamEngine::snapshot`]: every stateful operator's cross-frame
-    /// state, every object table, the reuse statistics and the cumulative
-    /// metrics are overwritten. Used by the serving layer's restart policy
-    /// after a worker panic, so a re-run starts from the same consistent
-    /// boundary the failed segment did.
-    pub fn restore(&mut self, snapshot: &EngineSnapshot) {
-        self.ops
-            .set_states(snapshot.states.clone(), OpStates::new());
-        self.ops.objects.stats = snapshot.reuse;
-        self.metrics = snapshot.metrics.clone();
+    /// [`StreamEngine::snapshot`] under the same plan: the stream state and
+    /// the cumulative metrics are overwritten. Used by the serving layer's
+    /// restart policy after a worker panic, so a re-run starts from the
+    /// same consistent boundary the failed segment did.
+    pub fn restore(&mut self, snapshot: EngineSnapshot) {
+        self.ops.state = snapshot.state;
+        self.metrics = snapshot.metrics;
     }
 
-    /// Swaps in a recompiled super-plan at a batch boundary. Cross-frame
-    /// operator state carries over wherever the old and new plans share an
-    /// operator fingerprint, and an object table wherever they share the
-    /// alias's tracker, with every column the new plan keeps. The reuse
-    /// statistics and tier, the model-dispatch boundary (direct or
-    /// cross-stream batcher) and the tracer carry over too. On error
-    /// (unknown model in the new plan) the old plan keeps running
-    /// unchanged.
+    /// Swaps in a recompiled super-plan at a batch boundary. The stream
+    /// state moves into the new plan's ([`StreamState::adopt`]): an object
+    /// table wherever the old and new plans track the alias, with every
+    /// column the new plan keeps; the reference frame wherever their diff
+    /// filters share a threshold; the reuse statistics and tier always.
+    /// The model-dispatch boundary (direct or cross-stream batcher) and
+    /// the tracer carry over too. On error (unknown model in the new plan)
+    /// the old plan keeps running unchanged.
     ///
-    /// `seed` holds states copied from another engine via
-    /// [`StreamEngine::take_states`] (empty for a plain recompile). This
-    /// engine's own states always win: a seed entry is used only for
-    /// operators, tables and table columns the old plan did not have. The
-    /// replay→live splice uses this so a replayed query's tracker, windows
-    /// and values arrive with full history, while state the live engine
-    /// was already running stays live — which, for shared fingerprints, the
-    /// replay recomputed identically anyway.
+    /// `seed` is another engine's state, from [`StreamEngine::into_state`]
+    /// (empty for a plain recompile). This engine's own state always wins:
+    /// the seed fills only tables, table columns and a reference frame the
+    /// old plan did not have. The replay→live splice uses this so a
+    /// replayed query's tracker, windows and values arrive with full
+    /// history, while state the live engine was already running stays
+    /// live — which, where the plans overlap, the replay recomputed
+    /// identically anyway.
     pub fn recompile_with_seed(
         &mut self,
         plan: PlanDag,
         zoo: &ModelZoo,
-        seed: OpStates,
+        seed: StreamState,
     ) -> Result<()> {
         let mut ops = instantiate_stage_ops(&plan, zoo, self.workers)?;
         ops.dispatch = std::sync::Arc::clone(&self.ops.dispatch);
         ops.tracer = self.ops.tracer.clone();
-        ops.objects.stats = self.ops.objects.stats;
-        ops.objects.tier = self.ops.objects.tier.take();
-        ops.set_states(self.ops.states(), seed);
+        ops.state.adopt(std::mem::take(&mut self.ops.state), seed);
         self.ops = ops;
         self.plan = plan;
         Ok(())
@@ -261,7 +259,7 @@ mod tests {
             .unwrap();
         let run = |engine: &mut StreamEngine, frames| run_red(engine, &v, frames);
         let aliases = |engine: &StreamEngine| -> Vec<(String, usize)> {
-            let tables = engine.ops.objects.tables().iter();
+            let tables = engine.ops.state.objects.tables().iter();
             tables.map(|t| (t.alias().to_owned(), t.values())).collect()
         };
 
@@ -276,14 +274,18 @@ mod tests {
 
         let people = [Arc::clone(&walking)];
         engine
-            .recompile_with_seed(plan(&people), &zoo, OpStates::new())
+            .recompile_with_seed(plan(&people), &zoo, StreamState::default())
             .unwrap();
         assert_eq!(aliases(&engine), [("person".to_owned(), 0)]);
         run(&mut engine, 60..90);
 
         let before = engine.metrics().reuse;
         engine
-            .recompile_with_seed(plan(&[walking, Arc::clone(&red)]), &zoo, OpStates::new())
+            .recompile_with_seed(
+                plan(&[walking, Arc::clone(&red)]),
+                &zoo,
+                StreamState::default(),
+            )
             .unwrap();
         let hits = run(&mut engine, 90..180);
         let after = engine.metrics().reuse;
@@ -308,7 +310,7 @@ mod tests {
         run_red(&mut engine, &v, 0..60);
         let checkpoint = engine.snapshot();
         let first = (run_red(&mut engine, &v, 60..180), engine.metrics().reuse);
-        engine.restore(&checkpoint);
+        engine.restore(checkpoint);
         let again = (run_red(&mut engine, &v, 60..180), engine.metrics().reuse);
         assert!(!first.0.is_empty());
         assert_eq!(first, again);
@@ -343,7 +345,7 @@ mod tests {
         for engine in [&mut live, &mut replay, &mut always] {
             run_red(engine, &v, 0..60);
         }
-        live.recompile_with_seed(plan(&both), &zoo, replay.take_states())
+        live.recompile_with_seed(plan(&both), &zoo, replay.into_state())
             .unwrap();
         let reuse = |e: &StreamEngine| e.metrics().reuse;
         let (live_before, always_before) = (reuse(&live), reuse(&always));
@@ -371,11 +373,9 @@ mod tests {
         let opts = PlanOptions::vqpy_default();
         let p1 = build_plan(&[query("Red", "red"), query("Black", "black")], &zoo, &opts).unwrap();
         let p2 = build_plan(&[query("Red", "red"), query("Green", "green")], &zoo, &opts).unwrap();
-        let shared: Vec<String> = p1
-            .op_fingerprints()
-            .into_iter()
-            .filter(|f| p2.op_fingerprints().contains(f))
-            .collect();
+        let labels = |p: &PlanDag| -> Vec<String> { p.ops.iter().map(|op| op.label()).collect() };
+        let (l1, l2) = (labels(&p1), labels(&p2));
+        let shared: Vec<&String> = l1.iter().filter(|l| l2.contains(l)).collect();
         // Detector, tracker, and the color projection are shared subgraphs.
         assert!(
             shared.iter().any(|f| f.starts_with("detect(")),
@@ -394,7 +394,7 @@ mod tests {
             .unwrap();
         let reuse_before = engine.metrics().reuse;
         engine
-            .recompile_with_seed(p2, &zoo, OpStates::new())
+            .recompile_with_seed(p2, &zoo, StreamState::default())
             .unwrap();
         // The reuse cache survived the recompile.
         let mut sink2 = Collector::new(engine.plan());

@@ -9,12 +9,12 @@
 //!
 //! Queries come and go at runtime: [`StreamServer::attach`] and
 //! [`StreamServer::detach`] take effect at the next batch boundary, where
-//! the super-plan is recompiled *incrementally* — cross-frame operator
-//! state (trackers, frame-difference filters, stateful property windows)
-//! carries over for every operator whose structural fingerprint survives
-//! the recompile, so no frames are dropped and the surviving queries'
-//! results are byte-identical to an uninterrupted run (see the
-//! `equivalence` tests).
+//! the super-plan is recompiled *incrementally* — the stream's
+//! cross-frame state (per alias its tracker, stateful property windows
+//! and memoised values; the frame-difference filter's reference frame)
+//! moves into the new plan wherever it still applies, so no frames are
+//! dropped and the surviving queries' results are byte-identical to an
+//! uninterrupted run (see the `equivalence` tests).
 //!
 //! Overload is observable rather than silent: each subscription rides a
 //! bounded channel with a configurable [`Backpressure`] policy (block the

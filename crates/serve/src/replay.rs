@@ -476,10 +476,11 @@ impl StreamServer {
 
     /// Splices a caught-up replay into the live stream (called with the
     /// live execution lock held, at what is by construction a batch
-    /// boundary for both engines): the live super-plan is recompiled with
-    /// the replayed query appended, seeded with the replay engine's
-    /// operator states so the query's tracker/windows arrive with full
-    /// history, and the subscriber joins the live delivery list.
+    /// boundary for both engines): the replay engine retires, and the live
+    /// super-plan is recompiled with the replayed query appended, seeded
+    /// with the replay's stream state so the query's tracker, windows and
+    /// values arrive with full history, and the subscriber joins the live
+    /// delivery list.
     fn splice(&self, live: &mut Stream, replay: &mut Stream) -> ServeResult<()> {
         let _span = self
             .store_tracer
@@ -487,9 +488,9 @@ impl StreamServer {
             .arg("frame", live.next_frame);
         let seed = replay
             .engine
-            .as_mut()
-            .expect("a replay keeps its engine until it retires")
-            .take_states();
+            .take()
+            .expect("a replay keeps its engine until it splices")
+            .into_state();
         // Survivors in attach order, then the replayed query — the same
         // join-order rule apply_commands uses.
         let queries: Vec<Arc<Query>> = live

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
-use vqpy_core::backend::stage::OpStates;
+use vqpy_core::backend::objects::StreamState;
 use vqpy_core::{DirectDispatch, ExecMetrics, ModelDispatch, Query, VqpySession};
 use vqpy_models::ClockMode;
 use vqpy_obs::{Telemetry, Tracer, STORE_LANE};
@@ -440,19 +440,19 @@ impl StreamServer {
     }
 
     /// The one way a query set enters a stream: plans `queries` and
-    /// recompiles the engine onto the plan (operator state carries over by
-    /// fingerprint), builds the engine when there is none, or retires it
+    /// recompiles the engine onto the plan (its stream state moves into
+    /// the new plan's), builds the engine when there is none, or retires it
     /// when no query is left (its metrics stay in `retired_exec`). Swapping
-    /// or retiring an engine counts as a recompile. `seed` is operator
-    /// state from another engine (a replay's, at the splice), used only for
-    /// operators this engine does not already run. On error the stream
-    /// keeps its engine and plan. Engines are built only here, so each gets
-    /// the stream's dispatch, tracer and, with a store, its reuse tier.
+    /// or retiring an engine counts as a recompile. `seed` is another
+    /// engine's stream state (a replay's, at the splice), used only where
+    /// this engine has none of its own. On error the stream keeps its
+    /// engine and plan. Engines are built only here, so each gets the
+    /// stream's dispatch, tracer and, with a store, its reuse tier.
     pub(crate) fn install(
         &self,
         s: &mut Stream,
         queries: &[Arc<Query>],
-        seed: Option<OpStates>,
+        seed: Option<StreamState>,
     ) -> ServeResult<()> {
         if queries.is_empty() {
             if let Some(engine) = s.engine.take() {
@@ -466,13 +466,13 @@ impl StreamServer {
         // subgraphs of the attached queries execute once per batch. The
         // session-level plan cache makes repeated query sets cheap.
         let plan = self.session.plan_for(queries, s.source.as_ref())?;
-        let seed = seed.unwrap_or_default();
+        let (zoo, seed) = (self.session.zoo(), seed.unwrap_or_default());
         if let Some(engine) = &mut s.engine {
-            engine.recompile_with_seed(plan, self.session.zoo(), seed)?;
+            engine.recompile_with_seed(plan, zoo, seed)?;
             s.recompiles += 1;
             return Ok(());
         }
-        let mut engine = StreamEngine::new(plan, self.session.zoo(), &self.session.config().exec)?;
+        let mut engine = StreamEngine::seeded(plan, zoo, &self.session.config().exec, seed)?;
         if let Some(dispatch) = &s.dispatch {
             engine.set_dispatch(Arc::clone(dispatch));
         }
@@ -480,7 +480,6 @@ impl StreamServer {
         if let Some(store) = &s.store {
             engine.set_reuse_tier(Arc::new(StoreTier::new(Arc::clone(store))));
         }
-        engine.seed_states(seed);
         s.engine = Some(engine);
         Ok(())
     }

@@ -115,12 +115,6 @@ pub struct ServePolicy {
 }
 
 impl ServePolicy {
-    /// A policy with no bounds (admit everything). Equal to `default()`,
-    /// spelled out for call sites.
-    pub fn permissive() -> Self {
-        Self::default()
-    }
-
     /// Checks attach-time admission (overload signals only; the stream
     /// limit is enforced by [`ServePolicy::admit_stream`]).
     pub fn admit(&self, load: &LoadSnapshot) -> Result<(), AttachError> {

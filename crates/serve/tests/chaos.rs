@@ -464,6 +464,77 @@ fn worker_panic_restart_is_byte_identical() {
     }
 }
 
+/// The diff filter's reference frame is stream state like the object
+/// tables. On this video, at this threshold, the filter drops a sixth of
+/// the frames, among them the first of several batches (from frame 136
+/// on). Across the attach/detach recompiles of a query set that churns at
+/// every step it moves with the stream, so a surviving query's hits equal
+/// an always-attached run. A colour-model panic in prep comes after the
+/// frame filters have run the batch (pipelined, maybe several), so the
+/// restart's checkpoint must roll the reference back for the re-run to be
+/// byte-identical. Both execution modes.
+#[test]
+fn diff_filter_reference_survives_recompile_and_restart() {
+    for config in [SessionConfig::default(), SessionConfig::pipelined(2)] {
+        let mut config = config;
+        config.plan.diff_filter = Some(1.0);
+        let v = video(9, 12.0);
+        let red = color_query("RedCar", "red");
+        let (black, green) = (
+            color_query("BlackCar", "black"),
+            color_query("GreenCar", "green"),
+        );
+        let all = [Arc::clone(&red), Arc::clone(&black), Arc::clone(&green)];
+        let offline = VqpySession::with_config(ModelZoo::standard(), config.clone());
+        let always = offline.execute_shared(&all, &v).unwrap();
+        let filtered = &always[0].metrics;
+        assert!(filtered.frames_processed * 8 < filtered.frames_total * 7);
+
+        let session = Arc::new(VqpySession::with_config(
+            ModelZoo::standard(),
+            config.clone(),
+        ));
+        let server = session.serve(ServeConfig::default());
+        let stream = server.open_stream(Arc::new(v.clone()));
+        let sub_red = server.attach(stream, Arc::clone(&red)).unwrap();
+        let mut subs = vec![server.attach(stream, black).unwrap()];
+        assert!(!server.step(stream).unwrap().finished);
+        // Green joins and Black leaves, then each leaves and rejoins in
+        // turn: a recompile at every step boundary.
+        let mut recompiles = 0;
+        for query in [&green, &all[1]].into_iter().cycle() {
+            let leaving = subs.remove(0);
+            subs.push(server.attach(stream, Arc::clone(query)).unwrap());
+            server.detach(stream, leaving.id()).unwrap();
+            let out = server.step(stream).unwrap();
+            recompiles += u64::from(out.recompiled);
+            if out.finished {
+                break;
+            }
+        }
+        assert_eq!(server.metrics(stream).unwrap().recompiles, recompiles);
+        assert!(recompiles > 20, "{recompiles} recompiles");
+        let (hits, _) = sub_red.collect();
+        assert!(!hits.is_empty());
+        assert_eq!(hits, always[0].frame_hits, "the survivor diverged");
+
+        let expected = offline.execute(&red, &v).unwrap();
+        let zoo = ModelZoo::standard();
+        zoo.register_classifier(Arc::new(PanicOnceClassifier {
+            inner: zoo.classifier("color_detect").unwrap(),
+            from: 136,
+            fired: AtomicBool::new(false),
+        }));
+        let session = VqpySession::with_config(zoo, config);
+        let (hits, faults, terminal, metrics) = serve_to_end(session, Arc::new(v), &red);
+        assert!(terminal);
+        assert_eq!(hits, expected.frame_hits, "the re-run diverged");
+        assert_eq!(metrics.reuse_hit_rate, expected.metrics.reuse.hit_rate());
+        assert_eq!((metrics.restarts, faults.len()), (1, 1), "{faults:?}");
+        assert!(faults[0].resumed, "{faults:?}");
+    }
+}
+
 /// A permanent panic exhausts the restart budget: subscribers get resumed
 /// notices for each restart, then a final non-resumed notice with exact
 /// lost-frame accounting, the channel closes, and the driver receives a

@@ -467,16 +467,16 @@ mod in_place_scopes {
                 clock: &self.clock,
                 fps: 15,
                 objects: None,
+                reference: None,
                 reuse: false,
                 dispatch: vqpy::core::backend::dispatch::direct(),
                 tracer: &vqpy::core::Tracer::disabled(),
             };
             JoinOp::new(
                 0,
-                "P",
                 &["a", "b"],
                 std::slice::from_ref(&self.rel),
-                pred.clone(),
+                pred,
                 false,
                 layout,
             )
