@@ -921,10 +921,10 @@ impl Operator for JoinOp {
                         continue 'outer;
                     }
                     self.odometer[pos] = 0;
-                    if pos == 0 {
-                        break 'outer;
-                    }
                 }
+                // Every position wrapped (none, for a query over no
+                // objects): each binding has been tried once.
+                break;
             }
         }
         if self.kills_frame && combos.is_empty() {

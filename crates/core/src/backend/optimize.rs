@@ -16,10 +16,7 @@ use vqpy_models::ModelZoo;
 /// that recovers lazy evaluation from an eagerly-built plan.
 pub fn predicate_pullup(plan: &mut PlanDag) {
     // Float frame filters to the very front, preserving their order.
-    plan.ops.sort_by_key(|op| match op {
-        OpSpec::DiffFilter { .. } | OpSpec::BinaryFilter { .. } => 0,
-        _ => 1,
-    });
+    plan.ops.sort_by_key(|op| !op.is_frame_filter());
 
     // Extract VObj filters; property availability comes only from
     // Detect/Track/Project ops, so each filter's earliest legal position is

@@ -375,10 +375,15 @@ mod tests {
         plan
     }
 
-    /// A query over no objects: a join and nothing else.
-    fn detectorless_plan(zoo: &ModelZoo) -> PlanDag {
+    /// A query over no objects: a join, behind the frame filter if one is
+    /// given, and nothing else.
+    fn detectorless_plan(zoo: &ModelZoo, diff_filter: Option<f32>) -> PlanDag {
         let frames = Query::builder("Frames").build().unwrap();
-        build_plan(&[frames], zoo, &PlanOptions::vqpy_default()).unwrap()
+        let opts = PlanOptions {
+            diff_filter,
+            ..PlanOptions::vqpy_default()
+        };
+        build_plan(&[frames], zoo, &opts).unwrap()
     }
 
     /// Lanes as `stage+stage`, decode included in the first, `×W` on a
@@ -457,7 +462,7 @@ mod tests {
                 |w| w,
             ),
             (
-                detectorless_plan(&zoo),
+                detectorless_plan(&zoo, None),
                 [false, false, false, false, true],
                 &["decode+frame_filters+detect+track+enrich ×W", "tail"],
                 |w| w,
@@ -479,6 +484,39 @@ mod tests {
                 assert_eq!(threads, spawned(workers), "{want:?}, {workers} workers");
             }
         }
+    }
+
+    /// With no detector after it, the diff filter still runs in the frame
+    /// filters, the stage that holds its reference frame: static frames
+    /// drop, the same ones in either mode.
+    #[test]
+    fn a_detectorless_diff_filter_drops_static_frames() {
+        let zoo = ModelZoo::standard();
+        let plan = detectorless_plan(&zoo, Some(1.0));
+        let shape = plan.stage_specs().map(|specs| !specs.is_empty());
+        assert_eq!(shape, [true, false, false, false, true]);
+        let v = SyntheticVideo::new(Scene::generate(presets::jackson(), 404, 5.0));
+        let run = |exec_mode| {
+            let config = ExecConfig {
+                exec_mode,
+                ..ExecConfig::default()
+            };
+            let clock = vqpy_models::Clock::new();
+            execute_plan(&plan, &v, &zoo, &clock, &config)
+                .unwrap()
+                .remove(0)
+        };
+        let seq = run(ExecMode::Sequential);
+        let pipe = run(ExecMode::Pipelined { workers: 3 });
+        let m = &seq.metrics;
+        assert!(
+            0 < m.frames_processed && m.frames_processed < m.frames_total,
+            "{} of {} frames kept",
+            m.frames_processed,
+            m.frames_total
+        );
+        assert_eq!(seq.hit_frames(), pipe.hit_frames());
+        assert_eq!(m.frames_processed, pipe.metrics.frames_processed);
     }
 
     #[test]

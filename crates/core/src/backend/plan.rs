@@ -54,6 +54,16 @@ pub enum OpSpec {
 }
 
 impl OpSpec {
+    /// Whether the operator filters whole frames (differencing or a binary
+    /// classifier): it runs in the frame-filter stage, ahead of everything
+    /// else.
+    pub fn is_frame_filter(&self) -> bool {
+        matches!(
+            self,
+            OpSpec::DiffFilter { .. } | OpSpec::BinaryFilter { .. }
+        )
+    }
+
     /// Short label for plan dumps.
     pub fn label(&self) -> String {
         match self {
@@ -178,8 +188,7 @@ impl PlanDag {
                 }
             }
             OpSpec::ProjectRelation { .. } | OpSpec::Join { .. } => StageKind::Tail,
-            // The tracker — and frame-level ops, which never appear after
-            // the detectors; if one does, keep it ordered.
+            // The tracker, and whatever else is left ordered.
             _ => StageKind::Prep,
         }
     }
@@ -188,8 +197,11 @@ impl PlanDag {
     /// [`StageKind::ALL`]: the one place the stage boundaries — and with
     /// them the planner's hoisting decision — are made.
     ///
-    /// - **frame filters**: everything before the first detector.
-    /// - **detect**: the contiguous run of detectors (none → both empty).
+    /// - **frame filters**: the leading frame-level operators
+    ///   ([`OpSpec::is_frame_filter`]), with or without a detector after
+    ///   them: the stage that holds the diff filter's reference frame.
+    /// - **detect**: the contiguous run of detectors that follows (none →
+    ///   empty).
     /// - **prep** ends at the *last* operator after the detectors that
     ///   sequences the stream: the tracker plus every stateful or intrinsic
     ///   model projection, in their original relative order, so the object
@@ -206,7 +218,7 @@ impl PlanDag {
         let is_detect = |o: &OpSpec| matches!(o, OpSpec::Detect { .. });
         let (filters, rest) = self
             .ops
-            .split_at(self.ops.iter().position(is_detect).unwrap_or(0));
+            .split_at(self.ops.iter().take_while(|o| o.is_frame_filter()).count());
         let (detect, rest) = rest.split_at(rest.iter().take_while(|o| is_detect(o)).count());
         let last_prep = rest
             .iter()

@@ -4,8 +4,8 @@
 //! A [`StreamEngine`] owns everything that must outlive any single plan:
 //!
 //! - the **stream state** ([`StreamState`], in its [`StageOps`]): per
-//!   tracked alias its tracker and one row per live track (motion edge,
-//!   stateful property windows, §4.2's memoised intrinsics), the reuse
+//!   tracked alias its tracker and one row per live track (stateful
+//!   property windows, §4.2's memoised intrinsics), the reuse
 //!   counters and durable tier those cells answer through, and the diff
 //!   filter's reference frame. No operator holds cross-frame state;
 //! - cumulative [`ExecMetrics`].
@@ -29,8 +29,8 @@ use vqpy_models::{Clock, ModelZoo};
 use vqpy_video::source::VideoSource;
 
 /// A restorable checkpoint of one stream engine: a copy of its stream
-/// state (object tables with their trackers, motion edges, windows and
-/// memoised intrinsics; the reuse statistics; the diff filter's reference
+/// state (object tables with their trackers, windows and memoised
+/// intrinsics; the reuse statistics; the diff filter's reference
 /// frame) and the cumulative metrics at capture time.
 ///
 /// Taken by the serving layer before each segment;
