@@ -3,11 +3,10 @@
 //! Every model-stage invocation the executors issue goes through a
 //! [`ModelDispatch`]: the executor hands the dispatcher a model handle and
 //! the stage's typed submission — live frames for detect and binary-filter
-//! stages, one frame's crops for classify/projection stages — and gets the
-//! stage's results back. The default ([`DirectDispatch`]) calls the model's
-//! own batched entry point — one physical invocation per (stream, batch)
-//! for frame stages and per (stream, frame) for crop stages, exactly the
-//! pre-existing behavior.
+//! stages, one `(frame, crops)` job per frame of the batch for
+//! classify/projection stages — and gets the stage's results back. The
+//! default ([`DirectDispatch`]) calls the model's own batched entry point:
+//! one physical invocation per (stream, batch) for every stage.
 //!
 //! The indirection exists for the serving layer: a multi-stream supervisor
 //! installs a *shared* dispatcher (`vqpy-serve`'s `ModelBatcher`) that
@@ -45,8 +44,8 @@ pub enum ModelStage {
     Detect,
     /// Frame-level binary filters over live frames (`predict_batch`).
     Predict,
-    /// Per-object property models over one frame's crops
-    /// (`classify_batch`).
+    /// Per-object property models over a batch's crops
+    /// (`classify_batch_jobs`).
     Classify,
 }
 
@@ -109,6 +108,11 @@ pub trait ModelDispatch: Send + Sync {
     /// Runs the per-object property model over `dets` (crops of `frame`),
     /// returning one value per detection, in order.
     ///
+    /// The engine no longer calls this: it issues
+    /// [`ModelDispatch::classify_jobs`]. It remains the one required
+    /// classify method so that a dispatcher written against it alone
+    /// still works, through `classify_jobs`'s default.
+    ///
     /// # Errors
     ///
     /// A [`ModelFault`] when the invocation failed unrecoverably.
@@ -119,6 +123,27 @@ pub trait ModelDispatch: Send + Sync {
         dets: &[Detection],
         clock: &Clock,
     ) -> Result<Vec<Value>, ModelFault>;
+
+    /// Runs the per-object property model over `jobs` — one `(frame,
+    /// crops)` job per frame of a batch — returning one value list per
+    /// job, in order. The projection operator issues one such call per
+    /// model per batch. The default runs [`ModelDispatch::classify`] per
+    /// job, one physical invocation each; every dispatcher in this crate
+    /// and the serving layer overrides it to issue one for the whole call.
+    ///
+    /// # Errors
+    ///
+    /// A [`ModelFault`] when the invocation failed unrecoverably.
+    fn classify_jobs(
+        &self,
+        model: &Arc<dyn Classifier>,
+        jobs: &[(&Frame, &[Detection])],
+        clock: &Clock,
+    ) -> Result<Vec<Vec<Value>>, ModelFault> {
+        jobs.iter()
+            .map(|(frame, dets)| self.classify(model, frame, dets, clock))
+            .collect()
+    }
 }
 
 /// The default boundary: one physical batched invocation per call, issued
@@ -154,6 +179,15 @@ impl ModelDispatch for DirectDispatch {
         clock: &Clock,
     ) -> Result<Vec<Value>, ModelFault> {
         model.try_classify_batch(frame, dets, clock)
+    }
+
+    fn classify_jobs(
+        &self,
+        model: &Arc<dyn Classifier>,
+        jobs: &[(&Frame, &[Detection])],
+        clock: &Clock,
+    ) -> Result<Vec<Vec<Value>>, ModelFault> {
+        model.try_classify_batch_jobs(jobs, clock)
     }
 }
 
@@ -317,6 +351,18 @@ impl ModelDispatch for RetryDispatch {
                 self.inner.classify(model, frame, dets, clock)
             })
     }
+
+    fn classify_jobs(
+        &self,
+        model: &Arc<dyn Classifier>,
+        jobs: &[(&Frame, &[Detection])],
+        clock: &Clock,
+    ) -> Result<Vec<Vec<Value>>, ModelFault> {
+        self.policy
+            .run(clock, ModelStage::Classify, &self.tracer, || {
+                self.inner.classify_jobs(model, jobs, clock)
+            })
+    }
 }
 
 #[cfg(test)]
@@ -364,6 +410,41 @@ mod tests {
                 .unwrap(),
             clf.classify_batch(&frames[0], &dets, &Clock::new()),
         );
+        let later = det.detect(&frames[2], &Clock::new());
+        let jobs = [(&frames[0], &dets[..]), (&frames[2], &later[..])];
+        assert_eq!(
+            DirectDispatch
+                .classify_jobs(&clf, &jobs, &Clock::new())
+                .unwrap(),
+            clf.classify_batch_jobs(&jobs, &Clock::new()),
+        );
+    }
+
+    /// A failed multi-job classify call is retried whole: one physical
+    /// call fails, one succeeds with every job's values.
+    #[test]
+    fn retry_reissues_a_whole_multi_job_classify_call() {
+        let zoo = ModelZoo::standard();
+        let clean = zoo.classifier("color_detect").unwrap();
+        let inj = FaultInjector::new(FaultPlan::every_nth(5, 1).heal_after(1));
+        let clf = inj.wrap_classifier(Arc::clone(&clean));
+        let v = SyntheticVideo::new(Scene::generate(presets::jackson(), 11, 5.0));
+        let frames: Vec<Frame> = (0..3).map(|i| v.frame(i)).collect();
+        let det = zoo.detector("yolox").unwrap();
+        let dets: Vec<Vec<Detection>> = frames
+            .iter()
+            .map(|f| det.detect(f, &Clock::new()))
+            .collect();
+        let jobs: Vec<(&Frame, &[Detection])> =
+            frames.iter().zip(&dets).map(|(f, d)| (f, &d[..])).collect();
+        assert!(jobs.iter().any(|(_, d)| !d.is_empty()));
+        let retry = RetryDispatch::new(Arc::new(DirectDispatch), RetryPolicy::default());
+        let clock = Clock::new();
+        let got = retry.classify_jobs(&clf, &jobs, &clock).unwrap();
+        assert_eq!(got, clean.classify_batch_jobs(&jobs, &Clock::new()));
+        assert_eq!(inj.injected_faults(), 1);
+        let launches = clock.stat(vqpy_models::DISPATCH_LABEL).unwrap();
+        assert_eq!(launches.invocations, 1, "the retry is one physical call");
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //!   a batch of [`ExecConfig::batch_size`] frames, runs every stage of
 //!   [`StageKind::ALL`] over it in turn, and feeds the sink. Stages are
 //!   *op-major* — each operator's `process_batch` covers the whole batch
-//!   before the next starts — so model-backed operators issue one physical
-//!   batched invocation per batch (§4.1).
+//!   before the next starts — so every model-backed operator issues one
+//!   physical batched invocation per batch (§4.1): detectors and binary
+//!   filters over the batch's frames, a projection over the crops of all
+//!   of them.
 //! - **Pipelined** ([`ExecMode::Pipelined`]): [`crate::backend::pipeline`]
 //!   cuts the stages into lanes — runs of adjacent stages of one kind, with
 //!   empty stages riding along — and gives each lane its own thread(s), so
@@ -518,7 +520,7 @@ mod tests {
         let zoo = ModelZoo::standard();
         let v = video(12.0);
         let plan = build_plan(&[red_car_query()], &zoo, &PlanOptions::vqpy_default()).unwrap();
-        let mut reference: Option<Vec<u64>> = None;
+        let mut reference = None;
         for batch_size in [1usize, 3, 8, 64] {
             let clock = Clock::new();
             let results = execute_plan(
@@ -532,10 +534,10 @@ mod tests {
                 },
             )
             .unwrap();
-            let hits = results[0].hit_frames();
+            let run = (results[0].hit_frames(), results[0].metrics.reuse);
             match &reference {
-                None => reference = Some(hits),
-                Some(r) => assert_eq!(r, &hits, "batch size {batch_size} changed results"),
+                None => reference = Some(run),
+                Some(r) => assert_eq!(r, &run, "batch size {batch_size} changed results"),
             }
         }
     }

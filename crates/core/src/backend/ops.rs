@@ -91,31 +91,40 @@ impl FrameSlot {
 /// One join's satisfying bindings of query aliases to graph nodes on a
 /// frame. Each combo is one node per alias, in the join's alias order (the
 /// query's `vobjs()` order); combos are stored back to back, so recording
-/// one allocates nothing once the buffer is warm.
+/// one allocates nothing once the buffer is warm. They are counted apart
+/// from the nodes: a query over no objects has one combo, the empty one.
 #[derive(Debug, Clone, Default)]
 pub struct Matches {
     arity: usize,
+    combos: usize,
     nodes: Vec<NodeId>,
 }
 
 impl Matches {
     /// The combos, in the order the join found them.
     pub fn iter(&self) -> impl Iterator<Item = &[NodeId]> {
-        self.nodes.chunks_exact(self.arity.max(1))
+        (0..self.combos).map(|c| &self.nodes[c * self.arity..(c + 1) * self.arity])
     }
 
     /// Number of combos.
     pub fn len(&self) -> usize {
-        self.nodes.len() / self.arity.max(1)
+        self.combos
     }
 
     /// Whether no combo matched.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.combos == 0
+    }
+
+    /// Records one combo.
+    fn push(&mut self, combo: impl Iterator<Item = NodeId>) {
+        self.nodes.extend(combo);
+        self.combos += 1;
     }
 
     fn clear(&mut self) {
         self.nodes.clear();
+        self.combos = 0;
     }
 }
 
@@ -153,9 +162,11 @@ pub trait Operator: Send {
     fn process(&mut self, slot: &mut FrameSlot, ctx: &mut ExecCtx<'_>) -> Result<()>;
     /// Processes a batch of slots in frame order (§4.1's batched
     /// execution). The default loops [`Operator::process`] over the live
-    /// slots; model-backed operators override it to issue one physical
-    /// batched invocation, amortizing per-invocation overhead. Results must
-    /// be identical to the frame-at-a-time path.
+    /// slots; every model-backed operator (detect, binary filter,
+    /// projection) overrides it to issue one physical batched invocation
+    /// per batch, amortizing per-invocation overhead, and its `process` is
+    /// a batch of one. Results must be identical to running the frames one
+    /// at a time.
     fn process_batch(&mut self, slots: &mut [FrameSlot], ctx: &mut ExecCtx<'_>) -> Result<()> {
         for slot in slots.iter_mut().filter(|s| s.alive) {
             self.process(slot, ctx)?;
@@ -373,6 +384,15 @@ impl Operator for TrackOp {
 ///
 /// An optional fused filter predicate is applied immediately after each
 /// node's value is computed (operator fusion, §4.3).
+///
+/// A model property is computed a batch at a time (§4.1): the crops every
+/// live frame still needs go to the model in one dispatch call, one
+/// `(frame, crops)` job per frame. Values and reuse counters equal those of
+/// running the frames one at a time, where each frame's values were stored
+/// before the next frame probed: a confirmed probe of a cell that an
+/// earlier frame of the batch is about to fill takes that pending value
+/// and counts a hit, and the stores are applied in frame order, so the
+/// last one wins and tier writes keep their order.
 pub struct ProjectOp {
     alias: Istr,
     def: PropertyDef,
@@ -386,14 +406,27 @@ pub struct ProjectOp {
     /// The fused filter as written (for plan dumps) and as resolved.
     fused_filter: Option<(Pred, SlotPred)>,
     fused_required: bool,
-    /// Scratch, reused across frames: the alias's alive nodes, the batched
-    /// model path's pending crops (`pending_dets` keeps its high-water
-    /// length; the first `pending_ids.len()` entries are this frame's), and
-    /// a stateless native property's inputs.
+    /// Scratch, reused across batches: the alias's alive nodes on one
+    /// frame, a stateless native property's inputs, and the model path's
+    /// buffers below.
     ids: Vec<NodeId>,
-    pending_ids: Vec<NodeId>,
-    pending_dets: Vec<Detection>,
     inputs: Vec<Value>,
+    /// The batch's crops to classify, in frame order: `(slot, node, row)`
+    /// (`row` set when the value is to be memoised) and its detection
+    /// (`pending_dets` keeps its high-water length; the first
+    /// `pending.len()` entries are this batch's).
+    pending: Vec<(usize, NodeId, Option<usize>)>,
+    pending_dets: Vec<Detection>,
+    /// Probes answered by a crop an earlier frame of the batch classifies:
+    /// `(slot, node, index into pending)`.
+    forwarded: Vec<(usize, NodeId, usize)>,
+    /// By object-table row: the last crop of that row's track pending from
+    /// a frame before the current one, while the batch is gathered.
+    pending_at: Vec<Option<usize>>,
+    /// The jobs of the dispatch call, empty between calls (a buffer
+    /// reused through [`recycle`]), and the values it returned, flat.
+    jobs: Vec<(&'static Frame, &'static [Detection])>,
+    values: Vec<Value>,
 }
 
 impl ProjectOp {
@@ -418,9 +451,13 @@ impl ProjectOp {
             fused_filter: None,
             fused_required: false,
             ids: Vec::new(),
-            pending_ids: Vec::new(),
-            pending_dets: Vec::new(),
             inputs: Vec::new(),
+            pending: Vec::new(),
+            pending_dets: Vec::new(),
+            forwarded: Vec::new(),
+            pending_at: Vec::new(),
+            jobs: Vec::new(),
+            values: Vec::new(),
         }
     }
 
@@ -463,26 +500,37 @@ fn compute_native(source: &PropertySource, node: &VObjNode, ctx: &PropertyCtx<'_
     }
 }
 
+/// An empty vector over `v`'s allocation: scratch whose elements borrow
+/// per call keeps its buffer on the operator (collecting a vector's
+/// `into_iter` into one of the same layout reuses the allocation).
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("cleared")).collect()
+}
+
 impl Operator for ProjectOp {
     fn process(&mut self, slot: &mut FrameSlot, ctx: &mut ExecCtx<'_>) -> Result<()> {
-        let kind = self.def.kind;
+        self.process_batch(std::slice::from_mut(slot), ctx)
+    }
+
+    fn process_batch(&mut self, slots: &mut [FrameSlot], ctx: &mut ExecCtx<'_>) -> Result<()> {
         let is_model = matches!(self.def.source, PropertySource::Model(_));
-        let mut ids = std::mem::take(&mut self.ids);
-        ids.clear();
-        ids.extend(slot.graph.alive_ids(self.alias));
-        let result = if let (PropertyKind::Stateless { intrinsic }, true) = (kind, is_model) {
-            self.process_model_frame(slot, ctx, &ids, intrinsic)
-        } else {
-            self.process_native_frame(slot, ctx, &ids);
-            Ok(())
-        };
-        self.ids = ids;
-        result?;
-        if self.fused_filter.is_some()
-            && self.fused_required
-            && slot.graph.alive_count(self.alias) == 0
-        {
-            slot.alive = false;
+        match self.def.kind {
+            PropertyKind::Stateless { intrinsic } if is_model => {
+                self.process_model_batch(slots, ctx, intrinsic)?;
+            }
+            _ => {
+                for slot in slots.iter_mut().filter(|s| s.alive) {
+                    self.process_native_frame(slot, ctx);
+                }
+            }
+        }
+        if self.fused_filter.is_some() && self.fused_required {
+            for slot in slots.iter_mut().filter(|s| s.alive) {
+                if slot.graph.alive_count(self.alias) == 0 {
+                    slot.alive = false;
+                }
+            }
         }
         Ok(())
     }
@@ -500,84 +548,135 @@ impl ProjectOp {
     }
 
     /// Stateless model property: memoised-value fast path, then one
-    /// batched model invocation over the frame's remaining crops (§4.1
-    /// batching + §4.2 reuse).
-    fn process_model_frame(
+    /// batched model invocation over the crops every live frame of the
+    /// batch still needs (§4.1 batching + §4.2 reuse), with in-batch
+    /// forwarding as the type's docs describe. Pending cells are keyed by
+    /// object-table row, which is stable for this: prep frees expired
+    /// tracks' rows only after its whole chain has run the batch (see
+    /// [`crate::backend::objects`]), so no row changes hands inside it.
+    fn process_model_batch(
         &mut self,
-        slot: &mut FrameSlot,
+        slots: &mut [FrameSlot],
         ctx: &mut ExecCtx<'_>,
-        ids: &[NodeId],
         intrinsic: bool,
     ) -> Result<()> {
-        self.pending_ids.clear();
-        for &id in ids {
-            let node = &slot.graph.nodes[id];
-            if slot.graph.get(id, self.slot).is_some() {
-                continue; // already computed (shared plans)
-            }
-            // Memoized values are trusted only once the track is
-            // confirmed: a first sighting clamped at the frame edge would
-            // otherwise pin a bad classification for the object's whole
-            // lifetime. An unconfirmed sighting is still *eligible* for
-            // reuse, so it counts as a miss: hit rate is served-from-cache
-            // over eligible projections, not over probes.
-            let cell = self.column.zip(node.row).filter(|_| intrinsic && ctx.reuse);
-            let cached = match (ctx.objects.as_deref_mut(), cell) {
-                (Some(objects), Some(((t, col), row))) if node.track_confirmed => {
-                    objects.lookup(t, row, col)
+        let reuse = intrinsic && ctx.reuse && ctx.objects.is_some() && self.column.is_some();
+        self.pending.clear();
+        self.forwarded.clear();
+        let mut ids = std::mem::take(&mut self.ids);
+        for (s, slot) in slots.iter_mut().enumerate().filter(|(_, s)| s.alive) {
+            let frame_start = self.pending.len();
+            ids.clear();
+            ids.extend(slot.graph.alive_ids(self.alias));
+            for &id in &ids {
+                let node = &slot.graph.nodes[id];
+                if slot.graph.get(id, self.slot).is_some() {
+                    continue; // already computed (shared plans)
                 }
-                (Some(objects), Some(_)) => {
-                    objects.stats.misses += 1;
-                    None
-                }
-                _ => None,
-            };
-            match cached {
-                Some(v) => self.apply_value(&mut slot.graph, id, v),
-                None => {
-                    let n = self.pending_ids.len();
-                    if n == self.pending_dets.len() {
-                        self.pending_dets.push(node.as_detection());
-                    } else {
-                        node.fill_detection(&mut self.pending_dets[n]);
+                // Memoized values are trusted only once the track is
+                // confirmed: a first sighting clamped at the frame edge
+                // would otherwise pin a bad classification for the
+                // object's whole lifetime. An unconfirmed sighting is still
+                // *eligible* for reuse, so it counts as a miss: hit rate is
+                // served-from-cache over eligible projections, not over
+                // probes.
+                let cell = self.column.zip(node.row).filter(|_| reuse);
+                let cached = match (ctx.objects.as_deref_mut(), cell) {
+                    (Some(objects), Some(((t, col), row))) if node.track_confirmed => {
+                        match self.pending_at.get(row).copied().flatten() {
+                            Some(p) => {
+                                objects.stats.hits += 1;
+                                self.forwarded.push((s, id, p));
+                                continue;
+                            }
+                            None => objects.lookup(t, row, col),
+                        }
                     }
-                    self.pending_ids.push(id);
+                    (Some(objects), Some(_)) => {
+                        objects.stats.misses += 1;
+                        None
+                    }
+                    _ => None,
+                };
+                match cached {
+                    Some(v) => self.apply_value(&mut slot.graph, id, v),
+                    None => {
+                        let n = self.pending.len();
+                        if n == self.pending_dets.len() {
+                            self.pending_dets.push(node.as_detection());
+                        } else {
+                            node.fill_detection(&mut self.pending_dets[n]);
+                        }
+                        self.pending.push((s, id, cell.map(|(_, row)| row)));
+                    }
+                }
+            }
+            // Later frames of the batch see this frame's crops as stored.
+            for p in frame_start..self.pending.len() {
+                if let Some(row) = self.pending[p].2 {
+                    if self.pending_at.len() <= row {
+                        self.pending_at.resize(row + 1, None);
+                    }
+                    self.pending_at[row] = Some(p);
                 }
             }
         }
-        if self.pending_ids.is_empty() {
+        self.ids = ids;
+        for &(_, _, row) in &self.pending {
+            if let Some(row) = row {
+                self.pending_at[row] = None;
+            }
+        }
+        if self.pending.is_empty() {
             return Ok(());
         }
+
         let clf = self.classifier(ctx)?;
-        let dets = &self.pending_dets[..self.pending_ids.len()];
-        let _span = ctx
-            .tracer
-            .span("dispatch", "dispatch:classify")
-            .arg("model", &clf.profile().name)
-            .arg("frame", slot.frame.index)
-            .arg("items", dets.len());
-        let values = ctx.dispatch.classify(&clf, &slot.frame, dets, ctx.clock)?;
-        for (&id, v) in self.pending_ids.iter().zip(values) {
-            let cell = self.column.zip(slot.graph.nodes[id].row);
-            if let (true, Some(objects), Some(((t, col), row))) =
-                (intrinsic && ctx.reuse, ctx.objects.as_deref_mut(), cell)
-            {
-                objects.store(t, row, col, v.clone());
-            }
-            self.apply_value(&mut slot.graph, id, v);
+        let mut jobs = recycle(std::mem::take(&mut self.jobs));
+        let mut at = 0;
+        for run in self.pending.chunk_by(|a, b| a.0 == b.0) {
+            let dets = &self.pending_dets[at..at + run.len()];
+            jobs.push((&slots[run[0].0].frame, dets));
+            at += run.len();
         }
+        let result = {
+            let _span = ctx
+                .tracer
+                .span("dispatch", "dispatch:classify")
+                .arg("model", &clf.profile().name)
+                .arg("frame", jobs[0].0.index)
+                .arg("items", at);
+            ctx.dispatch.classify_jobs(&clf, &jobs, ctx.clock)
+        };
+        self.jobs = recycle(jobs);
+        self.values.clear();
+        self.values.extend(result?.into_iter().flatten());
+
+        let mut values = std::mem::take(&mut self.values);
+        if let (Some(objects), Some((t, col))) = (ctx.objects.as_deref_mut(), self.column) {
+            for (&(_, _, row), v) in self.pending.iter().zip(&values) {
+                if let Some(row) = row {
+                    objects.store(t, row, col, v.clone());
+                }
+            }
+        }
+        for &(s, id, p) in &self.forwarded {
+            self.apply_value(&mut slots[s].graph, id, values[p].clone());
+        }
+        for (&(s, id, _), v) in self.pending.iter().zip(values.drain(..)) {
+            self.apply_value(&mut slots[s].graph, id, v);
+        }
+        self.values = values;
         Ok(())
     }
 
     /// Native/builtin and stateful properties: per-node computation.
-    fn process_native_frame(
-        &mut self,
-        slot: &mut FrameSlot,
-        ctx: &mut ExecCtx<'_>,
-        ids: &[NodeId],
-    ) {
+    fn process_native_frame(&mut self, slot: &mut FrameSlot, ctx: &mut ExecCtx<'_>) {
         let graph = &mut slot.graph;
-        for &id in ids {
+        let mut ids = std::mem::take(&mut self.ids);
+        ids.clear();
+        ids.extend(graph.alive_ids(self.alias));
+        for &id in &ids {
             if graph.get(id, self.slot).is_some() {
                 continue; // already computed (shared plans)
             }
@@ -615,6 +714,7 @@ impl ProjectOp {
             };
             self.apply_value(graph, id, value);
         }
+        self.ids = ids;
     }
 }
 
@@ -910,9 +1010,7 @@ impl Operator for JoinOp {
             'outer: loop {
                 let binding = Binding { graph, join: self };
                 if self.resolved.eval(&binding) {
-                    combos
-                        .nodes
-                        .extend((0..combos.arity).map(|p| binding.node(p)));
+                    combos.push((0..combos.arity).map(|p| binding.node(p)));
                 }
                 // Advance the odometer.
                 for pos in (0..self.odometer.len()).rev() {
@@ -1011,6 +1109,7 @@ pub fn instantiate(
 mod tests {
     use super::*;
     use crate::backend::objects::ObjectTable;
+    use crate::backend::reuse::{ReuseStats, ReuseTier};
     use crate::frontend::predicate::Pred;
     use crate::frontend::query::{Aggregate, Query};
     use vqpy_models::ModelZoo;
@@ -1156,6 +1255,152 @@ mod tests {
             invocations * 2 < visits,
             "most visits should be cache hits: {invocations} of {visits}"
         );
+    }
+
+    /// Answers with the index of the frame it saw, so a value names the
+    /// frame whose crop produced it.
+    struct FrameIndex(vqpy_models::ModelProfile);
+
+    impl Classifier for FrameIndex {
+        fn profile(&self) -> &vqpy_models::ModelProfile {
+            &self.0
+        }
+
+        fn classify(&self, frame: &Frame, _det: &Detection, clock: &Clock) -> Value {
+            clock.charge_model(&self.0.name, self.0.cost);
+            Value::Int(frame.index as i64)
+        }
+    }
+
+    /// A reuse tier that keeps nothing and logs every write, in order.
+    #[derive(Debug, Default)]
+    struct SaveLog(std::sync::Mutex<Vec<(TrackId, String, Value)>>);
+
+    impl ReuseTier for SaveLog {
+        fn load(&self, _alias: &str, _track: TrackId, _prop: &str) -> Option<Value> {
+            None
+        }
+
+        fn save(&self, _alias: &str, track: TrackId, prop: &str, value: &Value) {
+            let entry = (track, prop.to_owned(), value.clone());
+            self.0.lock().unwrap().push(entry);
+        }
+    }
+
+    /// What a run of [`project_in_batches`] produced: each tracked node's
+    /// `(frame, track, seen_at, color)`, the reuse counters, and the
+    /// tier's writes by property.
+    type Projected = (
+        Vec<(u64, TrackId, Value, Value)>,
+        ReuseStats,
+        Vec<(TrackId, String, Value)>,
+    );
+
+    /// Detects, tracks and projects two memoised model properties of `car`
+    /// (`seen_at` by [`FrameIndex`], and `color`) over 240 jackson frames
+    /// in batches of `batch`, freeing expired rows after each batch as
+    /// prep does. Tracks are confirmed on their third sighting, so a track
+    /// stores its cell twice before its first probe. Asserts that each
+    /// model makes exactly one physical call per batch that has crops left
+    /// to classify.
+    fn project_in_batches(batch: usize) -> Projected {
+        use vqpy_models::{ModelProfile, TaskKind, DISPATCH_LABEL};
+        use vqpy_tracker::{SortTracker, TrackerParams};
+        const FRAMES: u64 = 240;
+        let zoo = ModelZoo::standard();
+        let profile = ModelProfile::new("frame_index", TaskKind::Classification, 1.0, 1.0);
+        zoo.register_classifier(Arc::new(FrameIndex(profile)));
+        let clock = Clock::new();
+        let tracer = vqpy_obs::Tracer::disabled();
+        let v = video();
+        let mut objects = Objects::with_columns(&["car"], &["seen_at", "color"], &[]);
+        let params = TrackerParams {
+            min_hits: 3,
+            ..TrackerParams::default()
+        };
+        objects.table_mut(0).tracker = SortTracker::new(params);
+        let log = Arc::new(SaveLog::default());
+        objects.tier = Some(Arc::clone(&log) as Arc<dyn ReuseTier>);
+        let layout = Arc::new(SlotLayout::new(["seen_at", "color"], []));
+        let det = zoo.detector("yolox").unwrap();
+        let mut detect = DetectOp::new(det, vec![("car".into(), vec!["car".into()])]);
+        let mut track = TrackOp::new("car", 0);
+        let mut projects =
+            [("seen_at", "frame_index"), ("color", "color_detect")].map(|(prop, model)| {
+                let def = PropertyDef::stateless_model(prop, model, true);
+                (model, ProjectOp::new("car", def, &layout, &objects))
+            });
+        let stat = |label: &str| clock.stat(label).map_or(0, |s| s.invocations);
+        let mut out = Vec::new();
+        for lo in (0..FRAMES).step_by(batch) {
+            let hi = (lo + batch as u64).min(FRAMES);
+            let mut slots: Vec<FrameSlot> = (lo..hi)
+                .map(|i| FrameSlot::with_layout(v.frame(i), &layout))
+                .collect();
+            let mut ctx = exec_ctx(&zoo, &clock, &tracer, v.fps(), Some(&mut objects));
+            detect.process_batch(&mut slots, &mut ctx).unwrap();
+            track.process_batch(&mut slots, &mut ctx).unwrap();
+            for (model, project) in &mut projects {
+                let (calls, crops) = (stat(DISPATCH_LABEL), stat(model));
+                project.process_batch(&mut slots, &mut ctx).unwrap();
+                let (calls, crops) = (stat(DISPATCH_LABEL) - calls, stat(model) - crops);
+                assert_eq!(
+                    calls,
+                    u64::from(crops > 0),
+                    "{model}, batch {batch} at {lo}"
+                );
+            }
+            for slot in &slots {
+                objects.release(&slot.expired);
+                let graph = &slot.graph;
+                let value = |id, prop| graph.get(id, layout.prop(prop).unwrap()).cloned();
+                for (id, node) in graph.nodes.iter().enumerate() {
+                    if let Some(track) = node.track_id {
+                        let (seen_at, color) = (value(id, "seen_at"), value(id, "color"));
+                        out.push((slot.frame.index, track, seen_at.unwrap(), color.unwrap()));
+                    }
+                }
+            }
+        }
+        // Operators run one after the other over a batch, so only each
+        // property's writes have an order to keep.
+        let mut saves = std::mem::take(&mut *log.0.lock().unwrap());
+        saves.sort_by(|a, b| a.1.cmp(&b.1));
+        (out, objects.stats, saves)
+    }
+
+    /// A batch classifies its crops in one call, yet gives what running
+    /// its frames one at a time gives: a confirmed probe of a cell an
+    /// earlier frame of the batch fills takes that frame's value and counts
+    /// a hit, and cells are stored (and written to the tier) in frame
+    /// order, the last store winning.
+    #[test]
+    fn batched_projection_forwards_in_batch_values_like_frame_at_a_time() {
+        let (values, stats, saves) = project_in_batches(1);
+        assert!(stats.hits > 0 && stats.misses > 0, "{stats:?}");
+        let seen_at: Vec<TrackId> = saves
+            .iter()
+            .filter(|s| s.1 == "seen_at")
+            .map(|s| s.0)
+            .collect();
+        let tracks: std::collections::HashSet<_> = seen_at.iter().collect();
+        assert!(seen_at.len() > tracks.len(), "some cell is stored twice");
+        for batch in [2, 8, 24] {
+            let run = project_in_batches(batch);
+            assert_eq!(run.0, values, "values, batch {batch}");
+            assert_eq!(run.1, stats, "reuse counters, batch {batch}");
+            assert_eq!(run.2, saves, "tier writes, batch {batch}");
+        }
+        // The 24-frame batches did forward: a node took the value of a crop
+        // classified on an earlier frame of its own batch.
+        let forwarded = values.iter().any(|(frame, _, seen_at, _)| {
+            let Value::Int(at) = *seen_at else {
+                return false;
+            };
+            let at = at as u64;
+            at < *frame && at / 24 == frame / 24
+        });
+        assert!(forwarded, "no in-batch hit to forward");
     }
 
     #[test]

@@ -488,7 +488,8 @@ mod tests {
 
     /// With no detector after it, the diff filter still runs in the frame
     /// filters, the stage that holds its reference frame: static frames
-    /// drop, the same ones in either mode.
+    /// drop, the same ones in either mode, and the query over no objects
+    /// hits every frame the filter keeps.
     #[test]
     fn a_detectorless_diff_filter_drops_static_frames() {
         let zoo = ModelZoo::standard();
@@ -517,6 +518,11 @@ mod tests {
         );
         assert_eq!(seq.hit_frames(), pipe.hit_frames());
         assert_eq!(m.frames_processed, pipe.metrics.frames_processed);
+        // Only kept frames can hit, so as many hits as kept frames means
+        // the hits are the kept frames.
+        for run in [&seq, &pipe] {
+            assert_eq!(run.hit_frames().len() as u64, run.metrics.frames_processed);
+        }
     }
 
     #[test]

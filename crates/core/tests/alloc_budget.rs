@@ -14,8 +14,10 @@
 //! history sample), strings are shared, combos are stored back to back and
 //! the trackers keep their workspaces; **42.7** once a single frame's
 //! classify call filled one result vector instead of a vector of one;
-//! **42.5** now that a track's windows and memoised values are cells of
-//! its object table's row, which a later track reuses once it expires.
+//! **42.5** once a track's windows and memoised values were cells of
+//! its object table's row, which a later track reuses once it expires;
+//! **43.1** now that a projection classifies a whole batch's crops in one
+//! call, which returns one result vector per frame plus one for the call.
 //! The budget is the current figure plus a quarter: what is left (the
 //! detectors' own output, the hit rows with an owned column name per cell,
 //! the classifiers' result vectors) is named in docs/ARCHITECTURE.md §3,

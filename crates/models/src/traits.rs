@@ -155,11 +155,12 @@ pub trait Classifier: Send + Sync {
     /// Classifies crops drawn from *several* frames — possibly several
     /// streams' frames — as **one** physical invocation: one `(frame,
     /// crops)` job per source, one `Vec<Value>` per job back, in order.
-    /// This is the physical entry point a cross-stream batcher uses to fold
-    /// many per-`(stream, frame)` [`Classifier::classify_batch`] requests
-    /// into a single device dispatch. Results are identical to running each
-    /// job alone; only the charged cost differs (one launch cost, one
-    /// overhead amortization across every crop).
+    /// This is the physical entry point of the projection stage (one call
+    /// per model per batch, a job per frame) and of a cross-stream batcher
+    /// folding many streams' batches into a single device dispatch.
+    /// Results are identical to running each job alone; only the charged
+    /// cost differs (one launch cost, one overhead amortization across
+    /// every crop).
     fn classify_batch_jobs(
         &self,
         jobs: &[(&Frame, &[Detection])],

@@ -3,16 +3,15 @@
 //!
 //! Per-stream engines batch within their own frame window, so N concurrent
 //! streams still pay N fixed model-dispatch overheads per round — once per
-//! stream for detect and binary-filter batches, and once per (stream,
-//! frame) for per-object property models, whose crop batches cannot grow
-//! past a single frame inside one stream. The batcher closes that gap for
-//! *every* model stage: each stream's operators submit their typed
-//! requests (frames for detect/predict, one frame's crops for classify) to
-//! one shared queue; a coalescing thread gathers requests inside a
-//! time/size-bounded window, groups them by **(stage, model instance)**,
-//! and issues **one** physical `detect_batch` / `predict_batch` /
-//! `classify_batch_jobs` per group — then demultiplexes the per-frame (or
-//! per-crop) results back to each waiting stream in submission order.
+//! stream and batch for every model stage. The batcher closes that gap:
+//! each stream's operators submit their typed requests (frames for
+//! detect/predict, one `(frame, crops)` job per frame of the batch for
+//! classify) to one shared queue; a coalescing thread gathers requests
+//! inside a time/size-bounded window, groups them by **(stage, model
+//! instance)**, and issues **one** physical `detect_batch` /
+//! `predict_batch` / `classify_batch_jobs` per group — then demultiplexes
+//! the per-frame (or per-job) results back to each waiting stream in
+//! submission order.
 //! Simulated models answer deterministically per (frame, entity), so
 //! routing a submission through a larger cross-stream batch never changes
 //! its results (the serve equivalence suite proves byte-identity against
@@ -262,13 +261,12 @@ enum Request {
         frames: Vec<Frame>,
         reply: SyncSender<Result<Vec<bool>, ModelFault>>,
     },
-    /// A classify/projection batch: one frame's crops in, per-crop values
-    /// out.
+    /// A classify/projection batch: one `(frame, crops)` job per frame in,
+    /// one value list per job out.
     Classify {
         model: Arc<dyn Classifier>,
-        frame: Frame,
-        dets: Vec<Detection>,
-        reply: SyncSender<Result<Vec<Value>, ModelFault>>,
+        jobs: Vec<(Frame, Vec<Detection>)>,
+        reply: SyncSender<Result<Vec<Vec<Value>>, ModelFault>>,
     },
 }
 
@@ -286,7 +284,7 @@ impl Request {
     fn items(&self) -> usize {
         match self {
             Request::Detect { frames, .. } | Request::Predict { frames, .. } => frames.len(),
-            Request::Classify { dets, .. } => dets.len(),
+            Request::Classify { jobs, .. } => jobs.iter().map(|(_, dets)| dets.len()).sum(),
         }
     }
 
@@ -479,18 +477,30 @@ impl ModelDispatch for BatchedDispatch {
         dets: &[Detection],
         clock: &Clock,
     ) -> Result<Vec<Value>, ModelFault> {
-        if dets.is_empty() {
-            return Ok(Vec::new());
+        let mut values = self.classify_jobs(model, &[(frame, dets)], clock)?;
+        Ok(values.pop().unwrap_or_default())
+    }
+
+    fn classify_jobs(
+        &self,
+        model: &Arc<dyn Classifier>,
+        jobs: &[(&Frame, &[Detection])],
+        clock: &Clock,
+    ) -> Result<Vec<Vec<Value>>, ModelFault> {
+        if jobs.iter().all(|(_, dets)| dets.is_empty()) {
+            return Ok(jobs.iter().map(|_| Vec::new()).collect());
         }
         self.submit(
             Arc::as_ptr(model) as *const () as usize,
             |reply| Request::Classify {
                 model: Arc::clone(model),
-                frame: frame.clone(),
-                dets: dets.to_vec(),
+                jobs: jobs
+                    .iter()
+                    .map(|&(frame, dets)| (frame.clone(), dets.to_vec()))
+                    .collect(),
                 reply,
             },
-            || model.try_classify_batch(frame, dets, clock),
+            || model.try_classify_batch_jobs(jobs, clock),
         )
     }
 }
@@ -767,20 +777,22 @@ fn run_predict_group(requests: &[Request], idxs: &[usize], clock: &Clock, obs: &
 }
 
 /// One physical `classify_batch_jobs` over every participating stream's
-/// (frame, crops) jobs, one value list back per request.
+/// (frame, crops) jobs, flattened across requests; each request gets its
+/// own jobs' value lists back, in order.
 fn run_classify_group(requests: &[Request], idxs: &[usize], clock: &Clock, obs: &BatcherObs) {
     let mut model = None;
+    let mut parts = Vec::new();
     let mut jobs: Vec<(&Frame, &[Detection])> = Vec::new();
     for &i in idxs {
         if let Request::Classify {
             model: m,
-            frame,
-            dets,
-            ..
+            jobs: own,
+            reply,
         } = &requests[i]
         {
             model = Some(m);
-            jobs.push((frame, dets));
+            parts.push((own.len(), reply));
+            jobs.extend(own.iter().map(|(frame, dets)| (frame, dets.as_slice())));
         }
     }
     let Some(model) = model else { return };
@@ -788,17 +800,14 @@ fn run_classify_group(requests: &[Request], idxs: &[usize], clock: &Clock, obs: 
         model.try_classify_batch_jobs(&jobs, clock)
     }) {
         Ok(results) => {
-            for (&i, values) in idxs.iter().zip(results) {
-                if let Request::Classify { reply, .. } = &requests[i] {
-                    let _ = reply.send(Ok(values));
-                }
+            let mut results = results.into_iter();
+            for (n, reply) in parts {
+                let _ = reply.send(Ok(results.by_ref().take(n).collect()));
             }
         }
         Err(fault) => {
-            for &i in idxs {
-                if let Request::Classify { reply, .. } = &requests[i] {
-                    let _ = reply.send(Err(fault.clone()));
-                }
+            for (_, reply) in parts {
+                let _ = reply.send(Err(fault.clone()));
             }
         }
     }
@@ -965,6 +974,126 @@ mod tests {
             "concurrent classify requests should share physical batches: {stats:?}"
         );
         assert_eq!(stats.detect.requests, 0, "detect ran direct in this test");
+    }
+
+    /// A coalescing batcher over `clock` that holds its window open long
+    /// enough for concurrent callers to share rounds.
+    fn wide_window(clock: &Arc<Clock>) -> ModelBatcher {
+        let config = BatcherConfig {
+            max_batch_frames: 256,
+            window: Duration::from_millis(50),
+            ..BatcherConfig::default()
+        };
+        ModelBatcher::new(config, Arc::clone(clock))
+    }
+
+    /// Several streams each submit one multi-job request — a batch's
+    /// frames, as the projection operator issues them — and each job gets
+    /// exactly its own crops' values back, however the rounds fold them.
+    #[test]
+    fn concurrent_multi_job_classify_requests_demux_per_job() {
+        let zoo = ModelZoo::standard();
+        let clock = Arc::new(Clock::new());
+        let batcher = wide_window(&clock);
+        let det = zoo.detector("yolox").unwrap();
+        let clf = zoo.classifier("color_detect").unwrap();
+        let callers = [51u64, 52, 53, 54];
+        std::thread::scope(|s| {
+            for seed in callers {
+                let dispatch = batcher.dispatch();
+                let (det, clf, clock) = (Arc::clone(&det), Arc::clone(&clf), Arc::clone(&clock));
+                s.spawn(move || {
+                    let fs = frames(seed, 4);
+                    let dets: Vec<Vec<Detection>> =
+                        fs.iter().map(|f| det.detect(f, &Clock::new())).collect();
+                    let jobs: Vec<(&Frame, &[Detection])> = fs
+                        .iter()
+                        .zip(&dets)
+                        .map(|(f, d)| (f, d.as_slice()))
+                        .collect();
+                    let got = dispatch.classify_jobs(&clf, &jobs, &clock).unwrap();
+                    let want: Vec<Vec<Value>> = jobs
+                        .iter()
+                        .map(|(f, d)| clf.classify_batch(f, d, &Clock::new()))
+                        .collect();
+                    assert_eq!(got, want, "stream {seed} crop values perturbed");
+                });
+            }
+        });
+        let stats = batcher.stats();
+        assert_eq!(stats.classify.requests, callers.len() as u64);
+        assert!(
+            stats.classify.physical_batches < stats.classify.requests,
+            "concurrent multi-job requests should share rounds: {stats:?}"
+        );
+    }
+
+    /// A panic inside a coalesced multi-job classify round reaches every
+    /// stream in it as a typed fault, and the batcher keeps serving.
+    #[test]
+    fn a_panicking_multi_job_round_faults_every_participant() {
+        struct PanicClassifier(vqpy_models::ModelProfile);
+        impl Classifier for PanicClassifier {
+            fn profile(&self) -> &vqpy_models::ModelProfile {
+                &self.0
+            }
+            fn classify(&self, _frame: &Frame, _det: &Detection, _clock: &Clock) -> Value {
+                panic!("poisoned weights")
+            }
+        }
+        let profile = vqpy_models::ModelProfile::new(
+            "bad_clf",
+            vqpy_models::TaskKind::Classification,
+            1.0,
+            0.5,
+        );
+        let bad: Arc<dyn Classifier> = Arc::new(PanicClassifier(profile));
+        let det = detector();
+        let clock = Arc::new(Clock::new());
+        let batcher = wide_window(&clock);
+        let callers = [61u64, 62, 63];
+        std::thread::scope(|s| {
+            for seed in callers {
+                let dispatch = batcher.dispatch();
+                let (det, bad, clock) = (Arc::clone(&det), Arc::clone(&bad), Arc::clone(&clock));
+                s.spawn(move || {
+                    let fs = frames(seed, 3);
+                    let dets: Vec<Vec<Detection>> =
+                        fs.iter().map(|f| det.detect(f, &Clock::new())).collect();
+                    assert!(
+                        dets.iter().any(|d| !d.is_empty()),
+                        "stream {seed} has crops"
+                    );
+                    let jobs: Vec<(&Frame, &[Detection])> = fs
+                        .iter()
+                        .zip(&dets)
+                        .map(|(f, d)| (f, d.as_slice()))
+                        .collect();
+                    let err = dispatch.classify_jobs(&bad, &jobs, &clock).unwrap_err();
+                    assert!(err.to_string().contains("poisoned weights"), "{err}");
+                });
+            }
+        });
+        let stats = batcher.stats();
+        assert_eq!(stats.classify.requests, callers.len() as u64);
+        assert!(stats.classify.physical_batches < stats.classify.requests);
+        assert_eq!(
+            stats.faults.coalesce_panics,
+            stats.classify.physical_batches
+        );
+        assert_eq!(stats.faults.model_faults, callers.len() as u64);
+
+        // The coalescing thread survived: a healthy model still batches.
+        let clf = ModelZoo::standard().classifier("color_detect").unwrap();
+        let fs = frames(64, 2);
+        let dets = det.detect(&fs[1], &Clock::new());
+        let jobs = [(&fs[0], &dets[..0]), (&fs[1], &dets[..])];
+        let got = batcher
+            .dispatch()
+            .classify_jobs(&clf, &jobs, &clock)
+            .unwrap();
+        assert_eq!(got[0], Vec::<Value>::new());
+        assert_eq!(got[1], clf.classify_batch(&fs[1], &dets, &Clock::new()));
     }
 
     #[test]

@@ -162,6 +162,15 @@ impl ModelDispatch for RecordingDispatch {
     ) -> Result<Vec<Value>, ModelFault> {
         self.inner.classify(model, frame, dets, clock)
     }
+
+    fn classify_jobs(
+        &self,
+        model: &Arc<dyn Classifier>,
+        jobs: &[(&Frame, &[Detection])],
+        clock: &Clock,
+    ) -> Result<Vec<Vec<Value>>, ModelFault> {
+        self.inner.classify_jobs(model, jobs, clock)
+    }
 }
 
 /// The replay-side dispatch boundary: answers detect and binary-filter
@@ -263,6 +272,15 @@ impl ModelDispatch for StoreDispatch {
         clock: &Clock,
     ) -> Result<Vec<Value>, ModelFault> {
         self.inner.classify(model, frame, dets, clock)
+    }
+
+    fn classify_jobs(
+        &self,
+        model: &Arc<dyn Classifier>,
+        jobs: &[(&Frame, &[Detection])],
+        clock: &Clock,
+    ) -> Result<Vec<Vec<Value>>, ModelFault> {
+        self.inner.classify_jobs(model, jobs, clock)
     }
 }
 

@@ -18,10 +18,12 @@
 //! vector instead of a vector of one, **53.85** once the snapshot also
 //! copied the reuse cache (one map a step; the run's total moved by one
 //! allocation with the hash seed, so the figure printed as 53.8 or 53.9),
-//! and **52.7** now that the snapshot copies one flat object table per
-//! tracked alias (a few buffers each, however many tracks it holds)
-//! instead of every operator's state map, a window per track and the
-//! cache's map. Most of what is left is
+//! **52.7** once the snapshot copied one flat object table per tracked
+//! alias (a few buffers each, however many tracks it holds) instead of
+//! every operator's state map, a window per track and the cache's map,
+//! and **53.9** now that a projection classifies a whole batch's crops in
+//! one call, which returns one result vector per frame plus one for the
+//! call. Most of what is left is
 //! the hit rows themselves (an output column's name and value per cell,
 //! which `FrameHit` carries as owned `String`s) and the detectors' own
 //! output. The budget is the current figure plus a quarter.
