@@ -133,7 +133,6 @@ impl ExecMetrics {
         self.decode_failures += other.decode_failures;
         self.reuse.hits += other.reuse.hits;
         self.reuse.misses += other.reuse.misses;
-        self.reuse.tier_hits += other.reuse.tier_hits;
         self.per_frame_ms.extend_from_slice(&other.per_frame_ms);
     }
 }

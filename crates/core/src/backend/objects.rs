@@ -13,10 +13,12 @@
 //! sighting and its expiry can share a batch. Expired ids never return, so
 //! freeing changes no answer and no hit. A checkpoint copies the tables; a
 //! recompile moves each while its alias's tracker survives; a plan without
-//! the alias drops its table.
+//! the alias drops its table. A cell belongs to one object: a value crosses
+//! engines only with the tracker state that gives its track id meaning
+//! (see [`StreamState::adopt`]), and an empty cell is a plain miss.
 
 use crate::backend::plan::{OpSpec, PlanDag};
-use crate::backend::reuse::{ReuseStats, ReuseTier};
+use crate::backend::reuse::ReuseStats;
 use crate::backend::symbols::Istr;
 use crate::frontend::property::{PropertyKind, PropertySource};
 use crate::frontend::vobj::ResolvedProperty;
@@ -168,10 +170,16 @@ impl ObjectTable {
     /// table has, matched by property. An intrinsic column the new plan
     /// dropped stays while the tracker lives, as a later plan may read it
     /// again; a dropped window goes, as nothing keeps it current. With
-    /// both, the columns `own` lacks come from `seed`, row by track id.
+    /// both, the columns `own` lacks come from `seed`, row by track id, when
+    /// the two trackers are in the same state: only then does an id name
+    /// the same object in both. Otherwise those cells start empty and
+    /// recompute.
     fn adopt(&mut self, own: Option<ObjectTable>, seed: Option<ObjectTable>) {
         let (base, extra) = match (own, seed) {
-            (Some(own), seed) => (own, seed),
+            (Some(own), seed) => {
+                let seed = seed.filter(|seed| seed.tracker == own.tracker);
+                (own, seed)
+            }
             (None, Some(seed)) => (seed, None),
             (None, None) => return,
         };
@@ -199,14 +207,11 @@ impl ObjectTable {
 }
 
 /// A stream's object tables, one per alias its plan tracks, and the reuse
-/// counters and durable tier of their intrinsic cells.
+/// counters of their intrinsic cells.
 #[derive(Debug, Clone, Default)]
 pub struct Objects {
     tables: Vec<ObjectTable>,
     pub stats: ReuseStats,
-    /// Durable tier behind the intrinsic cells; `None` keeps reuse in
-    /// memory.
-    pub tier: Option<Arc<dyn ReuseTier>>,
 }
 
 impl Objects {
@@ -281,38 +286,27 @@ impl Objects {
     }
 
     /// Reads the memoised value of `row` in intrinsic column `col` of
-    /// table `t`, counting a hit or a miss. An empty cell consults the
-    /// tier under the value's names; a tier hit is promoted into the cell
-    /// (so later probes stay allocation-free) and counted in `tier_hits`.
+    /// table `t`, counting a hit, or a miss when the cell is empty.
     pub(crate) fn lookup(&mut self, t: usize, row: usize, col: usize) -> Option<Value> {
-        let table = &mut self.tables[t];
+        let table = &self.tables[t];
         let (cell, f) = table.at(row, col);
-        if table.filled[f] > 0 {
-            self.stats.hits += 1;
-            return Some(table.samples[cell.start].clone());
+        if table.filled[f] == 0 {
+            self.stats.misses += 1;
+            return None;
         }
-        self.stats.misses += 1;
-        let (track, prop) = (table.rows[row]?, table.columns[col].0);
-        let value = self.tier.as_ref()?.load(&table.alias, track, &prop)?;
-        self.stats.tier_hits += 1;
-        (table.samples[cell.start], table.filled[f]) = (value.clone(), 1);
-        Some(value)
+        self.stats.hits += 1;
+        Some(table.samples[cell.start].clone())
     }
 
-    /// Memoises `value` in intrinsic column `col` of table `t` for `row`
-    /// and writes it through to the tier, if any.
+    /// Memoises `value` in intrinsic column `col` of table `t` for `row`.
     pub(crate) fn store(&mut self, t: usize, row: usize, col: usize, value: Value) {
         let table = &mut self.tables[t];
         let (cell, f) = table.at(row, col);
-        if let (Some(tier), Some(track)) = (&self.tier, table.rows[row]) {
-            tier.save(&table.alias, track, &table.columns[col].0, &value);
-        }
         (table.samples[cell.start], table.filled[f]) = (value, 1);
     }
 
     /// Each table takes over its alias's table in `own` or else in `seed`
-    /// (see [`ObjectTable::adopt`]); the reuse counters and tier are
-    /// `own`'s.
+    /// (see [`ObjectTable::adopt`]); the reuse counters are `own`'s.
     fn adopt(&mut self, own: Objects, seed: Objects) {
         let (mut own_tables, mut seed_tables) = (own.tables, seed.tables);
         for table in &mut self.tables {
@@ -324,7 +318,7 @@ impl Objects {
             let (own, seed) = (take(&mut own_tables), take(&mut seed_tables));
             table.adopt(own, seed);
         }
-        (self.stats, self.tier) = (own.stats, own.tier);
+        self.stats = own.stats;
     }
 }
 
@@ -368,10 +362,11 @@ impl StreamState {
     /// Takes over, as a new plan's empty state, `own` (the stream's state
     /// under its previous plan) and then `seed` (another engine's, at a
     /// splice). Each table takes its alias's table in `own`, or else in
-    /// `seed`, which also fills the columns `own` lacks, row by track; the
-    /// reuse counters and tier are `own`'s; the reference frame is `own`'s,
-    /// or else `seed`'s, when it was kept by this plan's threshold. What
-    /// neither holds starts empty, and what this plan lacks is dropped.
+    /// `seed`, which also fills the columns `own` lacks, row by track, when
+    /// the two trackers are in the same state; the reuse counters are
+    /// `own`'s; the reference frame is `own`'s, or else `seed`'s, when it
+    /// was kept by this plan's threshold. What neither holds starts empty,
+    /// and what this plan lacks is dropped.
     pub fn adopt(&mut self, own: StreamState, seed: StreamState) {
         self.objects.adopt(own.objects, seed.objects);
         let threshold = self.reference.as_ref().map(|r| r.threshold);
@@ -405,6 +400,20 @@ impl Objects {
             tables: aliases.iter().map(table).collect(),
             ..Self::default()
         }
+    }
+
+    /// Each filled cell of intrinsic column `col` of table `t`, as
+    /// `(track, value)`, by track.
+    pub(crate) fn cells(&self, t: usize, col: usize) -> Vec<(TrackId, Value)> {
+        let table = &self.tables[t];
+        let cells = table.rows.iter().enumerate().filter_map(|(row, &track)| {
+            let (cell, f) = table.at(row, col);
+            let track = track.filter(|_| table.filled[f] > 0)?;
+            Some((track, table.samples[cell.start].clone()))
+        });
+        let mut cells: Vec<_> = cells.collect();
+        cells.sort_by_key(|c| c.0);
+        cells
     }
 }
 
@@ -459,6 +468,42 @@ mod tests {
             push(&mut next.tables[0], row, 1, 5),
             Some(vec![Value::Int(5)])
         );
+    }
+
+    /// A seed fills the columns `own` lacks only when the two trackers are
+    /// in the same state: otherwise its track ids may name other objects,
+    /// so the seed-only cells stay empty and recompute.
+    #[test]
+    fn a_seed_fills_only_from_a_tracker_in_the_same_state() {
+        use vqpy_video::geometry::{BBox, Point};
+        let car = (
+            BBox::from_center(Point::new(100.0, 50.0), 40.0, 20.0),
+            "car",
+        );
+        let adopted = |seed_sightings: usize| {
+            let mut own = table(&["color"], &[]);
+            own.tracker.update(&[car]);
+            let row = own.row(1);
+            (own.samples[0], own.filled[0]) = (Value::from("red"), 1);
+            let mut seed = table(&["plate"], &[]);
+            for _ in 0..seed_sightings {
+                seed.tracker.update(&[car]);
+            }
+            let seed_row = seed.row(1);
+            let (cell, f) = seed.at(seed_row, 0);
+            (seed.samples[cell.start], seed.filled[f]) = (Value::from("AB-1"), 1);
+            let mut next = Objects::with_columns(&["car"], &["color", "plate"], &[]);
+            let objects = |t: ObjectTable| Objects {
+                tables: vec![t],
+                ..Objects::default()
+            };
+            next.adopt(objects(own), objects(seed));
+            (next.lookup(0, row, 0), next.lookup(0, row, 1))
+        };
+        let red = Some(Value::from("red"));
+        assert_eq!(adopted(1), (red.clone(), Some(Value::from("AB-1"))));
+        assert_eq!(adopted(2), (red.clone(), None), "another age");
+        assert_eq!(adopted(0), (red, None), "another track set");
     }
 
     /// The reference frame carries over only to a plan whose diff filter

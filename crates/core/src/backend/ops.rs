@@ -392,7 +392,7 @@ impl Operator for TrackOp {
 /// before the next frame probed: a confirmed probe of a cell that an
 /// earlier frame of the batch is about to fill takes that pending value
 /// and counts a hit, and the stores are applied in frame order, so the
-/// last one wins and tier writes keep their order.
+/// last one wins.
 pub struct ProjectOp {
     alias: Istr,
     def: PropertyDef,
@@ -1109,7 +1109,7 @@ pub fn instantiate(
 mod tests {
     use super::*;
     use crate::backend::objects::ObjectTable;
-    use crate::backend::reuse::{ReuseStats, ReuseTier};
+    use crate::backend::reuse::ReuseStats;
     use crate::frontend::predicate::Pred;
     use crate::frontend::query::{Aggregate, Query};
     use vqpy_models::ModelZoo;
@@ -1272,37 +1272,22 @@ mod tests {
         }
     }
 
-    /// A reuse tier that keeps nothing and logs every write, in order.
-    #[derive(Debug, Default)]
-    struct SaveLog(std::sync::Mutex<Vec<(TrackId, String, Value)>>);
-
-    impl ReuseTier for SaveLog {
-        fn load(&self, _alias: &str, _track: TrackId, _prop: &str) -> Option<Value> {
-            None
-        }
-
-        fn save(&self, _alias: &str, track: TrackId, prop: &str, value: &Value) {
-            let entry = (track, prop.to_owned(), value.clone());
-            self.0.lock().unwrap().push(entry);
-        }
-    }
+    /// The memoised `seen_at` cells after a batch: the frame the batch
+    /// ends before, and each live track's cell, by track.
+    type Cells = (u64, Vec<(TrackId, Value)>);
 
     /// What a run of [`project_in_batches`] produced: each tracked node's
     /// `(frame, track, seen_at, color)`, the reuse counters, and the
-    /// tier's writes by property.
-    type Projected = (
-        Vec<(u64, TrackId, Value, Value)>,
-        ReuseStats,
-        Vec<(TrackId, String, Value)>,
-    );
+    /// `seen_at` cells after each batch.
+    type Projected = (Vec<(u64, TrackId, Value, Value)>, ReuseStats, Vec<Cells>);
 
     /// Detects, tracks and projects two memoised model properties of `car`
     /// (`seen_at` by [`FrameIndex`], and `color`) over 240 jackson frames
     /// in batches of `batch`, freeing expired rows after each batch as
     /// prep does. Tracks are confirmed on their third sighting, so a track
-    /// stores its cell twice before its first probe. Asserts that each
-    /// model makes exactly one physical call per batch that has crops left
-    /// to classify.
+    /// stores its cell twice before its first probe, and the cell shows
+    /// which store came last. Asserts that each model makes exactly one
+    /// physical call per batch that has crops left to classify.
     fn project_in_batches(batch: usize) -> Projected {
         use vqpy_models::{ModelProfile, TaskKind, DISPATCH_LABEL};
         use vqpy_tracker::{SortTracker, TrackerParams};
@@ -1319,8 +1304,6 @@ mod tests {
             ..TrackerParams::default()
         };
         objects.table_mut(0).tracker = SortTracker::new(params);
-        let log = Arc::new(SaveLog::default());
-        objects.tier = Some(Arc::clone(&log) as Arc<dyn ReuseTier>);
         let layout = Arc::new(SlotLayout::new(["seen_at", "color"], []));
         let det = zoo.detector("yolox").unwrap();
         let mut detect = DetectOp::new(det, vec![("car".into(), vec!["car".into()])]);
@@ -1331,7 +1314,7 @@ mod tests {
                 (model, ProjectOp::new("car", def, &layout, &objects))
             });
         let stat = |label: &str| clock.stat(label).map_or(0, |s| s.invocations);
-        let mut out = Vec::new();
+        let (mut out, mut cells) = (Vec::new(), Vec::new());
         for lo in (0..FRAMES).step_by(batch) {
             let hi = (lo + batch as u64).min(FRAMES);
             let mut slots: Vec<FrameSlot> = (lo..hi)
@@ -1361,35 +1344,40 @@ mod tests {
                     }
                 }
             }
+            cells.push((hi, objects.cells(0, 0)));
         }
-        // Operators run one after the other over a batch, so only each
-        // property's writes have an order to keep.
-        let mut saves = std::mem::take(&mut *log.0.lock().unwrap());
-        saves.sort_by(|a, b| a.1.cmp(&b.1));
-        (out, objects.stats, saves)
+        (out, objects.stats, cells)
     }
 
     /// A batch classifies its crops in one call, yet gives what running
     /// its frames one at a time gives: a confirmed probe of a cell an
     /// earlier frame of the batch fills takes that frame's value and counts
-    /// a hit, and cells are stored (and written to the tier) in frame
-    /// order, the last store winning.
+    /// a hit, and cells are stored in frame order, the last store winning:
+    /// after each batch every live track's cell holds what it holds after
+    /// that frame when frames run one at a time.
     #[test]
     fn batched_projection_forwards_in_batch_values_like_frame_at_a_time() {
-        let (values, stats, saves) = project_in_batches(1);
+        let (values, stats, cells) = project_in_batches(1);
         assert!(stats.hits > 0 && stats.misses > 0, "{stats:?}");
-        let seen_at: Vec<TrackId> = saves
-            .iter()
-            .filter(|s| s.1 == "seen_at")
-            .map(|s| s.0)
-            .collect();
-        let tracks: std::collections::HashSet<_> = seen_at.iter().collect();
-        assert!(seen_at.len() > tracks.len(), "some cell is stored twice");
+        let mut stored: HashMap<TrackId, Vec<&Value>> = HashMap::new();
+        for (track, value) in cells.iter().flat_map(|c| &c.1) {
+            let seen = stored.entry(*track).or_default();
+            if seen.last() != Some(&value) {
+                seen.push(value);
+            }
+        }
+        assert!(
+            stored.values().any(|seen| seen.len() > 1),
+            "some cell is stored twice"
+        );
         for batch in [2, 8, 24] {
             let run = project_in_batches(batch);
             assert_eq!(run.0, values, "values, batch {batch}");
             assert_eq!(run.1, stats, "reuse counters, batch {batch}");
-            assert_eq!(run.2, saves, "tier writes, batch {batch}");
+            for (at, batch_cells) in &run.2 {
+                let frame_cells = cells.iter().find(|c| c.0 == *at).unwrap();
+                assert_eq!(batch_cells, &frame_cells.1, "cells at {at}, batch {batch}");
+            }
         }
         // The 24-frame batches did forward: a node took the value of a crop
         // classified on an earlier frame of its own batch.
@@ -1634,8 +1622,7 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        // (query, golden (hit frames, rows), golden reuse (hits, misses,
-        // tier hits)).
+        // (query, golden (hit frames, rows), golden reuse (hits, misses)).
         // The goldens were printed by the engine before it pruned anything;
         // by frame 3 000 it held 215 windows and 215 cached colours for 7
         // live tracks.
@@ -1643,12 +1630,12 @@ mod tests {
             (
                 query("SpeedingCar", Pred::gt("car", "speed", speeding)),
                 (770, 942),
-                (0, 0, 0),
+                (0, 0),
             ),
             (
                 query("RedCar", Pred::eq("car", "color", "red")),
                 (1275, 1600),
-                (14_500, 215, 0),
+                (14_500, 215),
             ),
         ];
         for ((query, golden, golden_reuse), batch_size) in
@@ -1719,11 +1706,7 @@ mod tests {
             assert_eq!((pruned.len(), rows), *golden, "{name}");
             let stats = pruned_ops.state.objects.stats;
             assert_eq!(stats, ops.state.objects.stats, "{name}");
-            assert_eq!(
-                (stats.hits, stats.misses, stats.tier_hits),
-                *golden_reuse,
-                "{name}"
-            );
+            assert_eq!((stats.hits, stats.misses), *golden_reuse, "{name}");
         }
     }
 

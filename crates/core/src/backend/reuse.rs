@@ -1,5 +1,5 @@
-//! Object-level computation reuse (§4.2): the counters and the durable
-//! tier of the memoised intrinsic values.
+//! Object-level computation reuse (§4.2): the counters of the memoised
+//! intrinsic values.
 //!
 //! Intrinsic properties (color, plate, ...) never change for a given
 //! object, so once computed for a track they are memoised in the track's
@@ -7,27 +7,8 @@
 //! the projector consults before invoking any model; the ~10x gains of
 //! §5.2's stateless-property comparison come from these hits. A cell lives
 //! and dies with its row, so a probe is two indices and no hash or
-//! allocation.
-
-use std::fmt;
-use vqpy_models::Value;
-use vqpy_tracker::TrackId;
-
-/// A durable backing tier behind the in-memory cells.
-///
-/// The serving layer installs one backed by the persistent frame store
-/// (`vqpy-store`): in-memory misses fall through to [`ReuseTier::load`],
-/// and every memoised value is written through via [`ReuseTier::save`].
-/// Keys are *names*, since table and column indices are per plan. Tier
-/// methods must never block for long (the hit path of every projection
-/// runs through them) and must tolerate concurrent calls.
-pub trait ReuseTier: Send + Sync + fmt::Debug {
-    /// Fetches a previously saved intrinsic value, if the tier still has
-    /// it.
-    fn load(&self, alias: &str, track: TrackId, prop: &str) -> Option<Value>;
-    /// Persists one intrinsic value.
-    fn save(&self, alias: &str, track: TrackId, prop: &str, value: &Value);
-}
+//! allocation. A value is memoised per object and never served for
+//! another: an empty cell is a plain miss.
 
 /// Reuse statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -36,9 +17,6 @@ pub struct ReuseStats {
     /// Eligible projections not served from memory: probes that found
     /// nothing, plus sightings of tracks too young to be probed.
     pub misses: u64,
-    /// In-memory misses answered by the durable tier (a subset of
-    /// `misses`: every tier hit was first counted as an in-memory miss).
-    pub tier_hits: u64,
 }
 
 impl ReuseStats {
@@ -57,8 +35,8 @@ impl ReuseStats {
 mod tests {
     use super::*;
     use crate::backend::objects::Objects;
-    use std::collections::HashMap;
-    use std::sync::Arc;
+    use vqpy_models::Value;
+    use vqpy_tracker::TrackId;
 
     const CAR: usize = 0;
     const TRUCK: usize = 1;
@@ -85,12 +63,8 @@ mod tests {
         o.tables().iter().map(|t| t.values()).sum()
     }
 
-    fn stats(hits: u64, misses: u64, tier_hits: u64) -> ReuseStats {
-        ReuseStats {
-            hits,
-            misses,
-            tier_hits,
-        }
+    fn stats(hits: u64, misses: u64) -> ReuseStats {
+        ReuseStats { hits, misses }
     }
 
     #[test]
@@ -99,15 +73,15 @@ mod tests {
         assert!(get(&mut o, CAR, 1, COLOR).is_none());
         put(&mut o, CAR, 1, COLOR, "red");
         assert_eq!(get(&mut o, CAR, 1, COLOR), Some(Value::from("red")));
-        assert_eq!(o.stats, stats(1, 1, 0));
+        assert_eq!(o.stats, stats(1, 1));
         assert!((o.stats.hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn hit_rate_handles_empty_and_full() {
         assert_eq!(ReuseStats::default().hit_rate(), 0.0);
-        assert!((stats(10, 0, 0).hit_rate() - 1.0).abs() < 1e-12);
-        assert!((stats(3, 9, 0).hit_rate() - 0.25).abs() < 1e-12);
+        assert!((stats(10, 0).hit_rate() - 1.0).abs() < 1e-12);
+        assert!((stats(3, 9).hit_rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -159,7 +133,7 @@ mod tests {
         assert!(get(&mut o, CAR, 1, COLOR).is_none());
         o = checkpoint;
         assert_eq!(get(&mut o, CAR, 1, COLOR), Some(Value::from("red")));
-        assert_eq!(o.stats, stats(1, 0, 0));
+        assert_eq!(o.stats, stats(1, 0));
     }
 
     #[test]
@@ -169,43 +143,5 @@ mod tests {
         put(&mut o, CAR, 1, COLOR, "black");
         assert_eq!(values(&o), 1);
         assert_eq!(get(&mut o, CAR, 1, COLOR), Some(Value::from("black")));
-    }
-
-    #[derive(Debug, Default)]
-    struct MapTier(parking_lot::Mutex<HashMap<(String, TrackId, String), Value>>);
-
-    impl ReuseTier for MapTier {
-        fn load(&self, alias: &str, track: TrackId, prop: &str) -> Option<Value> {
-            let key = (alias.to_owned(), track, prop.to_owned());
-            self.0.lock().get(&key).cloned()
-        }
-        fn save(&self, alias: &str, track: TrackId, prop: &str, value: &Value) {
-            let key = (alias.to_owned(), track, prop.to_owned());
-            self.0.lock().insert(key, value.clone());
-        }
-    }
-
-    #[test]
-    fn tier_read_through_and_write_through() {
-        let tier = Arc::new(MapTier::default());
-        let mut o = cells();
-        o.tier = Some(Arc::clone(&tier) as Arc<dyn ReuseTier>);
-
-        // Write-through: a store lands in the tier, and outlives the row.
-        put(&mut o, CAR, 1, COLOR, "red");
-        o.release(&[(CAR, 1)]);
-        assert_eq!(tier.load("car", 1, "color"), Some(Value::from("red")));
-
-        // A fresh process reads it back through the tier, once: the tier
-        // hit is counted as an in-memory miss first, and promoted.
-        let mut o = cells();
-        o.tier = Some(Arc::clone(&tier) as Arc<dyn ReuseTier>);
-        for _ in 0..2 {
-            assert_eq!(get(&mut o, CAR, 1, COLOR), Some(Value::from("red")));
-        }
-        assert_eq!(o.stats, stats(1, 1, 1));
-
-        // Unknown keys miss both layers.
-        assert_eq!(get(&mut o, TRUCK, 9, PLATE), None);
     }
 }

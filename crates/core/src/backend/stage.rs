@@ -139,7 +139,7 @@ pub struct StageOps {
     /// The plan's slot layout ([`PlanDag::slot_layout`]): the operators
     /// were resolved against it, and every frame graph they see follows it.
     pub layout: Arc<SlotLayout>,
-    /// The object tables (with the reuse counters and tier), which prep
+    /// The object tables (with the reuse counters), which prep
     /// reaches through [`ExecCtx`], and the diff-filter reference, which
     /// the frame filters do.
     pub state: StreamState,

@@ -6,8 +6,8 @@
 //! - the **stream state** ([`StreamState`], in its [`StageOps`]): per
 //!   tracked alias its tracker and one row per live track (stateful
 //!   property windows, §4.2's memoised intrinsics), the reuse
-//!   counters and durable tier those cells answer through, and the diff
-//!   filter's reference frame. No operator holds cross-frame state;
+//!   counters of those cells, and the diff filter's reference frame. No
+//!   operator holds cross-frame state;
 //! - cumulative [`ExecMetrics`].
 //!
 //! On [`StreamEngine::recompile_with_seed`] the state moves into the new
@@ -21,7 +21,6 @@
 use vqpy_core::backend::exec::{run_segment, ResultSink};
 use vqpy_core::backend::objects::StreamState;
 use vqpy_core::backend::plan::PlanDag;
-use vqpy_core::backend::reuse::ReuseTier;
 use vqpy_core::backend::stage::{instantiate_stage_ops, ExecEnv};
 use vqpy_core::error::Result;
 use vqpy_core::{ExecConfig, ExecMetrics, StageOps};
@@ -112,16 +111,6 @@ impl StreamEngine {
         self.ops.tracer = tracer;
     }
 
-    /// Installs a durable tier behind the engine's memoised intrinsic
-    /// values (see [`vqpy_core::backend::reuse::ReuseTier`]): misses fall
-    /// through to the tier, and stored values are written through to it.
-    /// The serving layer points this at the stream's
-    /// [`vqpy_store::StreamStore`] so intrinsic property values survive
-    /// engine retirement — and whole processes.
-    pub fn set_reuse_tier(&mut self, tier: std::sync::Arc<dyn ReuseTier>) {
-        self.ops.state.objects.tier = Some(tier);
-    }
-
     /// Retires the engine, handing over its stream state. Used when a
     /// replay engine retires at the splice boundary: its state seeds the
     /// live engine via [`StreamEngine::recompile_with_seed`] or
@@ -154,7 +143,7 @@ impl StreamEngine {
     /// state moves into the new plan's ([`StreamState::adopt`]): an object
     /// table wherever the old and new plans track the alias, with every
     /// column the new plan keeps; the reference frame wherever their diff
-    /// filters share a threshold; the reuse statistics and tier always.
+    /// filters share a threshold; the reuse statistics always.
     /// The model-dispatch boundary (direct or cross-stream batcher) and
     /// the tracer carry over too. On error (unknown model in the new plan)
     /// the old plan keeps running unchanged.
@@ -162,11 +151,11 @@ impl StreamEngine {
     /// `seed` is another engine's state, from [`StreamEngine::into_state`]
     /// (empty for a plain recompile). This engine's own state always wins:
     /// the seed fills only tables, table columns and a reference frame the
-    /// old plan did not have. The replay→live splice uses this so a
-    /// replayed query's tracker, windows and values arrive with full
+    /// old plan did not have, and a table's columns only from a tracker in
+    /// the same state as this engine's. The replay→live splice uses this
+    /// so a replayed query's tracker, windows and values arrive with full
     /// history, while state the live engine was already running stays
-    /// live — which, where the plans overlap, the replay recomputed
-    /// identically anyway.
+    /// live.
     pub fn recompile_with_seed(
         &mut self,
         plan: PlanDag,
@@ -319,7 +308,8 @@ mod tests {
     /// At a splice the seed fills the columns the live table lacks, row by
     /// track: a live engine tracking cars without their colour takes the
     /// replayed colours, so it hits as an engine that ran both queries all
-    /// along (where today's tier would answer those probes instead).
+    /// along. Both plans filter `score > 0.5` before tracking, so the two
+    /// trackers are in the same state and their track ids agree.
     #[test]
     fn a_seed_fills_the_columns_the_live_table_lacks() {
         let (zoo, cfg, opts) = (

@@ -83,9 +83,7 @@ pub use config::{
 };
 pub use engine::StreamEngine;
 pub use metrics::{QueryServeMetrics, ServeMetrics, ShardLoad};
-pub use replay::{
-    RecordingDispatch, StoreDispatch, StoreTier, STORE_READ_COST_MS, STORE_READ_LABEL,
-};
+pub use replay::{RecordingDispatch, StoreDispatch, STORE_READ_COST_MS, STORE_READ_LABEL};
 pub use server::{ServeSession, StepOutcome, StreamId, StreamOptions, StreamServer};
 pub use shard::{
     DeterministicScheduler, PaceCounters, ShardConfig, ShardCore, SplitMix64, INGEST_BOUND,

@@ -59,9 +59,7 @@ impl StreamServer {
     /// the stream's store: recorded model answers where the frame ran
     /// through a model stage, filler records (time + ingest stamp, no
     /// answers) for idle or decode-failed frames, so the ingest-time index
-    /// stays complete and appends stay contiguous. Pending intrinsic
-    /// write-throughs ride along inside the store (see
-    /// `StreamStore::tier_save`).
+    /// stays complete and appends stay contiguous.
     fn persist_segment(
         &self,
         s: &mut Stream,

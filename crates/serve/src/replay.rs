@@ -1,14 +1,9 @@
 //! Store adapters for hybrid replay: the pieces that connect a live
 //! stream's execution to its persistent [`vqpy_store::StreamStore`].
 //!
-//! Three adapters, all sitting on existing injection points — none of the
-//! execution layers know the store exists:
+//! Two adapters, both sitting on the model-dispatch injection point — none
+//! of the execution layers know the store exists:
 //!
-//! - [`StoreTier`] implements intrinsic reuse's durable-tier hook
-//!   ([`vqpy_core::backend::reuse::ReuseTier`]) over a stream store, so
-//!   intrinsic property values written by live execution persist, and
-//!   replay (or a reopened process) reads them back instead of re-running
-//!   classify stages.
 //! - [`RecordingDispatch`] wraps a stream's [`ModelDispatch`] boundary and
 //!   records every detect / binary-filter answer per frame; the server
 //!   drains it after each step into [`vqpy_store::FrameRecord`] appends.
@@ -18,6 +13,10 @@
 //!   falling back to real recomputation for frames the store no longer
 //!   has — eviction and corruption degrade to slower replay, never to
 //!   different results (every model is deterministic per (frame, entity)).
+//!
+//! Classify answers are not persisted: an intrinsic value is memoised per
+//! tracked object in the engine's object tables, and a track id names an
+//! object only within the tracker that assigned it.
 
 use crate::config::{ServeError, ServeResult};
 use crate::delivery::{ActiveSub, Exit};
@@ -30,10 +29,9 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
-use vqpy_core::backend::reuse::ReuseTier;
 use vqpy_core::{ModelDispatch, Query};
 use vqpy_models::{Classifier, Clock, Detection, Detector, FrameClassifier, ModelFault, Value};
-use vqpy_store::{FrameRecord, StoreMetrics, StreamStore};
+use vqpy_store::{FrameRecord, StoreMetrics};
 use vqpy_video::frame::Frame;
 
 /// Clock label charged for model stages answered from the store during
@@ -45,39 +43,11 @@ pub const STORE_READ_LABEL: &str = "store_read";
 /// any model cost (which is the whole point of replaying from the store).
 pub const STORE_READ_COST_MS: f64 = 0.05;
 
-/// Durable tier over a [`StreamStore`]: the write-through / read-back hook
-/// an engine's memoised intrinsics fall through to on a miss. Track ids are
-/// deterministic from the stream origin, so values written by a previous
-/// engine — or a previous process — are valid for the same `(alias,
-/// track, prop)` key forever.
-#[derive(Debug)]
-pub struct StoreTier {
-    stream: Arc<StreamStore>,
-}
-
-impl StoreTier {
-    /// Wraps a stream store as a reuse tier.
-    pub fn new(stream: Arc<StreamStore>) -> Self {
-        Self { stream }
-    }
-}
-
-impl ReuseTier for StoreTier {
-    fn load(&self, alias: &str, track: u64, prop: &str) -> Option<Value> {
-        self.stream.tier_load(alias, track, prop)
-    }
-
-    fn save(&self, alias: &str, track: u64, prop: &str, value: &Value) {
-        self.stream.tier_save(alias, track, prop, value.clone());
-    }
-}
-
 /// A pass-through [`ModelDispatch`] that records every detect and
 /// binary-filter answer into one [`FrameRecord`] per frame index. The
 /// server drains the recording after each step and appends the records
 /// as they are, stamped with their ingest time.
-/// Classify answers are *not* recorded here — they flow through the reuse
-/// cache's [`StoreTier`] write-through instead, already keyed durably.
+/// Classify answers pass through unrecorded: they are not persisted.
 ///
 /// Restart re-runs overwrite a frame's entry (per model name), so the
 /// drained recording always reflects the attempt that actually delivered.
@@ -180,8 +150,9 @@ impl ModelDispatch for RecordingDispatch {
 /// evicted or corrupt segment, or a model that was not attached when the
 /// frame ran live) falls through to the inner dispatch wholesale —
 /// recomputation is deterministic, so the answers are identical either
-/// way. Classify traffic always goes to the inner dispatch; stored
-/// intrinsics short-circuit it earlier, at the object tables' cells.
+/// way. Classify traffic always goes to the inner dispatch; the engine's
+/// memoised intrinsics short-circuit it earlier, at the object tables'
+/// cells.
 pub struct StoreDispatch {
     inner: Arc<dyn ModelDispatch>,
     window: Mutex<HashMap<u64, FrameRecord>>,

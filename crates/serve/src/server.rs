@@ -6,7 +6,7 @@ use crate::config::{ServeConfig, ServeError, ServeResult};
 use crate::delivery::{ActiveSub, Exit, DELIVERED_TOTAL, DROPPED_TOTAL};
 use crate::engine::StreamEngine;
 use crate::metrics::{ServeMetrics, ShardLoad};
-use crate::replay::{RecordingDispatch, StoreTier};
+use crate::replay::RecordingDispatch;
 use crate::stream::{Feed, PendingAttach, Stream, StreamHandle};
 use crate::subscription::{ServeEvent, Subscription, SubscriptionId};
 use crate::supervisor::LoadSnapshot;
@@ -447,7 +447,7 @@ impl StreamServer {
     /// engine's stream state (a replay's, at the splice), used only where
     /// this engine has none of its own. On error the stream keeps its
     /// engine and plan. Engines are built only here, so each gets the
-    /// stream's dispatch, tracer and, with a store, its reuse tier.
+    /// stream's dispatch and tracer.
     pub(crate) fn install(
         &self,
         s: &mut Stream,
@@ -477,9 +477,6 @@ impl StreamServer {
             engine.set_dispatch(Arc::clone(dispatch));
         }
         engine.set_tracer(s.tracer.clone());
-        if let Some(store) = &s.store {
-            engine.set_reuse_tier(Arc::new(StoreTier::new(Arc::clone(store))));
-        }
         s.engine = Some(engine);
         Ok(())
     }

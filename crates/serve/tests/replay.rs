@@ -904,3 +904,127 @@ fn splice_replays_the_gap_the_live_stream_opened() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// Cars scoring above `score`, counted by track.
+fn tracks_over(name: &str, score: f64) -> Arc<Query> {
+    Query::builder(name)
+        .vobj("car", library::vehicle_schema_intrinsic())
+        .frame_constraint(Pred::gt("car", "score", score))
+        .video_output(Aggregate::CountDistinctTracks {
+            alias: "car".into(),
+        })
+        .build()
+        .unwrap()
+}
+
+/// Cars scoring above `score` of colour `color`, frame by frame.
+fn color_over(name: &str, score: f64, color: &str) -> Arc<Query> {
+    Query::builder(name)
+        .vobj("car", library::vehicle_schema_intrinsic())
+        .frame_constraint(Pred::gt("car", "score", score) & Pred::eq("car", "color", color))
+        .frame_output(&[("car", "track_id"), ("car", "bbox")])
+        .build()
+        .unwrap()
+}
+
+/// The cells where a value memoised for one engine's track could be served
+/// for another engine's: jackson clips of 12 s, by seed, and a colour per
+/// query. A live stream counts the cars above 0.9 (`L`). A third of the way
+/// in, a from-past attach adds `R` (cars above 0.3 of the colour), whose
+/// tracker sees more cars than `L`'s and numbers them differently; then a
+/// live attach adds `C` (cars above 0.9 of the colour), whose colour cells
+/// the live engine has never filled.
+const CROSS_SEEDS: [u64; 3] = [29, 57, 9];
+const CROSS_COLORS: [&str; 3] = ["red", "white", "black"];
+
+fn serve_without_store(config: &SessionConfig) -> StreamServer {
+    let session = VqpySession::with_config(ModelZoo::standard(), config.clone());
+    Arc::new(session).serve(ServeConfig::default())
+}
+
+/// Opens `v` on `server` with `L` attached and steps it to a third of the
+/// clip.
+fn live_to_a_third(server: &StreamServer, v: &SyntheticVideo) -> StreamId {
+    let stream = server.open_stream(Arc::new(v.clone()));
+    drop(server.attach(stream, tracks_over("L", 0.9)).unwrap());
+    while server.position(stream).unwrap() < v.frame_count() / 3 {
+        server.step(stream).unwrap();
+    }
+    stream
+}
+
+/// `C`'s hits on `server` after `stream` was stepped to a third: `C`
+/// attaches live and the stream runs to its end.
+fn c_hits(server: &StreamServer, stream: StreamId, color: &str) -> Vec<FrameHit> {
+    let c = server.attach(stream, color_over("C", 0.9, color)).unwrap();
+    server.run_to_end(stream).unwrap();
+    drain(c.into_inner()).0
+}
+
+/// A replay that has not spliced yet serves the live stream nothing: `C`'s
+/// colours are computed for the live engine's own tracks, so its hits equal
+/// a store-less server's, where `R` never ran.
+#[test]
+fn an_unspliced_replay_serves_no_value_to_the_live_stream() {
+    for (i, config) in exec_modes().iter().enumerate() {
+        for seed in CROSS_SEEDS {
+            let v = video(seed, 12.0);
+            let mut any_hits = false;
+            for color in CROSS_COLORS {
+                let server = serve_without_store(config);
+                let stream = live_to_a_third(&server, &v);
+                let expected = c_hits(&server, stream, color);
+                any_hits |= !expected.is_empty();
+                for turns in 1..=2 {
+                    let cell = format!("mode {i}, seed {seed}, {color}, {turns} turns");
+                    let dir = tempdir(&format!("unspliced{i}_{seed}_{color}_{turns}"));
+                    let fs = store_at(&dir);
+                    let server = serve_with_store(config, &fs);
+                    let stream = live_to_a_third(&server, &v);
+                    let r = color_over("R", 0.3, color);
+                    let (_r, replay) = attach_from(&server, stream, r, fs.epoch()).unwrap();
+                    for _ in 0..turns {
+                        assert!(!server.step(replay).unwrap().finished, "spliced ({cell})");
+                    }
+                    assert_eq!(c_hits(&server, stream, color), expected, "{cell}");
+                    let _ = std::fs::remove_dir_all(&dir);
+                }
+            }
+            assert!(any_hits, "seed {seed} must produce hits");
+        }
+    }
+}
+
+/// A splice seeds the live engine with none of the replay's values when
+/// the two trackers are in different states: `C`'s colours are computed
+/// for the live engine's own tracks, so its hits equal a server's where
+/// `R` was attached live at the splice.
+#[test]
+fn a_splice_seeds_no_value_from_a_tracker_in_another_state() {
+    for (i, config) in exec_modes().iter().enumerate() {
+        for seed in CROSS_SEEDS {
+            let v = video(seed, 12.0);
+            let mut any_hits = false;
+            for color in CROSS_COLORS {
+                let cell = format!("mode {i}, seed {seed}, {color}");
+                let r = color_over("R", 0.3, color);
+                let server = serve_without_store(config);
+                let stream = live_to_a_third(&server, &v);
+                drop(server.attach(stream, Arc::clone(&r)).unwrap());
+                let expected = c_hits(&server, stream, color);
+                any_hits |= !expected.is_empty();
+
+                let dir = tempdir(&format!("seeded{i}_{seed}_{color}"));
+                let fs = store_at(&dir);
+                let server = serve_with_store(config, &fs);
+                let stream = live_to_a_third(&server, &v);
+                let (_r, replay) = attach_from(&server, stream, r, fs.epoch()).unwrap();
+                let spliced = (0..3).map(|_| server.step(replay).unwrap().finished);
+                assert_eq!(spliced.collect::<Vec<_>>(), [false, false, true], "{cell}");
+                assert_eq!(c_hits(&server, stream, color), expected, "{cell}");
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+            assert!(any_hits, "seed {seed} must produce hits");
+        }
+    }
+}

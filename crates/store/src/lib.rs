@@ -1,16 +1,15 @@
 //! # vqpy-store
 //!
-//! A persistent frame/result store for the VQPy serving stack: the durable
-//! tier that turns "attach a query and watch future frames" into "query
-//! last Tuesday's footage, *then* keep watching".
+//! A persistent frame/result store for the VQPy serving stack: the history
+//! that turns "attach a query and watch future frames" into "query last
+//! Tuesday's footage, *then* keep watching".
 //!
 //! Each stream gets a directory of append-only segment files persisting,
-//! per frame, everything the models computed: detector outputs,
-//! frame-classifier verdicts, and intrinsic property values keyed the same
-//! way as the in-memory reuse cache (`(alias, track, property)`, with
-//! names instead of interned symbols, which are not durable). Pixels are
-//! **not** stored — decode is cheap and deterministic, so a replay
-//! re-decodes and uses the store as a *persistent reuse cache*, skipping
+//! per frame, what its frame-level models answered: detector outputs and
+//! frame-classifier verdicts. Intrinsic property values are not stored:
+//! they are memoised per tracked object, and a track id means an object
+//! only to the tracker that assigned it. Pixels are **not** stored either
+//! — decode is cheap and deterministic, so a replay re-decodes and skips
 //! exactly the expensive model stages whose outputs are on disk.
 //!
 //! Key pieces:

@@ -4,13 +4,15 @@ use vqpy_models::wire::{
     get_f64, get_str, get_u32, get_u64, get_u8, put_f64, put_str, put_u32, put_u64, put_u8,
     WireError,
 };
-use vqpy_models::{wire, Detection, Value};
+use vqpy_models::{wire, Detection};
 
-/// Everything the store persists about one processed frame: which models
-/// ran and what they answered. Pixels are *not* stored — decode is cheap
-/// and deterministic, so replay re-decodes and skips only the model
-/// stages whose outputs are recorded here (the store acts as a persistent
-/// reuse cache, not a video archive).
+/// Everything the store persists about one processed frame: which
+/// frame-level models ran and what they answered. Pixels are *not* stored
+/// — decode is cheap and deterministic, so replay re-decodes and skips
+/// only the model stages whose outputs are recorded here (the store acts
+/// as a persistent cache of model answers, not a video archive). Per-object
+/// classify answers are not stored: a value belongs to one tracked object,
+/// and a track id names it only within the tracker that assigned it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FrameRecord {
     /// Frame index within the stream (monotonic from the stream origin).
@@ -24,10 +26,6 @@ pub struct FrameRecord {
     pub detects: Vec<(String, Vec<Detection>)>,
     /// Frame-classifier verdicts, one entry per `(model name, verdict)`.
     pub predicts: Vec<(String, bool)>,
-    /// Intrinsic property values keyed like the in-memory reuse cache —
-    /// `(vobj alias, track id, property name, value)` — but with names
-    /// instead of interned `Sym`s, which are not durable across processes.
-    pub intrinsics: Vec<(String, u64, String, Value)>,
 }
 
 impl FrameRecord {
@@ -49,21 +47,15 @@ impl FrameRecord {
             put_str(out, model);
             put_u8(out, *verdict as u8);
         }
-        put_u32(out, self.intrinsics.len() as u32);
-        for (alias, track, prop, value) in &self.intrinsics {
-            put_str(out, alias);
-            put_u64(out, *track);
-            put_str(out, prop);
-            wire::put_value(out, value);
-        }
     }
 
-    /// Decodes one record, advancing `buf`.
+    /// Decodes one record written in segment format `version`, advancing
+    /// `buf`.
     ///
     /// # Errors
     ///
     /// A [`WireError`] on truncated or garbled input; never panics.
-    pub fn decode(buf: &mut &[u8]) -> Result<FrameRecord, WireError> {
+    pub fn decode(buf: &mut &[u8], version: u32) -> Result<FrameRecord, WireError> {
         let frame = get_u64(buf)?;
         let time_s = get_f64(buf)?;
         let ingest_us = get_u64(buf)?;
@@ -84,13 +76,15 @@ impl FrameRecord {
             let model = get_str(buf)?;
             predicts.push((model, get_u8(buf)? != 0));
         }
-        let n_intrinsics = get_u32(buf)? as usize;
-        let mut intrinsics = Vec::with_capacity(n_intrinsics.min(1024));
-        for _ in 0..n_intrinsics {
-            let alias = get_str(buf)?;
-            let track = get_u64(buf)?;
-            let prop = get_str(buf)?;
-            intrinsics.push((alias, track, prop, wire::get_value(buf)?));
+        if version == 1 {
+            // Version 1 ends with memoised intrinsic values, `(alias,
+            // track, property, value)`, which nothing reads any more.
+            for _ in 0..get_u32(buf)? {
+                get_str(buf)?;
+                get_u64(buf)?;
+                get_str(buf)?;
+                wire::get_value(buf)?;
+            }
         }
         Ok(FrameRecord {
             frame,
@@ -98,7 +92,6 @@ impl FrameRecord {
             ingest_us,
             detects,
             predicts,
-            intrinsics,
         })
     }
 }
@@ -106,6 +99,7 @@ impl FrameRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::SEGMENT_VERSION;
     use vqpy_video::geometry::BBox;
 
     fn sample(frame: u64) -> FrameRecord {
@@ -123,7 +117,6 @@ mod tests {
                 }],
             )],
             predicts: vec![("red_car_filter".into(), true)],
-            intrinsics: vec![("car".into(), 3, "color".into(), Value::from("red"))],
         }
     }
 
@@ -133,7 +126,10 @@ mod tests {
         let mut buf = Vec::new();
         rec.encode(&mut buf);
         let mut slice = buf.as_slice();
-        assert_eq!(FrameRecord::decode(&mut slice).unwrap(), rec);
+        assert_eq!(
+            FrameRecord::decode(&mut slice, SEGMENT_VERSION).unwrap(),
+            rec
+        );
         assert!(slice.is_empty());
     }
 
@@ -144,7 +140,10 @@ mod tests {
         rec.encode(&mut buf);
         for cut in 0..buf.len() {
             let mut slice = &buf[..cut];
-            assert!(FrameRecord::decode(&mut slice).is_err(), "cut {cut}");
+            assert!(
+                FrameRecord::decode(&mut slice, SEGMENT_VERSION).is_err(),
+                "cut {cut}"
+            );
         }
     }
 }

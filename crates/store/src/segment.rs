@@ -22,6 +22,11 @@
 //! while a checksum or decode failure is a *garbled* record (everything
 //! from it on is skipped). Both surface as typed [`SegmentFault`]s, never
 //! panics.
+//!
+//! Version 2 dropped the list of memoised intrinsic values that ended each
+//! version 1 record. A version 1 segment still reads (its records' lists
+//! are skipped) but takes no more appends: a reopened store starts a new
+//! segment after it.
 
 use crate::record::FrameRecord;
 use std::fmt;
@@ -32,8 +37,9 @@ use vqpy_models::wire::{get_u32, get_u64, put_u32, put_u64};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"VQPS";
-/// On-disk format version.
-pub const SEGMENT_VERSION: u32 = 1;
+/// On-disk format version: what this build writes. It reads every version
+/// from 1 up to this one.
+pub const SEGMENT_VERSION: u32 = 2;
 /// Header length in bytes: magic + version + base frame.
 pub const SEGMENT_HEADER_LEN: u64 = 16;
 /// Sanity cap on a single record's payload length; garbled length
@@ -127,6 +133,9 @@ pub struct ScannedSegment {
     pub meta: SegmentMeta,
     /// Decoded records, in frame order.
     pub records: Vec<FrameRecord>,
+    /// The format version the file's header names (0 when the file is
+    /// too short or its magic is wrong).
+    pub version: u32,
     /// Damage hit during the scan, if any.
     pub fault: Option<SegmentFault>,
 }
@@ -171,11 +180,12 @@ pub fn scan_segment(path: &Path) -> std::io::Result<ScannedSegment> {
     // Header.
     let mut base_frame = 0u64;
     let mut clean_len = 0u64;
+    let mut version = 0;
     let header_ok = data.len() >= SEGMENT_HEADER_LEN as usize && data[..4] == SEGMENT_MAGIC && {
         let mut cursor = &data[4..16];
-        let version = get_u32(&mut cursor).unwrap();
+        version = get_u32(&mut cursor).unwrap();
         base_frame = get_u64(&mut cursor).unwrap();
-        version == SEGMENT_VERSION
+        (1..=SEGMENT_VERSION).contains(&version)
     };
     if !header_ok {
         fault = Some(SegmentFault {
@@ -212,7 +222,7 @@ pub fn scan_segment(path: &Path) -> std::io::Result<ScannedSegment> {
                 break;
             }
             let mut body = payload;
-            match FrameRecord::decode(&mut body) {
+            match FrameRecord::decode(&mut body, version) {
                 Ok(rec) if body.is_empty() => records.push(rec),
                 Ok(_) => {
                     fault = Some(garbled(path, clean_len, "record has trailing bytes"));
@@ -241,6 +251,7 @@ pub fn scan_segment(path: &Path) -> std::io::Result<ScannedSegment> {
     Ok(ScannedSegment {
         meta,
         records,
+        version,
         fault,
     })
 }

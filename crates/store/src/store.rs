@@ -3,7 +3,7 @@
 use crate::record::FrameRecord;
 use crate::segment::{
     append_record, scan_segment, segment_file_name, write_header, SegmentFault, SegmentFaultKind,
-    SegmentMeta, SEGMENT_HEADER_LEN,
+    SegmentMeta, SEGMENT_HEADER_LEN, SEGMENT_VERSION,
 };
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -13,7 +13,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vqpy_models::Value;
 
 /// What the store keeps and for how long.
 ///
@@ -144,9 +143,8 @@ impl EvictSignal {
 }
 
 /// The persistent frame/result store: one subdirectory of append-only
-/// segment files per stream, an in-memory derived index, retention
-/// enforcement, and an intrinsic-value map that acts as the durable tier
-/// behind the in-memory reuse cache.
+/// segment files per stream, an in-memory derived index, and retention
+/// enforcement.
 ///
 /// All methods take `&self`; per-stream state is internally locked, so one
 /// store instance is shared freely between the ingest path (live serving
@@ -339,13 +337,6 @@ struct StreamInner {
     /// `(frame, ingest_us)` pairs for retained frames, frame-ascending;
     /// the binary-search index behind [`StreamStore::frame_at_or_after`].
     ingest_index: Vec<(u64, u64)>,
-    /// Durable tier behind the in-memory reuse cache, keyed by names
-    /// (interned `Sym`s are not stable across processes).
-    intrinsics: HashMap<(String, u64, String), Value>,
-    /// Tier writes since the last append, drained into the next
-    /// [`FrameRecord`] so intrinsics reach disk alongside the frames that
-    /// produced them.
-    pending_intrinsics: Vec<(String, u64, String, Value)>,
 }
 
 /// One stream's persisted history. Obtained from [`FrameStore::stream`];
@@ -381,7 +372,8 @@ impl StreamStore {
         // Rebuild the index by scanning every segment file, base-frame
         // ascending. Crash artifacts (truncated tails) are trimmed so the
         // writer can resume appending; garbled segments are kept read-only
-        // up to their clean prefix and counted.
+        // up to their clean prefix and counted, and so are segments of an
+        // older format version, uncounted.
         let mut paths: Vec<(u64, PathBuf)> = Vec::new();
         for entry in std::fs::read_dir(&dir)? {
             let path = entry?.path();
@@ -402,7 +394,6 @@ impl StreamStore {
         let mut active: Option<ActiveSegment> = None;
         let mut next_frame = 0u64;
         let mut ingest_index = Vec::new();
-        let mut intrinsics = HashMap::new();
         let last = paths.len().wrapping_sub(1);
         for (i, (_, path)) in paths.iter().enumerate() {
             let scanned = scan_segment(path)?;
@@ -421,9 +412,6 @@ impl StreamStore {
             }
             for rec in &scanned.records {
                 ingest_index.push((rec.frame, rec.ingest_us));
-                for (alias, track, prop, value) in &rec.intrinsics {
-                    intrinsics.insert((alias.clone(), *track, prop.clone()), value.clone());
-                }
             }
             next_frame = next_frame.max(scanned.meta.end_frame);
             metrics.add_segment(scanned.meta.bytes);
@@ -432,7 +420,7 @@ impl StreamStore {
                 .fault
                 .as_ref()
                 .is_some_and(|f| f.kind != SegmentFaultKind::TruncatedTail);
-            if i == last && !full && !damaged {
+            if i == last && !full && !damaged && scanned.version == SEGMENT_VERSION {
                 // Resume appending into the tail segment.
                 let file = OpenOptions::new().append(true).open(path)?;
                 active = Some(ActiveSegment {
@@ -456,8 +444,6 @@ impl StreamStore {
                 active,
                 next_frame,
                 ingest_index,
-                intrinsics,
-                pending_intrinsics: Vec::new(),
             }),
             signal,
         })
@@ -478,19 +464,13 @@ impl StreamStore {
     /// # Panics
     ///
     /// When `rec.frame` is out of order.
-    pub fn append(&self, mut rec: FrameRecord) -> std::io::Result<()> {
+    pub fn append(&self, rec: FrameRecord) -> std::io::Result<()> {
         let mut inner = self.inner.lock();
         assert_eq!(
             rec.frame, inner.next_frame,
             "stream {}: append out of order",
             self.key
         );
-        // Tier writes since the last append ride this record to disk, so
-        // a reopened store rebuilds the same intrinsics map.
-        if !inner.pending_intrinsics.is_empty() {
-            let pending = std::mem::take(&mut inner.pending_intrinsics);
-            rec.intrinsics.extend(pending);
-        }
         if inner.active.is_none() {
             let base = inner.next_frame;
             let path = self.dir.join(segment_file_name(base));
@@ -511,11 +491,6 @@ impl StreamStore {
                 file,
                 overlay: Vec::new(),
             });
-        }
-        for (alias, track, prop, value) in &rec.intrinsics {
-            inner
-                .intrinsics
-                .insert((alias.clone(), *track, prop.clone()), value.clone());
         }
         inner.ingest_index.push((rec.frame, rec.ingest_us));
         let written = {
@@ -543,31 +518,6 @@ impl StreamStore {
             }
         }
         Ok(())
-    }
-
-    /// Stores one intrinsic property value in the durable tier (the
-    /// reuse-cache write-through path). The value also rides the next
-    /// appended [`FrameRecord`]'s `intrinsics` list for persistence; this
-    /// map is the authoritative in-memory view.
-    pub fn tier_save(&self, alias: &str, track: u64, prop: &str, value: Value) {
-        let mut inner = self.inner.lock();
-        let key = (alias.to_owned(), track, prop.to_owned());
-        if inner.intrinsics.get(&key).is_some_and(|v| *v == value) {
-            return; // replay re-deriving a stored value: nothing new
-        }
-        inner
-            .pending_intrinsics
-            .push((alias.to_owned(), track, prop.to_owned(), value.clone()));
-        inner.intrinsics.insert(key, value);
-    }
-
-    /// Reads one intrinsic property value from the durable tier.
-    pub fn tier_load(&self, alias: &str, track: u64, prop: &str) -> Option<Value> {
-        self.inner
-            .lock()
-            .intrinsics
-            .get(&(alias.to_owned(), track, prop.to_owned()))
-            .cloned()
     }
 
     /// One past the last appended frame.
@@ -713,7 +663,7 @@ mod tests {
             frame,
             time_s: frame as f64 / 30.0,
             ingest_us: 1000 + frame * 1000,
-            intrinsics: vec![("car".into(), frame % 3, "color".into(), Value::from("red"))],
+            predicts: vec![("red_car_filter".into(), true)],
             ..FrameRecord::default()
         }
     }
@@ -753,26 +703,66 @@ mod tests {
         assert_eq!(store.metrics().appended_frames.load(Ordering::Relaxed), 10);
     }
 
+    /// A segment written in format version 1, whose records end with a
+    /// list of memoised intrinsic values, reopens with its detects and
+    /// predicts intact and counts as no corruption. It takes no more
+    /// appends: the next frame opens a new segment, and both read back
+    /// after another reopen.
     #[test]
-    fn tier_roundtrip_and_rebuild_on_reopen() {
-        let cfg = config("tier");
+    fn a_version_1_segment_reopens_intact_and_takes_no_appends() {
+        use crate::segment::{fnv1a, SEGMENT_MAGIC};
+        use vqpy_models::wire::{put_str, put_u32, put_u64, put_value};
+        use vqpy_models::{Detection, Value};
+        use vqpy_video::geometry::BBox;
+
+        let cfg = config("v1");
+        let dir = cfg.root.join("cam0");
+        std::fs::create_dir_all(&dir).unwrap();
+        let old = FrameRecord {
+            detects: vec![(
+                "yolox".into(),
+                vec![Detection {
+                    class_label: "car".into(),
+                    bbox: BBox::new(1.0, 2.0, 3.0, 4.0),
+                    score: 0.9,
+                    sim_entity: Some(5),
+                }],
+            )],
+            ..rec(0)
+        };
+        let mut payload = Vec::new();
+        old.encode(&mut payload);
+        put_u32(&mut payload, 1);
+        put_str(&mut payload, "car");
+        put_u64(&mut payload, 3);
+        put_str(&mut payload, "color");
+        put_value(&mut payload, &Value::from("red"));
+        let mut file = SEGMENT_MAGIC.to_vec();
+        put_u32(&mut file, 1);
+        put_u64(&mut file, 0);
+        put_u32(&mut file, payload.len() as u32);
+        put_u64(&mut file, fnv1a(&payload));
+        file.extend_from_slice(&payload);
+        std::fs::write(dir.join(segment_file_name(0)), file).unwrap();
+
+        let corrupt = |store: &FrameStore| store.metrics().corrupt_segments.load(Ordering::Relaxed);
         let store = FrameStore::open(cfg.clone()).unwrap();
         let s = store.stream("cam0").unwrap();
-        for f in 0..6 {
-            s.append(rec(f)).unwrap();
-        }
-        s.tier_save("car", 9, "vtype", Value::from("bus"));
-        assert_eq!(s.tier_load("car", 9, "vtype"), Some(Value::from("bus")));
-        assert_eq!(s.tier_load("car", 0, "color"), Some(Value::from("red")));
-        drop(s);
-        drop(store);
+        assert_eq!(corrupt(&store), 0);
+        assert_eq!(s.load_range(0, 1).records, std::slice::from_ref(&old));
+        s.append(rec(1)).unwrap();
+        assert_eq!(
+            s.segments().len(),
+            2,
+            "a version 1 segment takes no appends"
+        );
+        drop((s, store));
 
-        // Reopen: intrinsics persisted via records are rebuilt; the
-        // tier_save that never rode a record is (by design) gone.
         let store = FrameStore::open(cfg).unwrap();
-        let s = store.stream("cam0").unwrap();
-        assert_eq!(s.tier_load("car", 0, "color"), Some(Value::from("red")));
-        assert_eq!(s.tier_load("car", 9, "vtype"), None);
+        let load = store.stream("cam0").unwrap().load_range(0, 2);
+        assert!(load.faults.is_empty(), "{:?}", load.faults);
+        assert_eq!(load.records, [old, rec(1)]);
+        assert_eq!(corrupt(&store), 0);
     }
 
     #[test]

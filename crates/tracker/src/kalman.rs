@@ -12,7 +12,7 @@ const DIM_X: usize = 8;
 const DIM_Z: usize = 4;
 
 /// A per-track Kalman filter.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KalmanFilter {
     x: [f32; DIM_X],
     p: Mat<DIM_X, DIM_X>,

@@ -30,7 +30,7 @@ impl Default for TrackerParams {
 /// Stable identifier of a tracked object (unique within one tracker).
 pub type TrackId = u64;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Track {
     id: TrackId,
     /// Shared, so a checkpoint clone of the tracker copies no label.
@@ -83,6 +83,16 @@ struct Scratch(Option<Box<Workspace>>);
 impl Clone for Scratch {
     fn clone(&self) -> Self {
         Self(None)
+    }
+}
+
+/// Two trackers are equal when they are in the same state: parameters, id
+/// counter, and every track's id, label, Kalman state, hits and age. The
+/// scratch buffers carry nothing from one update to the next, so they are
+/// not compared. Equal trackers assign the same ids to the same detections.
+impl PartialEq for SortTracker {
+    fn eq(&self, other: &Self) -> bool {
+        self.params == other.params && self.next_id == other.next_id && self.tracks == other.tracks
     }
 }
 
@@ -342,5 +352,34 @@ mod tests {
                 assert_eq!(up[1].track_id, id_b, "step {step}");
             }
         }
+    }
+
+    /// Equality is the tracker's state: a clone (which drops the scratch
+    /// buffers) equals its source, and one more or one fewer detection,
+    /// or other parameters, make trackers differ.
+    #[test]
+    fn equal_trackers_are_in_the_same_state() {
+        let mut a = SortTracker::new(TrackerParams::default());
+        for step in 0..5 {
+            a.update(&[(boxes_at(50.0 + step as f32 * 5.0), "car")]);
+        }
+        let b = a.clone();
+        assert_eq!(a, b);
+        let (mut extra, mut aged) = (a.clone(), a.clone());
+        extra.update(&[(boxes_at(75.0), "car"), (boxes_at(400.0), "car")]);
+        aged.update(&[(boxes_at(75.0), "car")]);
+        assert_ne!(extra, aged, "another track");
+        a.update(&[(boxes_at(75.0), "car")]);
+        assert_eq!(a, aged);
+        aged.update(&[]);
+        assert_ne!(a, aged, "another age");
+        let strict = TrackerParams {
+            min_hits: 3,
+            ..TrackerParams::default()
+        };
+        assert_ne!(
+            SortTracker::new(strict),
+            SortTracker::new(TrackerParams::default())
+        );
     }
 }
