@@ -1,90 +1,25 @@
 //! Minimal fixed-size matrix arithmetic for the Kalman filter.
 //!
 //! Dimensions are const generics, so shape errors are compile errors and no
-//! allocation happens on the tracking hot path.
+//! allocation happens on the tracking hot path. The filter spells its
+//! constant-shaped products out itself (see [`crate::kalman`]); what it
+//! takes from here is the [`Mat`] type and the innovation's [`invert`].
+//! The general dense helpers (`identity`, `matmul`, `matvec`,
+//! `transpose`, `add`, `sub`) are test-only: they build the dense
+//! reference filter the structured one is held to, bit for bit.
 
 /// An `R x C` matrix of `f32`, stored row-major.
 pub type Mat<const R: usize, const C: usize> = [[f32; C]; R];
 
-/// The `N x N` identity matrix.
-pub fn identity<const N: usize>() -> Mat<N, N> {
-    let mut m = [[0.0; N]; N];
-    for (i, row) in m.iter_mut().enumerate() {
-        row[i] = 1.0;
-    }
-    m
-}
-
-/// Matrix product `a * b`.
-pub fn matmul<const R: usize, const K: usize, const C: usize>(
-    a: &Mat<R, K>,
-    b: &Mat<K, C>,
-) -> Mat<R, C> {
-    let mut out = [[0.0; C]; R];
-    for i in 0..R {
-        for k in 0..K {
-            let aik = a[i][k];
-            if aik == 0.0 {
-                continue;
-            }
-            for j in 0..C {
-                out[i][j] += aik * b[k][j];
-            }
-        }
-    }
-    out
-}
-
-/// Matrix-vector product `a * v`.
-pub fn matvec<const R: usize, const C: usize>(a: &Mat<R, C>, v: &[f32; C]) -> [f32; R] {
-    let mut out = [0.0; R];
-    for i in 0..R {
-        for j in 0..C {
-            out[i] += a[i][j] * v[j];
-        }
-    }
-    out
-}
-
-/// Transpose.
-pub fn transpose<const R: usize, const C: usize>(a: &Mat<R, C>) -> Mat<C, R> {
-    let mut out = [[0.0; R]; C];
-    for i in 0..R {
-        for j in 0..C {
-            out[j][i] = a[i][j];
-        }
-    }
-    out
-}
-
-/// Element-wise sum.
-pub fn add<const R: usize, const C: usize>(a: &Mat<R, C>, b: &Mat<R, C>) -> Mat<R, C> {
-    let mut out = [[0.0; C]; R];
-    for i in 0..R {
-        for j in 0..C {
-            out[i][j] = a[i][j] + b[i][j];
-        }
-    }
-    out
-}
-
-/// Element-wise difference `a - b`.
-pub fn sub<const R: usize, const C: usize>(a: &Mat<R, C>, b: &Mat<R, C>) -> Mat<R, C> {
-    let mut out = [[0.0; C]; R];
-    for i in 0..R {
-        for j in 0..C {
-            out[i][j] = a[i][j] - b[i][j];
-        }
-    }
-    out
-}
-
-/// Inverse by Gauss-Jordan elimination with partial pivoting.
+/// Inverse by Gauss-Jordan elimination with partial pivoting, in `f64`,
+/// for `N <= 4`.
 ///
 /// Returns `None` for (near-)singular matrices.
 pub fn invert<const N: usize>(a: &Mat<N, N>) -> Option<Mat<N, N>> {
-    let mut aug = [[0.0f64; 16]; 8]; // generous static scratch: N <= 8
-    assert!(N <= 8, "invert supports N <= 8");
+    assert!(N <= 4, "invert supports N <= 4");
+    // `[a | I]`: the elimination runs over these `2N` columns only.
+    let width = 2 * N;
+    let mut aug = [[0.0f64; 8]; 4];
     for i in 0..N {
         for j in 0..N {
             aug[i][j] = a[i][j] as f64;
@@ -104,19 +39,16 @@ pub fn invert<const N: usize>(a: &Mat<N, N>) -> Option<Mat<N, N>> {
         }
         aug.swap(pivot, col);
         let div = aug[col][col];
-        for v in aug[col].iter_mut() {
+        for v in &mut aug[col][..width] {
             *v /= div;
         }
-        for r in 0..N {
-            if r == col {
+        let pivot_row = aug[col];
+        for (r, row) in aug[..N].iter_mut().enumerate() {
+            let factor = row[col];
+            if r == col || factor == 0.0 {
                 continue;
             }
-            let factor = aug[r][col];
-            if factor == 0.0 {
-                continue;
-            }
-            let pivot_row = aug[col];
-            for (v, pv) in aug[r].iter_mut().zip(pivot_row.iter()) {
+            for (v, pv) in row[..width].iter_mut().zip(&pivot_row[..width]) {
                 *v -= factor * pv;
             }
         }
@@ -130,8 +62,137 @@ pub fn invert<const N: usize>(a: &Mat<N, N>) -> Option<Mat<N, N>> {
     Some(out)
 }
 
+/// The dense reference arithmetic: general products over every entry.
+#[cfg(test)]
+pub(crate) mod dense {
+    use super::Mat;
+
+    /// The `N x N` identity matrix.
+    pub fn identity<const N: usize>() -> Mat<N, N> {
+        let mut m = [[0.0; N]; N];
+        for (i, row) in m.iter_mut().enumerate() {
+            row[i] = 1.0;
+        }
+        m
+    }
+
+    /// Matrix product `a * b`.
+    pub fn matmul<const R: usize, const K: usize, const C: usize>(
+        a: &Mat<R, K>,
+        b: &Mat<K, C>,
+    ) -> Mat<R, C> {
+        let mut out = [[0.0; C]; R];
+        for i in 0..R {
+            for k in 0..K {
+                let aik = a[i][k];
+                if aik == 0.0 {
+                    continue;
+                }
+                for j in 0..C {
+                    out[i][j] += aik * b[k][j];
+                }
+            }
+        }
+        out
+    }
+
+    /// Matrix-vector product `a * v`.
+    pub fn matvec<const R: usize, const C: usize>(a: &Mat<R, C>, v: &[f32; C]) -> [f32; R] {
+        let mut out = [0.0; R];
+        for i in 0..R {
+            for j in 0..C {
+                out[i] += a[i][j] * v[j];
+            }
+        }
+        out
+    }
+
+    /// Transpose.
+    pub fn transpose<const R: usize, const C: usize>(a: &Mat<R, C>) -> Mat<C, R> {
+        let mut out = [[0.0; R]; C];
+        for i in 0..R {
+            for j in 0..C {
+                out[j][i] = a[i][j];
+            }
+        }
+        out
+    }
+
+    /// Element-wise sum.
+    pub fn add<const R: usize, const C: usize>(a: &Mat<R, C>, b: &Mat<R, C>) -> Mat<R, C> {
+        let mut out = [[0.0; C]; R];
+        for i in 0..R {
+            for j in 0..C {
+                out[i][j] = a[i][j] + b[i][j];
+            }
+        }
+        out
+    }
+
+    /// Element-wise difference `a - b`.
+    pub fn sub<const R: usize, const C: usize>(a: &Mat<R, C>, b: &Mat<R, C>) -> Mat<R, C> {
+        let mut out = [[0.0; C]; R];
+        for i in 0..R {
+            for j in 0..C {
+                out[i][j] = a[i][j] - b[i][j];
+            }
+        }
+        out
+    }
+
+    /// Inverse by Gauss-Jordan elimination with partial pivoting, over an
+    /// `[a | I]` scratch 16 columns wide, every column eliminated.
+    pub fn invert<const N: usize>(a: &Mat<N, N>) -> Option<Mat<N, N>> {
+        let mut aug = [[0.0f64; 16]; 8];
+        assert!(N <= 8, "invert supports N <= 8");
+        for i in 0..N {
+            for j in 0..N {
+                aug[i][j] = a[i][j] as f64;
+            }
+            aug[i][N + i] = 1.0;
+        }
+        for col in 0..N {
+            let mut pivot = col;
+            for r in (col + 1)..N {
+                if aug[r][col].abs() > aug[pivot][col].abs() {
+                    pivot = r;
+                }
+            }
+            if aug[pivot][col].abs() < 1e-12 {
+                return None;
+            }
+            aug.swap(pivot, col);
+            let div = aug[col][col];
+            for v in aug[col].iter_mut() {
+                *v /= div;
+            }
+            for r in 0..N {
+                if r == col {
+                    continue;
+                }
+                let factor = aug[r][col];
+                if factor == 0.0 {
+                    continue;
+                }
+                let pivot_row = aug[col];
+                for (v, pv) in aug[r].iter_mut().zip(pivot_row.iter()) {
+                    *v -= factor * pv;
+                }
+            }
+        }
+        let mut out = [[0.0f32; N]; N];
+        for i in 0..N {
+            for j in 0..N {
+                out[i][j] = aug[i][N + j] as f32;
+            }
+        }
+        Some(out)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::dense::{add, identity, matmul, matvec, sub, transpose};
     use super::*;
 
     fn approx_eq<const R: usize, const C: usize>(a: &Mat<R, C>, b: &Mat<R, C>, tol: f32) -> bool {
@@ -202,6 +263,40 @@ mod tests {
             let inv = invert(&a).expect("diagonally dominant is invertible");
             let prod = matmul(&a, &inv);
             assert!(approx_eq(&prod, &identity::<4>(), 1e-2), "seed {seed}");
+        }
+    }
+
+    /// `invert` gives the dense inverse's bits, zero signs included:
+    /// random 1×1 to 4×4 matrices with structural zeros, signed zeros and
+    /// negative pivots, singular ones included.
+    #[test]
+    fn invert_is_bit_identical_to_the_dense_inverse() {
+        fn check<const N: usize>(next: &mut impl FnMut() -> u64) {
+            let mut a: Mat<N, N> = [[0.0; N]; N];
+            for row in a.iter_mut() {
+                for v in row.iter_mut() {
+                    *v = match next() % 6 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => (next() % 20_001) as f32 / 100.0 - 100.0,
+                    };
+                }
+            }
+            let bits = |m: Option<Mat<N, N>>| m.map(|m| m.map(|row| row.map(f32::to_bits)));
+            assert_eq!(bits(invert(&a)), bits(dense::invert(&a)), "{a:?}");
+        }
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..5_000 {
+            check::<1>(&mut next);
+            check::<2>(&mut next);
+            check::<3>(&mut next);
+            check::<4>(&mut next);
         }
     }
 }

@@ -64,11 +64,12 @@ pub struct SortTracker {
     scratch: Scratch,
 }
 
-/// Per-update buffers: a row-major detections × tracks cost matrix, the
-/// assignment and the solver's workspace. They carry nothing from one
-/// update to the next.
+/// Per-update buffers: the tracks' predicted boxes, a row-major
+/// detections × tracks cost matrix, the assignment and the solver's
+/// workspace. They carry nothing from one update to the next.
 #[derive(Debug, Default)]
 struct Workspace {
+    predicted: Vec<BBox>,
     cost: Vec<f64>,
     assignment: Vec<Option<usize>>,
     hungarian: Hungarian,
@@ -152,19 +153,22 @@ impl SortTracker {
         if self.tracks.is_empty() || detections.is_empty() {
             ws.assignment.resize(detections.len(), None);
         } else {
+            ws.predicted.clear();
+            ws.predicted.extend(self.tracks.iter().map(|t| t.kf.bbox()));
             ws.cost.clear();
             for (bbox, label) in detections {
-                ws.cost.extend(self.tracks.iter().map(|t| {
-                    if *t.class_label != **label {
-                        return FORBIDDEN;
-                    }
-                    let iou = bbox.iou(&t.kf.bbox());
-                    if iou < self.params.iou_threshold {
-                        FORBIDDEN
-                    } else {
-                        1.0 - iou as f64
-                    }
-                }));
+                ws.cost
+                    .extend(self.tracks.iter().zip(&ws.predicted).map(|(t, predicted)| {
+                        if *t.class_label != **label {
+                            return FORBIDDEN;
+                        }
+                        let iou = bbox.iou(predicted);
+                        if iou < self.params.iou_threshold {
+                            FORBIDDEN
+                        } else {
+                            1.0 - iou as f64
+                        }
+                    }));
             }
             let (rows, cols) = (detections.len(), self.tracks.len());
             ws.hungarian.solve(&ws.cost, rows, cols, &mut ws.assignment);
