@@ -127,7 +127,7 @@ pub struct Row {
     pub paper: &'static str,
     pub band: Band,
     metric: Metric,
-    pub note: &'static str,
+    pub note: String,
     pub ours: f64,
     /// The paper's direction (who wins) holds.
     pub holds: bool,
@@ -403,6 +403,9 @@ fn run_one(mut e: Experiment) -> Vec<Row> {
     for row in &mut e.rows {
         let (ours, holds) = row.metric.eval(&systems, e.truth);
         (row.ours, row.holds, row.truth_frames) = (round3(ours), holds, truth.len());
+        if let Metric::Model(label, _, a, b) = row.metric {
+            row.note = nreuse(label, &systems[a], &systems[b], &e.video);
+        }
         row.systems = Arc::clone(&systems);
     }
     e.rows
@@ -411,7 +414,8 @@ fn run_one(mut e: Experiment) -> Vec<Row> {
 /// Runs the whole table at `scale`; rows come back sorted by id.
 pub fn run(scale: f64) -> Vec<Row> {
     let mut rows: Vec<Row> = experiments(scale).into_iter().flat_map(run_one).collect();
-    rows.push(claim("fig13a.vanilla_avg", P13V, around(3.1), AVG13, N13));
+    let n13 = n13(&city_video(scale));
+    rows.push(claim("fig13a.vanilla_avg", P13V, around(3.1), AVG13, &n13));
     rows.push(claim("tab6.avg", PT6A, around(0.82), AVG6, NT6));
     for i in 0..rows.len() {
         if let Metric::Average(prefix) = rows[i].metric {
@@ -458,8 +462,13 @@ const AVG13: Metric = Metric::Average("fig13a.vanilla.");
 const AVG6: Metric = Metric::Average("tab6.q");
 
 // Why we miss a band, where we know; what we see, where we do not.
-const N13: &str =
-    "a 6 s clip (60 frames): per-query gaps scatter around the paper's whole-video ones";
+fn n13(video: &SyntheticVideo) -> String {
+    format!(
+        "a {} s clip ({} frames): per-query gaps scatter around the paper's whole-video ones",
+        video.duration_s(),
+        video.frame_count()
+    )
+}
 const N14: &str =
     "seed 78's clips are red-heavy (a red car in 314-714 frames); the retired bench's \
     seed 77 gave 4.1-4.9x, against an empty truth set on two cameras";
@@ -471,22 +480,36 @@ const NT5S: &str =
 const NT6: &str = "the simulated detectors are cleaner than real ones: F1 above the paper's";
 const NT7: &str = "the synthetic Auburn scene is not the paper's clip: counts differ; judge by \
     distance from the truth system";
-const NREUSE: &str =
-    "19 colour calls instead of 944 on this 9 s clip: the gain grows with time in view";
+/// A `Model` row's note (only `ablation_reuse`'s rows have one): the
+/// `label` calls `with` and `without` the cache made on `video`.
+fn nreuse(label: &str, with: &Measure, without: &Measure, video: &SyntheticVideo) -> String {
+    let calls = |m: &Measure| m.stats.get(label).map_or(0, |s| s.invocations);
+    format!(
+        "{} colour calls instead of {} on this {} s clip: the gain grows with time in view",
+        calls(with),
+        calls(without),
+        video.duration_s()
+    )
+}
 
 /// A row yet to be measured.
-fn claim(id: &str, paper: &'static str, band: Band, metric: Metric, note: &'static str) -> Row {
+fn claim(id: &str, paper: &'static str, band: Band, metric: Metric, note: &str) -> Row {
     Row {
         id: id.to_owned(),
         paper,
         band,
         metric,
-        note,
+        note: note.to_owned(),
         ours: 0.0,
         holds: false,
         truth_frames: 0,
         systems: Arc::default(),
     }
+}
+
+/// Fig 13's CityFlow video at `scale`.
+fn city_video(scale: f64) -> SyntheticVideo {
+    cityflow_video(120.0 * scale, 2023)
 }
 
 /// Every experiment of the table, at `scale` times the paper's lengths.
@@ -508,7 +531,8 @@ fn experiments(scale: f64) -> Vec<Experiment> {
     let vqpy = |q: Arc<Query>| Sys::Vqpy(vec![q], default(), How::Each);
 
     // Fig 13 + Tab 1: CVIP vs VQPy vs VQPy with intrinsic annotations.
-    let city = Arc::new(cityflow_video(120.0 * scale, 2023));
+    let city = Arc::new(city_video(scale));
+    let n13 = n13(&city);
     let mut series = default();
     series.exec.record_per_frame_ms = true;
     for (q, triple) in table1_queries() {
@@ -518,7 +542,7 @@ fn experiments(scale: f64) -> Vec<Experiment> {
                 paper,
                 band,
                 metric,
-                N13,
+                &n13,
             )
         };
         let mut rows = vec![
@@ -698,14 +722,14 @@ fn experiments(scale: f64) -> Vec<Experiment> {
             TENFOLD,
             around(10.0),
             color(false),
-            NREUSE,
+            "",
         ),
         claim(
             "ablation_reuse.cost",
             TENFOLD,
             around(10.0),
             color(true),
-            NREUSE,
+            "",
         ),
         claim(
             "ablation_reuse.end_to_end",
@@ -811,7 +835,7 @@ pub fn render(scale: f64, rows: &[Row]) -> String {
             ("direction_holds", r.holds.to_string()),
             ("truth_frames", r.truth_frames.to_string()),
             ("degenerate", r.degenerate().to_string()),
-            ("note", text(r.note)),
+            ("note", text(&r.note)),
             ("systems", format!("[\n{}\n      ]", systems.join(",\n"))),
         ];
         format!("    {{\n      {}\n    }}", object(&cells, ",\n      "))

@@ -1,29 +1,82 @@
 //! Frame and pixel-buffer types.
 //!
-//! Frames carry a *real* (if low-resolution) RGB pixel buffer so that frame
+//! Frames carry a *real* (if low-resolution) RGB image so that frame
 //! differencing filters and the pixel-reading color classifier do genuine
 //! computation, plus an `Arc` to the frame's ground truth used by simulated
 //! model inference and by accuracy scoring.
 //!
-//! A [`PixelBuffer`] has no mutating method, so its bytes may be shared
-//! freely: clones of a frame share them, and so do *different* frames when
-//! nothing is visible on either — the renderer hands both the scene's cached
-//! background (see [`crate::render`]). Compare buffers by value, never by
-//! address.
+//! A [`PixelBuffer`] is a recipe, not a bitmap: a background shared behind
+//! an `Arc` (for a decoded frame, its scene's cached one) plus the paints
+//! the frame draws over it, in draw order (see [`crate::render`]). Pixels
+//! are rendered only where something reads them:
+//! - a crop read ([`PixelBuffer::pixel`], [`PixelBuffer::mean_rgb_in`],
+//!   [`PixelBuffer::dominant_rgb_in`]) renders each pixel of its crop from
+//!   the topmost paint over it, or the background, looking only at the
+//!   paints that meet the crop, and allocates no pixels;
+//! - [`PixelBuffer::data`] (and so `==` and [`PixelBuffer::mean_abs_diff`])
+//!   renders the whole frame once, into a cell every clone of the buffer
+//!   shares.
+//!
+//! Every path gives the bytes of drawing each paint over the background in
+//! order. A buffer has no mutating method, so its bytes may be shared
+//! freely: clones share them, and so do *different* frames when neither
+//! paints anything — both are the scene's background. Compare buffers by
+//! value, never by address.
 
 use crate::geometry::BBox;
+use crate::render::Paint;
 use crate::scene::GroundTruth;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// A downscaled RGB8 image. Cloning is cheap: the pixel data is shared
-/// behind an `Arc`.
-#[derive(Debug, Clone, PartialEq)]
+/// A downscaled RGB8 image. Cloning is cheap: the background, the paints
+/// and the rendered bytes are shared behind `Arc`s.
+#[derive(Debug, Clone)]
 pub struct PixelBuffer {
     width: u32,
     height: u32,
     /// Ratio of full-resolution coordinates to buffer pixels.
     scale: u32,
-    data: Arc<[u8]>,
+    /// The image under the paints, row-major RGB8.
+    background: Arc<[u8]>,
+    /// `None` when nothing is painted: the image is `background`.
+    painted: Option<Arc<Painted>>,
+}
+
+/// What a buffer draws over its background.
+#[derive(Debug)]
+struct Painted {
+    /// In draw order: where two overlap, the later one shows.
+    paints: Vec<Paint>,
+    /// The whole image, rendered by the first [`PixelBuffer::data`].
+    full: OnceLock<Box<[u8]>>,
+}
+
+/// The buffer pixels `[x1, y1, x2, y2]` (columns `x1..x2`, rows `y1..y2`)
+/// under a full-resolution `bbox`, clipped to a `width` × `height` buffer of
+/// downscale `scale`; `None` when that leaves no pixel.
+pub(crate) fn buffer_rect(bbox: &BBox, scale: u32, width: u32, height: u32) -> Option<[u32; 4]> {
+    let s = scale as f32;
+    let x1 = (bbox.x1 / s).floor().max(0.0) as u32;
+    let y1 = (bbox.y1 / s).floor().max(0.0) as u32;
+    let x2 = ((bbox.x2 / s).ceil() as u32).min(width);
+    let y2 = ((bbox.y2 / s).ceil() as u32).min(height);
+    (x1 < x2 && y1 < y2).then_some([x1, y1, x2, y2])
+}
+
+/// How many paints a crop read gathers on the stack; a crop that more
+/// paints meet looks each pixel up among all of them.
+pub(crate) const NEAR: usize = 16;
+
+/// Sum of `|a - b|` over paired bytes. Exact: `u32` lanes, which vectorise,
+/// over chunks too short to overflow one (2^24 bytes × 255 < 2^32).
+fn abs_diff_sum(a: &[u8], b: &[u8]) -> u64 {
+    const CHUNK: usize = 1 << 24;
+    let mut sum = 0u64;
+    for (a, b) in a.chunks(CHUNK).zip(b.chunks(CHUNK)) {
+        let diffs = a.iter().zip(b).map(|(a, b)| u32::from(a.abs_diff(*b)));
+        sum += u64::from(diffs.sum::<u32>());
+    }
+    sum
 }
 
 impl PixelBuffer {
@@ -33,27 +86,40 @@ impl PixelBuffer {
     ///
     /// Panics if `data.len() != width * height * 3`.
     pub fn from_rgb(width: u32, height: u32, scale: u32, data: Vec<u8>) -> Self {
-        Self::from_shared(width, height, scale, data.into())
+        Self::painted(width, height, scale, data.into(), Vec::new())
     }
 
-    /// Wraps RGB8 data that is already behind an `Arc`, without copying it:
-    /// the renderer hands every frame with nothing on it the scene's one
-    /// cached background this way.
+    /// `paints` (in draw order, each inside the buffer) over `background`,
+    /// which is shared, not copied: the renderer hands every frame of a
+    /// scene the scene's one cached background this way.
     ///
     /// # Panics
     ///
-    /// Panics if `data.len() != width * height * 3`.
-    pub(crate) fn from_shared(width: u32, height: u32, scale: u32, data: Arc<[u8]>) -> Self {
+    /// Panics if `background.len() != width * height * 3`.
+    pub(crate) fn painted(
+        width: u32,
+        height: u32,
+        scale: u32,
+        background: Arc<[u8]>,
+        paints: Vec<Paint>,
+    ) -> Self {
         assert_eq!(
-            data.len(),
+            background.len(),
             (width * height * 3) as usize,
             "pixel data must be width * height * 3 bytes"
         );
+        let painted = (!paints.is_empty()).then(|| {
+            Arc::new(Painted {
+                paints,
+                full: OnceLock::new(),
+            })
+        });
         Self {
             width,
             height,
             scale,
-            data,
+            background,
+            painted,
         }
     }
 
@@ -72,72 +138,112 @@ impl PixelBuffer {
         self.scale
     }
 
-    /// Raw RGB8 bytes, row-major.
+    fn paints(&self) -> &[Paint] {
+        self.painted.as_deref().map_or(&[], |p| &p.paints)
+    }
+
+    /// Raw RGB8 bytes, row-major. The first call on a buffer that paints
+    /// anything renders the whole image; every clone shares the result.
     pub fn data(&self) -> &[u8] {
-        &self.data
+        match &self.painted {
+            None => &self.background,
+            Some(painted) => painted.full.get_or_init(|| {
+                let mut full: Box<[u8]> = Box::from(&self.background[..]);
+                for p in &painted.paints {
+                    for y in p.y1..p.y2 {
+                        for x in p.x1..p.x2 {
+                            let i = ((y * self.width + x) * 3) as usize;
+                            full[i..i + 3].copy_from_slice(&p.at(x, y));
+                        }
+                    }
+                }
+                full
+            }),
+        }
+    }
+
+    /// The pixel at `(x, y)`, which must be in bounds: the topmost of
+    /// `paints` over it, else the background. `paints` must hold, in draw
+    /// order, every paint of the buffer that covers `(x, y)`.
+    fn rgb_at(&self, paints: &[Paint], x: u32, y: u32) -> [u8; 3] {
+        match paints.iter().rev().find(|p| p.covers(x, y)) {
+            Some(p) => p.at(x, y),
+            None => {
+                let i = ((y * self.width + x) * 3) as usize;
+                [
+                    self.background[i],
+                    self.background[i + 1],
+                    self.background[i + 2],
+                ]
+            }
+        }
     }
 
     /// The RGB value at buffer coordinates `(x, y)`; `None` out of bounds.
     pub fn pixel(&self, x: u32, y: u32) -> Option<[u8; 3]> {
-        if x >= self.width || y >= self.height {
-            return None;
+        (x < self.width && y < self.height).then(|| self.rgb_at(self.paints(), x, y))
+    }
+
+    /// Calls `f` on each pixel of the crop of a full-resolution `bbox`,
+    /// row-major; `false` when the crop covers no buffer pixel.
+    ///
+    /// Only the paints that meet the crop can show in it, so each pixel is
+    /// looked up among those: gathered once, in draw order, on the stack,
+    /// or all of the buffer's paints when more than [`NEAR`] meet it.
+    fn for_each_in_crop(&self, bbox: &BBox, mut f: impl FnMut([u8; 3])) -> bool {
+        let Some([x1, y1, x2, y2]) = buffer_rect(bbox, self.scale, self.width, self.height) else {
+            return false;
+        };
+        let mut near = [Paint::NONE; NEAR];
+        let mut n = 0;
+        for p in self.paints() {
+            if p.x1 < x2 && x1 < p.x2 && p.y1 < y2 && y1 < p.y2 {
+                if let Some(slot) = near.get_mut(n) {
+                    *slot = *p;
+                }
+                n += 1;
+            }
         }
-        let i = ((y * self.width + x) * 3) as usize;
-        Some([self.data[i], self.data[i + 1], self.data[i + 2]])
+        let paints = near.get(..n).unwrap_or(self.paints());
+        for y in y1..y2 {
+            for x in x1..x2 {
+                f(self.rgb_at(paints, x, y));
+            }
+        }
+        true
     }
 
     /// Mean RGB over the crop of a full-resolution `bbox`, or `None` when
     /// the crop covers no buffer pixels.
     pub fn mean_rgb_in(&self, bbox: &BBox) -> Option<[u8; 3]> {
-        let s = self.scale as f32;
-        let x1 = (bbox.x1 / s).floor().max(0.0) as u32;
-        let y1 = (bbox.y1 / s).floor().max(0.0) as u32;
-        let x2 = ((bbox.x2 / s).ceil() as u32).min(self.width);
-        let y2 = ((bbox.y2 / s).ceil() as u32).min(self.height);
-        if x1 >= x2 || y1 >= y2 {
-            return None;
-        }
         let mut sum = [0u64; 3];
         let mut n = 0u64;
-        for y in y1..y2 {
-            let row = ((y * self.width + x1) * 3) as usize;
-            for x in 0..(x2 - x1) {
-                let i = row + (x * 3) as usize;
-                sum[0] += self.data[i] as u64;
-                sum[1] += self.data[i + 1] as u64;
-                sum[2] += self.data[i + 2] as u64;
-                n += 1;
+        let read = self.for_each_in_crop(bbox, |p| {
+            for c in 0..3 {
+                sum[c] += p[c] as u64;
             }
-        }
-        Some([(sum[0] / n) as u8, (sum[1] / n) as u8, (sum[2] / n) as u8])
+            n += 1;
+        });
+        read.then(|| sum.map(|s| (s / n) as u8))
     }
 
     /// The dominant (modal, quantized) RGB over the crop of a
     /// full-resolution `bbox`. More robust than the mean when the crop
     /// includes background; this is what the simulated color model uses.
     pub fn dominant_rgb_in(&self, bbox: &BBox) -> Option<[u8; 3]> {
-        let s = self.scale as f32;
-        let x1 = (bbox.x1 / s).floor().max(0.0) as u32;
-        let y1 = (bbox.y1 / s).floor().max(0.0) as u32;
-        let x2 = ((bbox.x2 / s).ceil() as u32).min(self.width);
-        let y2 = ((bbox.y2 / s).ceil() as u32).min(self.height);
-        if x1 >= x2 || y1 >= y2 {
-            return None;
-        }
         // Quantize to 4 bits per channel and take the mode.
         let mut counts: std::collections::HashMap<u16, (u32, [u32; 3])> =
             std::collections::HashMap::new();
-        for y in y1..y2 {
-            for x in x1..x2 {
-                let p = self.pixel(x, y).expect("in bounds by construction");
-                let key =
-                    ((p[0] as u16 >> 4) << 8) | ((p[1] as u16 >> 4) << 4) | (p[2] as u16 >> 4);
-                let e = counts.entry(key).or_insert((0, [0, 0, 0]));
-                e.0 += 1;
-                e.1[0] += p[0] as u32;
-                e.1[1] += p[1] as u32;
-                e.1[2] += p[2] as u32;
-            }
+        let read = self.for_each_in_crop(bbox, |p| {
+            let key = ((p[0] as u16 >> 4) << 8) | ((p[1] as u16 >> 4) << 4) | (p[2] as u16 >> 4);
+            let e = counts.entry(key).or_insert((0, [0, 0, 0]));
+            e.0 += 1;
+            e.1[0] += p[0] as u32;
+            e.1[1] += p[1] as u32;
+            e.1[2] += p[2] as u32;
+        });
+        if !read {
+            return None;
         }
         // Ties break on the key: `HashMap` iteration order differs from
         // call to call, and the answer must not.
@@ -150,24 +256,26 @@ impl PixelBuffer {
     }
 
     /// Mean absolute per-channel difference with `other` (same dimensions
-    /// required); used by differencing frame filters.
-    ///
-    /// The sum is exact: `u32` lanes, which vectorise, over chunks too
-    /// short to overflow one (2^24 bytes × 255 < 2^32).
+    /// required); used by differencing frame filters. Reads both images
+    /// whole (see [`PixelBuffer::data`]).
     ///
     /// # Panics
     ///
     /// Panics if dimensions differ.
     pub fn mean_abs_diff(&self, other: &PixelBuffer) -> f32 {
-        const CHUNK: usize = 1 << 24;
         assert_eq!(self.width, other.width, "buffer widths must match");
         assert_eq!(self.height, other.height, "buffer heights must match");
-        let mut sum = 0u64;
-        for (a, b) in self.data.chunks(CHUNK).zip(other.data.chunks(CHUNK)) {
-            let diffs = a.iter().zip(b).map(|(a, b)| u32::from(a.abs_diff(*b)));
-            sum += u64::from(diffs.sum::<u32>());
-        }
-        sum as f32 / self.data.len() as f32
+        let sum = abs_diff_sum(self.data(), other.data());
+        sum as f32 / self.background.len() as f32
+    }
+}
+
+/// By value: two buffers are equal when their dimensions, scale and bytes
+/// are, however each came by them.
+impl PartialEq for PixelBuffer {
+    fn eq(&self, other: &Self) -> bool {
+        (self.width, self.height, self.scale) == (other.width, other.height, other.scale)
+            && self.data() == other.data()
     }
 }
 
@@ -186,6 +294,13 @@ pub struct Frame {
     /// have this; only `vqpy-models` and scorers may read it.
     pub truth: Arc<GroundTruth>,
 }
+
+// Frames cross threads (pipeline lanes, shards): a buffer's lazily rendered
+// bytes must stay shareable.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Frame>();
+};
 
 #[cfg(test)]
 mod tests {

@@ -12,8 +12,9 @@
 //! - [`scene::Scene::truth_at`] — the per-frame answer key that simulated
 //!   models observe (noisily) and that accuracy scoring uses.
 //! - [`frame::PixelBuffer`] — real pixels for differencing frame filters and
-//!   the pixel-reading color classifier.
-//! - [`source::VideoSource`] — streaming access; frames are rendered on
+//!   the pixel-reading color classifier: the scene's background plus the
+//!   frame's entities as a paint list, rendered only where they are read.
+//! - [`source::VideoSource`] — streaming access; frames are decoded on
 //!   demand, never materialized wholesale.
 //!
 //! ## Example
