@@ -43,7 +43,6 @@ pub mod frame_filters;
 pub mod hoi;
 pub mod traits;
 pub mod value;
-pub mod wire;
 pub mod zoo;
 
 pub use clock::{ChargeStat, Clock, ClockMode, CostUnits, DeviceModel, DeviceStat};
@@ -55,5 +54,4 @@ pub use traits::{
     BATCH_OVERHEAD_FRACTION, DISPATCH_LABEL, DISPATCH_LAUNCH_COST,
 };
 pub use value::{Value, ValueKind};
-pub use wire::WireError;
 pub use zoo::{LookupModelError, ModelZoo};

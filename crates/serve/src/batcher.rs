@@ -24,10 +24,11 @@
 //! inside a coalesced round is converted to a typed
 //! [`ModelFault`] reply for every participating stream — one bad model
 //! never kills the coalescing thread. And a **per-model-instance circuit
-//! breaker** trips after [`BatcherConfig::breaker_trip_after`] consecutive
-//! batched failures, routing that model's submissions to direct dispatch
-//! (degraded but live, and isolated from other streams' shared rounds)
-//! until a periodic probe through the batcher succeeds.
+//! breaker** trips after three consecutive batched failures
+//! (`BREAKER_TRIP_AFTER`), routing that model's submissions to direct
+//! dispatch (degraded but live, and isolated from other streams' shared
+//! rounds) until a probe through the batcher, every fourth submission
+//! (`BREAKER_PROBE_EVERY`), succeeds.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -53,22 +54,21 @@ pub struct BatcherConfig {
     /// more but add up to this much latency when only one stream is
     /// active.
     pub window: Duration,
-    /// Consecutive batched failures of one model instance before its
-    /// circuit breaker opens and submissions route to direct dispatch.
-    pub breaker_trip_after: u32,
-    /// While a breaker is open, every `breaker_probe_every`-th submission
-    /// is sent through the batcher as a probe; a successful probe closes
-    /// the breaker.
-    pub breaker_probe_every: u64,
 }
+
+/// Consecutive batched failures of one model instance before its circuit
+/// breaker opens and submissions route to direct dispatch.
+const BREAKER_TRIP_AFTER: u32 = 3;
+/// While a breaker is open, every `BREAKER_PROBE_EVERY`-th submission is
+/// sent through the batcher as a probe; a successful probe closes the
+/// breaker.
+const BREAKER_PROBE_EVERY: u64 = 4;
 
 impl Default for BatcherConfig {
     fn default() -> Self {
         Self {
             max_batch_frames: 64,
             window: Duration::from_millis(3),
-            breaker_trip_after: 3,
-            breaker_probe_every: 4,
         }
     }
 }
@@ -313,8 +313,6 @@ pub struct BatchedDispatch {
     /// `None` after shutdown; dispatch then falls back to direct calls.
     tx: Mutex<Option<SyncSender<Request>>>,
     obs: Arc<BatcherObs>,
-    breaker_trip_after: u32,
-    breaker_probe_every: u64,
     /// Breaker state per model instance, keyed by `Arc` pointer identity —
     /// the same identity requests coalesce under. (A key can in principle
     /// be reused after a model is dropped and a new allocation lands at
@@ -357,10 +355,7 @@ impl BatchedDispatch {
             return Route::Batched { probe: false };
         }
         st.calls_since_trip += 1;
-        if st
-            .calls_since_trip
-            .is_multiple_of(self.breaker_probe_every.max(1))
-        {
+        if st.calls_since_trip.is_multiple_of(BREAKER_PROBE_EVERY) {
             Route::Batched { probe: true }
         } else {
             Route::Direct
@@ -382,7 +377,7 @@ impl BatchedDispatch {
             }
         } else {
             st.consecutive_failures = st.consecutive_failures.saturating_add(1);
-            if !st.open && st.consecutive_failures >= self.breaker_trip_after.max(1) {
+            if !st.open && st.consecutive_failures >= BREAKER_TRIP_AFTER {
                 st.open = true;
                 st.calls_since_trip = 0;
                 self.obs.breaker_trips.inc();
@@ -442,10 +437,12 @@ impl ModelDispatch for BatchedDispatch {
             Arc::as_ptr(detector) as *const () as usize,
             |reply| Request::Detect {
                 model: Arc::clone(detector),
-                // Shipping frames to the coalescing thread clones them
-                // (truth is an Arc; pixels are the real copy). This is off
-                // the per-stream allocation-free fast path by design: the
-                // copy buys one physical model invocation across streams.
+                // Shipping frames to the coalescing thread clones them. A
+                // clone copies no pixels: it shares the truth, the
+                // background and the paints behind `Arc`s. The `Vec` of
+                // clones is off the per-stream allocation-free fast path by
+                // design: it buys one physical model invocation across
+                // streams.
                 frames: frames.iter().map(|f| (*f).clone()).collect(),
                 reply,
             },
@@ -568,8 +565,6 @@ impl ModelBatcher {
             dispatch: Arc::new(BatchedDispatch {
                 tx: Mutex::new(tx),
                 obs,
-                breaker_trip_after: config.breaker_trip_after,
-                breaker_probe_every: config.breaker_probe_every,
                 breakers: Mutex::new(HashMap::new()),
             }),
             worker,
@@ -892,7 +887,6 @@ mod tests {
             BatcherConfig {
                 max_batch_frames: 64,
                 window: Duration::from_millis(50),
-                ..BatcherConfig::default()
             },
             Arc::clone(&clock),
         );
@@ -945,7 +939,6 @@ mod tests {
             BatcherConfig {
                 max_batch_frames: 256,
                 window: Duration::from_millis(50),
-                ..BatcherConfig::default()
             },
             Arc::clone(&clock),
         );
@@ -982,7 +975,6 @@ mod tests {
         let config = BatcherConfig {
             max_batch_frames: 256,
             window: Duration::from_millis(50),
-            ..BatcherConfig::default()
         };
         ModelBatcher::new(config, Arc::clone(clock))
     }
@@ -1104,7 +1096,6 @@ mod tests {
             BatcherConfig {
                 max_batch_frames: 256,
                 window: Duration::from_millis(50),
-                ..BatcherConfig::default()
             },
             Arc::clone(&clock),
         );
@@ -1173,43 +1164,40 @@ mod tests {
     fn breaker_trips_on_consecutive_faults_and_recovers_on_probe() {
         use vqpy_models::{FaultInjector, FaultPlan};
         let clock = Arc::new(Clock::new());
-        let batcher = ModelBatcher::new(
-            BatcherConfig {
-                breaker_trip_after: 2,
-                breaker_probe_every: 2,
-                ..BatcherConfig::default()
-            },
-            Arc::clone(&clock),
-        );
+        let batcher = ModelBatcher::new(BatcherConfig::default(), Arc::clone(&clock));
         let dispatch = batcher.dispatch();
-        // Fails every invocation until 3 faults are injected, then heals.
-        let injector = FaultInjector::new(FaultPlan::every_nth(7, 1).heal_after(3));
+        // Fails every invocation until 6 faults are injected, then heals.
+        let injector = FaultInjector::new(FaultPlan::every_nth(7, 1).heal_after(6));
         let det = injector.wrap_detector(detector());
         let fs = frames(41, 2);
         let refs: Vec<&Frame> = fs.iter().collect();
 
-        // Calls 1-2: batched, both fail -> breaker trips at 2 consecutive.
-        assert!(dispatch.detect(&det, &refs, &clock).is_err());
-        assert!(dispatch.detect(&det, &refs, &clock).is_err());
-        // Call 3: breaker open, routed direct (still failing: 3rd fault).
-        assert!(dispatch.detect(&det, &refs, &clock).is_err());
-        // Call 4: every 2nd open call is a probe; the model has healed, so
+        // Calls 1-3: batched, all fail -> breaker trips at 3 consecutive.
+        for _ in 0..BREAKER_TRIP_AFTER {
+            assert!(dispatch.detect(&det, &refs, &clock).is_err());
+        }
+        // Calls 4-6: breaker open, routed direct (still failing: faults
+        // 4 to 6).
+        for _ in 1..BREAKER_PROBE_EVERY {
+            assert!(dispatch.detect(&det, &refs, &clock).is_err());
+        }
+        // Call 7: every 4th open call is a probe; the model has healed, so
         // the probe succeeds and closes the breaker.
         let recovered = dispatch.detect(&det, &refs, &clock).unwrap();
         assert_eq!(recovered, detector().detect_batch(&refs, &Clock::new()));
-        // Call 5: breaker closed again, normal batched path.
+        // Call 8: breaker closed again, normal batched path.
         let after = dispatch.detect(&det, &refs, &clock).unwrap();
         assert_eq!(after, recovered);
 
-        assert_eq!(injector.injected_faults(), 3);
+        assert_eq!(injector.injected_faults(), 6);
         let faults = batcher.stats().faults;
         assert_eq!(
             faults,
             FaultStats {
-                model_faults: 3,
+                model_faults: 6,
                 breaker_trips: 1,
                 breaker_recoveries: 1,
-                broken_dispatches: 1,
+                broken_dispatches: 3,
                 probes: 1,
                 coalesce_panics: 0,
             }

@@ -90,8 +90,8 @@ pub struct ServeConfig {
     /// bare [`StreamServer`], which leaves driving to the caller.
     pub shards: usize,
     /// Persistent frame/result store. When set, every stream appends its
-    /// model outputs (detections, binary verdicts, intrinsic property
-    /// values) to a per-stream segment log as it executes, and
+    /// frame-level model outputs (detections and binary verdicts) to a
+    /// per-stream segment log as it executes, and
     /// [`attach(stream, spec)`](StreamServer::attach) with a spec built
     /// `.from(instant)` can replay the stored past of a stream — skipping
     /// the model stages whose outputs are on disk — and splice the query

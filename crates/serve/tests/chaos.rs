@@ -169,11 +169,7 @@ fn breaker_trips_and_recovers_with_exact_accounting() {
     let supervisor = StreamSupervisor::new(
         session,
         SupervisorConfig {
-            batcher: Some(BatcherConfig {
-                breaker_trip_after: 3,
-                breaker_probe_every: 4,
-                ..BatcherConfig::default()
-            }),
+            batcher: Some(BatcherConfig::default()),
             retry: Some(RetryPolicy {
                 max_retries: 5,
                 backoff_base_ms: 0.25,

@@ -204,7 +204,6 @@ fn cross_stream_batching_is_byte_identical_to_solo() {
                 batcher: Some(BatcherConfig {
                     max_batch_frames: 256,
                     window: std::time::Duration::from_millis(5),
-                    ..BatcherConfig::default()
                 }),
                 ..SupervisorConfig::default()
             },
@@ -289,7 +288,6 @@ fn property_stage_batching_survives_attach_detach_recompile() {
             BatcherConfig {
                 max_batch_frames: 256,
                 window: std::time::Duration::from_millis(2),
-                ..BatcherConfig::default()
             },
             session.clock_handle(),
         );

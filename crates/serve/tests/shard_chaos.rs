@@ -341,11 +341,7 @@ fn breaker_trips_and_recovers_with_exact_accounting_on_a_shard() {
                 shards: 2,
                 ..ServeConfig::default()
             },
-            batcher: Some(BatcherConfig {
-                breaker_trip_after: 3,
-                breaker_probe_every: 4,
-                ..BatcherConfig::default()
-            }),
+            batcher: Some(BatcherConfig::default()),
             retry: Some(RetryPolicy {
                 max_retries: 5,
                 backoff_base_ms: 0.25,

@@ -22,9 +22,15 @@
 //!   [`FrameStore::enforce_retention`] for deterministic tests).
 //! - [`segment`] — the on-disk format: checksummed, length-prefixed
 //!   records whose scanner treats truncation and bit rot as typed
-//!   [`SegmentFault`]s, never panics. [`corrupt_segment`] is the
-//!   deterministic damage injector for tests.
-//! - [`FrameRecord`] — the per-frame artifact record and its codec.
+//!   [`SegmentFault`]s, never panics. It reads only the format version it
+//!   writes; a segment in any other is a bad header, which a reopen
+//!   counts and deletes, and its frames recompute on replay.
+//!   [`corrupt_segment`] is the deterministic damage injector for tests.
+//! - [`FrameRecord`] — the per-frame artifact record. It is written in a
+//!   small hand-rolled binary codec (private to this crate) whose decode
+//!   fails with a typed [`WireError`] on hostile input. The header, the
+//!   record layout and the codec all live here, so one crate owns the
+//!   on-disk format.
 //! - [`StoreMetrics`] — shared atomic counters the serving layer exports
 //!   as `vqpy_store_*` Prometheus metrics.
 //!
@@ -38,6 +44,7 @@
 pub mod record;
 pub mod segment;
 pub mod store;
+mod wire;
 
 pub use record::FrameRecord;
 pub use segment::{
@@ -47,3 +54,4 @@ pub use segment::{
 pub use store::{
     FrameStore, RangeLoad, RetentionPolicy, StoreConfig, StoreFault, StoreMetrics, StreamStore,
 };
+pub use wire::WireError;

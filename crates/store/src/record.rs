@@ -1,10 +1,10 @@
 //! The per-frame persisted artifact record.
 
-use vqpy_models::wire::{
-    get_f64, get_str, get_u32, get_u64, get_u8, put_f64, put_str, put_u32, put_u64, put_u8,
-    WireError,
+use crate::wire::{
+    get_detection, get_f64, get_str, get_u32, get_u64, get_u8, put_detection, put_f64, put_str,
+    put_u32, put_u64, put_u8, WireError,
 };
-use vqpy_models::{wire, Detection};
+use vqpy_models::Detection;
 
 /// Everything the store persists about one processed frame: which
 /// frame-level models ran and what they answered. Pixels are *not* stored
@@ -39,7 +39,7 @@ impl FrameRecord {
             put_str(out, model);
             put_u32(out, dets.len() as u32);
             for d in dets {
-                wire::put_detection(out, d);
+                put_detection(out, d);
             }
         }
         put_u32(out, self.predicts.len() as u32);
@@ -49,13 +49,12 @@ impl FrameRecord {
         }
     }
 
-    /// Decodes one record written in segment format `version`, advancing
-    /// `buf`.
+    /// Decodes one record, advancing `buf`.
     ///
     /// # Errors
     ///
     /// A [`WireError`] on truncated or garbled input; never panics.
-    pub fn decode(buf: &mut &[u8], version: u32) -> Result<FrameRecord, WireError> {
+    pub fn decode(buf: &mut &[u8]) -> Result<FrameRecord, WireError> {
         let frame = get_u64(buf)?;
         let time_s = get_f64(buf)?;
         let ingest_us = get_u64(buf)?;
@@ -66,7 +65,7 @@ impl FrameRecord {
             let n = get_u32(buf)? as usize;
             let mut dets = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
-                dets.push(wire::get_detection(buf)?);
+                dets.push(get_detection(buf)?);
             }
             detects.push((model, dets));
         }
@@ -75,16 +74,6 @@ impl FrameRecord {
         for _ in 0..n_predicts {
             let model = get_str(buf)?;
             predicts.push((model, get_u8(buf)? != 0));
-        }
-        if version == 1 {
-            // Version 1 ends with memoised intrinsic values, `(alias,
-            // track, property, value)`, which nothing reads any more.
-            for _ in 0..get_u32(buf)? {
-                get_str(buf)?;
-                get_u64(buf)?;
-                get_str(buf)?;
-                wire::get_value(buf)?;
-            }
         }
         Ok(FrameRecord {
             frame,
@@ -99,7 +88,6 @@ impl FrameRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::SEGMENT_VERSION;
     use vqpy_video::geometry::BBox;
 
     fn sample(frame: u64) -> FrameRecord {
@@ -126,10 +114,7 @@ mod tests {
         let mut buf = Vec::new();
         rec.encode(&mut buf);
         let mut slice = buf.as_slice();
-        assert_eq!(
-            FrameRecord::decode(&mut slice, SEGMENT_VERSION).unwrap(),
-            rec
-        );
+        assert_eq!(FrameRecord::decode(&mut slice).unwrap(), rec);
         assert!(slice.is_empty());
     }
 
@@ -140,10 +125,7 @@ mod tests {
         rec.encode(&mut buf);
         for cut in 0..buf.len() {
             let mut slice = &buf[..cut];
-            assert!(
-                FrameRecord::decode(&mut slice, SEGMENT_VERSION).is_err(),
-                "cut {cut}"
-            );
+            assert!(FrameRecord::decode(&mut slice).is_err(), "cut {cut}");
         }
     }
 }

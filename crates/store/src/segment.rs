@@ -23,22 +23,26 @@
 //! from it on is skipped). Both surface as typed [`SegmentFault`]s, never
 //! panics.
 //!
-//! Version 2 dropped the list of memoised intrinsic values that ended each
-//! version 1 record. A version 1 segment still reads (its records' lists
-//! are skipped) but takes no more appends: a reopened store starts a new
-//! segment after it.
+//! The scanner reads exactly [`SEGMENT_VERSION`]. A segment of any other
+//! version, like one whose magic is wrong, is a [`BadHeader`] fault: the
+//! store holds model answers it can recompute, so a format change retires
+//! the old format instead of keeping a reader for it, and a reopened store
+//! drops such a segment and recomputes its frames on replay.
+//!
+//! [`BadHeader`]: SegmentFaultKind::BadHeader
 
 use crate::record::FrameRecord;
+use crate::wire::{get_u32, get_u64, put_u32, put_u64};
 use std::fmt;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use vqpy_models::wire::{get_u32, get_u64, put_u32, put_u64};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"VQPS";
-/// On-disk format version: what this build writes. It reads every version
-/// from 1 up to this one.
+/// On-disk format version: the one this build writes and the only one it
+/// reads. Version 2 dropped the memoised intrinsic values that ended each
+/// version 1 record.
 pub const SEGMENT_VERSION: u32 = 2;
 /// Header length in bytes: magic + version + base frame.
 pub const SEGMENT_HEADER_LEN: u64 = 16;
@@ -94,7 +98,8 @@ pub enum SegmentFaultKind {
     /// A record failed its checksum or decode — bit rot or a bad writer.
     /// The intact prefix is usable; everything after is skipped.
     Garbled,
-    /// The file header is missing or wrong (magic/version mismatch).
+    /// The file header is missing or wrong (magic or version mismatch).
+    /// Nothing in the file is readable.
     BadHeader,
 }
 
@@ -133,9 +138,6 @@ pub struct ScannedSegment {
     pub meta: SegmentMeta,
     /// Decoded records, in frame order.
     pub records: Vec<FrameRecord>,
-    /// The format version the file's header names (0 when the file is
-    /// too short or its magic is wrong).
-    pub version: u32,
     /// Damage hit during the scan, if any.
     pub fault: Option<SegmentFault>,
 }
@@ -180,12 +182,11 @@ pub fn scan_segment(path: &Path) -> std::io::Result<ScannedSegment> {
     // Header.
     let mut base_frame = 0u64;
     let mut clean_len = 0u64;
-    let mut version = 0;
     let header_ok = data.len() >= SEGMENT_HEADER_LEN as usize && data[..4] == SEGMENT_MAGIC && {
         let mut cursor = &data[4..16];
-        version = get_u32(&mut cursor).unwrap();
+        let version = get_u32(&mut cursor).unwrap();
         base_frame = get_u64(&mut cursor).unwrap();
-        (1..=SEGMENT_VERSION).contains(&version)
+        version == SEGMENT_VERSION
     };
     if !header_ok {
         fault = Some(SegmentFault {
@@ -222,7 +223,7 @@ pub fn scan_segment(path: &Path) -> std::io::Result<ScannedSegment> {
                 break;
             }
             let mut body = payload;
-            match FrameRecord::decode(&mut body, version) {
+            match FrameRecord::decode(&mut body) {
                 Ok(rec) if body.is_empty() => records.push(rec),
                 Ok(_) => {
                     fault = Some(garbled(path, clean_len, "record has trailing bytes"));
@@ -251,7 +252,6 @@ pub fn scan_segment(path: &Path) -> std::io::Result<ScannedSegment> {
     Ok(ScannedSegment {
         meta,
         records,
-        version,
         fault,
     })
 }

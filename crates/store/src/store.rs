@@ -3,7 +3,7 @@
 use crate::record::FrameRecord;
 use crate::segment::{
     append_record, scan_segment, segment_file_name, write_header, SegmentFault, SegmentFaultKind,
-    SegmentMeta, SEGMENT_HEADER_LEN, SEGMENT_VERSION,
+    SegmentMeta, SEGMENT_HEADER_LEN,
 };
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -371,9 +371,10 @@ impl StreamStore {
         assert!(segment_frames > 0, "segment_frames must be positive");
         // Rebuild the index by scanning every segment file, base-frame
         // ascending. Crash artifacts (truncated tails) are trimmed so the
-        // writer can resume appending; garbled segments are kept read-only
-        // up to their clean prefix and counted, and so are segments of an
-        // older format version, uncounted.
+        // writer can resume appending; damaged segments are counted and
+        // kept read-only up to their clean prefix, or deleted when nothing
+        // in them reads (a bad header, another format version, a garbled
+        // first record).
         let mut paths: Vec<(u64, PathBuf)> = Vec::new();
         for entry in std::fs::read_dir(&dir)? {
             let path = entry?.path();
@@ -397,18 +398,25 @@ impl StreamStore {
         let last = paths.len().wrapping_sub(1);
         for (i, (_, path)) in paths.iter().enumerate() {
             let scanned = scan_segment(path)?;
+            let mut damaged = false;
             if let Some(fault) = &scanned.fault {
-                match fault.kind {
-                    SegmentFaultKind::TruncatedTail => {
-                        // Normal crash artifact: trim back to the clean
-                        // prefix so appends can resume.
-                        let f = OpenOptions::new().write(true).open(path)?;
-                        f.set_len(fault.clean_len)?;
-                    }
-                    SegmentFaultKind::Garbled | SegmentFaultKind::BadHeader => {
-                        metrics.corrupt_segments.fetch_add(1, Ordering::Relaxed);
-                    }
+                if fault.kind == SegmentFaultKind::TruncatedTail {
+                    // Normal crash artifact: trim back to the clean
+                    // prefix so appends can resume.
+                    let f = OpenOptions::new().write(true).open(path)?;
+                    f.set_len(fault.clean_len)?;
+                } else {
+                    metrics.corrupt_segments.fetch_add(1, Ordering::Relaxed);
+                    damaged = true;
                 }
+            }
+            if damaged && scanned.records.is_empty() {
+                // Nothing in it reads, so it indexes no frame: its frames
+                // recompute on replay, as after an eviction. An entry for
+                // it would name a file a later append may create anew,
+                // and evicting that entry would delete the live segment.
+                std::fs::remove_file(path)?;
+                continue;
             }
             for rec in &scanned.records {
                 ingest_index.push((rec.frame, rec.ingest_us));
@@ -416,11 +424,7 @@ impl StreamStore {
             next_frame = next_frame.max(scanned.meta.end_frame);
             metrics.add_segment(scanned.meta.bytes);
             let full = scanned.meta.records >= segment_frames;
-            let damaged = scanned
-                .fault
-                .as_ref()
-                .is_some_and(|f| f.kind != SegmentFaultKind::TruncatedTail);
-            if i == last && !full && !damaged && scanned.version == SEGMENT_VERSION {
+            if i == last && !full && !damaged {
                 // Resume appending into the tail segment.
                 let file = OpenOptions::new().append(true).open(path)?;
                 active = Some(ActiveSegment {
@@ -703,66 +707,112 @@ mod tests {
         assert_eq!(store.metrics().appended_frames.load(Ordering::Relaxed), 10);
     }
 
-    /// A segment written in format version 1, whose records end with a
-    /// list of memoised intrinsic values, reopens with its detects and
-    /// predicts intact and counts as no corruption. It takes no more
-    /// appends: the next frame opens a new segment, and both read back
-    /// after another reopen.
+    /// A segment in format version 1, whose records ended with a list of
+    /// memoised intrinsic values, is a bad header to this build: reopen
+    /// counts it once and drops it from the index and the disk, a read of
+    /// its frames finds nothing, and the next append starts a fresh
+    /// segment in its place.
     #[test]
-    fn a_version_1_segment_reopens_intact_and_takes_no_appends() {
-        use crate::segment::{fnv1a, SEGMENT_MAGIC};
-        use vqpy_models::wire::{put_str, put_u32, put_u64, put_value};
-        use vqpy_models::{Detection, Value};
-        use vqpy_video::geometry::BBox;
+    fn a_version_1_segment_reopens_as_one_counted_bad_header() {
+        use crate::segment::{fnv1a, scan_segment, SEGMENT_MAGIC};
+        use crate::wire::{put_u32, put_u64};
 
         let cfg = config("v1");
         let dir = cfg.root.join("cam0");
         std::fs::create_dir_all(&dir).unwrap();
-        let old = FrameRecord {
-            detects: vec![(
-                "yolox".into(),
-                vec![Detection {
-                    class_label: "car".into(),
-                    bbox: BBox::new(1.0, 2.0, 3.0, 4.0),
-                    score: 0.9,
-                    sim_entity: Some(5),
-                }],
-            )],
-            ..rec(0)
-        };
+        // Today's record fields, then version 1's (empty) intrinsics list.
         let mut payload = Vec::new();
-        old.encode(&mut payload);
-        put_u32(&mut payload, 1);
-        put_str(&mut payload, "car");
-        put_u64(&mut payload, 3);
-        put_str(&mut payload, "color");
-        put_value(&mut payload, &Value::from("red"));
+        rec(0).encode(&mut payload);
+        put_u32(&mut payload, 0);
         let mut file = SEGMENT_MAGIC.to_vec();
         put_u32(&mut file, 1);
         put_u64(&mut file, 0);
         put_u32(&mut file, payload.len() as u32);
         put_u64(&mut file, fnv1a(&payload));
         file.extend_from_slice(&payload);
-        std::fs::write(dir.join(segment_file_name(0)), file).unwrap();
-
-        let corrupt = |store: &FrameStore| store.metrics().corrupt_segments.load(Ordering::Relaxed);
-        let store = FrameStore::open(cfg.clone()).unwrap();
-        let s = store.stream("cam0").unwrap();
-        assert_eq!(corrupt(&store), 0);
-        assert_eq!(s.load_range(0, 1).records, std::slice::from_ref(&old));
-        s.append(rec(1)).unwrap();
-        assert_eq!(
-            s.segments().len(),
-            2,
-            "a version 1 segment takes no appends"
-        );
-        drop((s, store));
+        let path = dir.join(segment_file_name(0));
+        std::fs::write(&path, file).unwrap();
 
         let store = FrameStore::open(cfg).unwrap();
-        let load = store.stream("cam0").unwrap().load_range(0, 2);
-        assert!(load.faults.is_empty(), "{:?}", load.faults);
-        assert_eq!(load.records, [old, rec(1)]);
-        assert_eq!(corrupt(&store), 0);
+        let metrics = store.metrics();
+        let s = store.stream("cam0").unwrap();
+        assert_eq!(metrics.corrupt_segments.load(Ordering::Relaxed), 1);
+        assert!(s.segments().is_empty(), "{:?}", s.segments());
+        assert!(!path.exists(), "the unreadable file is deleted");
+        assert_eq!(metrics.segments.load(Ordering::Relaxed), 0);
+        assert_eq!(s.next_frame(), 0);
+        let load = s.load_range(0, 1);
+        assert!(load.records.is_empty() && load.faults.is_empty());
+
+        s.append(rec(0)).unwrap();
+        let segs = s.segments();
+        assert_eq!(segs.len(), 1);
+        assert_eq!((segs[0].base_frame, segs[0].end_frame), (0, 1));
+        assert!(!segs[0].sealed);
+        let scanned = scan_segment(&path).unwrap();
+        assert!(scanned.fault.is_none(), "{:?}", scanned.fault);
+        assert_eq!(scanned.records, [rec(0)]);
+        assert_eq!(s.load_range(0, 1).records, [rec(0)]);
+        assert_eq!(metrics.corrupt_segments.load(Ordering::Relaxed), 1);
+    }
+
+    /// A segment with no readable record leaves no index entry. Kept at
+    /// base 0 (a bad header) or at its own base with no frames (a garbled
+    /// first record), the entry named a file the next append creates
+    /// anew, and age retention evicted it first: it deleted the live
+    /// segment, and its frames read back as a `Missing` fault.
+    #[test]
+    fn an_unreadable_segment_leaves_no_entry_for_retention_to_evict() {
+        let first_payload_byte = SEGMENT_HEADER_LEN as usize + 12;
+        for (tag, damaged_byte) in [("magic", 0), ("record", first_payload_byte)] {
+            let cfg = config(&format!("phantom_{tag}"));
+            let dir = cfg.root.join("cam0");
+            {
+                let store = FrameStore::open(cfg.clone()).unwrap();
+                let s = store.stream("cam0").unwrap();
+                for f in 0..10 {
+                    s.append(rec(f)).unwrap();
+                }
+            }
+            let path = dir.join(segment_file_name(8));
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[damaged_byte] ^= 0xFF;
+            std::fs::write(&path, bytes).unwrap();
+
+            let store = FrameStore::open(cfg).unwrap();
+            let metrics = store.metrics();
+            let s = store.stream("cam0").unwrap();
+            assert_eq!(metrics.corrupt_segments.load(Ordering::Relaxed), 1, "{tag}");
+            let ranges = |s: &StreamStore| {
+                s.segments()
+                    .iter()
+                    .map(|m| (m.base_frame, m.end_frame))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(ranges(&s), [(0, 4), (4, 8)], "{tag}");
+            for f in 8..12 {
+                s.append(rec(f)).unwrap();
+            }
+            assert_eq!(ranges(&s), [(0, 4), (4, 8), (8, 12)], "{tag}");
+            let files = std::fs::read_dir(&dir).unwrap().count() as u64;
+            assert_eq!(files, 3, "{tag}");
+            assert_eq!(metrics.segments.load(Ordering::Relaxed), files, "{tag}");
+
+            // The cut at 13 000 - 4 500 µs evicts frames 0..8 (newest
+            // ingest 8 000 µs) and keeps 8..12 (newest 12 000 µs).
+            let policy = RetentionPolicy {
+                max_age: Some(Duration::from_micros(4_500)),
+                ..RetentionPolicy::keep_all()
+            };
+            s.enforce_retention(&policy, 13_000);
+            let load = s.load_range(0, 14);
+            assert!(load.faults.is_empty(), "{tag}: {:?}", load.faults);
+            assert_eq!(
+                load.records.iter().map(|r| r.frame).collect::<Vec<_>>(),
+                (8..12).collect::<Vec<_>>(),
+                "{tag}"
+            );
+        }
     }
 
     #[test]

@@ -1,25 +1,25 @@
-//! Compact binary codec for persisted model artifacts.
+//! The compact binary codec segment records are written in.
 //!
-//! The frame store (`vqpy-store`) persists [`Value`]s and [`Detection`]s to
-//! append-only segment files. The workspace has no general-purpose
-//! serialization dependency, so this module hand-rolls a small
-//! length-prefixed little-endian format. Two properties matter more than
-//! speed:
+//! The workspace has no general-purpose serialization dependency, so this
+//! module hand-rolls a small length-prefixed little-endian format for the
+//! primitives, [`BBox`]es and [`Detection`]s a [`FrameRecord`] holds. Two
+//! properties matter more than speed:
 //!
 //! - **Determinism**: encoding the same value always yields the same bytes,
 //!   so segment indices and crash-recovery scans can compare byte-for-byte.
 //! - **Hostile-input safety**: decoding arbitrary (truncated, garbled)
 //!   bytes must fail with a typed [`WireError`], never panic or allocate
 //!   unboundedly — corrupted segments are an expected runtime condition.
+//!
+//! [`FrameRecord`]: crate::FrameRecord
 
-use crate::value::Value;
-use crate::Detection;
 use std::fmt;
-use vqpy_video::geometry::{BBox, Point};
+use vqpy_models::Detection;
+use vqpy_video::geometry::BBox;
 
-/// Upper bound on any decoded string/vector length. Garbled length prefixes
-/// must not trigger multi-gigabyte allocations; nothing the store writes
-/// comes anywhere near this.
+/// Upper bound on any decoded string length. Garbled length prefixes must
+/// not trigger multi-gigabyte allocations; nothing the store writes comes
+/// anywhere near this.
 const MAX_LEN: usize = 1 << 24;
 
 /// A decoding failure. Encoding is infallible.
@@ -107,13 +107,6 @@ pub fn get_f64(buf: &mut &[u8]) -> Result<f64, WireError> {
     Ok(f64::from_le_bytes(take(buf, 8)?.try_into().unwrap()))
 }
 
-fn checked_len(n: u64) -> Result<usize, WireError> {
-    if n as usize > MAX_LEN {
-        return Err(WireError::OversizedLength(n));
-    }
-    Ok(n as usize)
-}
-
 /// Appends a length-prefixed UTF-8 string.
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
@@ -122,23 +115,12 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 
 /// Reads a length-prefixed UTF-8 string, advancing `buf`.
 pub fn get_str(buf: &mut &[u8]) -> Result<String, WireError> {
-    let len = checked_len(get_u32(buf)? as u64)?;
+    let len = get_u32(buf)? as usize;
+    if len > MAX_LEN {
+        return Err(WireError::OversizedLength(len as u64));
+    }
     let bytes = take(buf, len)?;
     String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
-}
-
-/// Appends a [`Point`].
-pub fn put_point(out: &mut Vec<u8>, p: &Point) {
-    put_f32(out, p.x);
-    put_f32(out, p.y);
-}
-
-/// Reads a [`Point`], advancing `buf`.
-pub fn get_point(buf: &mut &[u8]) -> Result<Point, WireError> {
-    Ok(Point {
-        x: get_f32(buf)?,
-        y: get_f32(buf)?,
-    })
 }
 
 /// Appends a [`BBox`].
@@ -157,66 +139,6 @@ pub fn get_bbox(buf: &mut &[u8]) -> Result<BBox, WireError> {
         x2: get_f32(buf)?,
         y2: get_f32(buf)?,
     })
-}
-
-/// Appends a [`Value`] as a tag byte plus payload.
-pub fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => put_u8(out, 0),
-        Value::Bool(b) => {
-            put_u8(out, 1);
-            put_u8(out, *b as u8);
-        }
-        Value::Int(i) => {
-            put_u8(out, 2);
-            put_u64(out, *i as u64);
-        }
-        Value::Float(f) => {
-            put_u8(out, 3);
-            put_f64(out, *f);
-        }
-        Value::Str(s) => {
-            put_u8(out, 4);
-            put_str(out, s);
-        }
-        Value::Point(p) => {
-            put_u8(out, 5);
-            put_point(out, p);
-        }
-        Value::BBox(b) => {
-            put_u8(out, 6);
-            put_bbox(out, b);
-        }
-        Value::FloatVec(xs) => {
-            put_u8(out, 7);
-            put_u32(out, xs.len() as u32);
-            for x in xs {
-                put_f32(out, *x);
-            }
-        }
-    }
-}
-
-/// Reads a [`Value`], advancing `buf`.
-pub fn get_value(buf: &mut &[u8]) -> Result<Value, WireError> {
-    match get_u8(buf)? {
-        0 => Ok(Value::Null),
-        1 => Ok(Value::Bool(get_u8(buf)? != 0)),
-        2 => Ok(Value::Int(get_u64(buf)? as i64)),
-        3 => Ok(Value::Float(get_f64(buf)?)),
-        4 => Ok(Value::from(get_str(buf)?)),
-        5 => Ok(Value::Point(get_point(buf)?)),
-        6 => Ok(Value::BBox(get_bbox(buf)?)),
-        7 => {
-            let len = checked_len(get_u32(buf)? as u64)?;
-            let mut xs = Vec::with_capacity(len.min(4096));
-            for _ in 0..len {
-                xs.push(get_f32(buf)?);
-            }
-            Ok(Value::FloatVec(xs))
-        }
-        t => Err(WireError::BadTag(t)),
-    }
 }
 
 /// Appends a [`Detection`].
@@ -254,77 +176,80 @@ pub fn get_detection(buf: &mut &[u8]) -> Result<Detection, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FrameRecord;
 
-    fn roundtrip_value(v: Value) {
-        let mut buf = Vec::new();
-        put_value(&mut buf, &v);
-        let mut slice = buf.as_slice();
-        let back = get_value(&mut slice).unwrap();
-        assert_eq!(back, v);
-        assert!(slice.is_empty(), "codec must consume exactly its bytes");
-    }
-
-    #[test]
-    fn value_roundtrips() {
-        roundtrip_value(Value::Null);
-        roundtrip_value(Value::Bool(true));
-        roundtrip_value(Value::Int(-42));
-        roundtrip_value(Value::Float(3.25));
-        roundtrip_value(Value::Str("red".into()));
-        roundtrip_value(Value::Point(Point::new(1.5, -2.5)));
-        roundtrip_value(Value::BBox(BBox::new(0.0, 1.0, 2.0, 3.0)));
-        roundtrip_value(Value::FloatVec(vec![0.1, 0.2, 0.3]));
+    fn detection(sim_entity: Option<u64>) -> Detection {
+        Detection {
+            class_label: "car".into(),
+            bbox: BBox::new(10.0, 20.0, 30.0, 40.0),
+            score: 0.93,
+            sim_entity,
+        }
     }
 
     #[test]
     fn detection_roundtrips() {
         for sim_entity in [None, Some(7u64)] {
-            let d = Detection {
-                class_label: "car".into(),
-                bbox: BBox::new(10.0, 20.0, 30.0, 40.0),
-                score: 0.93,
-                sim_entity,
-            };
+            let d = detection(sim_entity);
             let mut buf = Vec::new();
             put_detection(&mut buf, &d);
             let mut slice = buf.as_slice();
             assert_eq!(get_detection(&mut slice).unwrap(), d);
-            assert!(slice.is_empty());
+            assert!(slice.is_empty(), "codec must consume exactly its bytes");
         }
     }
 
     #[test]
     fn truncated_input_is_an_error_not_a_panic() {
         let mut buf = Vec::new();
-        put_value(&mut buf, &Value::Str("a long-ish string".into()));
+        put_detection(&mut buf, &detection(Some(7)));
         for cut in 0..buf.len() {
             let mut slice = &buf[..cut];
-            assert!(get_value(&mut slice).is_err(), "cut at {cut} must fail");
+            assert_eq!(
+                get_detection(&mut slice),
+                Err(WireError::Truncated),
+                "cut at {cut} must fail"
+            );
         }
     }
 
     #[test]
     fn bad_tag_and_oversized_length_are_typed() {
-        let mut slice: &[u8] = &[99u8];
-        assert_eq!(get_value(&mut slice), Err(WireError::BadTag(99)));
-        // String claiming u32::MAX bytes.
+        // The entity tag is the detection's last byte before its id.
         let mut buf = Vec::new();
-        put_u8(&mut buf, 4);
-        put_u32(&mut buf, u32::MAX);
-        let mut slice = buf.as_slice();
+        put_detection(&mut buf, &detection(None));
+        *buf.last_mut().unwrap() = 99;
         assert_eq!(
-            get_value(&mut slice),
+            get_detection(&mut buf.as_slice()),
+            Err(WireError::BadTag(99))
+        );
+        // A label claiming u32::MAX bytes.
+        let mut buf = Vec::new();
+        put_u32(&mut buf, u32::MAX);
+        assert_eq!(
+            get_detection(&mut buf.as_slice()),
             Err(WireError::OversizedLength(u32::MAX as u64))
         );
+        // A label that is not UTF-8.
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 1);
+        put_u8(&mut buf, 0xFF);
+        assert_eq!(get_detection(&mut buf.as_slice()), Err(WireError::BadUtf8));
     }
 
     #[test]
     fn encoding_is_deterministic() {
-        let v = Value::FloatVec(vec![1.0, 2.0]);
+        let rec = FrameRecord {
+            frame: 3,
+            time_s: 0.1,
+            ingest_us: 99_000,
+            detects: vec![("yolox".into(), vec![detection(Some(7)), detection(None)])],
+            predicts: vec![("red_car_filter".into(), false)],
+        };
         let mut a = Vec::new();
         let mut b = Vec::new();
-        put_value(&mut a, &v);
-        put_value(&mut b, &v);
+        rec.encode(&mut a);
+        rec.clone().encode(&mut b);
         assert_eq!(a, b);
     }
 }
