@@ -125,14 +125,13 @@ pub struct ExecMetrics {
 }
 
 impl ExecMetrics {
-    /// Accumulates another run's counters into this one (a serving layer
-    /// merges metrics of retired engines with the live engine's).
+    /// Accumulates another run's counters into this one (a report sums
+    /// the metrics of several streams).
     pub fn absorb(&mut self, other: &ExecMetrics) {
         self.frames_total += other.frames_total;
         self.frames_processed += other.frames_processed;
         self.decode_failures += other.decode_failures;
-        self.reuse.hits += other.reuse.hits;
-        self.reuse.misses += other.reuse.misses;
+        self.reuse.add(other.reuse);
         self.per_frame_ms.extend_from_slice(&other.per_frame_ms);
     }
 }
@@ -384,7 +383,6 @@ pub fn execute_plan(
     };
     let frames = 0..source.frame_count();
     run_segment(env, frames, &mut ops, &mut metrics, &mut collector)?;
-    metrics.reuse = ops.state.objects.stats;
     let total_ms = clock.virtual_ms() - start_ms;
     Ok(collector.finalize(plan, metrics, total_ms))
 }
@@ -394,8 +392,9 @@ pub fn execute_plan(
 /// scheduler [`ExecConfig::exec_mode`] names. All cross-call state lives in
 /// `ops` and `metrics`, so callers may interleave segments with plan
 /// recompiles (the serving layer's attach/detach) or run one whole-video
-/// segment (the offline path). `metrics.reuse` is *not* refreshed here —
-/// callers read `ops.state.objects.stats` when they finish.
+/// segment (the offline path). Every counter of the segment, the reuse
+/// counts included, is added to `metrics`, so one `metrics` outlives any
+/// number of plans.
 pub fn run_segment(
     env: ExecEnv<'_>,
     range: Range<u64>,
@@ -412,6 +411,9 @@ pub fn run_segment(
         ExecMode::Pipelined { .. } => run_pipelined(&cx, range, ops, metrics, sink),
     };
     cx.flush(metrics);
+    metrics
+        .reuse
+        .add(std::mem::take(&mut ops.state.objects.stats));
     result
 }
 

@@ -211,6 +211,9 @@ impl ObjectTable {
 #[derive(Debug, Clone, Default)]
 pub struct Objects {
     tables: Vec<ObjectTable>,
+    /// The running segment's counts, which
+    /// [`run_segment`](crate::backend::exec::run_segment) moves into its
+    /// [`ExecMetrics`](crate::ExecMetrics) when the segment ends.
     pub stats: ReuseStats,
 }
 
@@ -306,7 +309,7 @@ impl Objects {
     }
 
     /// Each table takes over its alias's table in `own` or else in `seed`
-    /// (see [`ObjectTable::adopt`]); the reuse counters are `own`'s.
+    /// (see [`ObjectTable::adopt`]).
     fn adopt(&mut self, own: Objects, seed: Objects) {
         let (mut own_tables, mut seed_tables) = (own.tables, seed.tables);
         for table in &mut self.tables {
@@ -318,7 +321,6 @@ impl Objects {
             let (own, seed) = (take(&mut own_tables), take(&mut seed_tables));
             table.adopt(own, seed);
         }
-        self.stats = own.stats;
     }
 }
 
@@ -363,10 +365,10 @@ impl StreamState {
     /// under its previous plan) and then `seed` (another engine's, at a
     /// splice). Each table takes its alias's table in `own`, or else in
     /// `seed`, which also fills the columns `own` lacks, row by track, when
-    /// the two trackers are in the same state; the reuse counters are
-    /// `own`'s; the reference frame is `own`'s, or else `seed`'s, when it
-    /// was kept by this plan's threshold. What neither holds starts empty,
-    /// and what this plan lacks is dropped.
+    /// the two trackers are in the same state; the reference frame is
+    /// `own`'s, or else `seed`'s, when it was kept by this plan's
+    /// threshold. What neither holds starts empty, and what this plan lacks
+    /// is dropped.
     pub fn adopt(&mut self, own: StreamState, seed: StreamState) {
         self.objects.adopt(own.objects, seed.objects);
         let threshold = self.reference.as_ref().map(|r| r.threshold);

@@ -20,6 +20,12 @@ pub struct ReuseStats {
 }
 
 impl ReuseStats {
+    /// Adds `other`'s counts to these.
+    pub fn add(&mut self, other: ReuseStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+    }
+
     /// Hit rate in `[0, 1]`; 0 when empty.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;

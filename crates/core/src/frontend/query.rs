@@ -5,7 +5,10 @@ use crate::error::VqpyError;
 use crate::frontend::predicate::{Pred, PropRef};
 use crate::frontend::relation::RelationSchema;
 use crate::frontend::vobj::VObjSchema;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeSet;
+use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A VObj declared in a query under an alias.
@@ -50,6 +53,41 @@ pub struct Query {
     frame_output: Vec<PropRef>,
     video_output: Option<Aggregate>,
     accuracy_target: Option<f32>,
+    key: CacheKey,
+}
+
+/// What the session's plan and result caches key a query on: the query's
+/// every field (schemas, relations, constraint, outputs, accuracy target),
+/// rendered and hashed once when it is built, so a cache lookup hashes a
+/// word per query. Native functions are opaque to it: it names them by
+/// property, dependencies and kind.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub(crate) struct CacheKey {
+    hash: u64,
+    text: Arc<str>,
+}
+
+impl CacheKey {
+    fn new(text: String) -> Self {
+        let mut hasher = DefaultHasher::new();
+        text.hash(&mut hasher);
+        Self {
+            hash: hasher.finish(),
+            text: text.into(),
+        }
+    }
+}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl fmt::Debug for CacheKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("..")
+    }
 }
 
 impl Query {
@@ -64,6 +102,7 @@ impl Query {
                 frame_output: Vec::new(),
                 video_output: None,
                 accuracy_target: None,
+                key: CacheKey::default(),
             },
         }
     }
@@ -111,6 +150,12 @@ impl Query {
     /// Planner accuracy target (F1 against the reference plan), if set.
     pub fn accuracy_target(&self) -> Option<f32> {
         self.accuracy_target
+    }
+
+    /// The key the session's caches file this query under: equal keys
+    /// plan, and answer, alike.
+    pub(crate) fn cache_key(&self) -> &CacheKey {
+        &self.key
     }
 
     /// Looks up a declared alias.
@@ -265,8 +310,9 @@ impl QueryBuilder {
     /// Returns [`VqpyError`] for duplicate aliases or relation names, references to
     /// undeclared aliases/relations, unresolvable properties, or VObjs
     /// without detectors.
-    pub fn build(self) -> Result<Arc<Query>, VqpyError> {
+    pub fn build(mut self) -> Result<Arc<Query>, VqpyError> {
         self.query.validate()?;
+        self.query.key = CacheKey::new(format!("{:?}", self.query));
         Ok(Arc::new(self.query))
     }
 }

@@ -13,7 +13,7 @@ use crate::backend::profile::{profile_and_choose, PlanProfile};
 use crate::error::Result;
 use crate::extend::ExtensionRegistry;
 use crate::frontend::compose::{duration_filter, temporal_join, QueryExpr};
-use crate::frontend::query::Query;
+use crate::frontend::query::{CacheKey, Query};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -81,8 +81,8 @@ pub struct VqpySession {
     extensions: ExtensionRegistry,
     config: SessionConfig,
     clock: Arc<Clock>,
-    plan_cache: Mutex<HashMap<String, PlanDag>>,
-    result_cache: Mutex<HashMap<(u64, String), Arc<QueryResult>>>,
+    plan_cache: Mutex<HashMap<Vec<CacheKey>, PlanDag>>,
+    result_cache: Mutex<HashMap<(u64, CacheKey), Arc<QueryResult>>>,
     last_profiles: Mutex<Vec<PlanProfile>>,
 }
 
@@ -149,23 +149,10 @@ impl VqpySession {
         self.result_cache.lock().clear();
     }
 
-    fn cache_key(q: &Query) -> String {
-        format!(
-            "{}|{}|{:?}",
-            q.name(),
-            q.frame_constraint(),
-            q.video_output()
-        )
-    }
-
     /// Plans `queries` as one shared pipeline, consulting the plan cache
     /// and (when extensions are registered) canary profiling.
     pub fn plan_for(&self, queries: &[Arc<Query>], video: &dyn VideoSource) -> Result<PlanDag> {
-        let key: String = queries
-            .iter()
-            .map(|q| Self::cache_key(q))
-            .collect::<Vec<_>>()
-            .join("&");
+        let key: Vec<CacheKey> = queries.iter().map(|q| q.cache_key().clone()).collect();
         if let Some(plan) = self.plan_cache.lock().get(&key) {
             return Ok(plan.clone());
         }
@@ -218,7 +205,7 @@ impl VqpySession {
     /// Executes one basic query, using the materialized-result cache when
     /// the same query was already answered on this video.
     pub fn execute(&self, query: &Arc<Query>, video: &dyn VideoSource) -> Result<Arc<QueryResult>> {
-        let cache_key = (video.video_id(), Self::cache_key(query));
+        let cache_key = (video.video_id(), query.cache_key().clone());
         if self.config.enable_result_cache {
             if let Some(hit) = self.result_cache.lock().get(&cache_key) {
                 return Ok(Arc::clone(hit));
@@ -248,7 +235,7 @@ impl VqpySession {
         if self.config.enable_result_cache {
             let mut cache = self.result_cache.lock();
             for (q, r) in queries.iter().zip(&shared) {
-                cache.insert((video.video_id(), Self::cache_key(q)), Arc::clone(r));
+                cache.insert((video.video_id(), q.cache_key().clone()), Arc::clone(r));
             }
         }
         Ok(shared)
@@ -308,6 +295,7 @@ mod tests {
     use super::*;
     use crate::frontend::library;
     use crate::frontend::predicate::Pred;
+    use std::collections::BTreeSet;
     use vqpy_video::presets;
     use vqpy_video::scene::Scene;
     use vqpy_video::source::SyntheticVideo;
@@ -339,6 +327,41 @@ mod tests {
             ms_after_first, ms_after_second,
             "second execution must be served from the cache"
         );
+    }
+
+    /// Two queries that share a name and a constraint but project different
+    /// columns are two queries: neither cache serves one's plan or rows
+    /// for the other, with the result cache on or off.
+    #[test]
+    fn same_named_queries_with_other_outputs_do_not_share_caches() {
+        let v = SyntheticVideo::new(Scene::generate(presets::jackson(), 9, 10.0));
+        let q = |column: &str| {
+            Query::builder("Q")
+                .vobj("car", library::vehicle_schema_intrinsic())
+                .frame_constraint(Pred::gt("car", "score", 0.5))
+                .frame_output(&[("car", column)])
+                .build()
+                .unwrap()
+        };
+        let columns = |r: &QueryResult| -> BTreeSet<String> {
+            let rows = r.frame_hits.iter().flat_map(|h| &h.outputs);
+            rows.flatten().map(|(c, _)| c.clone()).collect()
+        };
+        for enable_result_cache in [true, false] {
+            let config = SessionConfig {
+                enable_result_cache,
+                ..SessionConfig::default()
+            };
+            let s = VqpySession::with_config(ModelZoo::standard(), config);
+            let ids = s.execute(&q("track_id"), &v).unwrap();
+            assert_eq!(columns(&ids), BTreeSet::from(["car.track_id".to_owned()]));
+            let colors = s.execute(&q("color"), &v).unwrap();
+            assert_eq!(
+                columns(&colors),
+                BTreeSet::from(["car.color".to_owned()]),
+                "result cache {enable_result_cache}"
+            );
+        }
     }
 
     #[test]

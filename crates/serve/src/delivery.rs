@@ -13,9 +13,10 @@ use std::sync::atomic::Ordering;
 use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Instant;
-use vqpy_core::backend::exec::{QueryAccum, ResultSink};
+use vqpy_core::backend::exec::{run_segment, QueryAccum, ResultSink};
 use vqpy_core::backend::ops::FrameSlot;
 use vqpy_core::backend::plan::PlanDag;
+use vqpy_core::backend::stage::ExecEnv;
 use vqpy_core::error::VqpyError;
 use vqpy_core::{panic_message, Query};
 use vqpy_obs::{label_escape, Counter, Histogram, Telemetry, Tracer};
@@ -146,7 +147,7 @@ struct DemuxSink<'a> {
     /// The stream's process-lane tracer, for per-frame demux spans.
     tracer: &'a Tracer,
     policy: Backpressure,
-    /// When this segment entered the engine, for delivery latency.
+    /// When this segment began executing, for delivery latency.
     ingest: Instant,
     /// Hits on earlier frames are observed (aggregates cover them) but not
     /// delivered: a replay's first frame ingested at or after its `from`
@@ -245,7 +246,8 @@ impl StreamServer {
     }
 
     /// Runs one segment with panic isolation and the configured
-    /// [`RestartPolicy`]: checkpoint the engine, run, and on a worker
+    /// [`RestartPolicy`]: checkpoint the stream (a copy of its state and
+    /// its metrics), run, and on a worker
     /// panic (caught here, or a contained pipeline-stage panic surfaced as
     /// [`VqpyError::StagePanic`]) roll back to the checkpoint, notify
     /// subscribers with a typed [`ServeEvent::StreamFault`], and re-run the
@@ -267,10 +269,22 @@ impl StreamServer {
         };
         let restart = self.config.restart;
         let tracer = s.tracer.clone();
-        let engine = s.engine.as_mut().expect("caller checked engine presence");
+        let (plan, ops) = s.plan.as_mut().expect("caller checked plan presence");
+        let env = ExecEnv {
+            plan,
+            source: s.source.as_ref(),
+            zoo: self.session.zoo(),
+            clock: self.session.clock(),
+            config: &self.session.config().exec,
+        };
         let mut skip_through: Option<u64> = None;
         loop {
-            let checkpoint = engine.snapshot();
+            // The tables belong in the checkpoint because prep frees a
+            // track's row when it expires: a failed attempt may free a row
+            // whose last sighting the re-run, from the restored tracker,
+            // probes again. The reference frame does because the frame
+            // filters may have run ahead of the stage that failed.
+            let checkpoint = (ops.state.clone(), s.exec.clone());
             let mut sink = DemuxSink {
                 subs: &mut s.subs,
                 stream: handle,
@@ -283,14 +297,7 @@ impl StreamServer {
                 frames: 0,
             };
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                engine.run_segment(
-                    s.source.as_ref(),
-                    self.session.zoo(),
-                    self.session.clock(),
-                    &self.session.config().exec,
-                    range.clone(),
-                    &mut sink,
-                )
+                run_segment(env, range.clone(), ops, &mut s.exec, &mut sink)
             }));
             let message = match outcome {
                 Ok(Ok(())) => {
@@ -310,7 +317,7 @@ impl StreamServer {
             // Highest frame already delivered to subscribers, across every
             // attempt of this segment.
             let delivered_through = sink.progress.or(skip_through);
-            engine.restore(checkpoint);
+            (ops.state, s.exec) = checkpoint;
 
             if s.restarts >= restart.max_restarts {
                 // Budget exhausted: the subscriptions leave with a final

@@ -62,7 +62,6 @@ pub mod attach;
 pub mod batcher;
 pub mod config;
 mod delivery;
-pub mod engine;
 mod live;
 pub mod metrics;
 pub mod replay;
@@ -81,7 +80,6 @@ pub use config::{
     Backpressure, ConfigError, RestartPolicy, ServeConfig, ServeConfigBuilder, ServeError,
     ServeResult, RESTART_BACKOFF_LABEL,
 };
-pub use engine::StreamEngine;
 pub use metrics::{QueryServeMetrics, ServeMetrics, ShardLoad};
 pub use replay::{RecordingDispatch, StoreDispatch, STORE_READ_COST_MS, STORE_READ_LABEL};
 pub use server::{ServeSession, StepOutcome, StreamId, StreamOptions, StreamServer};

@@ -28,7 +28,7 @@ impl StreamServer {
         if frames > 0 {
             let range = s.next_frame..s.next_frame + frames;
             let wall = Instant::now();
-            if s.engine.is_some() {
+            if s.plan.is_some() {
                 self.run_segment_isolated(handle, s, &range, wall)?;
                 let batch = self.session.config().exec.batch_size.max(1) as u64;
                 s.batches += frames.div_ceil(batch);

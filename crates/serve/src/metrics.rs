@@ -45,9 +45,10 @@ pub struct ServeMetrics {
     /// Frames the decoder failed on and the executors skipped (never
     /// counted in `frames_total`).
     pub decode_failures: u64,
-    /// Damaged stored segments hit by this stream's past-replays. The
-    /// affected frames were recomputed from the decoded video (results
-    /// unchanged, just slower) — mirrors `decode_failures` in spirit.
+    /// Stored segments this stream's from-past replays found damaged or
+    /// missing, each counted once per replay that met it. The affected
+    /// frames were recomputed from the decoded video (results unchanged,
+    /// just slower) — mirrors `decode_failures` in spirit.
     pub store_corruptions: u64,
     /// Wall milliseconds spent executing (excludes idle time between
     /// steps).

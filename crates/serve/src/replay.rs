@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use vqpy_core::{ModelDispatch, Query};
 use vqpy_models::{Classifier, Clock, Detection, Detector, FrameClassifier, ModelFault, Value};
-use vqpy_store::{FrameRecord, StoreMetrics};
+use vqpy_store::{FrameRecord, StoreFault, StoreMetrics};
 use vqpy_video::frame::Frame;
 
 /// Clock label charged for model stages answered from the store during
@@ -320,7 +320,7 @@ impl StreamServer {
         // caller's base): what the store lacks recomputes as it would live.
         let window = Arc::new(StoreDispatch::new(base, fs.metrics()));
         let dispatch = Arc::clone(&window) as Arc<dyn ModelDispatch>;
-        let mut replay = Stream::new(source, Some(dispatch), self.store_tracer.clone());
+        let mut replay = Stream::new(source, dispatch, self.store_tracer.clone());
         replay.store = Some(store);
         self.install(&mut replay, std::slice::from_ref(&query), None)?;
         let (sub, pending) = self.subscribe(query);
@@ -366,9 +366,10 @@ impl StreamServer {
                 recompiled: detached,
             });
         };
-        // One chunk of stored history: damaged segments become typed
-        // StoreFault notices (their frames recompute), the rest primes the
-        // store-backed window, and the range runs like a live segment.
+        // One chunk of stored history: a damaged or missing segment becomes
+        // one typed StoreFault notice per replay (its frames recompute), the
+        // rest primes the store-backed window, and the range runs like a
+        // live segment.
         let chunk = |s: &mut Stream, end: u64| -> ServeResult<()> {
             let range = s.next_frame..end;
             let store = s.store.as_ref().expect("a replay reads its stream's store");
@@ -381,6 +382,15 @@ impl StreamServer {
                 store.load_range(range.start, range.end)
             };
             for fault in &load.faults {
+                let path = match fault {
+                    StoreFault::Corrupt(f) => &f.path,
+                    StoreFault::Missing { path } => path,
+                };
+                // A segment overlaps every chunk it spans: notice it once.
+                if s.store_faults.contains(path) {
+                    continue;
+                }
+                s.store_faults.push(path.clone());
                 live.store_corruptions.fetch_add(1, Ordering::Relaxed);
                 let notice = StoreFaultNotice {
                     frame: range.start,
@@ -475,11 +485,11 @@ impl StreamServer {
             .store_tracer
             .span("store", "splice")
             .arg("frame", live.next_frame);
-        let seed = replay
-            .engine
+        let (_, ops) = replay
+            .plan
             .take()
-            .expect("a replay keeps its engine until it splices")
-            .into_state();
+            .expect("a replay keeps its plan until it splices");
+        let seed = ops.state;
         // Survivors in attach order, then the replayed query — the same
         // join-order rule apply_commands uses.
         let queries: Vec<Arc<Query>> = live

@@ -4,7 +4,6 @@
 use crate::attach::{AttachMode, AttachSpec, Attached};
 use crate::config::{ServeConfig, ServeError, ServeResult};
 use crate::delivery::{ActiveSub, Exit, DELIVERED_TOTAL, DROPPED_TOTAL};
-use crate::engine::StreamEngine;
 use crate::metrics::{ServeMetrics, ShardLoad};
 use crate::replay::RecordingDispatch;
 use crate::stream::{Feed, PendingAttach, Stream, StreamHandle};
@@ -18,6 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use vqpy_core::backend::objects::StreamState;
+use vqpy_core::backend::stage::instantiate_stage_ops;
 use vqpy_core::{DirectDispatch, ExecMetrics, ModelDispatch, Query, VqpySession};
 use vqpy_models::ClockMode;
 use vqpy_obs::{Telemetry, Tracer, STORE_LANE};
@@ -36,8 +36,8 @@ pub type StreamId = u64;
 /// ```
 #[derive(Default)]
 pub struct StreamOptions {
-    /// Model-dispatch boundary for this stream's engine, preserved across
-    /// plan recompiles. `None` means direct per-stream invocation; the
+    /// Model-dispatch boundary for this stream's model stages, preserved
+    /// across plan recompiles. `None` means direct per-stream invocation; the
     /// multi-stream supervisor passes a shared
     /// [`ModelBatcher`](crate::ModelBatcher) handle here so the stream's
     /// detect, binary-filter, and classify batches coalesce with other
@@ -60,9 +60,9 @@ pub struct StepOutcome {
 /// A multi-stream, multi-query serving frontend over one [`VqpySession`].
 ///
 /// The server shares the session's model zoo, clock, plan cache, and
-/// execution configuration; each open stream owns a [`StreamEngine`]
-/// driving the session's configured executor (sequential or the PR-1
-/// pipelined engine) over the live source. All attached queries of a
+/// execution configuration; each open stream owns its plan's operators and
+/// drives them with the session's configured executor (sequential or
+/// pipelined) over the live source. All attached queries of a
 /// stream are compiled into one shared super-plan; [`StreamServer::step`]
 /// (or [`StreamServer::run_to_end`]) advances the stream and delivers
 /// per-query events to subscribers. A from-past replay is one more stream
@@ -152,7 +152,8 @@ impl StreamServer {
         if tracer.is_enabled() {
             tracer.set_process_name(id + 1, format!("stream {id}"));
         }
-        let mut stream = Stream::new(source, options.dispatch, tracer);
+        let dispatch = options.dispatch.unwrap_or_else(|| Arc::new(DirectDispatch));
+        let mut stream = Stream::new(source, dispatch, tracer);
         let mut recorder = None;
         if let Some(fs) = &self.config.store {
             match fs.stream(&format!("stream-{id}")) {
@@ -160,12 +161,8 @@ impl StreamServer {
                     // Record model answers by wrapping the stream's
                     // dispatch boundary; the recorder composes over a
                     // supervisor-supplied batcher/retry chain unchanged.
-                    let inner: Arc<dyn ModelDispatch> = stream
-                        .dispatch
-                        .take()
-                        .unwrap_or_else(|| Arc::new(DirectDispatch));
-                    let r = Arc::new(RecordingDispatch::new(inner));
-                    stream.dispatch = Some(Arc::clone(&r) as Arc<dyn ModelDispatch>);
+                    let r = Arc::new(RecordingDispatch::new(Arc::clone(&stream.dispatch)));
+                    stream.dispatch = Arc::clone(&r) as Arc<dyn ModelDispatch>;
                     stream.store = Some(ss);
                     recorder = Some(r);
                 }
@@ -439,15 +436,14 @@ impl StreamServer {
         }
     }
 
-    /// The one way a query set enters a stream: plans `queries` and
-    /// recompiles the engine onto the plan (its stream state moves into
-    /// the new plan's), builds the engine when there is none, or retires it
-    /// when no query is left (its metrics stay in `retired_exec`). Swapping
-    /// or retiring an engine counts as a recompile. `seed` is another
-    /// engine's stream state (a replay's, at the splice), used only where
-    /// this engine has none of its own. On error the stream keeps its
-    /// engine and plan. Engines are built only here, so each gets the
-    /// stream's dispatch and tracer.
+    /// The one way a query set enters a stream: plans `queries` and builds
+    /// the plan's operators, with the stream's dispatch and tracer, over the
+    /// stream's state (which moves into the new plan's, see
+    /// [`StreamState::adopt`]) or an empty one; or drops the plan and its
+    /// state when no query is left. Swapping or dropping a plan counts as
+    /// a recompile. `seed` is another stream's state (a replay's, at the
+    /// splice), used only where this stream has none of its own. On error
+    /// the stream keeps its plan.
     pub(crate) fn install(
         &self,
         s: &mut Stream,
@@ -455,8 +451,7 @@ impl StreamServer {
         seed: Option<StreamState>,
     ) -> ServeResult<()> {
         if queries.is_empty() {
-            if let Some(engine) = s.engine.take() {
-                s.retired_exec.absorb(&engine.metrics());
+            if s.plan.take().is_some() {
                 s.recompiles += 1;
             }
             return Ok(());
@@ -466,18 +461,15 @@ impl StreamServer {
         // subgraphs of the attached queries execute once per batch. The
         // session-level plan cache makes repeated query sets cheap.
         let plan = self.session.plan_for(queries, s.source.as_ref())?;
-        let (zoo, seed) = (self.session.zoo(), seed.unwrap_or_default());
-        if let Some(engine) = &mut s.engine {
-            engine.recompile_with_seed(plan, zoo, seed)?;
-            s.recompiles += 1;
-            return Ok(());
-        }
-        let mut engine = StreamEngine::seeded(plan, zoo, &self.session.config().exec, seed)?;
-        if let Some(dispatch) = &s.dispatch {
-            engine.set_dispatch(Arc::clone(dispatch));
-        }
-        engine.set_tracer(s.tracer.clone());
-        s.engine = Some(engine);
+        let workers = self.session.config().exec.exec_mode.workers();
+        let mut ops = instantiate_stage_ops(&plan, self.session.zoo(), workers)?;
+        ops.dispatch = Arc::clone(&s.dispatch);
+        ops.tracer = s.tracer.clone();
+        let own = s.plan.take().map(|(_, old)| old.state);
+        s.recompiles += u64::from(own.is_some());
+        ops.state
+            .adopt(own.unwrap_or_default(), seed.unwrap_or_default());
+        s.plan = Some((plan, ops));
         Ok(())
     }
 
@@ -518,7 +510,7 @@ impl StreamServer {
     pub fn metrics(&self, stream: StreamId) -> ServeResult<ServeMetrics> {
         let handle = self.handle(stream)?;
         let s = handle.state.lock();
-        let exec = s.exec_metrics();
+        let exec = &s.exec;
         let mut per_query = s.past_queries.clone();
         per_query.extend(s.subs.iter().map(|a| a.metrics()));
         let dropped_events = per_query.iter().map(|q| q.dropped).sum();
@@ -542,12 +534,12 @@ impl StreamServer {
         })
     }
 
-    /// Cumulative execution metrics of a stream (stage wall times, reuse
-    /// counters) across every engine it has run, for bench reports.
+    /// Cumulative execution metrics of a stream (frame and reuse
+    /// counters) across every plan it has run, for bench reports.
     pub fn exec_metrics(&self, stream: StreamId) -> ServeResult<ExecMetrics> {
         let handle = self.handle(stream)?;
         let s = handle.state.lock();
-        Ok(s.exec_metrics())
+        Ok(s.exec.clone())
     }
 
     /// Server-wide load, summed over the counters on every open stream's
@@ -590,7 +582,7 @@ impl StreamServer {
         &self.config.telemetry
     }
 
-    /// Closes a stream, dropping its engine and subscriptions. Subscribers
+    /// Closes a stream, dropping its plan and subscriptions. Subscribers
     /// see their channels close.
     pub fn close_stream(&self, stream: StreamId) -> ServeResult<()> {
         self.streams
@@ -615,5 +607,208 @@ pub trait ServeSession {
 impl ServeSession for VqpySession {
     fn serve(self: &Arc<Self>, config: ServeConfig) -> StreamServer {
         StreamServer::new(Arc::clone(self), config)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::ops::Range;
+    use vqpy_core::backend::exec::run_segment;
+    use vqpy_core::backend::plan::{build_plan, PlanOptions};
+    use vqpy_core::backend::stage::ExecEnv;
+    use vqpy_core::frontend::{library, predicate::Pred};
+    use vqpy_core::{Collector, FrameHit, PlanDag};
+    use vqpy_models::ModelZoo;
+    use vqpy_video::presets;
+    use vqpy_video::scene::Scene;
+    use vqpy_video::source::SyntheticVideo;
+
+    fn query(name: &str, color: &str) -> Arc<Query> {
+        Query::builder(name)
+            .vobj("car", library::vehicle_schema_intrinsic())
+            .frame_constraint(Pred::gt("car", "score", 0.5) & Pred::eq("car", "color", color))
+            .frame_output(&[("car", "track_id")])
+            .build()
+            .unwrap()
+    }
+
+    fn server() -> StreamServer {
+        let session = Arc::new(VqpySession::new(ModelZoo::standard()));
+        session.serve(ServeConfig::default())
+    }
+
+    /// A stream over jackson seed 9, running `queries` from frame 0.
+    fn stream(server: &StreamServer, seconds: f64, queries: &[Arc<Query>]) -> Stream {
+        let v = SyntheticVideo::new(Scene::generate(presets::jackson(), 9, seconds));
+        let mut s = Stream::new(Arc::new(v), Arc::new(DirectDispatch), Tracer::disabled());
+        server.install(&mut s, queries, None).unwrap();
+        s
+    }
+
+    /// Runs `frames` through the stream's plan, as a serving step does,
+    /// returning the hits of the query named `Red`.
+    fn run_red(server: &StreamServer, s: &mut Stream, frames: Range<u64>) -> Vec<FrameHit> {
+        let session = server.session();
+        let (plan, ops) = s.plan.as_mut().unwrap();
+        let env = ExecEnv {
+            plan,
+            source: s.source.as_ref(),
+            zoo: session.zoo(),
+            clock: session.clock(),
+            config: &session.config().exec,
+        };
+        let mut sink = Collector::new(plan);
+        run_segment(env, frames, ops, &mut s.exec, &mut sink).unwrap();
+        let results = sink.finalize(plan, ExecMetrics::default(), 0.0);
+        let red = results.into_iter().find(|r| r.query_name == "Red");
+        red.map(|r| r.frame_hits).unwrap_or_default()
+    }
+
+    /// A detach that drops every query on an alias drops the alias's
+    /// object table, values and all. A query re-attached later starts a
+    /// fresh tracker, whose ids restart at 1: its first sightings miss, as
+    /// they would on a fresh stream, rather than hitting the colours the
+    /// detached tracker's objects left under the same ids.
+    #[test]
+    fn detach_drops_the_alias_table() {
+        let server = server();
+        let red = query("Red", "red");
+        let walking = Query::builder("Moving")
+            .vobj("person", library::person_schema())
+            .frame_constraint(Pred::gt("person", "score", 0.5) & Pred::gt("person", "speed", 1.0))
+            .frame_output(&[("person", "track_id")])
+            .build()
+            .unwrap();
+        let aliases = |s: &Stream| -> Vec<(String, usize)> {
+            let tables = s.plan.as_ref().unwrap().1.state.objects.tables().iter();
+            tables.map(|t| (t.alias().to_owned(), t.values())).collect()
+        };
+
+        let mut s = stream(&server, 20.0, &[Arc::clone(&red), Arc::clone(&walking)]);
+        run_red(&server, &mut s, 0..60);
+        let tables = aliases(&s);
+        assert!(
+            tables.iter().any(|(a, n)| a == "car" && *n > 0),
+            "{tables:?}"
+        );
+
+        server
+            .install(&mut s, &[Arc::clone(&walking)], None)
+            .unwrap();
+        assert_eq!(aliases(&s), [("person".to_owned(), 0)]);
+        run_red(&server, &mut s, 60..90);
+
+        let before = s.exec.reuse;
+        server
+            .install(&mut s, &[walking, Arc::clone(&red)], None)
+            .unwrap();
+        let hits = run_red(&server, &mut s, 90..180);
+        let after = s.exec.reuse;
+        let mut fresh = stream(&server, 20.0, &[red]);
+        let fresh_hits = run_red(&server, &mut fresh, 90..180);
+        let fresh_stats = fresh.exec.reuse;
+        assert!(!fresh_hits.is_empty());
+        assert_eq!(hits, fresh_hits, "the re-attached query answers as fresh");
+        let delta = (after.hits - before.hits, after.misses - before.misses);
+        assert_eq!(delta, (fresh_stats.hits, fresh_stats.misses));
+    }
+
+    /// A restore, as the restart path takes it (a copy of the stream state
+    /// and the metrics), puts the object tables back: the tracker, the
+    /// rows a failed attempt freed and their colours, so a re-run answers
+    /// and hits as the first run did.
+    #[test]
+    fn restore_rolls_back_the_tables() {
+        let server = server();
+        let mut s = stream(&server, 20.0, &[query("Red", "red")]);
+        run_red(&server, &mut s, 0..60);
+        let checkpoint = (s.plan.as_ref().unwrap().1.state.clone(), s.exec.clone());
+        let first = (run_red(&server, &mut s, 60..180), s.exec.reuse);
+        (s.plan.as_mut().unwrap().1.state, s.exec) = checkpoint;
+        let again = (run_red(&server, &mut s, 60..180), s.exec.reuse);
+        assert!(!first.0.is_empty());
+        assert_eq!(first, again);
+    }
+
+    /// At a splice the seed fills the columns the live table lacks, row by
+    /// track: a live stream tracking cars without their colour takes the
+    /// replayed colours, so it hits as a stream that ran both queries all
+    /// along. Both plans filter `score > 0.5` before tracking, so the two
+    /// trackers are in the same state and their track ids agree.
+    #[test]
+    fn a_seed_fills_the_columns_the_live_table_lacks() {
+        let server = server();
+        let count = Query::builder("Count")
+            .vobj("car", library::vehicle_schema_intrinsic())
+            .frame_constraint(Pred::gt("car", "score", 0.5))
+            .video_output(vqpy_core::Aggregate::CountDistinctTracks {
+                alias: "car".into(),
+            })
+            .build()
+            .unwrap();
+        let red = query("Red", "red");
+        let both = [Arc::clone(&count), Arc::clone(&red)];
+        let mut live = stream(&server, 20.0, &[count]);
+        let mut replay = stream(&server, 20.0, &[red]);
+        let mut always = stream(&server, 20.0, &both);
+        for s in [&mut live, &mut replay, &mut always] {
+            run_red(&server, s, 0..60);
+        }
+        let seed = replay.plan.take().unwrap().1.state;
+        server.install(&mut live, &both, Some(seed)).unwrap();
+        let (live_before, always_before) = (live.exec.reuse, always.exec.reuse);
+        assert_eq!(
+            run_red(&server, &mut live, 60..180),
+            run_red(&server, &mut always, 60..180)
+        );
+        let (live_after, always_after) = (live.exec.reuse, always.exec.reuse);
+        assert!(always_after.hits > always_before.hits);
+        assert_eq!(
+            (
+                live_after.hits - live_before.hits,
+                live_after.misses - live_before.misses
+            ),
+            (
+                always_after.hits - always_before.hits,
+                always_after.misses - always_before.misses
+            ),
+        );
+    }
+
+    #[test]
+    fn recompile_preserves_shared_fingerprints() {
+        let zoo = ModelZoo::standard();
+        let opts = PlanOptions::vqpy_default();
+        let (red, black, green) = (
+            query("Red", "red"),
+            query("Black", "black"),
+            query("Green", "green"),
+        );
+        let p1 = build_plan(&[Arc::clone(&red), Arc::clone(&black)], &zoo, &opts).unwrap();
+        let p2 = build_plan(&[Arc::clone(&red), Arc::clone(&green)], &zoo, &opts).unwrap();
+        let labels = |p: &PlanDag| -> Vec<String> { p.ops.iter().map(|op| op.label()).collect() };
+        let (l1, l2) = (labels(&p1), labels(&p2));
+        let shared: Vec<&String> = l1.iter().filter(|l| l2.contains(l)).collect();
+        // Detector, tracker, and the color projection are shared subgraphs.
+        assert!(
+            shared.iter().any(|f| f.starts_with("detect(")),
+            "{shared:?}"
+        );
+        assert!(shared.iter().any(|f| f.starts_with("track(")), "{shared:?}");
+        assert!(shared.iter().any(|f| f.contains("car.color")), "{shared:?}");
+
+        let server = server();
+        let mut s = stream(&server, 6.0, &[Arc::clone(&red), black]);
+        run_red(&server, &mut s, 0..30);
+        let reuse_before = s.exec.reuse;
+        server.install(&mut s, &[red, green], None).unwrap();
+        // The reuse cache survived the recompile.
+        run_red(&server, &mut s, 30..60);
+        let reuse_after = s.exec.reuse;
+        assert!(
+            reuse_after.hits > reuse_before.hits,
+            "carried tracks should keep hitting the reuse cache: {reuse_before:?} -> {reuse_after:?}"
+        );
     }
 }

@@ -3,7 +3,6 @@
 //! handle ([`StreamHandle`]) that the table, shards and replays hold.
 
 use crate::delivery::ActiveSub;
-use crate::engine::StreamEngine;
 use crate::metrics::QueryServeMetrics;
 use crate::replay::{RecordingDispatch, StoreDispatch};
 use crate::server::StreamId;
@@ -13,10 +12,12 @@ use crate::ServeError;
 #[cfg(doc)]
 use crate::StreamServer;
 use parking_lot::{Condvar, Mutex};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, OnceLock};
-use vqpy_core::{ExecMetrics, ModelDispatch, Query};
+use vqpy_core::backend::plan::PlanDag;
+use vqpy_core::{ExecMetrics, ModelDispatch, Query, StageOps};
 use vqpy_obs::Tracer;
 use vqpy_store::StreamStore;
 use vqpy_video::source::VideoSource;
@@ -40,13 +41,13 @@ pub(crate) struct Commands {
 /// Where a stream's frames come from, fixed when its id is issued.
 pub(crate) enum Feed {
     /// A live source. `recorder` captures model answers per frame for
-    /// persistence (it wraps the stream's dispatch in the engine); present
-    /// iff the stream opened with a store.
+    /// persistence (it wraps the stream's dispatch); present iff the
+    /// stream opened with a store.
     Live {
         recorder: Option<Arc<RecordingDispatch>>,
     },
     /// A from-past replay of live stream `of`: a private single-query
-    /// engine whose detect/predict stages read stored answers through
+    /// plan whose detect/predict stages read stored answers through
     /// `window`, delivering hits from frame `deliver_from` on to
     /// subscription `sub`, until it catches `of` and splices into it (or
     /// the stored history ends).
@@ -58,21 +59,24 @@ pub(crate) enum Feed {
     },
 }
 
-/// One stream's execution state: the engine, attached queries, and
-/// progress counters.
+/// One stream's execution state: the plan and its operators, attached
+/// queries, and progress counters.
 pub(crate) struct Stream {
     pub(crate) source: Arc<dyn VideoSource>,
-    /// Model-dispatch boundary installed into every engine this stream
-    /// creates.
-    pub(crate) dispatch: Option<Arc<dyn ModelDispatch>>,
+    /// Model-dispatch boundary installed into every plan's operators.
+    pub(crate) dispatch: Arc<dyn ModelDispatch>,
     /// The stream's process-lane span tracer (pid = stream id + 1; the
-    /// store lane for a replay), installed into every engine this stream
-    /// creates.
+    /// store lane for a replay), installed into every plan's operators.
     pub(crate) tracer: Tracer,
     /// The stream's persisted history, when the server has a store. Live
     /// execution appends to it; replays read from it.
     pub(crate) store: Option<Arc<StreamStore>>,
-    pub(crate) engine: Option<StreamEngine>,
+    /// The attached queries' shared plan and its operators, which hold
+    /// the stream's state; `None` while no query is attached.
+    pub(crate) plan: Option<(PlanDag, StageOps)>,
+    /// Execution metrics across every plan the stream has run: each
+    /// segment adds its counts here.
+    pub(crate) exec: ExecMetrics,
     /// Attach order; index i corresponds to join i of the current plan.
     pub(crate) subs: Vec<ActiveSub>,
     pub(crate) next_frame: u64,
@@ -83,17 +87,17 @@ pub(crate) struct Stream {
     /// Frames permanently lost to a non-resumed final fault.
     pub(crate) frames_lost: u64,
     pub(crate) wall_ms: f64,
-    /// Execution metrics of engines retired when their last query
-    /// detached, so frames/reuse counters survive engine turnover.
-    pub(crate) retired_exec: ExecMetrics,
     /// Metrics of queries that already detached.
     pub(crate) past_queries: Vec<QueryServeMetrics>,
+    /// Stored segments a replay found damaged or missing, each counted and
+    /// noticed once.
+    pub(crate) store_faults: Vec<PathBuf>,
 }
 
 impl Stream {
     pub(crate) fn new(
         source: Arc<dyn VideoSource>,
-        dispatch: Option<Arc<dyn ModelDispatch>>,
+        dispatch: Arc<dyn ModelDispatch>,
         tracer: Tracer,
     ) -> Self {
         Self {
@@ -101,7 +105,8 @@ impl Stream {
             dispatch,
             tracer,
             store: None,
-            engine: None,
+            plan: None,
+            exec: ExecMetrics::default(),
             subs: Vec::new(),
             next_frame: 0,
             batches: 0,
@@ -109,18 +114,9 @@ impl Stream {
             restarts: 0,
             frames_lost: 0,
             wall_ms: 0.0,
-            retired_exec: ExecMetrics::default(),
             past_queries: Vec::new(),
+            store_faults: Vec::new(),
         }
-    }
-
-    /// Cumulative exec metrics: retired engines plus the live one.
-    pub(crate) fn exec_metrics(&self) -> ExecMetrics {
-        let mut m = self.retired_exec.clone();
-        if let Some(e) = &self.engine {
-            m.absorb(&e.metrics());
-        }
-        m
     }
 }
 
@@ -162,8 +158,9 @@ pub(crate) struct StreamHandle {
     /// The next frame index the stream will execute, as of the last step
     /// boundary. Replays chase this to know when they have caught up.
     pub(crate) published_next_frame: AtomicU64,
-    /// Damaged stored segments hit by this stream's replays (the frames
-    /// were recomputed; mirrors `decode_failures` in spirit).
+    /// Damaged or missing stored segments this stream's replays met, each
+    /// counted once per replay (the frames were recomputed; mirrors
+    /// `decode_failures` in spirit).
     pub(crate) store_corruptions: AtomicU64,
     pub(crate) state: Mutex<Stream>,
 }

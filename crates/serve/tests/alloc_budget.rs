@@ -9,7 +9,7 @@
 //! taken out.
 //!
 //! This covers what the offline budget (`vqpy-core`'s `alloc_budget.rs`)
-//! cannot see: the per-step engine snapshot, the demux into per-query
+//! cannot see: the per-step checkpoint, the demux into per-query
 //! events and the subscription channels. Measured with this file: **221.6**
 //! allocations a frame while property values were keyed by name,
 //! **59.0** once they live in plan-resolved slots, **53.7** once each

@@ -14,10 +14,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use vqpy_core::backend::exec::run_segment;
 use vqpy_core::backend::ops::FrameSlot;
+use vqpy_core::backend::stage::{instantiate_stage_ops, ExecEnv};
 use vqpy_core::frontend::{library, predicate::Pred};
 use vqpy_core::{
-    Aggregate, ExecMode, PlanDag, Query, ResultSink, RetryPolicy, SessionConfig, VqpySession,
+    Aggregate, ExecMetrics, ExecMode, PlanDag, Query, ResultSink, RetryPolicy, SessionConfig,
+    VqpySession,
 };
 use vqpy_models::{
     Classifier, Clock, Detection, Detector, FaultInjector, FaultPlan, ModelProfile, ModelZoo,
@@ -25,8 +28,7 @@ use vqpy_models::{
 };
 use vqpy_serve::{
     AttachSpec, BatcherConfig, FaultStats, PaceMode, ServeConfig, ServeError, ServeEvent,
-    ServeMetrics, ServeSession, StreamEngine, StreamFault, StreamSupervisor, Subscription,
-    SupervisorConfig,
+    ServeMetrics, ServeSession, StreamFault, StreamSupervisor, Subscription, SupervisorConfig,
 };
 use vqpy_store::{FrameStore, StoreConfig};
 use vqpy_video::{presets, FaultyVideo, Frame, Scene, SyntheticVideo, VideoSource};
@@ -302,13 +304,19 @@ fn expiries(session: &VqpySession, query: &Arc<Query>, video: &SyntheticVideo) -
         }
     }
     let plan = session.plan_for(&[Arc::clone(query)], video).unwrap();
-    let (zoo, exec) = (session.zoo(), &session.config().exec);
-    let mut engine = StreamEngine::new(plan, zoo, exec).unwrap();
+    let (zoo, config) = (session.zoo(), &session.config().exec);
+    let mut ops = instantiate_stage_ops(&plan, zoo, config.exec_mode.workers()).unwrap();
+    let clock = Clock::new();
+    let env = ExecEnv {
+        plan: &plan,
+        source: video,
+        zoo,
+        clock: &clock,
+        config,
+    };
     let mut report = Report(Vec::new());
-    let frames = 0..video.frame_count();
-    engine
-        .run_segment(video, zoo, &Clock::new(), exec, frames, &mut report)
-        .unwrap();
+    let (frames, mut metrics) = (0..video.frame_count(), ExecMetrics::default());
+    run_segment(env, frames, &mut ops, &mut metrics, &mut report).unwrap();
     report.0
 }
 

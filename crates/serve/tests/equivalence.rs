@@ -4,8 +4,10 @@
 //! contract of the incremental recompile).
 
 use std::sync::Arc;
+use vqpy_core::backend::exec::run_segment;
+use vqpy_core::backend::stage::{instantiate_stage_ops, ExecEnv};
 use vqpy_core::frontend::{library, predicate::Pred};
-use vqpy_core::{Aggregate, Query, SessionConfig, VqpySession};
+use vqpy_core::{Aggregate, Collector, ExecMetrics, Query, SessionConfig, VqpySession};
 use vqpy_models::ModelZoo;
 use vqpy_serve::{Backpressure, ServeConfig, ServeEvent, ServeSession};
 use vqpy_video::source::{SyntheticVideo, VideoSource};
@@ -255,8 +257,8 @@ fn cross_stream_batching_is_byte_identical_to_solo() {
 /// are byte-identical to the uninterrupted static run, the detached query
 /// gets the exact prefix, and the late query the exact suffix — in both
 /// exec modes. This is the recompile-preservation contract of
-/// `StreamEngine::set_dispatch`: the shared boundary survives every plan
-/// swap.
+/// `StreamServer::install`, which builds every plan's operators over the
+/// stream's dispatch: the shared boundary survives every plan swap.
 #[test]
 fn property_stage_batching_survives_attach_detach_recompile() {
     use vqpy_serve::{BatcherConfig, ModelBatcher, StreamOptions};
@@ -633,15 +635,34 @@ fn detach_is_nonblocking_while_stream_is_stalled() {
 }
 
 /// Engine turnover (last query detaches, a new one attaches later) must
-/// not lose cumulative execution metrics.
+/// not lose cumulative execution metrics: frames, and reuse counts equal
+/// to two fresh runs of the query over the frames each engine executed.
 #[test]
 fn metrics_survive_engine_turnover() {
     let v = video(88, 6.0);
     let frames = v.frame_count();
     let session = Arc::new(VqpySession::new(ModelZoo::standard()));
     let server = session.serve(ServeConfig::default());
-    let stream = server.open_stream(Arc::new(v));
+    let stream = server.open_stream(Arc::new(v.clone()));
     let q = color_query("RedCar", "red");
+    // The reuse counts of `q` run alone, from an empty state, over `range`.
+    let fresh_reuse = |range: std::ops::Range<u64>| {
+        let plan = session.plan_for(&[Arc::clone(&q)], &v).unwrap();
+        let (zoo, config) = (session.zoo(), &session.config().exec);
+        let mut ops = instantiate_stage_ops(&plan, zoo, 1).unwrap();
+        let mut metrics = ExecMetrics::default();
+        let clock = vqpy_models::Clock::new();
+        let env = ExecEnv {
+            plan: &plan,
+            source: &v,
+            zoo,
+            clock: &clock,
+            config,
+        };
+        let mut sink = Collector::new(&plan);
+        run_segment(env, range, &mut ops, &mut metrics, &mut sink).unwrap();
+        metrics.reuse
+    };
 
     let first = server.attach(stream, Arc::clone(&q)).unwrap();
     let mut engine_frames = 0;
@@ -652,12 +673,17 @@ fn metrics_survive_engine_turnover() {
     // Engine retires here (no queries); this step's frames are idle and
     // must not appear in exec metrics.
     server.step(stream).unwrap();
-    let after_retire = server.exec_metrics(stream).unwrap().frames_total;
+    let retired = server.exec_metrics(stream).unwrap();
+    let after_retire = retired.frames_total;
     assert_eq!(
         after_retire, engine_frames,
         "retired engine's frames must survive"
     );
+    let first_reuse = fresh_reuse(0..engine_frames);
+    assert!(first_reuse.hits > 0, "{first_reuse:?}");
+    assert_eq!(retired.reuse, first_reuse, "retired engine's reuse counts");
     // ...and a fresh engine picks up the rest.
+    let resumed_at = server.position(stream).unwrap();
     let second = server.attach(stream, Arc::clone(&q)).unwrap();
     let metrics = server.run_to_end(stream).unwrap();
     drop((first, second));
@@ -669,6 +695,9 @@ fn metrics_survive_engine_turnover() {
         exec.frames_total,
         frames
     );
+    let mut both = first_reuse;
+    both.add(fresh_reuse(resumed_at..frames));
+    assert_eq!(exec.reuse, both, "reuse counts across the turnover");
 }
 
 /// Lifecycle edge cases: idle streams advance, detach-before-start works,

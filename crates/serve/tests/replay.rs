@@ -385,13 +385,14 @@ fn corrupted_segment_recomputes_with_notice() {
     let (hits, faults, agg) = drain(sub);
     assert_eq!(hits, exp_hits, "corruption must not change results");
     assert_eq!(agg, exp_agg);
-    assert!(faults >= 1, "subscriber should see a StoreFault notice");
+    // The damaged segment spans two chunks: one notice, counted once.
+    assert_eq!(faults, 1, "subscriber should see one StoreFault notice");
     let metrics = server.metrics(stream).unwrap();
-    assert!(
-        metrics.store_corruptions >= 1,
-        "corruption must be counted: {}",
-        metrics.store_corruptions
+    assert_eq!(
+        metrics.store_corruptions, 1,
+        "corruption must be counted once"
     );
+    assert_eq!(fs.metrics().corrupt_segments.load(Ordering::Relaxed), 1);
     assert!(metrics.summary().contains("corrupt store segments"));
     let _ = std::fs::remove_dir_all(&dir);
 }

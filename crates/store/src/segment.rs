@@ -85,6 +85,9 @@ pub struct SegmentMeta {
     pub max_ingest_us: u64,
     /// Sealed segments take no more appends and are eligible for eviction.
     pub sealed: bool,
+    /// A scan since open found the file damaged (counted once in
+    /// `StoreMetrics::corrupt_segments`).
+    pub damaged: bool,
     /// Absolute file path.
     pub path: PathBuf,
 }
@@ -247,6 +250,7 @@ pub fn scan_segment(path: &Path) -> std::io::Result<ScannedSegment> {
         min_ingest_us: records.first().map_or(0, |r| r.ingest_us),
         max_ingest_us: records.last().map_or(0, |r| r.ingest_us),
         sealed: false,
+        damaged: false,
         path: path.to_path_buf(),
     };
     Ok(ScannedSegment {

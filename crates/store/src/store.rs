@@ -435,6 +435,7 @@ impl StreamStore {
             } else {
                 let mut meta = scanned.meta;
                 meta.sealed = true;
+                meta.damaged = damaged;
                 sealed.push(meta);
             }
         }
@@ -490,6 +491,7 @@ impl StreamStore {
                     min_ingest_us: 0,
                     max_ingest_us: 0,
                     sealed: false,
+                    damaged: false,
                     path,
                 },
                 file,
@@ -565,8 +567,9 @@ impl StreamStore {
     /// The segment list is snapshotted under the lock, then files are read
     /// *outside* it, so bulk replay reads never block the ingest path. A
     /// segment evicted or damaged between snapshot and read yields a typed
-    /// [`StoreFault`] and its frames are simply absent — callers recompute
-    /// them.
+    /// [`StoreFault`] on every read and its frames are simply absent —
+    /// callers recompute them. A damaged segment counts in
+    /// [`StoreMetrics::corrupt_segments`] once, when first found so.
     pub fn load_range(&self, start: u64, end: u64) -> RangeLoad {
         let mut out = RangeLoad::default();
         if start >= end {
@@ -599,9 +602,11 @@ impl StreamStore {
             match scan_segment(&meta.path) {
                 Ok(scanned) => {
                     if let Some(fault) = scanned.fault {
-                        self.metrics
-                            .corrupt_segments
-                            .fetch_add(1, Ordering::Relaxed);
+                        if self.mark_damaged(meta.base_frame) {
+                            self.metrics
+                                .corrupt_segments
+                                .fetch_add(1, Ordering::Relaxed);
+                        }
                         out.faults.push(StoreFault::Corrupt(fault));
                     }
                     out.records.extend(
@@ -617,6 +622,14 @@ impl StreamStore {
         out.records.append(&mut overlay);
         out.records.sort_by_key(|r| r.frame);
         out
+    }
+
+    /// Marks the sealed segment based at `base_frame` damaged: whether it
+    /// was still indexed and not yet marked.
+    fn mark_damaged(&self, base_frame: u64) -> bool {
+        let mut inner = self.inner.lock();
+        let meta = inner.sealed.iter_mut().find(|m| m.base_frame == base_frame);
+        meta.is_some_and(|m| !std::mem::replace(&mut m.damaged, true))
     }
 
     /// Applies `policy` to this stream's sealed segments: oldest-first
@@ -931,7 +944,37 @@ mod tests {
         assert!(matches!(load.faults[0], StoreFault::Corrupt(_)));
         // Frames 0..3 minus the garbled record survive; 4..8 untouched.
         assert_eq!(load.records.len(), 7);
-        assert!(store.metrics().corrupt_segments.load(Ordering::Relaxed) >= 1);
+        assert_eq!(store.metrics().corrupt_segments.load(Ordering::Relaxed), 1);
+    }
+
+    /// A damaged segment counts once however often it is read, and not
+    /// again after a reopen found it damaged: every read still reports
+    /// its fault, so a reader knows which frames to recompute.
+    #[test]
+    fn a_damaged_segment_counts_once_over_repeated_reads() {
+        let cfg = config("damage_once");
+        {
+            let store = FrameStore::open(cfg.clone()).unwrap();
+            let s = store.stream("cam0").unwrap();
+            for f in 0..10 {
+                s.append(rec(f)).unwrap();
+            }
+            let first = s.segments()[0].path.clone();
+            corrupt_segment(&first, SegmentCorruption::FlipByteFromEnd(2)).unwrap();
+            for _ in 0..5 {
+                let load = s.load_range(0, 10);
+                assert_eq!(load.faults.len(), 1);
+                assert_eq!(load.records.len(), 9);
+            }
+            assert_eq!(store.metrics().corrupt_segments.load(Ordering::Relaxed), 1);
+        }
+        let store = FrameStore::open(cfg).unwrap();
+        let s = store.stream("cam0").unwrap();
+        assert_eq!(store.metrics().corrupt_segments.load(Ordering::Relaxed), 1);
+        for _ in 0..5 {
+            assert_eq!(s.load_range(0, 4).faults.len(), 1);
+        }
+        assert_eq!(store.metrics().corrupt_segments.load(Ordering::Relaxed), 1);
     }
 
     #[test]
