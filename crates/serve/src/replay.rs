@@ -341,9 +341,10 @@ impl StreamServer {
 
     /// One turn of a replay (see [`StreamServer::step`]): apply a pending
     /// detach, chase the live stream's published boundary through the
-    /// stored history for at most [`REPLAY_BUDGET_STEPS`] steps' worth of
-    /// frames, then splice into the live stream once caught up, or finish
-    /// once the stored history of a finished stream ends.
+    /// stored history in one chunk of at most [`REPLAY_BUDGET_STEPS`]
+    /// steps' worth of frames (one store read, run a step at a time), then
+    /// splice into the live stream once caught up, or finish once the
+    /// stored history of a finished stream ends.
     pub(crate) fn step_replay(
         &self,
         handle: &StreamHandle,
@@ -366,34 +367,36 @@ impl StreamServer {
                 recompiled: detached,
             });
         };
-        // One chunk of stored history: a damaged or missing segment becomes
-        // one typed StoreFault notice per replay (its frames recompute), the
-        // rest primes the store-backed window, and the range runs like a
-        // live segment.
+        // One chunk of stored history, read from the store once: a damaged
+        // or missing segment becomes one typed StoreFault notice per replay
+        // (its frames recompute), the rest primes the store-backed window,
+        // and the range runs a step at a time like live segments, so a
+        // restart rolls back one step, as it does live.
+        let step_frames = self.frames_per_step();
         let chunk = |s: &mut Stream, end: u64| -> ServeResult<()> {
-            let range = s.next_frame..end;
+            let start = s.next_frame;
             let store = s.store.as_ref().expect("a replay reads its stream's store");
             let load = {
                 let _span = self
                     .store_tracer
                     .span("store", "load_chunk")
-                    .arg("start", range.start)
-                    .arg("end", range.end);
-                store.load_range(range.start, range.end)
+                    .arg("start", start)
+                    .arg("end", end);
+                store.load_range(start, end)
             };
             for fault in &load.faults {
                 let path = match fault {
                     StoreFault::Corrupt(f) => &f.path,
                     StoreFault::Missing { path } => path,
                 };
-                // A segment overlaps every chunk it spans: notice it once.
+                // A segment may overlap several chunks: notice it once.
                 if s.store_faults.contains(path) {
                     continue;
                 }
                 s.store_faults.push(path.clone());
                 live.store_corruptions.fetch_add(1, Ordering::Relaxed);
                 let notice = StoreFaultNotice {
-                    frame: range.start,
+                    frame: start,
                     detail: fault.to_string(),
                 };
                 let event = ServeEvent::StoreFault(notice);
@@ -402,16 +405,18 @@ impl StreamServer {
                 }
             }
             window.set_window(load.records);
-            let _span = self
-                .store_tracer
-                .span("store", "replay")
-                .arg("start", range.start)
-                .arg("frames", range.end - range.start);
-            self.run_segment_isolated(handle, s, &range, Instant::now())?;
-            s.next_frame = range.end;
+            while s.next_frame < end {
+                let range = s.next_frame..(s.next_frame + step_frames).min(end);
+                let _span = self
+                    .store_tracer
+                    .span("store", "replay")
+                    .arg("start", range.start)
+                    .arg("frames", range.end - range.start);
+                self.run_segment_isolated(handle, s, &range, Instant::now())?;
+                s.next_frame = range.end;
+            }
             Ok(())
         };
-        let step_frames = self.frames_per_step();
         let budget = step_frames * REPLAY_BUDGET_STEPS;
         let total = s.source.frame_count();
         let live_finished = live.finished.load(Ordering::Acquire);
@@ -422,12 +427,11 @@ impl StreamServer {
         } else {
             live.published_next_frame.load(Ordering::Acquire).min(total)
         };
-        let mut frames = 0;
-        while frames < budget && s.next_frame < target {
-            let end = (s.next_frame + step_frames).min(target);
-            frames += end - s.next_frame;
-            chunk(s, end)?;
+        let start = s.next_frame;
+        if start < target {
+            chunk(s, (start + budget).min(target))?;
         }
+        let frames = s.next_frame - start;
         let outcome = |finished, recompiled| StepOutcome {
             frames,
             finished,
@@ -451,11 +455,10 @@ impl StreamServer {
             // The next turn resumes the chase.
             return Ok(outcome(false, false));
         }
-        // Close the (bounded) gap under the lock — the live stream cannot
-        // advance past us — then splice.
-        while s.next_frame < live_next {
-            let end = (s.next_frame + step_frames).min(live_next);
-            chunk(s, end)?;
+        // Close the gap (at most one step) under the lock — the live
+        // stream cannot advance past us — then splice.
+        if s.next_frame < live_next {
+            chunk(s, live_next)?;
         }
         self.splice(&mut live_state, s)?;
         // The replay's one subscription delivers on the live stream now.

@@ -580,9 +580,14 @@ fn detach_mid_replay_through_the_live_id() {
 /// The supervisor hides the replay's id: `StreamSupervisor::detach`
 /// through the live stream's id still detaches a backfilling
 /// subscription, and its channel closes.
+///
+/// The detach must land before the replay's first turn. One shard, and a
+/// blocker stream ahead of the replay whose one-slot channel nobody drains
+/// yet, hold that: the shard is parked in the blocker's second send (or
+/// has yet to step it) while the replay is attached and detached.
 #[test]
 fn supervisor_detach_mid_replay_through_the_live_id() {
-    use vqpy_serve::{PaceMode, StreamSupervisor, SupervisorConfig};
+    use vqpy_serve::{Backpressure, PaceMode, StreamSupervisor, SupervisorConfig};
 
     let query = color_query("RedCar", "red");
     let dir = tempdir("super_detach");
@@ -593,6 +598,9 @@ fn supervisor_detach_mid_replay_through_the_live_id() {
         SupervisorConfig {
             serve: ServeConfig {
                 store: Some(Arc::clone(&fs)),
+                shards: 1,
+                channel_capacity: 1,
+                backpressure: Backpressure::Block,
                 ..ServeConfig::default()
             },
             ..SupervisorConfig::default()
@@ -608,12 +616,29 @@ fn supervisor_detach_mid_replay_through_the_live_id() {
     drain(subs.remove(0));
     supervisor.join_stream(stream).unwrap();
 
+    let (_blocker, mut blocked) = supervisor
+        .add_stream(
+            Arc::new(video(18, 2.0)),
+            PaceMode::Unpaced,
+            &[count_query("Blocker")],
+        )
+        .unwrap();
+    let blocked = blocked.remove(0);
     // The whole stored history is still ahead of the replay when the
     // detach lands.
     let sub = supervisor
         .attach(stream, AttachSpec::new(Arc::clone(&query)).from(fs.epoch()))
         .unwrap();
     supervisor.detach(stream, sub.id()).unwrap();
+    // The blocker's first step sends at least two events, so the shard
+    // could not finish that step, and reach the replay, before this drain.
+    let first_step = supervisor.server().frames_per_step();
+    let (hits, _, _) = drain(blocked);
+    assert!(
+        hits.len() >= 2 && hits[1].frame < first_step,
+        "the blocker must fill its channel in its first step: {:?}",
+        hits.iter().map(|h| h.frame).take(4).collect::<Vec<_>>()
+    );
     assert!(matches!(
         last_event(&sub),
         Some(ServeEvent::Detached { .. })

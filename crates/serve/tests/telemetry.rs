@@ -9,9 +9,10 @@ use vqpy_core::frontend::{library, predicate::Pred};
 use vqpy_core::{ModelStage, Query, RetryPolicy, SessionConfig, VqpySession};
 use vqpy_models::{FaultInjector, FaultPlan, ModelZoo};
 use vqpy_serve::{
-    AttachSpec, BatcherConfig, PaceMode, ServeConfig, StreamSupervisor, SupervisorConfig, Telemetry,
+    AttachSpec, BatcherConfig, PaceMode, ServeConfig, ServeSession, StreamSupervisor,
+    SupervisorConfig, Telemetry,
 };
-use vqpy_video::source::SyntheticVideo;
+use vqpy_video::source::{SyntheticVideo, VideoSource};
 use vqpy_video::{presets, Scene};
 
 fn video(seed: u64, seconds: f64) -> SyntheticVideo {
@@ -170,6 +171,56 @@ fn two_stream_run_exports_full_timeline_and_metrics() {
         prom.contains("vqpy_batcher_requests_total{stage=\"detect\"}"),
         "{prom}"
     );
+}
+
+/// A replay turn reads its stored range once: a from-past replay of a
+/// finished stream opens one `load_chunk` span per turn of
+/// `4 × frames_per_step` frames, not one per step.
+#[test]
+fn a_replay_turn_loads_its_stored_range_once() {
+    let dir = std::env::temp_dir().join(format!("vqpy_replay_chunks_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let fs = vqpy_store::FrameStore::open(vqpy_store::StoreConfig {
+        background_eviction: false,
+        ..vqpy_store::StoreConfig::new(dir.clone())
+    })
+    .unwrap();
+    let session = Arc::new(VqpySession::new(ModelZoo::standard()));
+    let telemetry = Telemetry::with_tracing();
+    let server = session.serve(ServeConfig {
+        telemetry: telemetry.clone(),
+        store: Some(Arc::clone(&fs)),
+        ..ServeConfig::default()
+    });
+    let v = video(57, 12.0);
+    let frames = v.frame_count();
+    let stream = server.open_stream(Arc::new(v));
+    let query = color_query("RedCar", "red");
+    let live = server.attach(stream, Arc::clone(&query)).unwrap();
+    server.run_to_end(stream).unwrap();
+    let _ = live.into_inner().collect();
+
+    let attached = server
+        .attach(stream, AttachSpec::new(Arc::clone(&query)).from(fs.epoch()))
+        .unwrap();
+    let replay = attached.replay().expect("a from-past attach replays");
+    server.run_replay(replay).unwrap();
+    let _ = attached.into_inner().collect();
+
+    let loads = telemetry
+        .tracer()
+        .spans()
+        .iter()
+        .filter(|s| s.cat == "store" && s.name == "load_chunk")
+        .count() as u64;
+    let step = server.frames_per_step();
+    assert_eq!(
+        loads,
+        frames.div_ceil(4 * step),
+        "{frames} frames, {step} a step"
+    );
+    assert!(loads < frames.div_ceil(step));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The store satellite: with a frame store configured, a run plus an

@@ -18,8 +18,11 @@
 //!   handles ([`FrameStore::stream`]); appends roll segment files at
 //!   [`StoreConfig::segment_frames`] frames.
 //! - [`RetentionPolicy`] — max-bytes / max-age bounds over sealed
-//!   segments, enforced by a background eviction thread (or manually via
-//!   [`FrameStore::enforce_retention`] for deterministic tests).
+//!   segments, enforced over every stream by the append that seals a
+//!   segment, on the appending thread (or only when
+//!   [`FrameStore::enforce_retention`] is called, with
+//!   [`StoreConfig::background_eviction`] off). The store starts no
+//!   thread.
 //! - [`segment`] — the on-disk format: checksummed, length-prefixed
 //!   records whose scanner treats truncation and bit rot as typed
 //!   [`SegmentFault`]s, never panics. It reads only the format version it

@@ -5,13 +5,13 @@ use crate::segment::{
     append_record, scan_segment, segment_file_name, write_header, SegmentFault, SegmentFaultKind,
     SegmentMeta, SEGMENT_HEADER_LEN,
 };
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// What the store keeps and for how long.
@@ -46,14 +46,15 @@ pub struct StoreConfig {
     pub segment_frames: u64,
     /// Retention bounds enforced over sealed segments.
     pub retention: RetentionPolicy,
-    /// Run a background eviction thread (woken on every segment seal).
-    /// Disable for deterministic tests and call
-    /// [`FrameStore::enforce_retention`] manually instead.
+    /// Enforce retention over every stream of the store whenever an
+    /// append seals a segment, on the appending thread once it has
+    /// released its stream's lock. Off, retention runs only when
+    /// [`FrameStore::enforce_retention`] is called.
     pub background_eviction: bool,
 }
 
 impl StoreConfig {
-    /// Defaults: 64-frame segments, keep everything, background eviction.
+    /// Defaults: 64-frame segments, keep everything, retention at seal.
     pub fn new(root: impl Into<PathBuf>) -> Self {
         Self {
             root: root.into(),
@@ -127,18 +128,31 @@ pub struct RangeLoad {
     pub faults: Vec<StoreFault>,
 }
 
-struct EvictSignal {
-    state: Mutex<bool>, // true => stop
-    cv: Condvar,
+type StreamMap = Mutex<HashMap<String, Arc<StreamStore>>>;
+
+/// Retention over every stream of one store: what
+/// [`FrameStore::enforce_retention`] runs, and what a sealing append runs
+/// when [`StoreConfig::background_eviction`] is set.
+struct Sweep {
+    streams: Weak<StreamMap>,
+    retention: RetentionPolicy,
+    epoch: Instant,
 }
 
-impl EvictSignal {
-    fn wake(&self) {
-        self.cv.notify_all();
-    }
-    fn stop(&self) {
-        *self.state.lock() = true;
-        self.cv.notify_all();
+impl Sweep {
+    fn run(&self) {
+        // Under the default keep-all policy a seal has nothing to evict.
+        if self.retention == RetentionPolicy::keep_all() {
+            return;
+        }
+        let Some(streams) = self.streams.upgrade() else {
+            return;
+        };
+        let now_us = self.epoch.elapsed().as_micros() as u64;
+        let targets: Vec<Arc<StreamStore>> = streams.lock().values().cloned().collect();
+        for s in targets {
+            s.enforce_retention(&self.retention, now_us);
+        }
     }
 }
 
@@ -152,10 +166,8 @@ impl EvictSignal {
 pub struct FrameStore {
     config: StoreConfig,
     epoch: Instant,
-    streams: Arc<Mutex<HashMap<String, Arc<StreamStore>>>>,
+    streams: Arc<StreamMap>,
     metrics: Arc<StoreMetrics>,
-    signal: Arc<EvictSignal>,
-    evictor: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl fmt::Debug for FrameStore {
@@ -179,66 +191,36 @@ impl FrameStore {
     /// existing stream directory cannot be read.
     pub fn open(config: StoreConfig) -> std::io::Result<Arc<FrameStore>> {
         std::fs::create_dir_all(&config.root)?;
-        let metrics = Arc::new(StoreMetrics::default());
-        let signal = Arc::new(EvictSignal {
-            state: Mutex::new(false),
-            cv: Condvar::new(),
-        });
-        let streams: Arc<Mutex<HashMap<String, Arc<StreamStore>>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        {
-            let mut map = streams.lock();
-            for entry in std::fs::read_dir(&config.root)? {
-                let entry = entry?;
-                if entry.file_type()?.is_dir() {
-                    let key = entry.file_name().to_string_lossy().into_owned();
-                    let stream = StreamStore::open(
-                        &key,
-                        entry.path(),
-                        config.segment_frames,
-                        &metrics,
-                        Arc::downgrade(&signal),
-                    )?;
-                    map.insert(key, Arc::new(stream));
-                }
-            }
-        }
-        let store = Arc::new(FrameStore {
+        let store = FrameStore {
             config,
             epoch: Instant::now(),
-            streams,
-            metrics,
-            signal,
-            evictor: Mutex::new(None),
-        });
-        if store.config.background_eviction {
-            let streams = Arc::clone(&store.streams);
-            let signal = Arc::clone(&store.signal);
-            let retention = store.config.retention;
-            let epoch = store.epoch;
-            let handle = std::thread::Builder::new()
-                .name("vqpy-store-evict".into())
-                .spawn(move || loop {
-                    {
-                        let mut stop = signal.state.lock();
-                        if *stop {
-                            return;
-                        }
-                        signal.cv.wait_for(&mut stop, Duration::from_millis(200));
-                        if *stop {
-                            return;
-                        }
-                    }
-                    let now_us = epoch.elapsed().as_micros() as u64;
-                    let targets: Vec<Arc<StreamStore>> = streams.lock().values().cloned().collect();
-                    for s in targets {
-                        s.enforce_retention(&retention, now_us);
-                    }
-                })
-                .expect("spawn store eviction thread");
-            *store.evictor.lock() = Some(handle);
+            streams: Arc::default(),
+            metrics: Arc::default(),
+        };
+        for entry in std::fs::read_dir(&store.config.root)? {
+            let entry = entry?;
+            if entry.file_type()?.is_dir() {
+                let key = entry.file_name().to_string_lossy().into_owned();
+                let stream = store.open_stream(&key, entry.path())?;
+                store.streams.lock().insert(key, Arc::new(stream));
+            }
         }
-        Ok(store)
+        Ok(Arc::new(store))
+    }
+
+    /// Opens one stream directory, handing it the store's retention sweep
+    /// when seals enforce retention.
+    fn open_stream(&self, key: &str, dir: PathBuf) -> std::io::Result<StreamStore> {
+        let sweep = self.config.background_eviction.then(|| self.sweep());
+        StreamStore::open(key, dir, self.config.segment_frames, &self.metrics, sweep)
+    }
+
+    fn sweep(&self) -> Sweep {
+        Sweep {
+            streams: Arc::downgrade(&self.streams),
+            retention: self.config.retention,
+            epoch: self.epoch,
+        }
     }
 
     /// The instant all `ingest_us` timestamps are measured from. Maps a
@@ -283,13 +265,7 @@ impl FrameStore {
         }
         let dir = self.config.root.join(key);
         std::fs::create_dir_all(&dir)?;
-        let stream = Arc::new(StreamStore::open(
-            key,
-            dir,
-            self.config.segment_frames,
-            &self.metrics,
-            Arc::downgrade(&self.signal),
-        )?);
+        let stream = Arc::new(self.open_stream(key, dir)?);
         map.insert(key.to_owned(), Arc::clone(&stream));
         Ok(stream)
     }
@@ -301,24 +277,12 @@ impl FrameStore {
         keys
     }
 
-    /// Synchronously enforces the retention policy over every stream.
-    /// The background evictor calls the same code; tests call this for
-    /// deterministic eviction points.
+    /// Enforces the retention policy over every stream now: the same
+    /// sweep a sealing append runs when
+    /// [`StoreConfig::background_eviction`] is set, and the only one when
+    /// it is not.
     pub fn enforce_retention(&self) {
-        let now_us = self.now_us();
-        let targets: Vec<Arc<StreamStore>> = self.streams.lock().values().cloned().collect();
-        for s in targets {
-            s.enforce_retention(&self.config.retention, now_us);
-        }
-    }
-}
-
-impl Drop for FrameStore {
-    fn drop(&mut self) {
-        self.signal.stop();
-        if let Some(h) = self.evictor.lock().take() {
-            let _ = h.join();
-        }
+        self.sweep().run();
     }
 }
 
@@ -334,9 +298,23 @@ struct StreamInner {
     sealed: Vec<SegmentMeta>,
     active: Option<ActiveSegment>,
     next_frame: u64,
-    /// `(frame, ingest_us)` pairs for retained frames, frame-ascending;
-    /// the binary-search index behind [`StreamStore::frame_at_or_after`].
+    /// One `(first frame, ingest_us)` entry per run of indexed frames
+    /// stamped alike (the serving layer stamps a whole step at once),
+    /// frame-ascending; the binary-search index behind
+    /// [`StreamStore::frame_at_or_after`].
     ingest_index: Vec<(u64, u64)>,
+}
+
+impl StreamInner {
+    fn index_ingest(&mut self, frame: u64, ingest_us: u64) {
+        if self
+            .ingest_index
+            .last()
+            .is_none_or(|&(_, t)| t != ingest_us)
+        {
+            self.ingest_index.push((frame, ingest_us));
+        }
+    }
 }
 
 /// One stream's persisted history. Obtained from [`FrameStore::stream`];
@@ -348,7 +326,8 @@ pub struct StreamStore {
     segment_frames: u64,
     metrics: Arc<StoreMetrics>,
     inner: Mutex<StreamInner>,
-    signal: std::sync::Weak<EvictSignal>,
+    /// The store-wide retention sweep a seal runs, when seals evict.
+    sweep: Option<Sweep>,
 }
 
 impl fmt::Debug for StreamStore {
@@ -366,7 +345,7 @@ impl StreamStore {
         dir: PathBuf,
         segment_frames: u64,
         metrics: &Arc<StoreMetrics>,
-        signal: std::sync::Weak<EvictSignal>,
+        sweep: Option<Sweep>,
     ) -> std::io::Result<StreamStore> {
         assert!(segment_frames > 0, "segment_frames must be positive");
         // Rebuild the index by scanning every segment file, base-frame
@@ -391,10 +370,12 @@ impl StreamStore {
         }
         paths.sort();
 
-        let mut sealed = Vec::new();
-        let mut active: Option<ActiveSegment> = None;
-        let mut next_frame = 0u64;
-        let mut ingest_index = Vec::new();
+        let mut index = StreamInner {
+            sealed: Vec::new(),
+            active: None,
+            next_frame: 0,
+            ingest_index: Vec::new(),
+        };
         let last = paths.len().wrapping_sub(1);
         for (i, (_, path)) in paths.iter().enumerate() {
             let scanned = scan_segment(path)?;
@@ -419,15 +400,15 @@ impl StreamStore {
                 continue;
             }
             for rec in &scanned.records {
-                ingest_index.push((rec.frame, rec.ingest_us));
+                index.index_ingest(rec.frame, rec.ingest_us);
             }
-            next_frame = next_frame.max(scanned.meta.end_frame);
+            index.next_frame = index.next_frame.max(scanned.meta.end_frame);
             metrics.add_segment(scanned.meta.bytes);
             let full = scanned.meta.records >= segment_frames;
             if i == last && !full && !damaged {
                 // Resume appending into the tail segment.
                 let file = OpenOptions::new().append(true).open(path)?;
-                active = Some(ActiveSegment {
+                index.active = Some(ActiveSegment {
                     meta: scanned.meta,
                     file,
                     overlay: scanned.records,
@@ -436,7 +417,7 @@ impl StreamStore {
                 let mut meta = scanned.meta;
                 meta.sealed = true;
                 meta.damaged = damaged;
-                sealed.push(meta);
+                index.sealed.push(meta);
             }
         }
         Ok(StreamStore {
@@ -444,13 +425,8 @@ impl StreamStore {
             dir,
             segment_frames,
             metrics: Arc::clone(metrics),
-            inner: Mutex::new(StreamInner {
-                sealed,
-                active,
-                next_frame,
-                ingest_index,
-            }),
-            signal,
+            inner: Mutex::new(index),
+            sweep,
         })
     }
 
@@ -498,7 +474,7 @@ impl StreamStore {
                 overlay: Vec::new(),
             });
         }
-        inner.ingest_index.push((rec.frame, rec.ingest_us));
+        inner.index_ingest(rec.frame, rec.ingest_us);
         let written = {
             let active = inner.active.as_mut().unwrap();
             let written = append_record(&mut active.file, &rec)?;
@@ -519,8 +495,9 @@ impl StreamStore {
             let mut meta = inner.active.take().unwrap().meta;
             meta.sealed = true;
             inner.sealed.push(meta);
-            if let Some(signal) = self.signal.upgrade() {
-                signal.wake();
+            drop(inner);
+            if let Some(sweep) = &self.sweep {
+                sweep.run();
             }
         }
         Ok(())
@@ -619,8 +596,9 @@ impl StreamStore {
                 Err(_) => out.faults.push(StoreFault::Missing { path: meta.path }),
             }
         }
+        // Sealed segments are indexed by base and the overlay follows
+        // them, so the records are already in frame order.
         out.records.append(&mut overlay);
-        out.records.sort_by_key(|r| r.frame);
         out
     }
 
@@ -1019,21 +997,121 @@ mod tests {
         assert_eq!(s.frame_at_or_after(3500), Some(3));
     }
 
+    /// With `background_eviction` set, the append that seals a segment
+    /// runs retention before it returns: the eviction count is exact right
+    /// after each seal, with no wait.
     #[test]
     fn background_evictor_runs_on_seal() {
         let mut cfg = config("bg");
         cfg.retention.max_bytes = Some(0);
         cfg.background_eviction = true;
         let store = FrameStore::open(cfg).unwrap();
+        let evictions = || store.metrics().evictions.load(Ordering::Relaxed);
         let s = store.stream("cam0").unwrap();
-        for f in 0..8 {
+        for f in 0..3 {
             s.append(rec(f)).unwrap();
         }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while store.metrics().evictions.load(Ordering::Relaxed) < 2 {
-            assert!(Instant::now() < deadline, "evictor never ran");
-            std::thread::sleep(Duration::from_millis(10));
+        assert_eq!(evictions(), 0);
+        s.append(rec(3)).unwrap();
+        assert_eq!(evictions(), 1, "the first seal evicts its segment");
+        for f in 4..8 {
+            s.append(rec(f)).unwrap();
         }
-        drop(store); // joins the evictor thread
+        assert_eq!(evictions(), 2);
+        assert!(s.segments().is_empty());
+    }
+
+    /// A seal sweeps the whole store: a stream that seals nothing still
+    /// loses its over-age sealed segments when another stream seals.
+    #[test]
+    fn a_seal_evicts_an_over_age_segment_of_another_stream() {
+        let mut cfg = config("bg_sweep");
+        // One sealed segment of cam_b, stamped at the epoch.
+        {
+            let store = FrameStore::open(cfg.clone()).unwrap();
+            let b = store.stream("cam_b").unwrap();
+            for f in 0..4 {
+                b.append(FrameRecord {
+                    ingest_us: 0,
+                    ..rec(f)
+                })
+                .unwrap();
+            }
+        }
+        cfg.retention.max_age = Some(Duration::from_micros(1));
+        cfg.background_eviction = true;
+        let store = FrameStore::open(cfg).unwrap();
+        let a = store.stream("cam_a").unwrap();
+        let b = store.stream("cam_b").unwrap();
+        // Stamped far ahead of the store's clock: never over age.
+        let fresh = |frame| FrameRecord {
+            ingest_us: u64::MAX / 2,
+            ..rec(frame)
+        };
+        for f in 0..3 {
+            a.append(fresh(f)).unwrap();
+        }
+        assert_eq!(b.segments().len(), 1, "no seal yet, no sweep");
+        a.append(fresh(3)).unwrap();
+        assert!(b.segments().is_empty(), "{:?}", b.segments());
+        assert_eq!(a.segments().len(), 1, "a's fresh segment stays");
+        assert_eq!(store.metrics().evictions.load(Ordering::Relaxed), 1);
+    }
+
+    /// The ingest index keeps one entry per run of equal stamps; every
+    /// lookup answers as a per-frame index of the retained frames does,
+    /// for each stamp and its neighbours, across steps that straddle
+    /// segments, an eviction and a reopen.
+    #[test]
+    fn ingest_index_by_stamp_answers_as_a_per_frame_index() {
+        fn check(s: &StreamStore, reference: &[(u64, u64)]) {
+            for &(_, stamp) in reference {
+                for t in [stamp.saturating_sub(1), stamp, stamp + 1] {
+                    let i = reference.partition_point(|&(_, r)| r < t);
+                    let want = reference.get(i).map(|&(f, _)| f);
+                    assert_eq!(s.frame_at_or_after(t), want, "at {t} µs");
+                }
+            }
+            let entries = s.inner.lock().ingest_index.len();
+            let stamps = reference.windows(2).filter(|w| w[0].1 != w[1].1).count() + 1;
+            assert_eq!(entries, stamps);
+        }
+        // Steps of 3 frames share a stamp; segments hold 4 frames.
+        let step_stamp = |frame: u64| 10_000 + (frame / 3) * 1_000;
+        let append = |s: &StreamStore, frames: std::ops::Range<u64>, reference: &mut Vec<_>| {
+            for f in frames {
+                let r = FrameRecord {
+                    ingest_us: step_stamp(f),
+                    ..rec(f)
+                };
+                reference.push((f, r.ingest_us));
+                s.append(r).unwrap();
+            }
+        };
+        let mut cfg = config("index_runs");
+        cfg.retention.max_bytes = Some(0);
+        let mut reference = Vec::new();
+        {
+            let store = FrameStore::open(cfg.clone()).unwrap();
+            let s = store.stream("cam0").unwrap();
+            append(&s, 0..14, &mut reference);
+            check(&s, &reference);
+            store.enforce_retention();
+            assert_eq!(s.earliest_frame(), Some(12), "frames 0..12 evicted");
+            check(&s, &reference);
+        }
+        // A reopened store indexes the frames it still holds.
+        let store = FrameStore::open(cfg).unwrap();
+        let s = store.stream("cam0").unwrap();
+        let mut reference: Vec<(u64, u64)> = s
+            .load_range(0, s.next_frame())
+            .records
+            .iter()
+            .map(|r| (r.frame, r.ingest_us))
+            .collect();
+        assert_eq!(reference, [(12, 14_000), (13, 14_000)]);
+        check(&s, &reference);
+        append(&s, 14..23, &mut reference);
+        check(&s, &reference);
     }
 }
