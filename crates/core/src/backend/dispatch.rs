@@ -8,6 +8,11 @@
 //! default ([`DirectDispatch`]) calls the model's own batched entry point:
 //! one physical invocation per (stream, batch) for every stage.
 //!
+//! A dispatch layer implements one method, [`DispatchLayer::call`], over a
+//! borrowed, stage-tagged [`ModelCall`], and answers with the stage's own
+//! [`ModelReply`] variant; a blanket impl gives every layer the typed
+//! [`ModelDispatch`] methods the engine's operators call.
+//!
 //! The indirection exists for the serving layer: a multi-stream supervisor
 //! installs a *shared* dispatcher (`vqpy-serve`'s `ModelBatcher`) that
 //! coalesces submissions from many concurrent streams **per (stage,
@@ -33,7 +38,9 @@
 //! submits classify traffic through the same handle.
 
 use std::sync::Arc;
-use vqpy_models::{Classifier, Clock, Detection, Detector, FrameClassifier, ModelFault, Value};
+use vqpy_models::{
+    Classifier, Clock, Detection, Detector, FrameClassifier, ModelFault, ModelProfile, Value,
+};
 use vqpy_video::frame::Frame;
 
 /// The model stages whose invocations cross the dispatch boundary. Indexes
@@ -72,32 +79,163 @@ impl ModelStage {
     }
 }
 
-/// Issues model-stage invocations on behalf of the executor, one typed
-/// entry point per stage. Implementations must be result-transparent: each
-/// method's `Ok` value must equal the model's own batched entry point on
-/// the same submission, regardless of how the physical invocation is
-/// organized.
-pub trait ModelDispatch: Send + Sync {
-    /// Runs `detector` over `frames`, returning one detection list per
-    /// frame, in order.
+/// One model-stage invocation, tagged by stage. It borrows the model and
+/// the submission the engine already holds, so building one allocates
+/// nothing.
+#[derive(Clone, Copy)]
+pub enum ModelCall<'a> {
+    /// Detect over live frames: one detection list per frame back.
+    Detect {
+        model: &'a Arc<dyn Detector>,
+        frames: &'a [&'a Frame],
+    },
+    /// A binary frame filter over live frames: one verdict per frame back.
+    Predict {
+        model: &'a Arc<dyn FrameClassifier>,
+        frames: &'a [&'a Frame],
+    },
+    /// A property model over one `(frame, crops)` job per frame: one value
+    /// list per job back.
+    Classify {
+        model: &'a Arc<dyn Classifier>,
+        jobs: &'a [(&'a Frame, &'a [Detection])],
+    },
+}
+
+impl ModelCall<'_> {
+    /// The call's stage.
+    pub fn stage(&self) -> ModelStage {
+        match self {
+            ModelCall::Detect { .. } => ModelStage::Detect,
+            ModelCall::Predict { .. } => ModelStage::Predict,
+            ModelCall::Classify { .. } => ModelStage::Classify,
+        }
+    }
+
+    /// The model's registry name.
+    pub fn model_name(&self) -> &str {
+        match self {
+            ModelCall::Detect { model, .. } => &model.profile().name,
+            ModelCall::Predict { model, .. } => &model.profile().name,
+            ModelCall::Classify { model, .. } => &model.profile().name,
+        }
+    }
+
+    /// The model's `Arc` identity: a model *instance*, not a registry
+    /// name. Two same-named models may be configured differently.
+    pub fn model_key(&self) -> usize {
+        match self {
+            ModelCall::Detect { model, .. } => Arc::as_ptr(model) as *const () as usize,
+            ModelCall::Predict { model, .. } => Arc::as_ptr(model) as *const () as usize,
+            ModelCall::Classify { model, .. } => Arc::as_ptr(model) as *const () as usize,
+        }
+    }
+
+    /// Items the call puts through the model: frames for detect and
+    /// predict, crops for classify.
+    pub fn items(&self) -> usize {
+        match self {
+            ModelCall::Detect { frames, .. } | ModelCall::Predict { frames, .. } => frames.len(),
+            ModelCall::Classify { jobs, .. } => jobs.iter().map(|(_, dets)| dets.len()).sum(),
+        }
+    }
+
+    /// Issues the call through a typed dispatcher: how a layer reaches the
+    /// dispatcher it wraps.
     ///
     /// # Errors
     ///
-    /// A [`ModelFault`] when the invocation failed and the dispatcher did
-    /// not (or could not) recover it.
+    /// The dispatcher's [`ModelFault`].
+    pub fn send(self, to: &dyn ModelDispatch, clock: &Clock) -> Result<ModelReply, ModelFault> {
+        match self {
+            ModelCall::Detect { model, frames } => {
+                to.detect(model, frames, clock).map(ModelReply::Detect)
+            }
+            ModelCall::Predict { model, frames } => {
+                to.predict(model, frames, clock).map(ModelReply::Predict)
+            }
+            ModelCall::Classify { model, jobs } => to
+                .classify_jobs(model, jobs, clock)
+                .map(ModelReply::Classify),
+        }
+    }
+}
+
+/// The answer to a [`ModelCall`], in the call's stage and order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ModelReply {
+    /// One detection list per frame.
+    Detect(Vec<Vec<Detection>>),
+    /// One verdict per frame.
+    Predict(Vec<bool>),
+    /// One value list per job.
+    Classify(Vec<Vec<Value>>),
+}
+
+impl ModelReply {
+    /// The stage the reply answers.
+    pub fn stage(&self) -> ModelStage {
+        match self {
+            ModelReply::Detect(_) => ModelStage::Detect,
+            ModelReply::Predict(_) => ModelStage::Predict,
+            ModelReply::Classify(_) => ModelStage::Classify,
+        }
+    }
+
+    /// The fault a layer's reply of the wrong stage becomes.
+    fn mismatch(&self, model: &ModelProfile, want: ModelStage) -> ModelFault {
+        let (want, got) = (want.name(), self.stage().name());
+        ModelFault::new(&model.name, format!("a {want} call got a {got} reply"))
+    }
+
+    /// Splits off the answers to the first `n` frames (or jobs), leaving
+    /// the rest: how a coalesced reply is handed back to each submitter in
+    /// order.
+    pub fn split_front(&mut self, n: usize) -> ModelReply {
+        fn front<T>(v: &mut Vec<T>, n: usize) -> Vec<T> {
+            let rest = v.split_off(n.min(v.len()));
+            std::mem::replace(v, rest)
+        }
+        match self {
+            ModelReply::Detect(v) => ModelReply::Detect(front(v, n)),
+            ModelReply::Predict(v) => ModelReply::Predict(front(v, n)),
+            ModelReply::Classify(v) => ModelReply::Classify(front(v, n)),
+        }
+    }
+}
+
+/// A dispatch layer: one entry point for every model stage. Its reply
+/// must be the call's own [`ModelReply`] variant, and its values must
+/// equal the model's own batched entry point on the same submission,
+/// however the physical invocation is organized. Every layer is a
+/// [`ModelDispatch`] through the blanket impl.
+pub trait DispatchLayer: Send + Sync {
+    /// Issues `call`.
+    ///
+    /// # Errors
+    ///
+    /// A [`ModelFault`] when the invocation failed and the layer did not
+    /// (or could not) recover it.
+    fn call(&self, call: ModelCall<'_>, clock: &Clock) -> Result<ModelReply, ModelFault>;
+}
+
+/// The typed face of the dispatch boundary: one method per stage, the
+/// calls the engine's operators make. Each method's `Ok` value must equal
+/// the model's own batched entry point on the same submission. Every
+/// [`DispatchLayer`] implements it.
+///
+/// Each method errors with a [`ModelFault`] when the invocation failed and
+/// the dispatcher did not (or could not) recover it.
+pub trait ModelDispatch: Send + Sync {
+    /// [`ModelCall::Detect`]: one detection list per frame, in order.
     fn detect(
         &self,
-        detector: &Arc<dyn Detector>,
+        model: &Arc<dyn Detector>,
         frames: &[&Frame],
         clock: &Clock,
     ) -> Result<Vec<Vec<Detection>>, ModelFault>;
 
-    /// Runs the binary frame classifier over `frames`, returning one
-    /// verdict per frame, in order.
-    ///
-    /// # Errors
-    ///
-    /// A [`ModelFault`] when the invocation failed unrecoverably.
+    /// [`ModelCall::Predict`]: one verdict per frame, in order.
     fn predict(
         &self,
         model: &Arc<dyn FrameClassifier>,
@@ -105,17 +243,9 @@ pub trait ModelDispatch: Send + Sync {
         clock: &Clock,
     ) -> Result<Vec<bool>, ModelFault>;
 
-    /// Runs the per-object property model over `dets` (crops of `frame`),
-    /// returning one value per detection, in order.
-    ///
-    /// The engine no longer calls this: it issues
-    /// [`ModelDispatch::classify_jobs`]. It remains the one required
-    /// classify method so that a dispatcher written against it alone
-    /// still works, through `classify_jobs`'s default.
-    ///
-    /// # Errors
-    ///
-    /// A [`ModelFault`] when the invocation failed unrecoverably.
+    /// One `(frame, crops)` job: one value per crop, in order. The engine
+    /// does not call this; it is the one required classify method, so a
+    /// dispatcher written against it alone works through `classify_jobs`.
     fn classify(
         &self,
         model: &Arc<dyn Classifier>,
@@ -124,16 +254,10 @@ pub trait ModelDispatch: Send + Sync {
         clock: &Clock,
     ) -> Result<Vec<Value>, ModelFault>;
 
-    /// Runs the per-object property model over `jobs` — one `(frame,
-    /// crops)` job per frame of a batch — returning one value list per
-    /// job, in order. The projection operator issues one such call per
-    /// model per batch. The default runs [`ModelDispatch::classify`] per
-    /// job, one physical invocation each; every dispatcher in this crate
-    /// and the serving layer overrides it to issue one for the whole call.
-    ///
-    /// # Errors
-    ///
-    /// A [`ModelFault`] when the invocation failed unrecoverably.
+    /// [`ModelCall::Classify`]: one value list per job, in order. The
+    /// projection operator issues one such call per model per batch. The
+    /// default runs [`ModelDispatch::classify`] per job, one physical
+    /// invocation each; every [`DispatchLayer`] issues one for the call.
     fn classify_jobs(
         &self,
         model: &Arc<dyn Classifier>,
@@ -146,20 +270,17 @@ pub trait ModelDispatch: Send + Sync {
     }
 }
 
-/// The default boundary: one physical batched invocation per call, issued
-/// directly on the calling thread through the models' fallible entry
-/// points.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DirectDispatch;
-
-impl ModelDispatch for DirectDispatch {
+impl<T: DispatchLayer> ModelDispatch for T {
     fn detect(
         &self,
-        detector: &Arc<dyn Detector>,
+        model: &Arc<dyn Detector>,
         frames: &[&Frame],
         clock: &Clock,
     ) -> Result<Vec<Vec<Detection>>, ModelFault> {
-        detector.try_detect_batch(frames, clock)
+        match self.call(ModelCall::Detect { model, frames }, clock)? {
+            ModelReply::Detect(out) => Ok(out),
+            other => Err(other.mismatch(model.profile(), ModelStage::Detect)),
+        }
     }
 
     fn predict(
@@ -168,7 +289,10 @@ impl ModelDispatch for DirectDispatch {
         frames: &[&Frame],
         clock: &Clock,
     ) -> Result<Vec<bool>, ModelFault> {
-        model.try_predict_batch(frames, clock)
+        match self.call(ModelCall::Predict { model, frames }, clock)? {
+            ModelReply::Predict(out) => Ok(out),
+            other => Err(other.mismatch(model.profile(), ModelStage::Predict)),
+        }
     }
 
     fn classify(
@@ -178,7 +302,8 @@ impl ModelDispatch for DirectDispatch {
         dets: &[Detection],
         clock: &Clock,
     ) -> Result<Vec<Value>, ModelFault> {
-        model.try_classify_batch(frame, dets, clock)
+        let mut values = self.classify_jobs(model, &[(frame, dets)], clock)?;
+        Ok(values.pop().unwrap_or_default())
     }
 
     fn classify_jobs(
@@ -187,7 +312,32 @@ impl ModelDispatch for DirectDispatch {
         jobs: &[(&Frame, &[Detection])],
         clock: &Clock,
     ) -> Result<Vec<Vec<Value>>, ModelFault> {
-        model.try_classify_batch_jobs(jobs, clock)
+        match self.call(ModelCall::Classify { model, jobs }, clock)? {
+            ModelReply::Classify(out) => Ok(out),
+            other => Err(other.mismatch(model.profile(), ModelStage::Classify)),
+        }
+    }
+}
+
+/// The default boundary: one physical batched invocation per call, issued
+/// directly on the calling thread through the models' fallible entry
+/// points.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct DirectDispatch;
+
+impl DispatchLayer for DirectDispatch {
+    fn call(&self, call: ModelCall<'_>, clock: &Clock) -> Result<ModelReply, ModelFault> {
+        match call {
+            ModelCall::Detect { model, frames } => model
+                .try_detect_batch(frames, clock)
+                .map(ModelReply::Detect),
+            ModelCall::Predict { model, frames } => model
+                .try_predict_batch(frames, clock)
+                .map(ModelReply::Predict),
+            ModelCall::Classify { model, jobs } => model
+                .try_classify_batch_jobs(jobs, clock)
+                .map(ModelReply::Classify),
+        }
     }
 }
 
@@ -302,66 +452,13 @@ impl RetryDispatch {
         self.tracer = tracer;
         self
     }
-
-    /// The wrapped dispatcher.
-    pub fn inner(&self) -> &Arc<dyn ModelDispatch> {
-        &self.inner
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
 }
 
-impl ModelDispatch for RetryDispatch {
-    fn detect(
-        &self,
-        detector: &Arc<dyn Detector>,
-        frames: &[&Frame],
-        clock: &Clock,
-    ) -> Result<Vec<Vec<Detection>>, ModelFault> {
-        self.policy
-            .run(clock, ModelStage::Detect, &self.tracer, || {
-                self.inner.detect(detector, frames, clock)
-            })
-    }
-
-    fn predict(
-        &self,
-        model: &Arc<dyn FrameClassifier>,
-        frames: &[&Frame],
-        clock: &Clock,
-    ) -> Result<Vec<bool>, ModelFault> {
-        self.policy
-            .run(clock, ModelStage::Predict, &self.tracer, || {
-                self.inner.predict(model, frames, clock)
-            })
-    }
-
-    fn classify(
-        &self,
-        model: &Arc<dyn Classifier>,
-        frame: &Frame,
-        dets: &[Detection],
-        clock: &Clock,
-    ) -> Result<Vec<Value>, ModelFault> {
-        self.policy
-            .run(clock, ModelStage::Classify, &self.tracer, || {
-                self.inner.classify(model, frame, dets, clock)
-            })
-    }
-
-    fn classify_jobs(
-        &self,
-        model: &Arc<dyn Classifier>,
-        jobs: &[(&Frame, &[Detection])],
-        clock: &Clock,
-    ) -> Result<Vec<Vec<Value>>, ModelFault> {
-        self.policy
-            .run(clock, ModelStage::Classify, &self.tracer, || {
-                self.inner.classify_jobs(model, jobs, clock)
-            })
+impl DispatchLayer for RetryDispatch {
+    fn call(&self, call: ModelCall<'_>, clock: &Clock) -> Result<ModelReply, ModelFault> {
+        self.policy.run(clock, call.stage(), &self.tracer, || {
+            call.send(&*self.inner, clock)
+        })
     }
 }
 

@@ -49,7 +49,8 @@ pub mod session;
 pub use vqpy_obs::{Telemetry, Tracer};
 
 pub use backend::dispatch::{
-    DirectDispatch, ModelDispatch, ModelStage, RetryDispatch, RetryPolicy, RETRY_BACKOFF_LABEL,
+    DirectDispatch, DispatchLayer, ModelCall, ModelDispatch, ModelReply, ModelStage, RetryDispatch,
+    RetryPolicy, RETRY_BACKOFF_LABEL,
 };
 pub use backend::exec::{
     Collector, ExecConfig, ExecMetrics, ExecMode, FrameHit, QueryAccum, QueryResult, ResultSink,

@@ -37,8 +37,8 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use vqpy_core::{panic_message, ModelDispatch, ModelStage};
-use vqpy_models::{Classifier, Clock, Detection, Detector, FrameClassifier, ModelFault, Value};
+use vqpy_core::{panic_message, DirectDispatch, DispatchLayer, ModelCall, ModelReply, ModelStage};
+use vqpy_models::{Classifier, Clock, Detection, Detector, FrameClassifier, ModelFault};
 use vqpy_obs::{Counter, Histogram, Telemetry, Tracer};
 use vqpy_video::frame::Frame;
 
@@ -247,68 +247,72 @@ enum Route {
     Direct,
 }
 
-/// One stream's typed model-stage submission.
-enum Request {
-    /// A detect-stage batch: live frames in, per-frame detections out.
-    Detect {
-        model: Arc<dyn Detector>,
-        frames: Vec<Frame>,
-        reply: SyncSender<Result<Vec<Vec<Detection>>, ModelFault>>,
-    },
-    /// A binary-filter batch: live frames in, per-frame verdicts out.
-    Predict {
-        model: Arc<dyn FrameClassifier>,
-        frames: Vec<Frame>,
-        reply: SyncSender<Result<Vec<bool>, ModelFault>>,
-    },
-    /// A classify/projection batch: one `(frame, crops)` job per frame in,
-    /// one value list per job out.
-    Classify {
-        model: Arc<dyn Classifier>,
-        jobs: Vec<(Frame, Vec<Detection>)>,
-        reply: SyncSender<Result<Vec<Vec<Value>>, ModelFault>>,
-    },
+/// A model instance, owned so a request can cross to the coalescing
+/// thread.
+enum Model {
+    Detect(Arc<dyn Detector>),
+    Predict(Arc<dyn FrameClassifier>),
+    Classify(Arc<dyn Classifier>),
+}
+
+/// One stream's model-stage submission: an owned copy of its
+/// [`ModelCall`], and where the answer goes.
+struct Request {
+    model: Model,
+    /// One `(frame, crops)` job per frame; detect and predict jobs carry
+    /// no crops.
+    jobs: Vec<(Frame, Vec<Detection>)>,
+    /// Items this request contributes to a physical batch (frames for
+    /// frame stages, crops for the classify stage).
+    items: usize,
+    /// Requests coalesce only within one model *instance* (not registry
+    /// name): two streams may hold same-named but differently-configured
+    /// models, and those must never share a physical batch.
+    key: (ModelStage, usize),
+    reply: SyncSender<Result<ModelReply, ModelFault>>,
 }
 
 impl Request {
-    fn stage(&self) -> ModelStage {
-        match self {
-            Request::Detect { .. } => ModelStage::Detect,
-            Request::Predict { .. } => ModelStage::Predict,
-            Request::Classify { .. } => ModelStage::Classify,
-        }
-    }
-
-    /// Items this request contributes to a physical batch (frames for
-    /// frame stages, crops for the classify stage).
-    fn items(&self) -> usize {
-        match self {
-            Request::Detect { frames, .. } | Request::Predict { frames, .. } => frames.len(),
-            Request::Classify { jobs, .. } => jobs.iter().map(|(_, dets)| dets.len()).sum(),
-        }
-    }
-
-    /// The model's `Arc` identity: requests coalesce only within one model
-    /// *instance* (not registry name) — two streams may legitimately hold
-    /// same-named but differently-configured models, and those must never
-    /// share a physical batch.
-    fn model_ptr(&self) -> *const () {
-        match self {
-            Request::Detect { model, .. } => Arc::as_ptr(model) as *const (),
-            Request::Predict { model, .. } => Arc::as_ptr(model) as *const (),
-            Request::Classify { model, .. } => Arc::as_ptr(model) as *const (),
+    fn new(call: ModelCall<'_>, reply: SyncSender<Result<ModelReply, ModelFault>>) -> Self {
+        // Shipping frames to the coalescing thread clones them. A clone
+        // copies no pixels: it shares the truth, the background and the
+        // paints behind `Arc`s. The `Vec` of clones is off the per-stream
+        // allocation-free fast path by design: it buys one physical model
+        // invocation across streams.
+        let frame_jobs =
+            |frames: &[&Frame]| frames.iter().map(|&f| (f.clone(), Vec::new())).collect();
+        let (model, jobs) = match call {
+            ModelCall::Detect { model, frames } => {
+                (Model::Detect(Arc::clone(model)), frame_jobs(frames))
+            }
+            ModelCall::Predict { model, frames } => {
+                (Model::Predict(Arc::clone(model)), frame_jobs(frames))
+            }
+            ModelCall::Classify { model, jobs } => (
+                Model::Classify(Arc::clone(model)),
+                jobs.iter()
+                    .map(|&(f, dets)| (f.clone(), dets.to_vec()))
+                    .collect(),
+            ),
+        };
+        Self {
+            model,
+            jobs,
+            items: call.items(),
+            key: (call.stage(), call.model_key()),
+            reply,
         }
     }
 }
 
-/// The [`ModelDispatch`] handle streams install into their engines.
+/// The dispatch layer streams install into their engines.
 ///
-/// Every stage's method blocks the calling stream (its operators cannot
-/// proceed without results) while the coalescing thread folds the request
-/// into a physical batch. If the batcher has shut down, the call
-/// transparently falls back to a direct per-stream invocation. A model
-/// whose circuit breaker is open also dispatches direct (except for
-/// periodic probes) until a probe through the batcher succeeds.
+/// Every call blocks the calling stream (its operators cannot proceed
+/// without results) while the coalescing thread folds the request into a
+/// physical batch. If the batcher has shut down, the call transparently
+/// falls back to a direct per-stream invocation. A model whose circuit
+/// breaker is open also dispatches direct (except for periodic probes)
+/// until a probe through the batcher succeeds.
 pub struct BatchedDispatch {
     /// `None` after shutdown; dispatch then falls back to direct calls.
     tx: Mutex<Option<SyncSender<Request>>>,
@@ -331,14 +335,14 @@ impl std::fmt::Debug for BatchedDispatch {
 }
 
 impl BatchedDispatch {
-    /// Submits a request and waits for the coalescing thread's reply.
+    /// Submits a call and waits for the coalescing thread's reply.
     /// Returns `None` when the batcher is gone (shutdown or panicked), in
     /// which case the caller issues the direct per-stream invocation.
-    fn roundtrip<T>(&self, make: impl FnOnce(SyncSender<T>) -> Request) -> Option<T> {
+    fn roundtrip(&self, call: ModelCall<'_>) -> Option<Result<ModelReply, ModelFault>> {
         let sender = self.tx.lock().clone();
         let tx = sender?;
         let (reply_tx, reply_rx) = sync_channel(1);
-        if tx.send(make(reply_tx)).is_ok() {
+        if tx.send(Request::new(call, reply_tx)).is_ok() {
             if let Ok(results) = reply_rx.recv() {
                 return Some(results);
             }
@@ -384,21 +388,25 @@ impl BatchedDispatch {
             }
         }
     }
+}
 
-    /// The breaker-aware submission path shared by every stage: route,
-    /// dispatch (batched, probe, or direct), record the outcome, and count
-    /// faults surfaced to the caller.
-    fn submit<T>(
-        &self,
-        key: usize,
-        make: impl FnOnce(SyncSender<Result<T, ModelFault>>) -> Request,
-        direct: impl Fn() -> Result<T, ModelFault>,
-    ) -> Result<T, ModelFault> {
+/// The breaker-aware submission path: route, dispatch (batched, probe, or
+/// direct), record the outcome, and count faults surfaced to the caller.
+impl DispatchLayer for BatchedDispatch {
+    fn call(&self, call: ModelCall<'_>, clock: &Clock) -> Result<ModelReply, ModelFault> {
+        if let ModelCall::Classify { jobs, .. } = call {
+            if call.items() == 0 {
+                return Ok(ModelReply::Classify(
+                    jobs.iter().map(|_| Vec::new()).collect(),
+                ));
+            }
+        }
         let obs = &self.obs;
+        let key = call.model_key();
         match self.route(key) {
             Route::Direct => {
                 obs.broken_dispatches.inc();
-                let r = direct();
+                let r = DirectDispatch.call(call, clock);
                 if r.is_err() {
                     obs.model_faults.inc();
                 }
@@ -408,7 +416,7 @@ impl BatchedDispatch {
                 if probe {
                     obs.probes.inc();
                 }
-                match self.roundtrip(make) {
+                match self.roundtrip(call) {
                     Some(result) => {
                         self.record_outcome(key, result.is_ok());
                         if result.is_err() {
@@ -419,86 +427,10 @@ impl BatchedDispatch {
                     // Batcher gone (shutdown): plain direct fallback with
                     // no breaker bookkeeping — there is no coalescing
                     // path left to protect or probe.
-                    None => direct(),
+                    None => DirectDispatch.call(call, clock),
                 }
             }
         }
-    }
-}
-
-impl ModelDispatch for BatchedDispatch {
-    fn detect(
-        &self,
-        detector: &Arc<dyn Detector>,
-        frames: &[&Frame],
-        clock: &Clock,
-    ) -> Result<Vec<Vec<Detection>>, ModelFault> {
-        self.submit(
-            Arc::as_ptr(detector) as *const () as usize,
-            |reply| Request::Detect {
-                model: Arc::clone(detector),
-                // Shipping frames to the coalescing thread clones them. A
-                // clone copies no pixels: it shares the truth, the
-                // background and the paints behind `Arc`s. The `Vec` of
-                // clones is off the per-stream allocation-free fast path by
-                // design: it buys one physical model invocation across
-                // streams.
-                frames: frames.iter().map(|f| (*f).clone()).collect(),
-                reply,
-            },
-            || detector.try_detect_batch(frames, clock),
-        )
-    }
-
-    fn predict(
-        &self,
-        model: &Arc<dyn FrameClassifier>,
-        frames: &[&Frame],
-        clock: &Clock,
-    ) -> Result<Vec<bool>, ModelFault> {
-        self.submit(
-            Arc::as_ptr(model) as *const () as usize,
-            |reply| Request::Predict {
-                model: Arc::clone(model),
-                frames: frames.iter().map(|f| (*f).clone()).collect(),
-                reply,
-            },
-            || model.try_predict_batch(frames, clock),
-        )
-    }
-
-    fn classify(
-        &self,
-        model: &Arc<dyn Classifier>,
-        frame: &Frame,
-        dets: &[Detection],
-        clock: &Clock,
-    ) -> Result<Vec<Value>, ModelFault> {
-        let mut values = self.classify_jobs(model, &[(frame, dets)], clock)?;
-        Ok(values.pop().unwrap_or_default())
-    }
-
-    fn classify_jobs(
-        &self,
-        model: &Arc<dyn Classifier>,
-        jobs: &[(&Frame, &[Detection])],
-        clock: &Clock,
-    ) -> Result<Vec<Vec<Value>>, ModelFault> {
-        if jobs.iter().all(|(_, dets)| dets.is_empty()) {
-            return Ok(jobs.iter().map(|_| Vec::new()).collect());
-        }
-        self.submit(
-            Arc::as_ptr(model) as *const () as usize,
-            |reply| Request::Classify {
-                model: Arc::clone(model),
-                jobs: jobs
-                    .iter()
-                    .map(|&(frame, dets)| (frame.clone(), dets.to_vec()))
-                    .collect(),
-                reply,
-            },
-            || model.try_classify_batch_jobs(jobs, clock),
-        )
     }
 }
 
@@ -626,7 +558,7 @@ fn run_batcher(
         // physical model calls) and lands in the shared lane, pid 0.
         let mut span = obs.tracer.span("serve", "coalesce");
         let deadline = Instant::now() + config.window;
-        let mut total_items = first.items();
+        let mut total_items = first.items;
         let mut requests = vec![first];
         while total_items < max_items {
             let now = Instant::now();
@@ -638,7 +570,7 @@ fn run_batcher(
             };
             match rx.recv_timeout(left) {
                 Ok(r) => {
-                    total_items += r.items();
+                    total_items += r.items;
                     requests.push(r);
                 }
                 Err(_) => break, // window elapsed or channel closed
@@ -654,23 +586,19 @@ fn run_batcher(
 /// instance), one physical invocation per group, results demultiplexed
 /// back in request order.
 fn execute_round(requests: &[Request], clock: &Clock, obs: &BatcherObs) {
-    let mut groups: Vec<((ModelStage, *const ()), Vec<usize>)> = Vec::new();
-    for (i, r) in requests.iter().enumerate() {
-        let key = (r.stage(), r.model_ptr());
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, idxs)) => idxs.push(i),
-            None => groups.push((key, vec![i])),
+    let mut groups: Vec<Vec<&Request>> = Vec::new();
+    for r in requests {
+        match groups.iter_mut().find(|g| g[0].key == r.key) {
+            Some(group) => group.push(r),
+            None => groups.push(vec![r]),
         }
     }
-    for ((stage, _), idxs) in &groups {
-        let items: u64 = idxs.iter().map(|&i| requests[i].items() as u64).sum();
-        obs.requests[stage.index()].add(idxs.len() as u64);
+    for group in &groups {
+        let stage = group[0].key.0;
+        let items: usize = group.iter().map(|r| r.items).sum();
+        obs.requests[stage.index()].add(group.len() as u64);
         obs.batch_items[stage.index()].observe(items as f64);
-        match stage {
-            ModelStage::Detect => run_detect_group(requests, idxs, clock, obs),
-            ModelStage::Predict => run_predict_group(requests, idxs, clock, obs),
-            ModelStage::Classify => run_classify_group(requests, idxs, clock, obs),
-        }
+        run_group(group, clock, obs);
     }
 }
 
@@ -697,112 +625,32 @@ fn guard<T>(
     }
 }
 
-/// Shared demux for the frame-carrying stages: concatenates every
-/// participating request's frames, runs one physical invocation via
-/// `batch`, and splits the per-frame results back per request in
-/// submission order. A failed invocation replies a cloned fault to every
-/// participant instead. Receivers may have given up (stream torn down);
-/// those sends are ignored.
-/// A participating request's frames plus its reply channel, as extracted
-/// from a coalesced window by `run_frame_group`.
-type FramePart<'a, R> = (&'a Vec<Frame>, &'a SyncSender<Result<Vec<R>, ModelFault>>);
-
-fn run_frame_group<R>(
-    requests: &[Request],
-    idxs: &[usize],
-    extract: impl Fn(&Request) -> Option<FramePart<'_, R>>,
-    batch: impl FnOnce(&[&Frame]) -> Result<Vec<R>, ModelFault>,
-) {
-    let parts: Vec<FramePart<'_, R>> = idxs.iter().filter_map(|&i| extract(&requests[i])).collect();
-    let frames: Vec<&Frame> = parts.iter().flat_map(|(f, _)| f.iter()).collect();
-    match batch(&frames) {
-        Ok(mut results) => {
-            for (f, reply) in parts {
-                let rest = results.split_off(f.len());
-                let own = std::mem::replace(&mut results, rest);
-                let _ = reply.send(Ok(own));
+/// Runs one physical model call over every participating request's jobs
+/// (frames for the frame stages) and splits the reply back per request in
+/// submission order. A failed invocation replies a cloned fault to
+/// every participant instead. Receivers may have given up (stream torn
+/// down); those sends are ignored.
+fn run_group(group: &[&Request], clock: &Clock, obs: &BatcherObs) {
+    let jobs: Vec<(&Frame, &[Detection])> = group
+        .iter()
+        .flat_map(|r| r.jobs.iter().map(|(f, dets)| (f, dets.as_slice())))
+        .collect();
+    let frames: Vec<&Frame> = jobs.iter().map(|&(f, _)| f).collect();
+    let frames = &frames[..];
+    let call = match &group[0].model {
+        Model::Detect(model) => ModelCall::Detect { model, frames },
+        Model::Predict(model) => ModelCall::Predict { model, frames },
+        Model::Classify(model) => ModelCall::Classify { model, jobs: &jobs },
+    };
+    match guard(obs, call.model_name(), || DirectDispatch.call(call, clock)) {
+        Ok(mut reply) => {
+            for r in group {
+                let _ = r.reply.send(Ok(reply.split_front(r.jobs.len())));
             }
         }
         Err(fault) => {
-            for (_, reply) in parts {
-                let _ = reply.send(Err(fault.clone()));
-            }
-        }
-    }
-}
-
-/// One physical `detect_batch` over every participating stream's frames.
-fn run_detect_group(requests: &[Request], idxs: &[usize], clock: &Clock, obs: &BatcherObs) {
-    let Some(Request::Detect { model, .. }) = idxs.first().map(|&i| &requests[i]) else {
-        return;
-    };
-    run_frame_group(
-        requests,
-        idxs,
-        |r| match r {
-            Request::Detect { frames, reply, .. } => Some((frames, reply)),
-            _ => None,
-        },
-        |frames| {
-            guard(obs, &model.profile().name, || {
-                model.try_detect_batch(frames, clock)
-            })
-        },
-    );
-}
-
-/// One physical `predict_batch` over every participating stream's frames.
-fn run_predict_group(requests: &[Request], idxs: &[usize], clock: &Clock, obs: &BatcherObs) {
-    let Some(Request::Predict { model, .. }) = idxs.first().map(|&i| &requests[i]) else {
-        return;
-    };
-    run_frame_group(
-        requests,
-        idxs,
-        |r| match r {
-            Request::Predict { frames, reply, .. } => Some((frames, reply)),
-            _ => None,
-        },
-        |frames| {
-            guard(obs, &model.profile().name, || {
-                model.try_predict_batch(frames, clock)
-            })
-        },
-    );
-}
-
-/// One physical `classify_batch_jobs` over every participating stream's
-/// (frame, crops) jobs, flattened across requests; each request gets its
-/// own jobs' value lists back, in order.
-fn run_classify_group(requests: &[Request], idxs: &[usize], clock: &Clock, obs: &BatcherObs) {
-    let mut model = None;
-    let mut parts = Vec::new();
-    let mut jobs: Vec<(&Frame, &[Detection])> = Vec::new();
-    for &i in idxs {
-        if let Request::Classify {
-            model: m,
-            jobs: own,
-            reply,
-        } = &requests[i]
-        {
-            model = Some(m);
-            parts.push((own.len(), reply));
-            jobs.extend(own.iter().map(|(frame, dets)| (frame, dets.as_slice())));
-        }
-    }
-    let Some(model) = model else { return };
-    match guard(obs, &model.profile().name, || {
-        model.try_classify_batch_jobs(&jobs, clock)
-    }) {
-        Ok(results) => {
-            let mut results = results.into_iter();
-            for (n, reply) in parts {
-                let _ = reply.send(Ok(results.by_ref().take(n).collect()));
-            }
-        }
-        Err(fault) => {
-            for (_, reply) in parts {
-                let _ = reply.send(Err(fault.clone()));
+            for r in group {
+                let _ = r.reply.send(Err(fault.clone()));
             }
         }
     }
@@ -811,9 +659,9 @@ fn run_classify_group(requests: &[Request], idxs: &[usize], clock: &Clock, obs: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vqpy_core::DirectDispatch;
+    use vqpy_core::ModelDispatch;
     use vqpy_models::detectors::SimDetector;
-    use vqpy_models::ModelZoo;
+    use vqpy_models::{ModelZoo, Value};
     use vqpy_video::presets;
     use vqpy_video::scene::Scene;
     use vqpy_video::source::{SyntheticVideo, VideoSource};

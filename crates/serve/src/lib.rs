@@ -81,7 +81,7 @@ pub use config::{
     ServeResult, RESTART_BACKOFF_LABEL,
 };
 pub use metrics::{QueryServeMetrics, ServeMetrics, ShardLoad};
-pub use replay::{RecordingDispatch, StoreDispatch, STORE_READ_COST_MS, STORE_READ_LABEL};
+pub use replay::{STORE_READ_COST_MS, STORE_READ_LABEL};
 pub use server::{ServeSession, StepOutcome, StreamId, StreamOptions, StreamServer};
 pub use shard::{
     DeterministicScheduler, PaceCounters, ShardConfig, ShardCore, SplitMix64, INGEST_BOUND,

@@ -1,18 +1,19 @@
 //! Store adapters for hybrid replay: the pieces that connect a live
 //! stream's execution to its persistent [`vqpy_store::StreamStore`].
 //!
-//! Two adapters, both sitting on the model-dispatch injection point — none
-//! of the execution layers know the store exists:
+//! Two crate-private dispatch layers (each one [`DispatchLayer::call`]
+//! over the stream's own stack) — none of the execution layers know the
+//! store exists:
 //!
-//! - [`RecordingDispatch`] wraps a stream's [`ModelDispatch`] boundary and
-//!   records every detect / binary-filter answer per frame; the server
-//!   drains it after each step into [`vqpy_store::FrameRecord`] appends.
-//! - [`StoreDispatch`] is the replay-side inverse: a dispatch boundary
-//!   that answers detect / predict from a prefetched window of stored
-//!   records (charging a token `store_read` cost instead of the model's),
-//!   falling back to real recomputation for frames the store no longer
-//!   has — eviction and corruption degrade to slower replay, never to
-//!   different results (every model is deterministic per (frame, entity)).
+//! - `RecordingDispatch` records every detect / binary-filter answer per
+//!   frame; the server drains it after each step into
+//!   [`vqpy_store::FrameRecord`] appends.
+//! - `StoreDispatch` is its replay-side inverse: it answers a whole
+//!   detect / predict call from a prefetched window of stored records
+//!   (charging a token `store_read` cost instead of the model's), or
+//!   recomputes the whole call when any frame is missing — eviction and
+//!   corruption degrade to slower replay, never to different results
+//!   (every model is deterministic per (frame, entity)).
 //!
 //! Classify answers are not persisted: an intrinsic value is memoised per
 //! tracked object in the engine's object tables, and a track id names an
@@ -29,10 +30,9 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
-use vqpy_core::{ModelDispatch, Query};
-use vqpy_models::{Classifier, Clock, Detection, Detector, FrameClassifier, ModelFault, Value};
+use vqpy_core::{DispatchLayer, ModelCall, ModelDispatch, ModelReply, Query};
+use vqpy_models::{Clock, ModelFault};
 use vqpy_store::{FrameRecord, StoreFault, StoreMetrics};
-use vqpy_video::frame::Frame;
 
 /// Clock label charged for model stages answered from the store during
 /// replay, in place of the model's own cost.
@@ -43,7 +43,7 @@ pub const STORE_READ_LABEL: &str = "store_read";
 /// any model cost (which is the whole point of replaying from the store).
 pub const STORE_READ_COST_MS: f64 = 0.05;
 
-/// A pass-through [`ModelDispatch`] that records every detect and
+/// A pass-through dispatch layer that records every detect and
 /// binary-filter answer into one [`FrameRecord`] per frame index. The
 /// server drains the recording after each step and appends the records
 /// as they are, stamped with their ingest time.
@@ -51,7 +51,7 @@ pub const STORE_READ_COST_MS: f64 = 0.05;
 ///
 /// Restart re-runs overwrite a frame's entry (per model name), so the
 /// drained recording always reflects the attempt that actually delivered.
-pub struct RecordingDispatch {
+pub(crate) struct RecordingDispatch {
     inner: Arc<dyn ModelDispatch>,
     frames: Mutex<HashMap<u64, FrameRecord>>,
 }
@@ -59,7 +59,7 @@ pub struct RecordingDispatch {
 impl RecordingDispatch {
     /// Wraps an inner dispatch boundary (the stream's batcher/retry chain,
     /// or [`DirectDispatch`](vqpy_core::DirectDispatch)).
-    pub fn new(inner: Arc<dyn ModelDispatch>) -> Self {
+    pub(crate) fn new(inner: Arc<dyn ModelDispatch>) -> Self {
         Self {
             inner,
             frames: Mutex::new(HashMap::new()),
@@ -79,71 +79,44 @@ impl RecordingDispatch {
     }
 }
 
-/// The frame's record in a recording, opened on first use.
-fn record_of<'a>(rec: &'a mut HashMap<u64, FrameRecord>, f: &Frame) -> &'a mut FrameRecord {
-    rec.entry(f.index).or_insert_with(|| FrameRecord {
-        frame: f.index,
-        time_s: f.time_s,
-        ..FrameRecord::default()
-    })
+/// Records `value` as model `name`'s answer in one of a frame record's
+/// per-model lists, replacing an earlier answer of the same model.
+fn record<T>(answers: &mut Vec<(String, T)>, name: &str, value: T) {
+    answers.retain(|(n, _)| n != name);
+    answers.push((name.to_owned(), value));
 }
 
-impl ModelDispatch for RecordingDispatch {
-    fn detect(
-        &self,
-        detector: &Arc<dyn Detector>,
-        frames: &[&Frame],
-        clock: &Clock,
-    ) -> Result<Vec<Vec<Detection>>, ModelFault> {
-        let out = self.inner.detect(detector, frames, clock)?;
-        let name = &detector.profile().name;
+/// Model `name`'s answer in one of a frame record's per-model lists.
+fn answer<'r, T>(answers: &'r [(String, T)], name: &str) -> Option<&'r T> {
+    answers.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+}
+
+impl DispatchLayer for RecordingDispatch {
+    fn call(&self, call: ModelCall<'_>, clock: &Clock) -> Result<ModelReply, ModelFault> {
+        let reply = call.send(&*self.inner, clock)?;
+        let frames = match call {
+            ModelCall::Detect { frames, .. } | ModelCall::Predict { frames, .. } => frames,
+            ModelCall::Classify { .. } => return Ok(reply),
+        };
+        let name = call.model_name();
         let mut rec = self.frames.lock();
-        for (f, dets) in frames.iter().zip(&out) {
-            let entry = record_of(&mut rec, f);
-            entry.detects.retain(|(n, _)| n != name);
-            entry.detects.push((name.clone(), dets.clone()));
+        for (i, f) in frames.iter().enumerate() {
+            let entry = rec.entry(f.index).or_insert_with(|| FrameRecord {
+                frame: f.index,
+                time_s: f.time_s,
+                ..FrameRecord::default()
+            });
+            match &reply {
+                ModelReply::Detect(out) => record(&mut entry.detects, name, out[i].clone()),
+                ModelReply::Predict(out) => record(&mut entry.predicts, name, out[i]),
+                ModelReply::Classify(_) => {}
+            }
         }
-        Ok(out)
-    }
-
-    fn predict(
-        &self,
-        model: &Arc<dyn FrameClassifier>,
-        frames: &[&Frame],
-        clock: &Clock,
-    ) -> Result<Vec<bool>, ModelFault> {
-        let out = self.inner.predict(model, frames, clock)?;
-        let name = &model.profile().name;
-        let mut rec = self.frames.lock();
-        for (f, verdict) in frames.iter().zip(&out) {
-            let entry = record_of(&mut rec, f);
-            entry.predicts.retain(|(n, _)| n != name);
-            entry.predicts.push((name.clone(), *verdict));
-        }
-        Ok(out)
-    }
-
-    fn classify(
-        &self,
-        model: &Arc<dyn Classifier>,
-        frame: &Frame,
-        dets: &[Detection],
-        clock: &Clock,
-    ) -> Result<Vec<Value>, ModelFault> {
-        self.inner.classify(model, frame, dets, clock)
-    }
-
-    fn classify_jobs(
-        &self,
-        model: &Arc<dyn Classifier>,
-        jobs: &[(&Frame, &[Detection])],
-        clock: &Clock,
-    ) -> Result<Vec<Vec<Value>>, ModelFault> {
-        self.inner.classify_jobs(model, jobs, clock)
+        Ok(reply)
     }
 }
 
-/// The replay-side dispatch boundary: answers detect and binary-filter
+/// The replay-side dispatch layer: answers detect and binary-filter
 /// invocations from a prefetched window of stored records, charging
 /// [`STORE_READ_COST_MS`] per frame under [`STORE_READ_LABEL`] instead of
 /// the model's cost. A batch with *any* frame missing from the window (an
@@ -153,7 +126,7 @@ impl ModelDispatch for RecordingDispatch {
 /// way. Classify traffic always goes to the inner dispatch; the engine's
 /// memoised intrinsics short-circuit it earlier, at the object tables'
 /// cells.
-pub struct StoreDispatch {
+pub(crate) struct StoreDispatch {
     inner: Arc<dyn ModelDispatch>,
     window: Mutex<HashMap<u64, FrameRecord>>,
     metrics: Arc<StoreMetrics>,
@@ -162,7 +135,7 @@ pub struct StoreDispatch {
 impl StoreDispatch {
     /// Creates the boundary over a fallback dispatch and the store's
     /// shared metrics (for the `replay_hits` counter).
-    pub fn new(inner: Arc<dyn ModelDispatch>, metrics: Arc<StoreMetrics>) -> Self {
+    pub(crate) fn new(inner: Arc<dyn ModelDispatch>, metrics: Arc<StoreMetrics>) -> Self {
         Self {
             inner,
             window: Mutex::new(HashMap::new()),
@@ -171,87 +144,42 @@ impl StoreDispatch {
     }
 
     /// Replaces the prefetch window with one replay chunk's records.
-    pub fn set_window(&self, records: Vec<FrameRecord>) {
+    pub(crate) fn set_window(&self, records: Vec<FrameRecord>) {
         *self.window.lock() = records.into_iter().map(|r| (r.frame, r)).collect();
+    }
+
+    /// The window's answer to a whole detect or predict call, or `None`
+    /// when any of its frames lacks a stored answer from the call's model.
+    fn stored(&self, call: ModelCall<'_>) -> Option<ModelReply> {
+        let name = call.model_name();
+        let window = self.window.lock();
+        match call {
+            ModelCall::Detect { frames, .. } => frames
+                .iter()
+                .map(|f| answer(&window.get(&f.index)?.detects, name).cloned())
+                .collect::<Option<_>>()
+                .map(ModelReply::Detect),
+            ModelCall::Predict { frames, .. } => frames
+                .iter()
+                .map(|f| answer(&window.get(&f.index)?.predicts, name).copied())
+                .collect::<Option<_>>()
+                .map(ModelReply::Predict),
+            ModelCall::Classify { .. } => None,
+        }
     }
 }
 
-impl ModelDispatch for StoreDispatch {
-    fn detect(
-        &self,
-        detector: &Arc<dyn Detector>,
-        frames: &[&Frame],
-        clock: &Clock,
-    ) -> Result<Vec<Vec<Detection>>, ModelFault> {
-        let name = &detector.profile().name;
-        {
-            let window = self.window.lock();
-            let stored: Option<Vec<Vec<Detection>>> = frames
-                .iter()
-                .map(|f| {
-                    let rec = window.get(&f.index)?;
-                    let (_, dets) = rec.detects.iter().find(|(n, _)| n == name)?;
-                    Some(dets.clone())
-                })
-                .collect();
-            if let Some(out) = stored {
-                clock.charge_labeled(STORE_READ_LABEL, STORE_READ_COST_MS * frames.len() as f64);
-                self.metrics
-                    .replay_hits
-                    .fetch_add(frames.len() as u64, Ordering::Relaxed);
-                return Ok(out);
-            }
-        }
-        self.inner.detect(detector, frames, clock)
-    }
-
-    fn predict(
-        &self,
-        model: &Arc<dyn FrameClassifier>,
-        frames: &[&Frame],
-        clock: &Clock,
-    ) -> Result<Vec<bool>, ModelFault> {
-        let name = &model.profile().name;
-        {
-            let window = self.window.lock();
-            let stored: Option<Vec<bool>> = frames
-                .iter()
-                .map(|f| {
-                    let rec = window.get(&f.index)?;
-                    rec.predicts
-                        .iter()
-                        .find(|(n, _)| n == name)
-                        .map(|&(_, v)| v)
-                })
-                .collect();
-            if let Some(out) = stored {
-                clock.charge_labeled(STORE_READ_LABEL, STORE_READ_COST_MS * frames.len() as f64);
-                self.metrics
-                    .replay_hits
-                    .fetch_add(frames.len() as u64, Ordering::Relaxed);
-                return Ok(out);
-            }
-        }
-        self.inner.predict(model, frames, clock)
-    }
-
-    fn classify(
-        &self,
-        model: &Arc<dyn Classifier>,
-        frame: &Frame,
-        dets: &[Detection],
-        clock: &Clock,
-    ) -> Result<Vec<Value>, ModelFault> {
-        self.inner.classify(model, frame, dets, clock)
-    }
-
-    fn classify_jobs(
-        &self,
-        model: &Arc<dyn Classifier>,
-        jobs: &[(&Frame, &[Detection])],
-        clock: &Clock,
-    ) -> Result<Vec<Vec<Value>>, ModelFault> {
-        self.inner.classify_jobs(model, jobs, clock)
+impl DispatchLayer for StoreDispatch {
+    fn call(&self, call: ModelCall<'_>, clock: &Clock) -> Result<ModelReply, ModelFault> {
+        let Some(reply) = self.stored(call) else {
+            return call.send(&*self.inner, clock);
+        };
+        let frames = call.items();
+        clock.charge_labeled(STORE_READ_LABEL, STORE_READ_COST_MS * frames as f64);
+        self.metrics
+            .replay_hits
+            .fetch_add(frames as u64, Ordering::Relaxed);
+        Ok(reply)
     }
 }
 
@@ -504,5 +432,102 @@ impl StreamServer {
         self.install(live, &queries, Some(seed))?;
         live.subs.append(&mut replay.subs);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{BatcherConfig, ModelBatcher};
+    use vqpy_core::{DirectDispatch, ModelStage, RetryDispatch, RetryPolicy};
+    use vqpy_models::{Detection, ModelZoo, DISPATCH_LABEL};
+    use vqpy_video::frame::Frame;
+    use vqpy_video::presets;
+    use vqpy_video::scene::Scene;
+    use vqpy_video::source::{SyntheticVideo, VideoSource};
+
+    /// Every product dispatch layer answers each stage's call with that
+    /// stage's own reply variant (the invariant the typed `ModelDispatch`
+    /// methods rely on) and with `DirectDispatch`'s values; a store window
+    /// holding every frame answers detect and predict from the store.
+    #[test]
+    fn every_dispatch_layer_replies_in_its_calls_stage_with_directs_values() {
+        let zoo = ModelZoo::standard();
+        let det = zoo.detector("yolox").unwrap();
+        let filter = zoo.frame_classifier("no_red_on_road").unwrap();
+        let clf = zoo.classifier("direction_model").unwrap();
+        let v = SyntheticVideo::new(Scene::generate(presets::jackson(), 11, 5.0));
+        let frames: Vec<Frame> = (0..4).map(|i| v.frame(i)).collect();
+        let refs: Vec<&Frame> = frames.iter().collect();
+        let dets: Vec<Vec<Detection>> = frames
+            .iter()
+            .map(|f| det.detect(f, &Clock::new()))
+            .collect();
+        let jobs: Vec<(&Frame, &[Detection])> =
+            frames.iter().zip(&dets).map(|(f, d)| (f, &d[..])).collect();
+        assert!(jobs.iter().any(|(_, d)| !d.is_empty()));
+        let calls = [
+            ModelCall::Detect {
+                model: &det,
+                frames: &refs,
+            },
+            ModelCall::Predict {
+                model: &filter,
+                frames: &refs,
+            },
+            ModelCall::Classify {
+                model: &clf,
+                jobs: &jobs,
+            },
+        ];
+        let direct: Arc<dyn ModelDispatch> = Arc::new(DirectDispatch);
+        let metrics = Arc::new(StoreMetrics::default());
+        let recording = RecordingDispatch::new(Arc::clone(&direct));
+        for call in &calls[..2] {
+            recording.call(*call, &Clock::new()).unwrap();
+        }
+        let full = StoreDispatch::new(Arc::clone(&direct), Arc::clone(&metrics));
+        full.set_window(recording.drain().into_values().collect());
+        let batcher = ModelBatcher::new(BatcherConfig::default(), Arc::new(Clock::new()));
+        let layers: [(&str, &dyn DispatchLayer); 6] = [
+            ("direct", &DirectDispatch),
+            (
+                "retry",
+                &RetryDispatch::new(Arc::clone(&direct), RetryPolicy::default()),
+            ),
+            ("recording", &RecordingDispatch::new(Arc::clone(&direct))),
+            (
+                "store, empty window",
+                &StoreDispatch::new(Arc::clone(&direct), Arc::clone(&metrics)),
+            ),
+            ("store, full window", &full),
+            ("batched", &*batcher.dispatch()),
+        ];
+        for (name, layer) in layers {
+            for call in calls {
+                let want = DirectDispatch.call(call, &Clock::new()).unwrap();
+                let clock = Clock::new();
+                let got = layer.call(call, &clock).unwrap();
+                let stage = call.stage().name();
+                assert_eq!(got.stage(), call.stage(), "{name}, {stage}");
+                assert_eq!(got, want, "{name}, {stage}");
+                let from_store =
+                    name == "store, full window" && call.stage() != ModelStage::Classify;
+                let read = clock.stat(STORE_READ_LABEL);
+                assert_eq!(read.is_some(), from_store, "{name}, {stage}");
+                assert_eq!(
+                    clock.stat(DISPATCH_LABEL).is_none(),
+                    from_store || name == "batched",
+                    "{name}, {stage}: the model is charged unless the store answers"
+                );
+                if from_store {
+                    let read = read.unwrap();
+                    assert_eq!(read.invocations, 1, "one store_read charge per call");
+                    assert_eq!(read.units, STORE_READ_COST_MS * refs.len() as f64);
+                }
+            }
+        }
+        // Two served calls of four frames each; the empty window served none.
+        assert_eq!(metrics.replay_hits.load(Ordering::Relaxed), 8);
     }
 }
