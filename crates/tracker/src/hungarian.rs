@@ -2,7 +2,8 @@
 //!
 //! O(n^3) potentials formulation. Rectangular matrices are supported by
 //! conceptually padding with `FORBIDDEN` cost; pairs at `FORBIDDEN` are
-//! reported as unassigned.
+//! reported as unassigned. Of the assignments that match the most
+//! non-forbidden pairs, the solver returns one of least total cost.
 
 /// Cost marking an (row, col) pair as impossible to match.
 pub const FORBIDDEN: f64 = 1e18;
@@ -89,7 +90,24 @@ impl Hungarian {
     /// The O(n^3) potentials formulation for `n <= m`; `out` holds `n`
     /// `None`s on entry.
     fn potentials(&mut self, cost: &[f64], n: usize, m: usize, out: &mut [Option<usize>]) {
-        let at = |i: usize, j: usize| cost[i * m + j];
+        let allowed = |c: f64| c < FORBIDDEN / 2.0;
+        // A forbidden pair enters the potentials at a finite penalty above
+        // any difference between two assignments' allowed costs, so more
+        // allowed pairs always win and, among those, the cheapest does.
+        // `FORBIDDEN` itself would swamp the costs (its f64 ulp is 128).
+        let max_abs = cost
+            .iter()
+            .filter(|&&c| allowed(c))
+            .fold(0.0f64, |a, c| a.max(c.abs()));
+        let penalty = 1.0 + 2.0 * n as f64 * max_abs;
+        let at = |i: usize, j: usize| {
+            let c = cost[i * m + j];
+            if allowed(c) {
+                c
+            } else {
+                penalty
+            }
+        };
         // 1-indexed arrays per the classical formulation.
         let inf = f64::INFINITY;
         self.v.clear();
@@ -155,7 +173,7 @@ impl Hungarian {
         for (j, &row) in p.iter().enumerate().skip(1) {
             if row != 0 {
                 let i = row - 1;
-                if at(i, j - 1) < FORBIDDEN / 2.0 {
+                if allowed(cost[i * m + j - 1]) {
                     out[i] = Some(j - 1);
                 }
             }
@@ -176,31 +194,41 @@ pub fn assignment_cost(cost: &[Vec<f64>], assignment: &[Option<usize>]) -> f64 {
 mod tests {
     use super::*;
 
-    /// Exhaustive minimum over all row->col injections, for validation.
-    fn brute_force(cost: &[Vec<f64>]) -> f64 {
-        let n = cost.len();
-        let m = cost[0].len();
-        fn rec(cost: &[Vec<f64>], row: usize, used: &mut [bool], acc: f64, best: &mut f64) {
-            let n = cost.len();
-            let m = cost[0].len();
-            if row == n {
-                *best = best.min(acc);
+    /// Exhaustive search over every partial row->col injection through
+    /// non-forbidden entries, for validation: the most pairs such an
+    /// injection can match, and the least total cost among those that
+    /// match that many.
+    fn brute_force(cost: &[Vec<f64>]) -> (usize, f64) {
+        fn rec(
+            cost: &[Vec<f64>],
+            row: usize,
+            used: &mut [bool],
+            acc: (usize, f64),
+            best: &mut (usize, f64),
+        ) {
+            if row == cost.len() {
+                if acc.0 > best.0 || (acc.0 == best.0 && acc.1 < best.1) {
+                    *best = acc;
+                }
                 return;
             }
-            // Option: leave this row unassigned only if rows > cols handled
-            // elsewhere; here n <= m in tests, so always assign.
-            for j in 0..m {
-                if !used[j] {
+            rec(cost, row + 1, used, acc, best);
+            for j in 0..used.len() {
+                if !used[j] && cost[row][j] < FORBIDDEN {
                     used[j] = true;
-                    rec(cost, row + 1, used, acc + cost[row][j], best);
+                    rec(cost, row + 1, used, (acc.0 + 1, acc.1 + cost[row][j]), best);
                     used[j] = false;
                 }
             }
-            let _ = n;
         }
-        let mut best = f64::INFINITY;
-        rec(cost, 0, &mut vec![false; m], 0.0, &mut best);
-        let _ = n;
+        let mut best = (0, f64::INFINITY);
+        rec(
+            cost,
+            0,
+            &mut vec![false; cost[0].len()],
+            (0, 0.0),
+            &mut best,
+        );
         best
     }
 
@@ -280,7 +308,7 @@ mod tests {
                     assert_eq!(dedup_len, cols.len(), "seed {seed} n {n} m {m}");
                     // ...at the optimal cost.
                     let got = assignment_cost(&cost, &a);
-                    let want = brute_force(&cost);
+                    let (_, want) = brute_force(&cost);
                     assert!(
                         (got - want).abs() < 1e-9,
                         "got {got} want {want} (seed {seed} n {n} m {m})"
@@ -290,43 +318,11 @@ mod tests {
         }
     }
 
-    /// The largest number of rows that can be given distinct columns
-    /// through non-forbidden entries (augmenting paths).
-    fn max_matches(cost: &[Vec<f64>]) -> usize {
-        fn augment(
-            cost: &[Vec<f64>],
-            i: usize,
-            seen: &mut [bool],
-            owner: &mut [Option<usize>],
-        ) -> bool {
-            for j in 0..seen.len() {
-                if cost[i][j] >= FORBIDDEN || seen[j] {
-                    continue;
-                }
-                seen[j] = true;
-                if owner[j].is_none_or(|k| augment(cost, k, seen, owner)) {
-                    owner[j] = Some(i);
-                    return true;
-                }
-            }
-            false
-        }
-        let m = cost[0].len();
-        let mut owner = vec![None; m];
-        (0..cost.len())
-            .filter(|&i| augment(cost, i, &mut vec![false; m], &mut owner))
-            .count()
-    }
-
     /// The tracker's matrices: tall and wide, up to 6 × 6, each entry
     /// forbidden or a cost `1 − IoU` with IoU in `[0.2, 1]`. The solver
-    /// gives distinct columns, never a forbidden pair, and as many
-    /// matches as the forbidden entries allow.
-    ///
-    /// It does not always find the cheapest of those matchings:
-    /// `FORBIDDEN` enters the potentials and swamps sub-1 costs (the f64
-    /// ulp at 1e18 is 128), so `[[0.543, F], [0.469, F]]` gives the one
-    /// column to the costlier row. That is not asserted here.
+    /// gives distinct columns, never a forbidden pair, as many matches as
+    /// the forbidden entries allow, and the least total cost among the
+    /// matchings that large.
     #[test]
     fn matches_as_many_pairs_as_forbidden_entries_allow() {
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
@@ -365,11 +361,24 @@ mod tests {
             cols.sort_unstable();
             cols.dedup();
             assert_eq!(cols.len(), matched, "shared column (case {case}): {a:?}");
+            let (most, least) = brute_force(&cost);
             assert_eq!(
-                matched,
-                max_matches(&cost),
+                matched, most,
                 "too few matches (case {case}): {cost:?} -> {a:?}"
             );
+            let got = assignment_cost(&cost, &a);
+            assert!(
+                (got - least).abs() < 1e-9,
+                "cost {got}, cheapest {least} (case {case}): {cost:?} -> {a:?}"
+            );
         }
+    }
+
+    /// A forbidden entry must not swamp the allowed costs: with one
+    /// allowed column, the cheaper row takes it.
+    #[test]
+    fn forbidden_entries_leave_the_cheaper_row_its_column() {
+        let cost = vec![vec![0.543, FORBIDDEN], vec![0.469, FORBIDDEN]];
+        assert_eq!(solve(&cost), vec![None, Some(0)]);
     }
 }
