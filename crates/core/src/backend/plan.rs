@@ -143,12 +143,6 @@ impl PlanDag {
         SlotLayout::new(props, edge_props)
     }
 
-    /// A stable signature for plan/result caching.
-    pub fn signature(&self) -> String {
-        let queries: Vec<&str> = self.joins.iter().map(|j| j.query.name()).collect();
-        format!("{}|{}|{}", queries.join("+"), self.label, self.describe())
-    }
-
     /// Resolves a projected property's execution traits: its
     /// [`PropertyKind`] and whether it is model-backed. `None` for builtins
     /// and unresolvable names.
